@@ -75,7 +75,7 @@ bench:
 	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/
 
 bench-crypto:
-	$(GO) test -run XXX -bench 'BenchmarkMAC|BenchmarkAppendMAC|BenchmarkVerifyMAC|BenchmarkSign|BenchmarkVerifySignature|BenchmarkSignVerify' -benchmem -benchtime 200ms ./internal/crypto/
+	$(GO) test -run XXX -bench 'BenchmarkMAC|BenchmarkAppendMAC|BenchmarkVerifyMAC|BenchmarkSign|BenchmarkVerifySignature|BenchmarkSignVerify|BenchmarkVerifyMemo' -benchmem -benchtime 200ms ./internal/crypto/
 	$(GO) test -run XXX -bench 'BenchmarkVerifyCert|BenchmarkVerifyCommitCert' -benchmem -benchtime 200ms ./internal/pbft/
 
 bench-wal:

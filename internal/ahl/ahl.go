@@ -143,7 +143,7 @@ func NewCommittee(opts CommitteeOptions) *Committee {
 		self:       opts.Self,
 		peers:      opts.Peers,
 		shardPeers: opts.ShardPeers,
-		auth:       opts.Auth,
+		auth:       verifier,
 		verifier:   verifier,
 		send:       opts.Send,
 		clock:      opts.Clock,

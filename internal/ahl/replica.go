@@ -134,7 +134,7 @@ func NewReplica(opts ReplicaOptions) *Replica {
 		self:      opts.Self,
 		peers:     opts.Peers,
 		committee: opts.Committee,
-		auth:      opts.Auth,
+		auth:      verifier,
 		verifier:  verifier,
 		send:      opts.Send,
 		clock:     opts.Clock,

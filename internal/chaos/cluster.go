@@ -122,7 +122,11 @@ type dflight struct {
 }
 
 // NewCluster builds the deterministic cluster for a scenario.
-func NewCluster(sc Scenario) *Cluster {
+func NewCluster(sc Scenario) *Cluster { return newCluster(sc, nil) }
+
+// newCluster is NewCluster with an optional wrapper around every node's key
+// ring (instrumentation: counting authenticators).
+func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) crypto.Authenticator) *Cluster {
 	sc = sc.Normalize()
 	cfg := types.DefaultConfig(sc.Shards, sc.ReplicasPerShard)
 	cfg.BatchSize = sc.BatchSize
@@ -173,6 +177,9 @@ func NewCluster(sc Scenario) *Cluster {
 			panic(fmt.Sprintf("chaos: keyring for %v: %v", id, err))
 		}
 		c.auths[id] = ring
+		if wrapAuth != nil {
+			c.auths[id] = wrapAuth(id, ring)
+		}
 	}
 	for _, id := range all {
 		c.spawn(id)

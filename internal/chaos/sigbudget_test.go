@@ -1,0 +1,119 @@
+package chaos
+
+import (
+	"testing"
+
+	"ringbft/internal/crypto"
+	"ringbft/internal/harness"
+	"ringbft/internal/ringbft"
+	"ringbft/internal/types"
+	"ringbft/internal/workload"
+)
+
+// The signature budget is a gate that counts instead of timing: on the
+// deterministic logical-time engine a fault-free run spends exactly the same
+// Ed25519 calls on every host, so a regression in what gets signed or
+// verified — like the fault-free straggler replies that once re-signed and
+// re-verified a Commit per peer per block — fails here, not in a benchmark
+// someone has to read.
+
+// isCheckpoint tells checkpoint votes apart: those are periodic, not per
+// block, so they are counted outside the per-block budget.
+func isCheckpoint(msg []byte) bool {
+	return len(msg) == types.SigBytesLen && types.MsgType(msg[0]) == types.MsgCheckpoint
+}
+
+// runBudget drives a fault-free RingBFT cluster whose clients send only
+// single-shard batches (involved == 0) or only csts over `involved` shards,
+// with every replica's authenticator counted (what reaches the key ring after
+// the verifier's memo), and returns per replica the counts and the number of
+// blocks it executed.
+func runBudget(t *testing.T, shards, involved int) (map[types.NodeID]*crypto.CountingAuth, map[types.NodeID]int) {
+	t.Helper()
+	// One closed-loop client: no cst ever waits in a lock queue behind
+	// another, so no remote or transmit timer fires and the counts are the
+	// protocol's own cost, not the schedule's.
+	sc := Scenario{
+		Protocol: harness.ProtoRingBFT, Fault: FaultNone, Seed: 7,
+		Shards: shards, Clients: 1, Horizon: 600,
+	}.Normalize()
+	counts := make(map[types.NodeID]*crypto.CountingAuth)
+	c := newCluster(sc, func(id types.NodeID, a crypto.Authenticator) crypto.Authenticator {
+		counts[id] = &crypto.CountingAuth{Authenticator: a, Apart: isCheckpoint}
+		return counts[id]
+	})
+	cross := 0.0
+	if involved > 0 {
+		cross = 1
+	}
+	for _, cl := range c.clients {
+		cl.gen = workload.New(workload.Config{
+			Shards: sc.Shards, ActiveRecords: sc.Records, BatchSize: sc.BatchSize,
+			CrossShardPct: cross, InvolvedShards: involved,
+			Clients: sc.Clients, Seed: sc.Seed + int64(cl.id)*7919,
+		})
+	}
+	for c.tick < sc.Horizon {
+		if err := c.step(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cl := range c.clients {
+		cl.paused = true
+	}
+	for i := 0; i < 200 && (i < 20 || len(c.queue) > 0); i++ { // drain the tail
+		if err := c.step(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks := make(map[types.NodeID]int, len(c.order))
+	for _, id := range c.order {
+		chain := c.nodes[id].(*ringbft.Replica).Chain()
+		for _, b := range chain.Blocks()[1:] { // the suffix checkpoints have not pruned
+			if b.Batch.IsCrossShard() != (involved > 0) {
+				t.Fatalf("replica %v executed a batch of the wrong kind (involved %v)", id, b.Batch.Involved)
+			}
+		}
+		blocks[id] = chain.Height()
+	}
+	return counts, blocks
+}
+
+// TestSignatureBudgetSingleShard: outside checkpoints a replica spends no
+// signature at all on single-shard traffic — every phase is MAC'd.
+func TestSignatureBudgetSingleShard(t *testing.T) {
+	counts, blocks := runBudget(t, 2, 0)
+	for id, a := range counts {
+		if blocks[id] < 20 || a.ApartSigns.Load() == 0 {
+			t.Fatalf("replica %v: %d blocks, %d checkpoints — run too short to gate anything", id, blocks[id], a.ApartSigns.Load())
+		}
+		if a.Signs.Load() != 0 || a.Verifies.Load() != 0 {
+			t.Errorf("replica %v spent %d Sign / %d Verify on %d single-shard blocks outside checkpoints, want 0/0",
+				id, a.Signs.Load(), a.Verifies.Load(), blocks[id])
+		}
+	}
+}
+
+// TestSignatureBudgetCrossShard: a 3-shard cst costs each replica of each
+// involved shard at most 3 signatures (its Commit, its Forward, its Execute)
+// and 15 verifications (3 peer Commits; the previous shard's Forward and the
+// nf-entry certificate inside it, once; the Execute rotation) — every
+// further copy of a signature is answered by the memo.
+func TestSignatureBudgetCrossShard(t *testing.T) {
+	const maxSign, maxVerify = 3, 15
+	counts, blocks := runBudget(t, 3, 3)
+	for id, a := range counts {
+		n := int64(blocks[id])
+		if n < 10 {
+			t.Fatalf("replica %v executed %d csts — run too short to gate anything", id, n)
+		}
+		t.Logf("replica %v: %d csts, %.2f Sign / %.2f Verify per cst (checkpoints: %d Sign, %d Verify)",
+			id, n, float64(a.Signs.Load())/float64(n), float64(a.Verifies.Load())/float64(n), a.ApartSigns.Load(), a.ApartVerifies.Load())
+		if a.Signs.Load() > maxSign*n {
+			t.Errorf("replica %v: %d Sign for %d csts, budget %d per cst", id, a.Signs.Load(), n, maxSign)
+		}
+		if a.Verifies.Load() > maxVerify*n {
+			t.Errorf("replica %v: %d Verify for %d csts, budget %d per cst", id, a.Verifies.Load(), n, maxVerify)
+		}
+	}
+}

@@ -198,78 +198,180 @@ func TestVerifyQuorumSerialParallelEquivalent(t *testing.T) {
 	}
 }
 
-// TestCertCacheKeyCoversContent: any byte of the certificate — tuple fields,
-// signature bytes, entry order, expected digest, quorum — must change the
-// cache key. This is the property that makes caching sound.
-func TestCertCacheKeyCoversContent(t *testing.T) {
-	_, _, cert, d := benchVerifierSetup(t, 4)
-	base := CertCacheKey(0, d, 3, cert)
-	mutations := []struct {
-		name string
-		key  func() CertKey
-	}{
-		{"different shard", func() CertKey { return CertCacheKey(1, d, 3, cert) }},
-		{"different digest", func() CertKey { return CertCacheKey(0, types.Digest{1}, 3, cert) }},
-		{"different quorum", func() CertKey { return CertCacheKey(0, d, 4, cert) }},
-		{"truncated cert", func() CertKey { return CertCacheKey(0, d, 3, cert[:3]) }},
-		{"flipped sig bit", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[2].Sig = append([]byte(nil), c[2].Sig...)
-			c[2].Sig[10] ^= 1
-			return CertCacheKey(0, d, 3, c)
-		}},
-		{"different sender", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[1].From = types.ReplicaNode(0, 9)
-			return CertCacheKey(0, d, 3, c)
-		}},
-		{"different view", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[0].View++
-			return CertCacheKey(0, d, 3, c)
-		}},
-		{"reordered entries", func() CertKey {
-			c := append([]types.Signed(nil), cert...)
-			c[0], c[1] = c[1], c[0]
-			return CertCacheKey(0, d, 3, c)
-		}},
+// memoFixture returns a verifier over a counting authenticator plus one
+// valid (signer, msg, sig) triple and a second registered signer.
+func memoFixture(t testing.TB) (*Verifier, *CountingAuth, types.NodeID, types.NodeID, []byte, []byte) {
+	kg, _, cert, _ := benchVerifierSetup(t, 4)
+	ring, err := kg.Ring(cert[0].From)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range mutations {
-		if m.key() == base {
-			t.Errorf("%s: cache key collision — cache poisoning possible", m.name)
+	ca := &CountingAuth{Authenticator: ring}
+	return NewVerifier(ca, 0), ca, cert[1].From, cert[2].From, cert[1].SigBytes(), cert[1].Sig
+}
+
+// TestMemoKeyCoversEveryInput: after a triple verified, changing any one of
+// signer, message bytes or signature must miss the memo, reach the real
+// check and be rejected by it — the property that makes the memo sound.
+func TestMemoKeyCoversEveryInput(t *testing.T) {
+	v, ca, signer, other, msg, sig := memoFixture(t)
+	if err := v.Verify(signer, msg, sig); err != nil {
+		t.Fatalf("valid signature rejected: %v", err)
+	}
+	if err := v.Verify(signer, msg, sig); err != nil || v.MemoHits() != 1 || ca.Verifies.Load() != 1 {
+		t.Fatalf("re-presented triple: err=%v hits=%d real checks=%d, want nil/1/1", err, v.MemoHits(), ca.Verifies.Load())
+	}
+	flip := func(b []byte, i int) []byte {
+		c := append([]byte(nil), b...)
+		c[i] ^= 1
+		return c
+	}
+	cases := []struct {
+		name   string
+		signer types.NodeID
+		msg    []byte
+		sig    []byte
+	}{
+		{"other signer", other, msg, sig},
+		{"unknown signer", types.ReplicaNode(5, 5), msg, sig},
+		{"flipped first msg byte", signer, flip(msg, 0), sig},
+		{"flipped last msg byte", signer, flip(msg, len(msg)-1), sig},
+		{"truncated msg", signer, msg[:len(msg)-1], sig},
+		{"msg byte moved into sig", signer, msg[:len(msg)-1], append([]byte{msg[len(msg)-1]}, sig...)},
+		{"flipped first sig byte", signer, msg, flip(sig, 0)},
+		{"flipped last sig byte", signer, msg, flip(sig, len(sig)-1)},
+		{"truncated sig", signer, msg, sig[:len(sig)-1]},
+		{"empty sig", signer, msg, nil},
+	}
+	for _, tc := range cases {
+		for round := 0; round < 2; round++ { // round 2: the failure was not stored
+			before := ca.Verifies.Load()
+			if err := v.Verify(tc.signer, tc.msg, tc.sig); err == nil {
+				t.Errorf("%s round %d: accepted", tc.name, round)
+			}
+			if ca.Verifies.Load() != before+1 {
+				t.Errorf("%s round %d: did not reach the real check", tc.name, round)
+			}
 		}
 	}
-	if CertCacheKey(0, d, 3, cert) != base {
-		t.Fatal("cache key not deterministic")
+	if v.MemoHits() != 1 {
+		t.Fatalf("a tampered triple hit the memo (hits=%d)", v.MemoHits())
+	}
+	if err := v.Verify(signer, msg, sig); err != nil || v.MemoHits() != 2 {
+		t.Fatalf("original triple lost after tamper attempts: err=%v hits=%d", err, v.MemoHits())
 	}
 }
 
-// TestCertCacheBoundedAndSuccessOnly: the cache evicts FIFO at capacity and
-// only records what MarkCertVerified was called for.
-func TestCertCacheBoundedAndSuccessOnly(t *testing.T) {
-	_, v, cert, d := benchVerifierSetup(t, 4)
-	v.SetCertCacheSize(2)
-	k1 := CertCacheKey(0, d, 3, cert)
-	k2 := CertCacheKey(0, d, 4, cert)
-	k3 := CertCacheKey(1, d, 3, cert)
-	if v.CertVerified(k1) {
-		t.Fatal("empty cache reported a hit")
+// TestMemoBoundedFIFO: the memo never holds more than its capacity, evicts
+// the oldest success first, and capacity 0 stores nothing.
+func TestMemoBoundedFIFO(t *testing.T) {
+	kg, _, cert, _ := benchVerifierSetup(t, 4)
+	ring, _ := kg.Ring(cert[0].From)
+	ca := &CountingAuth{Authenticator: ring}
+	v := NewVerifier(ca, 0)
+	v.SetMemoSize(2)
+	check := func(i int) {
+		t.Helper()
+		if err := v.Verify(cert[i].From, cert[i].SigBytes(), cert[i].Sig); err != nil {
+			t.Fatalf("valid signature %d rejected: %v", i, err)
+		}
 	}
-	v.MarkCertVerified(k1)
-	v.MarkCertVerified(k2)
-	if !v.CertVerified(k1) || !v.CertVerified(k2) {
-		t.Fatal("cached keys missing")
+	check(0)
+	check(1)
+	check(0)
+	check(1)
+	if ca.Verifies.Load() != 2 || v.MemoHits() != 2 {
+		t.Fatalf("within capacity: real checks=%d hits=%d, want 2/2", ca.Verifies.Load(), v.MemoHits())
 	}
-	v.MarkCertVerified(k3) // evicts k1
-	if v.CertVerified(k1) {
-		t.Fatal("FIFO eviction did not evict the oldest entry")
+	check(2) // evicts 0, the oldest
+	if len(v.memo) != 2 || len(v.fifo) != 2 {
+		t.Fatalf("memo holds %d entries (ring %d), capacity 2", len(v.memo), len(v.fifo))
 	}
-	if !v.CertVerified(k2) || !v.CertVerified(k3) {
-		t.Fatal("eviction removed the wrong entry")
+	check(1)
+	check(2)
+	if ca.Verifies.Load() != 3 {
+		t.Fatalf("eviction removed the wrong entry: real checks=%d, want 3", ca.Verifies.Load())
 	}
-	v.SetCertCacheSize(0)
-	v.MarkCertVerified(k1)
-	if v.CertVerified(k1) {
-		t.Fatal("disabled cache stored an entry")
+	check(0) // was evicted: verified for real again, evicting 1
+	check(1)
+	if ca.Verifies.Load() != 5 {
+		t.Fatalf("FIFO order not respected: real checks=%d, want 5", ca.Verifies.Load())
+	}
+	v.SetMemoSize(0)
+	hits := v.MemoHits()
+	check(2)
+	check(2)
+	if v.MemoHits() != hits || v.memo != nil {
+		t.Fatal("disabled memo stored an entry")
+	}
+}
+
+// TestMemoBypassedUnderNopAuth: with free verification the memo would only
+// add hashing, so it is off and nothing is ever allocated.
+func TestMemoBypassedUnderNopAuth(t *testing.T) {
+	v := NewVerifier(NopAuth{}, 0)
+	for i := 0; i < 3; i++ {
+		if err := v.Verify(types.ReplicaNode(0, 1), []byte("m"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v.MemoHits() != 0 || v.memo != nil {
+		t.Fatalf("NopAuth verifier used the memo (hits=%d)", v.MemoHits())
+	}
+}
+
+// TestMemoLazyAllocation: construction allocates no memo storage — a
+// replica that never verifies a signature pays nothing for the capacity.
+func TestMemoLazyAllocation(t *testing.T) {
+	v, _, signer, _, msg, sig := memoFixture(t)
+	if v.memo != nil || v.fifo != nil {
+		t.Fatal("memo storage allocated at construction")
+	}
+	bad := append([]byte(nil), sig...)
+	bad[3] ^= 1
+	if v.Verify(signer, msg, bad) == nil || v.memo != nil {
+		t.Fatal("a failed check allocated or populated the memo")
+	}
+	if err := v.Verify(signer, msg, sig); err != nil || len(v.memo) != 1 {
+		t.Fatalf("first success not stored: err=%v entries=%d", err, len(v.memo))
+	}
+}
+
+// TestMemoConcurrentHammer drives one small memo from many goroutines with
+// a mix of valid and tampered triples (constant eviction pressure): every
+// decision must match the bare authenticator. Meaningful under -race.
+func TestMemoConcurrentHammer(t *testing.T) {
+	kg, _, cert, _ := benchVerifierSetup(t, 7)
+	ring, _ := kg.Ring(cert[0].From)
+	v := NewVerifier(ring, 4)
+	v.SetMemoSize(3)
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				e := cert[(g+i)%len(cert)]
+				sig := e.Sig
+				tampered := (g+i)%3 == 0
+				if tampered {
+					sig = append([]byte(nil), sig...)
+					sig[i%len(sig)] ^= 0x40
+				}
+				if err := v.Verify(e.From, e.SigBytes(), sig); (err == nil) == tampered {
+					errs <- fmt.Errorf("goroutine %d iter %d: tampered=%v err=%v", g, i, tampered, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if len(v.memo) > 3 {
+		t.Fatalf("memo grew to %d entries past capacity 3", len(v.memo))
 	}
 }

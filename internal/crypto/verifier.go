@@ -9,41 +9,50 @@ import (
 	"ringbft/internal/types"
 )
 
-// DefaultCertCacheSize bounds the verified-certificate cache of a Verifier.
-// A commit certificate is re-checked at most a handful of times per replica
-// (re-delivery on lossy links, local re-share, ring retransmission), all
-// within a short window, so a few thousand entries cover the working set.
-const DefaultCertCacheSize = 4096
+// DefaultMemoSize bounds the verified-signature memo of a Verifier. A
+// signature is re-presented a handful of times per replica (a straggler
+// re-send, the same commit certificate inside every Forward copy, a
+// retransmission), all within a short window, so a few thousand entries
+// cover the working set.
+const DefaultMemoSize = 4096
 
-// Verifier wraps an Authenticator with the crypto fast path for certificate
+// Verifier wraps an Authenticator with the crypto fast path for signature
 // checking (Section 3: authentication dominates replica CPU):
 //
-//   - a bounded worker pool that verifies the nf Ed25519 signatures of a
-//     commit certificate or new-view justification concurrently
-//     (VerifyWorkers knob; 0 or 1 = serial), and
-//   - a bounded cache of certificate keys that already verified, so a
-//     certificate re-delivered within a shard or re-checked during ring
-//     rotation is verified once.
+//   - a bounded FIFO memo of signatures that already verified, keyed on
+//     (signer, message bytes, signature), so an Ed25519 signature is
+//     verified at most once per replica no matter how many messages or
+//     certificates carry it, and
+//   - a bounded worker pool that verifies the nf signatures of a commit
+//     certificate or new-view justification concurrently (VerifyWorkers
+//     knob; 0 or 1 = serial).
 //
-// Accept/reject decisions are identical to serial per-signature
-// verification. Only successes are cached, and the cache key covers the
-// full certificate content, so a tampered re-delivery can never alias a
-// cached success. Safe for concurrent use.
+// Accept/reject decisions are identical to calling the wrapped
+// Authenticator every time: only successes are remembered and the key
+// covers every input of the check, so a tampered re-delivery can never
+// alias a remembered success. One Verifier per replica, never shared across
+// replicas. Safe for concurrent use.
 type Verifier struct {
 	Authenticator
 	workers int
 	sem     chan struct{} // bounds in-flight verification workers
+	// size is the memo capacity. It is written under mu; Verify's lock-free
+	// read only decides whether to consult the memo at all.
+	size atomic.Int64
 
-	mu    sync.Mutex
-	cache map[CertKey]struct{}
-	fifo  []CertKey // eviction ring, same capacity as cache
-	next  int
-	hits  uint64
-	size  int
+	mu   sync.Mutex
+	memo map[memoKey]struct{}
+	fifo []memoKey // eviction ring, same capacity as memo
+	next int
+	hits uint64
 }
 
-// NewVerifier wraps auth with a batch verifier of the given worker-pool
-// size (0 or 1 = serial) and the default verified-certificate cache.
+// memoKey is SHA-256 over (signer, len(msg), msg, sig): collision-resistant,
+// so two checks share a key only if every input is identical.
+type memoKey [sha256.Size]byte
+
+// NewVerifier wraps auth with the default verified-signature memo and a
+// batch-verification worker pool of the given size (0 or 1 = serial).
 func NewVerifier(auth Authenticator, workers int) *Verifier {
 	if workers < 0 {
 		workers = 0
@@ -52,126 +61,104 @@ func NewVerifier(auth Authenticator, workers int) *Verifier {
 	if workers > 1 {
 		v.sem = make(chan struct{}, workers)
 	}
-	if _, nop := auth.(NopAuth); nop {
-		// Verification is free under NopAuth (crypto ablations): hashing
-		// certificates for the cache would only add cost.
-		v.SetCertCacheSize(0)
-	} else {
-		v.SetCertCacheSize(DefaultCertCacheSize)
+	// Verification is free under NopAuth (crypto ablations): hashing for the
+	// memo would only add cost, so the memo stays off.
+	if _, nop := auth.(NopAuth); !nop {
+		v.size.Store(DefaultMemoSize)
 	}
 	return v
 }
 
-// CertCacheEnabled reports whether the verified-certificate cache is active;
-// callers skip computing cache keys entirely when it is not.
-func (v *Verifier) CertCacheEnabled() bool {
+// SetMemoSize resizes (and clears) the verified-signature memo; 0 disables
+// it. Storage is allocated on the first insert, so replicas that never verify
+// a signature pay nothing for the capacity.
+func (v *Verifier) SetMemoSize(n int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.size > 0
-}
-
-// SetCertCacheSize resizes (and clears) the verified-certificate cache;
-// 0 disables caching. Storage is allocated lazily on the first insert, so
-// replicas that never verify certificates (single-shard baselines) pay
-// nothing for the default capacity.
-func (v *Verifier) SetCertCacheSize(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.size = n
+	v.size.Store(int64(n))
 	v.next = 0
-	v.cache, v.fifo = nil, nil
+	v.memo, v.fifo = nil, nil
 }
 
-// CertCacheHits returns the number of cache hits served (for tests and
-// instrumentation).
-func (v *Verifier) CertCacheHits() uint64 {
+// MemoHits returns the number of verifications served from the memo (for
+// tests and instrumentation).
+func (v *Verifier) MemoHits() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.hits
 }
 
-// CertKey identifies one fully-verified certificate: the consensus slot it
-// certifies plus a SHA-256 over the complete certificate content (every
-// entry's tuple and signature bytes, the expected digest, and the quorum it
-// was checked against). Two certificates that differ in any byte — or that
-// were checked under different requirements — can never share a key.
-type CertKey struct {
-	Shard types.ShardID
-	View  types.View
-	Seq   types.SeqNum
-	Sum   [sha256.Size]byte
+// Verify checks signer's signature over msg, spending the wrapped
+// Authenticator's work only the first time this exact (signer, msg, sig)
+// triple verifies. Failures are never remembered: a bad signature is simply
+// re-checked if it shows up again.
+func (v *Verifier) Verify(signer types.NodeID, msg, sig []byte) error {
+	if v.size.Load() <= 0 {
+		return v.Authenticator.Verify(signer, msg, sig)
+	}
+	key := newMemoKey(signer, msg, sig)
+	v.mu.Lock()
+	_, ok := v.memo[key]
+	if ok {
+		v.hits++
+	}
+	v.mu.Unlock()
+	if ok {
+		return nil
+	}
+	if err := v.Authenticator.Verify(signer, msg, sig); err != nil {
+		return err
+	}
+	v.remember(key)
+	return nil
 }
 
-// CertCacheKey computes the cache key for a certificate checked as "quorum
-// valid signatures from shard over digest". Entry fields are
-// length-delimited so no two distinct certificates serialize identically.
-func CertCacheKey(shard types.ShardID, digest types.Digest, quorum int, cert []types.Signed) CertKey {
+func newMemoKey(signer types.NodeID, msg, sig []byte) memoKey {
 	s := macPool.Get().(*macScratch)
 	h := s.h
 	h.Reset()
-	var tmp [8]byte
-	put := func(x uint64) {
-		binary.BigEndian.PutUint64(tmp[:], x)
-		h.Write(tmp[:])
-	}
-	put(uint64(shard))
-	h.Write(digest[:])
-	put(uint64(quorum))
-	put(uint64(len(cert)))
-	var sb [types.SigBytesLen]byte
-	for i := range cert {
-		e := &cert[i]
-		buf := e.AppendSigBytes(sb[:0])
-		h.Write(buf)
-		put(uint64(len(e.Sig)))
-		h.Write(e.Sig)
-	}
-	key := CertKey{Shard: shard}
-	if len(cert) > 0 {
-		key.View, key.Seq = cert[0].View, cert[0].Seq
-	}
-	h.Sum(key.Sum[:0])
-	h.Reset()
+	// The header lives in the pooled scratch: a stack buffer would escape
+	// through the hash.Hash interface and cost an allocation per check.
+	hdr := s.inner[:25]
+	hdr[0] = byte(signer.Kind)
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(signer.Shard))
+	binary.BigEndian.PutUint64(hdr[9:17], uint64(signer.Index))
+	binary.BigEndian.PutUint64(hdr[17:25], uint64(len(msg)))
+	h.Write(hdr)
+	h.Write(msg)
+	h.Write(sig)
+	var key memoKey
+	copy(key[:], h.Sum(s.outer[:0]))
 	macPool.Put(s)
 	return key
 }
 
-// CertVerified reports whether the certificate identified by key already
-// verified on this node.
-func (v *Verifier) CertVerified(key CertKey) bool {
+// remember records a successful verification, evicting the oldest entry at
+// capacity.
+func (v *Verifier) remember(key memoKey) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	_, ok := v.cache[key]
-	if ok {
-		v.hits++
-	}
-	return ok
-}
-
-// MarkCertVerified records a successful full verification of key. Failures
-// are never recorded: a certificate that fails is simply re-verified if it
-// shows up again.
-func (v *Verifier) MarkCertVerified(key CertKey) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.size <= 0 {
+	// Capacity is re-read under the lock: a concurrent SetMemoSize cleared
+	// the table, and the ring below must match the capacity it was made for.
+	size := int(v.size.Load())
+	if size <= 0 {
 		return
 	}
-	if v.cache == nil {
-		v.cache = make(map[CertKey]struct{}, v.size)
-		v.fifo = make([]CertKey, 0, v.size)
+	if v.memo == nil {
+		v.memo = make(map[memoKey]struct{}, size)
+		v.fifo = make([]memoKey, 0, size)
 	}
-	if _, dup := v.cache[key]; dup {
+	if _, dup := v.memo[key]; dup {
 		return
 	}
-	if len(v.fifo) < v.size {
+	if len(v.fifo) < size {
 		v.fifo = append(v.fifo, key)
 	} else {
-		delete(v.cache, v.fifo[v.next])
+		delete(v.memo, v.fifo[v.next])
 		v.fifo[v.next] = key
-		v.next = (v.next + 1) % v.size
+		v.next = (v.next + 1) % size
 	}
-	v.cache[key] = struct{}{}
+	v.memo[key] = struct{}{}
 }
 
 // VerifyQuorum checks the signatures of entries and returns how many are

@@ -77,7 +77,7 @@ func TestParallelExecutionAllProtocols(t *testing.T) {
 }
 
 // TestVerifyFastPathAllProtocols runs every sharded protocol with the
-// batched/cached certificate verifier enabled end-to-end: cross-shard
+// batched, memoizing signature verifier enabled end-to-end: cross-shard
 // traffic (whose Forward certificates exercise VerifyCert) must still
 // commit. Accept/reject equivalence with serial verification is proven
 // deterministically by internal/ringbft's

@@ -46,7 +46,7 @@ func BenchmarkVerifyCommitCert(b *testing.B) {
 	h.engines[1].cb.Committed = func(_ types.SeqNum, bb *types.Batch, c []types.Signed) {
 		cert, digest = c, bb.Digest()
 	}
-	if _, err := h.engines[0].Propose(batchOf(1)); err != nil {
+	if _, err := h.engines[0].Propose(crossBatchOf(1)); err != nil {
 		b.Fatal(err)
 	}
 	h.pump()
@@ -54,7 +54,7 @@ func BenchmarkVerifyCommitCert(b *testing.B) {
 		b.Fatal("no cert")
 	}
 	auth := h.engines[2].verifier
-	auth.SetCertCacheSize(0) // measure real verification, not cache hits
+	auth.SetMemoSize(0) // measure real verification, not memo hits
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

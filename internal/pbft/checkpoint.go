@@ -1,6 +1,9 @@
 package pbft
 
-import "ringbft/internal/types"
+import (
+	"ringbft/internal/crypto"
+	"ringbft/internal/types"
+)
 
 // MakeCheckpoint broadcasts a signed Checkpoint message vouching that this
 // replica's state after executing sequence seq has digest state. Hosts call
@@ -13,22 +16,16 @@ func (e *Engine) MakeCheckpoint(seq types.SeqNum, state types.Digest) {
 		Type: types.MsgCheckpoint, From: e.self, Shard: e.shard,
 		Seq: seq, Digest: state,
 	}
-	m.Sig = e.auth.Sign(m.SigBytes())
+	m.Sig = crypto.SignMessage(e.auth, m)
 	e.recordCheckpoint(e.self, seq, state, m.Sig)
-	for _, p := range e.peers {
-		if p == e.self {
-			continue
-		}
-		cp := *m
-		e.cb.Send(p, &cp)
-	}
+	e.sendAll(m)
 }
 
 func (e *Engine) onCheckpoint(m *types.Message) {
 	if m.Seq <= e.stableSeq {
 		return
 	}
-	if err := e.auth.Verify(m.From, m.SigBytes(), m.Sig); err != nil {
+	if err := crypto.VerifyMessageSig(e.auth, m); err != nil {
 		return
 	}
 	e.recordCheckpoint(m.From, m.Seq, m.Digest, m.Sig)
@@ -111,9 +108,11 @@ func (e *Engine) CheckpointCert(seq types.SeqNum) (types.Digest, []types.Signed,
 }
 
 // stabilize advances the stable watermark to seq and garbage-collects log
-// entries and checkpoint votes at or below it.
+// entries and checkpoint votes at or below it. Messages stashed above the old
+// high watermark are replayed by the next OnMessage (see Engine.future).
 func (e *Engine) stabilize(seq types.SeqNum) {
 	e.stableSeq = seq
+	e.slid = true
 	for s := range e.log {
 		if s <= seq {
 			delete(e.log, s)

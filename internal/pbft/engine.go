@@ -7,11 +7,17 @@
 // RingBFT a *meta* protocol (goal G2): the ring layer only consumes the
 // engine's commit certificates and never looks inside the phases.
 //
-// Message authentication follows the paper's split (Section 3): PrePrepare
-// and Prepare carry pairwise MACs; Commit, Checkpoint, ViewChange, and
-// NewView carry Ed25519 signatures, because nf signed Commit messages form
-// the transferable commit certificate A that Forward messages present to the
-// next shard (Fig 5 line 16).
+// Message authentication follows the paper's split (Section 3): traffic that
+// never leaves the shard carries pairwise MACs, and Ed25519 signatures are
+// spent only where a proof must travel. PrePrepare and Prepare are always
+// MAC'd. A Commit follows its batch: for a single-shard batch it carries the
+// MAC vector too and the host gets no certificate; for a cross-shard batch it
+// is signed, because nf signed Commit messages form the transferable commit
+// certificate A that Forward messages present to the next shard (Fig 5
+// line 16). Checkpoint, ViewChange, and NewView are signed (their quorums are
+// re-assembled into certificates for state transfer and NewView
+// justification). Every signature check goes through the replica's
+// crypto.Verifier, so a signature is verified at most once per replica.
 package pbft
 
 import (
@@ -30,8 +36,9 @@ type Callbacks struct {
 	// Committed fires exactly once per sequence number when the batch at
 	// that sequence gathers nf Commit messages. Calls may arrive out of
 	// sequence order: RingBFT's lock manager (π, k_max) restores order
-	// where it matters (Fig 5 lines 17-28). cert holds the nf signed
-	// Commit tuples proving the decision.
+	// where it matters (Fig 5 lines 17-28). For a cross-shard batch cert
+	// holds the nf signed Commit tuples proving the decision; a single-shard
+	// batch commits on MAC-authenticated votes and cert is nil.
 	Committed func(seq types.SeqNum, batch *types.Batch, cert []types.Signed)
 	// ViewChanged fires when the replica installs a new view.
 	ViewChanged func(v types.View)
@@ -83,12 +90,20 @@ type Callbacks struct {
 	UnjustifiedNewView func(m *types.Message, p types.PreparedProof)
 }
 
-// commitVote is one replica's signed Commit for an entry, tagged with the
-// digest it voted for.
+// commitVote is one replica's authenticated Commit for an entry, tagged with
+// the digest it voted for. signed votes carry the Ed25519 signature a
+// certificate needs; the rest were MAC-authenticated to this replica only.
 type commitVote struct {
 	digest types.Digest
+	signed bool
 	sig    []byte
 }
+
+// needsCert reports whether committing b must yield a transferable
+// certificate: only a cross-shard batch's decision is ever presented to
+// another shard, so only its Commits are signed and only signed votes count
+// toward its quorum.
+func needsCert(b *types.Batch) bool { return b != nil && b.IsCrossShard() }
 
 // entry is one slot of the consensus log. Prepare and Commit votes are
 // tagged with the digest they were cast for: votes can arrive before the
@@ -141,11 +156,17 @@ type Engine struct {
 	window      types.SeqNum
 	checkpoints map[types.SeqNum]map[types.NodeID]cpVote
 
-	// future stashes normal-case messages that arrived for a view we have
-	// not installed yet (e.g. a PrePrepare racing ahead of its NewView);
-	// they are replayed after the view installs. Bounded to keep Byzantine
-	// senders from ballooning memory.
+	// future stashes normal-case messages this replica cannot process yet:
+	// for a view it has not installed (e.g. a PrePrepare racing ahead of its
+	// NewView), or for a sequence within one window above its high watermark
+	// (the primary slides its window on the first nf checkpoint votes and may
+	// propose past a backup still assembling the same quorum). They are
+	// replayed after the view installs or the watermark advances; slid
+	// latches the latter so the replay runs from OnMessage, never from inside
+	// a host callback. Bounded to keep Byzantine senders from ballooning
+	// memory.
 	future []*types.Message
+	slid   bool
 	// parked stashes PrePrepares the Justify callback rejected (typically a
 	// legitimate proposal racing ahead of this replica's Forward quorum);
 	// the host replays them via ReplayParked once justification lands.
@@ -167,7 +188,7 @@ type Options struct {
 	ViewTimeout time.Duration // new-view escalation timeout (default 250ms)
 	Clock       func() time.Time
 	// Verifier is the host's batched signature verifier; sharing the host's
-	// instance shares its worker pool and verified-certificate cache. Nil
+	// instance shares its worker pool and verified-signature memo. Nil
 	// constructs a private serial verifier.
 	Verifier *crypto.Verifier
 	// OnPhase, when set, observes lifecycle transitions: PrePrepare
@@ -205,9 +226,9 @@ func New(shard types.ShardID, self types.NodeID, peers []types.NodeID, auth cryp
 		n:     n,
 		f:     f,
 		nf:    n - f,
-		// auth comes from the verifier so certificate checks and per-message
-		// checks can never disagree on key material.
-		auth:        opts.Verifier.Authenticator,
+		// auth is the verifier itself so certificate checks and per-message
+		// checks share key material and the verified-signature memo.
+		auth:        opts.Verifier,
 		verifier:    opts.Verifier,
 		cb:          cb,
 		now:         opts.Clock,
@@ -340,7 +361,13 @@ func (e *Engine) broadcastMAC(m *types.Message) {
 
 // broadcastSigned signs m once and sends a copy to every peer except self.
 func (e *Engine) broadcastSigned(m *types.Message) {
-	m.Sig = e.auth.Sign(m.SigBytes())
+	m.Sig = crypto.SignMessage(e.auth, m)
+	e.sendAll(m)
+}
+
+// sendAll sends a copy of the already-authenticated m to every peer except
+// self.
+func (e *Engine) sendAll(m *types.Message) {
 	for _, p := range e.peers {
 		if p == e.self {
 			continue
@@ -362,16 +389,38 @@ func (e *Engine) isPeer(id types.NodeID) bool {
 // well-formedness check is the first defence against Byzantine senders
 // (Section 3, "well-formed").
 func (e *Engine) OnMessage(m *types.Message) {
+	e.dispatch(m)
+	if e.slid {
+		e.replayFuture()
+	}
+}
+
+// replayFuture re-feeds the stashed messages; whatever still cannot be
+// processed stashes again, and messages of superseded views are dropped.
+func (e *Engine) replayFuture() {
+	e.slid = false
+	replay := e.future
+	e.future = nil
+	for _, m := range replay {
+		if m.View >= e.view {
+			e.OnMessage(m)
+		}
+	}
+}
+
+func (e *Engine) dispatch(m *types.Message) {
 	if m == nil || !e.isPeer(m.From) || m.From == e.self {
 		return
 	}
 	switch m.Type {
 	case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit:
-		// A message for a future view — or for the view currently being
-		// installed — is stashed and replayed once the view change lands,
-		// instead of being dropped (message order across a view change is
-		// not guaranteed by the network).
-		if m.View > e.view || (e.inViewChange && m.View == e.view) {
+		// A message for a future view, for the view currently being
+		// installed, or just above the high watermark is stashed and replayed
+		// once the view change lands or the window slides, instead of being
+		// dropped (the network guarantees no order between a sender's traffic
+		// and the NewView or checkpoint votes that make it acceptable here,
+		// and nothing retransmits a dropped PrePrepare).
+		if m.View > e.view || (m.View == e.view && (e.inViewChange || e.aboveWindow(m.Seq))) {
 			if len(e.future) < 8192 {
 				e.future = append(e.future, m)
 			}
@@ -404,6 +453,13 @@ func (e *Engine) OnMessage(m *types.Message) {
 
 func (e *Engine) inWindow(seq types.SeqNum) bool {
 	return seq > e.stableSeq && seq <= e.stableSeq+e.window
+}
+
+// aboveWindow reports whether seq lies within one window above the high
+// watermark: a correct primary is never further ahead than that of a replica
+// one stable checkpoint behind it.
+func (e *Engine) aboveWindow(seq types.SeqNum) bool {
+	return seq > e.stableSeq+e.window && seq <= e.stableSeq+2*e.window
 }
 
 func (e *Engine) onPrePrepare(m *types.Message) {
@@ -511,8 +567,8 @@ func (e *Engine) noteConflictingPrepare(ent *entry, m *types.Message) {
 }
 
 // maybePrepared transitions to prepared once the entry has a PrePrepare and
-// nf distinct Prepare votes for its digest, then broadcasts a signed Commit
-// (Fig 5 lines 12-13).
+// nf distinct Prepare votes for its digest, then broadcasts its Commit (Fig 5
+// lines 12-13): signed when the decision needs a certificate, MAC'd otherwise.
 func (e *Engine) maybePrepared(seq types.SeqNum, ent *entry) {
 	if ent.prepared || !ent.preprepared {
 		return
@@ -532,15 +588,13 @@ func (e *Engine) maybePrepared(seq types.SeqNum, ent *entry) {
 		Type: types.MsgCommit, From: e.self, Shard: e.shard,
 		View: ent.view, Seq: seq, Digest: ent.digest,
 	}
-	sig := e.auth.Sign(c.SigBytes())
-	ent.commits[e.self] = commitVote{digest: ent.digest, sig: sig}
-	c.Sig = sig
-	for _, p := range e.peers {
-		if p == e.self {
-			continue
-		}
-		cp := *c
-		e.cb.Send(p, &cp)
+	if needsCert(ent.batch) {
+		c.Sig = crypto.SignMessage(e.auth, c)
+		ent.commits[e.self] = commitVote{digest: ent.digest, signed: true, sig: c.Sig}
+		e.sendAll(c)
+	} else {
+		ent.commits[e.self] = commitVote{digest: ent.digest}
+		e.broadcastMAC(c)
 	}
 	e.maybeCommitted(seq, ent)
 }
@@ -554,8 +608,8 @@ func (e *Engine) onCommit(m *types.Message) {
 	if e.inViewChange || m.View != e.view {
 		return
 	}
-	var sb [types.SigBytesLen]byte
-	if err := e.auth.Verify(m.From, m.AppendSigBytes(sb[:0]), m.Sig); err != nil {
+	signed, err := e.verifyCommit(m)
+	if err != nil {
 		return
 	}
 	ent := e.getEntry(m.Seq)
@@ -568,16 +622,29 @@ func (e *Engine) onCommit(m *types.Message) {
 		}
 		return
 	}
-	if _, dup := ent.commits[m.From]; dup {
+	// One vote per sender, except that a signed Commit replaces a MAC'd one:
+	// the weaker authenticator must not shadow the one a certificate needs.
+	if prev, dup := ent.commits[m.From]; dup && (prev.signed || !signed) {
 		return
 	}
-	ent.commits[m.From] = commitVote{digest: m.Digest, sig: m.Sig}
+	ent.commits[m.From] = commitVote{digest: m.Digest, signed: signed, sig: m.Sig}
 	e.maybeCommitted(m.Seq, ent)
 }
 
+// verifyCommit checks whichever authenticator Commit m carries — the MAC
+// vector of a single-shard batch, or the signature of a cross-shard one —
+// and reports which it was. A Commit without a MAC is held to the signature
+// check, so stripping the authenticator never downgrades it.
+func (e *Engine) verifyCommit(m *types.Message) (signed bool, err error) {
+	if len(m.MAC) > 0 {
+		return false, crypto.VerifyMessageMAC(e.auth, m)
+	}
+	return true, crypto.VerifyMessageSig(e.auth, m)
+}
+
 // replyCommit re-sends this replica's Commit for an already-committed
-// sequence, signed for the current view, directly to a peer still working
-// on that sequence. After a view change, committed replicas skip the
+// sequence, authenticated for the current view, directly to a peer still
+// working on that sequence. After a view change, committed replicas skip the
 // re-proposal phases; these targeted replies are what lets replicas that
 // missed the original commit round catch up (found by internal/chaos,
 // loss-storm schedules: two stragglers also starve the checkpoint quorum,
@@ -586,6 +653,12 @@ func (e *Engine) onCommit(m *types.Message) {
 // At most one reply per (peer, view): a leftover Commit arriving at a
 // committed replica would otherwise bounce replies between two committed
 // replicas forever.
+//
+// In the fault-free case the reply is common, not rare — the last peer's
+// Commit always lands after the nf-th — so it must not cost a signature:
+// while the view is unchanged the signature stored with this replica's own
+// vote is re-sent (Ed25519 is deterministic; signing again would produce the
+// same bytes), and the peer's verifier answers the copy from its memo.
 func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 	if ent.helped == nil {
 		ent.helped = make(map[types.NodeID]types.View)
@@ -598,19 +671,28 @@ func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 		Type: types.MsgCommit, From: e.self, Shard: e.shard,
 		View: e.view, Seq: seq, Digest: ent.digest,
 	}
-	c.Sig = e.auth.Sign(c.SigBytes())
+	if !needsCert(ent.batch) {
+		c.MAC = crypto.MACMessage(e.auth, to, c)
+	} else if own, voted := ent.commits[e.self]; voted && own.signed && ent.view == e.view {
+		c.Sig = own.sig
+	} else {
+		c.Sig = crypto.SignMessage(e.auth, c)
+	}
 	e.cb.Send(to, c)
 }
 
-// maybeCommitted fires the Committed callback once nf signed Commits match a
-// prepared entry, handing the host the commit certificate A (Fig 5 line 16).
+// maybeCommitted fires the Committed callback once nf Commits match a
+// prepared entry. A cross-shard entry counts signed votes only and hands the
+// host the commit certificate A (Fig 5 line 16); a single-shard entry counts
+// every authenticated vote and hands over no certificate.
 func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 	if ent.committed || !ent.preprepared {
 		return
 	}
+	certify := needsCert(ent.batch)
 	votes := 0
 	for _, cv := range ent.commits {
-		if cv.digest == ent.digest {
+		if cv.digest == ent.digest && (cv.signed || !certify) {
 			votes++
 		}
 	}
@@ -618,8 +700,8 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 		return
 	}
 	if !ent.prepared {
-		// nf signed Commits are themselves proof the shard prepared this
-		// digest — the same proof a Forward certificate carries to other
+		// nf authenticated Commits are themselves proof the shard prepared
+		// this digest — the same proof a Forward certificate carries to other
 		// shards. A replica that missed the Prepare round (single straggler
 		// after a view change: only its own and the implicit primary vote
 		// remain) adopts it instead of stalling.
@@ -627,25 +709,29 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 	}
 	ent.committed = true
 	e.observe(seq, trace.PhaseCommit)
-	// Canonical voter order: the certificate travels in messages, so its
-	// layout must not depend on map iteration order (replay divergence).
-	cert := make([]types.Signed, 0, e.nf)
-	for _, from := range types.SortedNodeKeys(ent.commits) {
-		cv := ent.commits[from]
-		if cv.digest != ent.digest {
-			continue
-		}
-		cert = append(cert, types.Signed{
-			From: from, Type: types.MsgCommit, Shard: e.shard,
-			View: ent.view, Seq: seq, Digest: ent.digest, Sig: cv.sig,
-		})
-		if len(cert) == e.nf {
-			break
+	if e.cb.Committed == nil {
+		return
+	}
+	var cert []types.Signed
+	if certify {
+		// Canonical voter order: the certificate travels in messages, so its
+		// layout must not depend on map iteration order (replay divergence).
+		cert = make([]types.Signed, 0, e.nf)
+		for _, from := range types.SortedNodeKeys(ent.commits) {
+			cv := ent.commits[from]
+			if cv.digest != ent.digest || !cv.signed {
+				continue
+			}
+			cert = append(cert, types.Signed{
+				From: from, Type: types.MsgCommit, Shard: e.shard,
+				View: ent.view, Seq: seq, Digest: ent.digest, Sig: cv.sig,
+			})
+			if len(cert) == e.nf {
+				break
+			}
 		}
 	}
-	if e.cb.Committed != nil {
-		e.cb.Committed(seq, ent.batch, cert)
-	}
+	e.cb.Committed(seq, ent.batch, cert)
 }
 
 // VerifyCert checks a commit certificate allegedly produced by the replicas
@@ -654,24 +740,14 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 // Any replica of any shard can run this check given the public keys — this
 // is why cross-shard messages use DS, not MACs (non-repudiation, Section 3).
 //
-// The fast path: a certificate whose full content already verified on this
-// node is accepted from the verifier's bounded cache without re-checking nf
-// Ed25519 signatures, and on a cache miss the signatures are checked on the
-// verifier's worker pool (serially when VerifyWorkers <= 1). Accept/reject
-// decisions match the serial path byte for byte: the cache key covers every
-// entry's tuple and signature plus the expected digest and quorum, and only
-// full successes are ever cached.
+// The structural checks run on every call; the Ed25519 work goes through the
+// verifier — its worker pool when VerifyWorkers > 1, and its memo, so the
+// same signatures re-presented in another copy of the certificate (however
+// that copy was assembled) are not verified again. Accept/reject decisions
+// match serial per-signature verification.
 func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, cert []types.Signed, quorum int) error {
 	if len(cert) < quorum {
 		return fmt.Errorf("pbft: certificate has %d signatures, need %d", len(cert), quorum)
-	}
-	useCache := v.CertCacheEnabled()
-	var key crypto.CertKey
-	if useCache {
-		key = crypto.CertCacheKey(shard, digest, quorum, cert)
-		if v.CertVerified(key) {
-			return nil
-		}
 	}
 
 	// Structural pass (no crypto): keep entries with the right type, shard,
@@ -721,9 +797,6 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 		checked = true
 		valid := v.VerifyQuorum(g.entries, quorum)
 		if valid >= quorum {
-			if useCache {
-				v.MarkCertVerified(key)
-			}
 			return nil
 		}
 		if valid > bestValid {
@@ -764,6 +837,7 @@ func (e *Engine) ResumeAt(stable, next types.SeqNum) {
 	// primary re-propose sequences the shard already committed.
 	if stable > e.stableSeq {
 		e.stableSeq = stable
+		e.slid = true
 	}
 	if next <= stable {
 		next = stable + 1

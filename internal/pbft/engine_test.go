@@ -36,6 +36,13 @@ type commitRec struct {
 
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
+	return newHarnessAuth(t, n, func(_ int, a crypto.Authenticator) crypto.Authenticator { return a })
+}
+
+// newHarnessAuth is newHarness with every replica's key ring passed through
+// wrap first (counting authenticators, see sigeconomy_test.go).
+func newHarnessAuth(t *testing.T, n int, wrap func(i int, a crypto.Authenticator) crypto.Authenticator) *harness {
+	t.Helper()
 	h := &harness{t: t, n: n, shard: 0, commits: make(map[int][]commitRec), views: make(map[int][]types.View)}
 	peers := make([]types.NodeID, n)
 	for i := 0; i < n; i++ {
@@ -51,7 +58,7 @@ func newHarness(t *testing.T, n int) *harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(0, peers[i], peers, ring, Callbacks{
+		e := New(0, peers[i], peers, wrap(i, ring), Callbacks{
 			Send: func(to types.NodeID, m *types.Message) {
 				if h.drop != nil && h.drop(m.From, to, m) {
 					return
@@ -88,6 +95,14 @@ func batchOf(seed uint64) *types.Batch {
 	}
 }
 
+// crossBatchOf is batchOf spanning shards 0 and 1: committing it must yield
+// a transferable certificate, so its Commits are signed.
+func crossBatchOf(seed uint64) *types.Batch {
+	b := batchOf(seed)
+	b.Involved = []types.ShardID{0, 1}
+	return b
+}
+
 func TestNormalCaseCommit(t *testing.T) {
 	h := newHarness(t, 4)
 	b := batchOf(1)
@@ -107,8 +122,8 @@ func TestNormalCaseCommit(t *testing.T) {
 		if c.seq != 1 || c.digest != b.Digest() {
 			t.Fatalf("replica %d committed wrong entry: %+v", i, c)
 		}
-		if len(c.cert) < h.engines[i].NF() {
-			t.Fatalf("replica %d cert has %d sigs, want >= %d", i, len(c.cert), h.engines[i].NF())
+		if c.cert != nil {
+			t.Fatalf("replica %d: single-shard commit carries a %d-entry certificate, want none", i, len(c.cert))
 		}
 	}
 }
@@ -196,18 +211,21 @@ func TestConflictingPrePrepareRejected(t *testing.T) {
 
 func TestVerifyCert(t *testing.T) {
 	h := newHarness(t, 4)
-	b := batchOf(3)
+	b := crossBatchOf(3)
 	if _, err := h.engines[0].Propose(b); err != nil {
 		t.Fatal(err)
 	}
 	h.pump()
 	cert := h.commits[1][0].cert
+	if len(cert) != h.engines[1].NF() {
+		t.Fatalf("cross-shard commit certificate has %d entries, want %d", len(cert), h.engines[1].NF())
+	}
 	auth := h.engines[2] // any ring works for verification
 	if err := VerifyCert(authOf(t, auth), 0, b.Digest(), cert, 3); err != nil {
 		t.Fatalf("valid cert rejected: %v", err)
 	}
 	// Tampered digest must fail.
-	if err := VerifyCert(authOf(t, auth), 0, batchOf(4).Digest(), cert, 3); err == nil {
+	if err := VerifyCert(authOf(t, auth), 0, crossBatchOf(4).Digest(), cert, 3); err == nil {
 		t.Fatal("tampered cert accepted")
 	}
 	// Truncated cert must fail.
@@ -363,6 +381,73 @@ func TestWindowBoundsProposals(t *testing.T) {
 	}
 	if _, err := e.Propose(batchOf(99)); err == nil {
 		t.Fatal("proposal beyond window accepted")
+	}
+}
+
+// TestAboveWindowStashedUntilStable: the primary slides its window on the
+// first nf checkpoint votes and may propose a sequence that a backup still
+// assembling the same quorum sees as above its high watermark. The backup
+// stashes that traffic instead of dropping it — nothing would retransmit the
+// PrePrepare — and replays it once its own watermark advances: from the next
+// OnMessage, never from inside MakeCheckpoint, which hosts call from their
+// Committed callback.
+func TestAboveWindowStashedUntilStable(t *testing.T) {
+	h := newHarness(t, 4)
+	for _, e := range h.engines {
+		e.window = 4
+	}
+	// Checkpoint votes addressed to replica 3 are held back.
+	var held []*types.Message
+	h.drop = func(_, to types.NodeID, m *types.Message) bool {
+		if to.Index == 3 && m.Type == types.MsgCheckpoint {
+			held = append(held, m)
+			return true
+		}
+		return false
+	}
+	for i := 1; i <= 4; i++ {
+		if _, err := h.engines[0].Propose(batchOf(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.pump()
+	state := types.Digest{4}
+	for i := 0; i < 3; i++ {
+		h.engines[i].MakeCheckpoint(4, state)
+	}
+	h.pump()
+	if got := h.engines[0].StableSeq(); got != 4 {
+		t.Fatalf("primary stableSeq = %d, want 4", got)
+	}
+	if _, err := h.engines[0].Propose(batchOf(5)); err != nil {
+		t.Fatalf("propose past the old window: %v", err)
+	}
+	h.pump()
+	if len(h.commits[0]) != 5 || len(h.commits[3]) != 4 {
+		t.Fatalf("before replica 3 stabilizes: primary committed %d (want 5), replica 3 committed %d (want 4)",
+			len(h.commits[0]), len(h.commits[3]))
+	}
+	// Two held votes plus replica 3's own make its quorum inside
+	// MakeCheckpoint: the watermark moves, but the replay waits.
+	h.engines[3].OnMessage(held[0])
+	h.engines[3].OnMessage(held[1])
+	h.engines[3].MakeCheckpoint(4, state)
+	if got := h.engines[3].StableSeq(); got != 4 {
+		t.Fatalf("replica 3 stableSeq = %d, want 4", got)
+	}
+	if len(h.commits[3]) != 4 {
+		t.Fatalf("replica 3 committed %d inside MakeCheckpoint, want the replay deferred", len(h.commits[3]))
+	}
+	h.engines[3].OnMessage(held[2]) // stale vote; any message triggers the replay
+	h.pump()
+	if len(h.commits[3]) != 5 || h.commits[3][4].seq != 5 {
+		t.Fatalf("replica 3 committed %d batches after its window slid, want 5", len(h.commits[3]))
+	}
+	// Further than one window above the watermark is still dropped.
+	far := &types.Message{Type: types.MsgPrepare, From: h.engines[1].self, Shard: h.shard, Seq: 4 + 2*4 + 1}
+	h.engines[3].OnMessage(far)
+	if len(h.engines[3].future) != 0 {
+		t.Fatalf("a message two windows ahead was stashed")
 	}
 }
 

@@ -106,7 +106,7 @@ func TestVerifyCertTamperTable(t *testing.T) {
 	}
 	for _, workers := range []int{0, 4} {
 		v := fixtureVerifier(t, kg, workers)
-		v.SetCertCacheSize(0) // isolate verification from caching
+		v.SetMemoSize(0) // isolate verification from the memo
 		for _, tc := range cases {
 			err := VerifyCert(v, 0, tc.dig, tc.cert(), 3)
 			if tc.ok && err != nil {
@@ -119,60 +119,63 @@ func TestVerifyCertTamperTable(t *testing.T) {
 	}
 }
 
-// TestVerifyCertCachePoisoning: a certificate for the same (shard, view,
-// seq) whose content differs from a cached success must be re-verified and
-// rejected — and failures must never populate the cache.
-func TestVerifyCertCachePoisoning(t *testing.T) {
+// TestVerifyCertMemoPoisoning: a certificate for the same (shard, view, seq)
+// whose signatures differ from ones that already verified must be checked
+// for real and rejected — and failures must never populate the memo.
+func TestVerifyCertMemoPoisoning(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
 	v := fixtureVerifier(t, kg, 0)
 
 	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
 		t.Fatalf("valid cert rejected: %v", err)
 	}
-	if hits := v.CertCacheHits(); hits != 0 {
-		t.Fatalf("first verification counted %d cache hits", hits)
+	if hits := v.MemoHits(); hits != 0 {
+		t.Fatalf("first verification counted %d memo hits", hits)
 	}
 	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
 		t.Fatalf("re-delivered cert rejected: %v", err)
 	}
-	if hits := v.CertCacheHits(); hits != 1 {
-		t.Fatalf("re-delivery did not hit the cache (hits=%d)", hits)
+	if hits := v.MemoHits(); hits != 3 {
+		t.Fatalf("re-delivery hit the memo %d times, want 3 (the quorum)", hits)
+	}
+	// A differently assembled copy — same signatures, other order, one junk
+	// entry — is served from the memo too: the key is per signature, not
+	// per certificate.
+	reordered := []types.Signed{cert[2], {From: cert[3].From, Type: types.MsgCommit, Shard: 0, View: 1, Seq: 7, Digest: d, Sig: []byte("junk")}, cert[0], cert[1]}
+	if err := VerifyCert(v, 0, d, reordered, 3); err != nil {
+		t.Fatalf("re-assembled cert rejected: %v", err)
+	}
+	if hits := v.MemoHits(); hits != 6 {
+		t.Fatalf("re-assembled cert: %d memo hits, want 6", hits)
 	}
 
-	// Same slot, tampered content: must miss the cache and be rejected.
+	// Same slot, tampered signatures: must miss the memo and be rejected.
 	poisoned := make([]types.Signed, len(cert))
 	copy(poisoned, cert)
 	for i := range poisoned {
 		poisoned[i].Sig = append([]byte(nil), cert[i].Sig...)
 		poisoned[i].Sig[5] ^= 1
 	}
-	if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-		t.Fatal("cache poisoning: tampered cert for a cached slot accepted")
+	for round := 0; round < 2; round++ { // round 2: the failure was not stored
+		if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
+			t.Fatalf("round %d: tampered cert for a verified slot accepted", round)
+		}
 	}
-	// The failure must not be cached as success (nor flip the cached entry).
-	if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-		t.Fatal("tampered cert accepted on retry")
+	if hits := v.MemoHits(); hits != 6 {
+		t.Fatalf("a tampered signature hit the memo (hits=%d)", hits)
 	}
 	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
 		t.Fatalf("original cert no longer accepted after poisoning attempt: %v", err)
 	}
-
-	// A cert that fails must never be served from cache even when the exact
-	// same bytes are re-presented.
-	before := v.CertCacheHits()
-	if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-		t.Fatal("tampered cert accepted")
-	}
-	if v.CertCacheHits() != before+1 && v.CertCacheHits() != before {
-		// The poisoned key must not be cached at all; any hit for it means
-		// a failure was recorded as success.
-		t.Fatal("failure entered the verified-cert cache")
+	// A memoized signature must not vouch for a different expected digest.
+	if err := VerifyCert(v, 0, types.Digest{0xFF}, cert, 3); err == nil {
+		t.Fatal("memoized signatures accepted for a different digest")
 	}
 }
 
 // BenchmarkVerifyCert measures commit-certificate verification at quorum
 // sizes nf = 2, 4, 8 in three modes: serial (the seed path), batched on a
-// 4-worker pool, and a verified-cache hit. Run with -benchmem; reference
+// 4-worker pool, and a verified-signature memo hit. Run with -benchmem; reference
 // numbers live in internal/crypto/bench_baseline.json.
 func BenchmarkVerifyCert(b *testing.B) {
 	for _, nf := range []int{2, 4, 8} {
@@ -185,7 +188,7 @@ func BenchmarkVerifyCert(b *testing.B) {
 			b.Run(fmt.Sprintf("nf=%d/%s", nf, mode.name), func(b *testing.B) {
 				v := fixtureVerifier(b, kg, mode.workers)
 				if !mode.cache {
-					v.SetCertCacheSize(0)
+					v.SetMemoSize(0)
 				} else if err := VerifyCert(v, 0, d, cert, nf); err != nil {
 					b.Fatal(err)
 				}

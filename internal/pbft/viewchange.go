@@ -3,6 +3,7 @@ package pbft
 import (
 	"time"
 
+	"ringbft/internal/crypto"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
 )
@@ -60,7 +61,7 @@ func (e *Engine) onViewChange(m *types.Message) {
 	if m.View <= e.view {
 		return
 	}
-	if err := e.auth.Verify(m.From, m.SigBytes(), m.Sig); err != nil {
+	if err := crypto.VerifyMessageSig(e.auth, m); err != nil {
 		return
 	}
 	e.recordViewChange(m.From, m)
@@ -166,7 +167,7 @@ func (e *Engine) onNewView(m *types.Message) {
 	if m.View <= e.view || m.From != e.Primary(m.View) {
 		return
 	}
-	if err := e.auth.Verify(m.From, m.SigBytes(), m.Sig); err != nil {
+	if err := crypto.VerifyMessageSig(e.auth, m); err != nil {
 		return
 	}
 	if len(m.ViewMsgs) < e.nf {
@@ -298,13 +299,7 @@ func (e *Engine) installView(v types.View, stable types.SeqNum, reproposals []ty
 	}
 
 	// Replay stashed messages that were waiting for this view.
-	replay := e.future
-	e.future = nil
-	for _, m := range replay {
-		if m.View >= v {
-			e.OnMessage(m)
-		}
-	}
+	e.replayFuture()
 }
 
 // Tick drives time-based escalation: if a view change has stalled (no

@@ -314,7 +314,7 @@ func New(opts Options) *Replica {
 		shard:            opts.Shard,
 		self:             opts.Self,
 		peers:            opts.Peers,
-		auth:             opts.Auth,
+		auth:             verifier, // opts.Auth, with signature checks memoized
 		verifier:         verifier,
 		send:             opts.Send,
 		clock:            opts.Clock,

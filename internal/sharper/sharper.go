@@ -160,7 +160,7 @@ func New(opts Options) *Replica {
 		shard:    opts.Shard,
 		self:     opts.Self,
 		peers:    opts.Peers,
-		auth:     opts.Auth,
+		auth:     verifier,
 		verifier: verifier,
 		send:     opts.Send,
 		clock:    opts.Clock,

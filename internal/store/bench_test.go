@@ -40,3 +40,12 @@ func BenchmarkStateDigest(b *testing.B) {
 		kv.Digest()
 	}
 }
+
+// BenchmarkPreload is one replica's table set-up at the largest partition a
+// benchmark workload uses (tcp_mixed: 65,536 records per shard).
+func BenchmarkPreload(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewKV().Preload(1, 3, 65536)
+	}
+}

@@ -25,6 +25,30 @@ func TestPreloadOwnership(t *testing.T) {
 	}
 }
 
+// TestPreloadMatchesSetLoop: the presized, lock-once-per-stripe fill builds
+// exactly the table a per-key Set loop builds, and preloading a table that
+// already holds data keeps that data.
+func TestPreloadMatchesSetLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 4096, 10007} {
+		want, got := NewKV(), NewKV()
+		for i := 0; i < n; i++ {
+			k := types.Key(1 + uint64(i)*3)
+			want.Set(k, types.Value(k))
+		}
+		got.Preload(1, 3, n)
+		if got.Len() != n || got.Digest() != want.Digest() {
+			t.Fatalf("n=%d: preload built %d records with a different digest than the Set loop", n, got.Len())
+		}
+	}
+	kv := NewKV()
+	kv.Set(2, 77) // shard 2 of 3; not in shard 1's partition
+	kv.Set(4, 99) // in shard 1's partition: preload resets it to its key
+	kv.Preload(1, 3, 8)
+	if kv.Get(2) != 77 || kv.Get(4) != 4 || kv.Len() != 9 {
+		t.Fatalf("preload over existing data: got[2]=%d got[4]=%d len=%d", kv.Get(2), kv.Get(4), kv.Len())
+	}
+}
+
 func TestExecuteTxnLocalOnly(t *testing.T) {
 	kv := NewKV()
 	kv.Set(10, 100) // shard 0 of z=2 owns even keys
