@@ -1,39 +1,34 @@
-# Tier-1 verify is `make verify` (fmt-check + build + vet + lint + test +
-# race-checked crypto, pbft, and wal — the pooled/cached fast paths and the
-# durability layer are the concurrency-sensitive code — plus race-checked
-# tcpnet and the loopback-TCP scenario suite, whose writer goroutines are
-# the transport's concurrency surface). `make lint` runs the protocol-
-# invariant analyzer suite (internal/analysis via cmd/ringbft-vet);
+# Tier-1 verify is `make verify` (fmt-check + docs-check + build + vet +
+# lint + test + race-checked crypto, pbft, and wal — the verified-signature
+# memo and the durability layer are the concurrency-sensitive code — plus
+# race-checked tcpnet and the loopback-TCP scenario suite, whose writer
+# goroutines are the transport's concurrency surface). `make lint` runs the
+# protocol-invariant analyzer suite (internal/analysis via cmd/ringbft-vet);
 # `make docs-check` keeps the docs honest against the binaries' flag
-# surfaces and this Makefile's targets (scripts/docs-check.sh);
-# `make race-all` puts the whole module under the race detector. The full test suite includes the
-# chaos matrix (internal/chaos): 41 seeded nemesis scenarios across
-# ringbft/ahl/sharper (incl. the pipelined-window frontier rows);
-# `make chaos` runs just that matrix verbosely and
-# `make chaos-soak` explores fresh seeds for SOAK_BUDGET (nightly CI).
+# surfaces, this Makefile's targets and the source tree
+# (scripts/docs-check.sh); `make race-all` puts the whole module under the
+# race detector. The full test suite includes the chaos matrix
+# (internal/chaos): 41 seeded nemesis scenarios across ringbft/ahl/sharper
+# (incl. the pipelined-window frontier rows); `make chaos` runs just that
+# matrix verbosely and `make chaos-soak` explores fresh seeds for
+# SOAK_BUDGET (nightly CI).
 #
-# The benchmark trajectory lives in one repo-root document, BENCH_PR8.json:
-# flat {name, unit, value, commit} entries merging the open-loop latency
-# sweep (`make bench-openloop`, run at pipeline depths 1 and 8 so the
-# saturation-knee comparison is part of the document) with the
-# per-package micro-benchmark baselines. `make bench-consolidate` regenerates it; `make bench-check`
-# validates its schema (what CI gates on — the numbers are host-dependent).
-# `make bench` still runs the raw micro-benchmarks, with `bench-crypto`,
-# `bench-wal`, and `bench-tcpnet` as focused subsets.
+# There is one benchmark, benchmark/ (declared in BENCHMARK.json), and it
+# is what PRs are judged by: `make benchmark` builds it from source and
+# runs its four workloads — end-to-end metrics from an untraced run,
+# per-layer metrics from a traced one, a correctness check at the end of
+# each — and `go run ./benchmark -compare a.txt b.txt` holds a pair of
+# saved outputs to the bounds in BENCHMARK.json. `make bench` runs the
+# per-package micro-benchmarks, with `bench-crypto`, `bench-wal`, and
+# `bench-tcpnet` as focused subsets.
 #
 # `make metrics-smoke` boots a loopback-TCP cluster and asserts the
 # /metrics exposition carries live series from every instrumented layer.
 
 GO ?= go
 SOAK_BUDGET ?= 10m
-OPENLOOP_RATES ?= 800,1600,2400
-OPENLOOP_DURATION ?= 2s
-# Client requests are deliberately smaller than the consensus batch so the
-# open-loop sweep exercises the adaptive batcher (requests merge toward
-# BatchSize under load) and the pipeline depth actually binds.
-OPENLOOP_CLIENTBATCH ?= 10
 
-.PHONY: build test vet lint lint-fixtures fmt-check docs-check bench bench-crypto bench-wal bench-tcpnet bench-openloop bench-consolidate bench-check metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
+.PHONY: build test vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
 
 build:
 	$(GO) build ./...
@@ -65,10 +60,17 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The docs must track the code: documented flags exist, ringbft-node's
-# knob surface is documented, referenced make targets exist, and
-# ARCHITECTURE.md is present and linked from the README.
+# knob surface is documented, referenced make targets and named source
+# paths exist, and ARCHITECTURE.md is present and linked from the README.
 docs-check:
 	sh scripts/docs-check.sh
+
+# The repository's benchmark (benchmark/README.md): all four workloads,
+# untraced then traced, 20 s windows. Arguments of benchmark/run.sh select
+# one workload, a seed, a window, or one mode. Exits non-zero unless every
+# run ends `correct`.
+benchmark:
+	bash benchmark/run.sh
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 300ms ./internal/sched/ ./internal/store/
@@ -83,30 +85,6 @@ bench-wal:
 
 bench-tcpnet:
 	$(GO) test -run XXX -bench 'BenchmarkTransportSend' -benchmem -benchtime 200ms ./internal/tcpnet/
-
-# Open-loop (Poisson arrival) latency sweep on the simulated WAN: committed
-# throughput plus end-to-end and per-phase latency quantiles per offered
-# load, once at pipeline depth 1 (lockstep baseline) and once at depth 8
-# (bounded window + adaptive batching), so the consolidated document
-# carries the saturation-knee comparison. Writes openloop-d1.json and
-# openloop-d8.json for bench-consolidate to merge.
-bench-openloop:
-	$(GO) run ./cmd/ringbft-bench -openloop -rates $(OPENLOOP_RATES) \
-		-duration $(OPENLOOP_DURATION) -clientbatch $(OPENLOOP_CLIENTBATCH) \
-		-pipeline 1 -o openloop-d1.json
-	$(GO) run ./cmd/ringbft-bench -openloop -rates $(OPENLOOP_RATES) \
-		-duration $(OPENLOOP_DURATION) -clientbatch $(OPENLOOP_CLIENTBATCH) \
-		-pipeline 8 -o openloop-d8.json
-
-# Regenerate the repo-root consolidated trajectory (BENCH_PR8.json) from
-# both depth sweeps plus the per-package baseline files.
-bench-consolidate: bench-openloop
-	$(GO) run ./cmd/ringbft-benchmerge -openloop openloop-d1.json,openloop-d8.json -o BENCH_PR8.json
-
-# Schema gate over the committed trajectory document (CI runs this; the
-# values themselves are host-dependent, so only the shape is gated).
-bench-check:
-	$(GO) run ./cmd/ringbft-benchmerge -check BENCH_PR8.json
 
 # Live-cluster observability smoke: loopback-TCP cluster, real client
 # traffic, scrape /metrics, assert per-layer series (see the script).

@@ -10,21 +10,12 @@
 //	ringbft-bench -figure fig8-shards -profile full
 //	ringbft-bench -figure custom -protocol ringbft -shards 9 -replicas 7 \
 //	    -cross 0.3 -batch 100 -duration 5s   # one-off run
-//
-// The -openloop mode replaces the closed-loop clients with a Poisson
-// arrival generator and sweeps offered load, emitting a JSON document of
-// committed throughput plus end-to-end and per-phase latency quantiles
-// (consolidate with ringbft-benchmerge):
-//
-//	ringbft-bench -openloop -rates 400,800,1600 -duration 2s -o openloop.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,7 +24,7 @@ import (
 
 func main() {
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: all, fig1, fig8-shards, fig8-replicas, fig8-cross, fig8-batch, fig8-involved, fig8-clients, fig9, fig9-recovery, fig10, ablation-linear, ablation-crypto, ablation-exec, custom")
+		figure  = flag.String("figure", "all", "figure to regenerate: all, fig1, fig8-shards, fig8-replicas, fig8-cross, fig8-batch, fig8-involved, fig8-clients, fig9, fig9-recovery, fig10, ablation-linear, ablation-crypto, custom")
 		profile = flag.String("profile", "quick", "experiment scale: quick or full")
 
 		// custom run flags
@@ -43,34 +34,12 @@ func main() {
 		cross    = flag.Float64("cross", 0.3, "custom: cross-shard fraction [0,1]")
 		involved = flag.Int("involved", 0, "custom: involved shards per cst (0 = all)")
 		batch    = flag.Int("batch", 50, "custom: batch size")
-		workers  = flag.Int("execworkers", 0, "custom: parallel execution workers per replica (0 = sequential)")
-		vworkers = flag.Int("verifyworkers", 0, "custom: batched signature-verification workers per replica (0 = serial)")
 		clients  = flag.Int("clients", 8, "custom: concurrent clients")
 		duration = flag.Duration("duration", time.Second, "custom: measurement window")
 		latScale = flag.Float64("latscale", 0.05, "custom: WAN latency compression factor")
 		nocrypto = flag.Bool("nocrypto", false, "custom: disable MACs/signatures")
-
-		// open-loop sweep flags
-		openloop = flag.Bool("openloop", false, "run the open-loop (Poisson arrival) latency sweep instead of a figure")
-		rates    = flag.String("rates", "400,800,1600", "openloop: offered loads to sweep, txns/s, comma-separated")
-		seed     = flag.Int64("seed", 1, "openloop: workload/arrival seed")
-		outPath  = flag.String("o", "-", "openloop: output path for the sweep JSON (- for stdout)")
-		pipeline = flag.Int("pipeline", 0, "openloop: pipeline depth — max proposals in flight per primary (0 = legacy unbounded drain)")
-		cbatch   = flag.Int("clientbatch", 0, "openloop: txns per client request (0 = batch size); below -batch gives the adaptive batcher room to merge")
 	)
 	flag.Parse()
-
-	if *openloop {
-		runOpenLoop(openLoopArgs{
-			protocol: *protocol, shards: *shards, replicas: *replicas,
-			cross: *cross, involved: *involved, batch: *batch,
-			workers: *workers, vworkers: *vworkers, duration: *duration,
-			latScale: *latScale, nocrypto: *nocrypto,
-			rates: *rates, seed: *seed, out: *outPath,
-			pipeline: *pipeline, clientBatch: *cbatch,
-		})
-		return
-	}
 
 	p := harness.Quick
 	if *profile == "full" {
@@ -93,7 +62,6 @@ func main() {
 		{"fig10", harness.Fig10},
 		{"ablation-linear", harness.AblationLinearForward},
 		{"ablation-crypto", harness.AblationCrypto},
-		{"ablation-exec", harness.AblationExecWorkers},
 	}
 
 	switch *figure {
@@ -105,8 +73,6 @@ func main() {
 			CrossShardPct:    *cross,
 			InvolvedShards:   *involved,
 			BatchSize:        *batch,
-			ExecWorkers:      *workers,
-			VerifyWorkers:    *vworkers,
 			Clients:          *clients,
 			Duration:         *duration,
 			LatencyScale:     *latScale,
@@ -151,71 +117,6 @@ func main() {
 		}
 		fatal(fmt.Errorf("unknown figure %q", *figure))
 	}
-}
-
-type openLoopArgs struct {
-	protocol          string
-	shards, replicas  int
-	cross             float64
-	involved, batch   int
-	workers, vworkers int
-	duration          time.Duration
-	latScale          float64
-	nocrypto          bool
-	rates             string
-	seed              int64
-	out               string
-	pipeline          int
-	clientBatch       int
-}
-
-func runOpenLoop(a openLoopArgs) {
-	var loads []float64
-	for _, s := range strings.Split(a.rates, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || r <= 0 {
-			fatal(fmt.Errorf("bad rate %q in -rates", s))
-		}
-		loads = append(loads, r)
-	}
-	cfg := harness.Config{
-		Protocol:         harness.Protocol(a.protocol),
-		Shards:           a.shards,
-		ReplicasPerShard: a.replicas,
-		CrossShardPct:    a.cross,
-		InvolvedShards:   a.involved,
-		BatchSize:        a.batch,
-		ExecWorkers:      a.workers,
-		VerifyWorkers:    a.vworkers,
-		Duration:         a.duration,
-		LatencyScale:     a.latScale,
-		NoCrypto:         a.nocrypto,
-		Seed:             a.seed,
-		PipelineDepth:    a.pipeline,
-		ClientBatch:      a.clientBatch,
-	}
-	doc, err := harness.RunOpenLoopSweep(cfg, loads)
-	if err != nil {
-		fatal(err)
-	}
-	for _, p := range doc.Points {
-		fmt.Fprintf(os.Stderr,
-			"offered %.0f txn/s: committed %.0f txn/s, e2e p50 %.1fms p99 %.1fms (stalled %d)\n",
-			p.OfferedTps, p.CommittedTps, p.E2E.P50Ms, p.E2E.P99Ms, p.StalledSpans)
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	enc = append(enc, '\n')
-	if a.out == "-" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(a.out, enc, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d points)\n", a.out, len(doc.Points))
 }
 
 func runFig9(p harness.Profile) {

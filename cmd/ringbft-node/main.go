@@ -56,7 +56,7 @@ func main() {
 			"sequences between snapshots (0 = checkpoint interval)")
 
 		pipelineDepth = flag.Int("pipeline-depth", 0,
-			"max proposals in flight per primary across sequence numbers; >= 1 also enables adaptive batching (0 = legacy unbounded drain)")
+			"max proposals in flight per primary across sequence numbers; 1 = lockstep (0 = default 8)")
 
 		outboxDepth = flag.Int("outbox-depth", 0,
 			"per-peer outbound queue depth (0 = transport default)")
@@ -83,10 +83,15 @@ func main() {
 	cfg.DataDir = *dataDir
 	cfg.FsyncInterval = *fsync
 	cfg.SnapshotInterval = types.SeqNum(*snapEvery)
-	cfg.PipelineDepth = *pipelineDepth
+	if *pipelineDepth != 0 {
+		cfg.PipelineDepth = *pipelineDepth
+	}
 	cfg.OutboxDepth = *outboxDepth
 	cfg.DialTimeout = *dialTimeout
 	cfg.WriteTimeout = *writeTimeout
+	if err := cfg.Validate(); err != nil {
+		log.Fatalf("ringbft-node: %v", err)
+	}
 
 	transport, err := tcpnet.New(self, addr, topo.Addrs(), tcpnet.FromConfig(cfg))
 	if err != nil {
@@ -103,8 +108,8 @@ func main() {
 		peers[i] = types.ReplicaNode(types.ShardID(*shard), i)
 	}
 	// The registry is the node's single source of observable state: the
-	// replica, WAL, scheduler, and transport all register on it; /metrics
-	// scrapes it live and the shutdown summary is one snapshot of it.
+	// replica, WAL, and transport all register on it; /metrics scrapes it
+	// live and the shutdown summary is one snapshot of it.
 	reg := metrics.NewRegistry()
 	tr := trace.New(0)
 	transport.RegisterMetrics(reg)
@@ -173,9 +178,9 @@ func main() {
 	// misbehavior, deduplicated. "evidence: none" is the healthy-run output.
 	log.Printf("ringbft-node %v %s", self, r.Evidence().Summary())
 	// One canonical shutdown report: the same registry /metrics scrapes —
-	// consensus counters, WAL latency, scheduler activity, and the
-	// transport's drop/redial taxonomy — rendered once, in one format,
-	// instead of a hand-maintained printf per subsystem.
+	// consensus counters, WAL latency, and the transport's drop/redial
+	// taxonomy — rendered once, in one format, instead of a hand-maintained
+	// printf per subsystem.
 	fmt.Print(reg.Snapshot())
 }
 

@@ -137,7 +137,7 @@ func NewCommittee(opts CommitteeOptions) *Committee {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	c := &Committee{
 		cfg:        opts.Config,
 		self:       opts.Self,
@@ -311,8 +311,8 @@ func (c *Committee) propose(b *types.Batch, d types.Digest) {
 	}
 	// Pipelined consensus: the same drain discipline as internal/ringbft —
 	// the primary keeps at most PipelineDepth proposals in flight and
-	// parks the rest for tryProposeQueued (0 = engine window only).
-	if c.cfg.PipelineDepth > 0 && c.engine.InFlight() >= c.cfg.PipelineDepth {
+	// parks the rest for tryProposeQueued.
+	if c.engine.InFlight() >= c.cfg.PipelineDepth {
 		c.queue = append(c.queue, b)
 		return
 	}
@@ -328,7 +328,7 @@ func (c *Committee) tryProposeQueued() {
 		return
 	}
 	for len(c.queue) > 0 {
-		if c.cfg.PipelineDepth > 0 && c.engine.InFlight() >= c.cfg.PipelineDepth {
+		if c.engine.InFlight() >= c.cfg.PipelineDepth {
 			return // pipeline window full: a commit frees the next slot
 		}
 		b := c.queue[0]

@@ -11,7 +11,6 @@ import (
 	"ringbft/internal/ledger"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/sched"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -65,7 +64,6 @@ type Replica struct {
 	tracker *pbft.CheckpointTracker
 	kv      *store.KV
 	chain   *ledger.Chain
-	exec    *sched.Executor
 
 	execNext types.SeqNum
 	entries  map[types.SeqNum]*entry
@@ -123,7 +121,7 @@ func NewReplica(opts ReplicaOptions) *Replica {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	ev := opts.Evidence
 	if ev == nil {
 		ev = evidence.NewMemory()
@@ -140,7 +138,6 @@ func NewReplica(opts ReplicaOptions) *Replica {
 		clock:     opts.Clock,
 		kv:        store.NewKV(),
 		chain:     ledger.NewChain(opts.Shard),
-		exec:      sched.New(opts.Config.ExecWorkers),
 		entries:   make(map[types.SeqNum]*entry),
 		csts:      make(map[types.Digest]*replicaCst),
 		executed:  make(map[types.Digest][]types.Value),
@@ -443,8 +440,8 @@ func (r *Replica) propose(b *types.Batch, d types.Digest) {
 	}
 	// Pipelined consensus: the same drain discipline as internal/ringbft —
 	// at most PipelineDepth proposals in flight, the rest parked for
-	// tryProposeQueued (0 = engine window only).
-	if r.cfg.PipelineDepth > 0 && r.engine.InFlight() >= r.cfg.PipelineDepth {
+	// tryProposeQueued.
+	if r.engine.InFlight() >= r.cfg.PipelineDepth {
 		r.queue = append(r.queue, b)
 		return
 	}
@@ -460,7 +457,7 @@ func (r *Replica) tryProposeQueued() {
 		return
 	}
 	for len(r.queue) > 0 {
-		if r.cfg.PipelineDepth > 0 && r.engine.InFlight() >= r.cfg.PipelineDepth {
+		if r.engine.InFlight() >= r.cfg.PipelineDepth {
 			return // pipeline window full: a commit frees the next slot
 		}
 		b := r.queue[0]
@@ -638,9 +635,10 @@ func (r *Replica) drainExec() {
 			continue
 		}
 		d := b.Digest()
-		results, _ := r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, func(i int) (types.Value, error) {
-			return r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards), nil
-		})
+		results := make([]types.Value, len(b.Txns))
+		for i := range b.Txns {
+			results[i] = r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards)
+		}
 		r.executed[d] = results
 		r.obs.addExecuted(len(b.Txns))
 		r.obs.observe(r.clock(), r.shard, uint64(e.seq), trace.PhaseExecute)

@@ -15,8 +15,8 @@ func DefaultSuite() []Scoped {
 	// every PR 6 scope — the lesson is that entry points handle messages
 	// and replay schedules too.
 	cmds := []string{
-		"cmd/ringbft-bench", "cmd/ringbft-benchmerge", "cmd/ringbft-chaos",
-		"cmd/ringbft-client", "cmd/ringbft-node", "cmd/ringbft-vet",
+		"cmd/ringbft-bench", "cmd/ringbft-chaos", "cmd/ringbft-client",
+		"cmd/ringbft-node", "cmd/ringbft-vet",
 	}
 	// Determinism-critical: packages whose control flow must replay
 	// identically across replicas (sequence assignment, message emission)

@@ -121,8 +121,8 @@ type Scenario struct {
 	CrossShardPct    float64
 	Records          int
 	// PipelineDepth is the primary's in-flight proposal bound
-	// (types.Config.PipelineDepth): 0 = legacy unbounded drain. Part of
-	// the scenario identity (Name, fingerprint), since it changes which
+	// (types.Config.PipelineDepth): 0 = the types.DefaultConfig depth. Part
+	// of the scenario identity (Name, fingerprint), since it changes which
 	// proposals exist when a fault lands.
 	PipelineDepth int
 	// Horizon is the number of logical ticks the workload+nemesis phase

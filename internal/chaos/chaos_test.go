@@ -14,7 +14,7 @@ var (
 	flagProto  = flag.String("chaos.proto", "ringbft", "protocol for TestReplaySeed")
 	flagFault  = flag.String("chaos.fault", "partition-shard", "fault class for TestReplaySeed")
 	flagShards = flag.Int("chaos.shards", 0, "shard count for TestReplaySeed (0 = default)")
-	flagDepth  = flag.Int("chaos.depth", 0, "pipeline depth for TestReplaySeed (0 = legacy unbounded drain)")
+	flagDepth  = flag.Int("chaos.depth", 0, "pipeline depth for TestReplaySeed (0 = default)")
 )
 
 // TestChaosMatrix runs the full scenario matrix: every fault class against

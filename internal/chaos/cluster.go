@@ -122,17 +122,22 @@ type dflight struct {
 }
 
 // NewCluster builds the deterministic cluster for a scenario.
-func NewCluster(sc Scenario) *Cluster { return newCluster(sc, nil) }
+func NewCluster(sc Scenario) (*Cluster, error) { return newCluster(sc, nil) }
 
 // newCluster is NewCluster with an optional wrapper around every node's key
 // ring (instrumentation: counting authenticators).
-func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) crypto.Authenticator) *Cluster {
+func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) crypto.Authenticator) (*Cluster, error) {
 	sc = sc.Normalize()
 	cfg := types.DefaultConfig(sc.Shards, sc.ReplicasPerShard)
 	cfg.BatchSize = sc.BatchSize
-	cfg.PipelineDepth = sc.PipelineDepth
+	if sc.PipelineDepth > 0 {
+		cfg.PipelineDepth = sc.PipelineDepth
+	}
 	cfg.CheckpointInterval = 8 // short cadence so recovery paths engage in-window
 	cfg.DataDir = "data"
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("chaos: %s: %w", sc.Name(), err)
+	}
 
 	c := &Cluster{
 		sc:         sc,
@@ -203,7 +208,7 @@ func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) c
 			viewHint: make(map[types.ShardID]types.View),
 		})
 	}
-	return c
+	return c, nil
 }
 
 // clock returns the virtual time of the current tick.

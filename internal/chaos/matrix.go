@@ -94,7 +94,10 @@ func (r *RunResult) FailureReport() string {
 func RunScenario(sc Scenario) (*RunResult, error) {
 	sc = sc.Normalize()
 	sched := BuildSchedule(sc)
-	c := NewCluster(sc)
+	c, err := NewCluster(sc)
+	if err != nil {
+		return nil, err
+	}
 	res := &RunResult{Scenario: sc, Schedule: sched, ProbeTicks: -1}
 
 	for c.tick < sched.Horizon {

@@ -38,10 +38,13 @@ func runBudget(t *testing.T, shards, involved int) (map[types.NodeID]*crypto.Cou
 		Shards: shards, Clients: 1, Horizon: 600,
 	}.Normalize()
 	counts := make(map[types.NodeID]*crypto.CountingAuth)
-	c := newCluster(sc, func(id types.NodeID, a crypto.Authenticator) crypto.Authenticator {
+	c, err := newCluster(sc, func(id types.NodeID, a crypto.Authenticator) crypto.Authenticator {
 		counts[id] = &crypto.CountingAuth{Authenticator: a, Apart: isCheckpoint}
 		return counts[id]
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cross := 0.0
 	if involved > 0 {
 		cross = 1

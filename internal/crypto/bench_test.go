@@ -111,7 +111,7 @@ func BenchmarkVerifyMemo(b *testing.B) {
 		size int
 	}{{"hit", DefaultMemoSize}, {"miss", 1}} {
 		b.Run(mode.name, func(b *testing.B) {
-			v := NewVerifier(ry, 0)
+			v := NewVerifier(ry)
 			v.SetMemoSize(mode.size)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -166,36 +166,7 @@ func benchVerifierSetup(t testing.TB, n int) (*Keygen, *Verifier, []types.Signed
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kg, NewVerifier(ring, 4), cert, d
-}
-
-// TestVerifyQuorumSerialParallelEquivalent: the worker pool must agree with
-// serial verification on every mix of valid and tampered signatures.
-func TestVerifyQuorumSerialParallelEquivalent(t *testing.T) {
-	_, v, cert, _ := benchVerifierSetup(t, 7)
-	serial := NewVerifier(v.Authenticator, 0)
-	for tamper := 0; tamper < 1<<7; tamper++ {
-		entries := make([]*types.Signed, len(cert))
-		local := make([]types.Signed, len(cert))
-		want := 0
-		for i := range cert {
-			local[i] = cert[i]
-			if tamper&(1<<i) != 0 {
-				local[i].Sig = append([]byte(nil), cert[i].Sig...)
-				local[i].Sig[0] ^= 1
-			} else {
-				want++
-			}
-			entries[i] = &local[i]
-		}
-		// quorum above n so neither path can early-exit: full counts match.
-		if got := v.VerifyQuorum(entries, len(cert)+1); got != want {
-			t.Fatalf("parallel mask %07b: got %d valid, want %d", tamper, got, want)
-		}
-		if got := serial.VerifyQuorum(entries, len(cert)+1); got != want {
-			t.Fatalf("serial mask %07b: got %d valid, want %d", tamper, got, want)
-		}
-	}
+	return kg, NewVerifier(ring), cert, d
 }
 
 // memoFixture returns a verifier over a counting authenticator plus one
@@ -207,7 +178,7 @@ func memoFixture(t testing.TB) (*Verifier, *CountingAuth, types.NodeID, types.No
 		t.Fatal(err)
 	}
 	ca := &CountingAuth{Authenticator: ring}
-	return NewVerifier(ca, 0), ca, cert[1].From, cert[2].From, cert[1].SigBytes(), cert[1].Sig
+	return NewVerifier(ca), ca, cert[1].From, cert[2].From, cert[1].SigBytes(), cert[1].Sig
 }
 
 // TestMemoKeyCoversEveryInput: after a triple verified, changing any one of
@@ -268,7 +239,7 @@ func TestMemoBoundedFIFO(t *testing.T) {
 	kg, _, cert, _ := benchVerifierSetup(t, 4)
 	ring, _ := kg.Ring(cert[0].From)
 	ca := &CountingAuth{Authenticator: ring}
-	v := NewVerifier(ca, 0)
+	v := NewVerifier(ca)
 	v.SetMemoSize(2)
 	check := func(i int) {
 		t.Helper()
@@ -309,7 +280,7 @@ func TestMemoBoundedFIFO(t *testing.T) {
 // TestMemoBypassedUnderNopAuth: with free verification the memo would only
 // add hashing, so it is off and nothing is ever allocated.
 func TestMemoBypassedUnderNopAuth(t *testing.T) {
-	v := NewVerifier(NopAuth{}, 0)
+	v := NewVerifier(NopAuth{})
 	for i := 0; i < 3; i++ {
 		if err := v.Verify(types.ReplicaNode(0, 1), []byte("m"), nil); err != nil {
 			t.Fatal(err)
@@ -343,7 +314,7 @@ func TestMemoLazyAllocation(t *testing.T) {
 func TestMemoConcurrentHammer(t *testing.T) {
 	kg, _, cert, _ := benchVerifierSetup(t, 7)
 	ring, _ := kg.Ring(cert[0].From)
-	v := NewVerifier(ring, 4)
+	v := NewVerifier(ring)
 	v.SetMemoSize(3)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)

@@ -17,15 +17,10 @@ import (
 const DefaultMemoSize = 4096
 
 // Verifier wraps an Authenticator with the crypto fast path for signature
-// checking (Section 3: authentication dominates replica CPU):
-//
-//   - a bounded FIFO memo of signatures that already verified, keyed on
-//     (signer, message bytes, signature), so an Ed25519 signature is
-//     verified at most once per replica no matter how many messages or
-//     certificates carry it, and
-//   - a bounded worker pool that verifies the nf signatures of a commit
-//     certificate or new-view justification concurrently (VerifyWorkers
-//     knob; 0 or 1 = serial).
+// checking (Section 3: authentication dominates replica CPU): a bounded FIFO
+// memo of signatures that already verified, keyed on (signer, message bytes,
+// signature), so an Ed25519 signature is verified at most once per replica
+// no matter how many messages or certificates carry it.
 //
 // Accept/reject decisions are identical to calling the wrapped
 // Authenticator every time: only successes are remembered and the key
@@ -34,8 +29,6 @@ const DefaultMemoSize = 4096
 // replicas. Safe for concurrent use.
 type Verifier struct {
 	Authenticator
-	workers int
-	sem     chan struct{} // bounds in-flight verification workers
 	// size is the memo capacity. It is written under mu; Verify's lock-free
 	// read only decides whether to consult the memo at all.
 	size atomic.Int64
@@ -51,16 +44,9 @@ type Verifier struct {
 // so two checks share a key only if every input is identical.
 type memoKey [sha256.Size]byte
 
-// NewVerifier wraps auth with the default verified-signature memo and a
-// batch-verification worker pool of the given size (0 or 1 = serial).
-func NewVerifier(auth Authenticator, workers int) *Verifier {
-	if workers < 0 {
-		workers = 0
-	}
-	v := &Verifier{Authenticator: auth, workers: workers}
-	if workers > 1 {
-		v.sem = make(chan struct{}, workers)
-	}
+// NewVerifier wraps auth with the default verified-signature memo.
+func NewVerifier(auth Authenticator) *Verifier {
+	v := &Verifier{Authenticator: auth}
 	// Verification is free under NopAuth (crypto ablations): hashing for the
 	// memo would only add cost, so the memo stays off.
 	if _, nop := auth.(NopAuth); !nop {
@@ -164,53 +150,17 @@ func (v *Verifier) remember(key memoKey) {
 // VerifyQuorum checks the signatures of entries and returns how many are
 // valid, early-exiting at quorum. Callers are responsible for structural
 // checks (tuple consistency, sender dedup, membership); this routine only
-// spends the Ed25519 work — serially, or on the worker pool when both the
-// pool and the batch are big enough to pay for the goroutine handoff.
+// spends the Ed25519 work.
 func (v *Verifier) VerifyQuorum(entries []*types.Signed, quorum int) int {
-	if v.workers <= 1 || len(entries) < 2 {
-		valid := 0
-		var sb [types.SigBytesLen]byte
-		for _, e := range entries {
-			if v.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil {
-				valid++
-				if valid >= quorum {
-					break
-				}
+	valid := 0
+	var sb [types.SigBytesLen]byte
+	for _, e := range entries {
+		if v.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil {
+			valid++
+			if valid >= quorum {
+				break
 			}
 		}
-		return valid
 	}
-	workers := v.workers
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		valid atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		v.sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-v.sem; wg.Done() }()
-			var sb [types.SigBytesLen]byte
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(entries) || valid.Load() >= int64(quorum) {
-					return
-				}
-				e := entries[i]
-				if v.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil {
-					valid.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	n := int(valid.Load())
-	if n > len(entries) {
-		n = len(entries)
-	}
-	return n
+	return valid
 }

@@ -411,46 +411,21 @@ func AblationLinearForward(p Profile) (Figure, error) {
 	return fig, nil
 }
 
-// AblationExecWorkers compares sequential batch execution against the
-// dependency-aware parallel executor (internal/sched) at increasing worker
-// counts, on large single-shard batches where intra-batch parallelism is
-// the whole story. Raw executor speedups are reported by
-// BenchmarkExecuteBatch in internal/sched; this figure shows how much of
-// that survives end-to-end, behind consensus and the simulated WAN.
-func AblationExecWorkers(p Profile) (Figure, error) {
-	fig := Figure{ID: "ablation-exec", Title: "Sequential vs parallel batch execution", XLabel: "exec workers"}
-	pts, err := sweep(p.BaseConfig(), []int{0, 2, 4, 8}, func(c *Config, w int) {
-		c.Protocol = ProtoRingBFT
-		c.CrossShardPct = 0
-		c.BatchSize = 4 * p.BatchSize
-		c.ExecWorkers = w
-	})
-	if err != nil {
-		return fig, err
-	}
-	fig.Series = append(fig.Series, Series{Label: "ringbft", Points: pts})
-	return fig, nil
-}
-
-// AblationCrypto isolates authentication cost (DESIGN.md §5) across three
-// settings: the paper's MAC+DS mix verified serially, the same mix on the
-// crypto fast path (cached MAC keys are always on; VerifyWorkers adds the
-// batched certificate verifier pool), and signatures off entirely (NopAuth,
-// the theoretical ceiling).
+// AblationCrypto isolates authentication cost (DESIGN.md §5): the paper's
+// MAC+DS mix against signatures off entirely (NopAuth, the theoretical
+// ceiling).
 func AblationCrypto(p Profile) (Figure, error) {
-	fig := Figure{ID: "ablation-crypto", Title: "Crypto mix: serial vs fast path vs none", XLabel: "shards"}
+	fig := Figure{ID: "ablation-crypto", Title: "Crypto mix: MAC+DS vs none", XLabel: "shards"}
 	for _, v := range []struct {
-		label   string
-		off     bool
-		workers int
-	}{{"mac+ds serial", false, 0}, {"mac+ds fastpath", false, 4}, {"nocrypto", true, 0}} {
+		label string
+		off   bool
+	}{{"mac+ds", false}, {"nocrypto", true}} {
 		pts, err := sweep(p.BaseConfig(), p.ShardSweep, func(c *Config, z int) {
 			c.Protocol = ProtoRingBFT
 			c.Shards = z
 			c.InvolvedShards = z
 			c.CrossShardPct = 0.3
 			c.NoCrypto = v.off
-			c.VerifyWorkers = v.workers
 		})
 		if err != nil {
 			return fig, err

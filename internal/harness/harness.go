@@ -58,25 +58,10 @@ type Config struct {
 	ReplicasPerShard int
 	BatchSize        int
 	// PipelineDepth bounds the primary's in-flight proposals across
-	// sequence numbers (types.Config.PipelineDepth): 0 = legacy unbounded
-	// drain up to the pbft log window, 1 = lockstep, small depths overlap
-	// PRE-PREPARE/PREPARE/COMMIT across sequences. A depth >= 1 also
-	// enables the ringbft primary's adaptive batcher (queued single-shard
-	// client requests coalesce toward BatchSize under backlog).
+	// sequence numbers (types.Config.PipelineDepth): 1 = lockstep, deeper
+	// windows overlap PRE-PREPARE/PREPARE/COMMIT across sequences.
+	// 0 keeps the types.DefaultConfig depth.
 	PipelineDepth int
-	// ClientBatch is the transaction count of each client request (0 =
-	// BatchSize). Setting it below BatchSize gives the adaptive batcher
-	// requests it can visibly coalesce; the default keeps client requests
-	// and consensus batches one-to-one, exactly the pre-pipeline shape.
-	ClientBatch int
-	// ExecWorkers sizes the dependency-aware parallel batch executor on
-	// every replica (internal/sched); 0 = sequential execution. A/B this
-	// knob to measure intra-batch execution parallelism.
-	ExecWorkers int
-	// VerifyWorkers sizes the batched signature verifier on every replica
-	// (crypto.Verifier): commit-certificate and new-view signatures are
-	// checked concurrently on this many workers. 0 = serial verification.
-	VerifyWorkers int
 
 	CrossShardPct  float64 // fraction of cross-shard batches
 	InvolvedShards int     // shards per cst
@@ -468,9 +453,9 @@ func applyDefaults(cfg *Config) {
 func typesConfig(cfg Config) types.Config {
 	tc := types.DefaultConfig(cfg.Shards, cfg.ReplicasPerShard)
 	tc.BatchSize = cfg.BatchSize
-	tc.PipelineDepth = cfg.PipelineDepth
-	tc.ExecWorkers = cfg.ExecWorkers
-	tc.VerifyWorkers = cfg.VerifyWorkers
+	if cfg.PipelineDepth > 0 {
+		tc.PipelineDepth = cfg.PipelineDepth
+	}
 	tc.LocalTimeout = cfg.LocalTimeout
 	tc.RemoteTimeout = cfg.RemoteTimeout
 	tc.TransmitTimeout = cfg.TransmitTimeout
@@ -588,16 +573,12 @@ func (m *metrics) result(cfg Config) Result {
 // (attack A1).
 func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) {
 	cfg := cl.cfg
-	clientBatch := cfg.ClientBatch
-	if clientBatch <= 0 {
-		clientBatch = cfg.BatchSize
-	}
 	gen := workload.New(workload.Config{
 		Shards:         cfg.Shards,
 		ActiveRecords:  cfg.Records,
 		CrossShardPct:  cfg.CrossShardPct,
 		InvolvedShards: cfg.InvolvedShards,
-		BatchSize:      clientBatch,
+		BatchSize:      cfg.BatchSize,
 		RemoteReads:    cfg.RemoteReads,
 		Zipf:           cfg.Zipf,
 		Stripe:         cfg.StripeClients,

@@ -48,65 +48,6 @@ func TestRingBFTSingleShardThroughput(t *testing.T) {
 	}
 }
 
-// TestParallelExecutionAllProtocols runs every sharded protocol with the
-// dependency-aware parallel executor enabled: all of them must still make
-// progress (the sched layer guarantees results identical to sequential;
-// equivalence itself is proven by internal/sched and internal/ringbft).
-func TestParallelExecutionAllProtocols(t *testing.T) {
-	for _, p := range []Protocol{ProtoRingBFT, ProtoSharper, ProtoAHL} {
-		res, err := Run(Config{
-			Protocol:         p,
-			Shards:           3,
-			ReplicasPerShard: 4,
-			BatchSize:        10,
-			ExecWorkers:      4,
-			CrossShardPct:    0.5,
-			InvolvedShards:   3,
-			Clients:          4,
-			ClientWindow:     2,
-			Warmup:           150 * time.Millisecond,
-			Duration:         400 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("%s with ExecWorkers=4: %v", p, err)
-		}
-		if res.Txns == 0 {
-			t.Fatalf("%s with ExecWorkers=4 committed nothing: %+v", p, res)
-		}
-	}
-}
-
-// TestVerifyFastPathAllProtocols runs every sharded protocol with the
-// batched, memoizing signature verifier enabled end-to-end: cross-shard
-// traffic (whose Forward certificates exercise VerifyCert) must still
-// commit. Accept/reject equivalence with serial verification is proven
-// deterministically by internal/ringbft's
-// TestPropertyVerifyFastPathEquivalence; this test covers the real
-// concurrent stack.
-func TestVerifyFastPathAllProtocols(t *testing.T) {
-	for _, p := range []Protocol{ProtoRingBFT, ProtoSharper, ProtoAHL} {
-		res, err := Run(Config{
-			Protocol:         p,
-			Shards:           3,
-			ReplicasPerShard: 4,
-			BatchSize:        10,
-			VerifyWorkers:    4,
-			CrossShardPct:    0.5,
-			InvolvedShards:   3,
-			Clients:          4,
-			ClientWindow:     2,
-			Warmup:           150 * time.Millisecond,
-			Duration:         400 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("%s with VerifyWorkers: %v", p, err)
-		}
-		if res.Txns == 0 {
-			t.Fatalf("%s with VerifyWorkers committed nothing: %+v", p, res)
-		}
-	}
-}
-
 func TestRingBFTCrossShardThroughput(t *testing.T) {
 	res := smoke(t, ProtoRingBFT, 1.0)
 	if res.Txns == 0 {

@@ -187,9 +187,9 @@ type Options struct {
 	Window      types.SeqNum  // log watermark window (default 512)
 	ViewTimeout time.Duration // new-view escalation timeout (default 250ms)
 	Clock       func() time.Time
-	// Verifier is the host's batched signature verifier; sharing the host's
-	// instance shares its worker pool and verified-signature memo. Nil
-	// constructs a private serial verifier.
+	// Verifier is the host's signature verifier; sharing the host's
+	// instance shares its verified-signature memo. Nil constructs a private
+	// verifier.
 	Verifier *crypto.Verifier
 	// OnPhase, when set, observes lifecycle transitions: PrePrepare
 	// acceptance, the prepared and committed predicates, and view-change
@@ -211,7 +211,7 @@ func New(shard types.ShardID, self types.NodeID, peers []types.NodeID, auth cryp
 		opts.Clock = time.Now
 	}
 	if opts.Verifier == nil {
-		opts.Verifier = crypto.NewVerifier(auth, 0)
+		opts.Verifier = crypto.NewVerifier(auth)
 	} else if opts.Verifier.Authenticator != auth {
 		// Certificate checks and per-message checks must share key material;
 		// a verifier wrapping different keys would split-brain the engine.
@@ -741,10 +741,9 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 // is why cross-shard messages use DS, not MACs (non-repudiation, Section 3).
 //
 // The structural checks run on every call; the Ed25519 work goes through the
-// verifier — its worker pool when VerifyWorkers > 1, and its memo, so the
-// same signatures re-presented in another copy of the certificate (however
-// that copy was assembled) are not verified again. Accept/reject decisions
-// match serial per-signature verification.
+// verifier's memo, so the same signatures re-presented in another copy of
+// the certificate (however that copy was assembled) are not verified again.
+// Accept/reject decisions match verifying every signature every time.
 func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, cert []types.Signed, quorum int) error {
 	if len(cert) < quorum {
 		return fmt.Errorf("pbft: certificate has %d signatures, need %d", len(cert), quorum)

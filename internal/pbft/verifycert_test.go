@@ -32,18 +32,17 @@ func certFixture(t testing.TB, n int) (*crypto.Keygen, []types.Signed, types.Dig
 	return kg, cert, d
 }
 
-func fixtureVerifier(t testing.TB, kg *crypto.Keygen, workers int) *crypto.Verifier {
+func fixtureVerifier(t testing.TB, kg *crypto.Keygen) *crypto.Verifier {
 	t.Helper()
 	ring, err := kg.Ring(types.ReplicaNode(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return crypto.NewVerifier(ring, workers)
+	return crypto.NewVerifier(ring)
 }
 
-// TestVerifyCertTamperTable runs the same adversarial table against the
-// serial and the batched/pooled verifier: every tampered certificate must be
-// rejected by both, and the valid one accepted by both.
+// TestVerifyCertTamperTable runs an adversarial table against VerifyCert:
+// every tampered certificate must be rejected and the valid one accepted.
 func TestVerifyCertTamperTable(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
 	copyCert := func() []types.Signed {
@@ -104,17 +103,15 @@ func TestVerifyCertTamperTable(t *testing.T) {
 			return c
 		}, d, false}, // only 2 entries left in the (1,7) group
 	}
-	for _, workers := range []int{0, 4} {
-		v := fixtureVerifier(t, kg, workers)
-		v.SetMemoSize(0) // isolate verification from the memo
-		for _, tc := range cases {
-			err := VerifyCert(v, 0, tc.dig, tc.cert(), 3)
-			if tc.ok && err != nil {
-				t.Errorf("workers=%d %s: valid cert rejected: %v", workers, tc.name, err)
-			}
-			if !tc.ok && err == nil {
-				t.Errorf("workers=%d %s: tampered cert accepted", workers, tc.name)
-			}
+	v := fixtureVerifier(t, kg)
+	v.SetMemoSize(0) // isolate verification from the memo
+	for _, tc := range cases {
+		err := VerifyCert(v, 0, tc.dig, tc.cert(), 3)
+		if tc.ok && err != nil {
+			t.Errorf("%s: valid cert rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: tampered cert accepted", tc.name)
 		}
 	}
 }
@@ -124,7 +121,7 @@ func TestVerifyCertTamperTable(t *testing.T) {
 // for real and rejected — and failures must never populate the memo.
 func TestVerifyCertMemoPoisoning(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
-	v := fixtureVerifier(t, kg, 0)
+	v := fixtureVerifier(t, kg)
 
 	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
 		t.Fatalf("valid cert rejected: %v", err)
@@ -174,19 +171,17 @@ func TestVerifyCertMemoPoisoning(t *testing.T) {
 }
 
 // BenchmarkVerifyCert measures commit-certificate verification at quorum
-// sizes nf = 2, 4, 8 in three modes: serial (the seed path), batched on a
-// 4-worker pool, and a verified-signature memo hit. Run with -benchmem; reference
-// numbers live in internal/crypto/bench_baseline.json.
+// sizes nf = 2, 4, 8 in two modes: every signature verified for real, and a
+// verified-signature memo hit. Run with -benchmem.
 func BenchmarkVerifyCert(b *testing.B) {
 	for _, nf := range []int{2, 4, 8} {
 		kg, cert, d := certFixture(b, nf)
 		for _, mode := range []struct {
-			name    string
-			workers int
-			cache   bool
-		}{{"serial", 0, false}, {"workers4", 4, false}, {"cachehit", 0, true}} {
+			name  string
+			cache bool
+		}{{"serial", false}, {"cachehit", true}} {
 			b.Run(fmt.Sprintf("nf=%d/%s", nf, mode.name), func(b *testing.B) {
-				v := fixtureVerifier(b, kg, mode.workers)
+				v := fixtureVerifier(b, kg)
 				if !mode.cache {
 					v.SetMemoSize(0)
 				} else if err := VerifyCert(v, 0, d, cert, nf); err != nil {

@@ -173,9 +173,9 @@ func (e *Engine) onNewView(m *types.Message) {
 	if len(m.ViewMsgs) < e.nf {
 		return
 	}
-	// Verify the justification: nf distinct signed ViewChange tuples,
-	// batched on the shared verifier's worker pool (the structural filter
-	// and sender dedup stay here; the verifier only spends Ed25519 work).
+	// Verify the justification: nf distinct signed ViewChange tuples (the
+	// structural filter and sender dedup stay here; the verifier only spends
+	// Ed25519 work).
 	seen := make(map[types.NodeID]struct{}, len(m.ViewMsgs))
 	entries := make([]*types.Signed, 0, len(m.ViewMsgs))
 	for i := range m.ViewMsgs {

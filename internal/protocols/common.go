@@ -86,7 +86,7 @@ func newBase(opts Options) base {
 		f:        f,
 		nf:       n - f,
 		auth:     opts.Auth,
-		verifier: crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers),
+		verifier: crypto.NewVerifier(opts.Auth),
 		send:     opts.Send,
 		clock:    opts.Clock,
 		kv:       store.NewKV(),

@@ -234,7 +234,7 @@ func (r *Replica) executeCst(cs *cstState) {
 			remote[k] = ws.ReadValues[i]
 		}
 	}
-	cs.results = r.executeBatch(cs.batch, remote, cs.plan)
+	cs.results = r.executeBatch(cs.batch, remote)
 	cs.executed = true
 	r.observe(cs.seq, trace.PhaseExecute)
 	r.executed[cs.digest] = cs.results

@@ -2,10 +2,8 @@ package ringbft
 
 import (
 	"strconv"
-	"time"
 
 	"ringbft/internal/metrics"
-	"ringbft/internal/sched"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
 	"ringbft/internal/wal"
@@ -44,10 +42,6 @@ type replicaMetrics struct {
 
 	forwardQuorum *metrics.Histogram
 	walFsync      *metrics.Histogram
-
-	schedParallel   *metrics.Counter
-	schedSequential *metrics.Counter
-	schedLayerWidth *metrics.Histogram
 
 	// phases[p] counts pbft/ring lifecycle transitions of phase p.
 	phases [16]*metrics.Counter
@@ -89,10 +83,6 @@ func newReplicaMetrics(reg *metrics.Registry, shard types.ShardID, self types.No
 
 		forwardQuorum: reg.Histogram("ringbft_forward_quorum_seconds", lbl...),
 		walFsync:      reg.Histogram("wal_fsync_seconds", lbl...),
-
-		schedParallel:   reg.Counter("sched_parallel_batches_total", lbl...),
-		schedSequential: reg.Counter("sched_sequential_batches_total", lbl...),
-		schedLayerWidth: reg.Histogram("sched_layer_width", lbl...),
 	}
 	for _, p := range tracedPhases {
 		m.phases[p] = reg.Counter("pbft_phase_transitions_total",
@@ -116,23 +106,5 @@ func (m *replicaMetrics) walObserver() wal.Observer {
 	return wal.Observer{
 		Fsync: m.walFsync.Observe,
 		GC:    func(removed int) { m.walGC.Add(int64(removed)) },
-	}
-}
-
-// schedObserver adapts the handle set to the scheduler telemetry hooks.
-// sched_layer_width abuses the duration histogram's 1-unit-per-µs buckets
-// to bucket integer widths; quantiles read back in "µs" units equal widths.
-func (m *replicaMetrics) schedObserver() sched.Observer {
-	return sched.Observer{
-		Batch: func(parallel bool, txns, layers int) {
-			if parallel {
-				m.schedParallel.Inc()
-			} else {
-				m.schedSequential.Inc()
-			}
-		},
-		Layer: func(width int) {
-			m.schedLayerWidth.Observe(time.Duration(width) * time.Microsecond)
-		},
 	}
 }

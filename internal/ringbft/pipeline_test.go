@@ -37,14 +37,16 @@ func pipelineWorkload(z int) []*types.Batch {
 }
 
 // runPipelineBurst drives the fixed burst through a fresh cluster at the
-// given pipeline depth and returns each shard's block-hash sequence and
-// each replica-0 state digest.
+// given pipeline depth (0 = the types.DefaultConfig depth) and returns each
+// shard's block-hash sequence and each replica-0 state digest.
 func runPipelineBurst(t *testing.T, depth int) (blocks map[types.ShardID][]types.Digest, states map[types.ShardID]types.Digest) {
 	t.Helper()
 	const z = 2
 	c := newClusterWith(t, z, 4, func(cfg *types.Config) {
 		cfg.BatchSize = 1
-		cfg.PipelineDepth = depth
+		if depth > 0 {
+			cfg.PipelineDepth = depth
+		}
 	})
 	for _, b := range pipelineWorkload(z) {
 		c.enqueueRequest(b.Txns[0].ID.Client, b)
@@ -65,11 +67,11 @@ func runPipelineBurst(t *testing.T, depth int) (blocks map[types.ShardID][]types
 }
 
 // TestPipelineDeterminism is the pipelined-consensus safety property: for
-// the same request arrival order, every pipeline depth — legacy unbounded
-// (0), lockstep (1), and deep windows — yields byte-identical block-hash
-// sequences and state digests. Overlapping PRE-PREPARE/PREPARE/COMMIT
-// across sequence numbers changes when proposals happen, never what
-// commits or in which order.
+// the same request arrival order, every pipeline depth — lockstep (1), deep
+// windows, and the default — yields byte-identical block-hash sequences and
+// state digests. Overlapping PRE-PREPARE/PREPARE/COMMIT across sequence
+// numbers changes when proposals happen, never what commits or in which
+// order.
 func TestPipelineDeterminism(t *testing.T) {
 	refBlocks, refStates := runPipelineBurst(t, 1)
 	for s, seq := range refBlocks {

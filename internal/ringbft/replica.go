@@ -32,7 +32,6 @@ import (
 	"ringbft/internal/ledger"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/sched"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -60,7 +59,6 @@ type Replica struct {
 	kv     *store.KV
 	locks  *store.LockTable
 	chain  *ledger.Chain
-	exec   *sched.Executor
 
 	// Lock-order state (Fig 5): lockQueue holds committed entries awaiting
 	// lock acquisition strictly in sequence order; kmax is the highest
@@ -99,12 +97,12 @@ type Replica struct {
 	// primary sits on them; a new primary proposes them on promotion.
 	awaitingProposal map[types.Digest]*pendingProposal
 	proposed         map[types.Digest]struct{}
-	proposeQueue     []*types.Batch // FIFO; overflow + pipelined-mode staging
+	proposeQueue     []*types.Batch // FIFO; every proposal waits here for a window slot
 
-	// Pipelined consensus (cfg.PipelineDepth >= 1): backpressure polls the
-	// transport's outbound backlog, bpLimit is the clamp threshold (half
-	// the outbox depth), and mergedReqs counts client requests the
-	// adaptive batcher coalesced into larger proposals.
+	// Pipelined consensus: backpressure polls the transport's outbound
+	// backlog, bpLimit is the clamp threshold (half the outbox depth), and
+	// mergedReqs counts client requests the adaptive batcher coalesced into
+	// larger proposals.
 	backpressure func() int
 	bpLimit      int
 	mergedReqs   int64
@@ -228,11 +226,6 @@ type cstState struct {
 	carried []types.WriteSet // accumulated read/write sets (Σ)
 	results []types.Value
 
-	// plan is the conflict schedule precomputed while the Forward rotates
-	// (sched.BuildPlan depends only on batch content), so commit-time
-	// execution pays only the parallel run. Nil when ExecWorkers <= 1.
-	plan *sched.Plan
-
 	forwardSentAt time.Time // transmit timer anchor (Section 5.1.1)
 	forwardMsg    *types.Message
 	nextProgress  bool // evidence the next shard progressed; stops retransmission
@@ -266,9 +259,9 @@ type Options struct {
 	Evidence *evidence.Log
 
 	// Metrics, when non-nil, registers this replica's series (consensus
-	// counters, queue/lock gauges, WAL and scheduler telemetry) on the
-	// given registry, labelled by shard and replica index. Pure side
-	// effect: no protocol behaviour changes.
+	// counters, queue/lock gauges, WAL telemetry) on the given registry,
+	// labelled by shard and replica index. Pure side effect: no protocol
+	// behaviour changes.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives per-sequence lifecycle events
 	// (pre-prepare through reply, plus view-change and state-transfer
@@ -277,11 +270,11 @@ type Options struct {
 
 	// Backpressure, when non-nil, reports the transport's current queued
 	// outbound backlog (tcpnet: the sum of per-peer outbox occupancy).
-	// Under pipelined consensus (Config.PipelineDepth > 1) a backlog past
-	// half the configured OutboxDepth clamps the pipeline to one slot —
-	// pushing more proposals at a transport that is already queuing only
-	// converts bounded outbox memory into counted drops. Nil (simnet, the
-	// deterministic chaos cluster) means no backpressure signal.
+	// With Config.PipelineDepth > 1 a backlog past half the configured
+	// OutboxDepth clamps the pipeline to one slot — pushing more proposals
+	// at a transport that is already queuing only converts bounded outbox
+	// memory into counted drops. Nil (simnet, the deterministic chaos
+	// cluster) means no backpressure signal.
 	Backpressure func() int
 }
 
@@ -300,7 +293,7 @@ func New(opts Options) *Replica {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	snapEvery := opts.Config.SnapshotInterval
 	if snapEvery <= 0 {
 		snapEvery = opts.Config.CheckpointInterval
@@ -320,7 +313,6 @@ func New(opts Options) *Replica {
 		clock:            opts.Clock,
 		kv:               store.NewKV(),
 		locks:            store.NewLockTable(),
-		exec:             sched.New(opts.Config.ExecWorkers),
 		chain:            ledger.NewChain(opts.Shard),
 		lockQueue:        make(map[types.SeqNum]*logEntry),
 		csts:             make(map[types.Digest]*cstState),
@@ -350,7 +342,6 @@ func New(opts Options) *Replica {
 		if r.dur != nil {
 			r.dur.SetObserver(r.met.walObserver())
 		}
-		r.exec.SetObserver(r.met.schedObserver())
 	}
 	var onPhase func(seq types.SeqNum, ph trace.Phase, at time.Time)
 	if r.tr != nil || r.met != nil {
@@ -505,7 +496,7 @@ type Stats struct {
 	// filesystem; recovery degrades gracefully but tests assert 0).
 	DurErrors int64
 	// CoalescedReqs counts client requests the adaptive batcher merged
-	// into larger proposals (primary-side only; 0 with PipelineDepth 0).
+	// into larger proposals (primary-side only).
 	CoalescedReqs int64
 	LockedKeys    int
 	LedgerHeight  int
@@ -699,27 +690,16 @@ func (r *Replica) propose(b *types.Batch, d types.Digest) {
 		// three or more shards, found by internal/chaos).
 		return
 	}
-	if r.cfg.PipelineDepth > 0 {
-		// Pipelined mode: every proposal goes through the FIFO queue so
-		// fresh arrivals cannot jump requests already waiting for a slot,
-		// and the drain below applies the depth bound and the adaptive
-		// batcher uniformly.
-		r.proposeQueue = append(r.proposeQueue, b)
-		r.tryProposeQueued()
-		return
-	}
-	if _, err := r.engine.Propose(b); err != nil {
-		// Window full or view change: park it for the tick to retry.
-		r.proposeQueue = append(r.proposeQueue, b)
-		return
-	}
-	r.proposed[d] = struct{}{}
+	// Every proposal goes through the FIFO queue so fresh arrivals cannot
+	// jump requests already waiting for a slot, and the drain applies the
+	// depth bound and the adaptive batcher uniformly.
+	r.proposeQueue = append(r.proposeQueue, b)
+	r.tryProposeQueued()
 }
 
 // pipelineSlots returns how many additional proposals the primary may put
 // in flight right now under cfg.PipelineDepth, after subtracting the
 // engine's current in-flight count and applying the backpressure clamp.
-// Call only with PipelineDepth >= 1.
 func (r *Replica) pipelineSlots() int {
 	depth := r.cfg.PipelineDepth
 	if depth > 1 && r.backpressure != nil && r.backpressure() > r.bpLimit {
@@ -753,16 +733,14 @@ func (r *Replica) tryProposeQueued() {
 			r.proposeQueue = r.proposeQueue[1:]
 			continue
 		}
-		if r.cfg.PipelineDepth > 0 {
-			if r.pipelineSlots() <= 0 {
-				return // window full: wait for a commit to free a slot
-			}
-			if r.holdForFill(b) {
-				return // deep slot, partial batch: wait for fill or drain
-			}
-			b = r.coalesceHead()
-			d = b.Digest()
+		if r.pipelineSlots() <= 0 {
+			return // window full: wait for a commit to free a slot
 		}
+		if r.holdForFill(b) {
+			return // deep slot, partial batch: wait for fill or drain
+		}
+		b = r.coalesceHead()
+		d = b.Digest()
 		if _, err := r.engine.Propose(b); err != nil {
 			return // still blocked
 		}
@@ -949,7 +927,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	}
 	d := b.Digest()
 	if !b.IsCrossShard() {
-		results := r.executeBatch(b, nil, nil)
+		results := r.executeBatch(b, nil)
 		r.observe(ent.seq, trace.PhaseExecute)
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
 		r.executed[d] = results
@@ -968,10 +946,6 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	cs.seq = ent.seq
 	cs.cert = ent.cert
 	cs.locked = true
-	if r.exec.Workers() > 1 && cs.plan == nil {
-		// Schedule now, while the Forward/Execute rotations hide the cost.
-		cs.plan = sched.BuildPlan(b.Txns, r.shard, r.cfg.Shards)
-	}
 
 	// Accumulate this shard's read fragment into the carried Σ so that by
 	// the end of rotation 1 the initiator holds every read value the
@@ -990,23 +964,21 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	}
 }
 
-// executeBatch applies every transaction's local fragment through the
-// dependency-aware executor (sequential when ExecWorkers <= 1). remote
-// supplies cross-shard read values (nil for single-shard batches); plan is
-// an optional precomputed schedule (nil = plan inline). A failing
-// transaction (missing dependency = broken Σ accumulation) executes
-// deterministically to the sentinel 0 so replicas stay aligned, and is
-// counted in Stats.ExecErrors.
-func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value, plan *sched.Plan) []types.Value {
-	apply := func(i int) (types.Value, error) {
-		return r.kv.ExecuteTxn(&b.Txns[i], r.shard, r.cfg.Shards, remote)
-	}
-	var results []types.Value
+// executeBatch applies every transaction's local fragment in batch order.
+// remote supplies cross-shard read values (nil for single-shard batches).
+// A failing transaction (missing dependency = broken Σ accumulation)
+// executes deterministically to the sentinel 0 so replicas stay aligned, and
+// is counted in Stats.ExecErrors.
+func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value) []types.Value {
+	results := make([]types.Value, len(b.Txns))
 	var errs int64
-	if plan != nil {
-		results, errs = r.exec.ExecutePlan(plan, apply)
-	} else {
-		results, errs = r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, apply)
+	for i := range b.Txns {
+		v, err := r.kv.ExecuteTxn(&b.Txns[i], r.shard, r.cfg.Shards, remote)
+		if err != nil {
+			errs++
+			continue
+		}
+		results[i] = v
 	}
 	r.execErrors += errs
 	r.executedTxns += int64(len(b.Txns))

@@ -35,13 +35,7 @@ type routed struct {
 	m        *types.Message
 }
 
-func newCluster(t *testing.T, z, n int) *cluster { return newClusterExec(t, z, n, 0) }
-
-// newClusterExec builds a cluster whose replicas run the dependency-aware
-// parallel executor with the given worker count (0 = sequential).
-func newClusterExec(t *testing.T, z, n, execWorkers int) *cluster {
-	return newClusterWith(t, z, n, func(cfg *types.Config) { cfg.ExecWorkers = execWorkers })
-}
+func newCluster(t *testing.T, z, n int) *cluster { return newClusterWith(t, z, n, nil) }
 
 // newClusterWith builds a cluster with a config mutator applied before the
 // replicas are constructed.
@@ -217,6 +211,40 @@ func mkBatch(client types.ClientID, seq uint64, z int, shards []types.ShardID, k
 	return &types.Batch{Txns: []types.Txn{t}, Involved: shards}
 }
 
+// TestExecuteBatchCountsErrors: a transaction whose remote read is missing
+// from Σ yields the sentinel result 0, writes nothing, and is counted in
+// Stats.ExecErrors; its neighbours in the batch execute normally.
+func TestExecuteBatchCountsErrors(t *testing.T) {
+	const z = 2
+	c := newCluster(t, z, 4)
+	r := c.replicas[types.ReplicaNode(0, 0)]
+	both := []types.ShardID{0, 1}
+	b := &types.Batch{Involved: both}
+	for i := uint64(0); i < 3; i++ {
+		b.Txns = append(b.Txns, mkBatch(1, i+1, z, both, 2+i).Txns[0])
+	}
+	// Σ carries the shard-1 reads of txns 0 and 2 only.
+	remote := map[types.Key]types.Value{b.Txns[0].Reads[1]: 7, b.Txns[2].Reads[1]: 9}
+	got := r.executeBatch(b, remote)
+	for i, carried := range []types.Value{7, 0, 9} {
+		k := b.Txns[i].Writes[0]
+		want, stored := types.Value(0), types.Value(k)
+		if i != 1 {
+			want = 5 + types.Value(k) + carried
+			stored += want
+		}
+		if got[i] != want {
+			t.Fatalf("result[%d] = %d, want %d", i, got[i], want)
+		}
+		if v := r.Store().Get(k); v != stored {
+			t.Fatalf("txn %d left key %d at %d, want %d", i, k, v, stored)
+		}
+	}
+	if n := r.Stats().ExecErrors; n != 1 {
+		t.Fatalf("ExecErrors = %d, want 1", n)
+	}
+}
+
 func TestSingleShardExecution(t *testing.T) {
 	c := newCluster(t, 3, 4)
 	b := mkBatch(1, 1, 3, []types.ShardID{1}, 2)
@@ -368,69 +396,6 @@ func TestConflictingCSTsSameOrder(t *testing.T) {
 		}
 	}
 	c.assertNoExecErrors()
-}
-
-// TestParallelExecutionMatchesSequentialCluster drives the same workload —
-// conflicting cross-shard batches plus complex remote-read transactions —
-// through a sequential cluster and one running the dependency-aware
-// executor with 4 workers, and requires identical client results and
-// identical store digests at every replica (the determinism bar of
-// internal/sched, proven end-to-end through consensus).
-func TestParallelExecutionMatchesSequentialCluster(t *testing.T) {
-	const z, n = 3, 4
-	run := func(workers int) (map[types.NodeID]types.Digest, map[types.Digest][]types.Value) {
-		c := newClusterExec(t, z, n, workers)
-		shards := []types.ShardID{0, 1, 2}
-		var digests []types.Digest
-		for i := uint64(0); i < 4; i++ {
-			b := mkBatch(types.ClientID(i+1), 1, z, shards, 2+i%2) // overlapping keys conflict
-			digests = append(digests, b.Digest())
-			c.submit(types.ClientID(i+1), b)
-		}
-		cx := types.Txn{
-			ID:     types.TxnID{Client: 9, Seq: 1},
-			Reads:  []types.Key{types.Key(0 + 7*z), types.Key(1 + 7*z), types.Key(2 + 7*z)},
-			Writes: []types.Key{types.Key(0 + 7*z)},
-			Delta:  11,
-		}
-		bx := &types.Batch{Txns: []types.Txn{cx}, Involved: shards}
-		digests = append(digests, bx.Digest())
-		c.submit(9, bx)
-
-		c.assertNoExecErrors()
-		states := make(map[types.NodeID]types.Digest)
-		results := make(map[types.Digest][]types.Value)
-		for id, r := range c.replicas {
-			states[id] = r.Store().Digest()
-			for _, d := range digests {
-				if res, ok := r.executed[d]; ok {
-					results[d] = res
-				}
-			}
-		}
-		return states, results
-	}
-	seqStates, seqResults := run(0)
-	parStates, parResults := run(4)
-	for id, want := range seqStates {
-		if parStates[id] != want {
-			t.Fatalf("replica %v: parallel store digest diverged from sequential", id)
-		}
-	}
-	for d, want := range seqResults {
-		got, ok := parResults[d]
-		if !ok {
-			t.Fatalf("batch %x executed sequentially but not in parallel cluster", d[:4])
-		}
-		if len(got) != len(want) {
-			t.Fatalf("batch %x: %d results vs %d", d[:4], len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch %x result[%d] = %d, want %d", d[:4], i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // TestForwardRetransmission (attack C1): all Forward messages between shard

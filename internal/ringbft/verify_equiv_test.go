@@ -7,14 +7,14 @@ import (
 )
 
 // runVerifyWorkload drives one deterministic mixed workload (single-shard
-// and cross-shard batches over overlapping keys) through a cluster built
-// with the given VerifyWorkers setting, with the verified-signature memo on
-// or at capacity 0, and returns per-replica (block digest sequence, store
-// digest) observations plus the memo hits summed over all replicas.
-func runVerifyWorkload(t *testing.T, verifyWorkers int, memo bool) (map[types.NodeID][]types.Digest, map[types.NodeID]types.Digest, uint64) {
+// and cross-shard batches over overlapping keys) through a cluster with the
+// verified-signature memo on or at capacity 0, and returns per-replica
+// (block digest sequence, store digest) observations plus the memo hits
+// summed over all replicas.
+func runVerifyWorkload(t *testing.T, memo bool) (map[types.NodeID][]types.Digest, map[types.NodeID]types.Digest, uint64) {
 	t.Helper()
 	const z, n = 3, 4
-	c := newClusterWith(t, z, n, func(cfg *types.Config) { cfg.VerifyWorkers = verifyWorkers })
+	c := newCluster(t, z, n)
 	if !memo {
 		for _, r := range c.replicas {
 			r.verifier.SetMemoSize(0)
@@ -39,7 +39,7 @@ func runVerifyWorkload(t *testing.T, verifyWorkers int, memo bool) (map[types.No
 	for _, b := range batches {
 		cid := types.ClientID(b.Txns[0].ID.Client)
 		if got := c.responses(cid, b.Digest()); got < c.cfg.F()+1 {
-			t.Fatalf("verifyWorkers=%d: batch of client %d got %d responses", verifyWorkers, cid, got)
+			t.Fatalf("memo=%v: batch of client %d got %d responses", memo, cid, got)
 		}
 	}
 	chains := make(map[types.NodeID][]types.Digest)
@@ -56,40 +56,35 @@ func runVerifyWorkload(t *testing.T, verifyWorkers int, memo bool) (map[types.No
 }
 
 // TestPropertyVerifyFastPathEquivalence (acceptance bar of the crypto fast
-// path): a run whose replicas verify on the fast path — the worker pool,
-// the verified-signature memo, or both — commits exactly the same block
-// sequences and reaches exactly the same state digests as a run that
-// verifies every signature serially every time it is presented —
-// byte-identical protocol behavior, only the CPU cost differs.
+// path): a run whose replicas answer re-presented signatures from the
+// verified-signature memo commits exactly the same block sequences and
+// reaches exactly the same state digests as a run that verifies every
+// signature every time it is presented — byte-identical protocol behavior,
+// only the CPU cost differs.
 func TestPropertyVerifyFastPathEquivalence(t *testing.T) {
-	serialChains, serialStores, hits := runVerifyWorkload(t, 0, false)
+	refChains, refStores, hits := runVerifyWorkload(t, false)
 	if hits != 0 {
 		t.Fatalf("reference run at memo capacity 0 counted %d memo hits", hits)
 	}
-	for _, mode := range []struct {
-		workers int
-		memo    bool
-	}{{0, true}, {2, true}, {4, true}, {8, true}, {4, false}} {
-		fastChains, fastStores, hits := runVerifyWorkload(t, mode.workers, mode.memo)
-		if mode.memo == (hits == 0) {
-			t.Fatalf("workers=%d memo=%v: %d memo hits", mode.workers, mode.memo, hits)
+	memoChains, memoStores, hits := runVerifyWorkload(t, true)
+	if hits == 0 {
+		t.Fatal("memo run counted no memo hits")
+	}
+	if len(memoChains) != len(refChains) {
+		t.Fatal("replica count mismatch")
+	}
+	for id, want := range refChains {
+		got := memoChains[id]
+		if len(got) != len(want) {
+			t.Fatalf("replica %v: %d blocks, reference run had %d", id, len(got), len(want))
 		}
-		if len(fastChains) != len(serialChains) {
-			t.Fatalf("workers=%d memo=%v: replica count mismatch", mode.workers, mode.memo)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("replica %v: block %d digest diverges from the reference run", id, i)
+			}
 		}
-		for id, want := range serialChains {
-			got := fastChains[id]
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d memo=%v replica %v: %d blocks, serial run had %d", mode.workers, mode.memo, id, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d memo=%v replica %v: block %d digest diverges from serial run", mode.workers, mode.memo, id, i)
-				}
-			}
-			if fastStores[id] != serialStores[id] {
-				t.Fatalf("workers=%d memo=%v replica %v: state digest diverges from serial run", mode.workers, mode.memo, id)
-			}
+		if memoStores[id] != refStores[id] {
+			t.Fatalf("replica %v: state digest diverges from the reference run", id)
 		}
 	}
 }

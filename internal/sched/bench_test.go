@@ -5,15 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"ringbft/internal/store"
 	"ringbft/internal/types"
 )
 
 // benchTxns builds a single-shard batch of n read-modify-write transactions
 // with 8 reads and 8 writes each. Low conflict gives every transaction its
 // own 16-key stripe (the paper's striped-uniform YCSB regime: one conflict
-// layer, maximum parallelism); high conflict draws every key from a 24-key
-// hot set so the conflict graph is deep and parallelism scarce.
+// layer); high conflict draws every key from a 24-key hot set so the
+// conflict graph is deep.
 func benchTxns(n int, highConflict bool) []types.Txn {
 	rng := rand.New(rand.NewSource(int64(n)))
 	txns := make([]types.Txn, n)
@@ -34,60 +33,9 @@ func benchTxns(n int, highConflict bool) []types.Txn {
 	return txns
 }
 
-// BenchmarkExecuteBatch compares sequential execution against the
-// dependency-aware worker pool at the batch sizes and conflict regimes of
-// the issue. Three modes per configuration:
-//
-//   - seq: the ExecWorkers=0 fast path (the reference);
-//   - plan+exec: BuildPlan and execute, all on the critical path;
-//   - exec: execute under a precomputed plan — what a RingBFT replica pays
-//     at commit time, since cross-shard plans are built while the Forward
-//     rotates (see cstState.plan).
-//
-// bench_baseline.json records a reference run; the acceptance bar is >= 2x
-// throughput for 4 workers over seq on n=1000/conflict=low, which needs
-// >= 4 hardware threads (a single-core host serializes the pool and shows
-// parity at best — check the host line of the baseline).
-func BenchmarkExecuteBatch(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		for _, hc := range []bool{false, true} {
-			conflict := "low"
-			if hc {
-				conflict = "high"
-			}
-			txns := benchTxns(n, hc)
-			run := func(name string, workers int, preplanned bool) {
-				b.Run(fmt.Sprintf("n=%d/conflict=%s/%s", n, conflict, name), func(b *testing.B) {
-					kv := store.NewKV()
-					kv.Preload(0, 1, n*16)
-					ex := New(workers)
-					apply := func(i int) (types.Value, error) {
-						return kv.ExecuteTxn(&txns[i], 0, 1, nil)
-					}
-					plan := BuildPlan(txns, 0, 1)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if preplanned {
-							ex.ExecutePlan(plan, apply)
-						} else {
-							ex.ExecuteBatch(txns, 0, 1, apply)
-						}
-					}
-					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "txns/s")
-				})
-			}
-			run("seq", 0, false)
-			for _, workers := range []int{4, 8} {
-				run(fmt.Sprintf("plan+exec/workers=%d", workers), workers, false)
-				run(fmt.Sprintf("exec/workers=%d", workers), workers, true)
-			}
-		}
-	}
-}
-
-// BenchmarkBuildPlan isolates the planning pass — the serial fraction that
-// bounds parallel speedup when plans cannot be precomputed.
+// BenchmarkBuildPlan times the planning pass (the benchmark's
+// sched.plan_us_per_batch row measures the same function on replayed
+// batches).
 func BenchmarkBuildPlan(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		for _, hc := range []bool{false, true} {

@@ -1,71 +1,21 @@
-// Package sched is a dependency-aware parallel batch executor. Consensus
-// fixes the order of a batch's transactions, but most of them do not touch
-// the same keys: following the execute-order-validate scheduling idea of
-// FabricSharp (SIGMOD 2020), the executor derives a conflict graph from the
-// transactions' declared read/write sets, layers it topologically, and runs
-// each layer's mutually independent transactions concurrently on a worker
-// pool. Conflicting transactions (write-write, or read-write in either
-// direction, on a key this shard owns) always land in distinct layers that
-// preserve batch order, so the results slice and the resulting store state
-// are byte-identical to sequential execution — replicas with different
-// worker counts stay digest-aligned.
+// Package sched derives the conflict schedule of a batch. Consensus fixes
+// the order of a batch's transactions, but most of them do not touch the
+// same keys: following the execute-order-validate scheduling idea of
+// FabricSharp (SIGMOD 2020), BuildPlan derives a conflict graph from the
+// transactions' declared read/write sets and layers it topologically, so
+// that conflicting transactions (write-write, or read-write in either
+// direction, on a key this shard owns) land in distinct layers that
+// preserve batch order.
 //
-// A Plan depends only on the batch content (the declared read/write sets),
-// never on store state, so replicas can build it off the critical path —
-// e.g. while a cross-shard batch is still rotating around the ring — and
-// pay only the parallel execution cost once commit lands.
+// No replica consumes a plan: every host executes a committed batch inline,
+// in batch order, because executing layers on a worker pool measured slower
+// than that loop (EXPERIMENTS.md, "Worker pools"). The planner stays only
+// because benchmark/replay.go times BuildPlan as the
+// sched.plan_us_per_batch row; the row and this package leave together in a
+// later benchmark PR.
 package sched
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"ringbft/internal/types"
-)
-
-// Apply executes the transaction at index i of the batch being scheduled and
-// returns its deterministic result. The executor invokes it concurrently
-// only for transactions whose shard-local read/write sets are disjoint, so
-// implementations over a striped store need no extra coordination.
-type Apply func(i int) (types.Value, error)
-
-// Executor schedules batches onto up to workers goroutines. Zero or one
-// workers selects the sequential fast path (no planning, no goroutines),
-// which is also the deterministic reference the property tests compare
-// against. An Executor is stateless apart from its worker count and is safe
-// for reuse across batches.
-type Executor struct {
-	workers int
-	obs     Observer
-}
-
-// Observer receives execution telemetry from the scheduler. Hooks may be
-// nil; non-nil hooks must be safe for concurrent use (batches execute on
-// the replica loop but hosts may share an Executor).
-type Observer struct {
-	// Batch observes one executed batch: whether it took the parallel
-	// path, its transaction count, and its schedule depth (1 layer for a
-	// sequential batch).
-	Batch func(parallel bool, txns, layers int)
-	// Layer observes the width of each executed plan layer — the direct
-	// measure of exploitable intra-batch parallelism.
-	Layer func(width int)
-}
-
-// SetObserver installs the telemetry observer (call before the executor is
-// shared with the replica loop).
-func (e *Executor) SetObserver(o Observer) { e.obs = o }
-
-// New returns an executor with the given worker count (<= 1 = sequential).
-func New(workers int) *Executor {
-	if workers < 0 {
-		workers = 0
-	}
-	return &Executor{workers: workers}
-}
-
-// Workers returns the configured worker count.
-func (e *Executor) Workers() int { return e.workers }
+import "ringbft/internal/types"
 
 // Plan is the conflict schedule of one batch at one shard: transaction
 // indices partitioned into layers such that transactions within a layer are
@@ -73,22 +23,13 @@ func (e *Executor) Workers() int { return e.workers }
 // across strictly increasing layers.
 type Plan struct {
 	layers [][]int
-	n      int
 }
-
-// NumLayers returns the schedule depth (1 = the whole batch is
-// conflict-free and runs in a single parallel wave).
-func (p *Plan) NumLayers() int { return len(p.layers) }
-
-// Layers returns the schedule's layers. Callers must not mutate them.
-func (p *Plan) Layers() [][]int { return p.layers }
 
 // BuildPlan computes the conflict schedule of txns at shard s in a system
 // of z shards. Only keys owned by s participate in conflicts: remote reads
 // resolve against the immutable carried Σ, never the local store. The pass
 // is O(total keys), using an open-addressed scratch table (Go maps cost
-// several times more here and planning is the serial fraction that bounds
-// parallel speedup).
+// several times more here).
 func BuildPlan(txns []types.Txn, s types.ShardID, z int) *Plan {
 	occ := 0
 	for i := range txns {
@@ -171,103 +112,10 @@ func BuildPlan(txns []types.Txn, s types.ShardID, z int) *Plan {
 		}
 		layers[layer] = append(layers[layer], i)
 	}
-	return &Plan{layers: layers, n: len(txns)}
+	return &Plan{layers: layers}
 }
 
-// Layers is the slice view of BuildPlan, kept for tests and callers that
-// only need the partition.
+// Layers is the slice view of BuildPlan.
 func Layers(txns []types.Txn, s types.ShardID, z int) [][]int {
 	return BuildPlan(txns, s, z).layers
 }
-
-// ExecuteBatch plans txns and executes them: results in batch order plus
-// the number of apply errors. A failing transaction deterministically
-// yields the sentinel result 0 so replicas stay aligned even when Σ
-// accumulation is broken; callers surface the error count through their
-// stats. With more than one worker each plan layer fans out over the pool;
-// otherwise everything runs inline with no planning cost.
-func (e *Executor) ExecuteBatch(txns []types.Txn, s types.ShardID, z int, apply Apply) ([]types.Value, int64) {
-	if e.workers <= 1 || len(txns) <= 1 {
-		return e.executeSequential(len(txns), apply)
-	}
-	return e.ExecutePlan(BuildPlan(txns, s, z), apply)
-}
-
-// ExecutePlan executes a batch under a precomputed plan (see BuildPlan; the
-// RingBFT replica builds plans for cross-shard batches while the Forward is
-// still rotating, so commit-time execution pays only this function).
-func (e *Executor) ExecutePlan(p *Plan, apply Apply) ([]types.Value, int64) {
-	if e.workers <= 1 || p.n <= 1 {
-		return e.executeSequential(p.n, apply)
-	}
-	if e.obs.Batch != nil {
-		e.obs.Batch(true, p.n, len(p.layers))
-	}
-	results := make([]types.Value, p.n)
-	var errs int64
-	for _, layer := range p.layers {
-		if e.obs.Layer != nil {
-			e.obs.Layer(len(layer))
-		}
-		e.runLayer(layer, results, &errs, apply)
-	}
-	return results, errs
-}
-
-func (e *Executor) executeSequential(n int, apply Apply) ([]types.Value, int64) {
-	if e.obs.Batch != nil {
-		e.obs.Batch(false, n, 1)
-	}
-	results := make([]types.Value, n)
-	var errs int64
-	for i := 0; i < n; i++ {
-		results[i] = applyOne(i, apply, &errs)
-	}
-	return results, errs
-}
-
-func applyOne(i int, apply Apply, errs *int64) types.Value {
-	v, err := apply(i)
-	if err != nil {
-		atomic.AddInt64(errs, 1)
-		return 0
-	}
-	return v
-}
-
-// runLayer executes one conflict-free layer, splitting it into contiguous
-// chunks so at most one goroutine per worker is spawned regardless of layer
-// size. Result slots are disjoint per transaction, so workers never contend
-// on results.
-func (e *Executor) runLayer(layer []int, results []types.Value, errs *int64, apply Apply) {
-	if len(layer) <= minParallelLayer {
-		for _, i := range layer {
-			results[i] = applyOne(i, apply, errs)
-		}
-		return
-	}
-	nw := e.workers
-	if nw > len(layer) {
-		nw = len(layer)
-	}
-	chunk := (len(layer) + nw - 1) / nw
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(layer); lo += chunk {
-		hi := lo + chunk
-		if hi > len(layer) {
-			hi = len(layer)
-		}
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				results[i] = applyOne(i, apply, errs)
-			}
-		}(layer[lo:hi])
-	}
-	wg.Wait()
-}
-
-// minParallelLayer is the layer size below which goroutine fan-out costs
-// more than it saves; such layers run inline on the calling goroutine.
-const minParallelLayer = 4

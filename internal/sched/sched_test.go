@@ -1,12 +1,9 @@
 package sched
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"ringbft/internal/store"
 	"ringbft/internal/types"
 )
 
@@ -118,141 +115,5 @@ func TestLayersInvariants(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelMatchesSequential is the equivalence property test of the
-// issue: across randomized batches with overlapping read/write sets and
-// 1..8 workers, parallel execution must produce the same results slice and
-// the same store digest as plain sequential execution.
-func TestParallelMatchesSequential(t *testing.T) {
-	const records = 256
-	for _, tc := range []struct {
-		z int
-		s types.ShardID
-	}{{1, 0}, {3, 1}} {
-		for workers := 1; workers <= 8; workers++ {
-			t.Run(fmt.Sprintf("z=%d/workers=%d", tc.z, workers), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(workers)*100 + int64(tc.z)))
-				for trial := 0; trial < 25; trial++ {
-					txns := randTxns(rng, 1+rng.Intn(60), 1+rng.Intn(16), tc.z, tc.s)
-
-					// Remote reads resolve from a fixed carried-Σ snapshot.
-					remote := make(map[types.Key]types.Value)
-					for i := range txns {
-						for _, k := range txns[i].Reads {
-							if types.OwnerShard(k, tc.z) != tc.s {
-								remote[k] = types.Value(k) * 3
-							}
-						}
-					}
-
-					seqKV := store.NewKV()
-					seqKV.Preload(tc.s, tc.z, records)
-					want := make([]types.Value, len(txns))
-					for i := range txns {
-						v, err := seqKV.ExecuteTxn(&txns[i], tc.s, tc.z, remote)
-						if err != nil {
-							t.Fatalf("trial %d: sequential reference failed: %v", trial, err)
-						}
-						want[i] = v
-					}
-
-					parKV := store.NewKV()
-					parKV.Preload(tc.s, tc.z, records)
-					got, errs := New(workers).ExecuteBatch(txns, tc.s, tc.z, func(i int) (types.Value, error) {
-						return parKV.ExecuteTxn(&txns[i], tc.s, tc.z, remote)
-					})
-					if errs != 0 {
-						t.Fatalf("trial %d: %d exec errors", trial, errs)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("trial %d: result[%d] = %d, want %d", trial, i, got[i], want[i])
-						}
-					}
-					if parKV.Digest() != seqKV.Digest() {
-						t.Fatalf("trial %d: parallel digest diverged from sequential", trial)
-					}
-
-					// Precomputed-plan path (the replica's cross-shard
-					// route) must be equivalent too.
-					planKV := store.NewKV()
-					planKV.Preload(tc.s, tc.z, records)
-					plan := BuildPlan(txns, tc.s, tc.z)
-					got2, errs2 := New(workers).ExecutePlan(plan, func(i int) (types.Value, error) {
-						return planKV.ExecuteTxn(&txns[i], tc.s, tc.z, remote)
-					})
-					if errs2 != 0 {
-						t.Fatalf("trial %d: %d exec errors (planned)", trial, errs2)
-					}
-					for i := range want {
-						if got2[i] != want[i] {
-							t.Fatalf("trial %d: planned result[%d] = %d, want %d", trial, i, got2[i], want[i])
-						}
-					}
-					if planKV.Digest() != seqKV.Digest() {
-						t.Fatalf("trial %d: planned digest diverged from sequential", trial)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestExecuteBatchCountsErrors: failing transactions yield the sentinel 0
-// and are counted, in both the sequential and the parallel path.
-func TestExecuteBatchCountsErrors(t *testing.T) {
-	txns := randTxns(rand.New(rand.NewSource(5)), 40, 8, 1, 0)
-	errBoom := errors.New("boom")
-	for _, workers := range []int{0, 4} {
-		got, errs := New(workers).ExecuteBatch(txns, 0, 1, func(i int) (types.Value, error) {
-			if i%5 == 0 {
-				return 99, errBoom
-			}
-			return types.Value(i), nil
-		})
-		wantErrs := int64((len(txns) + 4) / 5)
-		if errs != wantErrs {
-			t.Fatalf("workers=%d: errs = %d, want %d", workers, errs, wantErrs)
-		}
-		for i, v := range got {
-			want := types.Value(i)
-			if i%5 == 0 {
-				want = 0
-			}
-			if v != want {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, want)
-			}
-		}
-	}
-}
-
-// TestSequentialFastPathZeroWorkers: worker counts <= 1 never spawn
-// goroutines and still produce correct results (smoke for the default
-// config path every seed test runs through).
-func TestSequentialFastPathZeroWorkers(t *testing.T) {
-	txns := randTxns(rand.New(rand.NewSource(9)), 30, 4, 1, 0)
-	kv := store.NewKV()
-	kv.Preload(0, 1, 64)
-	ref := store.NewKV()
-	ref.Preload(0, 1, 64)
-	got, errs := New(0).ExecuteBatch(txns, 0, 1, func(i int) (types.Value, error) {
-		return kv.ExecuteTxn(&txns[i], 0, 1, nil)
-	})
-	if errs != 0 {
-		t.Fatalf("errs = %d", errs)
-	}
-	for i := range txns {
-		want, err := ref.ExecuteTxn(&txns[i], 0, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("result[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-	if kv.Digest() != ref.Digest() {
-		t.Fatal("digest diverged")
 	}
 }

@@ -207,9 +207,10 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		}
 		b := br.Batch
 		d := b.Digest()
-		results, _ := r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, func(j int) (types.Value, error) {
-			return r.kv.ExecuteTxnPartial(&b.Txns[j], r.shard, r.cfg.Shards), nil
-		})
+		results := make([]types.Value, len(b.Txns))
+		for j := range b.Txns {
+			results[j] = r.kv.ExecuteTxnPartial(&b.Txns[j], r.shard, r.cfg.Shards)
+		}
 		r.executed[d] = results
 		r.proposed[d] = struct{}{}
 		delete(r.awaiting, d)

@@ -27,7 +27,6 @@ import (
 	"ringbft/internal/ledger"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/sched"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -79,7 +78,6 @@ type Replica struct {
 	tracker *pbft.CheckpointTracker
 	kv      *store.KV
 	chain   *ledger.Chain
-	exec    *sched.Executor
 
 	// Local execution pipeline: committed entries execute strictly in local
 	// sequence order; a cross-shard entry blocks until its global all-to-all
@@ -149,7 +147,7 @@ func New(opts Options) *Replica {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth, opts.Config.VerifyWorkers)
+	verifier := crypto.NewVerifier(opts.Auth)
 	ev := opts.Evidence
 	if ev == nil {
 		ev = evidence.NewMemory()
@@ -166,7 +164,6 @@ func New(opts Options) *Replica {
 		clock:    opts.Clock,
 		kv:       store.NewKV(),
 		chain:    ledger.NewChain(opts.Shard),
-		exec:     sched.New(opts.Config.ExecWorkers),
 		entries:  make(map[types.SeqNum]*entry),
 		global:   make(map[types.Digest]*globalState),
 		executed: make(map[types.Digest][]types.Value),
@@ -500,8 +497,8 @@ func (r *Replica) propose(b *types.Batch, d types.Digest) {
 	}
 	// Pipelined consensus: the same drain discipline as internal/ringbft —
 	// at most PipelineDepth proposals in flight, the rest parked for
-	// tryProposeQueued (0 = engine window only).
-	if r.cfg.PipelineDepth > 0 && r.engine.InFlight() >= r.cfg.PipelineDepth {
+	// tryProposeQueued.
+	if r.engine.InFlight() >= r.cfg.PipelineDepth {
 		r.queue = append(r.queue, b)
 		return
 	}
@@ -517,7 +514,7 @@ func (r *Replica) tryProposeQueued() {
 		return
 	}
 	for len(r.queue) > 0 {
-		if r.cfg.PipelineDepth > 0 && r.engine.InFlight() >= r.cfg.PipelineDepth {
+		if r.engine.InFlight() >= r.cfg.PipelineDepth {
 			return // pipeline window full: a commit frees the next slot
 		}
 		b := r.queue[0]
@@ -752,9 +749,10 @@ func (r *Replica) drainExec() {
 			continue
 		}
 		d := b.Digest()
-		results, _ := r.exec.ExecuteBatch(b.Txns, r.shard, r.cfg.Shards, func(i int) (types.Value, error) {
-			return r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards), nil
-		})
+		results := make([]types.Value, len(b.Txns))
+		for i := range b.Txns {
+			results[i] = r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards)
+		}
 		r.executed[d] = results
 		r.obs.addExecuted(len(b.Txns))
 		r.obs.observe(r.clock(), r.shard, uint64(e.seq), trace.PhaseExecute)

@@ -14,8 +14,8 @@ import (
 
 // kvStripeCount shards the table's lock space. Power of two so the stripe
 // index is a shift off a Fibonacci hash; 64 stripes keep contention
-// negligible for the scheduler's worker counts (≤ CPU cores) while Digest
-// still snapshots the full table by holding every stripe briefly.
+// negligible while Digest still snapshots the full table by holding every
+// stripe briefly.
 // kvStripeShift selects the top kvStripeBits bits of the hash; the
 // compile-time guard below keeps the three constants in lockstep when
 // tuning the stripe count.
@@ -33,11 +33,10 @@ type kvStripe struct {
 	data map[types.Key]types.Value
 }
 
-// KV is one shard's partition of the YCSB table. Locks are striped by key so
-// the dependency-aware batch executor (package sched) can run independent
-// transactions concurrently: readers and writers of different keys proceed
-// in parallel, and the scheduler guarantees concurrent transactions never
-// share a key, so per-key locking preserves sequential semantics.
+// KV is one shard's partition of the YCSB table. The owning replica executes
+// batches from its event loop, one transaction at a time; locks are striped
+// by key so goroutines outside that loop (inspection through
+// Replica.Store, benchmarks) can read while it writes.
 type KV struct {
 	stripes [kvStripeCount]kvStripe
 }
@@ -120,8 +119,7 @@ func (kv *KV) Len() int {
 // identical responses. Missing remote reads return an error — execution must
 // never guess at dependency values (determinism requirement, Section 3).
 //
-// Writes lock one stripe per key: safe under the sched executor, which only
-// runs transactions with disjoint local read/write sets concurrently.
+// Writes lock one stripe per key.
 func (kv *KV) ExecuteTxn(t *types.Txn, s types.ShardID, z int, remote map[types.Key]types.Value) (types.Value, error) {
 	combined := t.Delta
 	for _, k := range t.Reads {
@@ -181,8 +179,8 @@ func (kv *KV) ReadLocal(t *types.Txn, s types.ShardID, z int) ([]types.Key, []ty
 // All stripes are read-locked for the duration, which keeps the fold from
 // racing individual writes — but a multi-key transaction releases each
 // write stripe as it goes, so callers must not run Digest concurrently
-// with batch execution (every replica calls it from its event loop, after
-// the executor's layers have joined).
+// with batch execution (every replica calls it from its event loop, between
+// batches).
 func (kv *KV) Digest() types.Digest {
 	for i := range kv.stripes {
 		kv.stripes[i].mu.RLock()

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkTransportSend measures the enqueue path of Send — the cost the
-// replica event loop pays per outbound message. Reference numbers live in
-// bench_baseline.json; the contract is that this stays nanoseconds-scale
-// regardless of peer health, because the event loop calls it under timers.
+// replica event loop pays per outbound message. The contract is that this
+// stays nanoseconds-scale regardless of peer health, because the event loop
+// calls it under timers.
 //
 // connected: the peer accepts and drains, so frames flow end to end.
 // unreachable: every dial is refused; Send degrades to enqueue-or-drop.

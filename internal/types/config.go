@@ -11,37 +11,22 @@ type Config struct {
 	BatchSize int // transactions per consensus batch (paper default 100)
 
 	// PipelineDepth bounds how many proposals a primary keeps in flight
-	// (PRE-PREPAREd but not yet committed) across sequence numbers. 0 keeps
-	// the legacy behaviour — the primary drains its proposal queue up to the
-	// pbft engine's full log window (512 sequences). Depth 1 is lockstep
-	// (one consensus instance at a time, the latency floor); small depths
-	// (4–16) overlap PRE-PREPARE/PREPARE/COMMIT across sequences, moving
-	// the open-loop saturation knee right while commit-order execution is
-	// preserved by the executed-prefix watermark. A depth >= 1 also enables
-	// adaptive batching: the primary coalesces queued single-shard client
-	// requests toward BatchSize under backlog, proposes immediately under
-	// light load, and clamps the window to one slot under transport
-	// backpressure (see ringbft.Options.Backpressure).
+	// (PRE-PREPAREd but not yet committed) across sequence numbers; must be
+	// >= 1. Depth 1 is lockstep (one consensus instance at a time, the
+	// latency floor); small depths (4–16) overlap PRE-PREPARE/PREPARE/COMMIT
+	// across sequences, moving the open-loop saturation knee right while
+	// commit-order execution is preserved by the executed-prefix watermark.
+	// Every proposal goes through the primary's FIFO queue and this window:
+	// the primary coalesces queued single-shard client requests toward
+	// BatchSize under backlog, proposes immediately under light load, and
+	// clamps the window to one slot under transport backpressure (see
+	// ringbft.Options.Backpressure).
 	PipelineDepth int
 
-	// ExecWorkers is the worker-pool size of the dependency-aware batch
-	// executor (package sched): committed batches are layered by conflicts
-	// between read/write sets and each layer's independent transactions run
-	// concurrently. 0 or 1 selects the sequential fast path. Results and
-	// state digests are identical either way, so replicas of one shard may
-	// even mix settings.
-	ExecWorkers int
-
-	// VerifyWorkers is the worker-pool size of the batched signature
-	// verifier (crypto.Verifier): the nf Ed25519 signatures of a commit
-	// certificate or new-view justification are checked concurrently on a
-	// pool of this many workers. 0 or 1 selects the serial path. Accept and
-	// reject decisions are identical either way, so replicas of one shard
-	// may mix settings — this mirrors the ExecWorkers knob above.
-	VerifyWorkers int
-
 	// CheckpointInterval is the number of sequence numbers between
-	// checkpoint broadcasts (attack A3: replicas in dark catch up).
+	// checkpoint broadcasts (attack A3: replicas in dark catch up); must be
+	// >= 1 — without checkpoints the pbft log window never slides and a
+	// shard stops ordering once it fills.
 	CheckpointInterval SeqNum
 
 	// DataDir enables the durability subsystem (internal/wal): each replica
@@ -91,7 +76,8 @@ func (c *Config) F() int { return (c.ReplicasPerShard - 1) / 3 }
 func (c *Config) NF() int { return c.ReplicasPerShard - c.F() }
 
 // Validate reports a non-nil error when the configuration cannot host a
-// Byzantine quorum system.
+// Byzantine quorum system or cannot keep ordering (no proposal window, no
+// checkpoints to slide the log window).
 func (c *Config) Validate() error {
 	switch {
 	case c.Shards < 1:
@@ -100,8 +86,10 @@ func (c *Config) Validate() error {
 		return errConfig("ReplicasPerShard must be >= 4 (n >= 3f+1 with f >= 1)")
 	case c.BatchSize < 1:
 		return errConfig("BatchSize must be >= 1")
-	case c.PipelineDepth < 0:
-		return errConfig("PipelineDepth must be >= 0 (0 = unbounded)")
+	case c.PipelineDepth < 1:
+		return errConfig("PipelineDepth must be >= 1")
+	case c.CheckpointInterval < 1:
+		return errConfig("CheckpointInterval must be >= 1")
 	}
 	return nil
 }
@@ -118,6 +106,7 @@ func DefaultConfig(shards, replicasPerShard int) Config {
 		Shards:             shards,
 		ReplicasPerShard:   replicasPerShard,
 		BatchSize:          100,
+		PipelineDepth:      8,
 		CheckpointInterval: 64,
 		LocalTimeout:       250 * time.Millisecond,
 		RemoteTimeout:      500 * time.Millisecond,

@@ -140,10 +140,10 @@ type Batch struct {
 	Involved []ShardID // sorted ring order; len==1 => single-shard batch
 
 	// Reqs records the transaction count of each original client request
-	// coalesced into this batch by the primary's adaptive batcher
-	// (PipelineDepth >= 1). Empty means the batch is exactly one client
-	// request — the common case, whose digest encoding is unchanged — so
-	// every digest minted before adaptive batching existed stays valid.
+	// coalesced into this batch by the primary's adaptive batcher. Empty
+	// means the batch is exactly one client request — the common case,
+	// whose digest encoding is unchanged — so every digest minted before
+	// adaptive batching existed stays valid.
 	// When set, len(Reqs) >= 2 and the counts sum to len(Txns); replicas
 	// use SubBatches to answer each original client under the digest that
 	// client is waiting on.

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -196,19 +198,42 @@ func TestSigBytesInjective(t *testing.T) {
 	}
 }
 
+// TestConfigValidate covers every arm of Validate: each case breaks exactly
+// one field of an otherwise valid config and must be rejected for it.
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig(3, 4)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	for _, bad := range []Config{
-		{Shards: 0, ReplicasPerShard: 4, BatchSize: 1},
-		{Shards: 1, ReplicasPerShard: 3, BatchSize: 1},
-		{Shards: 1, ReplicasPerShard: 4, BatchSize: 0},
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Shards", func(c *Config) { c.Shards = 0 }},
+		{"ReplicasPerShard", func(c *Config) { c.ReplicasPerShard = 3 }},
+		{"BatchSize", func(c *Config) { c.BatchSize = 0 }},
+		{"PipelineDepth", func(c *Config) { c.PipelineDepth = 0 }},
+		{"PipelineDepth", func(c *Config) { c.PipelineDepth = -3 }},
+		{"CheckpointInterval", func(c *Config) { c.CheckpointInterval = 0 }},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("config %+v accepted", bad)
+		bad := good
+		tc.mutate(&bad)
+		err := bad.Validate()
+		if err == nil {
+			t.Fatalf("config with bad %s accepted: %+v", tc.field, bad)
 		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("bad %s rejected for the wrong reason: %v", tc.field, err)
+		}
+	}
+}
+
+// TestConfigFieldCount pins the knob surface: every field of Config is a
+// configuration dimension tests and benchmarks must cover, so adding one is
+// a deliberate act that updates this number.
+func TestConfigFieldCount(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n != 15 {
+		t.Fatalf("types.Config has %d fields, want 15", n)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"ringbft/internal/types"
 )
 
-// Reference numbers live in bench_baseline.json (1 vCPU container host,
-// MemFS — isolates framing/encoding cost from disk, so group vs per-append
-// sync differ little here):
+// Reference numbers (1 vCPU container host, MemFS — isolates
+// framing/encoding cost from disk, so group vs per-append sync differ
+// little here):
 //
 //	BenchmarkAppend/batch=1/sync=group    ~350 ns/op
 //	BenchmarkAppend/batch=100/sync=group  ~17 µs/op

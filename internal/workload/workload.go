@@ -17,9 +17,9 @@
 // Per-transaction IDs are (ClientID, monotonic seq), so replicas can
 // deduplicate retransmissions and detect conflicting same-ID payloads
 // (client-conflict evidence). BatchSize here is the *client request* size —
-// under a pipelined primary (types.Config.PipelineDepth >= 1) requests
-// smaller than the consensus BatchSize may be coalesced into one proposal;
-// the generator itself never merges.
+// the primary may coalesce requests smaller than the consensus BatchSize
+// into one proposal (types.Config.PipelineDepth); the generator itself
+// never merges.
 //
 // Protecting gates: workload_test.go pins shard targeting, involved-set
 // shape, striping, and per-client ID monotonicity; chaos.TestSeedDeterminism

@@ -109,7 +109,6 @@ var (
 	Fig10                 = harness.Fig10
 	AblationLinearForward = harness.AblationLinearForward
 	AblationCrypto        = harness.AblationCrypto
-	AblationExecWorkers   = harness.AblationExecWorkers
 )
 
 // ClusterConfig shapes an embedded RingBFT deployment.
@@ -117,20 +116,6 @@ type ClusterConfig struct {
 	Shards           int // number of shards (ring length); default 3
 	ReplicasPerShard int // n per shard, n >= 3f+1; default 4
 	Records          int // records preloaded per shard; default 4096
-
-	// ExecWorkers enables the dependency-aware parallel batch executor on
-	// every replica (internal/sched): committed batches are layered by
-	// read/write-set conflicts and independent transactions run
-	// concurrently, with results identical to sequential execution.
-	// 0 or 1 = sequential.
-	ExecWorkers int
-
-	// VerifyWorkers enables the batched certificate verifier on every
-	// replica (internal/crypto): the nf Ed25519 signatures of a cross-shard
-	// commit certificate are checked concurrently (signatures the replica
-	// already verified are answered from its memo either way). Accept/reject
-	// decisions are identical to serial verification. 0 or 1 = serial.
-	VerifyWorkers int
 
 	// LatencyScale > 0 runs over the 15-region WAN model compressed by the
 	// given factor; 0 uses a uniform sub-millisecond LAN latency.
@@ -143,10 +128,9 @@ type ClusterConfig struct {
 	SubmitTimeout time.Duration
 
 	// PipelineDepth bounds how many proposals each primary keeps in flight
-	// across sequence numbers (types.Config.PipelineDepth): 0 preserves the
-	// legacy unbounded drain, 1 is lockstep, and deeper windows overlap
-	// PRE-PREPARE/PREPARE/COMMIT rounds and enable adaptive batching of
-	// queued single-shard requests. Execution order is unaffected.
+	// across sequence numbers (types.Config.PipelineDepth): 1 is lockstep,
+	// deeper windows overlap PRE-PREPARE/PREPARE/COMMIT rounds. Execution
+	// order is unaffected. 0 = default 8.
 	PipelineDepth int
 
 	// Durable backs every replica with the durability subsystem
@@ -205,9 +189,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.SubmitTimeout = 10 * time.Second
 	}
 	tcfg := types.DefaultConfig(cfg.Shards, cfg.ReplicasPerShard)
-	tcfg.ExecWorkers = cfg.ExecWorkers
-	tcfg.VerifyWorkers = cfg.VerifyWorkers
-	tcfg.PipelineDepth = cfg.PipelineDepth
+	if cfg.PipelineDepth > 0 {
+		tcfg.PipelineDepth = cfg.PipelineDepth
+	}
 	if cfg.CheckpointInterval > 0 {
 		tcfg.CheckpointInterval = cfg.CheckpointInterval
 	}

@@ -7,6 +7,8 @@
 #      binary's knob surface is the docs' contract with operators.
 #   3. Every `make <target>` the docs reference must exist in the Makefile.
 #   4. ARCHITECTURE.md must exist and be linked from README.md.
+#   5. Every backticked path under cmd/, internal/, benchmark/ or scripts/
+#      the docs name must exist (patterns with <, * or { are skipped).
 #
 # Run as `make docs-check` (part of `make verify` and the CI build-test job).
 set -eu
@@ -19,9 +21,9 @@ fail=0
 # invocations, no binary of ours defines them.
 go_tool_flags="run v race bench benchmem benchtime fuzz fuzztime"
 
-# Every flag name defined via the flag package anywhere in cmd/ or
-# internal/ (test files define the -chaos.* replay flags).
-defined=$(grep -rhoE 'flag\.[A-Za-z0-9]+\("[^"]+"' cmd internal --include='*.go' \
+# Every flag name defined via the flag package anywhere in cmd/, internal/
+# (test files define the -chaos.* replay flags) or benchmark/.
+defined=$(grep -rhoE 'flag\.[A-Za-z0-9]+\("[^"]+"' cmd internal benchmark --include='*.go' \
     | sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
 
 # 1. Documented flags must exist. A doc flag is a backtick immediately
@@ -66,7 +68,19 @@ elif ! grep -q 'ARCHITECTURE.md' README.md; then
     fail=1
 fi
 
+# 5. Named paths must exist. A doc path is a backtick immediately followed
+# by one of the four source roots; a trailing "/" or "." is punctuation.
+doc_paths=$(grep -ohE '`(cmd|internal|benchmark|scripts)/[A-Za-z0-9_./<>*{},-]*' $DOCS \
+    | sed -E 's/^`//; s/[./]+$//' | sort -u)
+for p in $doc_paths; do
+    case "$p" in *'<'*|*'*'*|*'{'*) continue ;; esac
+    if [ ! -e "$p" ]; then
+        echo "docs-check: docs name \`$p\` but no such file or directory exists" >&2
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docs-check: OK ($(printf '%s\n' "$doc_flags" | wc -l | tr -d ' ') doc flags, $(printf '%s\n' "$doc_targets" | wc -l | tr -d ' ') make targets cross-checked)"
+echo "docs-check: OK ($(printf '%s\n' "$doc_flags" | wc -l | tr -d ' ') doc flags, $(printf '%s\n' "$doc_targets" | wc -l | tr -d ' ') make targets, $(printf '%s\n' "$doc_paths" | wc -l | tr -d ' ') paths cross-checked)"

@@ -2,9 +2,9 @@
 # metrics-smoke: boot a 1x4 RingBFT cluster on loopback TCP, push a little
 # client traffic, scrape replica 0's /metrics endpoint, and assert that the
 # exposition carries live series from every instrumented layer — consensus
-# (pbft/ringbft), transport (tcpnet), durability (wal), and the execution
-# scheduler (sched). Exercises the same endpoint the ops runbook scrapes, so
-# a regression in registration or exposition fails CI, not a deployment.
+# (pbft/ringbft), transport (tcpnet), and durability (wal). Exercises the
+# same endpoint the ops runbook scrapes, so a regression in registration or
+# exposition fails CI, not a deployment.
 #
 # Usage: scripts/metrics-smoke.sh [workdir]
 set -eu
@@ -84,8 +84,7 @@ for series in \
     pbft_phase_transitions_total \
     ringbft_executed_txns_total \
     tcpnet_frames_sent_total \
-    wal_fsync_seconds \
-    sched_sequential_batches_total; do
+    wal_fsync_seconds; do
     if ! grep -q "^$series" "$SCRAPE"; then
         echo "metrics-smoke: series $series missing from /metrics" >&2
         fail=1
