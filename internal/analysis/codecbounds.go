@@ -12,10 +12,11 @@ import (
 // This is the shape behind PR 4's corrupt-frame disconnects: the inbound
 // tcpnet frame path indexed attacker-controlled bytes with no bounds
 // guard, so a short or hostile frame panicked the replica instead of
-// dropping the connection. The WAL record codec and the evidence codec
-// (PR 7) decode the same way — explicit offsets into a []byte — and stay
-// safe only because every read sits behind an `off+n > len(buf)` guard.
-// This analyzer mechanizes that discipline.
+// dropping the connection. Every decoder in the tree — wire frames, WAL
+// records, snapshots, evidence — now reads through one cursor,
+// types.Reader, which walks explicit offsets into a []byte and stays safe
+// only because every read sits behind a length guard. This analyzer
+// mechanizes that discipline.
 //
 // For every function, the input set is its []byte parameters, []byte
 // fields reached through the method receiver (r.buf in a decoder struct),

@@ -37,9 +37,10 @@ func DefaultSuite() []Scoped {
 		"internal/sharper", "internal/protocols", "internal/evidence",
 		"internal/wal", "internal/store", "internal/tcpnet",
 	}, cmds...)
-	// Codec-bearing: packages that hand-roll binary decoders over
-	// peer-supplied bytes. internal/types carries the message codec,
-	// internal/crypto the key/signature parsing.
+	// Codec-bearing: packages that touch peer- or disk-supplied bytes.
+	// internal/types carries the one codec and its cursor (types.Reader);
+	// wal, evidence and tcpnet parse through it; internal/crypto parses
+	// keys and signatures.
 	codecs := []string{
 		"internal/wal", "internal/evidence", "internal/tcpnet",
 		"internal/store", "internal/types", "internal/crypto",

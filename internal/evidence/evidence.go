@@ -16,7 +16,6 @@
 package evidence
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -299,135 +298,58 @@ func (l *Log) Close() error {
 
 // ---- persistence codec -------------------------------------------------
 //
-// Hand-rolled binary, mirroring internal/wal's record codec: fixed-width
-// big-endian integers, length-prefixed byte strings. The payload travels
-// inside a checksummed WAL frame, so the codec only needs structural
-// bounds checks, not its own integrity layer.
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendNode(dst []byte, id types.NodeID) []byte {
-	dst = append(dst, byte(id.Kind))
-	dst = appendU64(dst, uint64(id.Shard))
-	return appendU64(dst, uint64(id.Index))
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendU64(dst, uint64(len(b)))
-	return append(dst, b...)
-}
+// Written with types' append helpers and read through types' cursor, like
+// the WAL record that carries it: fixed-width big-endian integers,
+// length-prefixed byte strings. The payload travels inside a checksummed
+// WAL frame, so the codec only needs structural bounds checks, not its own
+// integrity layer.
 
 func appendMsg(dst []byte, m *Msg) []byte {
-	dst = appendNode(dst, m.From)
+	dst = types.AppendNodeID(dst, m.From)
 	dst = append(dst, byte(m.Type))
-	dst = appendU64(dst, uint64(m.Shard))
-	dst = appendU64(dst, uint64(m.View))
-	dst = appendU64(dst, uint64(m.Seq))
+	dst = types.AppendU64(dst, uint64(m.Shard))
+	dst = types.AppendU64(dst, uint64(m.View))
+	dst = types.AppendU64(dst, uint64(m.Seq))
 	dst = append(dst, m.Digest[:]...)
-	dst = appendBytes(dst, m.Sig)
-	return appendBytes(dst, m.MAC)
+	dst = types.AppendBytes(dst, m.Sig)
+	return types.AppendBytes(dst, m.MAC)
 }
 
 func encode(r *Record) []byte {
 	dst := []byte{byte(r.Kind)}
-	dst = appendNode(dst, r.Accused)
-	dst = appendU64(dst, uint64(r.Shard))
-	dst = appendU64(dst, uint64(r.View))
-	dst = appendU64(dst, uint64(r.Seq))
-	if r.Transferable {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = types.AppendNodeID(dst, r.Accused)
+	dst = types.AppendU64(dst, uint64(r.Shard))
+	dst = types.AppendU64(dst, uint64(r.View))
+	dst = types.AppendU64(dst, uint64(r.Seq))
+	dst = types.AppendBool(dst, r.Transferable)
 	dst = appendMsg(dst, &r.First)
 	return appendMsg(dst, &r.Second)
 }
 
-type reader struct {
-	buf []byte
-	off int
-	err bool
-}
-
-func (r *reader) u8() byte {
-	if r.err || r.off >= len(r.buf) {
-		r.err = true
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err || r.off+8 > len(r.buf) {
-		r.err = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) node() (id types.NodeID) {
-	id.Kind = types.NodeKind(r.u8())
-	id.Shard = types.ShardID(r.u64())
-	id.Index = int(r.u64())
-	return
-}
-
-func (r *reader) digest() (d types.Digest) {
-	if r.err || r.off+32 > len(r.buf) {
-		r.err = true
-		return
-	}
-	copy(d[:], r.buf[r.off:])
-	r.off += 32
-	return
-}
-
-func (r *reader) bytes() []byte {
-	n := r.u64()
-	if r.err || n > uint64(len(r.buf)-r.off) {
-		r.err = true
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := append([]byte(nil), r.buf[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return out
-}
-
-func (r *reader) msg() (m Msg) {
-	m.From = r.node()
-	m.Type = types.MsgType(r.u8())
-	m.Shard = types.ShardID(r.u64())
-	m.View = types.View(r.u64())
-	m.Seq = types.SeqNum(r.u64())
-	m.Digest = r.digest()
-	m.Sig = r.bytes()
-	m.MAC = r.bytes()
+func readMsg(r *types.Reader) (m Msg) {
+	m.From = r.NodeID()
+	m.Type = types.MsgType(r.U8())
+	m.Shard = types.ShardID(r.U64())
+	m.View = types.View(r.U64())
+	m.Seq = types.SeqNum(r.U64())
+	m.Digest = r.Digest()
+	m.Sig = r.Bytes()
+	m.MAC = r.Bytes()
 	return
 }
 
 func decode(buf []byte) (Record, bool) {
-	r := &reader{buf: buf}
+	r := types.NewReader(buf)
 	var rec Record
-	rec.Kind = Kind(r.u8())
-	rec.Accused = r.node()
-	rec.Shard = types.ShardID(r.u64())
-	rec.View = types.View(r.u64())
-	rec.Seq = types.SeqNum(r.u64())
-	rec.Transferable = r.u8() == 1
-	rec.First = r.msg()
-	rec.Second = r.msg()
-	if r.err || r.off != len(buf) {
+	rec.Kind = Kind(r.U8())
+	rec.Accused = r.NodeID()
+	rec.Shard = types.ShardID(r.U64())
+	rec.View = types.View(r.U64())
+	rec.Seq = types.SeqNum(r.U64())
+	rec.Transferable = r.Bool()
+	rec.First = readMsg(r)
+	rec.Second = readMsg(r)
+	if r.Done() != nil {
 		return Record{}, false
 	}
 	return rec, true

@@ -92,8 +92,9 @@ type Config struct {
 	ProcTime     time.Duration
 
 	// TCP runs the cluster over real loopback TCP sockets (internal/tcpnet)
-	// instead of the simulated WAN: actual dials, gob framing, write
-	// deadlines, and the transport's redial/backoff machinery. The latency,
+	// instead of the simulated WAN: actual dials, the types wire codec
+	// inside length-prefixed frames, write deadlines, and the transport's
+	// redial/backoff machinery. The latency,
 	// bandwidth, jitter, and loss knobs above are ignored (the kernel is
 	// the network model).
 	TCP bool

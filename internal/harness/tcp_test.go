@@ -9,8 +9,8 @@ import (
 
 // The loopback-TCP scenario suite: the same cluster scenarios the simnet
 // harness runs (commit, primary failure, crash-restart), but wired through
-// real tcpnet transports on loopback sockets — actual dials, gob framing,
-// write deadlines, redial backoff. These are the tests that would have
+// real tcpnet transports on loopback sockets — actual dials, every message
+// through types.AppendMessage/DecodeMessage, write deadlines, redial backoff. These are the tests that would have
 // caught the synchronous-dial event-loop stall: over simnet, Send was
 // always an in-process enqueue, so the bug existed only in the one
 // deployment mode (cmd/ringbft-node) nothing exercised.

@@ -41,6 +41,18 @@ func BenchmarkStateDigest(b *testing.B) {
 	}
 }
 
+// BenchmarkPairs is the sorted dump a checkpoint takes twice per replica
+// (canonical state for the digest, then the snapshot), at the tcp_mixed
+// partition size.
+func BenchmarkPairs(b *testing.B) {
+	kv := NewKV()
+	kv.Preload(1, 3, 65536)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kv.Pairs()
+	}
+}
+
 // BenchmarkPreload is one replica's table set-up at the largest partition a
 // benchmark workload uses (tcp_mixed: 65,536 records per shard).
 func BenchmarkPreload(b *testing.B) {

@@ -5,8 +5,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ringbft/internal/types"
@@ -231,7 +232,7 @@ func (kv *KV) Pairs() []Pair {
 	for i := range kv.stripes {
 		kv.stripes[i].mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
+	slices.SortFunc(out, func(a, b Pair) int { return cmp.Compare(a.K, b.K) })
 	return out
 }
 

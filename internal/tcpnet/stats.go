@@ -44,8 +44,8 @@ type Stats struct {
 	// than the send rate). SelfDrops: a self-send found the local inbox
 	// full. InboxDrops: an inbound frame found the inbox full. UnknownPeer:
 	// Send had no address for the destination. EncodeDrops: the writer
-	// refused a message that failed to serialize or exceeded the maximum
-	// frame size (which the receiver would have disconnected on anyway).
+	// refused a message whose encoding exceeded the maximum frame size
+	// (which the receiver would have disconnected on anyway).
 	// WireDrops: frames lost with a torn-down connection — the frame a
 	// failed write was carrying plus everything buffered but unflushed
 	// (frames only count as FramesSent once a flush succeeds).

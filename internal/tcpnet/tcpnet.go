@@ -1,5 +1,6 @@
-// Package tcpnet is the real-network transport: length-prefixed gob frames
-// over TCP connections from the standard library's net package. It exposes
+// Package tcpnet is the real-network transport: length-prefixed frames of
+// the types wire codec (types.AppendMessage / types.DecodeMessage) over TCP
+// connections from the standard library's net package. It exposes
 // the same Send/Inbox shape as the in-process simulator (package simnet), so
 // the ringbft.Replica runs unchanged in a multi-process deployment
 // (cmd/ringbft-node, cmd/ringbft-client).
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -222,15 +224,22 @@ func (t *Transport) accept() {
 	}
 }
 
-// readLoop decodes length-prefixed gob frames into the inbox until EOF. Any
-// malformed frame — zero-length, oversized, or undecodable — disconnects
-// the sender immediately: a peer that cannot frame correctly cannot be
-// trusted to delimit the next frame either, and resynchronizing on a broken
-// stream risks feeding garbage into the inbox.
+// readLoop decodes length-prefixed frames into the inbox until EOF. Any
+// malformed frame — zero-length, oversized, or one types.DecodeMessage
+// rejects — disconnects the sender immediately: a peer that cannot frame
+// correctly cannot be trusted to delimit the next frame either, and
+// resynchronizing on a broken stream risks feeding garbage into the inbox.
+//
+// One body buffer serves every frame of the connection: DecodeMessage
+// copies what it keeps, so nothing in the inbox aliases it. It is sized by
+// the bytes that have arrived, never by the header's claim (readBody), and
+// a buffer grown past readBufKeep by one large frame is released once that
+// frame has been decoded.
 func (t *Transport) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(c)
 	var hdr [4]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
 			return
@@ -240,17 +249,20 @@ func (t *Transport) readLoop(c net.Conn) {
 			t.c.badFrames.Add(1)
 			return
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(c, buf); err != nil {
+		var err error
+		if buf, err = readBody(c, buf[:0], int(n)); err != nil {
 			return
 		}
-		var m types.Message
-		if err := gobDecode(buf, &m); err != nil {
+		m := new(types.Message)
+		if err := types.DecodeMessage(buf, m); err != nil {
 			t.c.badFrames.Add(1)
 			return
 		}
+		if cap(buf) > readBufKeep {
+			buf = nil
+		}
 		select {
-		case t.inbox <- &m:
+		case t.inbox <- m:
 		case <-t.closing:
 			return
 		default:
@@ -258,6 +270,32 @@ func (t *Transport) readLoop(c net.Conn) {
 			t.c.inboxDrops.Add(1)
 		}
 	}
+}
+
+const (
+	// readBufMin is the first allocation of a connection's body buffer.
+	readBufMin = 4 << 10
+	// readBufKeep is the largest body buffer a connection keeps between
+	// frames; ordinary consensus frames fit, state-transfer frames do not.
+	readBufKeep = 64 << 10
+)
+
+// readBody appends the next n bytes of c to buf. Capacity at most doubles
+// per step and each step is filled before the next, so the memory a
+// connection holds is bounded by twice what its peer has actually sent (or
+// readBufMin): a peer that claims maxFrame and then stalls pins a few
+// kilobytes, not 64 MiB.
+func readBody(c io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), cap(buf)-len(buf), readBufMin))
+		buf = slices.Grow(buf, step)
+		end := len(buf) + step
+		if _, err := io.ReadFull(c, buf[len(buf):end]); err != nil {
+			return nil, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
 }
 
 // Send enqueues m for node to and returns immediately — it never dials,

@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"encoding/binary"
 	"net"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -271,8 +272,14 @@ func TestSendNonBlockingStalledReader(t *testing.T) {
 	}
 }
 
-// TestBadFramesDisconnect: zero-length, oversized, and undecodable frames
-// must disconnect the sender without poisoning the inbox.
+// frame prefixes body with its 4-byte big-endian length.
+func frame(body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestBadFramesDisconnect: zero-length and oversized frames, and
+// well-framed bodies that types.DecodeMessage rejects, must disconnect the
+// sender without poisoning the inbox.
 func TestBadFramesDisconnect(t *testing.T) {
 	a := types.ReplicaNode(0, 0)
 	ta, err := New(a, "127.0.0.1:0", nil, testOptions())
@@ -281,14 +288,19 @@ func TestBadFramesDisconnect(t *testing.T) {
 	}
 	defer ta.Close()
 
+	good := types.AppendMessage(nil, &types.Message{Type: types.MsgCommit, From: a})
+	wrongVersion := append([]byte(nil), good...)
+	wrongVersion[0]++
+	// The last 16 bytes are the (zero) MAC and Sig lengths; a Sig length of
+	// 2^56 is a count no frame could hold.
+	hugeCount := append([]byte(nil), good...)
+	hugeCount[len(hugeCount)-8] = 1
 	frames := [][]byte{
 		{0, 0, 0, 0},             // zero-length
 		{0xff, 0xff, 0xff, 0xff}, // oversized (4GiB-1 > maxFrame)
-		append(func() []byte { // well-framed garbage that gob rejects
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], 8)
-			return hdr[:]
-		}(), []byte("notagob!")...),
+		frame(wrongVersion),
+		frame(append(append([]byte(nil), good...), 0)), // trailing byte
+		frame(hugeCount),
 	}
 	for i, f := range frames {
 		c, err := net.Dial("tcp", ta.Addr())
@@ -325,6 +337,44 @@ func TestBadFramesDisconnect(t *testing.T) {
 	tb.Send(a, &types.Message{Type: types.MsgCommit, From: b})
 	if m := waitMsg(t, ta); m.Type != types.MsgCommit {
 		t.Fatal("transport wedged after bad frames")
+	}
+}
+
+// TestStalledFrameHoldsNoMemory: a peer that claims a maxFrame body, sends
+// ten bytes of it and goes quiet must cost the receiver a small read buffer,
+// not the 64 MiB its header announced — and must not hold up Close.
+func TestStalledFrameHoldsNoMemory(t *testing.T) {
+	ta, err := New(types.ReplicaNode(0, 0), "127.0.0.1:0", nil, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ta.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	c, err := net.Dial("tcp", ta.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stalled := append(binary.BigEndian.AppendUint32(nil, maxFrame), make([]byte, 10)...)
+	if _, err := c.Write(stalled); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing signals "the reader is now blocked mid-body"; give it ample
+	// time to have read the header and sized its buffer.
+	time.Sleep(200 * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a stalled %d-byte frame claim made the process allocate %d bytes", maxFrame, grew)
+	}
+
+	done := make(chan struct{})
+	go func() { ta.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked behind a reader waiting on a stalled frame")
 	}
 }
 

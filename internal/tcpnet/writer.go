@@ -2,9 +2,7 @@ package tcpnet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"time"
@@ -24,8 +22,8 @@ type peer struct {
 }
 
 // connWriter wraps one established connection with buffered, deadline-bound
-// framing. The scratch buffer is reused across frames so a steady send rate
-// settles into zero per-frame allocation beyond gob's own internals.
+// framing. The scratch buffer (kept at length 0) is reused across frames, so
+// a steady send rate settles into zero allocations per frame.
 // pendingFrames/pendingBytes hold frames accepted into the buffered writer
 // but not yet flushed: they count as sent only once a flush succeeds, and
 // as wire drops when the connection tears down first — so "frames sent"
@@ -33,25 +31,22 @@ type peer struct {
 type connWriter struct {
 	nc      net.Conn
 	bw      *bufio.Writer
-	scratch bytes.Buffer
+	scratch []byte
 
 	pendingFrames int64
 	pendingBytes  int64
 }
 
-// writeFrame encodes m as one self-contained gob frame — 4-byte big-endian
-// length, then body — and writes header+body with a single Write call under
-// deadline. Frames are encoded independently (no shared gob stream state)
-// so they survive reordering across reconnects. A body over maxFrame is
-// refused here, on the sender: the receiver would disconnect on its header
-// anyway, taking every coalesced frame behind it down too.
+// writeFrame encodes m as one frame — 4-byte big-endian length, then the
+// types.AppendMessage encoding — and writes header+body with a single Write
+// call under deadline. Every frame is self-contained (the codec keeps no
+// per-connection state), so a frame means the same on a fresh connection
+// after a redial. A body over maxFrame is refused here, on the sender: the
+// receiver would disconnect on its header anyway, taking every coalesced
+// frame behind it down too.
 func (w *connWriter) writeFrame(m *types.Message, timeout time.Duration) (int, error) {
-	w.scratch.Reset()
-	w.scratch.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&w.scratch).Encode(m); err != nil {
-		return 0, errEncode{err}
-	}
-	frame := w.scratch.Bytes()
+	frame := types.AppendMessage(append(w.scratch, 0, 0, 0, 0), m) // length placeholder
+	w.scratch = frame[:0]
 	if len(frame)-4 > maxFrame {
 		return 0, errEncode{fmt.Errorf("frame body %d bytes exceeds maxFrame %d", len(frame)-4, maxFrame)}
 	}
@@ -65,8 +60,8 @@ func (w *connWriter) flush(timeout time.Duration) error {
 	return w.bw.Flush()
 }
 
-// errEncode marks a frame that failed to serialize: the message is at
-// fault, not the connection, so the writer drops it without a teardown.
+// errEncode marks a message too large to frame: the message is at fault,
+// not the connection, so the writer drops it without a teardown.
 type errEncode struct{ err error }
 
 func (e errEncode) Error() string { return "tcpnet: encode frame: " + e.err.Error() }
@@ -109,8 +104,7 @@ func (t *Transport) writer(p *peer) {
 				cw.pendingFrames++
 				cw.pendingBytes += int64(n)
 			case errEncode:
-				// Unserializable or oversized message: drop and count it,
-				// keep the connection.
+				// Oversized message: drop and count it, keep the connection.
 				t.c.encodeDrops.Add(1)
 			default:
 				// Connection-level failure (deadline, reset): tear down and
@@ -218,8 +212,4 @@ func (t *Transport) dialPeer(p *peer, backoff *time.Duration) *connWriter {
 			return nil
 		}
 	}
-}
-
-func gobDecode(buf []byte, m *types.Message) error {
-	return gob.NewDecoder(bytes.NewReader(buf)).Decode(m)
 }

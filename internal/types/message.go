@@ -76,8 +76,11 @@ func (t MsgType) String() string {
 
 // Message is the single wire-message struct shared by every protocol.
 // A union struct (rather than one type per message) keeps the simulated
-// network, the gob codec, and the authenticators simple; unused fields are
-// nil/zero and cost nothing in-process.
+// network, the wire codec (codec.go), and the authenticators simple; unused
+// fields are nil/zero, cost nothing in-process and a count or presence byte
+// each on the wire. A field added here or to a nested struct must be added
+// to AppendMessage and DecodeMessage too; TestCodecEveryField fails until
+// it is.
 type Message struct {
 	Type   MsgType
 	From   NodeID

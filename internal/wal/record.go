@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -60,195 +59,51 @@ type Record struct {
 // somewhere other than the replayable tail of the last segment.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-type reader struct {
-	buf []byte
-	off int
-	err bool
-}
-
-func (r *reader) u64() uint64 {
-	if r.err || r.off+8 > len(r.buf) {
-		r.err = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) digest() (d types.Digest) {
-	if r.err || r.off+32 > len(r.buf) {
-		r.err = true
-		return
-	}
-	copy(d[:], r.buf[r.off:])
-	r.off += 32
-	return
-}
-
-func (r *reader) count(max uint64) int {
-	n := r.u64()
-	// Length sanity bound: a hostile or damaged length must not drive an
-	// allocation; every element needs at least 8 encoded bytes.
-	if n > max || n*8 > uint64(len(r.buf)-r.off) {
-		r.err = true
-		return 0
-	}
-	return int(n)
-}
-
-// appendBatch encodes b canonically (same field order as Batch.Digest).
-func appendBatch(dst []byte, b *types.Batch) []byte {
-	dst = appendU64(dst, uint64(len(b.Txns)))
-	for i := range b.Txns {
-		t := &b.Txns[i]
-		dst = appendU64(dst, uint64(t.ID.Client))
-		dst = appendU64(dst, t.ID.Seq)
-		dst = appendU64(dst, uint64(len(t.Reads)))
-		for _, k := range t.Reads {
-			dst = appendU64(dst, uint64(k))
-		}
-		dst = appendU64(dst, uint64(len(t.Writes)))
-		for _, k := range t.Writes {
-			dst = appendU64(dst, uint64(k))
-		}
-		dst = appendU64(dst, uint64(t.Delta))
-	}
-	dst = appendU64(dst, uint64(len(b.Involved)))
-	for _, s := range b.Involved {
-		dst = appendU64(dst, uint64(s))
-	}
-	dst = appendU64(dst, uint64(len(b.Reqs)))
-	for _, n := range b.Reqs {
-		dst = appendU64(dst, uint64(n))
-	}
-	return dst
-}
-
-func (r *reader) batch() *types.Batch {
-	nTxns := r.count(1 << 20)
-	b := &types.Batch{Txns: make([]types.Txn, nTxns)}
-	for i := 0; i < nTxns; i++ {
-		t := &b.Txns[i]
-		t.ID.Client = types.ClientID(r.u64())
-		t.ID.Seq = r.u64()
-		nr := r.count(1 << 20)
-		t.Reads = make([]types.Key, nr)
-		for j := range t.Reads {
-			t.Reads[j] = types.Key(r.u64())
-		}
-		nw := r.count(1 << 20)
-		t.Writes = make([]types.Key, nw)
-		for j := range t.Writes {
-			t.Writes[j] = types.Key(r.u64())
-		}
-		t.Delta = types.Value(r.u64())
-	}
-	ni := r.count(1 << 16)
-	b.Involved = make([]types.ShardID, ni)
-	for j := range b.Involved {
-		b.Involved[j] = types.ShardID(r.u64())
-	}
-	nq := r.count(1 << 20)
-	if nq > 0 {
-		b.Reqs = make([]uint32, nq)
-		for j := range b.Reqs {
-			b.Reqs[j] = uint32(r.u64())
-		}
-	}
-	if r.err {
-		return nil
-	}
-	return b
-}
-
-func appendNodeID(dst []byte, id types.NodeID) []byte {
-	dst = append(dst, byte(id.Kind))
-	dst = appendU64(dst, uint64(id.Shard))
-	return appendU64(dst, uint64(id.Index))
-}
-
-func (r *reader) nodeID() (id types.NodeID) {
-	if r.err || r.off >= len(r.buf) {
-		r.err = true
-		return
-	}
-	id.Kind = types.NodeKind(r.buf[r.off])
-	r.off++
-	id.Shard = types.ShardID(r.u64())
-	id.Index = int(r.u64())
-	return
-}
-
 // encode serializes rec's payload (everything but the frame).
 func (rec *Record) encode(dst []byte) []byte {
-	dst = appendU64(dst, rec.LSN)
+	dst = types.AppendU64(dst, rec.LSN)
 	dst = append(dst, byte(rec.Kind))
 	switch rec.Kind {
 	case KindBlock:
-		dst = appendU64(dst, uint64(rec.Seq))
-		dst = appendNodeID(dst, rec.Primary)
-		dst = appendBatch(dst, rec.Batch)
-		dst = appendU64(dst, uint64(len(rec.Results)))
-		for _, v := range rec.Results {
-			dst = appendU64(dst, uint64(v))
-		}
+		dst = types.AppendU64(dst, uint64(rec.Seq))
+		dst = types.AppendNodeID(dst, rec.Primary)
+		dst = types.AppendBatch(dst, rec.Batch)
+		dst = types.AppendU64s(dst, rec.Results)
 	case KindProgress:
-		dst = appendU64(dst, uint64(rec.Seq))
+		dst = types.AppendU64(dst, uint64(rec.Seq))
 		dst = append(dst, rec.PrefixDigest[:]...)
-		dst = appendU64(dst, uint64(rec.LastCheckpoint))
+		dst = types.AppendU64(dst, uint64(rec.LastCheckpoint))
 		dst = append(dst, rec.BatchDigest[:]...)
-		dst = appendU64(dst, uint64(rec.View))
+		dst = types.AppendU64(dst, uint64(rec.View))
 	case KindEvidence:
-		dst = appendU64(dst, uint64(len(rec.Payload)))
-		dst = append(dst, rec.Payload...)
+		dst = types.AppendBytes(dst, rec.Payload)
 	}
 	return dst
 }
 
-// decodeRecord parses one payload. A nil return means the payload is
-// malformed (treated as corruption by the caller).
+// decodeRecord parses one payload through types' cursor. A nil return
+// means the payload is malformed (treated as corruption by the caller).
 func decodeRecord(buf []byte) *Record {
-	r := &reader{buf: buf}
-	rec := &Record{LSN: r.u64()}
-	if r.err || r.off >= len(buf) {
-		return nil
-	}
-	rec.Kind = RecordKind(buf[r.off])
-	r.off++
+	r := types.NewReader(buf)
+	rec := &Record{LSN: r.U64(), Kind: RecordKind(r.U8())}
 	switch rec.Kind {
 	case KindBlock:
-		rec.Seq = types.SeqNum(r.u64())
-		rec.Primary = r.nodeID()
-		rec.Batch = r.batch()
-		n := r.count(1 << 20)
-		rec.Results = make([]types.Value, n)
-		for i := range rec.Results {
-			rec.Results[i] = types.Value(r.u64())
-		}
+		rec.Seq = types.SeqNum(r.U64())
+		rec.Primary = r.NodeID()
+		rec.Batch = r.Batch()
+		rec.Results = types.ReadU64s[types.Value](r)
 	case KindProgress:
-		rec.Seq = types.SeqNum(r.u64())
-		rec.PrefixDigest = r.digest()
-		rec.LastCheckpoint = types.SeqNum(r.u64())
-		rec.BatchDigest = r.digest()
-		rec.View = types.View(r.u64())
+		rec.Seq = types.SeqNum(r.U64())
+		rec.PrefixDigest = r.Digest()
+		rec.LastCheckpoint = types.SeqNum(r.U64())
+		rec.BatchDigest = r.Digest()
+		rec.View = types.View(r.U64())
 	case KindEvidence:
-		n := r.u64()
-		if r.err || n > uint64(len(buf)-r.off) {
-			return nil
-		}
-		rec.Payload = append([]byte(nil), buf[r.off:r.off+int(n)]...)
-		r.off += int(n)
+		rec.Payload = r.Bytes()
 	default:
 		return nil
 	}
-	if r.err || r.off != len(buf) {
+	if r.Done() != nil {
 		return nil
 	}
 	return rec

@@ -75,60 +75,53 @@ type Snapshot struct {
 // ErrNoSnapshot is returned by LoadLatest when no valid snapshot exists.
 var ErrNoSnapshot = errors.New("wal: no valid snapshot")
 
-func appendDigest(dst []byte, d types.Digest) []byte { return append(dst, d[:]...) }
-
 func appendHeader(dst []byte, h *BlockHeader) []byte {
-	dst = appendU64(dst, uint64(h.Seq))
-	dst = appendDigest(dst, h.Digest)
-	dst = appendNodeID(dst, h.Primary)
-	dst = appendDigest(dst, h.PrevHash)
-	dst = appendDigest(dst, h.MerkleRoot)
-	return appendU64(dst, uint64(h.TxnCount))
+	dst = types.AppendU64(dst, uint64(h.Seq))
+	dst = append(dst, h.Digest[:]...)
+	dst = types.AppendNodeID(dst, h.Primary)
+	dst = append(dst, h.PrevHash[:]...)
+	dst = append(dst, h.MerkleRoot[:]...)
+	return types.AppendU64(dst, uint64(h.TxnCount))
 }
 
-func (r *reader) header() (h BlockHeader) {
-	h.Seq = types.SeqNum(r.u64())
-	h.Digest = r.digest()
-	h.Primary = r.nodeID()
-	h.PrevHash = r.digest()
-	h.MerkleRoot = r.digest()
-	h.TxnCount = int(r.u64())
+func readHeader(r *types.Reader) (h BlockHeader) {
+	h.Seq = types.SeqNum(r.U64())
+	h.Digest = r.Digest()
+	h.Primary = r.NodeID()
+	h.PrevHash = r.Digest()
+	h.MerkleRoot = r.Digest()
+	h.TxnCount = int(r.U64())
 	return
 }
+
+// minSnapBlockSize is the smallest encoding of one SnapBlock, for
+// Reader.Count: seq, primary, empty batch, no results.
+const minSnapBlockSize = 8 + 17 + 3*8 + 8
 
 // Encode serializes s: magic, payload, CRC32C trailer.
 func (s *Snapshot) Encode() []byte {
 	dst := append([]byte(nil), snapMagic...)
-	dst = appendU64(dst, uint64(s.Shard))
-	dst = appendU64(dst, uint64(s.StableSeq))
-	dst = appendDigest(dst, s.CheckpointDigest)
-	dst = appendU64(dst, uint64(s.KMax))
-	dst = appendU64(dst, uint64(s.ExecSeq))
-	dst = appendU64(dst, uint64(s.View))
-	dst = appendDigest(dst, s.PrefixDigest)
-	dst = appendU64(dst, uint64(s.LastCheckpoint))
-	dst = appendU64(dst, s.WalLSN)
+	dst = types.AppendU64(dst, uint64(s.Shard))
+	dst = types.AppendU64(dst, uint64(s.StableSeq))
+	dst = append(dst, s.CheckpointDigest[:]...)
+	dst = types.AppendU64(dst, uint64(s.KMax))
+	dst = types.AppendU64(dst, uint64(s.ExecSeq))
+	dst = types.AppendU64(dst, uint64(s.View))
+	dst = append(dst, s.PrefixDigest[:]...)
+	dst = types.AppendU64(dst, uint64(s.LastCheckpoint))
+	dst = types.AppendU64(dst, s.WalLSN)
 	dst = appendHeader(dst, &s.Base)
-	dst = appendU64(dst, uint64(s.BaseIndex))
-	dst = appendU64(dst, uint64(len(s.Blocks)))
+	dst = types.AppendU64(dst, uint64(s.BaseIndex))
+	dst = types.AppendU64(dst, uint64(len(s.Blocks)))
 	for i := range s.Blocks {
 		b := &s.Blocks[i]
-		dst = appendU64(dst, uint64(b.Seq))
-		dst = appendNodeID(dst, b.Primary)
-		dst = appendBatch(dst, b.Batch)
-		dst = appendU64(dst, uint64(len(b.Results)))
-		for _, v := range b.Results {
-			dst = appendU64(dst, uint64(v))
-		}
+		dst = types.AppendU64(dst, uint64(b.Seq))
+		dst = types.AppendNodeID(dst, b.Primary)
+		dst = types.AppendBatch(dst, b.Batch)
+		dst = types.AppendU64s(dst, b.Results)
 	}
-	dst = appendU64(dst, uint64(len(s.Pairs)))
-	for _, p := range s.Pairs {
-		dst = appendU64(dst, uint64(p.K))
-		dst = appendU64(dst, uint64(p.V))
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(dst, castagnoli))
-	return append(dst, crc[:]...)
+	dst = types.AppendPairs(dst, s.Pairs)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst, castagnoli))
 }
 
 // DecodeSnapshot parses and checksums an encoded snapshot.
@@ -140,40 +133,30 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
-	r := &reader{buf: body, off: len(snapMagic)}
+	r := types.NewReader(buf[len(snapMagic) : len(buf)-4])
 	s := &Snapshot{}
-	s.Shard = types.ShardID(r.u64())
-	s.StableSeq = types.SeqNum(r.u64())
-	s.CheckpointDigest = r.digest()
-	s.KMax = types.SeqNum(r.u64())
-	s.ExecSeq = types.SeqNum(r.u64())
-	s.View = types.View(r.u64())
-	s.PrefixDigest = r.digest()
-	s.LastCheckpoint = types.SeqNum(r.u64())
-	s.WalLSN = r.u64()
-	s.Base = r.header()
-	s.BaseIndex = int(r.u64())
-	nb := r.count(1 << 24)
-	s.Blocks = make([]SnapBlock, nb)
+	s.Shard = types.ShardID(r.U64())
+	s.StableSeq = types.SeqNum(r.U64())
+	s.CheckpointDigest = r.Digest()
+	s.KMax = types.SeqNum(r.U64())
+	s.ExecSeq = types.SeqNum(r.U64())
+	s.View = types.View(r.U64())
+	s.PrefixDigest = r.Digest()
+	s.LastCheckpoint = types.SeqNum(r.U64())
+	s.WalLSN = r.U64()
+	s.Base = readHeader(r)
+	s.BaseIndex = int(r.U64())
+	s.Blocks = make([]SnapBlock, r.Count(minSnapBlockSize))
 	for i := range s.Blocks {
 		b := &s.Blocks[i]
-		b.Seq = types.SeqNum(r.u64())
-		b.Primary = r.nodeID()
-		b.Batch = r.batch()
-		nr := r.count(1 << 24)
-		b.Results = make([]types.Value, nr)
-		for j := range b.Results {
-			b.Results[j] = types.Value(r.u64())
-		}
+		b.Seq = types.SeqNum(r.U64())
+		b.Primary = r.NodeID()
+		b.Batch = r.Batch()
+		b.Results = types.ReadU64s[types.Value](r)
 	}
-	np := r.count(1 << 32)
-	s.Pairs = make([]store.Pair, np)
-	for i := range s.Pairs {
-		s.Pairs[i].K = types.Key(r.u64())
-		s.Pairs[i].V = types.Value(r.u64())
-	}
-	if r.err || r.off != len(body) {
-		return nil, fmt.Errorf("%w: malformed snapshot body", ErrCorrupt)
+	s.Pairs = r.Pairs()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: malformed snapshot body: %v", ErrCorrupt, err)
 	}
 	return s, nil
 }
