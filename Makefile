@@ -74,7 +74,7 @@ benchmark:
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 300ms ./internal/sched/ ./internal/store/
-	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/types/ ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/
+	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/types/ ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/ ./internal/ringbft/
 
 bench-crypto:
 	$(GO) test -run XXX -bench 'BenchmarkMAC|BenchmarkAppendMAC|BenchmarkVerifyMAC|BenchmarkSign|BenchmarkVerifySignature|BenchmarkSignVerify|BenchmarkVerifyMemo' -benchmem -benchtime 200ms ./internal/crypto/

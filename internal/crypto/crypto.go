@@ -1,9 +1,16 @@
 // Package crypto provides the authenticated-communication primitives of
-// Section 3: pairwise HMAC-SHA256 message authentication codes for
-// intra-shard traffic (cheap, symmetric, no non-repudiation) and Ed25519
-// digital signatures for cross-shard traffic (non-repudiation, so a Forward
-// message can carry transferable proof that nf replicas committed), plus
-// SHA-256 digests and Merkle roots for the ledger.
+// Section 3: pairwise HMAC-SHA256 message authentication codes (cheap,
+// symmetric, no non-repudiation) and Ed25519 digital signatures
+// (non-repudiation, so a Forward message can carry transferable proof that
+// nf replicas committed), plus SHA-256 digests and Merkle roots for the
+// ledger.
+//
+// A message's MAC field holds one pairwise tag for its receiver — every
+// MAC'd intra-shard phase — or, on RingBFT's Forward and Execute copies, a
+// tag vector with one MACSize entry per replica of the next shard, in index
+// order, of which each receiver checks its own. Signatures are spent where
+// a proof must travel: commit certificates, checkpoints, view changes, and
+// the Forward signature kept for conflicting-Forward evidence.
 package crypto
 
 import (

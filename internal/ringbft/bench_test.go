@@ -1,0 +1,73 @@
+package ringbft
+
+import (
+	"testing"
+
+	"ringbft/internal/types"
+)
+
+// BenchmarkForwardCopy is the handler cost of one Forward copy at a replica
+// of the next shard (3×4 is the benchmark's shape; 2×4 here). "first" is
+// the lane copy that creates the cst: tag check, noting the half, the
+// previous shard's certificate verified with the memo off (a first copy's
+// certificate has never been seen), and the relay to the peers. "later" is
+// a relayed copy counted while that certificate is held. Each iteration
+// resets what the copy changed, and stays short of the f+1 quorum.
+func BenchmarkForwardCopy(b *testing.B) {
+	c := newCluster(b, 2, 4)
+	batch := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
+	d := batch.Digest()
+	held := holdRing(c, batch, types.MsgForward)
+	r := c.replicas[types.ReplicaNode(1, 0)]
+	lane, relayed := held[types.ReplicaNode(0, 0)], held[types.ReplicaNode(0, 1)]
+	b.Run("first", func(b *testing.B) {
+		r.verifier.SetMemoSize(0)
+		b.ReportAllocs()
+		for b.Loop() {
+			delete(r.csts, d)
+			r.fwdSeen = newFwdWindow(fwdSeenCap)
+			c.queue = c.queue[:0]
+			r.HandleMessage(lane)
+		}
+	})
+	b.Run("later", func(b *testing.B) {
+		r.HandleMessage(lane)
+		cs := r.csts[d]
+		delete(cs.fwdFrom, lane.From)
+		b.ReportAllocs()
+		for b.Loop() {
+			delete(cs.fwdFrom, relayed.From)
+			r.HandleMessage(relayed)
+		}
+	})
+}
+
+// BenchmarkExecuteCopy is the handler cost of one Execute copy at a locked
+// replica of the next shard: "first" is the lane copy, counted and relayed
+// to the peers; "later" a relayed copy, counted. Each iteration resets what
+// the copy changed, and stays short of the f+1 quorum.
+func BenchmarkExecuteCopy(b *testing.B) {
+	c := newCluster(b, 2, 4)
+	batch := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
+	held := holdRing(c, batch, types.MsgExecute)
+	r := c.replicas[types.ReplicaNode(1, 0)]
+	cs := r.csts[batch.Digest()]
+	lane, relayed := held[types.ReplicaNode(0, 0)], held[types.ReplicaNode(0, 1)]
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			delete(cs.execFrom, lane.From)
+			cs.execRelayed = false
+			c.queue = c.queue[:0]
+			r.HandleMessage(lane)
+		}
+		delete(cs.execFrom, lane.From)
+	})
+	b.Run("later", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			delete(cs.execFrom, relayed.From)
+			r.HandleMessage(relayed)
+		}
+	})
+}

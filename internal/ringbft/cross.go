@@ -1,6 +1,7 @@
 package ringbft
 
 import (
+	"bytes"
 	"crypto/sha256"
 
 	"ringbft/internal/crypto"
@@ -48,10 +49,43 @@ func (cs *cstState) mergeCarried(sets []types.WriteSet) {
 	}
 }
 
+// ringTags returns m's ring tag vector: one pairwise MAC over m's canonical
+// bytes for every replica of shard next, in index order. Forward and Execute
+// copies carry it in Message.MAC, so the same message serves the lane
+// recipient, the peers it relays to, the all-to-all ablation and every
+// retransmission, and each receiver authenticates the originating sender
+// with its own entry (see verifyRingTag).
+func (r *Replica) ringTags(next types.ShardID, m *types.Message) []byte {
+	var sb [types.SigBytesLen]byte
+	msg := m.AppendSigBytes(sb[:0])
+	vec := make([]byte, 0, r.cfg.ReplicasPerShard*crypto.MACSize)
+	for i := 0; i < r.cfg.ReplicasPerShard; i++ {
+		vec = append(vec, r.auth.MAC(types.ReplicaNode(next, i), msg)...)
+	}
+	return vec
+}
+
+// verifyRingTag checks this replica's entry of m's ring tag vector against
+// m's originating sender. That is all counting a sender toward f+1 needs:
+// authentication to this replica, not proof to a third party. A relaying
+// peer holds no key shared by the sender and this replica, so it can drop
+// or replay a copy but not forge or re-attribute one. A vector of the wrong
+// length yields a nil tag, which a key ring rejects and NopAuth accepts.
+func (r *Replica) verifyRingTag(m *types.Message) error {
+	var tag []byte
+	if len(m.MAC) == r.cfg.ReplicasPerShard*crypto.MACSize {
+		tag = m.MAC[r.self.Index*crypto.MACSize : (r.self.Index+1)*crypto.MACSize]
+	}
+	var sb [types.SigBytesLen]byte
+	return r.auth.VerifyMAC(m.From, m.AppendSigBytes(sb[:0]), tag)
+}
+
 // sendForward implements Fig 5 line 19: after locking, replica r sends a
-// signed Forward — the batch, the nf-signature commit certificate A, and the
+// Forward — the batch, the nf-signature commit certificate A, and the
 // accumulated read sets — to the single replica of the next involved shard
-// with the same index (the linear communication primitive).
+// with the same index (the linear communication primitive). The ring tag
+// vector authenticates the copy for counting; the Ed25519 signature is
+// checked only if the Forward ever becomes conflicting-Forward evidence.
 func (r *Replica) sendForward(cs *cstState) {
 	next, _ := cs.batch.NextInRing(r.shard)
 	m := &types.Message{
@@ -60,6 +94,7 @@ func (r *Replica) sendForward(cs *cstState) {
 		Batch: cs.batch, Cert: cs.cert, WriteSets: cs.carried,
 	}
 	m.Sig = crypto.SignMessage(r.auth, m)
+	m.MAC = r.ringTags(next, m)
 	cs.forwardMsg = m
 	cs.forwardSentAt = r.clock()
 	r.observe(cs.seq, trace.PhaseForward)
@@ -84,6 +119,9 @@ func (r *Replica) sendRing(next types.ShardID, m *types.Message) {
 // (line 30); the message is accepted once f+1 distinct previous-shard
 // replicas vouch for it (line 31), which by the linear communication
 // primitive guarantees at least one copy originated at a non-faulty sender.
+// A copy counts its originating sender once its ring tag verifies; the
+// previous shard's certificate is verified once per cst, on the first copy
+// that arrives before this replica holds one.
 func (r *Replica) onForward(m *types.Message) {
 	b := m.Batch
 	if b == nil || len(b.Txns) == 0 || !b.IsCrossShard() {
@@ -96,7 +134,7 @@ func (r *Replica) onForward(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != b.PrevInRing(r.shard) || m.Shard != m.From.Shard {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if r.verifyRingTag(m) != nil {
 		return
 	}
 	// Detection before the certificate check: the Forward signature alone
@@ -104,23 +142,24 @@ func (r *Replica) onForward(m *types.Message) {
 	// certificate is garbage is exactly as indicting as one whose
 	// certificate verifies.
 	r.noteForward(m)
-	// The Forward must prove the previous shard replicated the batch:
-	// nf valid commit signatures from that shard (checked once per sender).
-	if err := pbft.VerifyCert(r.verifier, m.From.Shard, d, m.Cert, r.cfg.NF()); err != nil {
-		return
+	cs, ok := r.csts[d]
+	if !ok || cs.fwdCert == nil {
+		// The Forward must prove the previous shard replicated the batch:
+		// nf valid commit signatures from that shard. One verified copy
+		// suffices to hold the justification certificate — it is
+		// self-certifying, independent of the f+1 copy count that gates
+		// acceptance below — so later copies' certificates are not looked
+		// at.
+		if err := pbft.VerifyCert(r.verifier, m.From.Shard, d, m.Cert, r.cfg.NF()); err != nil {
+			return
+		}
+		cs = r.cst(d)
+		cs.fwdCert = m.Cert
 	}
-
-	cs := r.cst(d)
 	if cs.batch == nil {
 		// Adopt the batch as soon as one valid Forward is seen: the remote
 		// timer needs it to complain (Fig 6) even before f+1 copies arrive.
 		cs.batch = b
-	}
-	if cs.fwdCert == nil {
-		// One verified copy suffices to hold the justification certificate:
-		// it is self-certifying (nf signed commits), independent of the f+1
-		// copy count that gates acceptance below.
-		cs.fwdCert = m.Cert
 	}
 	if _, dup := cs.fwdFrom[m.From]; dup {
 		// Retransmission of an already-counted copy: the rotation is
@@ -200,25 +239,91 @@ func (r *Replica) onForward(m *types.Message) {
 // honest sender cannot — its shard committed exactly one batch at that
 // sequence — so the signature pair indicts the sender directly and is
 // transferable (both halves are Ed25519-signed over the canonical tuple).
-// Call only after the message signature verified.
+// Call only after the message's ring tag verified.
+//
+// Signatures are checked lazily, only when a copy would become evidence: the
+// first Forward per (sender, sequence) is stored unverified, and a stored
+// half whose signature turns out bad is replaced by the copy that exposed
+// it. The stored half is therefore the first validly signed Forward as soon
+// as one has arrived, and the records are the ones a replica verifying
+// every copy before noting it would write.
 func (r *Replica) noteForward(m *types.Message) {
 	key := fwdKey{from: m.From, seq: m.Seq}
-	prev, ok := r.fwdSeen[key]
-	if !ok {
-		if len(r.fwdSeen) < fwdSeenCap {
-			r.fwdSeen[key] = evidence.MsgOf(m)
+	prev, ok := r.fwdSeen.first[key]
+	switch {
+	case !ok:
+		r.fwdSeen.put(key, forwardHalf(m))
+	case prev.Digest == m.Digest:
+		// An honest sender signs each Forward once, so a second signature
+		// over the same tuple only comes from a faulty one; keep whichever
+		// copy is validly signed.
+		if !bytes.Equal(prev.Sig, m.Sig) && !r.validSig(prev) {
+			r.fwdSeen.put(key, forwardHalf(m))
 		}
-		return
+	default:
+		second := forwardHalf(m)
+		if !r.validSig(second) {
+			return
+		}
+		if !r.validSig(prev) {
+			r.fwdSeen.put(key, second)
+			return
+		}
+		r.ev.Add(evidence.Record{
+			Kind: evidence.KindConflictingForward, Accused: m.From,
+			Shard: r.shard, Seq: m.Seq,
+			First: prev, Second: second,
+			Transferable: true,
+		})
 	}
-	if prev.Digest == m.Digest {
-		return
+}
+
+// forwardHalf is the evidence half of Forward m: its canonical tuple and
+// signature. The ring tag vector is left out — it authenticated the copy to
+// this replica only, and the records keep the bytes they always had.
+func forwardHalf(m *types.Message) evidence.Msg {
+	h := evidence.MsgOf(m)
+	h.MAC = nil
+	return h
+}
+
+// validSig reports whether half h carries its sender's Ed25519 signature
+// over its canonical tuple (memoised by the verifier).
+func (r *Replica) validSig(h evidence.Msg) bool {
+	var sb [types.SigBytesLen]byte
+	msg := types.AppendSigBytes(sb[:0], h.Type, h.Shard, h.View, h.Seq, h.Digest, h.From)
+	return r.verifier.Verify(h.From, msg, h.Sig) == nil
+}
+
+// fwdWindow remembers the first Forward half per (sender, sequence), at most
+// capacity entries. At capacity the oldest key is evicted — a FIFO like the
+// verifier's memo — so detection keeps working for new claims however long
+// the replica runs; the bound only limits how far back a conflicting copy
+// can still be matched.
+type fwdWindow struct {
+	capacity int
+	first    map[fwdKey]evidence.Msg
+	order    []fwdKey // eviction ring over the keys of first
+	next     int
+}
+
+func newFwdWindow(capacity int) *fwdWindow {
+	return &fwdWindow{capacity: capacity, first: make(map[fwdKey]evidence.Msg)}
+}
+
+// put stores h under key, evicting the oldest key when a new one arrives at
+// capacity.
+func (w *fwdWindow) put(key fwdKey, h evidence.Msg) {
+	if _, ok := w.first[key]; !ok {
+		if len(w.order) < w.capacity {
+			w.order = append(w.order, key)
+		} else {
+			delete(w.first, w.order[w.next])
+			w.order[w.next] = key
+			w.next = (w.next + 1) % w.capacity
+		}
 	}
-	r.ev.Add(evidence.Record{
-		Kind: evidence.KindConflictingForward, Accused: m.From,
-		Shard: r.shard, Seq: m.Seq,
-		First: prev, Second: evidence.MsgOf(m),
-		Transferable: true,
-	})
+	w.first[key] = h
 }
 
 // executeCst executes this shard's fragment with every dependency resolved
@@ -261,13 +366,16 @@ func (r *Replica) executeCst(cs *cstState) {
 	r.drainLockQueue()
 }
 
-// executeMessage builds this replica's signed ⟨Execute(Δ, Σℑ)⟩.
+// executeMessage builds this replica's ⟨Execute(Δ, Σℑ)⟩, authenticated by
+// a ring tag vector for the next shard. Nothing ever keeps an Execute as
+// proof, so it carries no signature.
 func (r *Replica) executeMessage(cs *cstState) *types.Message {
+	next, _ := cs.batch.NextInRing(r.shard)
 	m := &types.Message{
 		Type: types.MsgExecute, From: r.self, Shard: r.shard,
 		Seq: cs.seq, Digest: cs.digest, WriteSets: cs.carried,
 	}
-	m.Sig = crypto.SignMessage(r.auth, m)
+	m.MAC = r.ringTags(next, m)
 	return m
 }
 
@@ -292,7 +400,7 @@ func (r *Replica) onExecute(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != cs.batch.PrevInRing(r.shard) {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if r.verifyRingTag(m) != nil {
 		return
 	}
 	if _, dup := cs.execFrom[m.From]; dup {

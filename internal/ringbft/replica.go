@@ -85,8 +85,9 @@ type Replica struct {
 	// fwdSeen remembers the first signed Forward per (sender, sequence): an
 	// honest previous-shard replica signs exactly one Forward digest per
 	// committed sequence, so a second digest under the same key indicts the
-	// sender with a transferable signature pair. Bounded like clientSeen.
-	fwdSeen map[fwdKey]evidence.Msg
+	// sender with a transferable signature pair. Bounded by fwdSeenCap,
+	// oldest entry evicted first.
+	fwdSeen *fwdWindow
 
 	// executed caches results of executed batches so retransmitted client
 	// requests are answered from the log (attack A1).
@@ -179,9 +180,10 @@ type fwdKey struct {
 	seq  types.SeqNum
 }
 
-// Tracking caps for the misbehavior-detection maps: past these the replica
-// stops learning new ids/lanes (existing entries still detect conflicts).
-// Both bound memory against a flooding adversary, not honest load.
+// Tracking caps for the misbehavior-detection maps. Past clientSeenCap the
+// replica stops learning new client ids (existing entries still detect
+// conflicts); past fwdSeenCap fwdSeen forgets its oldest (sender, sequence)
+// key for each new one.
 const (
 	clientSeenCap = 1 << 16
 	fwdSeenCap    = 1 << 16
@@ -328,7 +330,7 @@ func New(opts Options) *Replica {
 		snapEvery:        snapEvery,
 		ev:               ev,
 		clientSeen:       make(map[types.TxnID]types.Digest),
-		fwdSeen:          make(map[fwdKey]evidence.Msg),
+		fwdSeen:          newFwdWindow(fwdSeenCap),
 		backpressure:     opts.Backpressure,
 	}
 	bpDepth := opts.Config.OutboxDepth

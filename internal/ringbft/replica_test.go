@@ -16,7 +16,7 @@ import (
 // newDurableCluster backs every replica with the wal subsystem on a shared
 // MemFS, enabling kill / restart / wipe fault injection.
 type cluster struct {
-	t        *testing.T
+	t        testing.TB
 	cfg      types.Config
 	replicas map[types.NodeID]*Replica
 	queue    []routed
@@ -28,6 +28,7 @@ type cluster struct {
 	n       int
 	records int
 	fs      *wal.MemFS // nil = in-memory-only replicas
+	nopAuth bool       // replicas spawned from now on run under crypto.NopAuth
 }
 
 type routed struct {
@@ -35,11 +36,11 @@ type routed struct {
 	m        *types.Message
 }
 
-func newCluster(t *testing.T, z, n int) *cluster { return newClusterWith(t, z, n, nil) }
+func newCluster(t testing.TB, z, n int) *cluster { return newClusterWith(t, z, n, nil) }
 
 // newClusterWith builds a cluster with a config mutator applied before the
 // replicas are constructed.
-func newClusterWith(t *testing.T, z, n int, mutate func(*types.Config)) *cluster {
+func newClusterWith(t testing.TB, z, n int, mutate func(*types.Config)) *cluster {
 	return newClusterFS(t, z, n, mutate, nil)
 }
 
@@ -50,7 +51,7 @@ func newDurableCluster(t *testing.T, z, n int, mutate func(*types.Config)) *clus
 	return newClusterFS(t, z, n, mutate, wal.NewMemFS())
 }
 
-func newClusterFS(t *testing.T, z, n int, mutate func(*types.Config), fs *wal.MemFS) *cluster {
+func newClusterFS(t testing.TB, z, n int, mutate func(*types.Config), fs *wal.MemFS) *cluster {
 	t.Helper()
 	cfg := types.DefaultConfig(z, n)
 	cfg.BatchSize = 2
@@ -95,9 +96,13 @@ func (c *cluster) spawn(id types.NodeID) *Replica {
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	var auth crypto.Authenticator = ring
+	if c.nopAuth {
+		auth = crypto.NopAuth{}
+	}
 	opts := Options{
 		Config: c.cfg, Shard: id.Shard, Self: id, Peers: peers,
-		Auth: ring,
+		Auth: auth,
 		Send: func(from types.NodeID) Sender {
 			return func(to types.NodeID, m *types.Message) {
 				c.queue = append(c.queue, routed{from, to, m})

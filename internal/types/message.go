@@ -108,8 +108,8 @@ type Message struct {
 	ViewMsgs  []Signed        // NewView: nf ViewChange messages justifying the view
 
 	// Authenticators filled by the node runtime.
-	MAC []byte // intra-shard HMAC (cheap, no non-repudiation)
-	Sig []byte // cross-shard Ed25519 signature (non-repudiation)
+	MAC []byte // pairwise HMAC tag, or a Forward/Execute ring tag vector (one tag per next-shard replica); no non-repudiation
+	Sig []byte // Ed25519 signature (non-repudiation)
 }
 
 // Signed is a compact, transferable proof that node From authenticated the
