@@ -23,13 +23,11 @@
 package ahl
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"ringbft/internal/crypto"
+	"ringbft/internal/host"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
 	"ringbft/internal/trace"
@@ -37,7 +35,7 @@ import (
 )
 
 // Sender abstracts the network.
-type Sender func(to types.NodeID, m *types.Message)
+type Sender = host.Sender
 
 // decisionClient marks synthetic committee decision batches (never a real
 // client identifier).
@@ -86,28 +84,12 @@ type CommitteeOptions struct {
 
 // Committee is one member of AHL's reference committee.
 type Committee struct {
-	cfg        types.Config
-	self       types.NodeID
-	peers      []types.NodeID
+	*host.Kernel
 	shardPeers [][]types.NodeID
-	auth       crypto.Authenticator
-	verifier   *crypto.Verifier
-	send       Sender
-	clock      func() time.Time
-
-	engine  *pbft.Engine
-	tracker *pbft.CheckpointTracker
+	tracker    *pbft.CheckpointTracker
 
 	// csts tracks cross-shard transactions through the 2PC.
 	csts map[types.Digest]*committeeCst
-
-	awaiting map[types.Digest]*pending
-	proposed map[types.Digest]struct{}
-	queue    []*types.Batch
-
-	viewChanges int64
-
-	obs *hostObs
 }
 
 type committeeCst struct {
@@ -127,71 +109,25 @@ type committeeCst struct {
 	lastNudge time.Time
 }
 
-type pending struct {
-	batch *types.Batch
-	since time.Time
-}
-
 // NewCommittee creates a committee member.
 func NewCommittee(opts CommitteeOptions) *Committee {
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
-	verifier := crypto.NewVerifier(opts.Auth)
 	c := &Committee{
-		cfg:        opts.Config,
-		self:       opts.Self,
-		peers:      opts.Peers,
 		shardPeers: opts.ShardPeers,
-		auth:       verifier,
-		verifier:   verifier,
-		send:       opts.Send,
-		clock:      opts.Clock,
-		csts:       make(map[types.Digest]*committeeCst),
-		awaiting:   make(map[types.Digest]*pending),
-		proposed:   make(map[types.Digest]struct{}),
 		tracker:    pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
+		csts:       make(map[types.Digest]*committeeCst),
 	}
-	c.obs = newHostObs(opts.Metrics, opts.Tracer, types.CommitteeShard, opts.Self)
-	c.engine = pbft.New(types.CommitteeShard, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
-		Send:      func(to types.NodeID, m *types.Message) { c.send(to, m) },
-		Committed: c.onCommitted,
-		ViewChanged: func(types.View) {
-			c.viewChanges++
-			c.obs.incViewChanges()
-			c.repropose()
-		},
-	}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: verifier, OnPhase: c.obs.phase(types.CommitteeShard)})
+	c.Kernel = host.New(host.Options{
+		Config: opts.Config, Shard: types.CommitteeShard, Self: opts.Self, Peers: opts.Peers,
+		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
+		Obs:       host.NewObs(opts.Metrics, opts.Tracer, "ahl", types.CommitteeShard, opts.Self),
+		Handler:   c,
+		Callbacks: pbft.Callbacks{Committed: c.onCommitted},
+		// Decision batches have no client to retry them, so a latch left by
+		// a dead view would wedge the cst with no recovery path; a double
+		// commit is absorbed by the ordered/notified latches in onCommitted.
+		ReproposeExpired: true,
+	})
 	return c
-}
-
-// ViewChangeCount reports committee view changes (read after Run returns).
-func (c *Committee) ViewChangeCount() int64 { return c.viewChanges }
-
-// RetransmitCount reports retransmissions (none at the committee).
-func (c *Committee) RetransmitCount() int64 { return 0 }
-
-// Run drives the member until ctx is cancelled.
-func (c *Committee) Run(ctx context.Context, inbox <-chan *types.Message) {
-	tickEvery := c.cfg.LocalTimeout / 4
-	if tickEvery <= 0 {
-		tickEvery = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case m, ok := <-inbox:
-			if !ok {
-				return
-			}
-			c.HandleMessage(m)
-		case <-ticker.C:
-			c.HandleTick(c.clock())
-		}
-	}
 }
 
 // HandleMessage dispatches one inbound message.
@@ -205,48 +141,16 @@ func (c *Committee) HandleMessage(m *types.Message) {
 	case types.MsgAHLVote:
 		c.onVote(m)
 	default:
-		c.engine.OnMessage(m)
-		c.tryProposeQueued()
+		c.PBFT.OnMessage(m)
+		c.Drain()
 	}
 }
 
 // HandleTick drives the committee watchdog.
 func (c *Committee) HandleTick(now time.Time) {
-	c.engine.Tick(now)
-	c.tryProposeQueued()
-	c.obs.sample(len(c.queue), 0)
-	if c.engine.InViewChange() {
+	c.Tick(now)
+	if !c.Watchdog(now) {
 		return
-	}
-	expired := false
-	// Sorted-digest order: the re-proposal below assigns sequence numbers,
-	// which must not depend on map iteration order.
-	for _, d := range types.SortedDigestKeys(c.awaiting) {
-		p := c.awaiting[d]
-		if now.Sub(p.since) > c.cfg.LocalTimeout {
-			p.since = now
-			expired = true
-			if c.engine.IsPrimary() {
-				// An awaiting entry that expired on the primary was lost in
-				// flight. Decision batches have no client to retry them, so
-				// the proposed latch — set when a PRIOR primacy of this
-				// member proposed it into a view that died — would dedupe
-				// the re-proposal forever: every member latches after
-				// enough view changes and the cst wedges with no recovery
-				// path (found by internal/chaos, loss-storm schedules).
-				// Clear the latch and propose again; a double commit is
-				// absorbed by the ordered/notified latches in onCommitted.
-				delete(c.proposed, d)
-				c.propose(p.batch, d)
-			}
-		}
-	}
-	if expired && !c.engine.IsPrimary() {
-		c.engine.StartViewChange(c.engine.View() + 1)
-		return
-	}
-	if oldest, ok := c.engine.OldestUncommitted(); ok && now.Sub(oldest) > c.cfg.LocalTimeout {
-		c.engine.StartViewChange(c.engine.View() + 1)
 	}
 	// Retransmit AHLPrepare for ordered-but-undecided csts: the phase-1
 	// broadcast is one-shot, so on a lossy network a vote quorum may never
@@ -255,10 +159,10 @@ func (c *Committee) HandleTick(now time.Time) {
 	// wedges every shard it involves).
 	for _, d := range types.SortedDigestKeys(c.csts) {
 		cst := c.csts[d]
-		if cst.ordered && !cst.decided && now.Sub(cst.lastNudge) > c.cfg.RemoteTimeout {
+		if cst.ordered && !cst.decided && now.Sub(cst.lastNudge) > c.Cfg.RemoteTimeout {
 			cst.lastNudge = now
 			c.broadcastToShards(cst.batch, &types.Message{
-				Type: types.MsgAHLPrepare, From: c.self, Shard: types.CommitteeShard,
+				Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
 				Seq: cst.gseq, Digest: cst.batch.Digest(), Batch: cst.batch, Cert: cst.cert,
 			})
 		}
@@ -276,7 +180,7 @@ func (c *Committee) onClientRequest(m *types.Message) {
 		// Already decided; re-broadcast the decision in case it was lost
 		// (shards answer the client once they execute).
 		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLDecision, From: c.self, Shard: types.CommitteeShard,
+			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
 			Seq: cst.gseq, Digest: d, Decision: true,
 		})
 		return
@@ -285,97 +189,26 @@ func (c *Committee) onClientRequest(m *types.Message) {
 		// Ordered but votes/decision still in flight: re-broadcast the
 		// prepare so shards resend votes.
 		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLPrepare, From: c.self, Shard: types.CommitteeShard,
+			Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
 			Seq: cst.gseq, Digest: d, Batch: cst.batch, Cert: cst.cert,
 		})
 		return
 	}
-	c.enqueue(b, d)
-}
-
-func (c *Committee) enqueue(b *types.Batch, d types.Digest) {
-	if _, done := c.proposed[d]; done {
-		return
-	}
-	if _, ok := c.awaiting[d]; !ok {
-		c.awaiting[d] = &pending{batch: b, since: c.clock()}
-	}
-	if c.engine.IsPrimary() && !c.engine.InViewChange() {
-		c.propose(b, d)
-	}
-}
-
-func (c *Committee) propose(b *types.Batch, d types.Digest) {
-	if _, done := c.proposed[d]; done {
-		return
-	}
-	// Pipelined consensus: the same drain discipline as internal/ringbft —
-	// the primary keeps at most PipelineDepth proposals in flight and
-	// parks the rest for tryProposeQueued.
-	if c.engine.InFlight() >= c.cfg.PipelineDepth {
-		c.queue = append(c.queue, b)
-		return
-	}
-	if _, err := c.engine.Propose(b); err != nil {
-		c.queue = append(c.queue, b)
-		return
-	}
-	c.proposed[d] = struct{}{}
-}
-
-func (c *Committee) tryProposeQueued() {
-	if !c.engine.IsPrimary() || c.engine.InViewChange() {
-		return
-	}
-	for len(c.queue) > 0 {
-		if c.engine.InFlight() >= c.cfg.PipelineDepth {
-			return // pipeline window full: a commit frees the next slot
-		}
-		b := c.queue[0]
-		d := b.Digest()
-		if _, done := c.proposed[d]; done {
-			c.queue = c.queue[1:]
-			continue
-		}
-		if _, err := c.engine.Propose(b); err != nil {
-			return
-		}
-		c.proposed[d] = struct{}{}
-		c.queue = c.queue[1:]
-	}
-}
-
-func (c *Committee) repropose() {
-	if !c.engine.IsPrimary() {
-		return
-	}
-	// Sorted-digest order: sequence assignment must not depend on map
-	// iteration order, or identically seeded runs diverge.
-	ds := make([]types.Digest, 0, len(c.awaiting))
-	for d := range c.awaiting {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return bytes.Compare(ds[i][:], ds[j][:]) < 0 })
-	for _, d := range ds {
-		if _, done := c.proposed[d]; !done {
-			c.propose(c.awaiting[d].batch, d)
-		}
-	}
-	c.tryProposeQueued()
+	c.Enqueue(b, d)
 }
 
 // onCommitted handles both committee consensus outcomes: a freshly ordered
 // cst (phase 1: broadcast AHLPrepare) and a committed decision batch
 // (phase 3: broadcast AHLDecision).
 func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []types.Signed) {
-	c.tracker.Committed(c.engine, seq, batch)
+	c.tracker.Committed(c.PBFT, seq, batch)
 	if d, commit, ok := parseDecision(batch); ok {
 		cst, ok := c.csts[d]
 		if !ok || cst.notified {
 			return
 		}
 		cst.decided = true
-		delete(c.awaiting, batch.Digest())
+		delete(c.Awaiting, batch.Digest())
 		if !cst.ordered {
 			// Consensus results can commit out of order: the decision may
 			// land before this member processes the original batch's
@@ -386,7 +219,7 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []typ
 		}
 		cst.notified = true
 		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLDecision, From: c.self, Shard: types.CommitteeShard,
+			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
 			Seq: cst.gseq, Digest: d, Decision: commit,
 		})
 		return
@@ -394,9 +227,8 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []typ
 	if len(batch.Txns) == 0 {
 		return
 	}
+	c.Settle(batch)
 	d := batch.Digest()
-	delete(c.awaiting, d)
-	c.proposed[d] = struct{}{}
 	cst, ok := c.csts[d]
 	if !ok {
 		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]struct{})}
@@ -406,18 +238,18 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []typ
 	cst.gseq = seq
 	cst.cert = cert
 	cst.ordered = true
-	cst.lastNudge = c.clock() // the ordering broadcast below counts as attempt one
+	cst.lastNudge = c.Clock() // the ordering broadcast below counts as attempt one
 	// Phase 1 of 2PC: prepare at every replica of every involved shard. The
 	// commit certificate makes the order transferable.
 	c.broadcastToShards(batch, &types.Message{
-		Type: types.MsgAHLPrepare, From: c.self, Shard: types.CommitteeShard,
+		Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
 		Seq: seq, Digest: d, Batch: batch, Cert: cert,
 	})
 	if cst.decided && !cst.notified {
 		// The decision committed before the ordering did (deferred above).
 		cst.notified = true
 		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLDecision, From: c.self, Shard: types.CommitteeShard,
+			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
 			Seq: cst.gseq, Digest: d, Decision: cst.pendingNotify,
 		})
 		return
@@ -428,13 +260,13 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []typ
 // broadcastToShards signs m and sends it to every replica of every shard
 // involved in b.
 func (c *Committee) broadcastToShards(b *types.Batch, m *types.Message) {
-	m.Sig = crypto.SignMessage(c.auth, m)
+	m.Sig = crypto.SignMessage(c.Auth, m)
 	for _, s := range b.Involved {
 		if int(s) < 0 || int(s) >= len(c.shardPeers) {
 			continue
 		}
 		for _, to := range c.shardPeers[s] {
-			c.send(to, m)
+			c.Send(to, m)
 		}
 	}
 }
@@ -444,7 +276,7 @@ func (c *Committee) onVote(m *types.Message) {
 	if m.From.Kind != types.KindReplica {
 		return
 	}
-	if crypto.VerifyMessageSig(c.auth, m) != nil {
+	if crypto.VerifyMessageSig(c.Auth, m) != nil {
 		return
 	}
 	cst, ok := c.csts[m.Digest]
@@ -456,11 +288,11 @@ func (c *Committee) onVote(m *types.Message) {
 		// The voter missed the decision broadcast (its shard's execution
 		// pipeline is blocked on this cst); answer it directly.
 		reply := &types.Message{
-			Type: types.MsgAHLDecision, From: c.self, Shard: types.CommitteeShard,
+			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
 			Seq: cst.gseq, Digest: m.Digest, Decision: true,
 		}
-		reply.Sig = crypto.SignMessage(c.auth, reply)
-		c.send(m.From, reply)
+		reply.Sig = crypto.SignMessage(c.Auth, reply)
+		c.Send(m.From, reply)
 		return
 	}
 	if !m.Decision {
@@ -482,15 +314,11 @@ func (c *Committee) maybeDecide(cst *committeeCst) {
 		return
 	}
 	for _, s := range cst.batch.Involved {
-		if len(cst.votes[s]) < c.cfg.F()+1 {
+		if len(cst.votes[s]) < c.Cfg.F()+1 {
 			return
 		}
 	}
 	cst.decided = true
 	db := decisionBatch(cst.batch.Digest(), true)
-	c.enqueue(db, db.Digest())
-}
-
-func clientOf(b *types.Batch) types.NodeID {
-	return types.ClientNode(b.Txns[0].ID.Client)
+	c.Enqueue(db, db.Digest())
 }

@@ -62,8 +62,8 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 	}
 	wantDigest := r.Store().Digest()
 	wantHeight := r.Chain().Height()
-	if r.execNext != 10 {
-		t.Fatalf("execNext = %d, want 10", r.execNext)
+	if r.ExecNext != 10 {
+		t.Fatalf("execNext = %d, want 10", r.ExecNext)
 	}
 	// Snapshots must have pruned the chain below the last boundary.
 	if _, baseIdx := r.Chain().Base(); baseIdx == 0 {
@@ -81,8 +81,8 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 	if err := r2.Chain().Verify(); err != nil {
 		t.Fatalf("recovered chain does not verify: %v", err)
 	}
-	if r2.execNext != 10 {
-		t.Fatalf("recovered execNext = %d, want 10", r2.execNext)
+	if r2.ExecNext != 10 {
+		t.Fatalf("recovered execNext = %d, want 10", r2.ExecNext)
 	}
 	// Batches above the prune boundary keep their ordered/executed marks,
 	// so replayed commits cannot re-execute them (older batches were
@@ -92,10 +92,10 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 		if i+1 <= baseIdx {
 			continue
 		}
-		if _, ok := r2.proposed[b.Digest()]; !ok {
+		if _, ok := r2.Proposed[b.Digest()]; !ok {
 			t.Fatalf("retained batch %d not marked proposed after recovery", i)
 		}
-		if _, ok := r2.executed[b.Digest()]; !ok {
+		if _, ok := r2.Results[b.Digest()]; !ok {
 			t.Fatalf("retained batch %d results lost in recovery", i)
 		}
 	}
@@ -105,7 +105,7 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 		Involved: []types.ShardID{0},
 	}
 	r2.onCommitted(11, b, nil)
-	if r2.execNext != 11 {
-		t.Fatalf("post-recovery execution stalled: execNext = %d", r2.execNext)
+	if r2.ExecNext != 11 {
+		t.Fatalf("post-recovery execution stalled: execNext = %d", r2.ExecNext)
 	}
 }

@@ -24,7 +24,7 @@ func DefaultSuite() []Scoped {
 	// internal/wal and internal/store joined in PR 9: recovery replay and
 	// read-set assembly must be byte-identical across replicas as well.
 	deterministic := append([]string{
-		"internal/pbft", "internal/ringbft", "internal/ahl",
+		"internal/pbft", "internal/host", "internal/ringbft", "internal/ahl",
 		"internal/sharper", "internal/chaos", "internal/harness",
 		"internal/protocols", "internal/evidence",
 		"internal/wal", "internal/store", "internal/tcpnet",
@@ -33,7 +33,7 @@ func DefaultSuite() []Scoped {
 	// internal/evidence qualifies twice over: records are built from peer
 	// messages, and transferable records are re-verified on foreign nodes.
 	handlers := append([]string{
-		"internal/pbft", "internal/ringbft", "internal/ahl",
+		"internal/pbft", "internal/host", "internal/ringbft", "internal/ahl",
 		"internal/sharper", "internal/protocols", "internal/evidence",
 		"internal/wal", "internal/store", "internal/tcpnet",
 	}, cmds...)

@@ -1,7 +1,14 @@
 package chaos
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ringbft/internal/harness"
@@ -15,7 +22,41 @@ var (
 	flagFault  = flag.String("chaos.fault", "partition-shard", "fault class for TestReplaySeed")
 	flagShards = flag.Int("chaos.shards", 0, "shard count for TestReplaySeed (0 = default)")
 	flagDepth  = flag.Int("chaos.depth", 0, "pipeline depth for TestReplaySeed (0 = default)")
+	flagUpdate = flag.Bool("chaos.update", false, "rewrite testdata/"+goldenFile+" from this run of TestChaosMatrix")
 )
+
+// goldenFile pins the sha256 of every matrix row's RunResult.Fingerprint:
+// a refactor that claims to change nothing observable must reproduce every
+// committed block, state digest, client commit order and commit count.
+const goldenFile = "matrix_fingerprints.golden"
+
+// readGolden parses the golden table: one "<scenario name> <sha256 hex>"
+// per line.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", goldenFile))
+	if err != nil {
+		t.Fatalf("golden fingerprints: %v (regenerate with -chaos.update)", err)
+	}
+	defer f.Close()
+	out := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, sum, ok := strings.Cut(strings.TrimSpace(sc.Text()), " ")
+		if ok {
+			out[name] = sum
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func fingerprintSum(res *RunResult) string {
+	sum := sha256.Sum256([]byte(res.Fingerprint()))
+	return hex.EncodeToString(sum[:])
+}
 
 // TestChaosMatrix runs the full scenario matrix: every fault class against
 // RingBFT plus the baseline subset, each seeded and fully deterministic.
@@ -25,6 +66,29 @@ func TestChaosMatrix(t *testing.T) {
 	matrix := Matrix()
 	if len(matrix) < 20 {
 		t.Fatalf("matrix has %d scenarios, want >= 20", len(matrix))
+	}
+	var golden map[string]string
+	if !*flagUpdate {
+		golden = readGolden(t)
+		if len(golden) != len(matrix) {
+			t.Fatalf("golden table has %d rows, matrix has %d (regenerate with -chaos.update)", len(golden), len(matrix))
+		}
+	}
+	sums := make(map[string]string, len(matrix))
+	if *flagUpdate {
+		t.Cleanup(func() {
+			if len(sums) != len(matrix) {
+				t.Errorf("-chaos.update: %d of %d rows ran; golden table left unchanged", len(sums), len(matrix))
+				return
+			}
+			var b strings.Builder
+			for _, sc := range matrix {
+				fmt.Fprintf(&b, "%s %s\n", sc.Name(), sums[sc.Name()])
+			}
+			if err := os.WriteFile(filepath.Join("testdata", goldenFile), []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 	for _, sc := range matrix {
 		sc := sc
@@ -46,6 +110,15 @@ func TestChaosMatrix(t *testing.T) {
 			}
 			if res.MetricsText == "" {
 				t.Fatal("instrumented run produced no metrics snapshot")
+			}
+			// Instrumentation is a pure side effect (TestSeedDeterminism), so
+			// this run's fingerprint is the bare one.
+			sum := fingerprintSum(res)
+			if *flagUpdate {
+				sums[sc.Name()] = sum
+			} else if want := golden[sc.Name()]; sum != want {
+				t.Fatalf("fingerprint of %s is %s, golden %s\nreproduce with: %s",
+					sc.Name(), sum, want, sc.ReproCmd())
 			}
 			t.Logf("committed=%d ticks=%d probeTicks=%d replicas=%d %s",
 				res.Committed, res.Ticks, res.ProbeTicks, len(res.States),

@@ -235,46 +235,45 @@ func (c *Cluster) tracer(id types.NodeID) *trace.Tracer {
 func (c *Cluster) spawn(id types.NodeID) {
 	send := c.sender(id)
 	clock := c.clock
-	switch {
-	case id.Kind == types.KindCommittee:
+	if id.Kind == types.KindCommittee {
 		c.nodes[id] = ahl.NewCommittee(ahl.CommitteeOptions{
 			Config: c.cfg, Self: id, Peers: c.committee,
-			Auth: c.auths[id], Send: ahl.Sender(send), Clock: clock,
+			Auth: c.auths[id], Send: send, Clock: clock,
 			ShardPeers: c.shardPeers,
 			Metrics:    c.reg, Tracer: c.tracer(id),
 		})
 		return
-	case c.sc.Protocol == harness.ProtoRingBFT:
-		m, rec, err := ringbft.OpenDurability(c.cfg, id, c.fs)
-		if err != nil {
-			panic(fmt.Sprintf("chaos: open durability for %v: %v", id, err))
-		}
+	}
+	m, rec, err := ringbft.OpenDurability(c.cfg, id, c.fs)
+	if err != nil {
+		panic(fmt.Sprintf("chaos: open durability for %v: %v", id, err))
+	}
+	switch c.sc.Protocol {
+	case harness.ProtoRingBFT:
 		r := ringbft.New(ringbft.Options{
 			Config: c.cfg, Shard: id.Shard, Self: id,
 			Peers: c.shardPeers[id.Shard], Auth: c.auths[id],
-			Send: ringbft.Sender(send), Clock: clock,
+			Send: send, Clock: clock,
 			Durability: m, Recovered: rec,
 			Metrics: c.reg, Tracer: c.tracer(id),
 		})
 		r.Preload(c.sc.Records)
 		c.nodes[id] = r
-	case c.sc.Protocol == harness.ProtoAHL:
-		m, rec := c.openDur(id)
+	case harness.ProtoAHL:
 		r := ahl.NewReplica(ahl.ReplicaOptions{
 			Config: c.cfg, Shard: id.Shard, Self: id,
 			Peers: c.shardPeers[id.Shard], Committee: c.committee,
-			Auth: c.auths[id], Send: ahl.Sender(send), Clock: clock,
+			Auth: c.auths[id], Send: send, Clock: clock,
 			Durability: m, Recovered: rec,
 			Metrics: c.reg, Tracer: c.tracer(id),
 		})
 		r.Preload(c.sc.Records)
 		c.nodes[id] = r
-	case c.sc.Protocol == harness.ProtoSharper:
-		m, rec := c.openDur(id)
+	case harness.ProtoSharper:
 		r := sharper.New(sharper.Options{
 			Config: c.cfg, Shard: id.Shard, Self: id,
 			Peers: c.shardPeers[id.Shard], Auth: c.auths[id],
-			Send: sharper.Sender(send), Clock: clock,
+			Send: send, Clock: clock,
 			Durability: m, Recovered: rec,
 			Metrics: c.reg, Tracer: c.tracer(id),
 		})
@@ -283,18 +282,6 @@ func (c *Cluster) spawn(id types.NodeID) {
 	default:
 		panic(fmt.Sprintf("chaos: unsupported protocol %q", c.sc.Protocol))
 	}
-}
-
-// openDur opens the per-replica durability manager (ahl/sharper use the same
-// s<shard>-r<index> directory convention ringbft.OpenDurability applies).
-func (c *Cluster) openDur(id types.NodeID) (*wal.Manager, *wal.Recovered) {
-	m, rec, err := wal.OpenManager(wal.ManagerOptions{
-		FS: c.fs, Dir: wal.Join(c.cfg.DataDir, fmt.Sprintf("s%d-r%d", id.Shard, id.Index)),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("chaos: open durability for %v: %v", id, err))
-	}
-	return m, rec
 }
 
 // sender returns node id's outbound hook: Byzantine interception, then

@@ -1,0 +1,199 @@
+package host
+
+import (
+	"ringbft/internal/ledger"
+	"ringbft/internal/pbft"
+	"ringbft/internal/store"
+	"ringbft/internal/trace"
+	"ringbft/internal/types"
+	"ringbft/internal/wal"
+)
+
+// Replica is a Kernel that holds a shard's data: its store partition, its
+// ledger and the cached results of executed batches. Every shard replica
+// embeds one; AHL's reference committee, which holds no data, embeds a bare
+// Kernel and so exposes no ledger to capture.
+type Replica struct {
+	*Kernel
+	KV     *store.KV
+	Ledger *ledger.Chain
+	// Results caches the results of executed batches by digest, so
+	// retransmitted client requests are answered from the log (attack A1).
+	Results map[types.Digest][]types.Value
+
+	Rec *wal.Recovered // consumed by Load
+	// SnapEvery is the snapshot cadence in sequences: SnapshotInterval,
+	// defaulting to CheckpointInterval.
+	SnapEvery      types.SeqNum
+	StateTransfers int64
+}
+
+// NewReplica builds a kernel plus an empty store partition and ledger.
+func NewReplica(opts Options) Replica {
+	snapEvery := opts.Config.SnapshotInterval
+	if snapEvery <= 0 {
+		snapEvery = opts.Config.CheckpointInterval
+	}
+	return Replica{
+		Kernel:    New(opts),
+		KV:        store.NewKV(),
+		Ledger:    ledger.NewChain(opts.Shard),
+		Results:   make(map[types.Digest][]types.Value),
+		Rec:       opts.Recovered,
+		SnapEvery: snapEvery,
+	}
+}
+
+// Load installs records of this shard's partition (see store.KV.Preload),
+// then — for a durable replica — hands the state recovered from disk to
+// apply. Call before the first message is handled.
+func (r *Replica) Load(records int, apply func(*wal.Recovered)) {
+	r.KV.Preload(r.Shard, r.Cfg.Shards, records)
+	if r.Dur != nil && r.Rec != nil && !r.Rec.Empty() {
+		apply(r.Rec)
+	}
+	r.Rec = nil
+}
+
+// Chain returns the replica's ledger.
+func (r *Replica) Chain() *ledger.Chain { return r.Ledger }
+
+// Store returns the replica's key-value partition.
+func (r *Replica) Store() *store.KV { return r.KV }
+
+// StateTransferCount returns the number of peer state transfers installed.
+// Call only from the host goroutine or after Run returns.
+func (r *Replica) StateTransferCount() int64 { return r.StateTransfers }
+
+// ExecutedResults returns a deterministic hash of the cached execution
+// results per executed batch digest — the cross-replica agreement surface
+// the chaos checkers compare ("executed-result caches agree on batches both
+// replicas executed"). Call only after Run returns.
+func (r *Replica) ExecutedResults() map[types.Digest]uint64 {
+	out := make(map[types.Digest]uint64, len(r.Results))
+	for d, vals := range r.Results {
+		out[d] = types.HashValues(vals)
+	}
+	return out
+}
+
+// Sequential is a Replica that executes committed batches strictly in local
+// sequence order, the AHL and Sharper discipline: a cross-shard entry blocks
+// the shard until the protocol's Ready gate opens for it, which is exactly
+// where those baselines' cross-shard round trips bite.
+type Sequential struct {
+	Replica
+	Tracker *pbft.CheckpointTracker
+	// ExecNext is the executed-prefix watermark; Entries holds committed
+	// batches above it by sequence.
+	ExecNext types.SeqNum
+	Entries  map[types.SeqNum]*types.Batch
+	LastSnap types.SeqNum
+	ready    func(b *types.Batch) bool
+}
+
+// NewSequential builds a sequentially executing replica. ready reports
+// whether a committed cross-shard batch may execute yet.
+func NewSequential(opts Options, ready func(b *types.Batch) bool) *Sequential {
+	return &Sequential{
+		Replica: NewReplica(opts),
+		Tracker: pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
+		Entries: make(map[types.SeqNum]*types.Batch),
+		ready:   ready,
+	}
+}
+
+// ExecutedThrough returns the executed-prefix watermark. Call only after
+// Run returns.
+func (s *Sequential) ExecutedThrough() types.SeqNum { return s.ExecNext }
+
+// Preload installs records of this shard's partition, then applies any
+// state recovered from disk. Call before the first message is handled.
+func (s *Sequential) Preload(records int) { s.Load(records, s.applyRecovered) }
+
+// applyRecovered restores the store, ledger and execution watermark from a
+// snapshot plus the WAL tail (wal.ApplySequential).
+func (s *Sequential) applyRecovered(rec *wal.Recovered) {
+	st := rec.ApplySequential(s.KV, s.Ledger, s.Shard, s.Cfg.Shards, func(d types.Digest, res []types.Value) {
+		s.Results[d] = res
+		s.Proposed[d] = struct{}{}
+	})
+	s.Ledger = st.Chain
+	s.ExecNext = st.ExecNext
+	s.LastSnap = st.LastSnap
+	if st.View > 0 {
+		s.PBFT.ForceView(st.View)
+	}
+	s.PBFT.ResumeAt(s.ExecNext, s.ExecNext+1)
+}
+
+// Commit is the shared half of the engine's Committed callback: settle the
+// book, queue the batch for execution and fold it into the checkpoint
+// tracker. The caller runs its protocol's cross-shard step, then DrainExec.
+func (s *Sequential) Commit(seq types.SeqNum, b *types.Batch) {
+	s.Settle(b)
+	s.Entries[seq] = b
+	s.Tracker.Committed(s.PBFT, seq, b)
+}
+
+// DrainExec executes committed entries strictly in local sequence order,
+// stalling at a cross-shard entry the Ready gate still holds. The initiator
+// shard answers the client.
+func (s *Sequential) DrainExec() {
+	for {
+		b, ok := s.Entries[s.ExecNext+1]
+		if !ok {
+			return
+		}
+		if len(b.Txns) > 0 && b.IsCrossShard() && !s.ready(b) {
+			return
+		}
+		delete(s.Entries, s.ExecNext+1)
+		s.ExecNext++
+		seq := s.ExecNext
+		if len(b.Txns) == 0 {
+			s.LogExecuted(seq, s.PBFT.Primary(s.PBFT.View()), b, nil)
+			continue
+		}
+		d := b.Digest()
+		results := s.Execute(b)
+		s.Results[d] = results
+		s.Obs.executed(len(b.Txns))
+		s.Obs.observe(s.Clock(), s.Shard, uint64(seq), trace.PhaseExecute)
+		primary := s.PBFT.Primary(s.PBFT.View())
+		s.Ledger.Append(seq, primary, b)
+		s.LogExecuted(seq, primary, b, results)
+		if b.Initiator() == s.Shard {
+			s.Respond(ClientOf(b), d, results)
+			s.Obs.observe(s.Clock(), s.Shard, uint64(seq), trace.PhaseReply)
+		}
+	}
+}
+
+// Execute applies b's local fragment with locally available reads (neither
+// baseline ships remote read values; Section 8.8).
+func (s *Sequential) Execute(b *types.Batch) []types.Value {
+	results := make([]types.Value, len(b.Txns))
+	for i := range b.Txns {
+		results[i] = s.KV.ExecuteTxnPartial(&b.Txns[i], s.Shard, s.Cfg.Shards)
+	}
+	return results
+}
+
+// LogExecuted durably records an executed block and cuts a snapshot every
+// SnapEvery executed sequences, pruning the in-memory chain and
+// garbage-collecting the WAL segments the snapshot covers.
+func (s *Sequential) LogExecuted(seq types.SeqNum, primary types.NodeID, b *types.Batch, results []types.Value) {
+	if s.Dur == nil {
+		return
+	}
+	s.DurOK(s.Dur.LogBlock(seq, primary, b, results))
+	if s.SnapEvery > 0 && seq >= s.LastSnap+s.SnapEvery {
+		s.Ledger.Prune(seq)
+		snap := wal.SequentialSnapshot(s.Shard, seq, s.PBFT.View(), s.KV, s.Ledger,
+			func(d types.Digest) []types.Value { return s.Results[d] })
+		if s.DurOK(s.Dur.SaveSnapshot(snap)) {
+			s.LastSnap = seq
+		}
+	}
+}

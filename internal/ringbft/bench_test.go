@@ -21,7 +21,7 @@ func BenchmarkForwardCopy(b *testing.B) {
 	r := c.replicas[types.ReplicaNode(1, 0)]
 	lane, relayed := held[types.ReplicaNode(0, 0)], held[types.ReplicaNode(0, 1)]
 	b.Run("first", func(b *testing.B) {
-		r.verifier.SetMemoSize(0)
+		r.Verifier.SetMemoSize(0)
 		b.ReportAllocs()
 		for b.Loop() {
 			delete(r.csts, d)

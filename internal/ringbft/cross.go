@@ -6,6 +6,7 @@ import (
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
+	"ringbft/internal/host"
 	"ringbft/internal/pbft"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -58,9 +59,9 @@ func (cs *cstState) mergeCarried(sets []types.WriteSet) {
 func (r *Replica) ringTags(next types.ShardID, m *types.Message) []byte {
 	var sb [types.SigBytesLen]byte
 	msg := m.AppendSigBytes(sb[:0])
-	vec := make([]byte, 0, r.cfg.ReplicasPerShard*crypto.MACSize)
-	for i := 0; i < r.cfg.ReplicasPerShard; i++ {
-		vec = append(vec, r.auth.MAC(types.ReplicaNode(next, i), msg)...)
+	vec := make([]byte, 0, r.Cfg.ReplicasPerShard*crypto.MACSize)
+	for i := 0; i < r.Cfg.ReplicasPerShard; i++ {
+		vec = append(vec, r.Auth.MAC(types.ReplicaNode(next, i), msg)...)
 	}
 	return vec
 }
@@ -73,11 +74,11 @@ func (r *Replica) ringTags(next types.ShardID, m *types.Message) []byte {
 // length yields a nil tag, which a key ring rejects and NopAuth accepts.
 func (r *Replica) verifyRingTag(m *types.Message) error {
 	var tag []byte
-	if len(m.MAC) == r.cfg.ReplicasPerShard*crypto.MACSize {
-		tag = m.MAC[r.self.Index*crypto.MACSize : (r.self.Index+1)*crypto.MACSize]
+	if len(m.MAC) == r.Cfg.ReplicasPerShard*crypto.MACSize {
+		tag = m.MAC[r.Self.Index*crypto.MACSize : (r.Self.Index+1)*crypto.MACSize]
 	}
 	var sb [types.SigBytesLen]byte
-	return r.auth.VerifyMAC(m.From, m.AppendSigBytes(sb[:0]), tag)
+	return r.Auth.VerifyMAC(m.From, m.AppendSigBytes(sb[:0]), tag)
 }
 
 // sendForward implements Fig 5 line 19: after locking, replica r sends a
@@ -87,16 +88,16 @@ func (r *Replica) verifyRingTag(m *types.Message) error {
 // vector authenticates the copy for counting; the Ed25519 signature is
 // checked only if the Forward ever becomes conflicting-Forward evidence.
 func (r *Replica) sendForward(cs *cstState) {
-	next, _ := cs.batch.NextInRing(r.shard)
+	next, _ := cs.batch.NextInRing(r.Shard)
 	m := &types.Message{
-		Type: types.MsgForward, From: r.self, Shard: r.shard,
+		Type: types.MsgForward, From: r.Self, Shard: r.Shard,
 		Seq: cs.seq, Digest: cs.digest,
 		Batch: cs.batch, Cert: cs.cert, WriteSets: cs.carried,
 	}
-	m.Sig = crypto.SignMessage(r.auth, m)
+	m.Sig = crypto.SignMessage(r.Auth, m)
 	m.MAC = r.ringTags(next, m)
 	cs.forwardMsg = m
-	cs.forwardSentAt = r.clock()
+	cs.forwardSentAt = r.Clock()
 	r.observe(cs.seq, trace.PhaseForward)
 	r.sendRing(next, m)
 }
@@ -106,11 +107,11 @@ func (r *Replica) sendForward(cs *cstState) {
 // every replica of the next shard (all-to-all ablation).
 func (r *Replica) sendRing(next types.ShardID, m *types.Message) {
 	if !r.allToAll {
-		r.send(types.ReplicaNode(next, r.self.Index), m)
+		r.Send(types.ReplicaNode(next, r.Self.Index), m)
 		return
 	}
-	for i := 0; i < r.cfg.ReplicasPerShard; i++ {
-		r.send(types.ReplicaNode(next, i), m)
+	for i := 0; i < r.Cfg.ReplicasPerShard; i++ {
+		r.Send(types.ReplicaNode(next, i), m)
 	}
 }
 
@@ -128,10 +129,10 @@ func (r *Replica) onForward(m *types.Message) {
 		return
 	}
 	d := b.Digest()
-	if d != m.Digest || !b.Involves(r.shard) {
+	if d != m.Digest || !b.Involves(r.Shard) {
 		return
 	}
-	if m.From.Kind != types.KindReplica || m.From.Shard != b.PrevInRing(r.shard) || m.Shard != m.From.Shard {
+	if m.From.Kind != types.KindReplica || m.From.Shard != b.PrevInRing(r.Shard) || m.Shard != m.From.Shard {
 		return
 	}
 	if r.verifyRingTag(m) != nil {
@@ -150,7 +151,7 @@ func (r *Replica) onForward(m *types.Message) {
 		// self-certifying, independent of the f+1 copy count that gates
 		// acceptance below — so later copies' certificates are not looked
 		// at.
-		if err := pbft.VerifyCert(r.verifier, m.From.Shard, d, m.Cert, r.cfg.NF()); err != nil {
+		if err := pbft.VerifyCert(r.Verifier, m.From.Shard, d, m.Cert, r.Cfg.NF()); err != nil {
 			return
 		}
 		cs = r.cst(d)
@@ -170,12 +171,8 @@ func (r *Replica) onForward(m *types.Message) {
 		// only the lane owner re-relays, so there is no amplification).
 		// If we already executed, the lost message is our Execute —
 		// resend it down the ring.
-		if m.From.Index == r.self.Index {
-			for _, p := range r.peers {
-				if p != r.self {
-					r.send(p, m)
-				}
-			}
+		if m.From.Index == r.Self.Index {
+			r.Relay(m)
 		}
 		if cs.executed {
 			r.sendExecute(cs)
@@ -185,33 +182,29 @@ func (r *Replica) onForward(m *types.Message) {
 	cs.fwdFrom[m.From] = struct{}{}
 	cs.mergeCarried(m.WriteSets)
 	if cs.fwdFirst.IsZero() {
-		cs.fwdFirst = r.clock() // arm the remote timer (Fig 6)
+		cs.fwdFirst = r.Clock() // arm the remote timer (Fig 6)
 	}
-	if m.From.Index == r.self.Index && !cs.fwdRelayed {
+	if m.From.Index == r.Self.Index && !cs.fwdRelayed {
 		cs.fwdRelayed = true
-		for _, p := range r.peers {
-			if p != r.self {
-				r.send(p, m)
-			}
-		}
+		r.Relay(m)
 	}
-	if cs.fwdAccepted || len(cs.fwdFrom) <= r.cfg.F() {
+	if cs.fwdAccepted || len(cs.fwdFrom) <= r.Cfg.F() {
 		return
 	}
 	cs.fwdAccepted = true
 	if r.met != nil {
 		// Ring-hop latency: first same-lane copy to f+1 acceptance.
-		r.met.forwardQuorum.Observe(r.clock().Sub(cs.fwdFirst))
+		r.met.forwardQuorum.Observe(r.Clock().Sub(cs.fwdFirst))
 	}
-	cs.fwdFirst = r.clock() // re-anchor the remote timer for rotation 2
+	cs.fwdFirst = r.Clock() // re-anchor the remote timer for rotation 2
 	if cs.batch == nil {
 		cs.batch = b
 	}
 	// The Forward quorum is the justification evidence the PBFT engine
 	// gates cross-shard proposals on; re-feed any that arrived early.
-	r.engine.ReplayParked()
+	r.PBFT.ReplayParked()
 
-	if cs.locked && r.shard == b.Initiator() {
+	if cs.locked && r.Shard == b.Initiator() {
 		// Second rotation (Fig 5 line 32): we are the first shard in ring
 		// order, our locks are held, and the Forward has travelled the full
 		// ring — every involved shard holds its locks. Execute with the Σ
@@ -231,7 +224,7 @@ func (r *Replica) onForward(m *types.Message) {
 	// are already merged into Σ; replicate the batch locally (Fig 5 lines
 	// 38-39). If we are already locked, execution still waits for the
 	// Execute message carrying the full Σ.
-	r.enqueueProposal(b, d)
+	r.Enqueue(b, d)
 }
 
 // noteForward records conflicting-Forward evidence: the same previous-shard
@@ -269,9 +262,9 @@ func (r *Replica) noteForward(m *types.Message) {
 			r.fwdSeen.put(key, second)
 			return
 		}
-		r.ev.Add(evidence.Record{
+		r.Ev.Add(evidence.Record{
 			Kind: evidence.KindConflictingForward, Accused: m.From,
-			Shard: r.shard, Seq: m.Seq,
+			Shard: r.Shard, Seq: m.Seq,
 			First: prev, Second: second,
 			Transferable: true,
 		})
@@ -292,7 +285,7 @@ func forwardHalf(m *types.Message) evidence.Msg {
 func (r *Replica) validSig(h evidence.Msg) bool {
 	var sb [types.SigBytesLen]byte
 	msg := types.AppendSigBytes(sb[:0], h.Type, h.Shard, h.View, h.Seq, h.Digest, h.From)
-	return r.verifier.Verify(h.From, msg, h.Sig) == nil
+	return r.Verifier.Verify(h.From, msg, h.Sig) == nil
 }
 
 // fwdWindow remembers the first Forward half per (sender, sequence), at most
@@ -342,19 +335,19 @@ func (r *Replica) executeCst(cs *cstState) {
 	cs.results = r.executeBatch(cs.batch, remote)
 	cs.executed = true
 	r.observe(cs.seq, trace.PhaseExecute)
-	r.executed[cs.digest] = cs.results
-	primary := r.engine.Primary(r.engine.View())
-	r.chain.Append(cs.seq, primary, cs.batch)
+	r.Results[cs.digest] = cs.results
+	primary := r.PBFT.Primary(r.PBFT.View())
+	r.Ledger.Append(cs.seq, primary, cs.batch)
 	r.logBlock(cs.seq, primary, cs.batch, cs.results)
 	r.markExecuted(cs.seq)
 
 	// Push this shard's updated write fragment into Σ (Fig 5 line 34).
-	out := types.WriteSet{Shard: r.shard}
+	out := types.WriteSet{Shard: r.Shard}
 	for i := range cs.batch.Txns {
 		t := &cs.batch.Txns[i]
-		for _, k := range t.WritesAt(r.shard, r.cfg.Shards) {
+		for _, k := range t.WritesAt(r.Shard, r.Cfg.Shards) {
 			out.Keys = append(out.Keys, k)
-			out.Values = append(out.Values, r.kv.Get(k))
+			out.Values = append(out.Values, r.KV.Get(k))
 		}
 	}
 	cs.mergeCarried([]types.WriteSet{out})
@@ -370,9 +363,9 @@ func (r *Replica) executeCst(cs *cstState) {
 // a ring tag vector for the next shard. Nothing ever keeps an Execute as
 // proof, so it carries no signature.
 func (r *Replica) executeMessage(cs *cstState) *types.Message {
-	next, _ := cs.batch.NextInRing(r.shard)
+	next, _ := cs.batch.NextInRing(r.Shard)
 	m := &types.Message{
-		Type: types.MsgExecute, From: r.self, Shard: r.shard,
+		Type: types.MsgExecute, From: r.Self, Shard: r.Shard,
 		Seq: cs.seq, Digest: cs.digest, WriteSets: cs.carried,
 	}
 	m.MAC = r.ringTags(next, m)
@@ -382,7 +375,7 @@ func (r *Replica) executeMessage(cs *cstState) *types.Message {
 // sendExecute sends ⟨Execute(Δ, Σℑ)⟩ to the same-index replica of the next
 // involved shard (Fig 5 line 37).
 func (r *Replica) sendExecute(cs *cstState) {
-	next, _ := cs.batch.NextInRing(r.shard)
+	next, _ := cs.batch.NextInRing(r.Shard)
 	r.sendRing(next, r.executeMessage(cs))
 }
 
@@ -397,7 +390,7 @@ func (r *Replica) onExecute(m *types.Message) {
 		// local replication; it cannot execute and relies on checkpoints.
 		return
 	}
-	if m.From.Kind != types.KindReplica || m.From.Shard != cs.batch.PrevInRing(r.shard) {
+	if m.From.Kind != types.KindReplica || m.From.Shard != cs.batch.PrevInRing(r.Shard) {
 		return
 	}
 	if r.verifyRingTag(m) != nil {
@@ -407,37 +400,29 @@ func (r *Replica) onExecute(m *types.Message) {
 		// Mirror of the Forward dup path: a retransmitted Execute copy
 		// means someone in this shard is still short of the f+1 Execute
 		// quorum; re-share the lane copy.
-		if m.From.Index == r.self.Index {
-			for _, p := range r.peers {
-				if p != r.self {
-					r.send(p, m)
-				}
-			}
+		if m.From.Index == r.Self.Index {
+			r.Relay(m)
 		}
 		return
 	}
 	cs.execFrom[m.From] = struct{}{}
 	cs.mergeCarried(m.WriteSets)
-	if m.From.Index == r.self.Index && !cs.execRelayed {
+	if m.From.Index == r.Self.Index && !cs.execRelayed {
 		cs.execRelayed = true
-		for _, p := range r.peers {
-			if p != r.self {
-				r.send(p, m)
-			}
-		}
+		r.Relay(m)
 	}
-	if cs.execAccepted || len(cs.execFrom) <= r.cfg.F() {
+	if cs.execAccepted || len(cs.execFrom) <= r.Cfg.F() {
 		return
 	}
 	cs.execAccepted = true
 
 	if cs.executed {
-		if r.shard == cs.batch.Initiator() {
+		if r.Shard == cs.batch.Initiator() {
 			// Execution completed across all shards; answer the client
 			// (Section 4.3.7).
 			if !cs.replied {
 				cs.replied = true
-				r.respond(clientOf(cs.batch), cs.digest, cs.results)
+				r.Respond(host.ClientOf(cs.batch), cs.digest, cs.results)
 				r.observe(cs.seq, trace.PhaseReply)
 			}
 			return
@@ -457,18 +442,18 @@ func (r *Replica) onExecute(m *types.Message) {
 // primary. f+1 distinct complainants trigger a local view change.
 func (r *Replica) onRemoteView(m *types.Message) {
 	b := m.Batch
-	if b == nil || !b.Involves(r.shard) {
+	if b == nil || !b.Involves(r.Shard) {
 		return
 	}
 	d := b.Digest()
 	if d != m.Digest {
 		return
 	}
-	next, _ := b.NextInRing(r.shard)
+	next, _ := b.NextInRing(r.Shard)
 	if m.From.Kind != types.KindReplica || m.From.Shard != next {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.Auth, m) != nil {
 		return
 	}
 	cs := r.cst(d)
@@ -482,7 +467,7 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		// paced by the complainant's remote timer (found by internal/chaos,
 		// loss-storm schedules: two Execute-starved replicas also starve
 		// the checkpoint quorum, blocking state transfer).
-		r.send(m.From, r.executeMessage(cs))
+		r.Send(m.From, r.executeMessage(cs))
 	}
 	if cs.remoteComplaints == nil {
 		cs.remoteComplaints = make(map[types.NodeID]struct{})
@@ -491,15 +476,11 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		return
 	}
 	cs.remoteComplaints[m.From] = struct{}{}
-	if m.From.Index == r.self.Index && !cs.remoteRelayed {
+	if m.From.Index == r.Self.Index && !cs.remoteRelayed {
 		cs.remoteRelayed = true
-		for _, p := range r.peers {
-			if p != r.self {
-				r.send(p, m)
-			}
-		}
+		r.Relay(m)
 	}
-	if len(cs.remoteComplaints) <= r.cfg.F() || cs.remoteHandled {
+	if len(cs.remoteComplaints) <= r.Cfg.F() || cs.remoteHandled {
 		return
 	}
 	cs.remoteHandled = true
@@ -518,27 +499,23 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		// timer so this shard complains upstream in turn — until the
 		// previous shard's certificate arrives no primary here can justify
 		// proposing it, so upstream pressure is the only recovery path.
-		cs.fwdFirst = r.clock()
+		cs.fwdFirst = r.Clock()
 	}
-	if _, done := r.proposed[d]; !done {
-		if _, ok := r.awaitingProposal[d]; !ok {
-			r.awaitingProposal[d] = &pendingProposal{batch: b, since: r.clock()}
-		}
-	}
+	r.Await(b, d)
 	if cs.executed || cs.locked {
 		// We already replicated it; the complaint is about lost messages,
 		// not a faulty primary. Retransmit instead of view-changing: the
 		// Forward (first rotation) and, if we already executed, the Execute
 		// carrying Σ (second rotation).
 		if cs.forwardMsg != nil {
-			r.retransmits++
+			r.CountRetransmit()
 			if r.met != nil {
 				r.met.retransmits.Inc()
 			}
-			r.send(types.ReplicaNode(next, r.self.Index), cs.forwardMsg)
+			r.Send(types.ReplicaNode(next, r.Self.Index), cs.forwardMsg)
 		}
 		if cs.executed {
-			r.retransmits++
+			r.CountRetransmit()
 			if r.met != nil {
 				r.met.retransmits.Inc()
 			}
@@ -551,6 +528,6 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		// propose the batch: without the Forward quorum every view burns a
 		// timeout parking the same unjustifiable proposal, while the armed
 		// remote timer above already drives recovery upstream.
-		r.engine.StartViewChange(r.engine.View() + 1)
+		r.PBFT.StartViewChange(r.PBFT.View() + 1)
 	}
 }

@@ -86,7 +86,7 @@ func (r *Replica) maybeEmitCheckpoints() {
 		digest := compositeCpDigest(cp.prefix, state)
 		r.rememberCpMeta(cp.seq, cpMeta{prefix: cp.prefix, state: state})
 		r.canonCache = canonCache{seq: cp.seq, pairs: pairs}
-		r.engine.MakeCheckpoint(cp.seq, digest)
+		r.PBFT.MakeCheckpoint(cp.seq, digest)
 	}
 }
 
@@ -106,21 +106,21 @@ func (r *Replica) canonicalPairsCached(s types.SeqNum) []store.Pair {
 // the combined operand of every write of executed blocks with Seq > S
 // rewinds exactly those blocks. All such blocks are retained in the chain
 // (pruning only drops blocks below the stable watermark) with their results
-// cached in r.executed.
+// cached in r.Results.
 func (r *Replica) canonicalPairsAt(s types.SeqNum) []store.Pair {
-	pairs := r.kv.Pairs()
+	pairs := r.KV.Pairs()
 	var adj map[types.Key]types.Value
-	for _, b := range r.chain.Blocks()[1:] {
+	for _, b := range r.Ledger.Blocks()[1:] {
 		if b.Seq <= s || b.Batch == nil {
 			continue
 		}
-		res := r.executed[b.Digest]
+		res := r.Results[b.Digest]
 		for i := range b.Batch.Txns {
 			if i >= len(res) {
 				break
 			}
 			t := &b.Batch.Txns[i]
-			for _, k := range t.WritesAt(r.shard, r.cfg.Shards) {
+			for _, k := range t.WritesAt(r.Shard, r.Cfg.Shards) {
 				if adj == nil {
 					adj = make(map[types.Key]types.Value)
 				}
@@ -200,7 +200,7 @@ func (r *Replica) rememberStabilized(seq types.SeqNum, digest types.Digest) {
 // with a gap, a replica kept in the dark, or a wiped rejoiner).
 func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 	r.rememberStabilized(seq, digest)
-	if interval := r.cfg.CheckpointInterval; interval > 0 && seq >= r.kmax+interval {
+	if interval := r.Cfg.CheckpointInterval; interval > 0 && seq >= r.kmax+interval {
 		r.requestStateTransfer(seq)
 		r.evaluateTransfer()
 		return
@@ -220,18 +220,13 @@ func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 // executed-results cache below it, and garbage-collects the WAL segments
 // the snapshot covers.
 func (r *Replica) maybeSnapshot(seq types.SeqNum, digest types.Digest) {
-	if r.dur == nil || seq < r.lastSnapshot+r.snapEvery {
+	if r.Dur == nil || seq < r.lastSnapshot+r.SnapEvery {
 		return
 	}
 	r.pruneBelow(seq)
-	if err := r.dur.SaveSnapshot(r.buildSnapshot(seq, digest)); err != nil {
-		r.durErrors++
-		if r.met != nil {
-			r.met.durErrors.Inc()
-		}
-		return
+	if r.DurOK(r.Dur.SaveSnapshot(r.buildSnapshot(seq, digest))) {
+		r.lastSnapshot = seq
 	}
-	r.lastSnapshot = seq
 }
 
 // pruneBelow garbage-collects in-memory history below a stable checkpoint:
@@ -242,59 +237,49 @@ func (r *Replica) pruneBelow(seq types.SeqNum) {
 	// Stop at the first retained block >= seq, mirroring Chain.Prune's cut
 	// exactly — an out-of-order block behind the boundary stays in the
 	// chain and must keep its cached results.
-	for _, b := range r.chain.Blocks()[1:] {
+	for _, b := range r.Ledger.Blocks()[1:] {
 		if b.Seq >= seq {
 			break
 		}
-		delete(r.executed, b.Digest)
+		delete(r.Results, b.Digest)
 	}
-	r.chain.Prune(seq)
+	r.Ledger.Prune(seq)
 }
 
 // buildSnapshot captures the replica's current durable cut, anchored at
 // stable checkpoint (seq, digest).
 func (r *Replica) buildSnapshot(seq types.SeqNum, digest types.Digest) *wal.Snapshot {
 	snap := &wal.Snapshot{
-		Shard:            r.shard,
+		Shard:            r.Shard,
 		StableSeq:        seq,
 		CheckpointDigest: digest,
 		KMax:             r.kmax,
 		ExecSeq:          r.execSeq,
-		View:             r.engine.View(),
+		View:             r.PBFT.View(),
 		PrefixDigest:     r.prefixDigest,
 		LastCheckpoint:   r.lastCheckpoint,
-		Pairs:            r.kv.Pairs(),
+		Pairs:            r.KV.Pairs(),
 	}
-	snap.CaptureChain(r.chain, func(d types.Digest) []types.Value { return r.executed[d] })
+	snap.CaptureChain(r.Ledger, func(d types.Digest) []types.Value { return r.Results[d] })
 	return snap
 }
 
 // logProgress durably records a k_max advance (see wal.ProgressRecord).
 func (r *Replica) logProgress(batchDigest types.Digest) {
-	if r.dur == nil {
+	if r.Dur == nil {
 		return
 	}
-	if err := r.dur.LogProgress(r.kmax, r.prefixDigest, r.lastCheckpoint, batchDigest, r.engine.View()); err != nil {
-		r.durErrors++
-		if r.met != nil {
-			r.met.durErrors.Inc()
-		}
-	}
+	r.DurOK(r.Dur.LogProgress(r.kmax, r.prefixDigest, r.lastCheckpoint, batchDigest, r.PBFT.View()))
 }
 
 // logBlock durably records an executed block (empty batches — view-change
 // no-op fillers — are logged too, so recovery can advance the executed
 // watermark across them).
 func (r *Replica) logBlock(seq types.SeqNum, primary types.NodeID, batch *types.Batch, results []types.Value) {
-	if r.dur == nil {
+	if r.Dur == nil {
 		return
 	}
-	if err := r.dur.LogBlock(seq, primary, batch, results); err != nil {
-		r.durErrors++
-		if r.met != nil {
-			r.met.durErrors.Inc()
-		}
-	}
+	r.DurOK(r.Dur.LogBlock(seq, primary, batch, results))
 }
 
 // recoverExecuted repopulates the executed/proposed caches for one
@@ -304,16 +289,16 @@ func (r *Replica) logBlock(seq types.SeqNum, primary types.NodeID, batch *types.
 // waiting on, exactly as the live respondBatch path would have.
 func (r *Replica) recoverExecuted(b *types.Batch, results []types.Value) {
 	d := b.Digest()
-	r.executed[d] = results
-	r.proposed[d] = struct{}{}
+	r.Results[d] = results
+	r.Proposed[d] = struct{}{}
 	if len(b.Reqs) < 2 || len(results) < len(b.Txns) {
 		return
 	}
 	lo := 0
 	for _, sb := range b.SubBatches() {
 		sd := sb.Digest()
-		r.executed[sd] = results[lo : lo+len(sb.Txns)]
-		r.proposed[sd] = struct{}{}
+		r.Results[sd] = results[lo : lo+len(sb.Txns)]
+		r.Proposed[sd] = struct{}{}
 		lo += len(sb.Txns)
 	}
 }
@@ -325,8 +310,8 @@ func (r *Replica) applyRecovered(rec *wal.Recovered) {
 	var view types.View
 	if snap := rec.Snap; snap != nil {
 		view = snap.View
-		r.kv.Restore(snap.Pairs)
-		r.chain = snap.RebuildChain(func(sb *wal.SnapBlock) {
+		r.KV.Restore(snap.Pairs)
+		r.Ledger = snap.RebuildChain(func(sb *wal.SnapBlock) {
 			r.recoverExecuted(sb.Batch, sb.Results)
 			r.execDone[sb.Seq] = struct{}{}
 		})
@@ -344,7 +329,7 @@ func (r *Replica) applyRecovered(rec *wal.Recovered) {
 			r.kmax = t.Seq
 			r.prefixDigest = t.PrefixDigest
 			r.lastCheckpoint = t.LastCheckpoint
-			r.proposed[t.BatchDigest] = struct{}{}
+			r.Proposed[t.BatchDigest] = struct{}{}
 			if t.View > view {
 				view = t.View
 			}
@@ -357,10 +342,10 @@ func (r *Replica) applyRecovered(rec *wal.Recovered) {
 				if j >= len(t.Results) {
 					break
 				}
-				r.kv.ApplyTxnWrites(&t.Batch.Txns[j], r.shard, r.cfg.Shards, t.Results[j])
+				r.KV.ApplyTxnWrites(&t.Batch.Txns[j], r.Shard, r.Cfg.Shards, t.Results[j])
 			}
 			r.recoverExecuted(t.Batch, t.Results)
-			r.chain.Append(t.Seq, t.Primary, t.Batch)
+			r.Ledger.Append(t.Seq, t.Primary, t.Batch)
 			r.execDone[t.Seq] = struct{}{}
 		default:
 			// Evidence records live in the evidence log's own WAL, not the
@@ -388,8 +373,8 @@ func (r *Replica) applyRecovered(rec *wal.Recovered) {
 	// this, a replica restarted after a view change would stash every
 	// current-view message as "future" and never catch up.
 	if view > 0 {
-		r.engine.ForceView(view)
+		r.PBFT.ForceView(view)
 	}
-	r.engine.ResumeAt(stable, r.kmax+1)
+	r.PBFT.ResumeAt(stable, r.kmax+1)
 	r.recovered = true
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ringbft/internal/host"
 	"ringbft/internal/types"
 )
 
@@ -54,10 +55,10 @@ func TestPropertyConflictingWorkloadConverges(t *testing.T) {
 		// Inject all at once so consensus interleaves.
 		for _, b := range batches {
 			m := &types.Message{
-				Type: types.MsgClientRequest, From: clientOf(b),
+				Type: types.MsgClientRequest, From: host.ClientOf(b),
 				Batch: b, Digest: b.Digest(),
 			}
-			c.queue = append(c.queue, routed{clientOf(b), types.ReplicaNode(b.Initiator(), 0), m})
+			c.queue = append(c.queue, routed{host.ClientOf(b), types.ReplicaNode(b.Initiator(), 0), m})
 		}
 		c.pump()
 		// A conflicting batch may be parked behind a lock holder whose
@@ -169,7 +170,7 @@ func TestCheckpointsGarbageCollectDuringRingOperation(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	c.cfg.CheckpointInterval = 8
 	for _, r := range c.replicas {
-		r.cfg.CheckpointInterval = 8
+		r.Cfg.CheckpointInterval = 8
 	}
 	for i := uint64(1); i <= 40; i++ {
 		shards := []types.ShardID{types.ShardID(i % 2)}
@@ -267,7 +268,7 @@ func TestByzantineForwardRejected(t *testing.T) {
 		if r.Chain().Height() != 0 {
 			t.Fatalf("replica s1/r%d executed a forged Forward", i)
 		}
-		if _, proposed := r.proposed[d]; proposed {
+		if _, proposed := r.Proposed[d]; proposed {
 			t.Fatalf("replica s1/r%d proposed from a forged Forward", i)
 		}
 	}

@@ -20,16 +20,13 @@
 package ringbft
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
-	"ringbft/internal/ledger"
+	"ringbft/internal/host"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
 	"ringbft/internal/store"
@@ -39,26 +36,15 @@ import (
 )
 
 // Sender abstracts the network so replicas run over simnet or tcpnet.
-type Sender func(to types.NodeID, m *types.Message)
+type Sender = host.Sender
 
 // Replica is one RingBFT replica: a PBFT participant of its shard plus the
 // ring layer. Drive it with Run, or feed it directly with HandleMessage and
 // HandleTick from a deterministic test harness.
 type Replica struct {
-	cfg      types.Config
-	shard    types.ShardID
-	self     types.NodeID
-	peers    []types.NodeID
-	auth     crypto.Authenticator
-	verifier *crypto.Verifier
-	send     Sender
-	clock    func() time.Time
+	host.Replica
 	allToAll bool
-
-	engine *pbft.Engine
-	kv     *store.KV
-	locks  *store.LockTable
-	chain  *ledger.Chain
+	locks    *store.LockTable
 
 	// Lock-order state (Fig 5): lockQueue holds committed entries awaiting
 	// lock acquisition strictly in sequence order; kmax is the highest
@@ -69,11 +55,6 @@ type Replica struct {
 	// csts tracks every cross-shard transaction this replica has seen, by
 	// batch digest.
 	csts map[types.Digest]*cstState
-
-	// ev is the misbehavior evidence log: verifiable conflicting message
-	// pairs (equivocating pre-prepares, conflicting Forwards, unjustified
-	// NewView re-proposals, conflicting client requests). Always non-nil.
-	ev *evidence.Log
 
 	// clientSeen remembers the first batch digest observed per client
 	// transaction id: a client re-submitting the same payload is a legal
@@ -88,17 +69,6 @@ type Replica struct {
 	// sender with a transferable signature pair. Bounded by fwdSeenCap,
 	// oldest entry evicted first.
 	fwdSeen *fwdWindow
-
-	// executed caches results of executed batches so retransmitted client
-	// requests are answered from the log (attack A1).
-	executed map[types.Digest][]types.Value
-
-	// awaitingProposal maps digests the primary must propose (client
-	// requests and accepted Forwards). The watchdog view-changes if the
-	// primary sits on them; a new primary proposes them on promotion.
-	awaitingProposal map[types.Digest]*pendingProposal
-	proposed         map[types.Digest]struct{}
-	proposeQueue     []*types.Batch // FIFO; every proposal waits here for a window slot
 
 	// Pipelined consensus: backpressure polls the transport's outbound
 	// backlog, bpLimit is the clamp threshold (half the outbox depth), and
@@ -131,21 +101,10 @@ type Replica struct {
 	transfer   *transferState
 	canonCache canonCache
 
-	// Durability (nil = in-memory replica, the pre-WAL behaviour).
-	dur          *wal.Manager
-	rec          *wal.Recovered
-	records      int
-	snapEvery    types.SeqNum
+	// Durability: lastSnapshot is the newest snapshot's stable checkpoint,
+	// recovered whether Preload resumed from disk.
 	lastSnapshot types.SeqNum
 	recovered    bool
-
-	// lastVC is when the latest view installed; the awaiting-proposal
-	// watchdog demands a new view change at most once per LocalTimeout
-	// after it, so each view gets a full timeout to land the proposals
-	// (several staggered stuck proposals would otherwise escalate views
-	// faster than any view can commit — view-change livelock, found by
-	// internal/chaos loss-storm schedules).
-	lastVC time.Time
 
 	// Live observability (nil when not requested): met holds registry
 	// handles, tr the lifecycle tracer. Both are pure side effects.
@@ -153,25 +112,16 @@ type Replica struct {
 	tr  *trace.Tracer
 
 	// Metrics (read via Stats after the run).
-	executedTxns   int64
-	executedCross  int64
-	execErrors     int64
-	viewChanges    int64
-	retransmits    int64
-	remoteViews    int64
-	stateTransfers int64
-	durErrors      int64
+	executedTxns  int64
+	executedCross int64
+	execErrors    int64
+	remoteViews   int64
 }
 
 type logEntry struct {
 	seq   types.SeqNum
 	batch *types.Batch
 	cert  []types.Signed
-}
-
-type pendingProposal struct {
-	batch *types.Batch
-	since time.Time
 }
 
 // fwdKey identifies one sender's Forward claim for one sequence.
@@ -242,7 +192,6 @@ type Options struct {
 	Auth   crypto.Authenticator
 	Send   Sender
 	Clock  func() time.Time
-	Window types.SeqNum // pbft log window override (0 = default)
 	// AllToAllForward disables the linear communication primitive for
 	// ablation benchmarks: Forward/Execute go to every replica of the next
 	// shard instead of only the same-index one (quadratic cross-shard
@@ -292,119 +241,77 @@ func OpenDurability(cfg types.Config, self types.NodeID, fs wal.FS) (*wal.Manage
 
 // New creates a RingBFT replica with a preloaded store partition.
 func New(opts Options) *Replica {
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
-	verifier := crypto.NewVerifier(opts.Auth)
-	snapEvery := opts.Config.SnapshotInterval
-	if snapEvery <= 0 {
-		snapEvery = opts.Config.CheckpointInterval
-	}
-	ev := opts.Evidence
-	if ev == nil {
-		ev = evidence.NewMemory()
-	}
 	r := &Replica{
-		cfg:              opts.Config,
-		shard:            opts.Shard,
-		self:             opts.Self,
-		peers:            opts.Peers,
-		auth:             verifier, // opts.Auth, with signature checks memoized
-		verifier:         verifier,
-		send:             opts.Send,
-		clock:            opts.Clock,
-		kv:               store.NewKV(),
-		locks:            store.NewLockTable(),
-		chain:            ledger.NewChain(opts.Shard),
-		lockQueue:        make(map[types.SeqNum]*logEntry),
-		csts:             make(map[types.Digest]*cstState),
-		executed:         make(map[types.Digest][]types.Value),
-		awaitingProposal: make(map[types.Digest]*pendingProposal),
-		proposed:         make(map[types.Digest]struct{}),
-		allToAll:         opts.AllToAllForward,
-		execDone:         make(map[types.SeqNum]struct{}),
-		cpMeta:           make(map[types.SeqNum]cpMeta),
-		stabilized:       make(map[types.SeqNum]types.Digest),
-		dur:              opts.Durability,
-		rec:              opts.Recovered,
-		snapEvery:        snapEvery,
-		ev:               ev,
-		clientSeen:       make(map[types.TxnID]types.Digest),
-		fwdSeen:          newFwdWindow(fwdSeenCap),
-		backpressure:     opts.Backpressure,
+		locks:        store.NewLockTable(),
+		lockQueue:    make(map[types.SeqNum]*logEntry),
+		csts:         make(map[types.Digest]*cstState),
+		allToAll:     opts.AllToAllForward,
+		execDone:     make(map[types.SeqNum]struct{}),
+		cpMeta:       make(map[types.SeqNum]cpMeta),
+		stabilized:   make(map[types.SeqNum]types.Digest),
+		clientSeen:   make(map[types.TxnID]types.Digest),
+		fwdSeen:      newFwdWindow(fwdSeenCap),
+		backpressure: opts.Backpressure,
+		tr:           opts.Tracer,
 	}
 	bpDepth := opts.Config.OutboxDepth
 	if bpDepth <= 0 {
 		bpDepth = 4096 // the tcpnet default
 	}
 	r.bpLimit = bpDepth / 2
-	r.tr = opts.Tracer
+	var onPhase func(seq types.SeqNum, ph trace.Phase, at time.Time)
+	var onDurError func()
 	if opts.Metrics != nil {
 		r.met = newReplicaMetrics(opts.Metrics, opts.Shard, opts.Self)
-		if r.dur != nil {
-			r.dur.SetObserver(r.met.walObserver())
+		if opts.Durability != nil {
+			opts.Durability.SetObserver(r.met.walObserver())
 		}
+		onDurError = r.met.durErrors.Inc
 	}
-	var onPhase func(seq types.SeqNum, ph trace.Phase, at time.Time)
 	if r.tr != nil || r.met != nil {
 		onPhase = r.observePhase
 	}
-	r.engine = pbft.New(opts.Shard, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
-		Send:        func(to types.NodeID, m *types.Message) { r.send(to, m) },
-		Committed:   r.onCommitted,
-		ViewChanged: r.onViewChanged,
-		Stabilized:  r.onStabilized,
-		Justify:     func(b *types.Batch) bool { return r.justified(b) },
-		// NewView re-proposals must prove justification to replicas whose
-		// own Forward quorum never completed: the attached certificate is
-		// the previous shard's nf-signed commit cert, self-certifying under
-		// the same check onForward applies to inbound Forwards.
-		Justification: func(b *types.Batch) []types.Signed {
-			if b == nil || !b.IsCrossShard() || b.Initiator() == r.shard {
+	r.Replica = host.NewReplica(host.Options{
+		Config: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
+		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
+		Durability: opts.Durability, Recovered: opts.Recovered, Evidence: opts.Evidence,
+		OnPhase: onPhase, OnDurError: onDurError, Handler: r,
+		Callbacks: pbft.Callbacks{
+			Committed: r.onCommitted,
+			ViewChanged: func(types.View) {
+				if r.met != nil {
+					r.met.viewChanges.Inc()
+				}
+			},
+			Stabilized: r.onStabilized,
+			// NewView re-proposals must prove justification to replicas
+			// whose own Forward quorum never completed: the attached
+			// certificate is the previous shard's nf-signed commit cert,
+			// self-certifying under the same check onForward applies to
+			// inbound Forwards.
+			Justification: func(b *types.Batch) []types.Signed {
+				if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
+					return nil
+				}
+				if cs, ok := r.csts[b.Digest()]; ok {
+					return cs.fwdCert
+				}
 				return nil
-			}
-			if cs, ok := r.csts[b.Digest()]; ok {
-				return cs.fwdCert
-			}
-			return nil
+			},
+			VerifyJustification: func(b *types.Batch, just []types.Signed) bool {
+				if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard ||
+					!b.Involves(r.Shard) || len(just) == 0 {
+					return false
+				}
+				if r.met != nil {
+					r.met.certVerifies.Inc()
+				}
+				return pbft.VerifyCert(r.Verifier, b.PrevInRing(r.Shard), b.Digest(), just, r.Cfg.NF()) == nil
+			},
 		},
-		VerifyJustification: func(b *types.Batch, just []types.Signed) bool {
-			if b == nil || !b.IsCrossShard() || b.Initiator() == r.shard ||
-				!b.Involves(r.shard) || len(just) == 0 {
-				return false
-			}
-			if r.met != nil {
-				r.met.certVerifies.Inc()
-			}
-			return pbft.VerifyCert(r.verifier, b.PrevInRing(r.shard), b.Digest(), just, r.cfg.NF()) == nil
-		},
-		Equivocation: func(first, second *types.Message) {
-			// first is the accepted PrePrepare; the accusation targets its
-			// sender (the primary of that view). MAC-authenticated halves:
-			// recorder-verifiable, not transferable.
-			r.ev.Add(evidence.Record{
-				Kind: evidence.KindEquivocation, Accused: first.From,
-				Shard: r.shard, View: first.View, Seq: first.Seq,
-				First: evidence.MsgOf(first), Second: evidence.MsgOf(second),
-			})
-		},
-		UnjustifiedNewView: func(m *types.Message, p types.PreparedProof) {
-			// The NewView signature covers only the canonical tuple, not the
-			// re-proposal bodies, so this record transfers the signed claim
-			// that m.From led view m.View — the offending proof itself is
-			// recorder-attested only (see the evidence package doc).
-			r.ev.Add(evidence.Record{
-				Kind: evidence.KindUnjustifiedNewView, Accused: m.From,
-				Shard: r.shard, View: m.View, Seq: p.Seq,
-				First: evidence.MsgOf(m),
-				Second: evidence.Msg{
-					From: m.From, Type: types.MsgPrePrepare, Shard: r.shard,
-					View: p.View, Seq: p.Seq, Digest: p.Digest,
-				},
-				Transferable: true,
-			})
-		},
-	}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Window: opts.Window, Verifier: verifier, OnPhase: onPhase})
+		Justify: r.justified,
+		Next:    r.nextProposal,
+	})
 	return r
 }
 
@@ -413,7 +320,7 @@ func New(opts Options) *Replica {
 // funnel for ring-layer phases (forward, execute, reply, state transfer).
 func (r *Replica) observePhase(seq types.SeqNum, ph trace.Phase, at time.Time) {
 	if r.tr != nil {
-		r.tr.Record(at, int(r.shard), uint64(seq), ph)
+		r.tr.Record(at, int(r.Shard), uint64(seq), ph)
 	}
 	r.met.phase(ph)
 }
@@ -424,21 +331,14 @@ func (r *Replica) observe(seq types.SeqNum, ph trace.Phase) {
 	if r.tr == nil && r.met == nil {
 		return
 	}
-	r.observePhase(seq, ph, r.clock())
+	r.observePhase(seq, ph, r.Clock())
 }
 
 // Preload installs n records of this shard's partition (see
 // store.KV.Preload), then — for a durable replica — applies the state
 // recovered from disk on top: the latest snapshot's table and ledger, plus
 // the WAL tail replay. Call before the first message is handled.
-func (r *Replica) Preload(records int) {
-	r.records = records
-	r.kv.Preload(r.shard, r.cfg.Shards, records)
-	if r.dur != nil && r.rec != nil && !r.rec.Empty() {
-		r.applyRecovered(r.rec)
-	}
-	r.rec = nil
-}
+func (r *Replica) Preload(records int) { r.Load(records, r.applyRecovered) }
 
 // Recovered reports whether this replica resumed from durable state.
 func (r *Replica) Recovered() bool { return r.recovered }
@@ -448,36 +348,6 @@ func (r *Replica) Recovered() bool { return r.recovered }
 // out of order and sit in the retained chain). The chaos checkers use it to
 // reconstruct the exact executed set. Call only after Run returns.
 func (r *Replica) ExecutedThrough() types.SeqNum { return r.execSeq }
-
-// ExecutedResults returns a deterministic hash of the cached execution
-// results per executed batch digest — the cross-replica agreement surface
-// the chaos checkers compare ("executed-result caches agree on batches both
-// replicas executed"). Call only after Run returns.
-func (r *Replica) ExecutedResults() map[types.Digest]uint64 {
-	out := make(map[types.Digest]uint64, len(r.executed))
-	for d, vals := range r.executed {
-		out[d] = types.HashValues(vals)
-	}
-	return out
-}
-
-// Store returns the replica's key-value partition (for inspection).
-func (r *Replica) Store() *store.KV { return r.kv }
-
-// Chain returns the replica's ledger.
-func (r *Replica) Chain() *ledger.Chain { return r.chain }
-
-// Engine exposes the intra-shard PBFT engine (for tests and fault drivers).
-func (r *Replica) Engine() *pbft.Engine { return r.engine }
-
-// Evidence returns the replica's misbehavior evidence log.
-func (r *Replica) Evidence() *evidence.Log { return r.ev }
-
-// Shard returns the replica's shard.
-func (r *Replica) Shard() types.ShardID { return r.shard }
-
-// ID returns the replica's node id.
-func (r *Replica) ID() types.NodeID { return r.self }
 
 // Stats is a snapshot of replica counters.
 type Stats struct {
@@ -513,41 +383,16 @@ func (r *Replica) Stats() Stats {
 		ExecutedTxns:   r.executedTxns,
 		ExecutedCross:  r.executedCross,
 		ExecErrors:     r.execErrors,
-		ViewChanges:    r.viewChanges,
-		Retransmits:    r.retransmits,
+		ViewChanges:    r.ViewChanges,
+		Retransmits:    r.Retransmits,
 		RemoteViews:    r.remoteViews,
-		StateTransfers: r.stateTransfers,
-		DurErrors:      r.durErrors,
+		StateTransfers: r.StateTransfers,
+		DurErrors:      r.DurErrors,
 		CoalescedReqs:  r.mergedReqs,
 		LockedKeys:     r.locks.Count(),
-		LedgerHeight:   r.chain.Height(),
+		LedgerHeight:   r.Ledger.Height(),
 		KMax:           r.kmax,
 		ExecSeq:        r.execSeq,
-	}
-}
-
-// Run drives the replica's event loop until ctx is cancelled: inbox
-// messages, plus a periodic tick for the three timers (local, remote,
-// transmit; Section 5).
-func (r *Replica) Run(ctx context.Context, inbox <-chan *types.Message) {
-	tickEvery := r.cfg.LocalTimeout / 4
-	if tickEvery <= 0 {
-		tickEvery = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case m, ok := <-inbox:
-			if !ok {
-				return
-			}
-			r.HandleMessage(m)
-		case <-ticker.C:
-			r.HandleTick(r.clock())
-		}
 	}
 }
 
@@ -562,8 +407,8 @@ func (r *Replica) HandleMessage(m *types.Message) {
 		r.onClientRequest(m)
 	case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit,
 		types.MsgCheckpoint, types.MsgViewChange, types.MsgNewView:
-		r.engine.OnMessage(m)
-		r.tryProposeQueued()
+		r.PBFT.OnMessage(m)
+		r.Drain()
 	case types.MsgForward:
 		r.onForward(m)
 	case types.MsgExecute:
@@ -594,19 +439,19 @@ func (r *Replica) onClientRequest(m *types.Message) {
 		return // malformed: digest does not match content
 	}
 	r.noteClientConflicts(m.Batch, d)
-	if res, ok := r.executed[d]; ok {
-		r.respond(clientOf(m.Batch), d, res)
+	if res, ok := r.Results[d]; ok {
+		r.Respond(host.ClientOf(m.Batch), d, res)
 		return
 	}
-	if !m.Batch.Involves(r.shard) || m.Batch.Initiator() != r.shard {
+	if !m.Batch.Involves(r.Shard) || m.Batch.Initiator() != r.Shard {
 		// Route to the primary of the first shard in ring order.
 		init := m.Batch.Initiator()
 		fwd := *m
-		fwd.From = r.self
-		r.send(types.ReplicaNode(init, 0), &fwd)
+		fwd.From = r.Self
+		r.Send(types.ReplicaNode(init, 0), &fwd)
 		return
 	}
-	r.enqueueProposal(m.Batch, d)
+	r.Enqueue(m.Batch, d)
 }
 
 // noteClientConflicts records client-equivocation evidence: two different
@@ -632,28 +477,13 @@ func (r *Replica) noteClientConflicts(b *types.Batch, d types.Digest) {
 			continue
 		}
 		client := types.ClientNode(id.Client)
-		r.ev.Add(evidence.Record{
+		r.Ev.Add(evidence.Record{
 			Kind: evidence.KindConflictingClient, Accused: client,
-			Shard: r.shard, Seq: types.SeqNum(id.Seq),
-			First:  evidence.Msg{From: client, Type: types.MsgClientRequest, Shard: r.shard, Digest: prev},
-			Second: evidence.Msg{From: client, Type: types.MsgClientRequest, Shard: r.shard, Digest: d},
+			Shard: r.Shard, Seq: types.SeqNum(id.Seq),
+			First:  evidence.Msg{From: client, Type: types.MsgClientRequest, Shard: r.Shard, Digest: prev},
+			Second: evidence.Msg{From: client, Type: types.MsgClientRequest, Shard: r.Shard, Digest: d},
 		})
 		return // one record per conflicting batch pair is plenty
-	}
-}
-
-// enqueueProposal registers a batch the current primary must order. The
-// primary proposes immediately (window permitting); backups arm the local
-// timer so a primary that sits on the request is replaced (attack A1/A2).
-func (r *Replica) enqueueProposal(b *types.Batch, d types.Digest) {
-	if _, done := r.proposed[d]; done {
-		return
-	}
-	if _, ok := r.awaitingProposal[d]; !ok {
-		r.awaitingProposal[d] = &pendingProposal{batch: b, since: r.clock()}
-	}
-	if r.engine.IsPrimary() && !r.engine.InViewChange() {
-		r.propose(b, d)
 	}
 }
 
@@ -666,44 +496,21 @@ func (r *Replica) enqueueProposal(b *types.Batch, d types.Digest) {
 // it, so its ring rotation never completes and every conflicting
 // transaction queues behind it forever. Every proposal path shares this
 // gate: the engine's Justify callback (parking inbound PrePrepares until
-// onForward's ReplayParked), propose/tryProposeQueued (so the primary never
-// burns the proposed flag on a batch it cannot justify yet), the
-// awaiting-proposal watchdog (HandleTick), and NewView adoption (which
-// additionally accepts a carried certificate; see pbft justifiedProof).
+// onForward's ReplayParked) and every other proposal path in the host
+// kernel (see host.Kernel.Justified).
 func (r *Replica) justified(b *types.Batch) bool {
-	if b == nil || !b.IsCrossShard() || b.Initiator() == r.shard {
+	if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
 		return true
 	}
 	cs, ok := r.csts[b.Digest()]
 	return ok && cs.fwdAccepted
 }
 
-func (r *Replica) propose(b *types.Batch, d types.Digest) {
-	if _, done := r.proposed[d]; done {
-		return
-	}
-	if !r.justified(b) {
-		// Do not burn the proposed flag: the batch stays in
-		// awaitingProposal and re-enters through onForward's
-		// enqueueProposal once the Forward quorum lands. Proposing it now
-		// would only park on every backup; worse, cycling primaries would
-		// each mark it proposed and the eventual certificate arrival would
-		// find nobody left willing to propose (middle-shard wedge, rings of
-		// three or more shards, found by internal/chaos).
-		return
-	}
-	// Every proposal goes through the FIFO queue so fresh arrivals cannot
-	// jump requests already waiting for a slot, and the drain applies the
-	// depth bound and the adaptive batcher uniformly.
-	r.proposeQueue = append(r.proposeQueue, b)
-	r.tryProposeQueued()
-}
-
 // pipelineSlots returns how many additional proposals the primary may put
 // in flight right now under cfg.PipelineDepth, after subtracting the
 // engine's current in-flight count and applying the backpressure clamp.
 func (r *Replica) pipelineSlots() int {
-	depth := r.cfg.PipelineDepth
+	depth := r.Cfg.PipelineDepth
 	if depth > 1 && r.backpressure != nil && r.backpressure() > r.bpLimit {
 		// The transport is already queuing: stop widening the window and
 		// let the in-flight tail drain. One slot keeps liveness (the
@@ -713,48 +520,17 @@ func (r *Replica) pipelineSlots() int {
 			r.met.pipelineClamped.Inc()
 		}
 	}
-	return depth - r.engine.InFlight()
+	return depth - r.PBFT.InFlight()
 }
 
-func (r *Replica) tryProposeQueued() {
-	if !r.engine.IsPrimary() || r.engine.InViewChange() {
-		return
+// nextProposal is the primary's drain hook (host.Options.Next): the queue
+// head, merged by the adaptive batcher, once the window — clamped under
+// transport backpressure — has a slot and the head is not held for fill.
+func (r *Replica) nextProposal() *types.Batch {
+	if r.pipelineSlots() <= 0 || r.holdForFill(r.Queue[0]) {
+		return nil
 	}
-	for len(r.proposeQueue) > 0 {
-		b := r.proposeQueue[0]
-		d := b.Digest()
-		if _, done := r.proposed[d]; done {
-			r.proposeQueue = r.proposeQueue[1:]
-			continue
-		}
-		if !r.justified(b) {
-			// Unreachable today (propose gates before queueing and
-			// justification latches), but the gate stays uniform across
-			// proposal paths: drop from the retry queue, keep in
-			// awaitingProposal for onForward to revive.
-			r.proposeQueue = r.proposeQueue[1:]
-			continue
-		}
-		if r.pipelineSlots() <= 0 {
-			return // window full: wait for a commit to free a slot
-		}
-		if r.holdForFill(b) {
-			return // deep slot, partial batch: wait for fill or drain
-		}
-		b = r.coalesceHead()
-		d = b.Digest()
-		if _, err := r.engine.Propose(b); err != nil {
-			return // still blocked
-		}
-		r.proposed[d] = struct{}{}
-		for _, sb := range b.SubBatches() {
-			// Latch the original request digests too, so a client
-			// retransmission of a coalesced request cannot be proposed a
-			// second time (its transactions would execute twice).
-			r.proposed[sb.Digest()] = struct{}{}
-		}
-		r.proposeQueue = r.proposeQueue[1:]
-	}
+	return r.coalesceHead()
 }
 
 // holdForFill reports whether the primary should keep the queue's head
@@ -774,12 +550,12 @@ func (r *Replica) holdForFill(head *types.Batch) bool {
 	if head.IsCrossShard() {
 		return false // ring hops never wait: the whole ring is behind them
 	}
-	need := r.cfg.BatchSize * r.engine.InFlight() / r.cfg.PipelineDepth
+	need := r.Cfg.BatchSize * r.PBFT.InFlight() / r.Cfg.PipelineDepth
 	if need <= 0 {
 		return false // shallow window: propose immediately
 	}
 	queued := 0
-	for _, b := range r.proposeQueue {
+	for _, b := range r.Queue {
 		if b.IsCrossShard() || !sameInvolved(head.Involved, b.Involved) {
 			break // coalesceHead's merge run stops here too
 		}
@@ -803,22 +579,22 @@ func (r *Replica) holdForFill(head *types.Batch) bool {
 // The caller still holds the head at queue position 0; merged followers are
 // removed here.
 func (r *Replica) coalesceHead() *types.Batch {
-	head := r.proposeQueue[0]
+	head := r.Queue[0]
 	if head.IsCrossShard() || len(head.Reqs) > 0 ||
-		len(head.Txns) >= r.cfg.BatchSize || len(r.proposeQueue) < 2 {
+		len(head.Txns) >= r.Cfg.BatchSize || len(r.Queue) < 2 {
 		return head
 	}
 	txns := head.Txns
 	reqs := []uint32{uint32(len(head.Txns))}
-	rest := r.proposeQueue[1:]
+	rest := r.Queue[1:]
 	taken := 0
 	for _, nb := range rest {
 		if nb.IsCrossShard() || len(nb.Reqs) > 0 ||
 			!sameInvolved(head.Involved, nb.Involved) ||
-			len(txns)+len(nb.Txns) > r.cfg.BatchSize {
+			len(txns)+len(nb.Txns) > r.Cfg.BatchSize {
 			break
 		}
-		if _, done := r.proposed[nb.Digest()]; done {
+		if _, done := r.Proposed[nb.Digest()]; done {
 			break // keep FIFO semantics: the dedup shift handles it later
 		}
 		txns = append(txns[:len(txns):len(txns)], nb.Txns...)
@@ -830,7 +606,7 @@ func (r *Replica) coalesceHead() *types.Batch {
 	}
 	// Compact the queue: position 0 keeps the head (the caller shifts it),
 	// the merged followers disappear.
-	r.proposeQueue = append(r.proposeQueue[:1], rest[taken:]...)
+	r.Queue = append(r.Queue[:1], rest[taken:]...)
 	r.mergedReqs += int64(taken)
 	if r.met != nil {
 		r.met.coalescedReqs.Add(int64(taken))
@@ -855,20 +631,7 @@ func sameInvolved(a, b []types.ShardID) bool {
 // onCommitted is the engine's commit callback (may fire out of sequence
 // order): enqueue for in-order locking and drain (Fig 5 lines 14-28).
 func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, cert []types.Signed) {
-	d := batch.Digest()
-	delete(r.awaitingProposal, d)
-	r.proposed[d] = struct{}{}
-	if len(batch.Reqs) > 1 {
-		// A coalesced proposal commits every client request inside it:
-		// disarm the per-request watchdog entries (or every backup would
-		// keep demanding a view change for requests already decided) and
-		// latch their digests against re-proposal.
-		for _, sb := range batch.SubBatches() {
-			sd := sb.Digest()
-			delete(r.awaitingProposal, sd)
-			r.proposed[sd] = struct{}{}
-		}
-	}
+	r.Settle(batch)
 	r.lockQueue[seq] = &logEntry{seq: seq, batch: batch, cert: cert}
 	r.drainLockQueue()
 }
@@ -907,7 +670,7 @@ func (r *Replica) advancePrefix(b *types.Batch) {
 	copy(buf[32:64], d[:])
 	binary.BigEndian.PutUint64(buf[64:], uint64(r.kmax))
 	r.prefixDigest = sha256Sum(buf[:])
-	interval := r.cfg.CheckpointInterval
+	interval := r.Cfg.CheckpointInterval
 	if interval > 0 && r.kmax >= r.lastCheckpoint+interval {
 		r.lastCheckpoint = r.kmax
 		r.pendingCps = append(r.pendingCps, cpPoint{seq: r.kmax, prefix: r.prefixDigest})
@@ -923,7 +686,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	b := ent.batch
 	if len(b.Txns) == 0 { // no-op filler from a view change
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
-		r.logBlock(ent.seq, r.engine.Primary(r.engine.View()), b, nil)
+		r.logBlock(ent.seq, r.PBFT.Primary(r.PBFT.View()), b, nil)
 		r.markExecuted(ent.seq)
 		return
 	}
@@ -932,9 +695,9 @@ func (r *Replica) afterLocked(ent *logEntry) {
 		results := r.executeBatch(b, nil)
 		r.observe(ent.seq, trace.PhaseExecute)
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
-		r.executed[d] = results
-		primary := r.engine.Primary(r.engine.View())
-		r.chain.Append(ent.seq, primary, b)
+		r.Results[d] = results
+		primary := r.PBFT.Primary(r.PBFT.View())
+		r.Ledger.Append(ent.seq, primary, b)
 		r.logBlock(ent.seq, primary, b, results)
 		r.markExecuted(ent.seq)
 		r.respondBatch(b, d, results)
@@ -961,7 +724,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	// the onForward/onExecute execution triggers have already passed.
 	// Execute now — the merged Σ carries everything those copies brought
 	// (found by internal/chaos, loss-storm schedules).
-	if (cs.fwdAccepted && r.shard == b.Initiator()) || cs.execAccepted {
+	if (cs.fwdAccepted && r.Shard == b.Initiator()) || cs.execAccepted {
 		r.executeCst(cs)
 	}
 }
@@ -975,7 +738,7 @@ func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value)
 	results := make([]types.Value, len(b.Txns))
 	var errs int64
 	for i := range b.Txns {
-		v, err := r.kv.ExecuteTxn(&b.Txns[i], r.shard, r.cfg.Shards, remote)
+		v, err := r.KV.ExecuteTxn(&b.Txns[i], r.Shard, r.Cfg.Shards, remote)
 		if err != nil {
 			errs++
 			continue
@@ -999,9 +762,9 @@ func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value)
 
 // localReadSet snapshots this shard's read fragment of the batch.
 func (r *Replica) localReadSet(b *types.Batch) types.WriteSet {
-	ws := types.WriteSet{Shard: r.shard}
+	ws := types.WriteSet{Shard: r.Shard}
 	for i := range b.Txns {
-		ks, vs := r.kv.ReadLocal(&b.Txns[i], r.shard, r.cfg.Shards)
+		ks, vs := r.KV.ReadLocal(&b.Txns[i], r.Shard, r.Cfg.Shards)
 		ws.ReadKeys = append(ws.ReadKeys, ks...)
 		ws.ReadValues = append(ws.ReadValues, vs...)
 	}
@@ -1014,8 +777,8 @@ func (r *Replica) localKeys(b *types.Batch) []types.Key {
 	var keys []types.Key
 	for i := range b.Txns {
 		t := &b.Txns[i]
-		keys = append(keys, t.ReadsAt(r.shard, r.cfg.Shards)...)
-		keys = append(keys, t.WritesAt(r.shard, r.cfg.Shards)...)
+		keys = append(keys, t.ReadsAt(r.Shard, r.Cfg.Shards)...)
+		keys = append(keys, t.WritesAt(r.Shard, r.Cfg.Shards)...)
 	}
 	return keys
 }
@@ -1027,7 +790,7 @@ func (r *Replica) localKeys(b *types.Batch) []types.Key {
 // when it submitted (a client knows nothing about the primary's batching).
 func (r *Replica) respondBatch(b *types.Batch, d types.Digest, results []types.Value) {
 	if len(b.Reqs) < 2 {
-		r.respond(clientOf(b), d, results)
+		r.Respond(host.ClientOf(b), d, results)
 		return
 	}
 	lo := 0
@@ -1035,20 +798,9 @@ func (r *Replica) respondBatch(b *types.Batch, d types.Digest, results []types.V
 		sd := sb.Digest()
 		res := results[lo : lo+len(sb.Txns)]
 		lo += len(sb.Txns)
-		r.executed[sd] = res
-		r.respond(clientOf(&sb), sd, res)
+		r.Results[sd] = res
+		r.Respond(host.ClientOf(&sb), sd, res)
 	}
-}
-
-func (r *Replica) respond(client types.NodeID, d types.Digest, results []types.Value) {
-	// View rides along so clients can re-target the current primary after a
-	// view change (standard PBFT client behaviour).
-	m := &types.Message{
-		Type: types.MsgResponse, From: r.self, Shard: r.shard,
-		View: r.engine.View(), Digest: d, Results: results,
-	}
-	m.MAC = crypto.MACMessage(r.auth, client, m)
-	r.send(client, m)
 }
 
 func (r *Replica) cst(d types.Digest) *cstState {
@@ -1064,59 +816,8 @@ func (r *Replica) cst(d types.Digest) *cstState {
 	return cs
 }
 
-// onViewChanged: a newly promoted primary proposes everything still waiting
-// (client requests and accepted Forwards whose proposal the old primary
-// suppressed).
-func (r *Replica) onViewChanged(types.View) {
-	r.viewChanges++
-	if r.met != nil {
-		r.met.viewChanges.Inc()
-	}
-	r.lastVC = r.clock()
-	if !r.engine.IsPrimary() {
-		return
-	}
-	// Propose in sorted-digest order: sequence assignment must not depend
-	// on map iteration order, or identically seeded runs diverge.
-	for _, d := range sortedAwaiting(r.awaitingProposal) {
-		if _, done := r.proposed[d]; !done {
-			r.propose(r.awaitingProposal[d].batch, d)
-		}
-	}
-	r.tryProposeQueued()
-}
-
-// sortedAwaiting returns the awaiting-proposal digests in byte order.
-func sortedAwaiting(m map[types.Digest]*pendingProposal) []types.Digest {
-	out := make([]types.Digest, 0, len(m))
-	for d := range m {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
-	return out
-}
-
-// clientOf returns the client every replica answers for a batch: the issuer
-// recorded in the transactions themselves, so backups can respond without
-// having seen the original client message (the PrePrepare carries the batch).
-func clientOf(b *types.Batch) types.NodeID {
-	return types.ClientNode(b.Txns[0].ID.Client)
-}
-
 // lockOwner derives the lock-owner token from the batch digest.
 func lockOwner(b *types.Batch) uint64 {
 	d := b.Digest()
 	return binary.BigEndian.Uint64(d[:8])
 }
-
-// ViewChangeCount returns the number of view changes this replica installed.
-// Safe to call only after Run has returned (or from the replica goroutine).
-func (r *Replica) ViewChangeCount() int64 { return r.viewChanges }
-
-// RetransmitCount returns the number of Forward retransmissions performed.
-// Safe to call only after Run has returned (or from the replica goroutine).
-func (r *Replica) RetransmitCount() int64 { return r.retransmits }
-
-// StateTransferCount returns the number of peer state transfers installed.
-// Safe to call only after Run has returned (or from the replica goroutine).
-func (r *Replica) StateTransferCount() int64 { return r.stateTransfers }

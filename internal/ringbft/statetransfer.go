@@ -42,36 +42,21 @@ func (r *Replica) requestStateTransfer(target types.SeqNum) {
 		r.transfer = &transferState{pending: make(map[types.NodeID]*types.StatePayload)}
 	}
 	r.transfer.target = target
-	r.transfer.since = r.clock()
-	r.broadcastStateRequest()
-}
-
-func (r *Replica) broadcastStateRequest() {
-	m := &types.Message{
-		Type: types.MsgStateRequest, From: r.self, Shard: r.shard,
-		Seq: r.transfer.target,
-	}
-	for _, p := range r.peers {
-		if p == r.self {
-			continue
-		}
-		cp := *m
-		cp.MAC = crypto.MACMessage(r.auth, p, &cp)
-		r.send(p, &cp)
-	}
+	r.transfer.since = r.Clock()
+	r.RequestState(target)
 }
 
 // onStateRequest serves a peer's catch-up request from this replica's
 // latest stable checkpoint, provided local execution has covered it (the
 // canonical state at S is only computable once every block <= S executed).
 func (r *Replica) onStateRequest(m *types.Message) {
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.shard || m.From == r.self {
+	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
 		return
 	}
-	if crypto.VerifyMessageMAC(r.auth, m) != nil {
+	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
 		return
 	}
-	stable := r.engine.StableSeq()
+	stable := r.PBFT.StableSeq()
 	meta, ok := r.cpMeta[stable]
 	if !ok || stable < m.Seq || r.execSeq < stable {
 		return // nothing (yet) that would cover the requester's gap
@@ -83,12 +68,12 @@ func (r *Replica) onStateRequest(m *types.Message) {
 		Pairs:        r.canonicalPairsCached(stable),
 	}
 	resp := &types.Message{
-		Type: types.MsgStateSnapshot, From: r.self, Shard: r.shard,
+		Type: types.MsgStateSnapshot, From: r.Self, Shard: r.Shard,
 		Seq: stable, Digest: compositeCpDigest(meta.prefix, meta.state),
 		State: payload,
 	}
-	resp.MAC = crypto.MACMessage(r.auth, m.From, resp)
-	r.send(m.From, resp)
+	resp.MAC = crypto.MACMessage(r.Auth, m.From, resp)
+	r.Send(m.From, resp)
 }
 
 // onStateSnapshot buffers a peer's state payload and tries to install it.
@@ -96,10 +81,10 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	if r.transfer == nil || m.State == nil {
 		return
 	}
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.shard || m.From == r.self {
+	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
 		return
 	}
-	if crypto.VerifyMessageMAC(r.auth, m) != nil {
+	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
 		return
 	}
 	if m.State.Seq != m.Seq || m.State.Seq <= r.kmax {
@@ -146,7 +131,7 @@ func (r *Replica) evaluateTransfer() {
 // in-flight structure below it is dropped (those transactions completed
 // without us; the canonical state already includes their effects).
 func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
-	r.kv.Restore(p.Pairs)
+	r.KV.Restore(p.Pairs)
 
 	// The ledger restarts on a synthetic base block deterministically
 	// derived from the certified checkpoint. Hash-linking from a transfer
@@ -157,7 +142,7 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 	// below the boundary; the two differ only by view-change no-op
 	// fillers.)
 	base := &ledger.Block{Seq: p.Seq, Digest: certified, MerkleRoot: p.StateDigest}
-	r.chain = ledger.Rebuild(r.shard, base, int(p.Seq), nil)
+	r.Ledger = ledger.Rebuild(r.Shard, base, int(p.Seq), nil)
 
 	r.kmax = p.Seq
 	r.execSeq = p.Seq
@@ -173,22 +158,16 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 			delete(r.lockQueue, seq)
 		}
 	}
-	r.engine.ResumeAt(p.Seq, p.Seq+1)
-	r.stateTransfers++
+	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
+	r.StateTransfers++
 	if r.met != nil {
 		r.met.stateTransfers.Inc()
 	}
 	r.observe(p.Seq, trace.PhaseStateTransfer)
 	r.transfer = nil
 
-	if r.dur != nil {
-		snap := r.buildSnapshot(p.Seq, certified)
-		if err := r.dur.Reset(snap); err != nil {
-			r.durErrors++
-			if r.met != nil {
-				r.met.durErrors.Inc()
-			}
-		}
+	if r.Dur != nil {
+		r.DurOK(r.Dur.Reset(r.buildSnapshot(p.Seq, certified)))
 		r.lastSnapshot = p.Seq
 	}
 	// Sequences queued past the checkpoint can lock now.
@@ -201,8 +180,8 @@ func (r *Replica) retryTransfer(now time.Time) {
 	if r.transfer == nil {
 		return
 	}
-	if now.Sub(r.transfer.since) > r.cfg.RemoteTimeout {
+	if now.Sub(r.transfer.since) > r.Cfg.RemoteTimeout {
 		r.transfer.since = now
-		r.broadcastStateRequest()
+		r.RequestState(r.transfer.target)
 	}
 }

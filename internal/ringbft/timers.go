@@ -20,59 +20,21 @@ import (
 //     is unobserved within TransmitTimeout has its Forward retransmitted
 //     (no-communication attack C1, Section 5.1.1).
 func (r *Replica) HandleTick(now time.Time) {
-	r.engine.Tick(now)
-	r.tryProposeQueued()
-	if r.dur != nil {
-		// Group commit: the batched fsync of WAL appends since the last one.
-		if err := r.dur.MaybeSync(now); err != nil {
-			r.durErrors++
-			if r.met != nil {
-				r.met.durErrors.Inc()
-			}
-		}
-	}
+	r.Tick(now)
 	r.retryTransfer(now)
 	if r.met != nil {
 		// Occupancy gauges, sampled once per tick: cheap atomic stores, and
 		// a scrape between ticks sees a consistent recent view.
-		r.met.queueDepth.Set(int64(len(r.proposeQueue)))
-		r.met.inflight.Set(int64(r.engine.InFlight()))
-		r.met.awaiting.Set(int64(len(r.awaitingProposal)))
+		r.met.queueDepth.Set(int64(len(r.Queue)))
+		r.met.inflight.Set(int64(r.PBFT.InFlight()))
+		r.met.awaiting.Set(int64(len(r.Awaiting)))
 		r.met.lockKeys.Set(int64(r.locks.Count()))
-		r.met.evRecords.Set(int64(r.ev.Len()))
+		r.met.evRecords.Set(int64(r.Ev.Len()))
 	}
-
-	// Local timer, case 1: the primary is sitting on a request. Escalation
-	// is paced against the last view install too — every view gets a full
-	// LocalTimeout before the next demand, no matter how many stuck
-	// proposals are waiting. Every expired entry is re-armed in the same
-	// pass (stopping at the first would leave re-arming to map iteration
-	// order, making timer traffic nondeterministic across runs).
-	if !r.engine.InViewChange() && now.Sub(r.lastVC) > r.cfg.LocalTimeout {
-		expired := false
-		for _, p := range r.awaitingProposal {
-			if now.Sub(p.since) > r.cfg.LocalTimeout {
-				p.since = now // re-arm so escalation is paced
-				// An unjustified entry — a cross-shard batch whose Forward
-				// quorum is still in flight — re-arms without escalating:
-				// no primary of this shard can propose it yet, so a view
-				// change cannot help; the remote timer (below) complains
-				// upstream instead.
-				if r.justified(p.batch) {
-					expired = true
-				}
-			}
-		}
-		if expired && !r.engine.IsPrimary() {
-			r.engine.StartViewChange(r.engine.View() + 1)
-		}
-	}
-	// Local timer, case 2: a proposal is stuck mid-consensus.
-	if !r.engine.InViewChange() {
-		if oldest, ok := r.engine.OldestUncommitted(); ok && now.Sub(oldest) > r.cfg.LocalTimeout {
-			r.engine.StartViewChange(r.engine.View() + 1)
-		}
-	}
+	// Local timer (the kernel watchdog). An unjustified awaiting entry — a
+	// cross-shard batch whose Forward quorum is still in flight — re-arms
+	// without escalating; the remote timer below complains upstream instead.
+	r.Watchdog(now)
 
 	// Canonical cst order: this pass emits RemoteView complaints and Forward
 	// retransmits, so traffic order must not follow map iteration order.
@@ -86,7 +48,7 @@ func (r *Replica) HandleTick(now time.Time) {
 		// Execute directly; see onRemoteView).
 		starving := (!cs.fwdAccepted && !cs.fwdFirst.IsZero()) ||
 			(cs.fwdAccepted && cs.locked && !cs.executed)
-		if starving && !cs.fwdFirst.IsZero() && now.Sub(cs.fwdFirst) > r.cfg.RemoteTimeout {
+		if starving && !cs.fwdFirst.IsZero() && now.Sub(cs.fwdFirst) > r.Cfg.RemoteTimeout {
 			cs.fwdFirst = now // re-arm
 			if cs.batch != nil {
 				r.sendRemoteView(cs)
@@ -95,14 +57,14 @@ func (r *Replica) HandleTick(now time.Time) {
 		// Transmit timer: retransmit the Forward until the ring shows
 		// progress (this replica executing proves the rotation completed).
 		if cs.locked && !cs.executed && cs.forwardMsg != nil &&
-			now.Sub(cs.forwardSentAt) > r.cfg.TransmitTimeout {
+			now.Sub(cs.forwardSentAt) > r.Cfg.TransmitTimeout {
 			cs.forwardSentAt = now
-			r.retransmits++
+			r.CountRetransmit()
 			if r.met != nil {
 				r.met.retransmits.Inc()
 			}
-			next, _ := cs.batch.NextInRing(r.shard)
-			r.send(types.ReplicaNode(next, r.self.Index), cs.forwardMsg)
+			next, _ := cs.batch.NextInRing(r.Shard)
+			r.Send(types.ReplicaNode(next, r.Self.Index), cs.forwardMsg)
 		}
 	}
 }
@@ -110,15 +72,15 @@ func (r *Replica) HandleTick(now time.Time) {
 // sendRemoteView complains to the same-index replica of the previous shard
 // that this replica is starved of Forward messages (Fig 6 lines 1-2).
 func (r *Replica) sendRemoteView(cs *cstState) {
-	prev := cs.batch.PrevInRing(r.shard)
+	prev := cs.batch.PrevInRing(r.Shard)
 	m := &types.Message{
-		Type: types.MsgRemoteView, From: r.self, Shard: r.shard,
+		Type: types.MsgRemoteView, From: r.Self, Shard: r.Shard,
 		Digest: cs.digest, Batch: cs.batch,
 	}
-	m.Sig = crypto.SignMessage(r.auth, m)
+	m.Sig = crypto.SignMessage(r.Auth, m)
 	r.remoteViews++
 	if r.met != nil {
 		r.met.remoteViews.Inc()
 	}
-	r.send(types.ReplicaNode(prev, r.self.Index), m)
+	r.Send(types.ReplicaNode(prev, r.Self.Index), m)
 }

@@ -17,7 +17,7 @@ func runVerifyWorkload(t *testing.T, memo bool) (map[types.NodeID][]types.Digest
 	c := newCluster(t, z, n)
 	if !memo {
 		for _, r := range c.replicas {
-			r.verifier.SetMemoSize(0)
+			r.Verifier.SetMemoSize(0)
 		}
 	}
 	var batches []*types.Batch
@@ -50,7 +50,7 @@ func runVerifyWorkload(t *testing.T, memo bool) (map[types.NodeID][]types.Digest
 			chains[id] = append(chains[id], blk.Digest)
 		}
 		stores[id] = r.Store().Digest()
-		hits += r.verifier.MemoHits()
+		hits += r.Verifier.MemoHits()
 	}
 	return chains, stores, hits
 }

@@ -44,7 +44,7 @@ func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 	if r.lastCert != nil && r.lastCert.seq >= seq {
 		return
 	}
-	if d, cert, ok := r.engine.CheckpointCert(seq); ok && d == digest {
+	if d, cert, ok := r.PBFT.CheckpointCert(seq); ok && d == digest {
 		r.lastCert = &checkpointCert{seq: seq, digest: d, cert: cert}
 	}
 }
@@ -62,44 +62,33 @@ func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 // Runs before HandleTick's in-view-change early return — the second wedge
 // is only reachable from inside a view change.
 func (r *Replica) maybeCatchup(now time.Time) {
-	behindStable := r.engine.StableSeq() > r.tracker.Next()
-	vcStuck := r.engine.InViewChange() && now.Sub(r.lastVC) > 3*r.cfg.LocalTimeout
+	behindStable := r.PBFT.StableSeq() > r.Tracker.Next()
+	vcStuck := r.PBFT.InViewChange() && now.Sub(r.LastVC) > 3*r.Cfg.LocalTimeout
 	if !behindStable && !vcStuck {
 		return
 	}
-	if now.Sub(r.lastXfer) <= r.cfg.LocalTimeout {
+	if now.Sub(r.lastXfer) <= r.Cfg.LocalTimeout {
 		return
 	}
 	r.lastXfer = now
-	m := &types.Message{
-		Type: types.MsgStateRequest, From: r.self, Shard: r.shard,
-		Seq: r.execNext, // the watermark a useful responder must exceed
-	}
-	for _, p := range r.peers {
-		if p == r.self {
-			continue
-		}
-		cp := *m
-		cp.MAC = crypto.MACMessage(r.auth, p, &cp)
-		r.send(p, &cp)
-	}
+	r.RequestState(r.ExecNext) // the watermark a useful responder must exceed
 }
 
 // onStateRequest serves a peer's catch-up request from this replica's most
 // recent certified checkpoint, provided local execution covers it and the
 // chain still retains every block the requester is missing.
 func (r *Replica) onStateRequest(m *types.Message) {
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.shard || m.From == r.self {
+	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
 		return
 	}
-	if crypto.VerifyMessageMAC(r.auth, m) != nil {
+	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
 		return
 	}
 	c := r.lastCert
-	if c == nil || c.seq <= m.Seq || r.execNext < c.seq {
+	if c == nil || c.seq <= m.Seq || r.ExecNext < c.seq {
 		return // nothing certified that would cover the requester's gap
 	}
-	blocks := r.chain.Blocks()
+	blocks := r.Ledger.Blocks()
 	if blocks[0].Seq > m.Seq {
 		return // pruned past the requester's watermark; cannot serve
 	}
@@ -110,28 +99,28 @@ func (r *Replica) onStateRequest(m *types.Message) {
 		}
 	}
 	resp := &types.Message{
-		Type: types.MsgStateSnapshot, From: r.self, Shard: r.shard,
+		Type: types.MsgStateSnapshot, From: r.Self, Shard: r.Shard,
 		Seq: c.seq, Digest: c.digest,
 		State: &types.StatePayload{
 			Seq: c.seq, PrefixDigest: c.digest, Cert: c.cert, Blocks: recs,
 		},
 	}
-	resp.MAC = crypto.MACMessage(r.auth, m.From, resp)
-	r.send(m.From, resp)
+	resp.MAC = crypto.MACMessage(r.Auth, m.From, resp)
+	r.Send(m.From, resp)
 }
 
 // onStateSnapshot validates a catch-up payload end to end — checkpoint
 // certificate, then fold — and installs it. The first valid payload wins;
 // later ones fall behind execNext and are ignored.
 func (r *Replica) onStateSnapshot(m *types.Message) {
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.shard || m.From == r.self {
+	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
 		return
 	}
-	if crypto.VerifyMessageMAC(r.auth, m) != nil {
+	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
 		return
 	}
 	p := m.State
-	if p == nil || p.Seq != m.Seq || p.Seq <= r.execNext || p.Seq < r.tracker.Next() {
+	if p == nil || p.Seq != m.Seq || p.Seq <= r.ExecNext || p.Seq < r.Tracker.Next() {
 		return
 	}
 
@@ -141,20 +130,20 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	valid := 0
 	for i := range p.Cert {
 		s := &p.Cert[i]
-		if s.Type != types.MsgCheckpoint || s.Shard != r.shard ||
+		if s.Type != types.MsgCheckpoint || s.Shard != r.Shard ||
 			s.Seq != p.Seq || s.Digest != p.PrefixDigest {
 			continue
 		}
-		if s.From.Kind != types.KindReplica || s.From.Shard != r.shard || seen[s.From] {
+		if s.From.Kind != types.KindReplica || s.From.Shard != r.Shard || seen[s.From] {
 			continue
 		}
-		if r.auth.Verify(s.From, s.SigBytes(), s.Sig) != nil {
+		if r.Auth.Verify(s.From, s.SigBytes(), s.Sig) != nil {
 			continue
 		}
 		seen[s.From] = true
 		valid++
 	}
-	if valid < r.cfg.NF() {
+	if valid < r.Cfg.NF() {
 		return
 	}
 
@@ -163,7 +152,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	// on the certified digest, with every shipped block consumed in strictly
 	// ascending sequence order.
 	noop := (&types.Batch{}).Digest()
-	next, prefix := r.tracker.Next(), r.tracker.Prefix()
+	next, prefix := r.Tracker.Next(), r.Tracker.Prefix()
 	bi := 0
 	for bi < len(p.Blocks) && p.Blocks[bi].Seq <= next {
 		if bi > 0 && p.Blocks[bi].Seq <= p.Blocks[bi-1].Seq {
@@ -172,9 +161,9 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		// Overlap with our own committed prefix: the fold below starts past
 		// these, so pin each one to the digest we committed ourselves.
 		br := &p.Blocks[bi]
-		ent, ok := r.entries[br.Seq]
-		if br.Seq > r.execNext && (!ok || br.Batch == nil ||
-			ent.batch.Digest() != br.Batch.Digest()) {
+		ent, ok := r.Entries[br.Seq]
+		if br.Seq > r.ExecNext && (!ok || br.Batch == nil ||
+			ent.Digest() != br.Batch.Digest()) {
 			return
 		}
 		bi++
@@ -202,42 +191,39 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	// transactions completed long ago through the healthy replicas.
 	for i := range p.Blocks {
 		br := &p.Blocks[i]
-		if br.Seq <= r.execNext {
+		if br.Seq <= r.ExecNext {
 			continue
 		}
 		b := br.Batch
 		d := b.Digest()
-		results := make([]types.Value, len(b.Txns))
-		for j := range b.Txns {
-			results[j] = r.kv.ExecuteTxnPartial(&b.Txns[j], r.shard, r.cfg.Shards)
-		}
-		r.executed[d] = results
-		r.proposed[d] = struct{}{}
-		delete(r.awaiting, d)
+		results := r.Execute(b)
+		r.Results[d] = results
+		r.Proposed[d] = struct{}{}
+		delete(r.Awaiting, d)
 		if gs, ok := r.global[d]; ok {
 			gs.committed = true // completed shard-wide; stop renudging it
 		}
-		r.chain.Append(br.Seq, br.Primary, b)
-		r.logExecuted(br.Seq, br.Primary, b, results)
-		r.execNext = br.Seq
+		r.Ledger.Append(br.Seq, br.Primary, b)
+		r.LogExecuted(br.Seq, br.Primary, b, results)
+		r.ExecNext = br.Seq
 	}
-	for s := range r.entries {
+	for s := range r.Entries {
 		if s <= p.Seq {
-			delete(r.entries, s)
+			delete(r.Entries, s)
 		}
 	}
-	r.execNext = p.Seq
-	r.tracker.Advance(p.Seq, p.PrefixDigest)
+	r.ExecNext = p.Seq
+	r.Tracker.Advance(p.Seq, p.PrefixDigest)
 	// Repositioning also clears a lone in-flight view change: the shard is
 	// provably past this checkpoint, so rejoining the current view is both
 	// safe and the only way this replica ever participates again.
-	r.engine.ResumeAt(p.Seq, p.Seq+1)
-	r.stateTransfers++
+	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
+	r.StateTransfers++
 	if r.lastCert == nil || p.Seq > r.lastCert.seq {
 		r.lastCert = &checkpointCert{
 			seq: p.Seq, digest: p.PrefixDigest,
 			cert: append([]types.Signed(nil), p.Cert...),
 		}
 	}
-	r.drainExec()
+	r.DrainExec()
 }

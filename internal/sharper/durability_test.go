@@ -68,15 +68,15 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 	if err := r2.Chain().Verify(); err != nil {
 		t.Fatalf("recovered chain does not verify: %v", err)
 	}
-	if r2.execNext != 10 {
-		t.Fatalf("recovered execNext = %d, want 10", r2.execNext)
+	if r2.ExecNext != 10 {
+		t.Fatalf("recovered execNext = %d, want 10", r2.ExecNext)
 	}
 	b := &types.Batch{
 		Txns:     []types.Txn{{ID: types.TxnID{Client: 99, Seq: 1}, Reads: []types.Key{1}, Writes: []types.Key{1}, Delta: 3}},
 		Involved: []types.ShardID{0},
 	}
 	r2.onCommitted(11, b, nil)
-	if r2.execNext != 11 {
-		t.Fatalf("post-recovery execution stalled: execNext = %d", r2.execNext)
+	if r2.ExecNext != 11 {
+		t.Fatalf("post-recovery execution stalled: execNext = %d", r2.ExecNext)
 	}
 }

@@ -17,24 +17,20 @@
 package sharper
 
 import (
-	"bytes"
-	"context"
-	"sort"
 	"time"
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
-	"ringbft/internal/ledger"
+	"ringbft/internal/host"
 	"ringbft/internal/metrics"
 	"ringbft/internal/pbft"
-	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
 	"ringbft/internal/wal"
 )
 
 // Sender abstracts the network.
-type Sender func(to types.NodeID, m *types.Message)
+type Sender = host.Sender
 
 // Options configures a Replica.
 type Options struct {
@@ -63,70 +59,18 @@ type Options struct {
 	Tracer  *trace.Tracer
 }
 
-// Replica is one Sharper replica.
+// Replica is one Sharper replica. Committed entries execute strictly in
+// local sequence order (host.Sequential); a cross-shard entry blocks until
+// its global all-to-all rounds complete.
 type Replica struct {
-	cfg      types.Config
-	shard    types.ShardID
-	self     types.NodeID
-	peers    []types.NodeID
-	auth     crypto.Authenticator
-	verifier *crypto.Verifier
-	send     Sender
-	clock    func() time.Time
+	*host.Sequential
 
-	engine  *pbft.Engine
-	tracker *pbft.CheckpointTracker
-	kv      *store.KV
-	chain   *ledger.Chain
-
-	// Local execution pipeline: committed entries execute strictly in local
-	// sequence order; a cross-shard entry blocks until its global all-to-all
-	// rounds complete.
-	execNext types.SeqNum
-	entries  map[types.SeqNum]*entry
-
-	global   map[types.Digest]*globalState
-	executed map[types.Digest][]types.Value
-
-	awaiting map[types.Digest]*pending
-	proposed map[types.Digest]struct{}
-	queue    []*types.Batch
-
-	dur       *wal.Manager
-	rec       *wal.Recovered
-	snapEvery types.SeqNum
-	lastSnap  types.SeqNum
-
-	// lastVC paces the awaiting-proposal watchdog: each installed view
-	// gets a full LocalTimeout before the next view-change demand (see the
-	// equivalent note in internal/ringbft).
-	lastVC time.Time
+	global map[types.Digest]*globalState
 
 	// Peer block transfer (catchup.go): the most recent checkpoint
-	// certificate observed (served to starved peers), the request pacer,
-	// and the installs counter.
-	lastCert       *checkpointCert
-	lastXfer       time.Time
-	stateTransfers int64
-
-	// ev is the misbehavior evidence log (always non-nil; see
-	// internal/evidence).
-	ev *evidence.Log
-
-	viewChanges int64
-	retransmits int64
-
-	obs *hostObs
-}
-
-type entry struct {
-	seq   types.SeqNum
-	batch *types.Batch
-}
-
-type pending struct {
-	batch *types.Batch
-	since time.Time
+	// certificate observed (served to starved peers) and the request pacer.
+	lastCert *checkpointCert
+	lastXfer time.Time
 }
 
 // globalState tracks the two cross-shard all-to-all rounds for one cst.
@@ -144,166 +88,23 @@ type globalState struct {
 
 // New creates a Sharper replica.
 func New(opts Options) *Replica {
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
-	verifier := crypto.NewVerifier(opts.Auth)
-	ev := opts.Evidence
-	if ev == nil {
-		ev = evidence.NewMemory()
-	}
-	r := &Replica{
-		ev:       ev,
-		cfg:      opts.Config,
-		shard:    opts.Shard,
-		self:     opts.Self,
-		peers:    opts.Peers,
-		auth:     verifier,
-		verifier: verifier,
-		send:     opts.Send,
-		clock:    opts.Clock,
-		kv:       store.NewKV(),
-		chain:    ledger.NewChain(opts.Shard),
-		entries:  make(map[types.SeqNum]*entry),
-		global:   make(map[types.Digest]*globalState),
-		executed: make(map[types.Digest][]types.Value),
-		awaiting: make(map[types.Digest]*pending),
-		proposed: make(map[types.Digest]struct{}),
-		tracker:  pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
-		dur:      opts.Durability,
-		rec:      opts.Recovered,
-		snapEvery: func() types.SeqNum {
-			if opts.Config.SnapshotInterval > 0 {
-				return opts.Config.SnapshotInterval
-			}
-			return opts.Config.CheckpointInterval
-		}(),
-	}
-	r.obs = newHostObs(opts.Metrics, opts.Tracer, opts.Shard, opts.Self)
-	r.engine = pbft.New(opts.Shard, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
-		Send:       func(to types.NodeID, m *types.Message) { r.send(to, m) },
-		Committed:  r.onCommitted,
-		Stabilized: r.onStabilized,
-		ViewChanged: func(types.View) {
-			r.viewChanges++
-			r.obs.incViewChanges()
-			r.lastVC = r.clock()
-			r.reproposeAwaiting()
-		},
+	r := &Replica{global: make(map[types.Digest]*globalState)}
+	r.Sequential = host.NewSequential(host.Options{
+		Config: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
+		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
+		Durability: opts.Durability, Recovered: opts.Recovered, Evidence: opts.Evidence,
+		Obs:     host.NewObs(opts.Metrics, opts.Tracer, "sharper", opts.Shard, opts.Self),
+		Handler: r,
 		// Sharper carries no justification certificates (its coordinator
 		// proposals replicate through ordinary local consensus), but primary
-		// equivocation is still detectable and recorded.
-		Equivocation: func(first, second *types.Message) {
-			r.ev.Add(evidence.Record{
-				Kind: evidence.KindEquivocation, Accused: first.From,
-				Shard: r.shard, View: first.View, Seq: first.Seq,
-				First: evidence.MsgOf(first), Second: evidence.MsgOf(second),
-			})
-		},
-	}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: verifier, OnPhase: r.obs.phase(opts.Shard)})
-	return r
-}
-
-// Evidence returns the replica's misbehavior evidence log.
-func (r *Replica) Evidence() *evidence.Log { return r.ev }
-
-// Preload installs this shard's store partition, then applies any state
-// recovered from disk (durable replicas).
-func (r *Replica) Preload(records int) {
-	r.kv.Preload(r.shard, r.cfg.Shards, records)
-	if r.dur != nil && r.rec != nil && !r.rec.Empty() {
-		r.applyRecovered(r.rec)
-	}
-	r.rec = nil
-}
-
-// applyRecovered restores the store, ledger, and execution watermark from
-// a snapshot plus the WAL tail (wal.ApplySequential — Sharper executes
-// strictly in sequence order).
-func (r *Replica) applyRecovered(rec *wal.Recovered) {
-	st := rec.ApplySequential(r.kv, r.chain, r.shard, r.cfg.Shards, func(d types.Digest, res []types.Value) {
-		r.executed[d] = res
-		r.proposed[d] = struct{}{}
+		// equivocation is still detectable and recorded by the kernel.
+		Callbacks:        pbft.Callbacks{Committed: r.onCommitted, Stabilized: r.onStabilized},
+		ReproposeExpired: true,
+	}, func(b *types.Batch) bool {
+		gs := r.global[b.Digest()]
+		return gs != nil && gs.committed // the pipeline stalls on the 2-round WAN gate
 	})
-	r.chain = st.Chain
-	r.execNext = st.ExecNext
-	r.lastSnap = st.LastSnap
-	if st.View > 0 {
-		r.engine.ForceView(st.View)
-	}
-	r.engine.ResumeAt(r.execNext, r.execNext+1)
-}
-
-// logExecuted durably records an executed block and cuts a snapshot every
-// SnapshotInterval executed sequences (pruning the chain and collecting
-// covered WAL segments).
-func (r *Replica) logExecuted(seq types.SeqNum, primary types.NodeID, batch *types.Batch, results []types.Value) {
-	if r.dur == nil {
-		return
-	}
-	_ = r.dur.LogBlock(seq, primary, batch, results)
-	if r.snapEvery > 0 && seq >= r.lastSnap+r.snapEvery {
-		r.chain.Prune(seq)
-		snap := wal.SequentialSnapshot(r.shard, seq, r.engine.View(), r.kv, r.chain,
-			func(d types.Digest) []types.Value { return r.executed[d] })
-		if r.dur.SaveSnapshot(snap) == nil {
-			r.lastSnap = seq
-		}
-	}
-}
-
-// Chain returns the replica's ledger.
-func (r *Replica) Chain() *ledger.Chain { return r.chain }
-
-// ExecutedThrough returns the executed-prefix watermark (Sharper executes
-// strictly in local sequence order). Call only after Run returns.
-func (r *Replica) ExecutedThrough() types.SeqNum { return r.execNext }
-
-// ExecutedResults returns a deterministic hash of the cached execution
-// results per executed batch digest, for cross-replica chaos checkers. Call
-// only after Run returns.
-func (r *Replica) ExecutedResults() map[types.Digest]uint64 {
-	out := make(map[types.Digest]uint64, len(r.executed))
-	for d, vals := range r.executed {
-		out[d] = types.HashValues(vals)
-	}
-	return out
-}
-
-// Store returns the replica's key-value partition.
-func (r *Replica) Store() *store.KV { return r.kv }
-
-// ViewChangeCount reports installed view changes (read after Run returns).
-func (r *Replica) ViewChangeCount() int64 { return r.viewChanges }
-
-// RetransmitCount reports message retransmissions (read after Run returns).
-func (r *Replica) RetransmitCount() int64 { return r.retransmits }
-
-// StateTransferCount reports installed peer block transfers (read after Run
-// returns).
-func (r *Replica) StateTransferCount() int64 { return r.stateTransfers }
-
-// Run drives the replica until ctx is cancelled.
-func (r *Replica) Run(ctx context.Context, inbox <-chan *types.Message) {
-	tickEvery := r.cfg.LocalTimeout / 4
-	if tickEvery <= 0 {
-		tickEvery = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(tickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case m, ok := <-inbox:
-			if !ok {
-				return
-			}
-			r.HandleMessage(m)
-		case <-ticker.C:
-			r.HandleTick(r.clock())
-		}
-	}
+	return r
 }
 
 // HandleMessage dispatches one inbound message.
@@ -325,48 +126,17 @@ func (r *Replica) HandleMessage(m *types.Message) {
 	case types.MsgStateSnapshot:
 		r.onStateSnapshot(m)
 	default:
-		r.engine.OnMessage(m)
-		r.tryProposeQueued()
+		r.PBFT.OnMessage(m)
+		r.Drain()
 	}
 }
 
 // HandleTick drives the local watchdog.
 func (r *Replica) HandleTick(now time.Time) {
-	r.engine.Tick(now)
-	r.tryProposeQueued()
+	r.Tick(now)
 	r.maybeCatchup(now)
-	r.obs.sample(len(r.queue), r.ev.Len())
-	if r.engine.InViewChange() {
+	if !r.Watchdog(now) {
 		return
-	}
-	if now.Sub(r.lastVC) > r.cfg.LocalTimeout {
-		expired := false
-		// Sorted-digest order: the re-proposal below assigns sequence
-		// numbers, which must not depend on map iteration order.
-		for _, d := range types.SortedDigestKeys(r.awaiting) {
-			p := r.awaiting[d]
-			if now.Sub(p.since) > r.cfg.LocalTimeout {
-				p.since = now
-				expired = true
-				if r.engine.IsPrimary() {
-					// The proposed latch may date from a previous primacy
-					// of this member whose proposal died with its view;
-					// after enough view changes every member is latched and
-					// the batch can never be proposed again (found by
-					// internal/chaos, loss-storm schedules). Clear it so
-					// this primary re-proposes.
-					delete(r.proposed, d)
-					r.propose(p.batch, d)
-				}
-			}
-		}
-		if expired && !r.engine.IsPrimary() {
-			r.engine.StartViewChange(r.engine.View() + 1)
-			return
-		}
-	}
-	if oldest, ok := r.engine.OldestUncommitted(); ok && now.Sub(oldest) > r.cfg.LocalTimeout {
-		r.engine.StartViewChange(r.engine.View() + 1)
 	}
 	// Head-of-line renudge: Sharper executes strictly in sequence order and
 	// its global rounds have no protocol timer — recovery normally rides on
@@ -375,19 +145,17 @@ func (r *Replica) HandleTick(now time.Time) {
 	// execution pipeline wedges the shard; re-broadcast our votes for it,
 	// paced like the client path (found by internal/chaos, loss-storm
 	// schedules).
-	if e, ok := r.entries[r.execNext+1]; ok && e.batch != nil &&
-		len(e.batch.Txns) > 0 && e.batch.IsCrossShard() {
-		if gs, ok := r.global[e.batch.Digest()]; ok && !gs.committed &&
-			now.Sub(gs.lastNudge) > r.cfg.LocalTimeout {
+	if b, ok := r.Entries[r.ExecNext+1]; ok && len(b.Txns) > 0 && b.IsCrossShard() {
+		if gs, ok := r.global[b.Digest()]; ok && !gs.committed &&
+			now.Sub(gs.lastNudge) > r.Cfg.LocalTimeout {
 			gs.lastNudge = now
-			r.retransmits++
-			r.obs.incRetransmits()
+			r.CountRetransmit()
 			r.renudge(gs)
-			if e.batch.Initiator() == r.shard && r.engine.IsPrimary() {
+			if b.Initiator() == r.Shard && r.PBFT.IsPrimary() {
 				// A stalled global round can also mean another involved
 				// shard never replicated the batch at all (every copy of
 				// the coordination proposal was lost): re-coordinate.
-				r.coordinate(e.batch, e.batch.Digest())
+				r.coordinate(b, b.Digest())
 			}
 		}
 	}
@@ -399,8 +167,8 @@ func (r *Replica) onClientRequest(m *types.Message) {
 	}
 	b := m.Batch
 	d := b.Digest()
-	if res, ok := r.executed[d]; ok {
-		r.respond(clientOf(b), d, res)
+	if res, ok := r.Results[d]; ok {
+		r.Respond(host.ClientOf(b), d, res)
 		return
 	}
 	if gs, ok := r.global[d]; ok && !gs.committed {
@@ -408,16 +176,16 @@ func (r *Replica) onClientRequest(m *types.Message) {
 		// re-send our votes in case the first copies were lost.
 		r.renudge(gs)
 	}
-	if !b.Involves(r.shard) || b.Initiator() != r.shard {
+	if !b.Involves(r.Shard) || b.Initiator() != r.Shard {
 		fwd := *m
-		fwd.From = r.self
-		r.send(types.ReplicaNode(b.Initiator(), 0), &fwd)
+		fwd.From = r.Self
+		r.Send(types.ReplicaNode(b.Initiator(), 0), &fwd)
 		return
 	}
-	r.enqueue(b, d)
+	r.Enqueue(b, d)
 	// The initiator primary coordinates: propose to the primaries of the
 	// other involved shards so they replicate it too.
-	if b.IsCrossShard() && r.engine.IsPrimary() {
+	if b.IsCrossShard() && r.PBFT.IsPrimary() {
 		r.coordinate(b, d)
 	}
 }
@@ -430,12 +198,12 @@ func (r *Replica) coordinate(b *types.Batch, d types.Digest) {
 		return
 	}
 	prop := &types.Message{
-		Type: types.MsgSharperPropose, From: r.self, Shard: r.shard,
+		Type: types.MsgSharperPropose, From: r.Self, Shard: r.Shard,
 		Digest: d, Batch: b,
 	}
-	prop.Sig = crypto.SignMessage(r.auth, prop)
+	prop.Sig = crypto.SignMessage(r.Auth, prop)
 	for _, s := range b.Involved {
-		if s == r.shard {
+		if s == r.Shard {
 			continue
 		}
 		// Every replica of the involved shard, not just index 0: the
@@ -445,15 +213,15 @@ func (r *Replica) coordinate(b *types.Batch, d types.Digest) {
 		// awaiting, whose timer pressures their primary the usual way
 		// (found by internal/chaos, loss-storm schedules).
 		for _, to := range r.peersOf(s) {
-			r.send(to, prop)
+			r.Send(to, prop)
 		}
 	}
 }
 
 // peersOf lists every replica of shard s (same replica count per shard).
 func (r *Replica) peersOf(s types.ShardID) []types.NodeID {
-	out := make([]types.NodeID, len(r.peers))
-	for i := range r.peers {
+	out := make([]types.NodeID, len(r.Peers))
+	for i := range r.Peers {
 		out[i] = types.ReplicaNode(s, i)
 	}
 	return out
@@ -466,88 +234,17 @@ func (r *Replica) onPropose(m *types.Message) {
 		return
 	}
 	d := b.Digest()
-	if d != m.Digest || !b.Involves(r.shard) || b.Initiator() == r.shard {
+	if d != m.Digest || !b.Involves(r.Shard) || b.Initiator() == r.Shard {
 		return
 	}
 	if m.From.Kind != types.KindReplica || m.From.Shard != b.Initiator() {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.Auth, m) != nil {
 		return
 	}
 	r.globalState(d, b)
-	r.enqueue(b, d)
-}
-
-func (r *Replica) enqueue(b *types.Batch, d types.Digest) {
-	if _, done := r.proposed[d]; done {
-		return
-	}
-	if _, ok := r.awaiting[d]; !ok {
-		r.awaiting[d] = &pending{batch: b, since: r.clock()}
-	}
-	if r.engine.IsPrimary() && !r.engine.InViewChange() {
-		r.propose(b, d)
-	}
-}
-
-func (r *Replica) propose(b *types.Batch, d types.Digest) {
-	if _, done := r.proposed[d]; done {
-		return
-	}
-	// Pipelined consensus: the same drain discipline as internal/ringbft —
-	// at most PipelineDepth proposals in flight, the rest parked for
-	// tryProposeQueued.
-	if r.engine.InFlight() >= r.cfg.PipelineDepth {
-		r.queue = append(r.queue, b)
-		return
-	}
-	if _, err := r.engine.Propose(b); err != nil {
-		r.queue = append(r.queue, b)
-		return
-	}
-	r.proposed[d] = struct{}{}
-}
-
-func (r *Replica) tryProposeQueued() {
-	if !r.engine.IsPrimary() || r.engine.InViewChange() {
-		return
-	}
-	for len(r.queue) > 0 {
-		if r.engine.InFlight() >= r.cfg.PipelineDepth {
-			return // pipeline window full: a commit frees the next slot
-		}
-		b := r.queue[0]
-		d := b.Digest()
-		if _, done := r.proposed[d]; done {
-			r.queue = r.queue[1:]
-			continue
-		}
-		if _, err := r.engine.Propose(b); err != nil {
-			return
-		}
-		r.proposed[d] = struct{}{}
-		r.queue = r.queue[1:]
-	}
-}
-
-func (r *Replica) reproposeAwaiting() {
-	if !r.engine.IsPrimary() {
-		return
-	}
-	// Sorted-digest order: sequence assignment must not depend on map
-	// iteration order, or identically seeded runs diverge.
-	ds := make([]types.Digest, 0, len(r.awaiting))
-	for d := range r.awaiting {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return bytes.Compare(ds[i][:], ds[j][:]) < 0 })
-	for _, d := range ds {
-		if _, done := r.proposed[d]; !done {
-			r.propose(r.awaiting[d].batch, d)
-		}
-	}
-	r.tryProposeQueued()
+	r.Enqueue(b, d)
 }
 
 func (r *Replica) globalState(d types.Digest, b *types.Batch) *globalState {
@@ -569,17 +266,13 @@ func (r *Replica) globalState(d types.Digest, b *types.Batch) *globalState {
 // execution pipeline; cross-shard entries additionally start the global
 // all-to-all prepare round across every replica of every involved shard.
 func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ []types.Signed) {
-	d := batch.Digest()
-	delete(r.awaiting, d)
-	r.proposed[d] = struct{}{}
-	r.entries[seq] = &entry{seq: seq, batch: batch}
-	r.tracker.Committed(r.engine, seq, batch)
+	r.Commit(seq, batch)
 	if batch.IsCrossShard() {
-		gs := r.globalState(d, batch)
-		gs.lastNudge = r.clock() // the prepare broadcast counts as attempt one
+		gs := r.globalState(batch.Digest(), batch)
+		gs.lastNudge = r.Clock() // the prepare broadcast counts as attempt one
 		r.sendCrossRound(gs, types.MsgSharperPrepare)
 	}
-	r.drainExec()
+	r.DrainExec()
 }
 
 // sendCrossRound broadcasts a cross-shard vote to every replica of every
@@ -591,24 +284,24 @@ func (r *Replica) sendCrossRound(gs *globalState, t types.MsgType) {
 			return
 		}
 		gs.prepSent = true
-		gs.prepares[r.self] = struct{}{}
+		gs.prepares[r.Self] = struct{}{}
 	} else {
 		if gs.commitSent {
 			return
 		}
 		gs.commitSent = true
-		gs.commits[r.self] = struct{}{}
+		gs.commits[r.Self] = struct{}{}
 	}
 	d := gs.batch.Digest()
-	m := &types.Message{Type: t, From: r.self, Shard: r.shard, Digest: d}
-	m.Sig = crypto.SignMessage(r.auth, m)
+	m := &types.Message{Type: t, From: r.Self, Shard: r.Shard, Digest: d}
+	m.Sig = crypto.SignMessage(r.Auth, m)
 	for _, s := range gs.batch.Involved {
-		for i := 0; i < r.cfg.ReplicasPerShard; i++ {
+		for i := 0; i < r.Cfg.ReplicasPerShard; i++ {
 			to := types.ReplicaNode(s, i)
-			if to == r.self {
+			if to == r.Self {
 				continue
 			}
-			r.send(to, m)
+			r.Send(to, m)
 		}
 	}
 	r.evaluate(gs)
@@ -619,7 +312,7 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 	if m.From.Kind != types.KindReplica {
 		return
 	}
-	if crypto.VerifyMessageSig(r.auth, m) != nil {
+	if crypto.VerifyMessageSig(r.Auth, m) != nil {
 		return
 	}
 	gs, ok := r.global[m.Digest]
@@ -640,8 +333,7 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 		}
 		if _, done := gs.nudged[m.From]; !done {
 			gs.nudged[m.From] = struct{}{}
-			r.retransmits++
-			r.obs.incRetransmits()
+			r.CountRetransmit()
 			r.resendVotesTo(m.From, gs)
 		}
 		return
@@ -663,9 +355,9 @@ func (r *Replica) resendVotesTo(to types.NodeID, gs *globalState) {
 		if !round.sent {
 			continue
 		}
-		m := &types.Message{Type: round.t, From: r.self, Shard: r.shard, Digest: d}
-		m.Sig = crypto.SignMessage(r.auth, m)
-		r.send(to, m)
+		m := &types.Message{Type: round.t, From: r.Self, Shard: r.Shard, Digest: d}
+		m.Sig = crypto.SignMessage(r.Auth, m)
+		r.Send(to, m)
 	}
 }
 
@@ -680,7 +372,7 @@ func (r *Replica) evaluate(gs *globalState) {
 	}
 	if gs.commitSent && r.quorumPerShard(gs.batch, gs.commits) {
 		gs.committed = true
-		r.drainExec()
+		r.DrainExec()
 	}
 }
 
@@ -699,13 +391,13 @@ func (r *Replica) renudge(gs *globalState) {
 		if !round.sent {
 			continue
 		}
-		m := &types.Message{Type: round.t, From: r.self, Shard: r.shard, Digest: d}
-		m.Sig = crypto.SignMessage(r.auth, m)
+		m := &types.Message{Type: round.t, From: r.Self, Shard: r.Shard, Digest: d}
+		m.Sig = crypto.SignMessage(r.Auth, m)
 		for _, s := range gs.batch.Involved {
-			for i := 0; i < r.cfg.ReplicasPerShard; i++ {
+			for i := 0; i < r.Cfg.ReplicasPerShard; i++ {
 				to := types.ReplicaNode(s, i)
-				if to != r.self {
-					r.send(to, m)
+				if to != r.Self {
+					r.Send(to, m)
 				}
 			}
 		}
@@ -720,72 +412,9 @@ func (r *Replica) quorumPerShard(b *types.Batch, votes map[types.NodeID]struct{}
 		counts[v.Shard]++
 	}
 	for _, s := range b.Involved {
-		if counts[s] < r.cfg.NF() {
+		if counts[s] < r.Cfg.NF() {
 			return false
 		}
 	}
 	return true
-}
-
-// drainExec executes committed entries strictly in local sequence order; a
-// cross-shard entry gates the pipeline until its global rounds complete.
-func (r *Replica) drainExec() {
-	for {
-		e, ok := r.entries[r.execNext+1]
-		if !ok {
-			return
-		}
-		b := e.batch
-		if len(b.Txns) > 0 && b.IsCrossShard() {
-			gs := r.global[b.Digest()]
-			if gs == nil || !gs.committed {
-				return // pipeline stalls on the 2-round WAN gate
-			}
-		}
-		delete(r.entries, r.execNext+1)
-		r.execNext++
-		if len(b.Txns) == 0 {
-			r.logExecuted(e.seq, r.engine.Primary(r.engine.View()), b, nil)
-			continue
-		}
-		d := b.Digest()
-		results := make([]types.Value, len(b.Txns))
-		for i := range b.Txns {
-			results[i] = r.kv.ExecuteTxnPartial(&b.Txns[i], r.shard, r.cfg.Shards)
-		}
-		r.executed[d] = results
-		r.obs.addExecuted(len(b.Txns))
-		r.obs.observe(r.clock(), r.shard, uint64(e.seq), trace.PhaseExecute)
-		primary := r.engine.Primary(r.engine.View())
-		r.chain.Append(e.seq, primary, b)
-		r.logExecuted(e.seq, primary, b, results)
-		if b.Initiator() == r.shard {
-			r.respond(clientOf(b), d, results)
-			r.obs.observe(r.clock(), r.shard, uint64(e.seq), trace.PhaseReply)
-		}
-	}
-}
-
-func (r *Replica) respond(client types.NodeID, d types.Digest, results []types.Value) {
-	m := &types.Message{
-		Type: types.MsgResponse, From: r.self, Shard: r.shard,
-		View: r.engine.View(), Digest: d, Results: results,
-	}
-	m.MAC = crypto.MACMessage(r.auth, client, m)
-	r.send(client, m)
-}
-
-func clientOf(b *types.Batch) types.NodeID {
-	return types.ClientNode(b.Txns[0].ID.Client)
-}
-
-// Debug returns internal counters for diagnosis: local execution watermark,
-// committed-but-unexecuted entries, and proposal bookkeeping sizes.
-func (r *Replica) Debug() (execNext types.SeqNum, pendingEntries, awaiting, queued, proposed int) {
-	return r.execNext, len(r.entries), len(r.awaiting), len(r.queue), len(r.proposed)
-}
-
-// DebugEngine exposes engine state for diagnosis.
-func (r *Replica) DebugEngine() (view types.View, invc bool, stable types.SeqNum, votes map[types.SeqNum]int, uncommitted int) {
-	return r.engine.View(), r.engine.InViewChange(), r.engine.StableSeq(), r.engine.CheckpointVotes(), r.engine.UncommittedInWindow()
 }
