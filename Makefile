@@ -1,6 +1,7 @@
 # Tier-1 verify is `make verify` (fmt-check + docs-check + build + vet +
-# lint + test + race-checked crypto, pbft, and wal — the verified-signature
-# memo and the durability layer are the concurrency-sensitive code — plus
+# lint + test + race-checked crypto, pbft, wal and store — the
+# verified-signature memo, the durability layer and the table read off the
+# event loop are the concurrency-sensitive code — plus
 # race-checked tcpnet and the loopback-TCP scenario suite, whose writer
 # goroutines are the transport's concurrency surface). `make lint` runs the
 # protocol-invariant analyzer suite (internal/analysis via cmd/ringbft-vet);
@@ -19,8 +20,8 @@
 # per-layer metrics from a traced one, a correctness check at the end of
 # each — and `go run ./benchmark -compare a.txt b.txt` holds a pair of
 # saved outputs to the bounds in BENCHMARK.json. `make bench` runs the
-# per-package micro-benchmarks, with `bench-crypto`, `bench-wal`, and
-# `bench-tcpnet` as focused subsets.
+# per-package micro-benchmarks, with `bench-crypto`, `bench-wal`,
+# `bench-tcpnet` and `bench-store` as focused subsets.
 #
 # `make metrics-smoke` boots a loopback-TCP cluster and asserts the
 # /metrics exposition carries live series from every instrumented layer.
@@ -28,7 +29,7 @@
 GO ?= go
 SOAK_BUDGET ?= 10m
 
-.PHONY: build test vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
+.PHONY: build test vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet bench-store metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
 
 build:
 	$(GO) build ./...
@@ -86,13 +87,20 @@ bench-wal:
 bench-tcpnet:
 	$(GO) test -run XXX -bench 'BenchmarkTransportSend' -benchmem -benchtime 200ms ./internal/tcpnet/
 
+# The checkpoint path layer by layer: the table's point read, dump, set-up
+# and execution, then one checkpoint's rewind + state digest at 65,536
+# records.
+bench-store:
+	$(GO) test -run XXX -bench 'BenchmarkGet|BenchmarkPairs|BenchmarkPreload|BenchmarkExecuteTxn' -benchmem -benchtime 300ms ./internal/store/
+	$(GO) test -run XXX -bench 'BenchmarkCheckpointDigest' -benchmem -benchtime 300ms ./internal/ringbft/
+
 # Live-cluster observability smoke: loopback-TCP cluster, real client
 # traffic, scrape /metrics, assert per-layer series (see the script).
 metrics-smoke:
 	sh scripts/metrics-smoke.sh
 
 race-crypto:
-	$(GO) test -race ./internal/crypto/... ./internal/pbft/... ./internal/wal/...
+	$(GO) test -race ./internal/crypto/... ./internal/pbft/... ./internal/wal/... ./internal/store/...
 
 # The transport's writer goroutines and the loopback-TCP cluster scenarios
 # (real sockets under the full replica stack) are the wire layer's

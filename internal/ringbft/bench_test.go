@@ -71,3 +71,14 @@ func BenchmarkExecuteCopy(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCheckpointDigest is the event-loop work of one checkpoint at the
+// tcp_mixed partition size: rewind the table to S past the 64 retained
+// blocks above it, then hash the canonical state.
+func BenchmarkCheckpointDigest(b *testing.B) {
+	r, _ := checkpointFixture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		stateDigestOf(r.canonicalPairsAt(cpFixtureSeq))
+	}
+}

@@ -1,7 +1,10 @@
 package ringbft
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
+	"slices"
 
 	"ringbft/internal/store"
 	"ringbft/internal/types"
@@ -106,10 +109,11 @@ func (r *Replica) canonicalPairsCached(s types.SeqNum) []store.Pair {
 // the combined operand of every write of executed blocks with Seq > S
 // rewinds exactly those blocks. All such blocks are retained in the chain
 // (pruning only drops blocks below the stable watermark) with their results
-// cached in r.Results.
+// cached in r.Results. The dump is in key order, so each such write finds
+// its record by binary search and the rest of the table is not visited.
 func (r *Replica) canonicalPairsAt(s types.SeqNum) []store.Pair {
 	pairs := r.KV.Pairs()
-	var adj map[types.Key]types.Value
+	byKey := func(p store.Pair, k types.Key) int { return cmp.Compare(p.K, k) }
 	for _, b := range r.Ledger.Blocks()[1:] {
 		if b.Seq <= s || b.Batch == nil {
 			continue
@@ -119,19 +123,13 @@ func (r *Replica) canonicalPairsAt(s types.SeqNum) []store.Pair {
 			if i >= len(res) {
 				break
 			}
-			t := &b.Batch.Txns[i]
-			for _, k := range t.WritesAt(r.Shard, r.Cfg.Shards) {
-				if adj == nil {
-					adj = make(map[types.Key]types.Value)
+			for _, k := range b.Batch.Txns[i].Writes {
+				if types.OwnerShard(k, r.Cfg.Shards) != r.Shard {
+					continue
 				}
-				adj[k] += res[i]
-			}
-		}
-	}
-	if adj != nil {
-		for i := range pairs {
-			if d, ok := adj[pairs[i].K]; ok {
-				pairs[i].V -= d
+				if j, ok := slices.BinarySearchFunc(pairs, k, byKey); ok {
+					pairs[j].V -= res[i]
+				}
 			}
 		}
 	}
@@ -139,22 +137,23 @@ func (r *Replica) canonicalPairsAt(s types.SeqNum) []store.Pair {
 }
 
 // stateDigestOf hashes pairs (already in ascending key order) into the
-// collision-resistant state digest checkpoints certify.
+// collision-resistant state digest checkpoints certify: SHA-256 over each
+// pair's key and value as big-endian u64s, encoded a chunk at a time into
+// one buffer.
 func stateDigestOf(pairs []store.Pair) types.Digest {
 	h := sha256.New()
-	var buf [16]byte
-	for _, p := range pairs {
-		putU64 := func(off int, v uint64) {
-			for j := 0; j < 8; j++ {
-				buf[off+j] = byte(v >> (8 * (7 - j)))
-			}
+	buf := make([]byte, 0, 16*256)
+	for len(pairs) > 0 {
+		n := min(len(pairs), cap(buf)/16)
+		for _, p := range pairs[:n] {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(p.K))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(p.V))
 		}
-		putU64(0, uint64(p.K))
-		putU64(8, uint64(p.V))
-		h.Write(buf[:])
+		h.Write(buf)
+		buf, pairs = buf[:0], pairs[n:]
 	}
 	var d types.Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"ringbft/internal/types"
@@ -59,5 +60,43 @@ func BenchmarkPreload(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewKV().Preload(1, 3, 65536)
+	}
+}
+
+// BenchmarkGet is one point read of a present key at the tcp_mixed
+// partition size, keys visited in random order.
+func BenchmarkGet(b *testing.B) {
+	const n = 65536
+	kv := NewKV()
+	kv.Preload(1, 3, n)
+	rng := rand.New(rand.NewPCG(1, 2))
+	keys := make([]types.Key, 4096)
+	for i := range keys {
+		keys[i] = types.Key(1 + 3*rng.Uint64N(n))
+	}
+	i := 0
+	for b.Loop() {
+		kv.Get(keys[i%len(keys)])
+		i++
+	}
+}
+
+// BenchmarkInsertRandom writes 65,536 absent keys in random order into an
+// empty table, then digests it: the cost of a table built by inserts
+// rather than Preload.
+func BenchmarkInsertRandom(b *testing.B) {
+	const n = 65536
+	keys := make([]types.Key, n)
+	for i := range keys {
+		keys[i] = types.Key(i)
+	}
+	rand.New(rand.NewPCG(1, 2)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	b.ReportAllocs()
+	for b.Loop() {
+		kv := NewKV()
+		for _, k := range keys {
+			kv.Set(k, types.Value(k))
+		}
+		kv.Digest()
 	}
 }

@@ -2,6 +2,9 @@
 // key-value table with deterministic read-modify-write execution, and the
 // per-key lock table RingBFT uses to lock read-write sets in transactional
 // sequence order (Fig 5 lines 17-28).
+//
+// The table is kept in key order, the order checkpoints certify it and
+// snapshots persist it in, so a dump is a copy rather than a sort.
 package store
 
 import (
@@ -13,100 +16,172 @@ import (
 	"ringbft/internal/types"
 )
 
-// kvStripeCount shards the table's lock space. Power of two so the stripe
-// index is a shift off a Fibonacci hash; 64 stripes keep contention
-// negligible while Digest still snapshots the full table by holding every
-// stripe briefly.
-// kvStripeShift selects the top kvStripeBits bits of the hash; the
-// compile-time guard below keeps the three constants in lockstep when
-// tuning the stripe count.
-const (
-	kvStripeCount = 64
-	kvStripeBits  = 6
-	kvStripeShift = 64 - kvStripeBits
-)
+// freshMerge is the number of inserted keys a table holds outside key
+// order, on top of its ordered size, before folding them in: building a
+// table by inserts costs one merge per doubling, never a shift per key.
+const freshMerge = 256
 
-var _ [kvStripeCount - 1<<kvStripeBits]struct{} // 1<<kvStripeBits == kvStripeCount
-var _ [1<<kvStripeBits - kvStripeCount]struct{}
-
-type kvStripe struct {
-	mu   sync.RWMutex
-	data map[types.Key]types.Value
-}
-
-// KV is one shard's partition of the YCSB table. The owning replica executes
-// batches from its event loop, one transaction at a time; locks are striped
-// by key so goroutines outside that loop (inspection through
-// Replica.Store, benchmarks) can read while it writes.
+// KV is one shard's partition of the YCSB table: ascending keys with their
+// values beside them. The owning replica executes batches from its event
+// loop, one transaction at a time, each under the write lock; goroutines
+// outside that loop (inspection through Replica.Store, benchmarks) read
+// under the read lock.
+//
+// A write to a key the table does not hold lands in fresh; fresh is merged
+// into keys/vals once it holds more than freshMerge plus len(keys) records,
+// and whenever a reader needs every record in key order (Pairs, Digest).
 type KV struct {
-	stripes [kvStripeCount]kvStripe
+	mu    sync.RWMutex
+	keys  []types.Key               // strictly ascending
+	vals  []types.Value             // vals[i] is the value of keys[i]
+	fresh map[types.Key]types.Value // inserted since the last merge; disjoint from keys
 }
 
 // NewKV returns an empty table.
-func NewKV() *KV {
-	kv := &KV{}
-	for i := range kv.stripes {
-		kv.stripes[i].data = make(map[types.Key]types.Value)
-	}
-	return kv
-}
+func NewKV() *KV { return &KV{} }
 
-func (kv *KV) stripe(k types.Key) *kvStripe {
-	return &kv.stripes[(uint64(k)*0x9E3779B97F4A7C15)>>kvStripeShift]
-}
-
-// Preload installs n records owned by shard s in a system of z shards with
-// initial values equal to their key, mirroring the paper's identical YCSB
-// table initialization at every replica (Section 8, "Benchmark").
-//
-// Set-up cost is part of every cluster start (a replica holds up to
-// hundreds of thousands of records), so empty stripes are sized from n up
-// front — the Fibonacci hash spreads the partition's keys evenly, an eighth
-// of slack covers the spread — and, like Digest, the fill holds every stripe
-// once instead of locking per key.
-func (kv *KV) Preload(s types.ShardID, z int, n int) {
-	perStripe := n/kvStripeCount + n/(8*kvStripeCount) + 1
-	for i := range kv.stripes {
-		st := &kv.stripes[i]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if len(st.data) == 0 {
-			st.data = make(map[types.Key]types.Value, perStripe)
+// find returns the position of k in keys. A preloaded partition is the
+// arithmetic progression s + i·z, so the first probe is k's place in it,
+// accepted only if that slot holds k; any other table falls back to binary
+// search.
+func (kv *KV) find(k types.Key) (int, bool) {
+	keys := kv.keys
+	if len(keys) > 1 && k >= keys[0] {
+		if j := (k - keys[0]) / (keys[1] - keys[0]); j < types.Key(len(keys)) && keys[j] == k {
+			return int(j), true
 		}
 	}
-	for i := 0; i < n; i++ {
-		k := types.Key(uint64(s) + uint64(i)*uint64(z))
-		kv.stripe(k).data[k] = types.Value(k)
+	return slices.BinarySearch(keys, k)
+}
+
+// get returns the value of k (zero if absent). Callers hold kv.mu.
+func (kv *KV) get(k types.Key) types.Value {
+	if i, ok := kv.find(k); ok {
+		return kv.vals[i]
 	}
+	return kv.fresh[k]
+}
+
+// insert writes v at k, which keys does not hold. Callers hold kv.mu for
+// writing.
+func (kv *KV) insert(k types.Key, v types.Value) {
+	if kv.fresh == nil {
+		kv.fresh = make(map[types.Key]types.Value)
+	}
+	kv.fresh[k] = v
+	if len(kv.fresh) > freshMerge+len(kv.keys) {
+		kv.merge()
+	}
+}
+
+// merge folds fresh into keys/vals: one sort of the inserted keys and one
+// pass over the table. Callers hold kv.mu for writing.
+func (kv *KV) merge() {
+	if len(kv.fresh) == 0 {
+		return
+	}
+	ks := make([]types.Key, 0, len(kv.fresh))
+	for k := range kv.fresh {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	vs := make([]types.Value, len(ks))
+	for i, k := range ks {
+		vs[i] = kv.fresh[k]
+	}
+	kv.keys, kv.vals = union(kv.keys, kv.vals, ks, vs)
+	kv.fresh = nil
+}
+
+// union merges two ascending tables into a new one; where both hold a key,
+// b's value wins.
+func union(ak []types.Key, av []types.Value, bk []types.Key, bv []types.Value) ([]types.Key, []types.Value) {
+	keys := make([]types.Key, 0, len(ak)+len(bk))
+	vals := make([]types.Value, 0, len(ak)+len(bk))
+	i, j := 0, 0
+	for i < len(ak) && j < len(bk) {
+		switch {
+		case ak[i] < bk[j]:
+			keys, vals = append(keys, ak[i]), append(vals, av[i])
+			i++
+		case ak[i] > bk[j]:
+			keys, vals = append(keys, bk[j]), append(vals, bv[j])
+			j++
+		default:
+			keys, vals = append(keys, bk[j]), append(vals, bv[j])
+			i++
+			j++
+		}
+	}
+	keys = append(append(keys, ak[i:]...), bk[j:]...)
+	vals = append(append(vals, av[i:]...), bv[j:]...)
+	return keys, vals
+}
+
+// rlockOrdered read-locks the table with every record in keys/vals,
+// merging pending inserts first.
+func (kv *KV) rlockOrdered() {
+	kv.mu.RLock()
+	for len(kv.fresh) > 0 {
+		kv.mu.RUnlock()
+		kv.mu.Lock()
+		kv.merge()
+		kv.mu.Unlock()
+		kv.mu.RLock()
+	}
+}
+
+// Preload installs n records owned by shard s in a system of z ≥ 1 shards
+// with initial values equal to their key, mirroring the paper's identical
+// YCSB table initialization at every replica (Section 8, "Benchmark").
+//
+// Set-up cost is part of every cluster start (a replica holds up to
+// hundreds of thousands of records): the partition s + i·z is already in
+// key order, so an empty table is two slice fills, and a table that holds
+// data is merged with it once, the partition's values winning.
+func (kv *KV) Preload(s types.ShardID, z int, n int) {
+	if n <= 0 {
+		return
+	}
+	keys := make([]types.Key, n)
+	vals := make([]types.Value, n)
+	for i := range keys {
+		k := types.Key(uint64(s) + uint64(i)*uint64(z))
+		keys[i], vals[i] = k, types.Value(k)
+	}
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	kv.merge()
+	if len(kv.keys) > 0 {
+		keys, vals = union(kv.keys, kv.vals, keys, vals)
+	}
+	kv.keys, kv.vals = keys, vals
 }
 
 // Get returns the value of k (zero if absent).
 func (kv *KV) Get(k types.Key) types.Value {
-	st := kv.stripe(k)
-	st.mu.RLock()
-	v := st.data[k]
-	st.mu.RUnlock()
+	kv.mu.RLock()
+	v := kv.get(k)
+	kv.mu.RUnlock()
 	return v
 }
 
 // Set writes v at k.
 func (kv *KV) Set(k types.Key, v types.Value) {
-	st := kv.stripe(k)
-	st.mu.Lock()
-	st.data[k] = v
-	st.mu.Unlock()
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if i, ok := kv.find(k); ok {
+		kv.vals[i] = v
+		return
+	}
+	kv.insert(k, v)
 }
 
 // Len returns the number of records.
 func (kv *KV) Len() int {
-	n := 0
-	for i := range kv.stripes {
-		st := &kv.stripes[i]
-		st.mu.RLock()
-		n += len(st.data)
-		st.mu.RUnlock()
-	}
-	return n
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
+	return len(kv.keys) + len(kv.fresh)
 }
 
 // ExecuteTxn applies the shard-local fragment of t at shard s deterministically:
@@ -120,12 +195,14 @@ func (kv *KV) Len() int {
 // identical responses. Missing remote reads return an error — execution must
 // never guess at dependency values (determinism requirement, Section 3).
 //
-// Writes lock one stripe per key.
+// The whole transaction holds the write lock.
 func (kv *KV) ExecuteTxn(t *types.Txn, s types.ShardID, z int, remote map[types.Key]types.Value) (types.Value, error) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	combined := t.Delta
 	for _, k := range t.Reads {
 		if types.OwnerShard(k, z) == s {
-			combined += kv.Get(k)
+			combined += kv.get(k)
 		} else {
 			v, ok := remote[k]
 			if !ok {
@@ -144,18 +221,23 @@ func (kv *KV) ExecuteTxn(t *types.Txn, s types.ShardID, z int, remote map[types.
 // re-applies writes deterministically without the cross-shard read values
 // (Σ) that produced it.
 func (kv *KV) ApplyTxnWrites(t *types.Txn, s types.ShardID, z int, combined types.Value) {
+	kv.mu.Lock()
 	kv.applyWrites(t, s, z, combined)
+	kv.mu.Unlock()
 }
 
+// applyWrites adds combined to every write of t owned by s. Callers hold
+// kv.mu for writing.
 func (kv *KV) applyWrites(t *types.Txn, s types.ShardID, z int, combined types.Value) {
 	for _, k := range t.Writes {
 		if types.OwnerShard(k, z) != s {
 			continue
 		}
-		st := kv.stripe(k)
-		st.mu.Lock()
-		st.data[k] += combined
-		st.mu.Unlock()
+		if i, ok := kv.find(k); ok {
+			kv.vals[i] += combined
+		} else {
+			kv.insert(k, kv.fresh[k]+combined)
+		}
 	}
 }
 
@@ -164,40 +246,30 @@ func (kv *KV) applyWrites(t *types.Txn, s types.ShardID, z int, combined types.V
 func (kv *KV) ReadLocal(t *types.Txn, s types.ShardID, z int) ([]types.Key, []types.Value) {
 	var ks []types.Key
 	var vs []types.Value
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
 	for _, k := range t.Reads {
 		if types.OwnerShard(k, z) == s {
 			ks = append(ks, k)
-			vs = append(vs, kv.Get(k))
+			vs = append(vs, kv.get(k))
 		}
 	}
 	return ks, vs
 }
 
-// Digest folds the table into a single state digest for checkpoints. The
-// fold is a commutative accumulation (sum of key*value mixes) so it is
-// order-independent and cheap; collisions are irrelevant for the simulated
-// checkpoint agreement, which compares honest replicas' identical states.
-// All stripes are read-locked for the duration, which keeps the fold from
-// racing individual writes — but a multi-key transaction releases each
-// write stripe as it goes, so callers must not run Digest concurrently
-// with batch execution (every replica calls it from its event loop, between
-// batches).
+// Digest folds the table into a single state digest. The fold is a
+// commutative accumulation (sum of key*value mixes), cheap and
+// order-independent; collisions are irrelevant for the comparisons it
+// serves (honest replicas' identical states in tests and the chaos
+// checkers). Every transaction executes under the write lock, so Digest
+// sees whole transactions; callers that need a batch boundary take it from
+// the event loop between batches.
 func (kv *KV) Digest() types.Digest {
-	for i := range kv.stripes {
-		kv.stripes[i].mu.RLock()
-	}
-	defer func() {
-		for i := range kv.stripes {
-			kv.stripes[i].mu.RUnlock()
-		}
-	}()
+	kv.rlockOrdered()
+	defer kv.mu.RUnlock()
 	var acc [4]uint64
-	for i := range kv.stripes {
-		//ringbft:ignore mapiter acc accumulates with commutative uint64 addition keyed by k; iteration order cannot change the digest
-		for k, v := range kv.stripes[i].data {
-			x := uint64(k)*0x9E3779B97F4A7C15 ^ uint64(v)*0xC2B2AE3D27D4EB4F
-			acc[k%4] += x
-		}
+	for i, k := range kv.keys {
+		acc[k%4] += uint64(k)*0x9E3779B97F4A7C15 ^ uint64(kv.vals[i])*0xC2B2AE3D27D4EB4F
 	}
 	var d types.Digest
 	for i, a := range acc {
@@ -212,41 +284,39 @@ func (kv *KV) Digest() types.Digest {
 // state transfer (the wire type lives in package types).
 type Pair = types.Pair
 
-// Pairs returns every record sorted by key — the canonical dump a snapshot
-// persists. Like Digest, it read-locks every stripe for the duration and
-// must not run concurrently with batch execution.
+// Pairs returns every record in ascending key order — the canonical dump a
+// snapshot persists: a copy of the table.
 func (kv *KV) Pairs() []Pair {
-	for i := range kv.stripes {
-		kv.stripes[i].mu.RLock()
+	kv.rlockOrdered()
+	defer kv.mu.RUnlock()
+	out := make([]Pair, len(kv.keys))
+	for i, k := range kv.keys {
+		out[i] = Pair{K: k, V: kv.vals[i]}
 	}
-	n := 0
-	for i := range kv.stripes {
-		n += len(kv.stripes[i].data)
-	}
-	out := make([]Pair, 0, n)
-	for i := range kv.stripes {
-		for k, v := range kv.stripes[i].data {
-			out = append(out, Pair{K: k, V: v})
-		}
-	}
-	for i := range kv.stripes {
-		kv.stripes[i].mu.RUnlock()
-	}
-	slices.SortFunc(out, func(a, b Pair) int { return cmp.Compare(a.K, b.K) })
 	return out
 }
 
 // Restore replaces the entire table content with pairs (crash recovery and
-// peer state transfer installs).
+// peer state transfer installs). pairs in ascending key order, as Pairs
+// returns them, are copied as they are; any other input is sorted once,
+// and of several pairs with one key the last wins.
 func (kv *KV) Restore(pairs []Pair) {
-	for i := range kv.stripes {
-		kv.stripes[i].mu.Lock()
-		kv.stripes[i].data = make(map[types.Key]types.Value)
-		kv.stripes[i].mu.Unlock()
+	byKey := func(a, b Pair) int { return cmp.Compare(a.K, b.K) }
+	if !slices.IsSortedFunc(pairs, byKey) {
+		pairs = slices.Clone(pairs)
+		slices.SortStableFunc(pairs, byKey)
 	}
-	for _, p := range pairs {
-		kv.Set(p.K, p.V)
+	keys := make([]types.Key, 0, len(pairs))
+	vals := make([]types.Value, 0, len(pairs))
+	for i, p := range pairs {
+		if i+1 < len(pairs) && pairs[i+1].K == p.K {
+			continue
+		}
+		keys, vals = append(keys, p.K), append(vals, p.V)
 	}
+	kv.mu.Lock()
+	kv.keys, kv.vals, kv.fresh = keys, vals, nil
+	kv.mu.Unlock()
 }
 
 // ExecuteTxnPartial applies the shard-local fragment of t treating missing
@@ -256,10 +326,12 @@ func (kv *KV) Restore(pairs []Pair) {
 // execution is best-effort over locally available data. Deterministic across
 // replicas, which is all their response matching needs.
 func (kv *KV) ExecuteTxnPartial(t *types.Txn, s types.ShardID, z int) types.Value {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	combined := t.Delta
 	for _, k := range t.Reads {
 		if types.OwnerShard(k, z) == s {
-			combined += kv.Get(k)
+			combined += kv.get(k)
 		}
 	}
 	kv.applyWrites(t, s, z, combined)

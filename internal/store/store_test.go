@@ -25,9 +25,9 @@ func TestPreloadOwnership(t *testing.T) {
 	}
 }
 
-// TestPreloadMatchesSetLoop: the presized, lock-once-per-stripe fill builds
-// exactly the table a per-key Set loop builds, and preloading a table that
-// already holds data keeps that data.
+// TestPreloadMatchesSetLoop: the two-slice fill builds exactly the table a
+// per-key Set loop builds, and preloading a table that already holds data
+// merges the partition into it, keeping the rest of that data.
 func TestPreloadMatchesSetLoop(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 4096, 10007} {
 		want, got := NewKV(), NewKV()
