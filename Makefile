@@ -1,5 +1,5 @@
 # Tier-1 verify is `make verify` (fmt-check + docs-check + build + vet +
-# lint + test + race-checked crypto, pbft, wal and store — the
+# lint + test + examples + race-checked crypto, pbft, wal and store — the
 # verified-signature memo, the durability layer and the table read off the
 # event loop are the concurrency-sensitive code — plus
 # race-checked tcpnet and the loopback-TCP scenario suite, whose writer
@@ -25,17 +25,26 @@
 #
 # `make metrics-smoke` boots a loopback-TCP cluster and asserts the
 # /metrics exposition carries live series from every instrumented layer.
+# `make examples` runs every program under examples/ to completion.
 
 GO ?= go
 SOAK_BUDGET ?= 10m
 
-.PHONY: build test vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet bench-store metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
+.PHONY: build test examples vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet bench-store metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The examples are the public Cluster API's only callers besides
+# ringbft_test.go; each must exit 0 within the timeout (a few seconds each
+# on a 2-vCPU host).
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; timeout 120 $(GO) run ./$$d || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -127,4 +136,4 @@ chaos-soak:
 chaos-wallclock:
 	$(GO) run ./cmd/ringbft-chaos -mode wallclock -v
 
-verify: fmt-check docs-check build vet lint test race-crypto race-net
+verify: fmt-check docs-check build vet lint test examples race-crypto race-net

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"ringbft/internal/evidence"
+	"ringbft/internal/harness"
 	"ringbft/internal/metrics"
 	"ringbft/internal/ringbft"
 	"ringbft/internal/tcpnet"
@@ -99,13 +100,9 @@ func main() {
 	}
 	defer transport.Close()
 
-	ring, err := topo.Keygen().Ring(self)
+	layout, err := harness.NewTopology(harness.ProtoRingBFT, topo.Shards, topo.ReplicasPerShard, topo.Seed, false, nil)
 	if err != nil {
 		log.Fatalf("ringbft-node: %v", err)
-	}
-	peers := make([]types.NodeID, topo.ReplicasPerShard)
-	for i := range peers {
-		peers[i] = types.ReplicaNode(types.ShardID(*shard), i)
 	}
 	// The registry is the node's single source of observable state: the
 	// replica, WAL, and transport all register on it; /metrics scrapes it
@@ -113,41 +110,34 @@ func main() {
 	reg := metrics.NewRegistry()
 	tr := trace.New(0)
 	transport.RegisterMetrics(reg)
-
-	opts := ringbft.Options{
-		Config: cfg, Shard: types.ShardID(*shard), Self: self,
-		Peers: peers, Auth: ring,
-		Send: func(to types.NodeID, m *types.Message) { transport.Send(to, m) },
+	hooks := harness.Hooks{
+		Send: transport.Send,
 		// The pipelined primary narrows its window when the transport's
 		// writers fall behind the send rate (outbox occupancy).
 		Backpressure: transport.Backlog,
 		Metrics:      reg, Tracer: tr,
 	}
+	dir := ringbft.ReplicaDir(cfg.DataDir, self)
 	if cfg.DataDir != "" {
-		m, rec, err := ringbft.OpenDurability(cfg, self, nil)
-		if err != nil {
-			log.Fatalf("ringbft-node: open durability: %v", err)
-		}
-		defer m.Close()
-		opts.Durability = m
-		opts.Recovered = rec
-		if !rec.Empty() {
-			log.Printf("ringbft-node %v recovering from %s", self, m.Dir())
-		}
+		hooks.FS = wal.OSFS{}
 		// Misbehavior evidence shares the data dir so accusations survive
 		// restarts — a crash must not launder a recorded equivocation.
-		ev, err := evidence.Open(wal.OSFS{}, filepath.Join(m.Dir(), "evidence"))
+		ev, err := evidence.Open(hooks.FS, filepath.Join(dir, "evidence"))
 		if err != nil {
 			log.Fatalf("ringbft-node: open evidence log: %v", err)
 		}
 		defer ev.Close()
-		opts.Evidence = ev
+		hooks.Evidence = ev
 	}
-	r := ringbft.New(opts)
-	r.Preload(topo.Records)
+	node, err := layout.Build(cfg, self, topo.Records, hooks)
+	if err != nil {
+		log.Fatalf("ringbft-node: %v", err)
+	}
+	r := node.(*ringbft.Replica)
+	defer r.Close()
 	if r.Recovered() {
 		st := r.Stats()
-		log.Printf("ringbft-node %v recovered: kmax %d, ledger height %d", self, st.KMax, st.LedgerHeight)
+		log.Printf("ringbft-node %v recovered from %s: kmax %d, ledger height %d", self, dir, st.KMax, st.LedgerHeight)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

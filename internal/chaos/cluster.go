@@ -6,12 +6,11 @@ import (
 	"sort"
 	"time"
 
-	"ringbft/internal/ahl"
 	"ringbft/internal/crypto"
 	"ringbft/internal/harness"
+	"ringbft/internal/host"
 	"ringbft/internal/metrics"
 	"ringbft/internal/ringbft"
-	"ringbft/internal/sharper"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
 	"ringbft/internal/wal"
@@ -22,12 +21,6 @@ import (
 // types.DefaultConfig timeouts) are expressed in this time base: the default
 // 250ms local timeout is 10 ticks.
 const tickStep = 25 * time.Millisecond
-
-// node is the common deterministic surface of every protocol participant.
-type node interface {
-	HandleMessage(m *types.Message)
-	HandleTick(now time.Time)
-}
 
 // env is one in-flight message.
 type env struct {
@@ -45,17 +38,16 @@ type env struct {
 // message identity, and loss/jitter coins are content-addressed hashes of
 // (seed, message identity, tick) rather than draws from a shared RNG stream.
 type Cluster struct {
-	sc  Scenario
-	cfg types.Config
+	sc   Scenario
+	cfg  types.Config
+	topo *harness.Topology
+	fs   *wal.MemFS
 
-	kg    *crypto.Keygen
-	fs    *wal.MemFS
-	auths map[types.NodeID]crypto.Authenticator
-
-	nodes      map[types.NodeID]node
-	order      []types.NodeID // deterministic iteration order
-	shardPeers [][]types.NodeID
-	committee  []types.NodeID
+	nodes map[types.NodeID]host.Handler
+	order []types.NodeID // deterministic iteration order: topo.Nodes()
+	// hooks are each node slot's build hooks, reused when spawn rebuilds
+	// the slot after a crash (so a restarted replica keeps its tracer).
+	hooks map[types.NodeID]harness.Hooks
 
 	// staged holds sends that have not been assigned a delivery tick yet;
 	// assignment happens in canonical order at pump boundaries (see
@@ -71,13 +63,11 @@ type Cluster struct {
 	lastAt map[[2]types.NodeID]int
 
 	// Nemesis state.
-	down       map[types.NodeID]bool
-	byzSilent  map[types.NodeID]bool
-	byzEquiv   map[types.NodeID]bool
-	byzNewView map[types.NodeID]bool
-	partition  func(from, to types.NodeID) bool
-	lossP      float64
-	delayX     int // extra ticks on cross-shard links
+	down      map[types.NodeID]bool
+	byz       map[types.NodeID]harness.ByzMode
+	partition func(from, to types.NodeID) bool
+	lossP     float64
+	delayX    int // extra ticks on cross-shard links
 	// Client faults flip the adversarial client's (advClientID) behaviour:
 	// duplicate storms fan identical requests everywhere, conflict storms
 	// pair every fresh request with a same-TxnID variant (see stepClient).
@@ -90,10 +80,7 @@ type Cluster struct {
 
 	// Observability (Scenario.Instrument). Timestamps come from the virtual
 	// clock, so the instrumented run is as deterministic as the bare one.
-	// Tracers are keyed by node slot and survive spawn() rebuilds: a
-	// crash/restart keeps one contiguous span log per replica.
-	reg     *metrics.Registry
-	tracers map[types.NodeID]*trace.Tracer
+	reg *metrics.Registry
 }
 
 // advClientID names the client the client-fault classes corrupt; the
@@ -139,56 +126,34 @@ func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) c
 		return nil, fmt.Errorf("chaos: %s: %w", sc.Name(), err)
 	}
 
+	topo, err := harness.NewTopology(sc.Protocol, sc.Shards, sc.ReplicasPerShard, sc.Seed, false, wrapAuth)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s: %w", sc.Name(), err)
+	}
 	c := &Cluster{
-		sc:         sc,
-		cfg:        cfg,
-		kg:         crypto.NewKeygen(sc.Seed),
-		fs:         wal.NewMemFS(),
-		auths:      make(map[types.NodeID]crypto.Authenticator),
-		nodes:      make(map[types.NodeID]node),
-		lastAt:     make(map[[2]types.NodeID]int),
-		down:       make(map[types.NodeID]bool),
-		byzSilent:  make(map[types.NodeID]bool),
-		byzEquiv:   make(map[types.NodeID]bool),
-		byzNewView: make(map[types.NodeID]bool),
-		tracers:    make(map[types.NodeID]*trace.Tracer),
+		sc:     sc,
+		cfg:    cfg,
+		topo:   topo,
+		fs:     wal.NewMemFS(),
+		nodes:  make(map[types.NodeID]host.Handler),
+		order:  topo.Nodes(),
+		hooks:  make(map[types.NodeID]harness.Hooks),
+		lastAt: make(map[[2]types.NodeID]int),
+		down:   make(map[types.NodeID]bool),
+		byz:    make(map[types.NodeID]harness.ByzMode),
 	}
 	if sc.Instrument {
 		c.reg = metrics.NewRegistry()
 	}
-	c.shardPeers = make([][]types.NodeID, sc.Shards)
-	var all []types.NodeID
-	for s := 0; s < sc.Shards; s++ {
-		peers := make([]types.NodeID, sc.ReplicasPerShard)
-		for i := range peers {
-			peers[i] = types.ReplicaNode(types.ShardID(s), i)
-			all = append(all, peers[i])
+	for _, id := range c.order {
+		h := harness.Hooks{Send: c.sender(id), Clock: c.clock, FS: c.fs, Metrics: c.reg}
+		if sc.Instrument {
+			h.Tracer = trace.New(0)
 		}
-		c.shardPeers[s] = peers
-	}
-	if sc.Protocol == harness.ProtoAHL {
-		for i := 0; i < sc.ReplicasPerShard; i++ {
-			id := types.CommitteeNode(i)
-			c.committee = append(c.committee, id)
-			all = append(all, id)
+		c.hooks[id] = h
+		if err := c.spawn(id); err != nil {
+			return nil, err
 		}
-	}
-	for _, id := range all {
-		c.kg.Register(id)
-	}
-	for _, id := range all {
-		ring, err := c.kg.Ring(id)
-		if err != nil {
-			panic(fmt.Sprintf("chaos: keyring for %v: %v", id, err))
-		}
-		c.auths[id] = ring
-		if wrapAuth != nil {
-			c.auths[id] = wrapAuth(id, ring)
-		}
-	}
-	for _, id := range all {
-		c.spawn(id)
-		c.order = append(c.order, id)
 	}
 
 	for i := 0; i < sc.Clients; i++ {
@@ -216,97 +181,25 @@ func (c *Cluster) clock() time.Time {
 	return time.Unix(0, 0).Add(time.Duration(c.tick) * tickStep)
 }
 
-// tracer returns node id's lifecycle tracer (nil when the scenario is not
-// instrumented), creating it on first use and reusing it on respawn.
-func (c *Cluster) tracer(id types.NodeID) *trace.Tracer {
-	if !c.sc.Instrument {
-		return nil
-	}
-	t, ok := c.tracers[id]
-	if !ok {
-		t = trace.New(0)
-		c.tracers[id] = t
-	}
-	return t
-}
-
 // spawn builds (or rebuilds, after a crash) node id, recovering whatever
 // survives on the shared in-memory filesystem.
-func (c *Cluster) spawn(id types.NodeID) {
-	send := c.sender(id)
-	clock := c.clock
-	if id.Kind == types.KindCommittee {
-		c.nodes[id] = ahl.NewCommittee(ahl.CommitteeOptions{
-			Config: c.cfg, Self: id, Peers: c.committee,
-			Auth: c.auths[id], Send: send, Clock: clock,
-			ShardPeers: c.shardPeers,
-			Metrics:    c.reg, Tracer: c.tracer(id),
-		})
-		return
-	}
-	m, rec, err := ringbft.OpenDurability(c.cfg, id, c.fs)
+func (c *Cluster) spawn(id types.NodeID) error {
+	n, err := c.topo.Build(c.cfg, id, c.sc.Records, c.hooks[id])
 	if err != nil {
-		panic(fmt.Sprintf("chaos: open durability for %v: %v", id, err))
+		return fmt.Errorf("chaos: %w", err)
 	}
-	switch c.sc.Protocol {
-	case harness.ProtoRingBFT:
-		r := ringbft.New(ringbft.Options{
-			Config: c.cfg, Shard: id.Shard, Self: id,
-			Peers: c.shardPeers[id.Shard], Auth: c.auths[id],
-			Send: send, Clock: clock,
-			Durability: m, Recovered: rec,
-			Metrics: c.reg, Tracer: c.tracer(id),
-		})
-		r.Preload(c.sc.Records)
-		c.nodes[id] = r
-	case harness.ProtoAHL:
-		r := ahl.NewReplica(ahl.ReplicaOptions{
-			Config: c.cfg, Shard: id.Shard, Self: id,
-			Peers: c.shardPeers[id.Shard], Committee: c.committee,
-			Auth: c.auths[id], Send: send, Clock: clock,
-			Durability: m, Recovered: rec,
-			Metrics: c.reg, Tracer: c.tracer(id),
-		})
-		r.Preload(c.sc.Records)
-		c.nodes[id] = r
-	case harness.ProtoSharper:
-		r := sharper.New(sharper.Options{
-			Config: c.cfg, Shard: id.Shard, Self: id,
-			Peers: c.shardPeers[id.Shard], Auth: c.auths[id],
-			Send: send, Clock: clock,
-			Durability: m, Recovered: rec,
-			Metrics: c.reg, Tracer: c.tracer(id),
-		})
-		r.Preload(c.sc.Records)
-		c.nodes[id] = r
-	default:
-		panic(fmt.Sprintf("chaos: unsupported protocol %q", c.sc.Protocol))
-	}
+	c.nodes[id] = n.(host.Handler) // every sharded node is one
+	return nil
 }
 
 // sender returns node id's outbound hook: Byzantine interception, then
 // enqueue with content-addressed delivery jitter.
 func (c *Cluster) sender(id types.NodeID) func(to types.NodeID, m *types.Message) {
+	a := c.topo.Auth(id)
 	return func(to types.NodeID, m *types.Message) {
-		if c.byzSilent[id] {
-			return
+		if m = harness.Intercept(c.byz[id], id, a, to, m); m != nil {
+			c.enqueue(id, to, m)
 		}
-		if c.byzEquiv[id] && m.Type == types.MsgPrePrepare && m.Batch != nil &&
-			len(m.Batch.Txns) > 0 && to.Kind == types.KindReplica && to.Index%2 == 1 {
-			cp := *m
-			cp.Batch = harness.EquivocateBatch(m.Batch)
-			cp.Digest = cp.Batch.Digest()
-			var buf [types.SigBytesLen]byte
-			cp.MAC = c.auths[id].MAC(to, cp.AppendSigBytes(buf[:0]))
-			m = &cp
-		}
-		if c.byzNewView[id] && m.Type == types.MsgNewView {
-			// The NewView signature covers only the canonical tuple, so the
-			// forged re-proposal needs no re-signing (the gap the receiver's
-			// justification gate must close).
-			m = harness.ForgeUnjustifiedProof(id, m)
-		}
-		c.enqueue(id, to, m)
 	}
 }
 
@@ -451,15 +344,17 @@ func (c *Cluster) dropAtDelivery(e env) bool {
 	return false
 }
 
-// apply executes one nemesis event.
-func (c *Cluster) apply(e Event) {
+// partition is the link-down predicate of a partition event: which
+// messages from->to it drops. Both the deterministic engine and the
+// wall-clock adapter install it.
+func partition(e Event) func(from, to types.NodeID) bool {
 	inIsland := func(id types.NodeID, s types.ShardID) bool {
 		return id.Kind == types.KindReplica && id.Shard == s
 	}
 	switch e.Op {
 	case OpPartitionShard:
 		s := e.Shard
-		c.partition = func(from, to types.NodeID) bool {
+		return func(from, to types.NodeID) bool {
 			if from.Kind == types.KindClient || to.Kind == types.KindClient {
 				return false
 			}
@@ -467,12 +362,12 @@ func (c *Cluster) apply(e Event) {
 		}
 	case OpPartitionAsym:
 		a, b := e.Shard, e.Shard2
-		c.partition = func(from, to types.NodeID) bool {
+		return func(from, to types.NodeID) bool {
 			return inIsland(from, a) && inIsland(to, b)
 		}
-	case OpPartitionLane:
+	default: // OpPartitionLane
 		i1, i2 := e.Index, e.Index2
-		c.partition = func(from, to types.NodeID) bool {
+		return func(from, to types.NodeID) bool {
 			if from.Kind != types.KindReplica || to.Kind != types.KindReplica ||
 				from.Shard == to.Shard {
 				return false
@@ -480,6 +375,14 @@ func (c *Cluster) apply(e Event) {
 			return from.Index == i1 || to.Index == i1 ||
 				(i2 >= 0 && (from.Index == i2 || to.Index == i2))
 		}
+	}
+}
+
+// apply executes one nemesis event.
+func (c *Cluster) apply(e Event) error {
+	switch e.Op {
+	case OpPartitionShard, OpPartitionAsym, OpPartitionLane:
+		c.partition = partition(e)
 	case OpLoss:
 		c.lossP = e.P
 	case OpDelay:
@@ -489,16 +392,20 @@ func (c *Cluster) apply(e Event) {
 	case OpRestart:
 		id := types.ReplicaNode(e.Shard, e.Index)
 		if e.Wipe {
-			c.fs.RemoveAll(wal.Join(c.cfg.DataDir, fmt.Sprintf("s%d-r%d", id.Shard, id.Index)))
+			if err := ringbft.WipeReplica(c.cfg.DataDir, id, c.fs); err != nil {
+				return err
+			}
 		}
-		c.spawn(id) // rebuild from surviving durable state
+		if err := c.spawn(id); err != nil { // rebuild from surviving durable state
+			return err
+		}
 		delete(c.down, id)
 	case OpByzSilent:
-		c.byzSilent[types.ReplicaNode(e.Shard, e.Index)] = true
+		c.byz[types.ReplicaNode(e.Shard, e.Index)] = harness.ByzSilent
 	case OpByzEquivocate:
-		c.byzEquiv[types.ReplicaNode(e.Shard, e.Index)] = true
+		c.byz[types.ReplicaNode(e.Shard, e.Index)] = harness.ByzEquivocate
 	case OpByzNewView:
-		c.byzNewView[types.ReplicaNode(e.Shard, e.Index)] = true
+		c.byz[types.ReplicaNode(e.Shard, e.Index)] = harness.ByzNewView
 	case OpClientDuplicate:
 		c.clientDup = true
 	case OpClientConflict:
@@ -507,12 +414,11 @@ func (c *Cluster) apply(e Event) {
 		c.partition = nil
 		c.lossP = 0
 		c.delayX = 0
-		c.byzSilent = make(map[types.NodeID]bool)
-		c.byzEquiv = make(map[types.NodeID]bool)
-		c.byzNewView = make(map[types.NodeID]bool)
+		clear(c.byz)
 		c.clientDup = false
 		c.clientConflict = false
 	}
+	return nil
 }
 
 // step advances one tick: nemesis events due now, timer ticks for every
@@ -520,7 +426,9 @@ func (c *Cluster) apply(e Event) {
 func (c *Cluster) step(events []Event) error {
 	for _, e := range events {
 		if e.At == c.tick {
-			c.apply(e)
+			if err := c.apply(e); err != nil {
+				return err
+			}
 		}
 	}
 	now := c.clock()
@@ -548,25 +456,6 @@ func (c *Cluster) step(events []Event) error {
 // harness client's 2×LocalTimeout rule).
 func (c *Cluster) clientTimeout() int {
 	return int(2 * c.cfg.LocalTimeout / tickStep)
-}
-
-// route picks the node a fresh batch is addressed to, honouring the view
-// hint learned from responses (so post-view-change primaries are targeted).
-func (c *Cluster) route(cl *dclient, b *types.Batch) types.NodeID {
-	if c.sc.Protocol == harness.ProtoAHL && b.IsCrossShard() {
-		return c.committee[0]
-	}
-	s := b.Initiator()
-	idx := int(uint64(cl.viewHint[s]) % uint64(c.sc.ReplicasPerShard))
-	return types.ReplicaNode(s, idx)
-}
-
-// fanout lists the nodes a timed-out batch is rebroadcast to (attack A1).
-func (c *Cluster) fanout(b *types.Batch) []types.NodeID {
-	if c.sc.Protocol == harness.ProtoAHL && b.IsCrossShard() {
-		return c.committee
-	}
-	return c.shardPeers[b.Initiator()]
 }
 
 func (c *Cluster) stepClient(cl *dclient) {
@@ -620,7 +509,7 @@ func (c *Cluster) stepClient(cl *dclient) {
 			Type: types.MsgClientRequest, From: from,
 			Batch: fl.batch, Digest: fl.digest,
 		}
-		for _, to := range c.fanout(fl.batch) {
+		for _, to := range c.topo.Fallback(fl.batch) {
 			c.enqueue(from, to, m)
 		}
 	}
@@ -639,12 +528,12 @@ func (c *Cluster) stepClient(cl *dclient) {
 			// Duplicate storm: fan the identical request out to the whole
 			// shard — exactly what honest retransmission does, so this is
 			// legal traffic the protocol must dedupe without accusing anyone.
-			for _, to := range c.fanout(b) {
+			for _, to := range c.topo.Fallback(b) {
 				c.enqueue(from, to, m)
 			}
 			continue
 		}
-		c.enqueue(from, c.route(cl, b), m)
+		c.enqueue(from, c.topo.Entry(b, cl.viewHint[b.Initiator()]), m)
 		if c.clientConflict && cl.id == advClientID {
 			// Conflict storm: a second batch carrying the same transaction
 			// IDs under a different digest, blasted at the whole shard.
@@ -657,7 +546,7 @@ func (c *Cluster) stepClient(cl *dclient) {
 				Type: types.MsgClientRequest, From: from,
 				Batch: evil, Digest: evil.Digest(),
 			}
-			for _, to := range c.fanout(b) {
+			for _, to := range c.topo.Fallback(b) {
 				c.enqueue(from, to, em)
 			}
 		}
@@ -673,9 +562,7 @@ func (c *Cluster) Observability() ([]trace.Event, string) {
 	}
 	batches := make([][]trace.Event, 0, len(c.order))
 	for _, id := range c.order {
-		if t, ok := c.tracers[id]; ok {
-			batches = append(batches, t.Events())
-		}
+		batches = append(batches, c.hooks[id].Tracer.Events())
 	}
 	return trace.Merge(batches...), c.reg.Snapshot()
 }

@@ -186,7 +186,7 @@ func (c *Cluster) probe(budget int) (ticks int, ok bool, err error) {
 			batch: b, digest: d, sentTick: c.tick,
 			votes: make(map[types.NodeID]struct{}),
 		}
-		c.enqueue(from, c.route(pc, b), &types.Message{
+		c.enqueue(from, c.topo.Entry(b, pc.viewHint[b.Initiator()]), &types.Message{
 			Type: types.MsgClientRequest, From: from, Batch: b, Digest: d,
 		})
 	}

@@ -60,33 +60,9 @@ func nemesisFromSchedule(sc Scenario, sched Schedule, window time.Duration) harn
 
 // applyWallClock executes one schedule event against the harness controller.
 func applyWallClock(ctl *harness.Controller, e Event) {
-	inIsland := func(id types.NodeID, s types.ShardID) bool {
-		return id.Kind == types.KindReplica && id.Shard == s
-	}
 	switch e.Op {
-	case OpPartitionShard:
-		s := e.Shard
-		ctl.SetPartition(func(from, to types.NodeID) bool {
-			if from.Kind == types.KindClient || to.Kind == types.KindClient {
-				return false
-			}
-			return inIsland(from, s) != inIsland(to, s)
-		})
-	case OpPartitionAsym:
-		a, b := e.Shard, e.Shard2
-		ctl.SetPartition(func(from, to types.NodeID) bool {
-			return inIsland(from, a) && inIsland(to, b)
-		})
-	case OpPartitionLane:
-		i1, i2 := e.Index, e.Index2
-		ctl.SetPartition(func(from, to types.NodeID) bool {
-			if from.Kind != types.KindReplica || to.Kind != types.KindReplica ||
-				from.Shard == to.Shard {
-				return false
-			}
-			return from.Index == i1 || to.Index == i1 ||
-				(i2 >= 0 && (from.Index == i2 || to.Index == i2))
-		})
+	case OpPartitionShard, OpPartitionAsym, OpPartitionLane:
+		ctl.SetPartition(partition(e))
 	case OpLoss:
 		p := e.P
 		ctl.SetLossFilter(func(from, to types.NodeID) float64 {
@@ -146,7 +122,7 @@ func RunWallClock(sc Scenario, window time.Duration) (*WallClockResult, error) {
 		LatencyScale:       0.02,
 		Seed:               sc.Seed,
 		CheckpointInterval: 8,
-		Durable:            sc.Protocol == harness.ProtoRingBFT,
+		Durable:            true,
 		Nemesis:            nemesisFromSchedule(sc, sched, window),
 		CollectState:       true,
 		Instrument:         sc.Instrument,

@@ -1,209 +1,252 @@
 package harness
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"ringbft/internal/ahl"
 	"ringbft/internal/crypto"
+	"ringbft/internal/evidence"
+	"ringbft/internal/host"
 	obs "ringbft/internal/metrics"
 	"ringbft/internal/protocols"
 	"ringbft/internal/ringbft"
 	"ringbft/internal/sharper"
 	"ringbft/internal/simnet"
+	"ringbft/internal/trace"
 	"ringbft/internal/types"
 	"ringbft/internal/wal"
 )
+
+// This file is the one place a sharded replica is built. Harness runs, the
+// chaos engine, the public ringbft.Cluster and cmd/ringbft-node all lay
+// their nodes out with NewTopology and construct each one with Build.
+
+// Topology is one deployment's node layout and key material: the shard peer
+// lists, AHL's reference committee, and one authenticator per node.
+type Topology struct {
+	protocol  Protocol
+	shards    [][]types.NodeID // shards[s][i] is replica i of shard s
+	committee []types.NodeID   // AHL's reference committee; nil otherwise
+	auths     map[types.NodeID]crypto.Authenticator
+}
+
+// NewTopology lays out shards × n replicas, plus an n-member committee for
+// AHL, and derives every node's keys from seed. With noCrypto every node
+// gets crypto.NopAuth. wrap, when non-nil, decorates each node's
+// authenticator (instrumentation, e.g. crypto.CountingAuth).
+func NewTopology(p Protocol, shards, n int, seed int64, noCrypto bool, wrap func(types.NodeID, crypto.Authenticator) crypto.Authenticator) (*Topology, error) {
+	if !p.Replicated() && p != ProtoRingBFT && p != ProtoAHL && p != ProtoSharper {
+		return nil, fmt.Errorf("harness: unknown protocol %q", p)
+	}
+	t := &Topology{protocol: p, shards: make([][]types.NodeID, shards), auths: make(map[types.NodeID]crypto.Authenticator)}
+	for s := range t.shards {
+		t.shards[s] = make([]types.NodeID, n)
+		for i := range t.shards[s] {
+			t.shards[s][i] = types.ReplicaNode(types.ShardID(s), i)
+		}
+	}
+	if p == ProtoAHL {
+		for i := 0; i < n; i++ {
+			t.committee = append(t.committee, types.CommitteeNode(i))
+		}
+	}
+	kg := crypto.NewKeygen(seed)
+	nodes := t.Nodes()
+	if !noCrypto {
+		for _, id := range nodes {
+			kg.Register(id)
+		}
+	}
+	for _, id := range nodes {
+		var a crypto.Authenticator = crypto.NopAuth{}
+		if !noCrypto {
+			ring, err := kg.Ring(id)
+			if err != nil {
+				return nil, err
+			}
+			a = ring
+		}
+		if wrap != nil {
+			a = wrap(id, a)
+		}
+		t.auths[id] = a
+	}
+	return t, nil
+}
+
+// Nodes lists every node: the shard replicas in index order, then the
+// committee. Nodes are built, ticked and captured in this order.
+func (t *Topology) Nodes() []types.NodeID {
+	var out []types.NodeID
+	for _, peers := range t.shards {
+		out = append(out, peers...)
+	}
+	return append(out, t.committee...)
+}
+
+// Auth returns node id's authenticator.
+func (t *Topology) Auth(id types.NodeID) crypto.Authenticator { return t.auths[id] }
+
+// Entry is the node a client addresses a fresh batch to: the first
+// committee member for an AHL cross-shard batch, otherwise the primary of
+// the initiator shard in view v.
+func (t *Topology) Entry(b *types.Batch, v types.View) types.NodeID {
+	if t.committee != nil && b.IsCrossShard() {
+		return t.committee[0]
+	}
+	s := b.Initiator()
+	return types.ReplicaNode(s, int(uint64(v)%uint64(len(t.shards[s]))))
+}
+
+// Fallback lists the nodes a client rebroadcasts a timed-out batch to
+// (attack A1): the committee for an AHL cross-shard batch, otherwise every
+// replica of the initiator shard.
+func (t *Topology) Fallback(b *types.Batch) []types.NodeID {
+	if t.committee != nil && b.IsCrossShard() {
+		return t.committee
+	}
+	return t.shards[b.Initiator()]
+}
+
+// Hooks are what a caller threads into one node. Every field is optional
+// except Send.
+type Hooks struct {
+	Send  host.Sender
+	Clock func() time.Time // nil = time.Now
+	// FS holds the shard replicas' durability under Config.DataDir; nil
+	// keeps them in memory. The committee is never durable.
+	FS      wal.FS
+	Metrics *obs.Registry
+	// Tracer is the node slot's lifecycle tracer; pass the same one when
+	// the slot is rebuilt after a crash, so it keeps one span log.
+	Tracer *trace.Tracer
+	// Backpressure and AllToAllForward reach RingBFT replicas only (see
+	// ringbft.Options).
+	Backpressure    func() int
+	AllToAllForward bool
+	Evidence        *evidence.Log
+}
+
+// Node is a built node: the event loop a Runtime runs.
+type Node interface {
+	Run(ctx context.Context, inbox <-chan *types.Message)
+}
+
+// replica is a node holding a store partition to preload.
+type replica interface {
+	Node
+	Preload(records int)
+}
+
+// Build constructs node id of the topology: a RingBFT replica, an AHL
+// replica or committee member, or a Sharper replica, with records preloaded
+// and, when h.FS is set, whatever its data directory holds recovered. Every
+// node it returns is also a host.Handler, which the deterministic chaos
+// engine drives directly.
+func (t *Topology) Build(cfg types.Config, id types.NodeID, records int, h Hooks) (Node, error) {
+	a, ok := t.auths[id]
+	if !ok || t.protocol.Replicated() {
+		return nil, fmt.Errorf("harness: no %s node %v", t.protocol, id)
+	}
+	if id.Kind == types.KindCommittee {
+		return ahl.NewCommittee(ahl.CommitteeOptions{
+			Config: cfg, Self: id, Peers: t.committee, ShardPeers: t.shards,
+			Auth: a, Send: h.Send, Clock: h.Clock,
+			Metrics: h.Metrics, Tracer: h.Tracer,
+		}), nil
+	}
+	var dur *wal.Manager
+	var rec *wal.Recovered
+	if h.FS != nil {
+		var err error
+		if dur, rec, err = ringbft.OpenDurability(cfg, id, h.FS); err != nil {
+			return nil, fmt.Errorf("harness: open durability for %v: %w", id, err)
+		}
+	}
+	peers := t.shards[id.Shard]
+	var r replica
+	switch t.protocol {
+	case ProtoAHL:
+		r = ahl.NewReplica(ahl.ReplicaOptions{
+			Config: cfg, Shard: id.Shard, Self: id, Peers: peers, Committee: t.committee,
+			Auth: a, Send: h.Send, Clock: h.Clock,
+			Durability: dur, Recovered: rec, Evidence: h.Evidence,
+			Metrics: h.Metrics, Tracer: h.Tracer,
+		})
+	case ProtoSharper:
+		r = sharper.New(sharper.Options{
+			Config: cfg, Shard: id.Shard, Self: id, Peers: peers,
+			Auth: a, Send: h.Send, Clock: h.Clock,
+			Durability: dur, Recovered: rec, Evidence: h.Evidence,
+			Metrics: h.Metrics, Tracer: h.Tracer,
+		})
+	default:
+		r = ringbft.New(ringbft.Options{
+			Config: cfg, Shard: id.Shard, Self: id, Peers: peers,
+			Auth: a, Send: h.Send, Clock: h.Clock,
+			AllToAllForward: h.AllToAllForward, Backpressure: h.Backpressure,
+			Durability: dur, Recovered: rec, Evidence: h.Evidence,
+			Metrics: h.Metrics, Tracer: h.Tracer,
+		})
+	}
+	r.Preload(records)
+	return r, nil
+}
 
 // build constructs the cluster for the configured protocol.
 func build(cfg Config) (*cluster, error) {
 	if cfg.Protocol.Replicated() {
 		return buildReplicated(cfg)
 	}
-	net := buildFabric(cfg)
 	tcfg := typesConfig(cfg)
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
-	kg := crypto.NewKeygen(cfg.Seed)
-
-	var allIDs []types.NodeID
-	shardPeers := make([][]types.NodeID, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		peers := make([]types.NodeID, cfg.ReplicasPerShard)
-		for i := 0; i < cfg.ReplicasPerShard; i++ {
-			peers[i] = types.ReplicaNode(types.ShardID(s), i)
-			allIDs = append(allIDs, peers[i])
-		}
-		shardPeers[s] = peers
+	topo, err := NewTopology(cfg.Protocol, cfg.Shards, cfg.ReplicasPerShard, cfg.Seed, cfg.NoCrypto, nil)
+	if err != nil {
+		return nil, err
 	}
-	var committee []types.NodeID
-	if cfg.Protocol == ProtoAHL {
-		committee = make([]types.NodeID, cfg.ReplicasPerShard)
-		for i := range committee {
-			committee[i] = types.CommitteeNode(i)
-			allIDs = append(allIDs, committee[i])
-		}
+	cl := newCluster(cfg, topo)
+	var fs wal.FS
+	if cfg.Durable {
+		fs = wal.NewMemFS()
 	}
-	if !cfg.NoCrypto {
-		for _, id := range allIDs {
-			kg.Register(id)
-		}
-	}
-
-	cl := &cluster{cfg: cfg, tcfg: tcfg, net: net}
-	if cfg.Instrument {
-		cl.reg = obs.NewRegistry()
-	}
-	attach := func(id types.NodeID, region simnet.Region) endpoint {
-		return net.Attach(id, region)
-	}
-
-	switch cfg.Protocol {
-	case ProtoRingBFT:
-		if cfg.Durable {
-			cl.fs = wal.NewMemFS()
-		}
-		for s := 0; s < cfg.Shards; s++ {
-			region := simnet.ShardRegion(s)
-			for i := 0; i < cfg.ReplicasPerShard; i++ {
-				id := shardPeers[s][i]
-				ep := attach(id, region)
-				a, err := auth(cfg, kg, id)
-				if err != nil {
-					return nil, err
+	cl.rt, err = Deploy(buildFabric(cfg), topo, tcfg, fs, cfg.Records, func(id types.NodeID, h *Hooks) {
+		if cfg.Nemesis != nil {
+			// Route outbound traffic through the Byzantine interceptor, so
+			// SetByzantine works mid-run; other runs send directly.
+			mode, a, send := new(atomic.Int32), topo.Auth(id), h.Send
+			cl.byz[id] = mode
+			h.Send = func(to types.NodeID, m *types.Message) {
+				if m = Intercept(ByzMode(mode.Load()), id, a, to, m); m != nil {
+					send(to, m)
 				}
-				peers := shardPeers[s]
-				send := cl.interceptSend(cfg, id, a, ep.Send)
-				// Real transports expose outbox occupancy; the pipelined
-				// primary clamps its window when writers fall behind.
-				var backpressure func() int
-				if bl, ok := ep.(interface{ Backlog() int }); ok {
-					backpressure = bl.Backlog
-				}
-				// One tracer per node slot, shared with any respawn of the
-				// same slot so a crash/restart keeps one contiguous span log.
-				tr := cl.newTracer()
-				mk := func() node {
-					opts := ringbft.Options{
-						Config: tcfg, Shard: id.Shard, Self: id,
-						Peers: peers, Auth: a,
-						Send:            ringbft.Sender(send),
-						AllToAllForward: cfg.AllToAllForward,
-						Backpressure:    backpressure,
-						Metrics:         cl.reg, Tracer: tr,
-					}
-					if cl.fs != nil {
-						// Errors here degrade to an in-memory replica; the
-						// MemFS cannot actually fail.
-						if m, rec, err := ringbft.OpenDurability(tcfg, id, cl.fs); err == nil {
-							opts.Durability = m
-							opts.Recovered = rec
-						}
-					}
-					r := ringbft.New(opts)
-					r.Preload(cfg.Records)
-					return r
-				}
-				cl.nodes = append(cl.nodes, mk())
-				cl.rebuild = append(cl.rebuild, mk)
-				cl.inboxes = append(cl.inboxes, ep.Inbox())
-				cl.ids = append(cl.ids, id)
 			}
 		}
-		cl.route = func(_ types.ClientID, b *types.Batch) types.NodeID {
-			return types.ReplicaNode(b.Initiator(), 0)
+		h.AllToAllForward = cfg.AllToAllForward
+		h.Metrics = cl.reg
+		if cfg.Instrument {
+			h.Tracer = trace.New(0)
+			cl.tracers = append(cl.tracers, h.Tracer)
 		}
-		cl.fanout = func(b *types.Batch) []types.NodeID {
-			return shardPeers[b.Initiator()]
-		}
-
-	case ProtoSharper:
-		for s := 0; s < cfg.Shards; s++ {
-			region := simnet.ShardRegion(s)
-			for i := 0; i < cfg.ReplicasPerShard; i++ {
-				id := shardPeers[s][i]
-				ep := attach(id, region)
-				a, err := auth(cfg, kg, id)
-				if err != nil {
-					return nil, err
-				}
-				r := sharper.New(sharper.Options{
-					Config: tcfg, Shard: types.ShardID(s), Self: id,
-					Peers: shardPeers[s], Auth: a,
-					Send:    sharper.Sender(cl.interceptSend(cfg, id, a, ep.Send)),
-					Metrics: cl.reg, Tracer: cl.newTracer(),
-				})
-				r.Preload(cfg.Records)
-				cl.nodes = append(cl.nodes, r)
-				cl.inboxes = append(cl.inboxes, ep.Inbox())
-				cl.ids = append(cl.ids, id)
-			}
-		}
-		cl.route = func(_ types.ClientID, b *types.Batch) types.NodeID {
-			return types.ReplicaNode(b.Initiator(), 0)
-		}
-		cl.fanout = func(b *types.Batch) []types.NodeID {
-			return shardPeers[b.Initiator()]
-		}
-
-	case ProtoAHL:
-		// The reference committee is hosted in the first region (a single
-		// location, which is exactly why it centralizes WAN traffic).
-		for i, id := range committee {
-			ep := attach(id, simnet.ShardRegion(0))
-			a, err := auth(cfg, kg, id)
-			if err != nil {
-				return nil, err
-			}
-			r := ahl.NewCommittee(ahl.CommitteeOptions{
-				Config: tcfg, Self: id, Peers: committee, Auth: a,
-				Send:       ahl.Sender(cl.interceptSend(cfg, id, a, ep.Send)),
-				ShardPeers: shardPeers,
-				Metrics:    cl.reg, Tracer: cl.newTracer(),
-			})
-			_ = i
-			cl.nodes = append(cl.nodes, r)
-			cl.inboxes = append(cl.inboxes, ep.Inbox())
-			cl.ids = append(cl.ids, id)
-		}
-		for s := 0; s < cfg.Shards; s++ {
-			region := simnet.ShardRegion(s)
-			for i := 0; i < cfg.ReplicasPerShard; i++ {
-				id := shardPeers[s][i]
-				ep := attach(id, region)
-				a, err := auth(cfg, kg, id)
-				if err != nil {
-					return nil, err
-				}
-				r := ahl.NewReplica(ahl.ReplicaOptions{
-					Config: tcfg, Shard: types.ShardID(s), Self: id,
-					Peers: shardPeers[s], Committee: committee, Auth: a,
-					Send:    ahl.Sender(cl.interceptSend(cfg, id, a, ep.Send)),
-					Metrics: cl.reg, Tracer: cl.newTracer(),
-				})
-				r.Preload(cfg.Records)
-				cl.nodes = append(cl.nodes, r)
-				cl.inboxes = append(cl.inboxes, ep.Inbox())
-				cl.ids = append(cl.ids, id)
-			}
-		}
-		cl.route = func(_ types.ClientID, b *types.Batch) types.NodeID {
-			if b.IsCrossShard() {
-				return committee[0]
-			}
-			return types.ReplicaNode(b.Initiator(), 0)
-		}
-		cl.fanout = func(b *types.Batch) []types.NodeID {
-			if b.IsCrossShard() {
-				return committee
-			}
-			return shardPeers[b.Initiator()]
-		}
-
-	default:
-		return nil, fmt.Errorf("harness: unknown protocol %q", cfg.Protocol)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cl, nil
+}
+
+// baselines constructs the fully-replicated protocols of Figure 1.
+var baselines = map[Protocol]func(protocols.Options) replica{
+	ProtoPBFT:     func(o protocols.Options) replica { return protocols.NewPBFT(o) },
+	ProtoZyzzyva:  func(o protocols.Options) replica { return protocols.NewZyzzyva(o) },
+	ProtoSBFT:     func(o protocols.Options) replica { return protocols.NewSBFT(o) },
+	ProtoPoE:      func(o protocols.Options) replica { return protocols.NewPoE(o) },
+	ProtoHotStuff: func(o protocols.Options) replica { return protocols.NewHotStuff(o) },
+	ProtoRCC:      func(o protocols.Options) replica { return protocols.NewRCC(o) },
 }
 
 // buildReplicated constructs a single fully-replicated consensus group of
@@ -213,73 +256,29 @@ func build(cfg Config) (*cluster, error) {
 func buildReplicated(cfg Config) (*cluster, error) {
 	cfg.Shards = 1
 	cfg.CrossShardPct = 0
-	net := buildFabric(cfg)
 	tcfg := typesConfig(cfg)
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
-	kg := crypto.NewKeygen(cfg.Seed)
-	n := cfg.ReplicasPerShard
-	peers := make([]types.NodeID, n)
-	for i := 0; i < n; i++ {
-		peers[i] = types.ReplicaNode(0, i)
-		if !cfg.NoCrypto {
-			kg.Register(peers[i])
-		}
+	topo, err := NewTopology(cfg.Protocol, 1, cfg.ReplicasPerShard, cfg.Seed, cfg.NoCrypto, nil)
+	if err != nil {
+		return nil, err
 	}
-	cl := &cluster{cfg: cfg, tcfg: tcfg, net: net}
-	for i := 0; i < n; i++ {
-		id := peers[i]
+	peers := topo.shards[0]
+	n := len(peers)
+	cl := newCluster(cfg, topo)
+	net := buildFabric(cfg)
+	cl.rt = &Runtime{net: net}
+	for i, id := range peers {
 		ep := net.Attach(id, simnet.Region(i%int(simnet.NumRegions)))
-		a, err := auth(cfg, kg, id)
-		if err != nil {
-			return nil, err
-		}
-		opts := protocols.Options{Config: tcfg, Self: id, Peers: peers, Auth: a, Send: ep.Send}
-		var nd node
-		switch cfg.Protocol {
-		case ProtoPBFT:
-			r := protocols.NewPBFT(opts)
-			r.Preload(cfg.Records)
-			nd = r
-		case ProtoZyzzyva:
-			r := protocols.NewZyzzyva(opts)
-			r.Preload(cfg.Records)
-			nd = r
-		case ProtoSBFT:
-			r := protocols.NewSBFT(opts)
-			r.Preload(cfg.Records)
-			nd = r
-		case ProtoPoE:
-			r := protocols.NewPoE(opts)
-			r.Preload(cfg.Records)
-			nd = r
-		case ProtoHotStuff:
-			r := protocols.NewHotStuff(opts)
-			r.Preload(cfg.Records)
-			nd = r
-		case ProtoRCC:
-			r := protocols.NewRCC(opts)
-			r.Preload(cfg.Records)
-			nd = r
-		default:
-			return nil, fmt.Errorf("harness: unknown baseline %q", cfg.Protocol)
-		}
-		cl.nodes = append(cl.nodes, nd)
-		cl.inboxes = append(cl.inboxes, ep.Inbox())
-		cl.ids = append(cl.ids, id)
+		nd := baselines[cfg.Protocol](protocols.Options{Config: tcfg, Self: id, Peers: peers, Auth: topo.Auth(id), Send: ep.Send})
+		nd.Preload(cfg.Records)
+		// No durability: a restarted baseline resumes its old instance.
+		cl.rt.slots = append(cl.rt.slots, &slot{id: id, inbox: ep.Inbox(), node: nd, rebuild: func() (Node, error) { return nd, nil }})
 	}
 	switch cfg.Protocol {
 	case ProtoRCC:
-		// Multi-primary: clients spread load across every replica.
-		cl.route = func(c types.ClientID, _ *types.Batch) types.NodeID {
-			return peers[int(c)%n]
-		}
-	default:
-		cl.route = func(types.ClientID, *types.Batch) types.NodeID { return peers[0] }
-	}
-	cl.fanout = func(*types.Batch) []types.NodeID { return peers }
-	switch cfg.Protocol {
+		cl.multiPrimary = true
 	case ProtoZyzzyva:
 		cl.respNeed = n // all 3f+1 speculative responses must match
 	case ProtoPoE:

@@ -5,19 +5,19 @@ import (
 	"ringbft/internal/types"
 )
 
-// endpoint is one node's attachment to the cluster's message fabric.
-type endpoint interface {
+// Endpoint is one node's attachment to a Fabric.
+type Endpoint interface {
 	Send(to types.NodeID, m *types.Message)
 	Inbox() <-chan *types.Message
 }
 
-// fabric abstracts the message layer a cluster runs on: the simulated WAN
-// (simnet, the default — latency models, bandwidth, loss) or real loopback
-// TCP sockets (tcpnet, Config.TCP) where the kernel provides the only
-// queueing and the transport's writer pipeline is what keeps event loops
-// non-blocking. The scenario suite runs unchanged on either.
-type fabric interface {
-	Attach(id types.NodeID, region simnet.Region) endpoint
+// Fabric abstracts the message layer a deployment runs on: the simulated
+// WAN (simnet, the default — latency models, bandwidth, loss) or real
+// loopback TCP sockets (tcpnet, Config.TCP) where the kernel provides the
+// only queueing and the transport's writer pipeline is what keeps event
+// loops non-blocking. The scenario suite runs unchanged on either.
+type Fabric interface {
+	Attach(id types.NodeID, region simnet.Region) Endpoint
 	// SetCrashed silences a node both ways: its sends are suppressed and
 	// inbound messages are dropped before reaching its inbox.
 	SetCrashed(id types.NodeID, down bool)
@@ -27,23 +27,23 @@ type fabric interface {
 }
 
 // buildFabric selects the fabric for a run.
-func buildFabric(cfg Config) fabric {
+func buildFabric(cfg Config) Fabric {
 	if cfg.TCP {
 		return newTCPFabric(cfg)
 	}
-	return simFabric{net: buildNetwork(cfg)}
+	return SimFabric{Net: buildNetwork(cfg)}
 }
 
-// simFabric adapts *simnet.Network to the fabric interface.
-type simFabric struct{ net *simnet.Network }
+// SimFabric runs a deployment on a *simnet.Network.
+type SimFabric struct{ Net *simnet.Network }
 
-func (f simFabric) Attach(id types.NodeID, r simnet.Region) endpoint { return f.net.Attach(id, r) }
-func (f simFabric) SetCrashed(id types.NodeID, down bool)            { f.net.SetCrashed(id, down) }
-func (f simFabric) Close()                                           { f.net.Close() }
+func (f SimFabric) Attach(id types.NodeID, r simnet.Region) Endpoint { return f.Net.Attach(id, r) }
+func (f SimFabric) SetCrashed(id types.NodeID, down bool)            { f.Net.SetCrashed(id, down) }
+func (f SimFabric) Close()                                           { f.Net.Close() }
 
-func (f simFabric) fillStats(res *Result) {
-	res.MsgsSent = f.net.Stats.MsgsSent.Load()
-	res.MsgsDropped = f.net.Stats.MsgsDropped.Load()
-	res.BytesSent = f.net.Stats.BytesSent.Load()
-	res.BytesCross = f.net.Stats.BytesCross.Load()
+func (f SimFabric) fillStats(res *Result) {
+	res.MsgsSent = f.Net.Stats.MsgsSent.Load()
+	res.MsgsDropped = f.Net.Stats.MsgsDropped.Load()
+	res.BytesSent = f.Net.Stats.BytesSent.Load()
+	res.BytesCross = f.Net.Stats.BytesCross.Load()
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,55 +14,28 @@ import (
 // recover to the pre-crash level (clients re-target the new primary from
 // the view carried in Response messages).
 func TestPrimaryCrashRecoversThroughput(t *testing.T) {
-	cfg := Config{
+	var ctl *Controller
+	res, err := Run(Config{
 		Protocol: ProtoRingBFT, Shards: 3, ReplicasPerShard: 4,
 		BatchSize: 10, CrossShardPct: 0, Clients: 6, ClientWindow: 2,
 		Duration: 4 * time.Second, Warmup: 400 * time.Millisecond,
 		LatencyScale: 0.02, StripeClients: true, Records: 40000,
 		LocalTimeout: 400 * time.Millisecond, RemoteTimeout: 700 * time.Millisecond,
 		TransmitTimeout: 1100 * time.Millisecond,
-	}
-	applyDefaults(&cfg)
-	cl, err := build(cfg)
+		Nemesis: func(ctx context.Context, c *Controller) {
+			ctl = c
+			CrashPrimaries(1, time.Second)(ctx, c)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.net.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i, n := range cl.nodes {
-		wg.Add(1)
-		go func(n node, in <-chan *types.Message) { defer wg.Done(); n.Run(ctx, in) }(n, cl.inboxes[i])
-	}
-	metrics := newMetrics()
-	cctx, ccancel := context.WithCancel(ctx)
-	var cwg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		cwg.Add(1)
-		go func(c int) { defer cwg.Done(); runClient(cctx, cl, types.ClientID(c+1), metrics) }(c)
-	}
-	time.Sleep(cfg.Warmup)
-	metrics.startMeasuring()
-	time.Sleep(time.Second)
-	cl.net.SetCrashed(types.ReplicaNode(0, 0), true)
-	t.Log("crashed s0/r0")
-	time.Sleep(3 * time.Second)
-	metrics.stopMeasuring()
-	ccancel()
-	cwg.Wait()
-	cancel()
-	wg.Wait()
-	res := metrics.result(cfg)
 	t.Logf("timeline: %v", res.Timeline)
 
 	// Shard 0's surviving replicas must have moved past view 0.
 	vcSeen := false
-	for i, n := range cl.nodes {
-		r, ok := n.(*ringbft.Replica)
-		if !ok || cl.ids[i].Shard != 0 || cl.ids[i].Index == 0 {
-			continue
-		}
-		if r.Engine().View() > 0 {
+	for i := 1; i < ctl.ReplicasPerShard(); i++ {
+		if ctl.cl.rt.Node(types.ReplicaNode(0, i)).(*ringbft.Replica).Engine().View() > 0 {
 			vcSeen = true
 		}
 	}

@@ -306,8 +306,7 @@ func Fig9(p Profile) (Result, error) {
 	cfg.CrossShardPct = 0.3
 	cfg.InvolvedShards = cfg.Shards
 	cfg.Duration = 6 * cfg.Duration
-	cfg.FailPrimaries = (cfg.Shards + 2) / 3
-	cfg.FailAt = cfg.Duration / 4
+	cfg.Nemesis = CrashPrimaries((cfg.Shards+2)/3, cfg.Duration/4)
 	// Run below saturation so commit latency sits well under the local
 	// timeout: the local timer must distinguish a crashed primary from
 	// ordinary queueing, exactly as in the paper's deployment (their
@@ -340,9 +339,6 @@ func Fig9Recovery(p Profile) (Figure, error) {
 	base.RemoteTimeout = 700 * time.Millisecond
 	base.TransmitTimeout = 1100 * time.Millisecond
 	base.CheckpointInterval = 8
-	base.CrashRestart = true
-	base.CrashAt = base.Duration / 4
-	base.RestartAt = base.Duration / 2
 
 	variants := []struct {
 		label   string
@@ -357,7 +353,7 @@ func Fig9Recovery(p Profile) (Figure, error) {
 	for _, v := range variants {
 		cfg := base
 		cfg.Durable = v.durable
-		cfg.WipeOnRestart = v.wipe
+		cfg.Nemesis = CrashRestart(base.Duration/4, base.Duration/2, v.wipe)
 		res, err := Run(cfg)
 		if err != nil {
 			return fig, err

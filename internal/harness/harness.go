@@ -14,12 +14,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ringbft/internal/crypto"
 	obs "ringbft/internal/metrics"
 	"ringbft/internal/simnet"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
-	"ringbft/internal/wal"
 	"ringbft/internal/workload"
 )
 
@@ -44,11 +42,8 @@ const (
 
 // Replicated reports whether p is a fully-replicated (unsharded) baseline.
 func (p Protocol) Replicated() bool {
-	switch p {
-	case ProtoPBFT, ProtoZyzzyva, ProtoSBFT, ProtoPoE, ProtoHotStuff, ProtoRCC:
-		return true
-	}
-	return false
+	_, ok := baselines[p]
+	return ok
 }
 
 // Config describes one experiment run.
@@ -117,30 +112,14 @@ type Config struct {
 	RemoteTimeout   time.Duration
 	TransmitTimeout time.Duration
 
-	// FailPrimaries crashes the primaries of the first k shards at
-	// FailAt into the measurement window (Fig 9).
-	FailPrimaries int
-	FailAt        time.Duration
-
-	// Durable backs every RingBFT replica with the durability subsystem
+	// Durable backs every shard replica with the durability subsystem
 	// (internal/wal) on a shared in-memory filesystem: WAL-logged blocks,
-	// snapshots at stable checkpoints, crash recovery. Required by the
-	// crash-restart knobs below.
+	// snapshots at stable checkpoints, crash recovery from disk.
 	Durable bool
 	// CheckpointInterval overrides the shard checkpoint cadence (0 keeps
 	// the types.DefaultConfig value); recovery scenarios shorten it so
 	// state transfer triggers within the measurement window.
 	CheckpointInterval types.SeqNum
-
-	// CrashRestart crashes one replica (the last backup of shard 0) at
-	// CrashAt into the measurement window and restarts it at RestartAt —
-	// recovering from disk when Durable, from nothing otherwise. With
-	// WipeOnRestart its data directory is erased first, forcing the
-	// wipe-and-rejoin state-transfer path. RingBFT only.
-	CrashRestart  bool
-	CrashAt       time.Duration
-	RestartAt     time.Duration
-	WipeOnRestart bool
 
 	// Instrument attaches a shared metrics registry and one lifecycle
 	// tracer per node (internal/metrics, internal/trace) to the protocol
@@ -151,9 +130,10 @@ type Config struct {
 
 	// Nemesis, when non-nil, runs alongside the workload from the moment
 	// the measurement window opens, injecting faults through its
-	// Controller (internal/chaos builds seeded schedules on top of this
-	// hook). Setting it also routes every replica's outbound traffic
-	// through the Byzantine interceptor so SetByzantine works mid-run.
+	// Controller: CrashPrimaries and CrashRestart are the figures' faults,
+	// and internal/chaos builds seeded schedules on top of this hook.
+	// Setting it also routes every replica's outbound traffic through the
+	// Byzantine interceptor so SetByzantine works mid-run.
 	Nemesis Nemesis
 	// CollectState captures each replica's commit state (chain, state
 	// digest, executed results) into Result.Replicas after the run, for
@@ -213,69 +193,39 @@ func (r Result) String() string {
 		r.Txns, r.ViewChanges)
 }
 
-// node is the common replica shape all three protocols expose.
-type node interface {
-	Run(ctx context.Context, inbox <-chan *types.Message)
-}
-
 // statProvider is implemented by nodes exposing protocol counters.
 type statProvider interface {
 	ViewChangeCount() int64
 	RetransmitCount() int64
 }
 
-// transferProvider is implemented by nodes exposing state-transfer counts.
-type transferProvider interface {
-	StateTransferCount() int64
-}
-
-// recoveredProvider is implemented by nodes that can report resuming from
-// durable state.
-type recoveredProvider interface {
-	Recovered() bool
-}
-
-// cluster holds one built deployment.
+// cluster is one harness run's deployment: its Runtime plus what the
+// run's closed-loop clients and nemesis need.
 type cluster struct {
-	cfg     Config
-	tcfg    types.Config
-	net     fabric
-	nodes   []node
-	inboxes []<-chan *types.Message
-	ids     []types.NodeID
-	// mu guards nodes during mid-run restarts (CrashRestart scenarios).
-	mu sync.Mutex
-	// fs is the shared in-memory filesystem of a Durable deployment.
-	fs *wal.MemFS
-	// rebuild reconstructs node i from its durable state (nil when the
-	// protocol does not support restarts).
-	rebuild []func() node
-	// byz holds per-node Byzantine interceptors (nil entries — and a nil
-	// slice on non-nemesis runs — mean the node sends directly).
-	byz []*byzState
-	// route returns the node a client should address a fresh batch to.
-	route func(c types.ClientID, b *types.Batch) types.NodeID
-	// fanout lists nodes a client rebroadcasts to after a timeout.
-	fanout func(b *types.Batch) []types.NodeID
+	cfg  Config
+	rt   *Runtime
+	topo *Topology // where clients send fresh and timed-out batches
+	// byz holds each node's Byzantine mode (empty on non-nemesis runs,
+	// where nodes send directly).
+	byz map[types.NodeID]*atomic.Int32
+	// multiPrimary spreads fresh batches across every replica (RCC): client
+	// c enters at replica c mod n.
+	multiPrimary bool
 	// respNeed is the number of matching responses completing a request
 	// (f+1 by default; n for Zyzzyva's speculative fast path, nf for PoE).
 	respNeed int
 	// reg/tracers are the Instrument-run observability sinks: one shared
-	// registry, one tracer per node. A tracer survives crash/restart of its
-	// node (the rebuild closure re-wires the same one).
+	// registry, one tracer per node slot (a rebuilt node keeps its slot's).
 	reg     *obs.Registry
 	tracers []*trace.Tracer
 }
 
-// newTracer allocates one lifecycle tracer on Instrument runs (nil
-// otherwise) and retains it for post-run merging.
-func (cl *cluster) newTracer() *trace.Tracer {
-	if !cl.cfg.Instrument {
-		return nil
+func newCluster(cfg Config, topo *Topology) *cluster {
+	cl := &cluster{cfg: cfg, topo: topo, byz: make(map[types.NodeID]*atomic.Int32)}
+	if cfg.Instrument {
+		cl.reg = obs.NewRegistry()
 	}
-	t := trace.New(0)
-	cl.tracers = append(cl.tracers, t)
-	return t
+	return cl
 }
 
 // Run executes one experiment and returns its metrics.
@@ -285,16 +235,11 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer cl.net.Close()
+	rt := cl.rt
+	rt.Start()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	rt := newRuntime(ctx, cl)
-	for i := range cl.nodes {
-		rt.start(i)
-	}
-
 	metrics := newMetrics()
 	clientCtx, clientCancel := context.WithCancel(ctx)
 	var cwg sync.WaitGroup
@@ -309,46 +254,14 @@ func Run(cfg Config) (Result, error) {
 	time.Sleep(cfg.Warmup)
 	metrics.startMeasuring()
 
-	if cfg.FailPrimaries > 0 {
-		time.AfterFunc(cfg.FailAt, func() {
-			for s := 0; s < cfg.FailPrimaries && s < cfg.Shards; s++ {
-				cl.net.SetCrashed(types.ReplicaNode(types.ShardID(s), 0), true)
-			}
-		})
-	}
-
 	var ctl *Controller
 	var nwg sync.WaitGroup
 	if cfg.Nemesis != nil {
-		ctl = &Controller{cl: cl, rt: rt, started: time.Now()}
+		ctl = &Controller{cl: cl, started: time.Now()}
 		nwg.Add(1)
 		go func() {
 			defer nwg.Done()
 			cfg.Nemesis(ctx, ctl)
-		}()
-	}
-
-	var fwg sync.WaitGroup
-	if cfg.CrashRestart {
-		victim := types.ReplicaNode(0, cfg.ReplicasPerShard-1)
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			select {
-			case <-time.After(cfg.CrashAt):
-			case <-ctx.Done():
-				return
-			}
-			rt.crash(victim)
-			select {
-			case <-time.After(cfg.RestartAt - cfg.CrashAt):
-			case <-ctx.Done():
-				return
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			rt.restart(victim, cfg.WipeOnRestart)
 		}()
 	}
 
@@ -357,34 +270,37 @@ func Run(cfg Config) (Result, error) {
 	clientCancel()
 	cwg.Wait()
 	cancel()
-	fwg.Wait()
 	nwg.Wait()
-	rt.wg.Wait()
+	if err := rt.Close(); err != nil {
+		return Result{}, err
+	}
 
 	res := metrics.result(cfg)
 	if ctl != nil {
-		res.NemesisLastHeal = ctl.lastHealOffset()
+		if ctl.err != nil {
+			return Result{}, ctl.err
+		}
+		res.NemesisLastHeal = ctl.lastHeal
 	}
-	if cfg.CollectState {
-		for i, n := range cl.nodes {
-			if st, ok := CaptureReplica(cl.ids[i], n); ok {
+	for _, s := range rt.slots {
+		n := s.node
+		if cfg.CollectState {
+			if st, ok := CaptureReplica(s.id, n); ok {
 				res.Replicas = append(res.Replicas, st)
 			}
 		}
-	}
-	cl.net.fillStats(&res)
-	for _, n := range cl.nodes {
 		if sp, ok := n.(statProvider); ok {
 			res.ViewChanges += sp.ViewChangeCount()
 			res.Retransmits += sp.RetransmitCount()
 		}
-		if tp, ok := n.(transferProvider); ok {
+		if tp, ok := n.(interface{ StateTransferCount() int64 }); ok {
 			res.StateTransfers += tp.StateTransferCount()
 		}
-		if rp, ok := n.(recoveredProvider); ok && rp.Recovered() {
+		if rp, ok := n.(interface{ Recovered() bool }); ok && rp.Recovered() {
 			res.RecoveredNodes++
 		}
 	}
+	rt.net.fillStats(&res)
 	collectObservability(cl, &res)
 	return res, nil
 }
@@ -491,13 +407,6 @@ func buildNetwork(cfg Config) *simnet.Network {
 	return n
 }
 
-func auth(cfg Config, kg *crypto.Keygen, id types.NodeID) (crypto.Authenticator, error) {
-	if cfg.NoCrypto {
-		return crypto.NopAuth{}, nil
-	}
-	return kg.Ring(id)
-}
-
 // metrics collects client-side completion samples.
 type metrics struct {
 	mu        sync.Mutex
@@ -588,7 +497,7 @@ func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) 
 	})
 	self := types.ClientNode(id)
 	region := simnet.Region(int(id) % int(simnet.NumRegions))
-	ep := cl.net.Attach(self, region)
+	ep := cl.rt.net.Attach(self, region)
 
 	need := cl.respNeed
 	if need <= 0 {
@@ -609,13 +518,11 @@ func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) 
 	// crashed replica 0 — standard PBFT client behaviour.
 	viewHint := make(map[types.ShardID]types.View)
 	target := func(b *types.Batch) types.NodeID {
-		to := cl.route(id, b)
-		if to.Kind == types.KindReplica {
-			if v, ok := viewHint[to.Shard]; ok {
-				to.Index = int(uint64(v) % uint64(cfg.ReplicasPerShard))
-			}
+		v := viewHint[b.Initiator()]
+		if cl.multiPrimary {
+			v += types.View(id)
 		}
-		return to
+		return cl.topo.Entry(b, v)
 	}
 	launch := func() {
 		b := gen.NextBatch(id)
@@ -664,7 +571,7 @@ func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) 
 						Type: types.MsgClientRequest, From: self,
 						Batch: fl.batch, Digest: fl.digest,
 					}
-					for _, to := range cl.fanout(fl.batch) {
+					for _, to := range cl.topo.Fallback(fl.batch) {
 						ep.Send(to, msg)
 					}
 				}

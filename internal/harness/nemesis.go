@@ -3,10 +3,10 @@ package harness
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ringbft/internal/crypto"
+	"ringbft/internal/simnet"
 	"ringbft/internal/types"
 )
 
@@ -33,47 +33,29 @@ const (
 	ByzNewView
 )
 
-// sendFunc is the protocol-agnostic shape of a node's outbound hook; it
-// converts to ringbft.Sender / ahl.Sender / sharper.Sender.
-type sendFunc func(to types.NodeID, m *types.Message)
-
-// byzState is the per-node interceptor the nemesis flips at runtime. The
-// wrapped send is installed at build time (only when Config.Nemesis is set,
-// so non-chaos runs keep the direct send path).
-type byzState struct {
-	mode atomic.Int32
-	auth crypto.Authenticator
-	self types.NodeID
-}
-
-// wrap intercepts a node's outbound traffic according to the current mode.
-func (b *byzState) wrap(inner sendFunc) sendFunc {
-	return func(to types.NodeID, m *types.Message) {
-		switch ByzMode(b.mode.Load()) {
-		case ByzSilent:
-			return
-		case ByzEquivocate:
-			if m.Type == types.MsgPrePrepare && m.Batch != nil && len(m.Batch.Txns) > 0 &&
-				to.Kind == types.KindReplica && to.Index%2 == 1 {
-				cp := *m
-				cp.Batch = EquivocateBatch(m.Batch)
-				cp.Digest = cp.Batch.Digest()
-				var buf [types.SigBytesLen]byte
-				cp.MAC = b.auth.MAC(to, cp.AppendSigBytes(buf[:0]))
-				inner(to, &cp)
-				return
-			}
-		case ByzNewView:
-			if m.Type == types.MsgNewView {
-				inner(to, ForgeUnjustifiedProof(b.self, m))
-				return
-			}
-		default:
-			// ByzNone: the interceptor is installed but dormant; traffic
-			// passes through untouched below.
+// Intercept applies Byzantine mode to one message node self sends to to: it
+// returns the message to send in its place, or nil to drop it. a is self's
+// authenticator, which re-MACs an equivocated PrePrepare. Shared by the
+// wall-clock harness and the deterministic chaos engine (internal/chaos).
+func Intercept(mode ByzMode, self types.NodeID, a crypto.Authenticator, to types.NodeID, m *types.Message) *types.Message {
+	switch mode {
+	case ByzSilent:
+		return nil
+	case ByzEquivocate:
+		if m.Type == types.MsgPrePrepare && m.Batch != nil && len(m.Batch.Txns) > 0 &&
+			to.Kind == types.KindReplica && to.Index%2 == 1 {
+			cp := *m
+			cp.Batch = EquivocateBatch(m.Batch)
+			cp.Digest = cp.Batch.Digest()
+			var buf [types.SigBytesLen]byte
+			cp.MAC = a.MAC(to, cp.AppendSigBytes(buf[:0]))
+			return &cp
 		}
-		inner(to, m)
+	case ByzNewView:
+		return ForgeUnjustifiedProof(self, m)
+	case ByzNone:
 	}
+	return m
 }
 
 // ForgeUnjustifiedProof returns a copy of NewView m with a fabricated
@@ -84,8 +66,7 @@ func (b *byzState) wrap(inner sendFunc) sendFunc {
 // (type/shard/view/seq/digest/from), so no re-signing is needed — which is
 // exactly the gap the receiver-side justification gate closes. Non-NewView
 // messages and shard-0 forgers (whose shard initiates every batch it could
-// fabricate this way) pass through unchanged. Shared by the wall-clock
-// interceptor above and the deterministic chaos engine (internal/chaos).
+// fabricate this way) pass through unchanged.
 func ForgeUnjustifiedProof(self types.NodeID, m *types.Message) *types.Message {
 	if m.Type != types.MsgNewView || self.Shard <= 0 {
 		return m
@@ -128,24 +109,50 @@ func EquivocateBatch(b *types.Batch) *types.Batch {
 	return &alt
 }
 
-// interceptSend threads one node's outbound path through a Byzantine
-// interceptor when a nemesis is configured; otherwise the raw fabric send
-// is used unchanged. Must be called exactly once per node, in cl.nodes
-// append order, so cl.byz indexes line up with cl.ids.
-func (cl *cluster) interceptSend(cfg Config, id types.NodeID, a crypto.Authenticator, raw sendFunc) sendFunc {
-	if cfg.Nemesis == nil {
-		cl.byz = append(cl.byz, nil)
-		return raw
-	}
-	bz := &byzState{auth: a, self: id}
-	cl.byz = append(cl.byz, bz)
-	return bz.wrap(raw)
-}
-
 // Nemesis is the fault-injection hook of one run: it executes alongside the
 // workload (started when the measurement window opens) and drives faults
 // through the Controller. It must return when ctx is cancelled.
 type Nemesis func(ctx context.Context, ctl *Controller)
+
+// CrashPrimaries is the Figure 9 fault: at `at` into the measurement window
+// the view-0 primaries of the first k shards crash for good.
+func CrashPrimaries(k int, at time.Duration) Nemesis {
+	return func(ctx context.Context, ctl *Controller) {
+		if !sleep(ctx, at) {
+			return
+		}
+		for s := 0; s < k && s < ctl.Shards(); s++ {
+			ctl.Crash(types.ReplicaNode(types.ShardID(s), 0))
+		}
+	}
+}
+
+// CrashRestart crashes the last backup of shard 0 at crashAt into the
+// measurement window and restarts it at restartAt: from its data directory
+// when the run is Durable, from nothing otherwise, and with wipe from an
+// erased directory, forcing the wipe-and-rejoin state-transfer path.
+func CrashRestart(crashAt, restartAt time.Duration, wipe bool) Nemesis {
+	return func(ctx context.Context, ctl *Controller) {
+		victim := types.ReplicaNode(0, ctl.ReplicasPerShard()-1)
+		if !sleep(ctx, crashAt) {
+			return
+		}
+		ctl.Crash(victim)
+		if sleep(ctx, restartAt-crashAt) {
+			ctl.Restart(victim, wipe)
+		}
+	}
+}
+
+// sleep waits d and reports whether ctx is still live.
+func sleep(ctx context.Context, d time.Duration) bool {
+	select {
+	case <-time.After(d):
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
 
 // Controller is the handle a Nemesis uses to break — and heal — the
 // cluster: schedulable partitions, per-link loss and delay, crash/restart/
@@ -153,16 +160,11 @@ type Nemesis func(ctx context.Context, ctl *Controller)
 // for concurrent use with the running workload.
 type Controller struct {
 	cl *cluster
-	rt *runtime
 
 	mu       sync.Mutex
 	lastHeal time.Duration // offset from measurement start of the latest heal
 	started  time.Time     // measurement start
-}
-
-// Nodes returns the cluster's node ids in build order.
-func (c *Controller) Nodes() []types.NodeID {
-	return append([]types.NodeID(nil), c.cl.ids...)
+	err      error         // the first failed Restart, returned by Run
 }
 
 // Shards and ReplicasPerShard describe the topology under test.
@@ -170,56 +172,56 @@ func (c *Controller) Shards() int           { return c.cl.cfg.Shards }
 func (c *Controller) ReplicasPerShard() int { return c.cl.cfg.ReplicasPerShard }
 
 // SetPartition installs f as the link-down predicate: messages from->to are
-// dropped while f reports true. nil heals. Simnet fabric only (no-op over
-// TCP).
+// dropped while f reports true. nil heals. Like the loss and delay filters
+// below, simnet fabric only (a no-op over TCP).
 func (c *Controller) SetPartition(f func(from, to types.NodeID) bool) {
-	if sf, ok := c.cl.net.(simFabric); ok {
-		sf.net.SetLinkFilter(f)
-	}
-	if f == nil {
-		c.noteHeal()
-	}
+	c.onSim(f == nil, func(n *simnet.Network) { n.SetLinkFilter(f) })
 }
 
 // SetLossFilter installs a per-link loss model (nil heals).
 func (c *Controller) SetLossFilter(f func(from, to types.NodeID) float64) {
-	if sf, ok := c.cl.net.(simFabric); ok {
-		sf.net.SetLossFilter(f)
-	}
-	if f == nil {
-		c.noteHeal()
-	}
+	c.onSim(f == nil, func(n *simnet.Network) { n.SetLossFilter(f) })
 }
 
 // SetDelayFilter installs a per-link extra-delay model (nil heals).
 func (c *Controller) SetDelayFilter(f func(from, to types.NodeID) time.Duration) {
-	if sf, ok := c.cl.net.(simFabric); ok {
-		sf.net.SetDelayFilter(f)
+	c.onSim(f == nil, func(n *simnet.Network) { n.SetDelayFilter(f) })
+}
+
+// onSim applies set to the simulated network, if the run has one, and
+// notes a heal when heal is set.
+func (c *Controller) onSim(heal bool, set func(*simnet.Network)) {
+	if sf, ok := c.cl.rt.net.(SimFabric); ok {
+		set(sf.Net)
 	}
-	if f == nil {
+	if heal {
 		c.noteHeal()
 	}
 }
 
 // Crash stops node id: its event loop is cancelled and the fabric silences
 // it both ways. Restart revives it.
-func (c *Controller) Crash(id types.NodeID) { c.rt.crash(id) }
+func (c *Controller) Crash(id types.NodeID) { c.cl.rt.Crash(id) }
 
-// Restart revives a crashed node. A node with durable state is rebuilt from
-// it (wipe erases the data directory first, forcing the wipe-and-rejoin
-// path); a node without a rebuild closure resumes its old in-memory
-// instance.
+// Restart revives a crashed node, rebuilt from its data directory (wipe
+// erases it first, forcing the wipe-and-rejoin path). A failure is kept and
+// returned by Run.
 func (c *Controller) Restart(id types.NodeID, wipe bool) {
-	c.rt.restart(id, wipe)
+	if err := c.cl.rt.Restart(id, wipe); err != nil {
+		c.mu.Lock()
+		if c.err == nil {
+			c.err = err
+		}
+		c.mu.Unlock()
+		return
+	}
 	c.noteHeal()
 }
 
 // SetByzantine flips node id's outbound behaviour. ByzNone heals.
 func (c *Controller) SetByzantine(id types.NodeID, mode ByzMode) {
-	for i, nid := range c.cl.ids {
-		if nid == id && i < len(c.cl.byz) && c.cl.byz[i] != nil {
-			c.cl.byz[i].mode.Store(int32(mode))
-		}
+	if b := c.cl.byz[id]; b != nil {
+		b.Store(int32(mode))
 	}
 	if mode == ByzNone {
 		c.noteHeal()
@@ -229,17 +231,16 @@ func (c *Controller) SetByzantine(id types.NodeID, mode ByzMode) {
 // HealAll clears partitions, loss, delay, and Byzantine modes (crashed
 // nodes stay down until Restart).
 func (c *Controller) HealAll() {
-	if sf, ok := c.cl.net.(simFabric); ok {
-		sf.net.SetLinkFilter(nil)
-		sf.net.SetLossFilter(nil)
-		sf.net.SetDelayFilter(nil)
-	}
-	for _, b := range c.cl.byz {
-		if b != nil {
-			b.mode.Store(int32(ByzNone))
+	for _, s := range c.cl.rt.slots {
+		if b := c.cl.byz[s.id]; b != nil {
+			b.Store(int32(ByzNone))
 		}
 	}
-	c.noteHeal()
+	c.onSim(true, func(n *simnet.Network) {
+		n.SetLinkFilter(nil)
+		n.SetLossFilter(nil)
+		n.SetDelayFilter(nil)
+	})
 }
 
 // noteHeal records the instant of the latest healing action, reported in
@@ -251,10 +252,4 @@ func (c *Controller) noteHeal() {
 	if !c.started.IsZero() {
 		c.lastHeal = time.Since(c.started)
 	}
-}
-
-func (c *Controller) lastHealOffset() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastHeal
 }

@@ -21,9 +21,7 @@ func recoveryScenarioConfig() Config {
 		TransmitTimeout:    1100 * time.Millisecond,
 		CheckpointInterval: 8,
 		Durable:            true,
-		CrashRestart:       true,
-		CrashAt:            800 * time.Millisecond,
-		RestartAt:          1600 * time.Millisecond,
+		Nemesis:            CrashRestart(800*time.Millisecond, 1600*time.Millisecond, false),
 	}
 }
 
@@ -60,7 +58,7 @@ func TestCrashRestartRecoversFromWAL(t *testing.T) {
 // state transfer.
 func TestWipeRejoinRecoversViaStateTransfer(t *testing.T) {
 	cfg := recoveryScenarioConfig()
-	cfg.WipeOnRestart = true
+	cfg.Nemesis = CrashRestart(800*time.Millisecond, 1600*time.Millisecond, true)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

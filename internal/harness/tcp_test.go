@@ -88,8 +88,7 @@ func TestTCPPrimaryFailure(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := tcpScenarioConfig()
 	cfg.Duration = 3 * time.Second
-	cfg.FailPrimaries = 1
-	cfg.FailAt = 800 * time.Millisecond
+	cfg.Nemesis = CrashPrimaries(1, 800*time.Millisecond)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +123,7 @@ func TestTCPCrashRestart(t *testing.T) {
 	cfg.Duration = 3 * time.Second
 	cfg.CheckpointInterval = 8
 	cfg.Durable = true
-	cfg.CrashRestart = true
-	cfg.CrashAt = 800 * time.Millisecond
-	cfg.RestartAt = 1600 * time.Millisecond
+	cfg.Nemesis = CrashRestart(800*time.Millisecond, 1600*time.Millisecond, false)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

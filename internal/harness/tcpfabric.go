@@ -102,7 +102,7 @@ func (f *tcpFabric) rejectAddr() string {
 	return ln.Addr().String()
 }
 
-func (f *tcpFabric) Attach(id types.NodeID, _ simnet.Region) endpoint {
+func (f *tcpFabric) Attach(id types.NodeID, _ simnet.Region) Endpoint {
 	opt := f.opt
 	opt.Resolver = f.lookup
 	tr, err := tcpnet.New(id, "127.0.0.1:0", nil, opt)
@@ -188,7 +188,7 @@ func (e *tcpEndpoint) Send(to types.NodeID, m *types.Message) {
 
 func (e *tcpEndpoint) Inbox() <-chan *types.Message { return e.out }
 
-// Backlog surfaces the transport's outbox occupancy so build can hand it to
+// Backlog surfaces the transport's outbox occupancy so Deploy can hand it to
 // pipelined replicas as their backpressure signal (simnet endpoints don't
 // implement it — in-process queues have no writer to fall behind).
 func (e *tcpEndpoint) Backlog() int { return e.tr.Backlog() }

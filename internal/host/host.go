@@ -228,6 +228,15 @@ func (k *Kernel) DurOK(err error) bool {
 	return false
 }
 
+// Close syncs and closes the host's WAL, if it has one. Call after Run
+// returns.
+func (k *Kernel) Close() error {
+	if k.Dur == nil {
+		return nil
+	}
+	return k.Dur.Close()
+}
+
 // Engine exposes the intra-shard PBFT engine (for tests and fault drivers).
 func (k *Kernel) Engine() *pbft.Engine { return k.PBFT }
 

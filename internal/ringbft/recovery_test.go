@@ -1,7 +1,6 @@
 package ringbft
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -78,7 +77,7 @@ func runRecoveryWorkload(t *testing.T, total, kill, restart int, wipe, corruptSn
 // simulating a crash that tore the snapshot mid-write.
 func (c *cluster) corruptNewestSnapshot(id types.NodeID) {
 	c.t.Helper()
-	dir := wal.Join(c.cfg.DataDir, nodeDirName(id), "snap")
+	dir := wal.Join(ReplicaDir(c.cfg.DataDir, id), "snap")
 	names, err := c.fs.ReadDir(dir)
 	if err != nil || len(names) == 0 {
 		return // no snapshot yet — nothing to tear
@@ -90,10 +89,6 @@ func (c *cluster) corruptNewestSnapshot(id types.NodeID) {
 	}
 	data[len(data)/2] ^= 0xFF
 	c.fs.WriteFile(name, data)
-}
-
-func nodeDirName(id types.NodeID) string {
-	return fmt.Sprintf("s%d-r%d", id.Shard, id.Index)
 }
 
 // digestsOf snapshots every replica's store digest keyed by node.

@@ -22,6 +22,7 @@ package ringbft
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
 	"time"
 
 	"ringbft/internal/crypto"
@@ -233,10 +234,32 @@ type Options struct {
 // cfg.DataDir (per-replica subdirectory), returning it together with the
 // recovered state to pass into Options. fs nil selects the real disk.
 func OpenDurability(cfg types.Config, self types.NodeID, fs wal.FS) (*wal.Manager, *wal.Recovered, error) {
-	dir := wal.Join(cfg.DataDir, fmt.Sprintf("s%d-r%d", self.Shard, self.Index))
 	return wal.OpenManager(wal.ManagerOptions{
-		FS: fs, Dir: dir, FsyncInterval: cfg.FsyncInterval,
+		FS: fs, Dir: ReplicaDir(cfg.DataDir, self), FsyncInterval: cfg.FsyncInterval,
 	})
+}
+
+// ReplicaDir is replica self's data directory under dataDir: its WAL, its
+// snapshots and, on a ringbft-node, its evidence log.
+func ReplicaDir(dataDir string, self types.NodeID) string {
+	return wal.Join(dataDir, fmt.Sprintf("s%d-r%d", self.Shard, self.Index))
+}
+
+// WipeReplica erases replica self's data directory on fs, the in-memory
+// filesystem or the real disk (the wipe-and-rejoin fault). A nil fs holds
+// nothing to erase.
+func WipeReplica(dataDir string, self types.NodeID, fs wal.FS) error {
+	dir := ReplicaDir(dataDir, self)
+	switch fs := fs.(type) {
+	case nil:
+		return nil
+	case *wal.MemFS:
+		fs.RemoveAll(dir)
+		return nil
+	case wal.OSFS:
+		return os.RemoveAll(dir)
+	}
+	return fmt.Errorf("ringbft: cannot wipe %s on %T", dir, fs)
 }
 
 // New creates a RingBFT replica with a preloaded store partition.

@@ -1,7 +1,6 @@
 package ringbft
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -134,7 +133,9 @@ func (c *cluster) restart(id types.NodeID) *Replica { return c.spawn(id) }
 
 // wipe deletes replica id's data directory (the wiped-rejoin fault).
 func (c *cluster) wipe(id types.NodeID) {
-	c.fs.RemoveAll(wal.Join(c.cfg.DataDir, fmt.Sprintf("s%d-r%d", id.Shard, id.Index)))
+	if err := WipeReplica(c.cfg.DataDir, id, c.fs); err != nil {
+		c.t.Fatal(err)
+	}
 }
 
 // pump delivers queued messages until quiescence.

@@ -64,7 +64,6 @@ type Config struct {
 	LocalTimeout    time.Duration // view-change trigger
 	RemoteTimeout   time.Duration // remote view-change trigger (Fig 6)
 	TransmitTimeout time.Duration // Forward retransmission (Section 5.1.1)
-	ClientTimeout   time.Duration // client broadcast-on-timeout (attack A1)
 }
 
 // F returns f, the maximum number of Byzantine replicas tolerated per shard:
@@ -111,6 +110,5 @@ func DefaultConfig(shards, replicasPerShard int) Config {
 		LocalTimeout:       250 * time.Millisecond,
 		RemoteTimeout:      500 * time.Millisecond,
 		TransmitTimeout:    time.Second,
-		ClientTimeout:      2 * time.Second,
 	}
 }

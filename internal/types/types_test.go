@@ -232,8 +232,8 @@ func TestConfigValidate(t *testing.T) {
 // configuration dimension tests and benchmarks must cover, so adding one is
 // a deliberate act that updates this number.
 func TestConfigFieldCount(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 15 {
-		t.Fatalf("types.Config has %d fields, want 15", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 14 {
+		t.Fatalf("types.Config has %d fields, want 14", n)
 	}
 }
 

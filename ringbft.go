@@ -21,13 +21,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"ringbft/internal/crypto"
 	"ringbft/internal/harness"
 	"ringbft/internal/ledger"
 	"ringbft/internal/ringbft"
@@ -149,27 +146,33 @@ type ClusterConfig struct {
 // Cluster is an embedded RingBFT deployment: z shards × n replicas running
 // over the in-process network, plus a client port for Submit.
 type Cluster struct {
-	cfg      ClusterConfig
-	tcfg     types.Config
-	net      *simnet.Network
-	replicas []*ringbft.Replica
-	inboxes  []<-chan *types.Message
-	ids      []types.NodeID
-	rebuild  []func() (*ringbft.Replica, error)
-	fs       wal.FS
+	cfg  ClusterConfig
+	tcfg types.Config
+	fs   wal.FS // where Durable replicas keep their data directories
+	net  *simnet.Network
+	topo *harness.Topology
+	rt   *harness.Runtime
 
-	ctx        context.Context
-	cancel     context.CancelFunc
-	nodeCancel []context.CancelFunc
-	nodeDone   []chan struct{}
-	managers   []*wal.Manager
-	mu         sync.Mutex
-	wg         sync.WaitGroup
-	started    atomic.Bool
-	stopped    atomic.Bool
-
-	clientSeq atomic.Int64
+	// Submit's clients. A Submit takes an idle one or attaches a new one,
+	// and returns it when done, so the cluster holds only as many client
+	// endpoints as it ever had concurrent Submits.
+	mu      sync.Mutex
+	idle    []*client
+	clients int
 }
+
+// client is one of Submit's client identities and its endpoint.
+type client struct {
+	id  types.ClientID
+	ep  *simnet.Endpoint
+	seq uint64 // the last TxnID.Seq stamped; reusing one would read as a client conflict
+}
+
+// clientRebroadcast is how long Submit waits on the contacted replica before
+// broadcasting to the whole shard. Embedded clusters serve interactive
+// Submits, so it is short: recovery latency is then dominated by the view
+// change, not the client timer.
+const clientRebroadcast = 500 * time.Millisecond
 
 // NewCluster builds (but does not start) a RingBFT cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -195,17 +198,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.CheckpointInterval > 0 {
 		tcfg.CheckpointInterval = cfg.CheckpointInterval
 	}
+	var fs wal.FS
 	if cfg.Durable {
-		tcfg.DataDir = cfg.DataDir
-		if tcfg.DataDir == "" {
-			tcfg.DataDir = "data"
+		tcfg.DataDir, fs = cfg.DataDir, wal.OSFS{}
+		if cfg.DataDir == "" {
+			tcfg.DataDir, fs = "data", wal.NewMemFS()
 		}
 	}
-	// Embedded clusters serve interactive Submits: rebroadcast quickly when
-	// the contacted replica is silent (e.g. a crashed primary) so recovery
-	// latency is dominated by the view change, not the client timer.
-	tcfg.ClientTimeout = 500 * time.Millisecond
 	if err := tcfg.Validate(); err != nil {
+		return nil, err
+	}
+	topo, err := harness.NewTopology(harness.ProtoRingBFT, cfg.Shards, cfg.ReplicasPerShard, cfg.Seed, cfg.NoCrypto, nil)
+	if err != nil {
 		return nil, err
 	}
 
@@ -214,111 +218,24 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		lat = simnet.WANLatency{Scale: cfg.LatencyScale}
 	}
 	net := simnet.New(simnet.Options{Latency: lat, Seed: cfg.Seed})
-
-	kg := crypto.NewKeygen(cfg.Seed)
-	shardPeers := make([][]types.NodeID, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		peers := make([]types.NodeID, cfg.ReplicasPerShard)
-		for i := range peers {
-			peers[i] = types.ReplicaNode(types.ShardID(s), i)
-			if !cfg.NoCrypto {
-				kg.Register(peers[i])
-			}
-		}
-		shardPeers[s] = peers
+	rt, err := harness.Deploy(harness.SimFabric{Net: net}, topo, tcfg, fs, cfg.Records, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	c := &Cluster{cfg: cfg, tcfg: tcfg, net: net}
-	if cfg.Durable {
-		if cfg.DataDir == "" {
-			c.fs = wal.NewMemFS()
-		} else {
-			c.fs = wal.OSFS{}
-		}
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		for i := 0; i < cfg.ReplicasPerShard; i++ {
-			id := shardPeers[s][i]
-			ep := net.Attach(id, simnet.ShardRegion(s))
-			var a crypto.Authenticator = crypto.NopAuth{}
-			if !cfg.NoCrypto {
-				ring, err := kg.Ring(id)
-				if err != nil {
-					return nil, err
-				}
-				a = ring
-			}
-			peers := shardPeers[s]
-			slot := len(c.replicas) // this replica's index, fixed at build
-			mk := func() (*ringbft.Replica, error) {
-				opts := ringbft.Options{
-					Config: tcfg, Shard: id.Shard, Self: id,
-					Peers: peers, Auth: a, Send: ep.Send,
-				}
-				if c.fs != nil {
-					m, rec, err := ringbft.OpenDurability(tcfg, id, c.fs)
-					if err != nil {
-						return nil, err
-					}
-					opts.Durability = m
-					opts.Recovered = rec
-					c.managers[slot] = m
-				}
-				r := ringbft.New(opts)
-				r.Preload(cfg.Records)
-				return r, nil
-			}
-			c.managers = append(c.managers, nil)
-			r, err := mk()
-			if err != nil {
-				return nil, err
-			}
-			c.replicas = append(c.replicas, r)
-			c.rebuild = append(c.rebuild, mk)
-			c.inboxes = append(c.inboxes, ep.Inbox())
-			c.ids = append(c.ids, id)
-		}
-	}
-	c.nodeCancel = make([]context.CancelFunc, len(c.replicas))
-	c.nodeDone = make([]chan struct{}, len(c.replicas))
-	return c, nil
+	return &Cluster{cfg: cfg, tcfg: tcfg, fs: fs, net: net, topo: topo, rt: rt}, nil
 }
 
 // Start launches every replica's event loop.
-func (c *Cluster) Start() {
-	if !c.started.CompareAndSwap(false, true) {
-		return
-	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
-	for i := range c.replicas {
-		c.startReplica(i)
-	}
-}
+func (c *Cluster) Start() { c.rt.Start() }
 
-func (c *Cluster) startReplica(i int) {
-	nctx, ncancel := context.WithCancel(c.ctx)
-	done := make(chan struct{})
-	c.mu.Lock()
-	c.nodeCancel[i] = ncancel
-	c.nodeDone[i] = done
-	r := c.replicas[i]
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go func(in <-chan *types.Message) {
-		defer c.wg.Done()
-		defer close(done)
-		r.Run(nctx, in)
-	}(c.inboxes[i])
-}
-
-// Stop terminates the cluster. Idempotent.
+// Stop terminates a started cluster; before Start it does nothing.
+// Idempotent.
 func (c *Cluster) Stop() {
-	if !c.started.Load() || !c.stopped.CompareAndSwap(false, true) {
-		return
+	if c.rt.Started() {
+		// A failed final WAL sync has no caller to report to; it costs at
+		// most the group-commit tail, which recovery treats like any crash.
+		_ = c.rt.Close()
 	}
-	c.cancel()
-	c.wg.Wait()
-	c.net.Close()
 }
 
 // Shards returns the number of shards.
@@ -342,22 +259,17 @@ var ErrTimeout = errors.New("ringbft: submit timed out")
 // Submit runs one batch of transactions through consensus and returns their
 // results once f+1 matching replica responses arrive. Transaction IDs are
 // stamped by the cluster; the involved-shard set is derived from the
-// transactions' read/write sets. Safe for concurrent use — each call acts as
-// an independent client.
+// transactions' read/write sets. Safe for concurrent use — concurrent calls
+// act as independent clients.
 func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
-	if !c.started.Load() {
+	if !c.rt.Started() {
 		return nil, errors.New("ringbft: cluster not started")
 	}
 	if len(txns) == 0 {
 		return nil, errors.New("ringbft: empty batch")
 	}
-	clientID := types.ClientID(c.clientSeq.Add(1))
-	self := types.ClientNode(clientID)
-	ep := c.net.Attach(self, simnet.Region(int(clientID)%int(simnet.NumRegions)))
-
 	involvedSet := make(map[ShardID]struct{})
 	for i := range txns {
-		txns[i].ID = TxnID{Client: clientID, Seq: uint64(i + 1)}
 		for _, s := range txns[i].InvolvedShards(c.cfg.Shards) {
 			involvedSet[s] = struct{}{}
 		}
@@ -371,14 +283,20 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 		return nil, errors.New("ringbft: transactions touch no keys")
 	}
 
+	cl := c.takeClient()
+	defer c.putClient(cl)
+	for i := range txns {
+		cl.seq++
+		txns[i].ID = TxnID{Client: cl.id, Seq: cl.seq}
+	}
 	b := &Batch{Txns: txns, Involved: involved}
 	d := b.Digest()
-	req := &types.Message{Type: types.MsgClientRequest, From: self, Batch: b, Digest: d}
-	ep.Send(types.ReplicaNode(b.Initiator(), 0), req)
+	req := &types.Message{Type: types.MsgClientRequest, From: types.ClientNode(cl.id), Batch: b, Digest: d}
+	cl.ep.Send(c.topo.Entry(b, 0), req)
 
 	deadline := time.NewTimer(c.cfg.SubmitTimeout)
 	defer deadline.Stop()
-	rebroadcast := time.NewTicker(c.tcfg.ClientTimeout)
+	rebroadcast := time.NewTicker(clientRebroadcast)
 	defer rebroadcast.Stop()
 
 	need := c.tcfg.F() + 1
@@ -392,10 +310,12 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 			return nil, fmt.Errorf("%w after %v", ErrTimeout, c.cfg.SubmitTimeout)
 		case <-rebroadcast.C:
 			// Attack A1: the client cannot wait on the primary forever.
-			for i := 0; i < c.cfg.ReplicasPerShard; i++ {
-				ep.Send(types.ReplicaNode(b.Initiator(), i), req)
+			for _, to := range c.topo.Fallback(b) {
+				cl.ep.Send(to, req)
 			}
-		case m := <-ep.Inbox():
+		case m := <-cl.ep.Inbox():
+			// A reused client may still hold late replies to its earlier
+			// batches; the digest tells them apart.
 			if m.Type != types.MsgResponse || m.Digest != d {
 				continue
 			}
@@ -406,6 +326,28 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 			}
 		}
 	}
+}
+
+// takeClient returns an idle client, or attaches a new one when none is.
+func (c *Cluster) takeClient() *client {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		cl := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return cl
+	}
+	c.clients++
+	id := types.ClientID(c.clients)
+	c.mu.Unlock()
+	return &client{id: id, ep: c.net.Attach(types.ClientNode(id), simnet.Region(int(id)%int(simnet.NumRegions)))}
+}
+
+// putClient makes cl idle again.
+func (c *Cluster) putClient(cl *client) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.idle = append(c.idle, cl)
 }
 
 // Ledger returns a snapshot of the blockchain of one replica of shard s
@@ -484,83 +426,27 @@ func (c *Cluster) ReviveReplica(s ShardID, idx int) {
 // gone — RestartReplica brings it back from whatever the durability
 // subsystem persisted (everything, when the cluster is Durable; nothing
 // otherwise, in which case peer state transfer rebuilds it).
-func (c *Cluster) KillReplica(s ShardID, idx int) {
-	i := c.index(s, idx)
-	if i < 0 {
-		return
-	}
-	c.net.SetCrashed(types.ReplicaNode(s, idx), true)
-	c.mu.Lock()
-	cancel, done := c.nodeCancel[i], c.nodeDone[i]
-	c.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	// Wait for the event loop to exit: the dead replica must not race a
-	// restarted successor on the shared inbox or data directory.
-	if done != nil {
-		<-done
-	}
-}
+func (c *Cluster) KillReplica(s ShardID, idx int) { c.rt.Crash(types.ReplicaNode(s, idx)) }
 
 // RestartReplica rebuilds a killed replica from disk and rejoins it to the
 // cluster. The restarted replica replays its snapshot + WAL tail and, if
 // it is behind the shard, catches up through checkpoint-certified state
-// transfer.
+// transfer. A replica that is still running is killed first.
 func (c *Cluster) RestartReplica(s ShardID, idx int) error {
-	i := c.index(s, idx)
-	if i < 0 {
+	if c.replica(s, idx) == nil {
 		return errors.New("ringbft: no such replica")
 	}
-	// Idempotent kill: stop (and wait out) the previous incarnation, then
-	// release its durability handles before reopening the directory.
 	c.KillReplica(s, idx)
-	c.mu.Lock()
-	old := c.managers[i]
-	c.mu.Unlock()
-	if old != nil {
-		old.Close() // best-effort: an OS restart would have synced on exit
-	}
-	r, err := c.rebuild[i]()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.replicas[i] = r
-	c.mu.Unlock()
-	c.net.SetCrashed(types.ReplicaNode(s, idx), false)
-	if c.started.Load() && !c.stopped.Load() {
-		c.startReplica(i)
-	}
-	return nil
+	return c.rt.Restart(types.ReplicaNode(s, idx), false)
 }
 
 // WipeReplica erases a killed replica's data directory, so a subsequent
 // RestartReplica exercises the wipe-and-rejoin state-transfer path.
-func (c *Cluster) WipeReplica(s ShardID, idx int) {
-	dir := wal.Join(c.tcfg.DataDir, fmt.Sprintf("s%d-r%d", s, idx))
-	switch fs := c.fs.(type) {
-	case *wal.MemFS:
-		fs.RemoveAll(dir)
-	case wal.OSFS:
-		os.RemoveAll(dir)
-	}
-}
-
-func (c *Cluster) index(s ShardID, idx int) int {
-	i := int(s)*c.cfg.ReplicasPerShard + idx
-	if i < 0 || i >= len(c.replicas) || idx < 0 || idx >= c.cfg.ReplicasPerShard {
-		return -1
-	}
-	return i
+func (c *Cluster) WipeReplica(s ShardID, idx int) error {
+	return ringbft.WipeReplica(c.tcfg.DataDir, types.ReplicaNode(s, idx), c.fs)
 }
 
 func (c *Cluster) replica(s ShardID, idx int) *ringbft.Replica {
-	i := c.index(s, idx)
-	if i < 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.replicas[i]
+	r, _ := c.rt.Node(types.ReplicaNode(s, idx)).(*ringbft.Replica)
+	return r
 }

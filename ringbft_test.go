@@ -134,33 +134,52 @@ func TestSubmitEmptyBatchRejected(t *testing.T) {
 // killed replica restarts from its on-(in-memory-)disk WAL + snapshots,
 // catches up, and converges with its peers.
 func TestClusterKillRestartDurable(t *testing.T) {
+	killRestartConverges(t, "", false)
+}
+
+// TestClusterWipeRejoin: a backup whose data directory is wiped while it is
+// dead restarts empty and rejoins through checkpoint-certified state
+// transfer, on the in-memory filesystem and on the real disk.
+func TestClusterWipeRejoin(t *testing.T) {
+	t.Run("memfs", func(t *testing.T) { killRestartConverges(t, "", true) })
+	t.Run("disk", func(t *testing.T) { killRestartConverges(t, t.TempDir(), true) })
+}
+
+// killRestartConverges kills backup 3 of shard 0 on a durable cluster,
+// commits through the fault, optionally wipes the backup's data directory,
+// restarts it and waits until it converges with a healthy peer.
+func killRestartConverges(t *testing.T, dataDir string, wipe bool) {
 	c := startCluster(t, ClusterConfig{
 		Shards: 2, ReplicasPerShard: 4,
-		Durable: true, CheckpointInterval: 8,
+		Durable: true, DataDir: dataDir, CheckpointInterval: 8,
 	})
 	ctx := context.Background()
 	k := c.KeyOf(0, 3)
-	for i := 0; i < 4; i++ {
-		if _, err := c.Submit(ctx, Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1}); err != nil {
-			t.Fatal(err)
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.Submit(ctx, Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	submit(4)
 	// Kill a backup, commit through the fault, restart it.
 	c.KillReplica(0, 3)
-	for i := 0; i < 12; i++ {
-		if _, err := c.Submit(ctx, Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1}); err != nil {
+	submit(12)
+	if wipe {
+		if err := c.WipeReplica(0, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := c.RestartReplica(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	// More traffic so checkpoints pull the restarted replica forward.
-	for i := 0; i < 16; i++ {
-		if _, err := c.Submit(ctx, Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1}); err != nil {
-			t.Fatal(err)
-		}
+	if got := c.replica(0, 3).Recovered(); got == wipe {
+		t.Fatalf("restarted replica recovered from disk: %v, want %v", got, !wipe)
 	}
+	// More traffic so checkpoints pull the restarted replica forward.
+	submit(16)
 	// The restarted replica converges with a healthy peer — both the key
 	// value and the full ledger: the value catches up slightly before the
 	// final trailing blocks land, so VerifyLedgers is part of the retry
@@ -178,5 +197,72 @@ func TestClusterKillRestartDurable(t *testing.T) {
 				c.Read(k, 3), c.Read(k, 1), lerr)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestSubmitReusesClients: Submit draws its client from a free list, so a
+// long-lived cluster does not attach a fresh endpoint per call, and a
+// reused client keeps counting TxnID.Seq, so no replica mistakes its next
+// batch for a conflicting one.
+func TestSubmitReusesClients(t *testing.T) {
+	c := startCluster(t, ClusterConfig{Shards: 2, ReplicasPerShard: 4})
+	clients := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.clients
+	}
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		k := c.KeyOf(ShardID(i%2), uint64(i))
+		if _, err := c.Submit(ctx, Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := clients(); n != 1 {
+		t.Fatalf("200 sequential Submits attached %d clients, want 1", n)
+	}
+	const conc = 8
+	errs := make(chan error, conc)
+	for i := 0; i < conc; i++ {
+		go func() {
+			k := c.KeyOf(ShardID(i%2), uint64(300+i))
+			_, err := c.Submit(ctx, Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1})
+			errs <- err
+		}()
+	}
+	for i := 0; i < conc; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := clients(); n > conc {
+		t.Fatalf("%d concurrent Submits attached %d clients, want at most %d", conc, n, conc)
+	}
+	c.Stop()
+	for s := 0; s < c.Shards(); s++ {
+		for i := 0; i < 4; i++ {
+			if got := c.replica(ShardID(s), i).Evidence().Summary(); got != "evidence: none" {
+				t.Errorf("replica %d/%d: %s", s, i, got)
+			}
+		}
+	}
+}
+
+// TestClusterStopEdges: Stop before Start leaves the cluster startable, and
+// RestartReplica after Stop fails instead of reopening a WAL nothing closes.
+func TestClusterStopEdges(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Shards: 1, ReplicasPerShard: 4, Durable: true, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	c.Start()
+	k := c.KeyOf(0, 1)
+	if _, err := c.Submit(context.Background(), Txn{Reads: []Key{k}, Writes: []Key{k}, Delta: 1}); err != nil {
+		t.Fatalf("submit after Stop-before-Start: %v", err)
+	}
+	c.Stop()
+	if err := c.RestartReplica(0, 3); err == nil {
+		t.Fatal("RestartReplica after Stop succeeded")
 	}
 }
