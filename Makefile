@@ -21,7 +21,7 @@
 # each — and `go run ./benchmark -compare a.txt b.txt` holds a pair of
 # saved outputs to the bounds in BENCHMARK.json. `make bench` runs the
 # per-package micro-benchmarks, with `bench-crypto`, `bench-wal`,
-# `bench-tcpnet` and `bench-store` as focused subsets.
+# `bench-tcpnet`, `bench-store` and `bench-ring` as focused subsets.
 #
 # `make metrics-smoke` boots a loopback-TCP cluster and asserts the
 # /metrics exposition carries live series from every instrumented layer.
@@ -30,7 +30,7 @@
 GO ?= go
 SOAK_BUDGET ?= 10m
 
-.PHONY: build test examples vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet bench-store metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
+.PHONY: build test examples vet lint lint-fixtures fmt-check docs-check benchmark bench bench-crypto bench-wal bench-tcpnet bench-store bench-ring metrics-smoke race-crypto race-net race-all chaos chaos-soak chaos-wallclock verify
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,13 @@ bench-tcpnet:
 bench-store:
 	$(GO) test -run XXX -bench 'BenchmarkGet|BenchmarkPairs|BenchmarkPreload|BenchmarkExecuteTxn' -benchmem -benchtime 300ms ./internal/store/
 	$(GO) test -run XXX -bench 'BenchmarkCheckpointDigest' -benchmem -benchtime 300ms ./internal/ringbft/
+
+# The cross-shard path's handlers: one Forward and one Execute copy, one
+# timer pass over 4,096 executed csts and 8 in flight, and a Commit that
+# lands after its entry committed.
+bench-ring:
+	$(GO) test -run XXX -bench 'BenchmarkForwardCopy|BenchmarkExecuteCopy|BenchmarkHandleTick' -benchmem -benchtime 300ms ./internal/ringbft/
+	$(GO) test -run XXX -bench 'BenchmarkCommitAfterDecision' -benchmem -benchtime 300ms ./internal/pbft/
 
 # Live-cluster observability smoke: loopback-TCP cluster, real client
 # traffic, scrape /metrics, assert per-layer series (see the script).

@@ -105,11 +105,16 @@ func TestSignatureBudgetSingleShard(t *testing.T) {
 
 // TestSignatureBudgetCrossShard: a cst over z shards costs each replica of
 // each involved shard exactly 2 signatures — its own Commit and its own
-// Forward — and exactly 6 verifications: the 3 peer Commits that become
-// this shard's certificate, and the nf = 3 entries of the previous shard's
-// certificate, once. Forward and Execute copies are counted under pairwise
-// ring tags, the Forward signature is verified only as evidence, and the
-// Execute is not signed, so none of these depend on z.
+// Forward. It costs a replica of the initiator shard exactly 2
+// verifications: the 2 peer Commits that, with its own, make this shard's
+// nf = 3 certificate. The third peer's Commit lands after the decision, and
+// answering it needs only its MAC; the wrap-around Forward closes a
+// rotation the replica started and locked, so its certificate is not
+// checked. A replica of every later shard also verifies the nf = 3 entries
+// of the previous shard's certificate, once: 5. Forward and Execute copies
+// are counted under pairwise ring tags, the Forward signature is verified
+// only as evidence, and the Execute is not signed, so none of these depend
+// on z.
 //
 // z = 5 is gated at the same numbers, and it is the only shape whose
 // RemoteView traffic (counted apart, see outsideCst) is not zero. That is a
@@ -121,7 +126,7 @@ func TestSignatureBudgetSingleShard(t *testing.T) {
 // shard 0 verifies them (10 per replica) and answers with retransmissions
 // that cost no further signature.
 func TestSignatureBudgetCrossShard(t *testing.T) {
-	const perSign, perVerify = 2, 6
+	const perSign = 2
 	for _, z := range []int{2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("z=%d", z), func(t *testing.T) {
 			counts, blocks := runBudget(t, z, z)
@@ -129,6 +134,10 @@ func TestSignatureBudgetCrossShard(t *testing.T) {
 				n := int64(blocks[id])
 				if n < 10 {
 					t.Fatalf("replica %v executed %d csts — run too short to gate anything", id, n)
+				}
+				perVerify := int64(5)
+				if id.Shard == 0 { // every cst spans all z shards, so shard 0 initiates
+					perVerify = 2
 				}
 				signs, verifies := a.Signs.Load(), a.Verifies.Load()
 				t.Logf("replica %v: %d csts, %.2f Sign / %.2f Verify per cst (apart: %d Sign, %d Verify)",

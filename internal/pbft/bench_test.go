@@ -39,6 +39,32 @@ func BenchmarkConsensusRound(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitAfterDecision is a replica's cost of a cross-shard Commit
+// that lands after its entry committed — in the fault-free case the last
+// peer's, at every replica for every batch — including the straggler reply
+// it triggers. The memo is off: that Commit's signature has never been seen.
+func BenchmarkCommitAfterDecision(b *testing.B) {
+	h := newHarness(&testing.T{}, 4)
+	batch := crossBatchOf(1)
+	if _, err := h.engines[0].Propose(batch); err != nil {
+		b.Fatal(err)
+	}
+	h.pump()
+	e := h.engines[1]
+	ent := e.log[1]
+	if !ent.committed {
+		b.Fatal("replica 1 did not commit")
+	}
+	late := h.commitFrom(2, 1, 0, 1, batch.Digest(), true)
+	h.drop = func(types.NodeID, types.NodeID, *types.Message) bool { return true }
+	e.verifier.SetMemoSize(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		ent.helped = nil
+		e.OnMessage(late)
+	}
+}
+
 func BenchmarkVerifyCommitCert(b *testing.B) {
 	h := newHarness(&testing.T{}, 4)
 	var cert []types.Signed

@@ -12,9 +12,11 @@
 // spent only where a proof must travel. PrePrepare and Prepare are always
 // MAC'd. A Commit follows its batch: for a single-shard batch it carries the
 // MAC vector too and the host gets no certificate; for a cross-shard batch it
-// is signed, because nf signed Commit messages form the transferable commit
-// certificate A that Forward messages present to the next shard (Fig 5
-// line 16). Checkpoint, ViewChange, and NewView are signed (their quorums are
+// is also signed, because nf signed Commit messages form the transferable
+// commit certificate A that Forward messages present to the next shard
+// (Fig 5 line 16). Only an undecided entry checks that signature: a replica
+// that has already committed checks the MAC alone before answering the
+// Commit. Checkpoint, ViewChange, and NewView are signed (their quorums are
 // re-assembled into certificates for state transfer and NewView
 // justification). Every signature check goes through the replica's
 // crypto.Verifier, so a signature is verified at most once per replica.
@@ -568,7 +570,7 @@ func (e *Engine) noteConflictingPrepare(ent *entry, m *types.Message) {
 
 // maybePrepared transitions to prepared once the entry has a PrePrepare and
 // nf distinct Prepare votes for its digest, then broadcasts its Commit (Fig 5
-// lines 12-13): signed when the decision needs a certificate, MAC'd otherwise.
+// lines 12-13): MAC'd, and signed too when the decision needs a certificate.
 func (e *Engine) maybePrepared(seq types.SeqNum, ent *entry) {
 	if ent.prepared || !ent.preprepared {
 		return
@@ -588,14 +590,15 @@ func (e *Engine) maybePrepared(seq types.SeqNum, ent *entry) {
 		Type: types.MsgCommit, From: e.self, Shard: e.shard,
 		View: ent.view, Seq: seq, Digest: ent.digest,
 	}
+	vote := commitVote{digest: ent.digest}
 	if needsCert(ent.batch) {
+		// The one signature is what the certificate needs; the MAC beside it
+		// is all a peer that already decided checks (see onCommit).
 		c.Sig = crypto.SignMessage(e.auth, c)
-		ent.commits[e.self] = commitVote{digest: ent.digest, signed: true, sig: c.Sig}
-		e.sendAll(c)
-	} else {
-		ent.commits[e.self] = commitVote{digest: ent.digest}
-		e.broadcastMAC(c)
+		vote.signed, vote.sig = true, c.Sig
 	}
+	ent.commits[e.self] = vote
+	e.broadcastMAC(c)
 	e.maybeCommitted(seq, ent)
 }
 
@@ -608,18 +611,22 @@ func (e *Engine) onCommit(m *types.Message) {
 	if e.inViewChange || m.View != e.view {
 		return
 	}
+	if ent, ok := e.log[m.Seq]; ok && ent.committed {
+		// Decided: the Commit can no longer become a vote, and the straggler
+		// reply (see onPrepare) needs only its sender authenticated to us.
+		// In the fault-free case the last peer's Commit always lands here, so
+		// a MAC check replaces what would be an Ed25519 verification.
+		if ent.digest == m.Digest && crypto.VerifyMessageMAC(e.auth, m) == nil {
+			e.replyCommit(m.From, m.Seq, ent)
+		}
+		return
+	}
 	signed, err := e.verifyCommit(m)
 	if err != nil {
 		return
 	}
 	ent := e.getEntry(m.Seq)
 	if ent.preprepared && ent.digest != m.Digest {
-		return
-	}
-	if ent.committed {
-		if ent.digest == m.Digest {
-			e.replyCommit(m.From, m.Seq, ent) // straggler catch-up (see onPrepare)
-		}
 		return
 	}
 	// One vote per sender, except that a signed Commit replaces a MAC'd one:
@@ -631,15 +638,18 @@ func (e *Engine) onCommit(m *types.Message) {
 	e.maybeCommitted(m.Seq, ent)
 }
 
-// verifyCommit checks whichever authenticator Commit m carries — the MAC
-// vector of a single-shard batch, or the signature of a cross-shard one —
-// and reports which it was. A Commit without a MAC is held to the signature
-// check, so stripping the authenticator never downgrades it.
+// verifyCommit checks the authenticator a vote is counted on and reports
+// whether the vote is signed. A Commit carrying a signature — every Commit
+// of a cross-shard batch — is held to it, whatever MAC rides beside it, so
+// a valid MAC never launders a bad signature into a vote; a Commit with
+// only a MAC (single-shard batches) is an unsigned vote, which never
+// certifies; and a Commit with neither falls to the signature check, so
+// stripping the authenticator never downgrades it.
 func (e *Engine) verifyCommit(m *types.Message) (signed bool, err error) {
-	if len(m.MAC) > 0 {
-		return false, crypto.VerifyMessageMAC(e.auth, m)
+	if len(m.Sig) > 0 || len(m.MAC) == 0 {
+		return true, crypto.VerifyMessageSig(e.auth, m)
 	}
-	return true, crypto.VerifyMessageSig(e.auth, m)
+	return false, crypto.VerifyMessageMAC(e.auth, m)
 }
 
 // replyCommit re-sends this replica's Commit for an already-committed
@@ -658,7 +668,8 @@ func (e *Engine) verifyCommit(m *types.Message) (signed bool, err error) {
 // Commit always lands after the nf-th — so it must not cost a signature:
 // while the view is unchanged the signature stored with this replica's own
 // vote is re-sent (Ed25519 is deterministic; signing again would produce the
-// same bytes), and the peer's verifier answers the copy from its memo.
+// same bytes). The recipient's MAC rides beside it, which is all a peer
+// that has decided too checks.
 func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 	if ent.helped == nil {
 		ent.helped = make(map[types.NodeID]types.View)
@@ -671,13 +682,14 @@ func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 		Type: types.MsgCommit, From: e.self, Shard: e.shard,
 		View: e.view, Seq: seq, Digest: ent.digest,
 	}
-	if !needsCert(ent.batch) {
-		c.MAC = crypto.MACMessage(e.auth, to, c)
-	} else if own, voted := ent.commits[e.self]; voted && own.signed && ent.view == e.view {
-		c.Sig = own.sig
-	} else {
-		c.Sig = crypto.SignMessage(e.auth, c)
+	if needsCert(ent.batch) {
+		if own, voted := ent.commits[e.self]; voted && own.signed && ent.view == e.view {
+			c.Sig = own.sig
+		} else {
+			c.Sig = crypto.SignMessage(e.auth, c)
+		}
 	}
+	c.MAC = crypto.MACMessage(e.auth, to, c)
 	e.cb.Send(to, c)
 }
 

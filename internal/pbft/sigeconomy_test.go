@@ -21,15 +21,16 @@ func newCountingHarness(t *testing.T, n int) (*harness, []*crypto.CountingAuth) 
 }
 
 // commitFrom builds replica from's Commit for (view, seq, d) addressed to
-// replica to, authenticated the way the caller asks: signed, or MAC'd.
+// replica to, authenticated the way the caller asks: signed with the MAC
+// beside the signature (a cross-shard Commit as the engine sends it), or
+// MAC'd only.
 func (h *harness) commitFrom(from, to int, view types.View, seq types.SeqNum, d types.Digest, signed bool) *types.Message {
 	e := h.engines[from]
 	m := &types.Message{Type: types.MsgCommit, From: e.self, Shard: h.shard, View: view, Seq: seq, Digest: d}
 	if signed {
 		m.Sig = crypto.SignMessage(e.auth, m)
-	} else {
-		m.MAC = crypto.MACMessage(e.auth, h.engines[to].self, m)
 	}
+	m.MAC = crypto.MACMessage(e.auth, h.engines[to].self, m)
 	return m
 }
 
@@ -57,8 +58,10 @@ func TestSingleShardCommitSpendsNoSignatures(t *testing.T) {
 
 // TestCrossShardCommitSignsOnce: a cross-shard batch costs each replica
 // exactly one signature — including the straggler replies that fire in the
-// fault-free case, which re-send the stored one — and no signature is
-// verified twice; the certificate is nf signed votes that pass VerifyCert.
+// fault-free case, which re-send the stored one — and exactly nf-1
+// verifications, one per peer Commit its certificate holds: the last peer's
+// Commit lands after the decision and costs a MAC. The certificate is nf
+// signed votes that pass VerifyCert.
 func TestCrossShardCommitSignsOnce(t *testing.T) {
 	h, counters := newCountingHarness(t, 4)
 	b := crossBatchOf(1)
@@ -73,8 +76,8 @@ func TestCrossShardCommitSignsOnce(t *testing.T) {
 		if c.Signs.Load() != 1 {
 			t.Errorf("replica %d signed %d times for one cross-shard batch, want 1", i, c.Signs.Load())
 		}
-		if c.Verifies.Load() > int64(h.n-1) {
-			t.Errorf("replica %d verified %d signatures, want <= %d (one per peer)", i, c.Verifies.Load(), h.n-1)
+		if want := int64(h.engines[i].NF() - 1); c.Verifies.Load() != want {
+			t.Errorf("replica %d verified %d signatures, want %d (the peer votes of its certificate)", i, c.Verifies.Load(), want)
 		}
 	}
 	for i := range counters { // after the counts: VerifyCert below spends verifications
@@ -176,9 +179,89 @@ func TestForgedMACCommitDropped(t *testing.T) {
 	}
 }
 
+// TestBadSignatureCommitDropped: a cross-shard Commit whose signature does
+// not verify is no vote, although the MAC beside it does: the MAC never
+// stands in for the signature of an undecided entry.
+func TestBadSignatureCommitDropped(t *testing.T) {
+	h := newHarness(t, 4)
+	isolateCommits(h, 1)
+	b := crossBatchOf(1)
+	if _, err := h.engines[0].Propose(b); err != nil {
+		t.Fatal(err)
+	}
+	h.pump()
+	d, victim := b.Digest(), h.engines[1]
+	victim.OnMessage(h.commitFrom(0, 1, 0, 1, d, true))
+	forged := h.commitFrom(2, 1, 0, 1, d, true)
+	forged.Sig[0] ^= 1
+	if err := crypto.VerifyMessageMAC(victim.auth, forged); err != nil {
+		t.Fatalf("setup: the forged Commit's MAC should verify: %v", err)
+	}
+	victim.OnMessage(forged)
+	if len(h.commits[1]) != 0 {
+		t.Fatal("a Commit with a bad signature and a valid MAC completed the quorum")
+	}
+	victim.OnMessage(h.commitFrom(2, 1, 0, 1, d, true))
+	if len(h.commits[1]) != 1 {
+		t.Fatal("nf validly signed Commits did not commit the cross-shard entry")
+	}
+	if err := VerifyCert(h.engines[3].verifier, 0, d, h.commits[1][0].cert, 3); err != nil {
+		t.Fatalf("certificate rejected: %v", err)
+	}
+}
+
+// TestDecidedCommitCostsAMAC: a cross-shard Commit reaching a replica that
+// has already committed its entry is answered on its MAC alone — no Ed25519
+// verification — at most once per (peer, view), and not at all when the MAC
+// is bad. The reply carries the stored signature with the recipient's MAC.
+func TestDecidedCommitCostsAMAC(t *testing.T) {
+	h, counters := newCountingHarness(t, 4)
+	b := crossBatchOf(1)
+	if _, err := h.engines[0].Propose(b); err != nil {
+		t.Fatal(err)
+	}
+	h.pump()
+	e1, peer := h.engines[1], h.engines[2]
+	if len(h.commits[1]) != 1 {
+		t.Fatal("setup: replica 1 did not commit")
+	}
+	e1.log[1].helped = nil // forget the fault-free straggler replies
+	var replies []routed
+	h.drop = func(_, to types.NodeID, m *types.Message) bool {
+		replies = append(replies, routed{to, m})
+		return true
+	}
+	verifies := counters[1].Verifies.Load()
+
+	late := h.commitFrom(2, 1, 0, 1, b.Digest(), true)
+	badMAC := *late
+	badMAC.MAC = append([]byte(nil), late.MAC...)
+	badMAC.MAC[0] ^= 1
+	e1.OnMessage(&badMAC)
+	if len(replies) != 0 {
+		t.Fatalf("a late Commit with a bad MAC got %d replies", len(replies))
+	}
+	e1.OnMessage(late)
+	e1.OnMessage(late)
+	if len(replies) != 1 || replies[0].to != peer.self {
+		t.Fatalf("two late Commits got %d replies, want one to %v", len(replies), peer.self)
+	}
+	if n := counters[1].Verifies.Load() - verifies; n != 0 {
+		t.Fatalf("late Commits cost %d Verify, want 0", n)
+	}
+	reply := replies[0].m
+	if !bytes.Equal(reply.Sig, e1.log[1].commits[e1.self].sig) {
+		t.Fatal("the reply does not carry the stored signature")
+	}
+	if err := crypto.VerifyMessageMAC(peer.auth, reply); err != nil {
+		t.Fatalf("the reply's MAC does not verify at its recipient: %v", err)
+	}
+}
+
 // TestReplyCommitReusesSignature: within a view the straggler reply is
-// byte-identical to the Commit the replica broadcast (same signature, no
-// second Sign); after a view change it is re-authenticated for the new view.
+// byte-identical to the Commit the replica broadcast to that peer (same
+// signature, no second Sign, the recipient's MAC beside it); after a view
+// change it is re-authenticated for the new view.
 func TestReplyCommitReusesSignature(t *testing.T) {
 	h, counters := newCountingHarness(t, 4)
 	var sent []routed // every Commit put on the wire, in order
@@ -216,8 +299,11 @@ func TestReplyCommitReusesSignature(t *testing.T) {
 		t.Fatal("same-view reply signed again")
 	}
 	if reply.View != original.View || reply.Seq != original.Seq || reply.Digest != original.Digest ||
-		!bytes.Equal(reply.Sig, original.Sig) || len(reply.MAC) != 0 {
+		!bytes.Equal(reply.Sig, original.Sig) || !bytes.Equal(reply.MAC, original.MAC) {
 		t.Fatalf("same-view reply differs from the original Commit:\n%+v\n%+v", reply, original)
+	}
+	if err := crypto.VerifyMessageMAC(h.engines[3].auth, reply); err != nil {
+		t.Fatalf("same-view reply carries no MAC for its recipient: %v", err)
 	}
 
 	// Heal, change view: the straggler re-runs the phases in view 1 and the

@@ -122,7 +122,9 @@ func (r *Replica) sendRing(next types.ShardID, m *types.Message) {
 // primitive guarantees at least one copy originated at a non-faulty sender.
 // A copy counts its originating sender once its ring tag verifies; the
 // previous shard's certificate is verified once per cst, on the first copy
-// that arrives before this replica holds one.
+// that arrives before this replica holds one — and never at an initiator
+// replica that has locked the batch, for which the copy closes its own
+// rotation.
 func (r *Replica) onForward(m *types.Message) {
 	b := m.Batch
 	if b == nil || len(b.Txns) == 0 || !b.IsCrossShard() {
@@ -144,7 +146,15 @@ func (r *Replica) onForward(m *types.Message) {
 	// certificate verifies.
 	r.noteForward(m)
 	cs, ok := r.csts[d]
-	if !ok || cs.fwdCert == nil {
+	switch {
+	case ok && cs.locked && r.Shard == b.Initiator():
+		// The wrap-around Forward of a rotation this replica started: its
+		// own shard committed the batch and it holds the locks, so there is
+		// nothing left to justify, and f+1 tag-authenticated senders of the
+		// last shard — one of them honest — are the proof the rotation
+		// completed (see ARCHITECTURE.md, counting under ring tags). The
+		// certificate is not looked at and fwdCert stays nil.
+	case !ok || cs.fwdCert == nil:
 		// The Forward must prove the previous shard replicated the batch:
 		// nf valid commit signatures from that shard. One verified copy
 		// suffices to hold the justification certificate — it is
@@ -182,7 +192,7 @@ func (r *Replica) onForward(m *types.Message) {
 	cs.fwdFrom[m.From] = struct{}{}
 	cs.mergeCarried(m.WriteSets)
 	if cs.fwdFirst.IsZero() {
-		cs.fwdFirst = r.Clock() // arm the remote timer (Fig 6)
+		r.armRemote(cs)
 	}
 	if m.From.Index == r.Self.Index && !cs.fwdRelayed {
 		cs.fwdRelayed = true
@@ -196,7 +206,7 @@ func (r *Replica) onForward(m *types.Message) {
 		// Ring-hop latency: first same-lane copy to f+1 acceptance.
 		r.met.forwardQuorum.Observe(r.Clock().Sub(cs.fwdFirst))
 	}
-	cs.fwdFirst = r.Clock() // re-anchor the remote timer for rotation 2
+	r.armRemote(cs) // re-anchor the remote timer for rotation 2
 	if cs.batch == nil {
 		cs.batch = b
 	}
@@ -288,25 +298,26 @@ func (r *Replica) validSig(h evidence.Msg) bool {
 	return r.Verifier.Verify(h.From, msg, h.Sig) == nil
 }
 
-// fwdWindow remembers the first Forward half per (sender, sequence), at most
-// capacity entries. At capacity the oldest key is evicted — a FIFO like the
-// verifier's memo — so detection keeps working for new claims however long
-// the replica runs; the bound only limits how far back a conflicting copy
-// can still be matched.
-type fwdWindow struct {
+// fifoWindow remembers the first value seen per key — the first Forward
+// half per (sender, sequence), the first batch digest per client
+// transaction id — at most capacity entries. At capacity the oldest key is
+// evicted — a FIFO like the verifier's memo — so detection keeps working
+// for new claims however long the replica runs; the bound only limits how
+// far back a conflicting claim can still be matched.
+type fifoWindow[K comparable, V any] struct {
 	capacity int
-	first    map[fwdKey]evidence.Msg
-	order    []fwdKey // eviction ring over the keys of first
+	first    map[K]V
+	order    []K // eviction ring over the keys of first
 	next     int
 }
 
-func newFwdWindow(capacity int) *fwdWindow {
-	return &fwdWindow{capacity: capacity, first: make(map[fwdKey]evidence.Msg)}
+func newFIFOWindow[K comparable, V any](capacity int) *fifoWindow[K, V] {
+	return &fifoWindow[K, V]{capacity: capacity, first: make(map[K]V)}
 }
 
-// put stores h under key, evicting the oldest key when a new one arrives at
+// put stores v under key, evicting the oldest key when a new one arrives at
 // capacity.
-func (w *fwdWindow) put(key fwdKey, h evidence.Msg) {
+func (w *fifoWindow[K, V]) put(key K, v V) {
 	if _, ok := w.first[key]; !ok {
 		if len(w.order) < w.capacity {
 			w.order = append(w.order, key)
@@ -316,7 +327,7 @@ func (w *fwdWindow) put(key fwdKey, h evidence.Msg) {
 			w.next = (w.next + 1) % w.capacity
 		}
 	}
-	w.first[key] = h
+	w.first[key] = v
 }
 
 // executeCst executes this shard's fragment with every dependency resolved
@@ -499,7 +510,7 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		// timer so this shard complains upstream in turn — until the
 		// previous shard's certificate arrives no primary here can justify
 		// proposing it, so upstream pressure is the only recovery path.
-		cs.fwdFirst = r.Clock()
+		r.armRemote(cs)
 	}
 	r.Await(b, d)
 	if cs.executed || cs.locked {

@@ -54,22 +54,26 @@ type Replica struct {
 	lockQueue map[types.SeqNum]*logEntry
 
 	// csts tracks every cross-shard transaction this replica has seen, by
-	// batch digest.
+	// batch digest. live holds the ones whose remote or transmit timer can
+	// still fire: HandleTick walks only those, dropping each cst that
+	// executed with its Forward accepted or its remote timer never armed,
+	// and armRemote puts one back.
 	csts map[types.Digest]*cstState
+	live map[types.Digest]*cstState
 
 	// clientSeen remembers the first batch digest observed per client
 	// transaction id: a client re-submitting the same payload is a legal
 	// retransmission (attack A1, answered from the executed cache), but two
 	// different payloads under one id is client equivocation and gets an
-	// evidence record. Bounded; tracking stops at the cap.
-	clientSeen map[types.TxnID]types.Digest
+	// evidence record. Bounded by clientSeenCap, oldest id evicted first.
+	clientSeen *fifoWindow[types.TxnID, types.Digest]
 
 	// fwdSeen remembers the first signed Forward per (sender, sequence): an
 	// honest previous-shard replica signs exactly one Forward digest per
 	// committed sequence, so a second digest under the same key indicts the
 	// sender with a transferable signature pair. Bounded by fwdSeenCap,
 	// oldest entry evicted first.
-	fwdSeen *fwdWindow
+	fwdSeen *fifoWindow[fwdKey, evidence.Msg]
 
 	// Pipelined consensus: backpressure polls the transport's outbound
 	// backlog, bpLimit is the clamp threshold (half the outbox depth), and
@@ -131,10 +135,9 @@ type fwdKey struct {
 	seq  types.SeqNum
 }
 
-// Tracking caps for the misbehavior-detection maps. Past clientSeenCap the
-// replica stops learning new client ids (existing entries still detect
-// conflicts); past fwdSeenCap fwdSeen forgets its oldest (sender, sequence)
-// key for each new one.
+// Tracking caps for the misbehavior-detection windows. Past its cap each
+// forgets its oldest key for every new one: clientSeen a client transaction
+// id, fwdSeen a (sender, sequence) pair.
 const (
 	clientSeenCap = 1 << 16
 	fwdSeenCap    = 1 << 16
@@ -152,8 +155,9 @@ type cstState struct {
 	// two differ, and it is fwdCert that justifies proposing the batch here
 	// (pbft.Callbacks.Justification attaches it to view-change P-set proofs
 	// so a NewView can prove justification to replicas whose own Forward
-	// quorum never completed). Nil at the initiator and for single-shard
-	// batches.
+	// quorum never completed). Nil for single-shard batches and at an
+	// initiator replica whose locks preceded the wrap-around Forward (there
+	// it justifies nothing, and onForward does not verify it).
 	fwdCert []types.Signed
 
 	locked   bool
@@ -268,12 +272,13 @@ func New(opts Options) *Replica {
 		locks:        store.NewLockTable(),
 		lockQueue:    make(map[types.SeqNum]*logEntry),
 		csts:         make(map[types.Digest]*cstState),
+		live:         make(map[types.Digest]*cstState),
 		allToAll:     opts.AllToAllForward,
 		execDone:     make(map[types.SeqNum]struct{}),
 		cpMeta:       make(map[types.SeqNum]cpMeta),
 		stabilized:   make(map[types.SeqNum]types.Digest),
-		clientSeen:   make(map[types.TxnID]types.Digest),
-		fwdSeen:      newFwdWindow(fwdSeenCap),
+		clientSeen:   newFIFOWindow[types.TxnID, types.Digest](clientSeenCap),
+		fwdSeen:      newFIFOWindow[fwdKey, evidence.Msg](fwdSeenCap),
 		backpressure: opts.Backpressure,
 		tr:           opts.Tracer,
 	}
@@ -489,11 +494,9 @@ func (r *Replica) onClientRequest(m *types.Message) {
 func (r *Replica) noteClientConflicts(b *types.Batch, d types.Digest) {
 	for i := range b.Txns {
 		id := b.Txns[i].ID
-		prev, ok := r.clientSeen[id]
+		prev, ok := r.clientSeen.first[id]
 		if !ok {
-			if len(r.clientSeen) < clientSeenCap {
-				r.clientSeen[id] = d
-			}
+			r.clientSeen.put(id, d)
 			continue
 		}
 		if prev == d {
@@ -835,8 +838,17 @@ func (r *Replica) cst(d types.Digest) *cstState {
 			execFrom: make(map[types.NodeID]struct{}),
 		}
 		r.csts[d] = cs
+		r.live[d] = cs
 	}
 	return cs
+}
+
+// armRemote starts (or re-anchors) cs's remote timer (Fig 6). An executed
+// cst leaves the tick pass while its timer is unarmed, so arming puts it
+// back.
+func (r *Replica) armRemote(cs *cstState) {
+	cs.fwdFirst = r.Clock()
+	r.live[cs.digest] = cs
 }
 
 // lockOwner derives the lock-owner token from the batch digest.

@@ -161,11 +161,13 @@ func (c *cluster) pump() {
 	}
 }
 
-// tick advances the virtual clock by d and fires every replica's timers.
+// tick advances the virtual clock by d and fires every replica's timers, in
+// canonical node order so that two runs compared block for block see the
+// same traffic order.
 func (c *cluster) tick(d time.Duration) {
 	c.now = c.now.Add(d)
-	for _, r := range c.replicas {
-		r.HandleTick(c.now)
+	for _, id := range types.SortedNodeKeys(c.replicas) {
+		c.replicas[id].HandleTick(c.now)
 	}
 	c.pump()
 }

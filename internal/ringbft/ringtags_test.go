@@ -10,12 +10,13 @@ import (
 )
 
 // holdRing submits the cst b and holds back every cross-shard message of
-// type typ instead of delivering it. It returns the held copies by sender:
-// each is the message the sender built, tag vector included.
-func holdRing(c *cluster, b *types.Batch, typ types.MsgType) map[types.NodeID]*types.Message {
+// type typ into shard into instead of delivering it. It returns the held
+// copies by sender: each is the message the sender built, tag vector
+// included.
+func holdRing(c *cluster, b *types.Batch, typ types.MsgType, into types.ShardID) map[types.NodeID]*types.Message {
 	held := make(map[types.NodeID]*types.Message)
 	c.drop = func(from, to types.NodeID, m *types.Message) bool {
-		if m.Type == typ && from.Kind == types.KindReplica && to.Kind == types.KindReplica && from.Shard != to.Shard {
+		if m.Type == typ && from.Kind == types.KindReplica && to.Kind == types.KindReplica && from.Shard != into && to.Shard == into {
 			held[from] = m
 			return true
 		}
@@ -67,7 +68,7 @@ func TestRingTagForward(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, 3, 4)
 			b := mkBatch(1, 1, 3, []types.ShardID{0, 1}, 2)
-			m := clone(holdRing(c, b, types.MsgForward)[sender])
+			m := clone(holdRing(c, b, types.MsgForward, 1)[sender])
 			tc.mut(c, m)
 			r := c.replicas[recv]
 			r.HandleMessage(m)
@@ -92,7 +93,7 @@ func TestRingTagExecute(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, 3, 4)
 			b := mkBatch(1, 1, 3, []types.ShardID{0, 1}, 2)
-			m := clone(holdRing(c, b, types.MsgExecute)[sender])
+			m := clone(holdRing(c, b, types.MsgExecute, 1)[sender])
 			if len(m.Sig) != 0 {
 				t.Fatal("Execute carries a signature")
 			}
@@ -115,7 +116,7 @@ func TestRingTagRelayedGarbage(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	b := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
 	sender := types.ReplicaNode(0, 0)
-	m := clone(holdRing(c, b, types.MsgForward)[sender])
+	m := clone(holdRing(c, b, types.MsgForward, 1)[sender])
 	clear(entry(m.MAC, 1))
 	c.queue = append(c.queue, routed{sender, types.ReplicaNode(1, 0), m})
 	c.pump()
@@ -189,7 +190,7 @@ func TestRingTagCertOncePerCst(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	b := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
 	d := b.Digest()
-	held := holdRing(c, b, types.MsgForward)
+	held := holdRing(c, b, types.MsgForward, 1)
 	bad := clone(held[types.ReplicaNode(0, 0)])
 	bad.Cert = garbageCert(bad.Cert)
 
@@ -209,6 +210,71 @@ func TestRingTagCertOncePerCst(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cs.fwdCert, good.Cert) {
 		t.Fatal("the held certificate was replaced by a later copy's")
+	}
+}
+
+// TestRingTagInitiatorCert: the wrap-around Forward closes a rotation the
+// initiator started, so an initiator replica that has locked the batch
+// executes on f+1 copies whose certificates are garbage, spends no Ed25519
+// verification and holds no certificate. A replica with nothing of its own
+// to stand on — an initiator replica restarted empty, a middle shard —
+// verifies the certificate before creating any state, and a verified copy
+// is held as the justification as before.
+func TestRingTagInitiatorCert(t *testing.T) {
+	cases := []struct {
+		name  string
+		into  types.ShardID // the receiving shard of the held copies
+		fresh bool          // the receiver restarts empty before they arrive
+		skip  bool          // certificate not looked at
+	}{
+		{"locked initiator", 0, false, true},
+		{"initiator not locked", 0, true, false},
+		{"middle shard", 1, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 3, 4)
+			b := mkBatch(1, 1, 3, []types.ShardID{0, 1, 2}, 2)
+			d := b.Digest()
+			held := holdRing(c, b, types.MsgForward, tc.into)
+			id := types.ReplicaNode(tc.into, 1)
+			if tc.fresh {
+				c.spawn(id)
+			}
+			r := c.replicas[id]
+			counter := &crypto.CountingAuth{Authenticator: r.Verifier.Authenticator}
+			r.Verifier.Authenticator = counter
+			prev := b.PrevInRing(tc.into)
+			lane, other := held[types.ReplicaNode(prev, 1)], held[types.ReplicaNode(prev, 2)]
+			for _, m := range []*types.Message{lane, other} {
+				bad := clone(m)
+				bad.Cert = garbageCert(m.Cert)
+				r.HandleMessage(bad)
+			}
+			cs, ok := r.csts[d]
+			if !tc.skip {
+				if ok {
+					t.Fatal("a copy with a garbage certificate created a cst")
+				}
+				if counter.Verifies.Load() == 0 {
+					t.Fatal("the certificate was not verified")
+				}
+				r.HandleMessage(lane)
+				if cs = r.csts[d]; !reflect.DeepEqual(cs.fwdCert, lane.Cert) {
+					t.Fatal("a verified certificate was not held")
+				}
+				return
+			}
+			if !ok || !cs.executed {
+				t.Fatal("the locked initiator replica did not execute on f+1 wrap-around copies")
+			}
+			if n := counter.Verifies.Load(); n != 0 {
+				t.Fatalf("the locked initiator replica spent %d Verify", n)
+			}
+			if cs.fwdCert != nil {
+				t.Fatal("the locked initiator replica holds a certificate")
+			}
+		})
 	}
 }
 
@@ -328,7 +394,7 @@ func TestConflictingForwardEvidence(t *testing.T) {
 func TestForwardSeenEvicts(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	r := c.replicas[types.ReplicaNode(1, 1)]
-	r.fwdSeen = newFwdWindow(2)
+	r.fwdSeen = newFIFOWindow[fwdKey, evidence.Msg](2)
 	batch := func(seq types.SeqNum, alt uint64) *types.Batch {
 		return mkBatch(1, uint64(seq)*10+alt, 2, []types.ShardID{0, 1}, alt)
 	}
@@ -352,5 +418,38 @@ func TestForwardSeenEvicts(t *testing.T) {
 	}
 	if n := len(r.fwdSeen.first); n != 2 {
 		t.Fatalf("fwdSeen holds %d keys, cap 2", n)
+	}
+}
+
+// TestClientSeenEvicts: clientSeen slides the same way. At its cap it
+// forgets the oldest client transaction id instead of no longer learning
+// new ones, so a conflict on an id first seen after eviction began is still
+// recorded, one on an evicted id is not, and the window never grows past
+// the cap.
+func TestClientSeenEvicts(t *testing.T) {
+	c := newCluster(t, 2, 4)
+	r := c.replicas[types.ReplicaNode(0, 1)]
+	r.clientSeen = newFIFOWindow[types.TxnID, types.Digest](2)
+	request := func(seq, alt uint64) {
+		b := mkBatch(1, seq, 2, []types.ShardID{0}, alt)
+		r.HandleMessage(&types.Message{Type: types.MsgClientRequest, From: types.ClientNode(1), Batch: b, Digest: b.Digest()})
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		request(seq, 0)
+	}
+	if n := len(r.clientSeen.first); n != 2 {
+		t.Fatalf("clientSeen holds %d ids, cap 2", n)
+	}
+	request(1, 1)
+	if n := r.Evidence().Len(); n != 0 {
+		t.Fatalf("a conflict on an evicted id was recorded (%d records)", n)
+	}
+	request(3, 1)
+	recs := r.Evidence().Records()
+	if len(recs) != 1 || recs[0].Kind != evidence.KindConflictingClient || recs[0].Seq != 3 {
+		t.Fatalf("records %v, want one client conflict for transaction 3", recs)
+	}
+	if n := len(r.clientSeen.first); n != 2 {
+		t.Fatalf("clientSeen holds %d ids, cap 2", n)
 	}
 }

@@ -153,6 +153,7 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 	r.canonCache = canonCache{}
 	r.locks = store.NewLockTable()
 	r.csts = make(map[types.Digest]*cstState)
+	r.live = make(map[types.Digest]*cstState)
 	for seq := range r.lockQueue {
 		if seq <= p.Seq {
 			delete(r.lockQueue, seq)

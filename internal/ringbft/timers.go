@@ -38,8 +38,16 @@ func (r *Replica) HandleTick(now time.Time) {
 
 	// Canonical cst order: this pass emits RemoteView complaints and Forward
 	// retransmits, so traffic order must not follow map iteration order.
-	for _, d := range types.SortedDigestKeys(r.csts) {
-		cs := r.csts[d]
+	for _, d := range types.SortedDigestKeys(r.live) {
+		cs := r.live[d]
+		if cs.executed && (cs.fwdAccepted || cs.fwdFirst.IsZero()) {
+			// Neither timer below can fire again: the transmit timer stops
+			// at execution, and the remote timer waits for a Forward quorum
+			// that is either complete or was never started. Only armRemote
+			// can change that.
+			delete(r.live, d)
+			continue
+		}
 		// Remote timer (Fig 6), two starvation modes: (a) first rotation —
 		// we saw at least one Forward copy but fewer than f+1 within the
 		// timeout; (b) second rotation — consensus and locks are done but

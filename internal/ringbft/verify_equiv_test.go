@@ -2,6 +2,7 @@ package ringbft
 
 import (
 	"testing"
+	"time"
 
 	"ringbft/internal/types"
 )
@@ -11,6 +12,12 @@ import (
 // verified-signature memo on or at capacity 0, and returns per-replica
 // (block digest sequence, store digest) observations plus the memo hits
 // summed over all replicas.
+//
+// Shard 1's primary has crashed, so the workload completes only through a
+// view change there, and that is what re-presents verified signatures: the
+// NewView carries the ViewChange signatures its receivers already checked.
+// Clients send each request to every replica of its initiator shard, as a
+// client whose primary is silent does.
 func runVerifyWorkload(t *testing.T, memo bool) (map[types.NodeID][]types.Digest, map[types.NodeID]types.Digest, uint64) {
 	t.Helper()
 	const z, n = 3, 4
@@ -20,6 +27,8 @@ func runVerifyWorkload(t *testing.T, memo bool) (map[types.NodeID][]types.Digest
 			r.Verifier.SetMemoSize(0)
 		}
 	}
+	dead := types.ReplicaNode(1, 0)
+	c.drop = func(from, to types.NodeID, _ *types.Message) bool { return from == dead || to == dead }
 	var batches []*types.Batch
 	for i := uint64(1); i <= 10; i++ {
 		shards := []types.ShardID{types.ShardID(i % z)}
@@ -34,13 +43,30 @@ func runVerifyWorkload(t *testing.T, memo bool) (map[types.NodeID][]types.Digest
 		}
 		b := mkBatch(types.ClientID(i), i, z, shards, i%4)
 		batches = append(batches, b)
-		c.submit(types.ClientID(i), b)
-	}
-	for _, b := range batches {
-		cid := types.ClientID(b.Txns[0].ID.Client)
-		if got := c.responses(cid, b.Digest()); got < c.cfg.F()+1 {
-			t.Fatalf("memo=%v: batch of client %d got %d responses", memo, cid, got)
+		from := types.ClientNode(types.ClientID(i))
+		m := &types.Message{Type: types.MsgClientRequest, From: from, Batch: b, Digest: b.Digest()}
+		for j := 0; j < n; j++ {
+			c.queue = append(c.queue, routed{from, types.ReplicaNode(b.Initiator(), j), m})
 		}
+		c.pump()
+	}
+	unanswered := func() int {
+		missing := 0
+		for _, b := range batches {
+			if c.responses(types.ClientID(b.Txns[0].ID.Client), b.Digest()) < c.cfg.F()+1 {
+				missing++
+			}
+		}
+		return missing
+	}
+	for i := 0; i < 20 && unanswered() > 0; i++ {
+		c.tick(c.cfg.LocalTimeout + time.Millisecond)
+	}
+	if missing := unanswered(); missing > 0 {
+		t.Fatalf("memo=%v: %d batches got fewer than f+1 responses", memo, missing)
+	}
+	if v := c.replicas[types.ReplicaNode(1, 1)].Engine().View(); v == 0 {
+		t.Fatalf("memo=%v: shard 1 never left the crashed primary's view", memo)
 	}
 	chains := make(map[types.NodeID][]types.Digest)
 	stores := make(map[types.NodeID]types.Digest)
