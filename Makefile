@@ -9,7 +9,7 @@
 # surfaces, this Makefile's targets and the source tree
 # (scripts/docs-check.sh); `make race-all` puts the whole module under the
 # race detector. The full test suite includes the chaos matrix
-# (internal/chaos): 41 seeded nemesis scenarios across ringbft/ahl/sharper
+# (internal/chaos): 42 seeded nemesis scenarios across ringbft/ahl/sharper
 # (incl. the pipelined-window frontier rows); `make chaos` runs just that
 # matrix verbosely and `make chaos-soak` explores fresh seeds for
 # SOAK_BUDGET (nightly CI).

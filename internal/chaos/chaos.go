@@ -95,6 +95,15 @@ const (
 	// the whole set (sorted-digest order) with none lost and none executed
 	// twice. RingBFT only — the pipeline window lives in its propose path.
 	FaultPipelineViewChange Fault = "pipeline-viewchange"
+	// FaultByzGarbageCert makes one replica of shard 0 forward a zeroed
+	// commit certificate on every Forward, and crashes shard 1's primary
+	// while that runs, so shard 1 view-changes with cross-shard batches
+	// prepared. Copies are counted on their ring tags, so the garbage is
+	// held as a certificate candidate at shard 1; honest replicas must
+	// prove the certificate before it reaches a view-change or NewView
+	// justification, or receivers short of their own Forward quorum reject
+	// the NewView and accuse its honest primary. RingBFT only.
+	FaultByzGarbageCert Fault = "byz-garbage-cert"
 )
 
 // Faults lists every fault class, matrix order.
@@ -104,6 +113,7 @@ func Faults() []Fault {
 		FaultLossStorm, FaultDelaySkew, FaultCrashRestart, FaultWipeRejoin,
 		FaultByzSilent, FaultByzEquivocate, FaultByzNewView,
 		FaultClientDuplicate, FaultClientConflict, FaultPipelineViewChange,
+		FaultByzGarbageCert,
 	}
 }
 
@@ -219,6 +229,7 @@ const (
 	OpClientDuplicate           // the adversarial client fans every fresh request out to all replicas
 	OpClientConflict            // the adversarial client pairs every fresh request with a conflicting same-TxnID variant
 	OpHeal                      // clear partitions, loss, delay, Byzantine modes, and client faults
+	OpByzGarbageCert            // replica (Shard, Index) zeroes the certificate signatures of its Forwards
 )
 
 func (o Op) String() string {
@@ -249,6 +260,8 @@ func (o Op) String() string {
 		return "client-conflict"
 	case OpHeal:
 		return "heal"
+	case OpByzGarbageCert:
+		return "byz-garbage-cert"
 	}
 	return "?"
 }
@@ -365,6 +378,21 @@ func BuildSchedule(sc Scenario) Schedule {
 		// awaited batch in sorted-digest order, and the checkers assert
 		// nothing was lost, duplicated, or executed twice.
 		add(Event{At: start, Op: OpByzSilent, Shard: victimShard, Index: 0})
+		add(Event{At: heal, Op: OpHeal})
+	case FaultByzGarbageCert:
+		// Shard 0 precedes shard 1 in the ring of every batch involving
+		// both, so shard 1 counts the garbage copies and holds them as
+		// candidates. The sender is on lane 1, whose recipient is shard 1's
+		// view-1 primary, so the garbage is often that primary's first
+		// candidate. Shard 1's view-0 primary crashes once the copies are
+		// in flight and restarts 16 ticks later, before the view change the
+		// crash forces has completed: it has lost its csts, and with them
+		// its own Forward quorum, so it accepts the NewView only on the
+		// certificate the NewView carries.
+		crash := (start + heal) / 2
+		add(Event{At: start, Op: OpByzGarbageCert, Shard: 0, Index: 1})
+		add(Event{At: crash, Op: OpCrash, Shard: 1, Index: 0})
+		add(Event{At: crash + 16, Op: OpRestart, Shard: 1, Index: 0})
 		add(Event{At: heal, Op: OpHeal})
 	default:
 		panic(fmt.Sprintf("chaos: unknown fault %q", sc.Fault))

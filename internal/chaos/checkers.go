@@ -126,8 +126,9 @@ func ExpectedCulprits(sched Schedule) Expectation {
 	required := make(map[types.NodeID]bool)
 	for _, e := range sched.Events {
 		switch e.Op {
-		case OpByzSilent:
-			// Faulty but unprovable: silence looks like a slow network.
+		case OpByzSilent, OpByzGarbageCert:
+			// Faulty but unprovable: silence looks like a slow network, and
+			// no evidence kind records a Forward's garbage certificate.
 			exp.Culprits[types.ReplicaNode(e.Shard, e.Index)] = true
 		case OpByzEquivocate, OpByzNewView:
 			id := types.ReplicaNode(e.Shard, e.Index)

@@ -406,6 +406,8 @@ func (c *Cluster) apply(e Event) error {
 		c.byz[types.ReplicaNode(e.Shard, e.Index)] = harness.ByzEquivocate
 	case OpByzNewView:
 		c.byz[types.ReplicaNode(e.Shard, e.Index)] = harness.ByzNewView
+	case OpByzGarbageCert:
+		c.byz[types.ReplicaNode(e.Shard, e.Index)] = harness.ByzGarbageCert
 	case OpClientDuplicate:
 		c.clientDup = true
 	case OpClientConflict:

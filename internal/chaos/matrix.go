@@ -252,14 +252,18 @@ func (c *Cluster) probeBatches(cid types.ClientID) []*types.Batch {
 // round. Still deliberately excluded (documented in EXPERIMENTS.md): an
 // equivocating primary wedges both baselines (they carry no justification
 // evidence — nothing like RingBFT's Forward certificate — to gate
-// cross-shard proposals on), byz-newview and the client-fault classes need
-// the justification gate and client-conflict detection only RingBFT
-// implements, and Sharper's global all-to-all rounds do not recover from
-// asymmetric partitions or a silent primary on every seed. Seeds vary per
-// protocol so the schedules decorrelate.
+// cross-shard proposals on), byz-newview, byz-garbage-cert and the
+// client-fault classes need the justification gate, the ring's Forward
+// certificates and client-conflict detection only RingBFT implements, and
+// Sharper's global all-to-all rounds do not recover from asymmetric
+// partitions or a silent primary on every seed. Seeds vary per protocol so
+// the schedules decorrelate.
 func Matrix() []Scenario {
 	var out []Scenario
 	for _, f := range Faults() {
+		if f == FaultByzGarbageCert {
+			continue // one row, on the 3-shard frontier below
+		}
 		out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: f, Seed: 1})
 	}
 	for _, f := range []Fault{
@@ -269,6 +273,11 @@ func Matrix() []Scenario {
 	} {
 		out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: f, Seed: 5, Shards: 3})
 	}
+	// Seed 4 is one where the garbage copy is the view-1 primary's first
+	// candidate for a batch the view change re-proposes, so a Justification
+	// that skipped the proof would ship the garbage and the restarted
+	// replica would accuse that honest primary.
+	out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: FaultByzGarbageCert, Seed: 4, Shards: 3})
 	// Pipelined frontier: the deep-window rows run the whole workload with
 	// a bounded in-flight window and adaptive batching armed, under faults
 	// that deliberately hit mid-window (a dark primary, a crash-restart).

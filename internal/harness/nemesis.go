@@ -31,6 +31,12 @@ const (
 	// verifies; honest receivers must reject it at the justification gate
 	// (and record evidence) rather than adopt the phantom batch.
 	ByzNewView
+	// ByzGarbageCert zeroes every signature of the commit certificate its
+	// outbound Forwards carry. Neither the Forward signature nor the ring
+	// tags cover the certificate, so the copies still count toward f+1 at
+	// the next shard; honest replicas must never let the garbage reach a
+	// view-change or NewView justification, nor complain upstream on it.
+	ByzGarbageCert
 )
 
 // Intercept applies Byzantine mode to one message node self sends to to: it
@@ -53,6 +59,12 @@ func Intercept(mode ByzMode, self types.NodeID, a crypto.Authenticator, to types
 		}
 	case ByzNewView:
 		return ForgeUnjustifiedProof(self, m)
+	case ByzGarbageCert:
+		if m.Type == types.MsgForward && len(m.Cert) > 0 {
+			cp := *m
+			cp.Cert = types.ZeroedCert(m.Cert)
+			return &cp
+		}
 	case ByzNone:
 	}
 	return m

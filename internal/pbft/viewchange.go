@@ -139,10 +139,14 @@ func (e *Engine) maybeNewView(v types.View) {
 	var reproposals []types.PreparedProof
 	for s := maxStable + 1; s <= maxSeq; s++ {
 		if p, ok := best[s]; ok {
-			// A P-set proof from a replica that never attached the
-			// justification (older sender, lost field) is topped up from
-			// this primary's own certificate store.
-			if len(p.Justification) == 0 && e.cb.Justification != nil {
+			// The ViewChange signature does not cover P-set contents, so a
+			// carried justification is only a claim: one missing (older
+			// sender, lost field) or failing verification (a faulty voter
+			// that won the selection with a higher view) is replaced from
+			// this primary's own certificate store. Relaying it unchecked
+			// would get this honest primary accused by every receiver
+			// short of its own Forward quorum.
+			if e.cb.Justification != nil && !e.carriesJustification(&p) {
 				p.Justification = e.cb.Justification(p.Batch)
 			}
 			reproposals = append(reproposals, p)
@@ -227,6 +231,13 @@ func (e *Engine) justifiedProof(p *types.PreparedProof) bool {
 		return true
 	}
 	return e.cb.VerifyJustification != nil && e.cb.VerifyJustification(p.Batch, p.Justification)
+}
+
+// carriesJustification reports whether P-set proof p carries a
+// justification the host verifies.
+func (e *Engine) carriesJustification(p *types.PreparedProof) bool {
+	return len(p.Justification) > 0 &&
+		(e.cb.VerifyJustification == nil || e.cb.VerifyJustification(p.Batch, p.Justification))
 }
 
 // installView moves the replica into view v, resets per-view state, and

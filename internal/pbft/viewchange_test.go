@@ -154,6 +154,62 @@ func TestNewViewCarriesJustification(t *testing.T) {
 	}
 }
 
+// TestNewViewReplacesUnverifiedJustification: the ViewChange signature does
+// not cover P-set contents, so a faulty voter can claim a higher view for a
+// prepared batch, win the selection, and attach a garbage certificate. The
+// honest new primary must verify what it relays and replace the garbage
+// with its own certificate; otherwise the replica whose own evidence is
+// missing rejects the NewView and accuses that honest primary.
+func TestNewViewReplacesUnverifiedJustification(t *testing.T) {
+	h, js, rings := newJustifiedHarness(t, 4)
+	b := batchOf(5)
+	js.vouch(b, 0, 1, 2) // replica 3's Forward quorum never completed
+
+	h.drop = func(from, to types.NodeID, m *types.Message) bool {
+		return m.Type == types.MsgCommit
+	}
+	if _, err := h.engines[0].Propose(b); err != nil {
+		t.Fatal(err)
+	}
+	h.pump()
+
+	// Replica 0 turns faulty: from here on it is cut off, and the new
+	// primary (replica 1) holds its forged ViewChange before any honest one.
+	faulty := types.ReplicaNode(0, 0)
+	h.drop = func(from, to types.NodeID, m *types.Message) bool {
+		return from == faulty || to == faulty
+	}
+	garbage := types.ZeroedCert(js.certs[b.Digest()])
+	vc := &types.Message{
+		Type: types.MsgViewChange, From: faulty, Shard: 0, View: 1,
+		Prepared: []types.PreparedProof{
+			{View: 1, Seq: 1, Digest: b.Digest(), Batch: b, Justification: garbage},
+		},
+	}
+	vc.Sig = rings[0].Sign(vc.SigBytes())
+	h.engines[1].OnMessage(vc)
+
+	for i := 1; i < 4; i++ {
+		h.engines[i].StartViewChange(1)
+	}
+	h.pump()
+	if len(js.unjust[3]) != 0 {
+		t.Fatalf("replica 3 accused the honest primary: %+v", js.unjust[3])
+	}
+	for i := 1; i < 4; i++ {
+		if got := h.engines[i].View(); got != 1 {
+			t.Fatalf("replica %d view = %d, want 1", i, got)
+		}
+		found := false
+		for _, c := range h.commits[i] {
+			found = found || c.digest == b.Digest()
+		}
+		if !found {
+			t.Fatalf("replica %d lost the justified batch across the view change", i)
+		}
+	}
+}
+
 // TestUnjustifiedNewViewRejected: a Byzantine new primary injects a batch no
 // certificate vouches for through the NewView re-proposal path. Honest
 // receivers must reject the whole NewView, surface the offending proof

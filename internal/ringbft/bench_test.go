@@ -9,11 +9,12 @@ import (
 
 // BenchmarkForwardCopy is the handler cost of one Forward copy at a replica
 // of the next shard (3×4 is the benchmark's shape; 2×4 here). "first" is
-// the lane copy that creates the cst: tag check, noting the half, the
-// previous shard's certificate verified with the memo off (a first copy's
-// certificate has never been seen), and the relay to the peers. "later" is
-// a relayed copy counted while that certificate is held. Each iteration
-// resets what the copy changed, and stays short of the f+1 quorum.
+// the lane copy that creates the cst: tag check, noting the half, keeping
+// its certificate as a candidate, and the relay to the peers; the memo is
+// off, as for any copy of a cst never seen. "later" is a relayed copy
+// counted into the same cst. Neither verifies the certificate. Each
+// iteration resets what the copy changed, and stays short of the f+1
+// quorum.
 func BenchmarkForwardCopy(b *testing.B) {
 	c := newCluster(b, 2, 4)
 	batch := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
@@ -39,6 +40,7 @@ func BenchmarkForwardCopy(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			delete(cs.fwdFrom, relayed.From)
+			cs.fwdCands = cs.fwdCands[:1]
 			r.HandleMessage(relayed)
 		}
 	})

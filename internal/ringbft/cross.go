@@ -3,6 +3,7 @@ package ringbft
 import (
 	"bytes"
 	"crypto/sha256"
+	"slices"
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
@@ -120,11 +121,13 @@ func (r *Replica) sendRing(next types.ShardID, m *types.Message) {
 // (line 30); the message is accepted once f+1 distinct previous-shard
 // replicas vouch for it (line 31), which by the linear communication
 // primitive guarantees at least one copy originated at a non-faulty sender.
-// A copy counts its originating sender once its ring tag verifies; the
-// previous shard's certificate is verified once per cst, on the first copy
-// that arrives before this replica holds one — and never at an initiator
-// replica that has locked the batch, for which the copy closes its own
-// rotation.
+// A copy counts its originating sender once its ring tag verifies, at every
+// shard: f+1 tag-authenticated senders, one of them honest, already prove
+// the previous shard committed the batch (see ARCHITECTURE.md, counting
+// under ring tags). The certificate a copy carries is not verified here:
+// every counted sender's certificate is held as a candidate (at most n, by
+// the dedup), and provenCert verifies them only where the certificate
+// becomes proof for someone else.
 func (r *Replica) onForward(m *types.Message) {
 	b := m.Batch
 	if b == nil || len(b.Txns) == 0 || !b.IsCrossShard() {
@@ -140,36 +143,14 @@ func (r *Replica) onForward(m *types.Message) {
 	if r.verifyRingTag(m) != nil {
 		return
 	}
-	// Detection before the certificate check: the Forward signature alone
-	// binds the sender to (seq, digest), and a conflicting claim whose
-	// certificate is garbage is exactly as indicting as one whose
-	// certificate verifies.
+	// The Forward signature alone binds the sender to (seq, digest), and a
+	// conflicting claim is indicting whatever certificate it carries.
 	r.noteForward(m)
-	cs, ok := r.csts[d]
-	switch {
-	case ok && cs.locked && r.Shard == b.Initiator():
-		// The wrap-around Forward of a rotation this replica started: its
-		// own shard committed the batch and it holds the locks, so there is
-		// nothing left to justify, and f+1 tag-authenticated senders of the
-		// last shard — one of them honest — are the proof the rotation
-		// completed (see ARCHITECTURE.md, counting under ring tags). The
-		// certificate is not looked at and fwdCert stays nil.
-	case !ok || cs.fwdCert == nil:
-		// The Forward must prove the previous shard replicated the batch:
-		// nf valid commit signatures from that shard. One verified copy
-		// suffices to hold the justification certificate — it is
-		// self-certifying, independent of the f+1 copy count that gates
-		// acceptance below — so later copies' certificates are not looked
-		// at.
-		if err := pbft.VerifyCert(r.Verifier, m.From.Shard, d, m.Cert, r.Cfg.NF()); err != nil {
-			return
-		}
-		cs = r.cst(d)
-		cs.fwdCert = m.Cert
-	}
+	cs := r.cst(d)
 	if cs.batch == nil {
-		// Adopt the batch as soon as one valid Forward is seen: the remote
-		// timer needs it to complain (Fig 6) even before f+1 copies arrive.
+		// Adopt the batch as soon as one authenticated Forward is seen: the
+		// remote timer needs it to complain (Fig 6) even before f+1 copies
+		// arrive.
 		cs.batch = b
 	}
 	if _, dup := cs.fwdFrom[m.From]; dup {
@@ -187,9 +168,22 @@ func (r *Replica) onForward(m *types.Message) {
 		if cs.executed {
 			r.sendExecute(cs)
 		}
+		if cs.fwdCert == nil && !cs.settled && !cs.holdsCand(m.Cert) && r.verifyPrevCert(b, d, m.Cert) {
+			// Neither the tag nor the Forward signature covers the
+			// certificate, so a faulty relayer can swap it on the copy that
+			// got this sender counted. A later copy of the same sender that
+			// carries a different certificate is therefore checked now,
+			// instead of being lost to the dedup. Copies of one Forward differ
+			// only where a relayer or the sender is faulty, so a fault-free
+			// run never gets here.
+			cs.fwdCert, cs.fwdCands = m.Cert, nil
+		}
 		return
 	}
 	cs.fwdFrom[m.From] = struct{}{}
+	if cs.fwdCert == nil && !cs.settled {
+		cs.fwdCands = append(cs.fwdCands, m.Cert)
+	}
 	cs.mergeCarried(m.WriteSets)
 	if cs.fwdFirst.IsZero() {
 		r.armRemote(cs)
@@ -207,9 +201,6 @@ func (r *Replica) onForward(m *types.Message) {
 		r.met.forwardQuorum.Observe(r.Clock().Sub(cs.fwdFirst))
 	}
 	r.armRemote(cs) // re-anchor the remote timer for rotation 2
-	if cs.batch == nil {
-		cs.batch = b
-	}
 	// The Forward quorum is the justification evidence the PBFT engine
 	// gates cross-shard proposals on; re-feed any that arrived early.
 	r.PBFT.ReplayParked()
@@ -235,6 +226,66 @@ func (r *Replica) onForward(m *types.Message) {
 	// 38-39). If we are already locked, execution still waits for the
 	// Execute message carrying the full Σ.
 	r.Enqueue(b, d)
+}
+
+// provenCert returns the previous shard's commit certificate for cs, proving
+// it on first use: the held candidates are verified in arrival order, the
+// first that verifies becomes fwdCert, and the candidates are dropped — so a
+// second call costs nothing. A candidate that fails is dropped too. Nil
+// while no candidate verifies; a sender counted later still adds one. Called
+// only where the certificate becomes proof for someone else: a view-change
+// or NewView justification, and before this replica complains upstream on a
+// first-rotation Forward.
+func (r *Replica) provenCert(cs *cstState) []types.Signed {
+	for cs.fwdCert == nil && len(cs.fwdCands) > 0 {
+		cert := cs.fwdCands[0]
+		cs.fwdCands = cs.fwdCands[1:]
+		if r.verifyPrevCert(cs.batch, cs.digest, cert) {
+			cs.fwdCert, cs.fwdCands = cert, nil
+		}
+	}
+	return cs.fwdCert
+}
+
+// settleBelow drops the certificate candidates of the executed csts that
+// stable checkpoint seq covers. A view change re-proposes only above the
+// highest stable checkpoint among its ViewChanges, and this replica's own
+// ViewChange reports seq, so none of these batches is carried by a P-set
+// or a NewView again and no certificate for it is ever handed on.
+func (r *Replica) settleBelow(seq types.SeqNum) {
+	keep := r.unsettled[:0]
+	for _, cs := range r.unsettled {
+		if cs.seq > seq {
+			keep = append(keep, cs)
+			continue
+		}
+		cs.fwdCands, cs.settled = nil, true
+	}
+	clear(r.unsettled[len(keep):])
+	r.unsettled = keep
+}
+
+// holdsCand reports whether cert is byte for byte one of cs's candidates.
+func (cs *cstState) holdsCand(cert []types.Signed) bool {
+	for _, c := range cs.fwdCands {
+		if slices.EqualFunc(c, cert, func(a, b types.Signed) bool {
+			return a.From == b.From && a.Type == b.Type && a.Shard == b.Shard &&
+				a.View == b.View && a.Seq == b.Seq && a.Digest == b.Digest &&
+				bytes.Equal(a.Sig, b.Sig)
+		}) {
+			return true
+		}
+	}
+	return false
+}
+
+// verifyPrevCert reports whether cert carries nf valid commit signatures
+// over digest d of batch b from the shard before this one in b's ring.
+func (r *Replica) verifyPrevCert(b *types.Batch, d types.Digest, cert []types.Signed) bool {
+	if r.met != nil {
+		r.met.certVerifies.Inc()
+	}
+	return pbft.VerifyCert(r.Verifier, b.PrevInRing(r.Shard), d, cert, r.Cfg.NF()) == nil
 }
 
 // noteForward records conflicting-Forward evidence: the same previous-shard
@@ -345,6 +396,9 @@ func (r *Replica) executeCst(cs *cstState) {
 	}
 	cs.results = r.executeBatch(cs.batch, remote)
 	cs.executed = true
+	if cs.fwdCert == nil {
+		r.unsettled = append(r.unsettled, cs)
+	}
 	r.observe(cs.seq, trace.PhaseExecute)
 	r.Results[cs.digest] = cs.results
 	primary := r.PBFT.Primary(r.PBFT.View())

@@ -199,6 +199,7 @@ func (r *Replica) rememberStabilized(seq types.SeqNum, digest types.Digest) {
 // with a gap, a replica kept in the dark, or a wiped rejoiner).
 func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 	r.rememberStabilized(seq, digest)
+	r.settleBelow(seq)
 	if interval := r.Cfg.CheckpointInterval; interval > 0 && seq >= r.kmax+interval {
 		r.requestStateTransfer(seq)
 		r.evaluateTransfer()

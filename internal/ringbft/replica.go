@@ -60,6 +60,10 @@ type Replica struct {
 	// and armRemote puts one back.
 	csts map[types.Digest]*cstState
 	live map[types.Digest]*cstState
+	// unsettled holds the executed csts that may still keep certificate
+	// candidates; settleBelow drops them once a stable checkpoint covers
+	// the cst.
+	unsettled []*cstState
 
 	// clientSeen remembers the first batch digest observed per client
 	// transaction id: a client re-submitting the same payload is a legal
@@ -150,15 +154,28 @@ type cstState struct {
 	seq    types.SeqNum
 	cert   []types.Signed
 
-	// fwdCert is the PREVIOUS shard's commit certificate, taken from the
-	// first verified inbound Forward. cert above is this shard's own — the
-	// two differ, and it is fwdCert that justifies proposing the batch here
-	// (pbft.Callbacks.Justification attaches it to view-change P-set proofs
-	// so a NewView can prove justification to replicas whose own Forward
-	// quorum never completed). Nil for single-shard batches and at an
-	// initiator replica whose locks preceded the wrap-around Forward (there
-	// it justifies nothing, and onForward does not verify it).
-	fwdCert []types.Signed
+	// fwdCert is the PREVIOUS shard's commit certificate, proven by
+	// provenCert. cert above is this shard's own — the two differ, and it is
+	// fwdCert that proves to others that proposing the batch here was
+	// justified (pbft.Callbacks.Justification attaches it to view-change
+	// P-set proofs so a NewView can prove justification to replicas whose
+	// own Forward quorum never completed). Counting needs no certificate, so
+	// it stays nil until one is consumed: on a fault-free run, always.
+	//
+	// fwdCands holds, until one is proven, the certificate carried by each
+	// counted Forward sender's first copy, in arrival order — at most n.
+	// Neither tag nor signature covers a certificate, so a faulty sender or
+	// relayer can make any one candidate garbage; none is dropped unproven,
+	// and a later copy of a counted sender that carries a different
+	// certificate is verified on arrival (onForward). Every honest sender
+	// reaching this replica over honest hands brings a valid one.
+	//
+	// settled marks a cst that executed below a stable checkpoint: no view
+	// change carries it again, so its candidates are dropped and no more are
+	// kept.
+	fwdCert  []types.Signed
+	fwdCands [][]types.Signed
+	settled  bool
 
 	locked   bool
 	executed bool
@@ -311,31 +328,9 @@ func New(opts Options) *Replica {
 					r.met.viewChanges.Inc()
 				}
 			},
-			Stabilized: r.onStabilized,
-			// NewView re-proposals must prove justification to replicas
-			// whose own Forward quorum never completed: the attached
-			// certificate is the previous shard's nf-signed commit cert,
-			// self-certifying under the same check onForward applies to
-			// inbound Forwards.
-			Justification: func(b *types.Batch) []types.Signed {
-				if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
-					return nil
-				}
-				if cs, ok := r.csts[b.Digest()]; ok {
-					return cs.fwdCert
-				}
-				return nil
-			},
-			VerifyJustification: func(b *types.Batch, just []types.Signed) bool {
-				if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard ||
-					!b.Involves(r.Shard) || len(just) == 0 {
-					return false
-				}
-				if r.met != nil {
-					r.met.certVerifies.Inc()
-				}
-				return pbft.VerifyCert(r.Verifier, b.PrevInRing(r.Shard), b.Digest(), just, r.Cfg.NF()) == nil
-			},
+			Stabilized:          r.onStabilized,
+			Justification:       r.justification,
+			VerifyJustification: r.verifyJustification,
 		},
 		Justify: r.justified,
 		Next:    r.nextProposal,
@@ -515,8 +510,8 @@ func (r *Replica) noteClientConflicts(b *types.Batch, d types.Digest) {
 
 // justified reports whether batch b may enter local consensus. A
 // cross-shard batch at a non-initiator shard must be vouched for by an
-// accepted Forward (f+1 copies carrying the previous shard's commit
-// certificate). Without this gate a Byzantine primary commits a fabricated
+// accepted Forward (f+1 distinct previous-shard senders authenticated by
+// their ring tags). Without this gate a Byzantine primary commits a fabricated
 // batch variant — its own implicit prepare plus f honest backups is a
 // quorum — whose locks nothing can ever release: no other shard committed
 // it, so its ring rotation never completes and every conflicting
@@ -530,6 +525,31 @@ func (r *Replica) justified(b *types.Batch) bool {
 	}
 	cs, ok := r.csts[b.Digest()]
 	return ok && cs.fwdAccepted
+}
+
+// justification is the engine's Justification callback. NewView
+// re-proposals must prove justification to replicas whose own Forward
+// quorum never completed: the attached certificate is the previous shard's
+// nf-signed commit cert, self-certifying, and proven here before it leaves
+// — an honest replica never ships a certificate it has not verified.
+func (r *Replica) justification(b *types.Batch) []types.Signed {
+	if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
+		return nil
+	}
+	if cs, ok := r.csts[b.Digest()]; ok {
+		return r.provenCert(cs)
+	}
+	return nil
+}
+
+// verifyJustification is the engine's VerifyJustification callback: just
+// must be the previous shard's certificate for b.
+func (r *Replica) verifyJustification(b *types.Batch, just []types.Signed) bool {
+	if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard ||
+		!b.Involves(r.Shard) || len(just) == 0 {
+		return false
+	}
+	return r.verifyPrevCert(b, b.Digest(), just)
 }
 
 // pipelineSlots returns how many additional proposals the primary may put

@@ -3,6 +3,7 @@ package ringbft
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
@@ -173,63 +174,73 @@ func TestRingTagFaultySender(t *testing.T) {
 	c.assertNoExecErrors()
 }
 
-// garbageCert returns a copy of cert whose signatures are all zero.
-func garbageCert(cert []types.Signed) []types.Signed {
-	out := append([]types.Signed(nil), cert...)
-	for i := range out {
-		out[i].Sig = make([]byte, len(out[i].Sig))
-	}
-	return out
+// countVerifies puts a counter between r's verifier memo and its key ring.
+func countVerifies(r *Replica) *crypto.CountingAuth {
+	counter := &crypto.CountingAuth{Authenticator: r.Verifier.Authenticator}
+	r.Verifier.Authenticator = counter
+	return counter
 }
 
-// TestRingTagCertOncePerCst: the previous shard's certificate is verified
-// on the first copy only. A copy with a garbage certificate and a valid tag
-// is counted once a verified certificate is held, and creates nothing
-// before.
+// TestRingTagCertOncePerCst: counting verifies no certificate, and the
+// previous shard's certificate is proven once per cst, where it is
+// consumed. At a middle shard, f+1 copies of which the first carries a
+// garbage certificate are accepted with no Ed25519 verification;
+// Justification then skips the garbage candidate and returns the valid
+// certificate, and a second call costs nothing.
 func TestRingTagCertOncePerCst(t *testing.T) {
-	c := newCluster(t, 2, 4)
-	b := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
+	c := newCluster(t, 3, 4)
+	b := mkBatch(1, 1, 3, []types.ShardID{0, 1, 2}, 2)
 	d := b.Digest()
 	held := holdRing(c, b, types.MsgForward, 1)
-	bad := clone(held[types.ReplicaNode(0, 0)])
-	bad.Cert = garbageCert(bad.Cert)
+	r := c.replicas[types.ReplicaNode(1, 1)]
+	counter := countVerifies(r)
+	bad := clone(held[types.ReplicaNode(0, 1)])
+	bad.Cert = types.ZeroedCert(bad.Cert)
+	good := held[types.ReplicaNode(0, 2)]
 
-	before := c.replicas[types.ReplicaNode(1, 1)]
-	before.HandleMessage(bad)
-	if _, ok := before.csts[d]; ok {
-		t.Fatal("a first copy with a garbage certificate created a cst")
+	r.HandleMessage(bad)
+	r.HandleMessage(good)
+	cs := r.csts[d]
+	if cs == nil || !cs.fwdAccepted {
+		t.Fatal("f+1 tag-authenticated copies were not accepted")
+	}
+	if n := counter.Verifies.Load(); n != 0 {
+		t.Fatalf("counting f+1 copies spent %d Verify", n)
+	}
+	if cs.fwdCert != nil {
+		t.Fatal("a certificate was proven before anything consumed it")
 	}
 
-	after := c.replicas[types.ReplicaNode(1, 2)]
-	good := held[types.ReplicaNode(0, 3)]
-	after.HandleMessage(good)
-	after.HandleMessage(bad)
-	cs := after.csts[d]
-	if _, ok := cs.fwdFrom[bad.From]; !ok || len(cs.fwdFrom) != 2 {
-		t.Fatalf("copy with a garbage certificate after the held one: senders %v, want both", cs.fwdFrom)
+	if got := r.justification(b); !reflect.DeepEqual(got, good.Cert) {
+		t.Fatal("Justification did not return the valid candidate")
 	}
-	if !reflect.DeepEqual(cs.fwdCert, good.Cert) {
-		t.Fatal("the held certificate was replaced by a later copy's")
+	if counter.Verifies.Load() == 0 {
+		t.Fatal("Justification returned a certificate it did not verify")
+	}
+	spent := counter.Verifies.Load()
+	if got := r.justification(b); !reflect.DeepEqual(got, good.Cert) {
+		t.Fatal("a second Justification lost the proven certificate")
+	}
+	if n := counter.Verifies.Load() - spent; n != 0 {
+		t.Fatalf("a second Justification spent %d Verify", n)
 	}
 }
 
-// TestRingTagInitiatorCert: the wrap-around Forward closes a rotation the
-// initiator started, so an initiator replica that has locked the batch
-// executes on f+1 copies whose certificates are garbage, spends no Ed25519
-// verification and holds no certificate. A replica with nothing of its own
-// to stand on — an initiator replica restarted empty, a middle shard —
-// verifies the certificate before creating any state, and a verified copy
-// is held as the justification as before.
+// TestRingTagInitiatorCert: every shard counts the same way. At a locked
+// initiator replica (the wrap-around Forward), an initiator replica
+// restarted empty and a middle shard, f+1 copies whose certificates are
+// all garbage are accepted with no Ed25519 verification and no certificate
+// held, the locked initiator executes, and each of the n counted senders
+// leaves exactly one candidate.
 func TestRingTagInitiatorCert(t *testing.T) {
 	cases := []struct {
 		name  string
 		into  types.ShardID // the receiving shard of the held copies
 		fresh bool          // the receiver restarts empty before they arrive
-		skip  bool          // certificate not looked at
 	}{
-		{"locked initiator", 0, false, true},
-		{"initiator not locked", 0, true, false},
-		{"middle shard", 1, false, false},
+		{"locked initiator", 0, false},
+		{"initiator not locked", 0, true},
+		{"middle shard", 1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,37 +253,180 @@ func TestRingTagInitiatorCert(t *testing.T) {
 				c.spawn(id)
 			}
 			r := c.replicas[id]
-			counter := &crypto.CountingAuth{Authenticator: r.Verifier.Authenticator}
-			r.Verifier.Authenticator = counter
+			counter := countVerifies(r)
 			prev := b.PrevInRing(tc.into)
-			lane, other := held[types.ReplicaNode(prev, 1)], held[types.ReplicaNode(prev, 2)]
-			for _, m := range []*types.Message{lane, other} {
-				bad := clone(m)
-				bad.Cert = garbageCert(m.Cert)
+			for i := 0; i < c.n; i++ {
+				bad := clone(held[types.ReplicaNode(prev, i)])
+				bad.Cert = types.ZeroedCert(bad.Cert)
 				r.HandleMessage(bad)
+				r.HandleMessage(bad) // a duplicate adds nothing
 			}
-			cs, ok := r.csts[d]
-			if !tc.skip {
-				if ok {
-					t.Fatal("a copy with a garbage certificate created a cst")
-				}
-				if counter.Verifies.Load() == 0 {
-					t.Fatal("the certificate was not verified")
-				}
-				r.HandleMessage(lane)
-				if cs = r.csts[d]; !reflect.DeepEqual(cs.fwdCert, lane.Cert) {
-					t.Fatal("a verified certificate was not held")
-				}
-				return
-			}
-			if !ok || !cs.executed {
-				t.Fatal("the locked initiator replica did not execute on f+1 wrap-around copies")
+			cs := r.csts[d]
+			if cs == nil || !cs.fwdAccepted {
+				t.Fatal("f+1 tag-authenticated copies were not accepted")
 			}
 			if n := counter.Verifies.Load(); n != 0 {
-				t.Fatalf("the locked initiator replica spent %d Verify", n)
+				t.Fatalf("counting spent %d Verify", n)
 			}
 			if cs.fwdCert != nil {
-				t.Fatal("the locked initiator replica holds a certificate")
+				t.Fatal("a certificate is held although nothing consumed one")
+			}
+			if got := len(cs.fwdCands); got != c.n {
+				t.Fatalf("%d candidates kept from %d senders, want one each", got, c.n)
+			}
+			if want := tc.into == 0 && !tc.fresh; cs.executed != want {
+				t.Fatalf("executed = %v, want %v", cs.executed, want)
+			}
+		})
+	}
+}
+
+// TestRingTagSwappedCert: neither the tag nor the Forward signature covers
+// the certificate, so a faulty relayer can swap it on an honest sender's
+// copy and that copy still counts. Every counted sender's certificate stays
+// a candidate until one is proven, and a later copy of a counted sender
+// whose certificate differs is verified on arrival, so the valid
+// certificate is never lost to the cap or the dedup.
+func TestRingTagSwappedCert(t *testing.T) {
+	c := newCluster(t, 3, 4)
+	b := mkBatch(1, 1, 3, []types.ShardID{0, 1, 2}, 2)
+	d := b.Digest()
+	held := holdRing(c, b, types.MsgForward, 1)
+	swapped := func(i int) *types.Message {
+		m := clone(held[types.ReplicaNode(0, i)])
+		m.Cert = types.ZeroedCert(m.Cert)
+		return m
+	}
+
+	t.Run("later sender", func(t *testing.T) {
+		r := c.replicas[types.ReplicaNode(1, 1)]
+		r.HandleMessage(swapped(2)) // a faulty sender's garbage
+		r.HandleMessage(swapped(3)) // an honest sender's copy, swapped by its relayer
+		if cs := r.csts[d]; cs == nil || !cs.fwdAccepted {
+			t.Fatal("f+1 tag-authenticated copies were not accepted")
+		}
+		if got := r.justification(b); got != nil {
+			t.Fatal("Justification returned a garbage certificate")
+		}
+		lane := held[types.ReplicaNode(0, 1)]
+		r.HandleMessage(lane)
+		if got := r.justification(b); !reflect.DeepEqual(got, lane.Cert) {
+			t.Fatal("the valid certificate of a sender counted after f+1 was not kept")
+		}
+	})
+
+	t.Run("later copy of a counted sender", func(t *testing.T) {
+		r := c.replicas[types.ReplicaNode(1, 2)]
+		counter := countVerifies(r)
+		r.HandleMessage(swapped(3))
+		r.HandleMessage(swapped(3))
+		if n := counter.Verifies.Load(); n != 0 {
+			t.Fatalf("a copy carrying a held candidate spent %d Verify", n)
+		}
+		valid := held[types.ReplicaNode(0, 3)]
+		r.HandleMessage(valid)
+		if got := r.csts[d].fwdCert; !reflect.DeepEqual(got, valid.Cert) {
+			t.Fatal("a valid copy of a counted sender was lost to the dedup")
+		}
+	})
+}
+
+// TestSettledCstDropsCandidates: once a stable checkpoint covers an executed
+// cst, no view change carries it again, so its certificate candidates are
+// dropped, and a straggler copy arriving after that keeps none and costs no
+// Verify.
+func TestSettledCstDropsCandidates(t *testing.T) {
+	c := newClusterWith(t, 2, 4, func(cfg *types.Config) { cfg.CheckpointInterval = 2 })
+	late := types.ReplicaNode(0, 3)
+	var held *types.Message
+	c.drop = func(from, to types.NodeID, m *types.Message) bool {
+		if m.Type == types.MsgForward && m.From == late && to.Shard == 1 && m.Seq == 1 {
+			held = m
+			return true
+		}
+		return false
+	}
+	for i := uint64(1); i <= 4; i++ {
+		c.submit(1, mkBatch(1, i, 2, []types.ShardID{0, 1}, i))
+	}
+	c.drop = nil
+	if held == nil {
+		t.Fatal("no Forward held")
+	}
+	r := c.replicas[types.ReplicaNode(1, 1)]
+	stable := r.PBFT.StableSeq()
+	if stable < 2 {
+		t.Fatalf("stable checkpoint %d, want at least 2", stable)
+	}
+	for d, cs := range r.csts {
+		if !cs.executed {
+			t.Fatalf("cst %x did not execute", d[:4])
+		}
+		if covered := cs.seq <= stable; cs.settled != covered || covered && cs.fwdCands != nil {
+			t.Fatalf("cst at seq %d under stable %d: settled %v, %d candidates", cs.seq, stable, cs.settled, len(cs.fwdCands))
+		}
+	}
+	for _, cs := range r.unsettled {
+		if cs.seq <= stable {
+			t.Fatalf("cst at seq %d is still unsettled under stable %d", cs.seq, stable)
+		}
+	}
+
+	counter := countVerifies(r)
+	r.HandleMessage(held)
+	r.HandleMessage(held) // and its retransmission
+	cs := r.csts[held.Digest]
+	if _, ok := cs.fwdFrom[late]; !ok || !cs.settled {
+		t.Fatal("the straggler copy was not counted into its settled cst")
+	}
+	if len(cs.fwdCands) != 0 || counter.Verifies.Load() != 0 {
+		t.Fatalf("a straggler copy after settling kept %d candidates and spent %d Verify", len(cs.fwdCands), counter.Verifies.Load())
+	}
+}
+
+// TestRingTagRemoteTimerProof: a first-rotation complaint needs a proven
+// certificate. A lone copy arms the remote timer either way; with a garbage
+// certificate no RemoteView is ever sent, with a valid one a RemoteView
+// leaves after RemoteTimeout.
+func TestRingTagRemoteTimerProof(t *testing.T) {
+	cases := []struct {
+		name    string
+		garbage bool
+	}{
+		{"garbage certificate", true},
+		{"valid certificate", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 3, 4)
+			b := mkBatch(1, 1, 3, []types.ShardID{0, 1, 2}, 2)
+			d := b.Digest()
+			held := holdRing(c, b, types.MsgForward, 1)
+			r := c.replicas[types.ReplicaNode(1, 1)]
+			m := clone(held[types.ReplicaNode(0, 1)])
+			if tc.garbage {
+				m.Cert = types.ZeroedCert(m.Cert)
+			}
+			r.HandleMessage(m)
+			if cs := r.csts[d]; cs == nil || cs.fwdFirst.IsZero() {
+				t.Fatal("a lone copy did not arm the remote timer")
+			}
+			complaints := 0
+			for i := 0; i < 3; i++ {
+				c.queue = c.queue[:0]
+				c.now = c.now.Add(c.cfg.RemoteTimeout + time.Millisecond)
+				r.HandleTick(c.now)
+				for _, q := range c.queue {
+					if q.m.Type == types.MsgRemoteView && q.m.Digest == d {
+						complaints++
+					}
+				}
+			}
+			if tc.garbage && complaints != 0 {
+				t.Fatalf("%d RemoteViews sent on a garbage certificate", complaints)
+			}
+			if !tc.garbage && complaints != 3 {
+				t.Fatalf("%d RemoteViews over 3 remote timeouts, want 3", complaints)
 			}
 		})
 	}

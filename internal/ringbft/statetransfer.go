@@ -154,6 +154,7 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 	r.locks = store.NewLockTable()
 	r.csts = make(map[types.Digest]*cstState)
 	r.live = make(map[types.Digest]*cstState)
+	r.unsettled = nil
 	for seq := range r.lockQueue {
 		if seq <= p.Seq {
 			delete(r.lockQueue, seq)

@@ -58,7 +58,7 @@ func (r *Replica) HandleTick(now time.Time) {
 			(cs.fwdAccepted && cs.locked && !cs.executed)
 		if starving && !cs.fwdFirst.IsZero() && now.Sub(cs.fwdFirst) > r.Cfg.RemoteTimeout {
 			cs.fwdFirst = now // re-arm
-			if cs.batch != nil {
+			if cs.batch != nil && r.mayComplain(cs) {
 				r.sendRemoteView(cs)
 			}
 		}
@@ -75,6 +75,18 @@ func (r *Replica) HandleTick(now time.Time) {
 			r.Send(types.ReplicaNode(next, r.Self.Index), cs.forwardMsg)
 		}
 	}
+}
+
+// mayComplain reports whether this replica holds proof that the previous
+// shard committed cs's batch, which a RemoteView needs: f+1 of them push a
+// view change upstream. Accepted or locked, the proof is in hand; f+1
+// complaints from the next shard armed the timer on their own proof;
+// otherwise the timer was armed by Forward copies short of f+1, and one of
+// their certificates must verify. Counting does not verify certificates, so
+// without this check one faulty previous-shard replica's invented Forward,
+// relayed shard-wide, would make every replica here complain.
+func (r *Replica) mayComplain(cs *cstState) bool {
+	return cs.fwdAccepted || cs.locked || cs.remoteHandled || r.provenCert(cs) != nil
 }
 
 // sendRemoteView complains to the same-index replica of the previous shard

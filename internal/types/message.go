@@ -126,6 +126,17 @@ type Signed struct {
 	Sig    []byte
 }
 
+// ZeroedCert returns a copy of cert whose signatures are all zero: the
+// right shape and signers, proving nothing. It is the garbage certificate
+// the Byzantine fault injector forges and tests present.
+func ZeroedCert(cert []Signed) []Signed {
+	out := append([]Signed(nil), cert...)
+	for i := range out {
+		out[i].Sig = make([]byte, len(out[i].Sig))
+	}
+	return out
+}
+
 // Pair is one key-value record, as shipped by snapshots and state transfer.
 type Pair struct {
 	K Key
