@@ -53,8 +53,6 @@ func main() {
 		dataDir = flag.String("datadir", "", "durability directory (WAL + snapshots); empty = in-memory only")
 		fsync   = flag.Duration("fsync-interval", 5*time.Millisecond,
 			"WAL group-commit interval (0 = fsync every append)")
-		snapEvery = flag.Uint64("snapshot-interval", 0,
-			"sequences between snapshots (0 = checkpoint interval)")
 
 		pipelineDepth = flag.Int("pipeline-depth", 0,
 			"max proposals in flight per primary across sequence numbers; 1 = lockstep (0 = default 8)")
@@ -83,7 +81,6 @@ func main() {
 	cfg := types.DefaultConfig(topo.Shards, topo.ReplicasPerShard)
 	cfg.DataDir = *dataDir
 	cfg.FsyncInterval = *fsync
-	cfg.SnapshotInterval = types.SeqNum(*snapEvery)
 	if *pipelineDepth != 0 {
 		cfg.PipelineDepth = *pipelineDepth
 	}

@@ -25,7 +25,7 @@ type ReplicaOptions struct {
 	Clock     func() time.Time
 
 	// Durability/Recovered come from wal.OpenManager: executed blocks are
-	// WAL-logged, snapshots cut every SnapshotInterval executed sequences,
+	// WAL-logged, snapshots cut every CheckpointInterval executed sequences,
 	// and a restarted replica resumes from the recovered state. AHL has no
 	// peer state transfer — a gap replica stays behind, like the paper's
 	// baseline — so durability here covers crash-restart only.

@@ -116,8 +116,7 @@ func (k *Kernel) Settle(b *types.Batch) {
 // primary suppressed), in sorted-digest order — sequence assignment must
 // not depend on map iteration order, or identically seeded runs diverge.
 func (k *Kernel) viewChanged(v types.View) {
-	k.ViewChanges++
-	k.Obs.viewChanged()
+	k.Obs.ViewChanges.Inc()
 	if k.onViewChanged != nil {
 		k.onViewChanged(v)
 	}

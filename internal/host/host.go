@@ -48,10 +48,9 @@ type Options struct {
 	Recovered  *wal.Recovered
 	// Evidence is the misbehavior evidence log (nil = fresh in-memory log).
 	Evidence *evidence.Log
-	// Obs is the optional observability sink (see NewObs).
+	// Obs is the host's observability sink (see NewObs; nil = private
+	// instruments, no registry and no tracer).
 	Obs *Obs
-	// OnPhase receives pbft lifecycle transitions (nil = Obs's sink).
-	OnPhase func(seq types.SeqNum, ph trace.Phase, at time.Time)
 
 	// Handler is the protocol node that embeds this kernel; Run feeds it.
 	Handler Handler
@@ -74,8 +73,6 @@ type Options struct {
 	// re-proposed cross-shard batch could commit twice and take its locks
 	// twice.
 	ReproposeExpired bool
-	// OnDurError runs after every counted durability failure.
-	OnDurError func()
 }
 
 // Kernel is one host's consensus side: the engine, the proposal book, the
@@ -94,7 +91,8 @@ type Kernel struct {
 	Clock    func() time.Time
 
 	PBFT *pbft.Engine
-	// Ev is the misbehavior evidence log. Always non-nil.
+	// Ev is the misbehavior evidence log and Obs the observability sink.
+	// Both always non-nil.
 	Ev  *evidence.Log
 	Obs *Obs
 
@@ -118,16 +116,11 @@ type Kernel struct {
 	// schedules).
 	LastVC time.Time
 
-	ViewChanges int64
-	Retransmits int64
-	DurErrors   int64
-
 	handler          Handler
 	justify          func(*types.Batch) bool
 	next             func() *types.Batch
 	reproposeExpired bool
 	onViewChanged    func(types.View)
-	onDurError       func()
 }
 
 // Pending is one awaiting proposal and when its watchdog was last armed.
@@ -146,10 +139,17 @@ func New(opts Options) *Kernel {
 	if ev == nil {
 		ev = evidence.NewMemory()
 	}
+	obs := opts.Obs
+	if obs == nil {
+		obs = NewObs(nil, nil, "", opts.Shard, opts.Self)
+	}
+	if opts.Durability != nil {
+		opts.Durability.SetObserver(obs.wal)
+	}
 	k := &Kernel{
 		Cfg: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
 		Auth: verifier, Verifier: verifier, Send: opts.Send, Clock: opts.Clock,
-		Ev: ev, Obs: opts.Obs,
+		Ev: ev, Obs: obs,
 		Dur:              opts.Durability,
 		Awaiting:         make(map[types.Digest]*Pending),
 		Proposed:         make(map[types.Digest]struct{}),
@@ -158,14 +158,9 @@ func New(opts Options) *Kernel {
 		next:             opts.Next,
 		reproposeExpired: opts.ReproposeExpired,
 		onViewChanged:    opts.Callbacks.ViewChanged,
-		onDurError:       opts.OnDurError,
 	}
 	if k.next == nil {
 		k.next = k.head
-	}
-	onPhase := opts.OnPhase
-	if onPhase == nil {
-		onPhase = opts.Obs.phase(opts.Shard)
 	}
 	cb := opts.Callbacks
 	cb.Send = func(to types.NodeID, m *types.Message) { k.Send(to, m) }
@@ -174,7 +169,7 @@ func New(opts Options) *Kernel {
 	cb.Equivocation = k.equivocation
 	cb.UnjustifiedNewView = k.unjustifiedNewView
 	k.PBFT = pbft.New(opts.Shard, opts.Self, opts.Peers, opts.Auth, cb,
-		pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: verifier, OnPhase: onPhase})
+		pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: verifier, OnPhase: obs.phaseSink()})
 	return k
 }
 
@@ -212,7 +207,7 @@ func (k *Kernel) Tick(now time.Time) {
 		// Group commit: the batched fsync of WAL appends since the last one.
 		k.DurOK(k.Dur.MaybeSync(now))
 	}
-	k.Obs.sample(len(k.Queue), k.Ev.Len())
+	k.Obs.sample(len(k.Queue), k.PBFT.InFlight(), len(k.Awaiting), k.Ev.Len())
 }
 
 // DurOK counts a non-nil err as a durability failure and reports whether
@@ -221,10 +216,7 @@ func (k *Kernel) DurOK(err error) bool {
 	if err == nil {
 		return true
 	}
-	k.DurErrors++
-	if k.onDurError != nil {
-		k.onDurError()
-	}
+	k.Obs.DurErrors.Inc()
 	return false
 }
 
@@ -244,17 +236,25 @@ func (k *Kernel) Engine() *pbft.Engine { return k.PBFT }
 func (k *Kernel) Evidence() *evidence.Log { return k.Ev }
 
 // ViewChangeCount returns the number of view changes this host installed.
-// Call only from the host goroutine or after Run returns.
-func (k *Kernel) ViewChangeCount() int64 { return k.ViewChanges }
+func (k *Kernel) ViewChangeCount() int64 { return k.Obs.ViewChanges.Value() }
 
-// RetransmitCount returns the number of protocol retransmissions. Call only
-// from the host goroutine or after Run returns.
-func (k *Kernel) RetransmitCount() int64 { return k.Retransmits }
+// RetransmitCount returns the number of protocol retransmissions.
+func (k *Kernel) RetransmitCount() int64 { return k.Obs.Retransmits.Value() }
 
-// CountRetransmit records one retransmission.
-func (k *Kernel) CountRetransmit() {
-	k.Retransmits++
-	k.Obs.retransmit()
+// Observe records a lifecycle event stamped with the host clock. It reads
+// the clock only when a tracer or a registry takes the event.
+func (k *Kernel) Observe(seq types.SeqNum, ph trace.Phase) {
+	if k.Obs.traced() {
+		k.Obs.record(k.Clock(), seq, ph)
+	}
+}
+
+// VerifyPeer reports whether m comes from another replica of this shard under
+// a valid MAC — the gate on peer state-transfer traffic. Its Verify* name is
+// what the verifyfirst analyzer takes as an authenticity check.
+func (k *Kernel) VerifyPeer(m *types.Message) bool {
+	return m.From.Kind == types.KindReplica && m.From.Shard == k.Shard && m.From != k.Self &&
+		crypto.VerifyMessageMAC(k.Auth, m) == nil
 }
 
 // Respond answers client with the results of the batch with digest d. View

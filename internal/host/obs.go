@@ -7,97 +7,151 @@ import (
 	"ringbft/internal/metrics"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
+	"ringbft/internal/wal"
 )
 
-// Obs bundles a host's optional observability wiring: the lifecycle tracer
-// plus registry handles. Nil when neither a registry nor a tracer was
-// supplied; every method tolerates a nil receiver so call sites stay
-// unconditional. Pure side effects: no protocol behaviour depends on it.
+// Obs is a host's one observability sink. Every event a host counts is
+// counted once, here: the post-run accessors (ViewChangeCount, a protocol's
+// Stats) read the same counter that, with a registry, is the /metrics
+// series. Without a registry each instrument is private to the host — no
+// registry is built behind the caller's back. Pure side effects: no protocol
+// behaviour depends on it. A Kernel's Obs is never nil.
 type Obs struct {
-	tr          *trace.Tracer
-	phases      [16]*metrics.Counter
-	viewChanges *metrics.Counter
-	execTxns    *metrics.Counter
-	retransmits *metrics.Counter
-	queueDepth  *metrics.Gauge
-	evRecords   *metrics.Gauge
+	reg    *metrics.Registry
+	tr     *trace.Tracer
+	prefix string
+	lbl    []string // shard and replica index
+	shard  types.ShardID
+
+	ViewChanges    *metrics.Counter
+	Retransmits    *metrics.Counter
+	DurErrors      *metrics.Counter
+	StateTransfers *metrics.Counter
+	ExecutedTxns   *metrics.Counter
+	ExecutedCross  *metrics.Counter
+
+	queueDepth *metrics.Gauge
+	inflight   *metrics.Gauge
+	awaiting   *metrics.Gauge
+	evRecords  *metrics.Gauge
+
+	// phases[p] counts lifecycle transitions of phase p (registry only).
+	phases [16]*metrics.Counter
+	wal    wal.Observer
 }
 
-// NewObs registers a host's series on reg, labelled by shard and replica
-// index and named after prefix: <prefix>_view_changes_total,
-// <prefix>_executed_txns_total, <prefix>_retransmits_total,
-// <prefix>_queue_depth, <prefix>_evidence_records, plus the shared
-// pbft_phase_transitions_total family.
+// tracedPhases are the lifecycle phases a host can emit, registered eagerly
+// so /metrics shows the full family from startup.
+var tracedPhases = []trace.Phase{
+	trace.PhasePrePrepare, trace.PhasePrepare, trace.PhaseCommit,
+	trace.PhaseForward, trace.PhaseExecute, trace.PhaseReply,
+	trace.PhaseViewChange, trace.PhaseStateTransfer,
+}
+
+// NewObs builds a host's sink. With a registry its series are labelled by
+// shard and replica index and named after prefix:
+// <prefix>_view_changes_total, _forward_retransmits_total,
+// _durability_errors_total, _state_transfers_total, _executed_txns_total,
+// _executed_cross_txns_total, _propose_queue_depth, _inflight_proposals,
+// _awaiting_proposals, _evidence_records, plus the shared
+// pbft_phase_transitions_total, wal_fsync_seconds and
+// wal_segments_gced_total families. tr, when non-nil, receives lifecycle
+// events stamped with the host clock.
 func NewObs(reg *metrics.Registry, tr *trace.Tracer, prefix string, shard types.ShardID, self types.NodeID) *Obs {
-	if reg == nil && tr == nil {
-		return nil
-	}
-	o := &Obs{tr: tr}
-	if reg == nil {
-		return o
-	}
 	s := strconv.Itoa(int(shard))
 	i := strconv.Itoa(self.Index)
-	lbl := []string{"shard", s, "replica", i}
-	o.viewChanges = reg.Counter(prefix+"_view_changes_total", lbl...)
-	o.execTxns = reg.Counter(prefix+"_executed_txns_total", lbl...)
-	o.retransmits = reg.Counter(prefix+"_retransmits_total", lbl...)
-	o.queueDepth = reg.Gauge(prefix+"_queue_depth", lbl...)
-	o.evRecords = reg.Gauge(prefix+"_evidence_records", lbl...)
-	for _, p := range []trace.Phase{
-		trace.PhasePrePrepare, trace.PhasePrepare, trace.PhaseCommit,
-		trace.PhaseExecute, trace.PhaseReply, trace.PhaseViewChange,
-	} {
-		o.phases[p] = reg.Counter("pbft_phase_transitions_total",
-			"shard", s, "replica", i, "phase", p.String())
+	o := &Obs{reg: reg, tr: tr, prefix: prefix, lbl: []string{"shard", s, "replica", i}, shard: shard}
+	o.ViewChanges = o.Counter("view_changes_total")
+	o.Retransmits = o.Counter("forward_retransmits_total")
+	o.DurErrors = o.Counter("durability_errors_total")
+	o.StateTransfers = o.Counter("state_transfers_total")
+	o.ExecutedTxns = o.Counter("executed_txns_total")
+	o.ExecutedCross = o.Counter("executed_cross_txns_total")
+	o.queueDepth = o.Gauge("propose_queue_depth")
+	o.inflight = o.Gauge("inflight_proposals")
+	o.awaiting = o.Gauge("awaiting_proposals")
+	o.evRecords = o.Gauge("evidence_records")
+	gced := o.counter("wal_segments_gced_total")
+	o.wal = wal.Observer{
+		Fsync: o.histogram("wal_fsync_seconds").Observe,
+		GC:    func(removed int) { gced.Add(int64(removed)) },
+	}
+	if reg != nil {
+		for _, p := range tracedPhases {
+			o.phases[p] = reg.Counter("pbft_phase_transitions_total",
+				"shard", s, "replica", i, "phase", p.String())
+		}
 	}
 	return o
 }
 
-// phase is the pbft OnPhase sink; shard is fixed per node at wiring time.
-func (o *Obs) phase(shard types.ShardID) func(types.SeqNum, trace.Phase, time.Time) {
-	if o == nil {
-		return nil
+// Counter returns the host's counter <prefix>_name: the registry series,
+// or a private counter when there is no registry.
+func (o *Obs) Counter(name string) *metrics.Counter { return o.counter(o.prefix + "_" + name) }
+
+// Gauge returns the host's gauge <prefix>_name (see Counter).
+func (o *Obs) Gauge(name string) *metrics.Gauge {
+	if o.reg == nil {
+		return new(metrics.Gauge)
 	}
-	return func(seq types.SeqNum, ph trace.Phase, at time.Time) {
-		o.observe(at, shard, uint64(seq), ph)
-	}
+	return o.reg.Gauge(o.prefix+"_"+name, o.lbl...)
 }
 
-func (o *Obs) observe(at time.Time, shard types.ShardID, seq uint64, ph trace.Phase) {
-	if o == nil {
-		return
+// Histogram returns the host's histogram <prefix>_name (see Counter).
+func (o *Obs) Histogram(name string) *metrics.Histogram {
+	return o.histogram(o.prefix + "_" + name)
+}
+
+func (o *Obs) counter(full string) *metrics.Counter {
+	if o.reg == nil {
+		return new(metrics.Counter)
 	}
+	return o.reg.Counter(full, o.lbl...)
+}
+
+func (o *Obs) histogram(full string) *metrics.Histogram {
+	if o.reg == nil {
+		return metrics.NewHistogram()
+	}
+	return o.reg.Histogram(full, o.lbl...)
+}
+
+// Exposed reports whether a registry exposes this sink's series: a
+// measurement that costs a clock read is taken only then.
+func (o *Obs) Exposed() bool { return o.reg != nil }
+
+// traced reports whether lifecycle events go anywhere.
+func (o *Obs) traced() bool { return o.tr != nil || o.reg != nil }
+
+// phaseSink is the pbft OnPhase hook: nil unless events go somewhere, so
+// the engine reads no clock for them.
+func (o *Obs) phaseSink() func(types.SeqNum, trace.Phase, time.Time) {
+	if !o.traced() {
+		return nil
+	}
+	return func(seq types.SeqNum, ph trace.Phase, at time.Time) { o.record(at, seq, ph) }
+}
+
+func (o *Obs) record(at time.Time, seq types.SeqNum, ph trace.Phase) {
 	if o.tr != nil {
-		o.tr.Record(at, int(shard), seq, ph)
+		o.tr.Record(at, int(o.shard), uint64(seq), ph)
 	}
 	if int(ph) < len(o.phases) && o.phases[ph] != nil {
 		o.phases[ph].Inc()
 	}
 }
 
-func (o *Obs) executed(n int) {
-	if o != nil && o.execTxns != nil {
-		o.execTxns.Add(int64(n))
+// Executed counts the transactions of one executed batch.
+func (o *Obs) Executed(b *types.Batch) {
+	o.ExecutedTxns.Add(int64(len(b.Txns)))
+	if b.IsCrossShard() {
+		o.ExecutedCross.Add(int64(len(b.Txns)))
 	}
 }
 
-func (o *Obs) viewChanged() {
-	if o != nil && o.viewChanges != nil {
-		o.viewChanges.Inc()
-	}
-}
-
-func (o *Obs) retransmit() {
-	if o != nil && o.retransmits != nil {
-		o.retransmits.Inc()
-	}
-}
-
-func (o *Obs) sample(queue, evidence int) {
-	if o == nil || o.queueDepth == nil {
-		return
-	}
+func (o *Obs) sample(queue, inflight, awaiting, evidence int) {
 	o.queueDepth.Set(int64(queue))
+	o.inflight.Set(int64(inflight))
+	o.awaiting.Set(int64(awaiting))
 	o.evRecords.Set(int64(evidence))
 }

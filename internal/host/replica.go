@@ -22,25 +22,16 @@ type Replica struct {
 	Results map[types.Digest][]types.Value
 
 	Rec *wal.Recovered // consumed by Load
-	// SnapEvery is the snapshot cadence in sequences: SnapshotInterval,
-	// defaulting to CheckpointInterval.
-	SnapEvery      types.SeqNum
-	StateTransfers int64
 }
 
 // NewReplica builds a kernel plus an empty store partition and ledger.
 func NewReplica(opts Options) Replica {
-	snapEvery := opts.Config.SnapshotInterval
-	if snapEvery <= 0 {
-		snapEvery = opts.Config.CheckpointInterval
-	}
 	return Replica{
-		Kernel:    New(opts),
-		KV:        store.NewKV(),
-		Ledger:    ledger.NewChain(opts.Shard),
-		Results:   make(map[types.Digest][]types.Value),
-		Rec:       opts.Recovered,
-		SnapEvery: snapEvery,
+		Kernel:  New(opts),
+		KV:      store.NewKV(),
+		Ledger:  ledger.NewChain(opts.Shard),
+		Results: make(map[types.Digest][]types.Value),
+		Rec:     opts.Recovered,
 	}
 }
 
@@ -62,8 +53,7 @@ func (r *Replica) Chain() *ledger.Chain { return r.Ledger }
 func (r *Replica) Store() *store.KV { return r.KV }
 
 // StateTransferCount returns the number of peer state transfers installed.
-// Call only from the host goroutine or after Run returns.
-func (r *Replica) StateTransferCount() int64 { return r.StateTransfers }
+func (r *Replica) StateTransferCount() int64 { return r.Obs.StateTransfers.Value() }
 
 // ExecutedResults returns a deterministic hash of the cached execution
 // results per executed batch digest — the cross-replica agreement surface
@@ -158,14 +148,14 @@ func (s *Sequential) DrainExec() {
 		d := b.Digest()
 		results := s.Execute(b)
 		s.Results[d] = results
-		s.Obs.executed(len(b.Txns))
-		s.Obs.observe(s.Clock(), s.Shard, uint64(seq), trace.PhaseExecute)
+		s.Obs.Executed(b)
+		s.Observe(seq, trace.PhaseExecute)
 		primary := s.PBFT.Primary(s.PBFT.View())
 		s.Ledger.Append(seq, primary, b)
 		s.LogExecuted(seq, primary, b, results)
 		if b.Initiator() == s.Shard {
 			s.Respond(ClientOf(b), d, results)
-			s.Obs.observe(s.Clock(), s.Shard, uint64(seq), trace.PhaseReply)
+			s.Observe(seq, trace.PhaseReply)
 		}
 	}
 }
@@ -181,14 +171,14 @@ func (s *Sequential) Execute(b *types.Batch) []types.Value {
 }
 
 // LogExecuted durably records an executed block and cuts a snapshot every
-// SnapEvery executed sequences, pruning the in-memory chain and
+// CheckpointInterval executed sequences, pruning the in-memory chain and
 // garbage-collecting the WAL segments the snapshot covers.
 func (s *Sequential) LogExecuted(seq types.SeqNum, primary types.NodeID, b *types.Batch, results []types.Value) {
 	if s.Dur == nil {
 		return
 	}
 	s.DurOK(s.Dur.LogBlock(seq, primary, b, results))
-	if s.SnapEvery > 0 && seq >= s.LastSnap+s.SnapEvery {
+	if every := s.Cfg.CheckpointInterval; every > 0 && seq >= s.LastSnap+every {
 		s.Ledger.Prune(seq)
 		snap := wal.SequentialSnapshot(s.Shard, seq, s.PBFT.View(), s.KV, s.Ledger,
 			func(d types.Digest) []types.Value { return s.Results[d] })

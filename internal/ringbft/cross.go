@@ -99,7 +99,7 @@ func (r *Replica) sendForward(cs *cstState) {
 	m.MAC = r.ringTags(next, m)
 	cs.forwardMsg = m
 	cs.forwardSentAt = r.Clock()
-	r.observe(cs.seq, trace.PhaseForward)
+	r.Observe(cs.seq, trace.PhaseForward)
 	r.sendRing(next, m)
 }
 
@@ -196,9 +196,8 @@ func (r *Replica) onForward(m *types.Message) {
 		return
 	}
 	cs.fwdAccepted = true
-	if r.met != nil {
-		// Ring-hop latency: first same-lane copy to f+1 acceptance.
-		r.met.forwardQuorum.Observe(r.Clock().Sub(cs.fwdFirst))
+	if r.Obs.Exposed() {
+		r.ring.forwardQuorum.Observe(r.Clock().Sub(cs.fwdFirst))
 	}
 	r.armRemote(cs) // re-anchor the remote timer for rotation 2
 	// The Forward quorum is the justification evidence the PBFT engine
@@ -282,9 +281,7 @@ func (cs *cstState) holdsCand(cert []types.Signed) bool {
 // verifyPrevCert reports whether cert carries nf valid commit signatures
 // over digest d of batch b from the shard before this one in b's ring.
 func (r *Replica) verifyPrevCert(b *types.Batch, d types.Digest, cert []types.Signed) bool {
-	if r.met != nil {
-		r.met.certVerifies.Inc()
-	}
+	r.ring.certVerifies.Inc()
 	return pbft.VerifyCert(r.Verifier, b.PrevInRing(r.Shard), d, cert, r.Cfg.NF()) == nil
 }
 
@@ -399,7 +396,7 @@ func (r *Replica) executeCst(cs *cstState) {
 	if cs.fwdCert == nil {
 		r.unsettled = append(r.unsettled, cs)
 	}
-	r.observe(cs.seq, trace.PhaseExecute)
+	r.Observe(cs.seq, trace.PhaseExecute)
 	r.Results[cs.digest] = cs.results
 	primary := r.PBFT.Primary(r.PBFT.View())
 	r.Ledger.Append(cs.seq, primary, cs.batch)
@@ -488,7 +485,7 @@ func (r *Replica) onExecute(m *types.Message) {
 			if !cs.replied {
 				cs.replied = true
 				r.Respond(host.ClientOf(cs.batch), cs.digest, cs.results)
-				r.observe(cs.seq, trace.PhaseReply)
+				r.Observe(cs.seq, trace.PhaseReply)
 			}
 			return
 		}
@@ -549,10 +546,7 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		return
 	}
 	cs.remoteHandled = true
-	r.remoteViews++
-	if r.met != nil {
-		r.met.remoteViews.Inc()
-	}
+	r.ring.remoteViews.Inc()
 	// Make sure the (possibly new) primary has the batch to propose, then
 	// support the view change (Fig 6 lines 5-6).
 	if cs.batch == nil {
@@ -573,17 +567,11 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		// Forward (first rotation) and, if we already executed, the Execute
 		// carrying Σ (second rotation).
 		if cs.forwardMsg != nil {
-			r.CountRetransmit()
-			if r.met != nil {
-				r.met.retransmits.Inc()
-			}
+			r.Obs.Retransmits.Inc()
 			r.Send(types.ReplicaNode(next, r.Self.Index), cs.forwardMsg)
 		}
 		if cs.executed {
-			r.CountRetransmit()
-			if r.met != nil {
-				r.met.retransmits.Inc()
-			}
+			r.Obs.Retransmits.Inc()
 			r.sendExecute(cs)
 		}
 		return

@@ -87,7 +87,7 @@ func (r *Replica) maybeEmitCheckpoints() {
 		pairs := r.canonicalPairsAt(cp.seq)
 		state := stateDigestOf(pairs)
 		digest := compositeCpDigest(cp.prefix, state)
-		r.rememberCpMeta(cp.seq, cpMeta{prefix: cp.prefix, state: state})
+		remember(r.cpMeta, cp.seq, cpMeta{prefix: cp.prefix, state: state})
 		r.canonCache = canonCache{seq: cp.seq, pairs: pairs}
 		r.PBFT.MakeCheckpoint(cp.seq, digest)
 	}
@@ -166,29 +166,18 @@ func compositeCpDigest(prefix, state types.Digest) types.Digest {
 	return sha256Sum(buf[:])
 }
 
-func (r *Replica) rememberCpMeta(seq types.SeqNum, m cpMeta) {
-	r.cpMeta[seq] = m
-	if len(r.cpMeta) > cpMetaKeep {
+// remember stores v under seq in m, evicting the lowest sequence once m
+// holds more than cpMetaKeep entries.
+func remember[V any](m map[types.SeqNum]V, seq types.SeqNum, v V) {
+	m[seq] = v
+	if len(m) > cpMetaKeep {
 		oldest := seq
-		for s := range r.cpMeta {
+		for s := range m {
 			if s < oldest {
 				oldest = s
 			}
 		}
-		delete(r.cpMeta, oldest)
-	}
-}
-
-func (r *Replica) rememberStabilized(seq types.SeqNum, digest types.Digest) {
-	r.stabilized[seq] = digest
-	if len(r.stabilized) > cpMetaKeep {
-		oldest := seq
-		for s := range r.stabilized {
-			if s < oldest {
-				oldest = s
-			}
-		}
-		delete(r.stabilized, oldest)
+		delete(m, oldest)
 	}
 }
 
@@ -198,7 +187,7 @@ func (r *Replica) rememberStabilized(seq types.SeqNum, digest types.Digest) {
 // ran at least a full checkpoint interval ahead of us (a restarted replica
 // with a gap, a replica kept in the dark, or a wiped rejoiner).
 func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
-	r.rememberStabilized(seq, digest)
+	remember(r.stabilized, seq, digest)
 	r.settleBelow(seq)
 	if interval := r.Cfg.CheckpointInterval; interval > 0 && seq >= r.kmax+interval {
 		r.requestStateTransfer(seq)
@@ -215,12 +204,12 @@ func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 	}
 }
 
-// maybeSnapshot cuts a durable snapshot at stable checkpoint seq (rate-
-// limited by SnapshotInterval), prunes the in-memory chain and the
+// maybeSnapshot cuts a durable snapshot at stable checkpoint seq (at most
+// one per CheckpointInterval), prunes the in-memory chain and the
 // executed-results cache below it, and garbage-collects the WAL segments
 // the snapshot covers.
 func (r *Replica) maybeSnapshot(seq types.SeqNum, digest types.Digest) {
-	if r.Dur == nil || seq < r.lastSnapshot+r.SnapEvery {
+	if r.Dur == nil || seq < r.lastSnapshot+r.Cfg.CheckpointInterval {
 		return
 	}
 	r.pruneBelow(seq)
@@ -320,7 +309,7 @@ func (r *Replica) applyRecovered(rec *wal.Recovered) {
 		r.prefixDigest = snap.PrefixDigest
 		r.lastCheckpoint = snap.LastCheckpoint
 		r.lastSnapshot = snap.StableSeq
-		r.rememberStabilized(snap.StableSeq, snap.CheckpointDigest)
+		remember(r.stabilized, snap.StableSeq, snap.CheckpointDigest)
 	}
 	for i := range rec.Tail {
 		t := &rec.Tail[i]

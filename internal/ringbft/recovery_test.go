@@ -24,7 +24,6 @@ const (
 
 func durableCfg(cfg *types.Config) {
 	cfg.CheckpointInterval = recInterval
-	cfg.SnapshotInterval = recInterval
 }
 
 // recBatchAt builds the i-th workload batch: an alternating mix of

@@ -80,12 +80,9 @@ type Replica struct {
 	fwdSeen *fifoWindow[fwdKey, evidence.Msg]
 
 	// Pipelined consensus: backpressure polls the transport's outbound
-	// backlog, bpLimit is the clamp threshold (half the outbox depth), and
-	// mergedReqs counts client requests the adaptive batcher coalesced into
-	// larger proposals.
+	// backlog and bpLimit is the clamp threshold (half the outbox depth).
 	backpressure func() int
 	bpLimit      int
-	mergedReqs   int64
 
 	// Rolling digest over the contiguous committed prefix (deterministic
 	// across replicas even when non-conflicting executions interleave
@@ -115,16 +112,9 @@ type Replica struct {
 	lastSnapshot types.SeqNum
 	recovered    bool
 
-	// Live observability (nil when not requested): met holds registry
-	// handles, tr the lifecycle tracer. Both are pure side effects.
-	met *replicaMetrics
-	tr  *trace.Tracer
-
-	// Metrics (read via Stats after the run).
-	executedTxns  int64
-	executedCross int64
-	execErrors    int64
-	remoteViews   int64
+	// ring holds the ring layer's own instruments; the host's live in
+	// r.Obs. Stats reads both.
+	ring ringMetrics
 }
 
 type logEntry struct {
@@ -297,37 +287,20 @@ func New(opts Options) *Replica {
 		clientSeen:   newFIFOWindow[types.TxnID, types.Digest](clientSeenCap),
 		fwdSeen:      newFIFOWindow[fwdKey, evidence.Msg](fwdSeenCap),
 		backpressure: opts.Backpressure,
-		tr:           opts.Tracer,
 	}
 	bpDepth := opts.Config.OutboxDepth
 	if bpDepth <= 0 {
 		bpDepth = 4096 // the tcpnet default
 	}
 	r.bpLimit = bpDepth / 2
-	var onPhase func(seq types.SeqNum, ph trace.Phase, at time.Time)
-	var onDurError func()
-	if opts.Metrics != nil {
-		r.met = newReplicaMetrics(opts.Metrics, opts.Shard, opts.Self)
-		if opts.Durability != nil {
-			opts.Durability.SetObserver(r.met.walObserver())
-		}
-		onDurError = r.met.durErrors.Inc
-	}
-	if r.tr != nil || r.met != nil {
-		onPhase = r.observePhase
-	}
 	r.Replica = host.NewReplica(host.Options{
 		Config: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
 		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
 		Durability: opts.Durability, Recovered: opts.Recovered, Evidence: opts.Evidence,
-		OnPhase: onPhase, OnDurError: onDurError, Handler: r,
+		Obs:     host.NewObs(opts.Metrics, opts.Tracer, "ringbft", opts.Shard, opts.Self),
+		Handler: r,
 		Callbacks: pbft.Callbacks{
-			Committed: r.onCommitted,
-			ViewChanged: func(types.View) {
-				if r.met != nil {
-					r.met.viewChanges.Inc()
-				}
-			},
+			Committed:           r.onCommitted,
 			Stabilized:          r.onStabilized,
 			Justification:       r.justification,
 			VerifyJustification: r.verifyJustification,
@@ -335,26 +308,8 @@ func New(opts Options) *Replica {
 		Justify: r.justified,
 		Next:    r.nextProposal,
 	})
+	r.ring = newRingMetrics(r.Obs)
 	return r
-}
-
-// observePhase fans a lifecycle transition out to the tracer and the
-// per-phase counters. It is the pbft engine's OnPhase callback and the
-// funnel for ring-layer phases (forward, execute, reply, state transfer).
-func (r *Replica) observePhase(seq types.SeqNum, ph trace.Phase, at time.Time) {
-	if r.tr != nil {
-		r.tr.Record(at, int(r.Shard), uint64(seq), ph)
-	}
-	r.met.phase(ph)
-}
-
-// observe records a ring-layer lifecycle event stamped with the replica
-// clock. No-op unless observability was requested.
-func (r *Replica) observe(seq types.SeqNum, ph trace.Phase) {
-	if r.tr == nil && r.met == nil {
-		return
-	}
-	r.observePhase(seq, ph, r.Clock())
 }
 
 // Preload installs n records of this shard's partition (see
@@ -399,19 +354,20 @@ type Stats struct {
 	ExecSeq       types.SeqNum
 }
 
-// Stats returns a snapshot of the replica's counters. Call only from the
-// replica's own goroutine or after Run returns.
+// Stats returns a snapshot of the replica's counters — the very instruments
+// its /metrics series expose. Call only from the replica's own goroutine or
+// after Run returns.
 func (r *Replica) Stats() Stats {
 	return Stats{
-		ExecutedTxns:   r.executedTxns,
-		ExecutedCross:  r.executedCross,
-		ExecErrors:     r.execErrors,
-		ViewChanges:    r.ViewChanges,
-		Retransmits:    r.Retransmits,
-		RemoteViews:    r.remoteViews,
-		StateTransfers: r.StateTransfers,
-		DurErrors:      r.DurErrors,
-		CoalescedReqs:  r.mergedReqs,
+		ExecutedTxns:   r.Obs.ExecutedTxns.Value(),
+		ExecutedCross:  r.Obs.ExecutedCross.Value(),
+		ExecErrors:     r.ring.execErrors.Value(),
+		ViewChanges:    r.Obs.ViewChanges.Value(),
+		Retransmits:    r.Obs.Retransmits.Value(),
+		RemoteViews:    r.ring.remoteViews.Value(),
+		StateTransfers: r.Obs.StateTransfers.Value(),
+		DurErrors:      r.Obs.DurErrors.Value(),
+		CoalescedReqs:  r.ring.coalesced.Value(),
 		LockedKeys:     r.locks.Count(),
 		LedgerHeight:   r.Ledger.Height(),
 		KMax:           r.kmax,
@@ -562,9 +518,7 @@ func (r *Replica) pipelineSlots() int {
 		// let the in-flight tail drain. One slot keeps liveness (the
 		// engine's view-change timers assume a primary that proposes).
 		depth = 1
-		if r.met != nil {
-			r.met.pipelineClamped.Inc()
-		}
+		r.ring.clamped.Inc()
 	}
 	return depth - r.PBFT.InFlight()
 }
@@ -653,10 +607,7 @@ func (r *Replica) coalesceHead() *types.Batch {
 	// Compact the queue: position 0 keeps the head (the caller shifts it),
 	// the merged followers disappear.
 	r.Queue = append(r.Queue[:1], rest[taken:]...)
-	r.mergedReqs += int64(taken)
-	if r.met != nil {
-		r.met.coalescedReqs.Add(int64(taken))
-	}
+	r.ring.coalesced.Add(int64(taken))
 	return &types.Batch{Txns: txns, Involved: head.Involved, Reqs: reqs}
 }
 
@@ -711,11 +662,7 @@ func (r *Replica) drainLockQueue() {
 // digest certifies the canonical state at that sequence (durability.go).
 func (r *Replica) advancePrefix(b *types.Batch) {
 	d := b.Digest()
-	var buf [72]byte
-	copy(buf[:32], r.prefixDigest[:])
-	copy(buf[32:64], d[:])
-	binary.BigEndian.PutUint64(buf[64:], uint64(r.kmax))
-	r.prefixDigest = sha256Sum(buf[:])
+	r.prefixDigest = pbft.FoldStep(r.prefixDigest, r.kmax, d)
 	interval := r.Cfg.CheckpointInterval
 	if interval > 0 && r.kmax >= r.lastCheckpoint+interval {
 		r.lastCheckpoint = r.kmax
@@ -739,7 +686,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	d := b.Digest()
 	if !b.IsCrossShard() {
 		results := r.executeBatch(b, nil)
-		r.observe(ent.seq, trace.PhaseExecute)
+		r.Observe(ent.seq, trace.PhaseExecute)
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
 		r.Results[d] = results
 		primary := r.PBFT.Primary(r.PBFT.View())
@@ -747,7 +694,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 		r.logBlock(ent.seq, primary, b, results)
 		r.markExecuted(ent.seq)
 		r.respondBatch(b, d, results)
-		r.observe(ent.seq, trace.PhaseReply)
+		r.Observe(ent.seq, trace.PhaseReply)
 		r.drainLockQueue()
 		return
 	}
@@ -791,18 +738,8 @@ func (r *Replica) executeBatch(b *types.Batch, remote map[types.Key]types.Value)
 		}
 		results[i] = v
 	}
-	r.execErrors += errs
-	r.executedTxns += int64(len(b.Txns))
-	if b.IsCrossShard() {
-		r.executedCross += int64(len(b.Txns))
-	}
-	if r.met != nil {
-		r.met.execErrors.Add(errs)
-		r.met.executedTxns.Add(int64(len(b.Txns)))
-		if b.IsCrossShard() {
-			r.met.executedCross.Add(int64(len(b.Txns)))
-		}
-	}
+	r.ring.execErrors.Add(errs)
+	r.Obs.Executed(b)
 	return results
 }
 

@@ -50,10 +50,7 @@ func (r *Replica) requestStateTransfer(target types.SeqNum) {
 // latest stable checkpoint, provided local execution has covered it (the
 // canonical state at S is only computable once every block <= S executed).
 func (r *Replica) onStateRequest(m *types.Message) {
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
-		return
-	}
-	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
+	if !r.VerifyPeer(m) {
 		return
 	}
 	stable := r.PBFT.StableSeq()
@@ -78,13 +75,7 @@ func (r *Replica) onStateRequest(m *types.Message) {
 
 // onStateSnapshot buffers a peer's state payload and tries to install it.
 func (r *Replica) onStateSnapshot(m *types.Message) {
-	if r.transfer == nil || m.State == nil {
-		return
-	}
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
-		return
-	}
-	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
+	if r.transfer == nil || m.State == nil || !r.VerifyPeer(m) {
 		return
 	}
 	if m.State.Seq != m.Seq || m.State.Seq <= r.kmax {
@@ -161,11 +152,8 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 		}
 	}
 	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
-	r.StateTransfers++
-	if r.met != nil {
-		r.met.stateTransfers.Inc()
-	}
-	r.observe(p.Seq, trace.PhaseStateTransfer)
+	r.Obs.StateTransfers.Inc()
+	r.Observe(p.Seq, trace.PhaseStateTransfer)
 	r.transfer = nil
 
 	if r.Dur != nil {

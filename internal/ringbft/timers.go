@@ -22,15 +22,7 @@ import (
 func (r *Replica) HandleTick(now time.Time) {
 	r.Tick(now)
 	r.retryTransfer(now)
-	if r.met != nil {
-		// Occupancy gauges, sampled once per tick: cheap atomic stores, and
-		// a scrape between ticks sees a consistent recent view.
-		r.met.queueDepth.Set(int64(len(r.Queue)))
-		r.met.inflight.Set(int64(r.PBFT.InFlight()))
-		r.met.awaiting.Set(int64(len(r.Awaiting)))
-		r.met.lockKeys.Set(int64(r.locks.Count()))
-		r.met.evRecords.Set(int64(r.Ev.Len()))
-	}
+	r.ring.lockKeys.Set(int64(r.locks.Count()))
 	// Local timer (the kernel watchdog). An unjustified awaiting entry — a
 	// cross-shard batch whose Forward quorum is still in flight — re-arms
 	// without escalating; the remote timer below complains upstream instead.
@@ -67,10 +59,7 @@ func (r *Replica) HandleTick(now time.Time) {
 		if cs.locked && !cs.executed && cs.forwardMsg != nil &&
 			now.Sub(cs.forwardSentAt) > r.Cfg.TransmitTimeout {
 			cs.forwardSentAt = now
-			r.CountRetransmit()
-			if r.met != nil {
-				r.met.retransmits.Inc()
-			}
+			r.Obs.Retransmits.Inc()
 			next, _ := cs.batch.NextInRing(r.Shard)
 			r.Send(types.ReplicaNode(next, r.Self.Index), cs.forwardMsg)
 		}
@@ -98,9 +87,6 @@ func (r *Replica) sendRemoteView(cs *cstState) {
 		Digest: cs.digest, Batch: cs.batch,
 	}
 	m.Sig = crypto.SignMessage(r.Auth, m)
-	r.remoteViews++
-	if r.met != nil {
-		r.met.remoteViews.Inc()
-	}
+	r.ring.remoteViews.Inc()
 	r.Send(types.ReplicaNode(prev, r.Self.Index), m)
 }

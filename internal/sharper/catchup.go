@@ -78,10 +78,7 @@ func (r *Replica) maybeCatchup(now time.Time) {
 // recent certified checkpoint, provided local execution covers it and the
 // chain still retains every block the requester is missing.
 func (r *Replica) onStateRequest(m *types.Message) {
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
-		return
-	}
-	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
+	if !r.VerifyPeer(m) {
 		return
 	}
 	c := r.lastCert
@@ -113,10 +110,7 @@ func (r *Replica) onStateRequest(m *types.Message) {
 // certificate, then fold — and installs it. The first valid payload wins;
 // later ones fall behind execNext and are ignored.
 func (r *Replica) onStateSnapshot(m *types.Message) {
-	if m.From.Kind != types.KindReplica || m.From.Shard != r.Shard || m.From == r.Self {
-		return
-	}
-	if crypto.VerifyMessageMAC(r.Auth, m) != nil {
+	if !r.VerifyPeer(m) {
 		return
 	}
 	p := m.State
@@ -218,7 +212,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	// provably past this checkpoint, so rejoining the current view is both
 	// safe and the only way this replica ever participates again.
 	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
-	r.StateTransfers++
+	r.Obs.StateTransfers.Inc()
 	if r.lastCert == nil || p.Seq > r.lastCert.seq {
 		r.lastCert = &checkpointCert{
 			seq: p.Seq, digest: p.PrefixDigest,

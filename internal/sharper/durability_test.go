@@ -12,7 +12,6 @@ func newDurableReplica(t *testing.T, fs *wal.MemFS) *Replica {
 	t.Helper()
 	cfg := types.DefaultConfig(1, 4)
 	cfg.CheckpointInterval = 4
-	cfg.SnapshotInterval = 4
 	self := types.ReplicaNode(0, 0)
 	peers := make([]types.NodeID, 4)
 	kg := crypto.NewKeygen(5)

@@ -43,7 +43,7 @@ type Options struct {
 	Clock  func() time.Time
 
 	// Durability/Recovered come from wal.OpenManager: executed blocks are
-	// WAL-logged, snapshots cut every SnapshotInterval executed sequences,
+	// WAL-logged, snapshots cut every CheckpointInterval executed sequences,
 	// and a restarted replica resumes from the recovered state. Stragglers
 	// that consensus alone cannot repair additionally use the peer block
 	// transfer in catchup.go.
@@ -149,7 +149,7 @@ func (r *Replica) HandleTick(now time.Time) {
 		if gs, ok := r.global[b.Digest()]; ok && !gs.committed &&
 			now.Sub(gs.lastNudge) > r.Cfg.LocalTimeout {
 			gs.lastNudge = now
-			r.CountRetransmit()
+			r.Obs.Retransmits.Inc()
 			r.renudge(gs)
 			if b.Initiator() == r.Shard && r.PBFT.IsPrimary() {
 				// A stalled global round can also mean another involved
@@ -333,7 +333,7 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 		}
 		if _, done := gs.nudged[m.From]; !done {
 			gs.nudged[m.From] = struct{}{}
-			r.CountRetransmit()
+			r.Obs.Retransmits.Inc()
 			r.resendVotesTo(m.From, gs)
 		}
 		return

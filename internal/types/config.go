@@ -43,14 +43,6 @@ type Config struct {
 	// messages a replica in the dark never received.
 	FsyncInterval time.Duration
 
-	// SnapshotInterval is the minimum number of sequence numbers between
-	// durable snapshots. Snapshots are cut at stable PBFT checkpoints, so
-	// the effective cadence is the first stable checkpoint at or past the
-	// interval; afterwards WAL segments below the snapshot and in-memory
-	// ledger blocks below the checkpoint are garbage-collected. 0 defaults
-	// to CheckpointInterval.
-	SnapshotInterval SeqNum
-
 	// Transport knobs for the TCP deployment (internal/tcpnet). OutboxDepth
 	// is the per-peer bounded outbound queue a replica's Send enqueues into
 	// (0 = transport default, 4096); DialTimeout bounds one TCP connect
