@@ -77,8 +77,6 @@ func main() {
 		Seed:           int64(*id) * 104729,
 	})
 
-	f := (topo.ReplicasPerShard - 1) / 3
-	need := f + 1
 	cid := types.ClientID(*id)
 
 	fmt.Printf("ringbft-client %d at %s: %d batches × %d txns, %.0f%% cross-shard over %d shards\n",
@@ -94,34 +92,27 @@ func main() {
 		t0 := time.Now()
 		transport.Send(types.ReplicaNode(b.Initiator(), 0), req)
 
-		votes := map[types.NodeID]struct{}{}
+		replies := types.NewReplyQuorum(b, d, topo.ReplicasPerShard)
 		deadline := time.NewTimer(*timeout)
 		rebroadcast := time.NewTicker(2 * time.Second)
 	waiting:
 		for {
 			select {
 			case m := <-transport.Inbox():
-				if m.Type != types.MsgResponse || m.Digest != d {
-					continue
-				}
-				// Only replicas of the initiator shard vote toward the f+1
-				// quorum, and only with a valid pairwise MAC. The MAC's
+				// Only a response with a valid pairwise MAC votes, and only
+				// toward the f+1 quorum of identical results from replicas
+				// of the initiator shard (types.ReplyQuorum). The MAC's
 				// bound is the deployment's trust domain: all pairwise keys
 				// derive from the shared topology seed (the repo's PKI
 				// stand-in, see topology.Keygen), so this rejects responses
-				// from anything outside the seed-holding cluster and all
-				// wrong-shard or malformed votes — but a Byzantine replica,
-				// holding the seed, could still forge peers' MACs. Closing
-				// that would take per-response signatures.
-				if m.From.Kind != types.KindReplica || m.From.Shard != b.Initiator() ||
-					m.From.Index < 0 || m.From.Index >= topo.ReplicasPerShard {
-					continue
-				}
+				// from anything outside the seed-holding cluster — but a
+				// Byzantine replica, holding the seed, could still forge
+				// peers' MACs. Closing that would take per-response
+				// signatures.
 				if crypto.VerifyMessageMAC(ring, m) != nil {
 					continue
 				}
-				votes[m.From] = struct{}{}
-				if len(votes) >= need {
+				if _, ok := replies.Add(m); ok {
 					break waiting
 				}
 			case <-rebroadcast.C:

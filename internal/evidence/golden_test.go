@@ -1,6 +1,7 @@
 package evidence
 
 import (
+	"bytes"
 	"encoding/hex"
 	"reflect"
 	"testing"
@@ -44,4 +45,24 @@ func TestGoldenEvidenceBytes(t *testing.T) {
 	if !ok || !reflect.DeepEqual(back, rec) {
 		t.Fatalf("evidence record decodes to %+v (ok=%v), want %+v", back, ok, rec)
 	}
+}
+
+// FuzzDecodeEvidence: the evidence log's record decoder reads bytes back from disk.
+// Nothing may panic, and a payload that decodes must re-encode to the
+// identical bytes.
+func FuzzDecodeEvidence(f *testing.F) {
+	rec := goldenEvidence()
+	f.Add(encode(&rec))
+	f.Add(encode(&Record{}))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, ok := decode(payload)
+		if !ok {
+			return
+		}
+		if got := encode(&rec); !bytes.Equal(got, payload) {
+			t.Fatalf("decode/encode not canonical: %x re-encodes to %x", payload, got)
+		}
+	})
 }

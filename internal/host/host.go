@@ -2,8 +2,10 @@
 // around its unchanged pbft.Engine: RingBFT's ring layer, AHL's shard
 // replicas and reference committee, and Sharper's flattened cross votes all
 // run on the same event loop, proposal book, awaiting watchdog, evidence
-// wiring and constructor, and the two sequentially executing baselines
-// share one executor (Sequential). Only what differs stays in the protocol
+// wiring and constructor. Every shard replica shares one durable side (WAL
+// replay, executed-block recording and the snapshot cut; durable.go), and
+// the two sequentially executing baselines share one executor
+// (Sequential). Only what differs stays in the protocol
 // packages: the Justify gate, the drain shape (RingBFT's adaptive batcher
 // and backpressure clamp), whether an expired request's proposed latch is
 // cleared, and everything that happens after a batch commits.

@@ -20,6 +20,8 @@ type Replica struct {
 	// Results caches the results of executed batches by digest, so
 	// retransmitted client requests are answered from the log (attack A1).
 	Results map[types.Digest][]types.Value
+	// LastSnap is the sequence of the newest durable snapshot (durable.go).
+	LastSnap types.SeqNum
 
 	Rec *wal.Recovered // consumed by Load
 }
@@ -78,7 +80,6 @@ type Sequential struct {
 	// batches above it by sequence.
 	ExecNext types.SeqNum
 	Entries  map[types.SeqNum]*types.Batch
-	LastSnap types.SeqNum
 	ready    func(b *types.Batch) bool
 }
 
@@ -101,19 +102,13 @@ func (s *Sequential) ExecutedThrough() types.SeqNum { return s.ExecNext }
 // state recovered from disk. Call before the first message is handled.
 func (s *Sequential) Preload(records int) { s.Load(records, s.applyRecovered) }
 
-// applyRecovered restores the store, ledger and execution watermark from a
-// snapshot plus the WAL tail (wal.ApplySequential).
+// applyRecovered resumes from a snapshot plus the WAL tail (Recover): an
+// in-order executor's executed watermark doubles as its k_max.
 func (s *Sequential) applyRecovered(rec *wal.Recovered) {
-	st := rec.ApplySequential(s.KV, s.Ledger, s.Shard, s.Cfg.Shards, func(d types.Digest, res []types.Value) {
-		s.Results[d] = res
-		s.Proposed[d] = struct{}{}
-	})
-	s.Ledger = st.Chain
-	s.ExecNext = st.ExecNext
-	s.LastSnap = st.LastSnap
-	if st.View > 0 {
-		s.PBFT.ForceView(st.View)
+	if rec.Snap != nil {
+		s.ExecNext = rec.Snap.KMax
 	}
+	s.Recover(rec, func(seq types.SeqNum) { s.ExecNext = max(s.ExecNext, seq) }, nil)
 	s.PBFT.ResumeAt(s.ExecNext, s.ExecNext+1)
 }
 
@@ -141,18 +136,16 @@ func (s *Sequential) DrainExec() {
 		delete(s.Entries, s.ExecNext+1)
 		s.ExecNext++
 		seq := s.ExecNext
+		primary := s.PBFT.Primary(s.PBFT.View())
 		if len(b.Txns) == 0 {
-			s.LogExecuted(seq, s.PBFT.Primary(s.PBFT.View()), b, nil)
+			s.Executed(seq, primary, types.Digest{}, b, nil)
 			continue
 		}
 		d := b.Digest()
 		results := s.Execute(b)
-		s.Results[d] = results
 		s.Obs.Executed(b)
 		s.Observe(seq, trace.PhaseExecute)
-		primary := s.PBFT.Primary(s.PBFT.View())
-		s.Ledger.Append(seq, primary, b)
-		s.LogExecuted(seq, primary, b, results)
+		s.Executed(seq, primary, d, b, results)
 		if b.Initiator() == s.Shard {
 			s.Respond(ClientOf(b), d, results)
 			s.Observe(seq, trace.PhaseReply)
@@ -170,20 +163,9 @@ func (s *Sequential) Execute(b *types.Batch) []types.Value {
 	return results
 }
 
-// LogExecuted durably records an executed block and cuts a snapshot every
-// CheckpointInterval executed sequences, pruning the in-memory chain and
-// garbage-collecting the WAL segments the snapshot covers.
-func (s *Sequential) LogExecuted(seq types.SeqNum, primary types.NodeID, b *types.Batch, results []types.Value) {
-	if s.Dur == nil {
-		return
-	}
-	s.DurOK(s.Dur.LogBlock(seq, primary, b, results))
-	if every := s.Cfg.CheckpointInterval; every > 0 && seq >= s.LastSnap+every {
-		s.Ledger.Prune(seq)
-		snap := wal.SequentialSnapshot(s.Shard, seq, s.PBFT.View(), s.KV, s.Ledger,
-			func(d types.Digest) []types.Value { return s.Results[d] })
-		if s.DurOK(s.Dur.SaveSnapshot(snap)) {
-			s.LastSnap = seq
-		}
-	}
+// Executed records an executed block (Record) and cuts a snapshot every
+// CheckpointInterval executed sequences.
+func (s *Sequential) Executed(seq types.SeqNum, primary types.NodeID, d types.Digest, b *types.Batch, results []types.Value) {
+	s.Record(seq, primary, d, b, results)
+	s.Cut(seq, types.Digest{}, nil)
 }

@@ -397,10 +397,7 @@ func (r *Replica) executeCst(cs *cstState) {
 		r.unsettled = append(r.unsettled, cs)
 	}
 	r.Observe(cs.seq, trace.PhaseExecute)
-	r.Results[cs.digest] = cs.results
-	primary := r.PBFT.Primary(r.PBFT.View())
-	r.Ledger.Append(cs.seq, primary, cs.batch)
-	r.logBlock(cs.seq, primary, cs.batch, cs.results)
+	r.Record(cs.seq, r.PBFT.Primary(r.PBFT.View()), cs.digest, cs.batch, cs.results)
 	r.markExecuted(cs.seq)
 
 	// Push this shard's updated write fragment into Σ (Fig 5 line 34).

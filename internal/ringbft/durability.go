@@ -11,15 +11,16 @@ import (
 	"ringbft/internal/wal"
 )
 
-// This file wires the durability subsystem (internal/wal) into the replica:
+// This file holds what the ring layer adds to the host's durable replica
+// (host.Replica's Record, Cut and Recover, internal/host/durable.go):
 //
-//   - every lock-order advance appends a progress record and every executed
-//     block a block record to the segmented WAL (group-committed fsync);
-//   - stable PBFT checkpoints cut a snapshot of the store + ledger, after
-//     which old WAL segments and in-memory blocks below the checkpoint are
-//     garbage-collected;
-//   - a restarted replica loads the latest snapshot, replays the WAL tail,
-//     and resumes consensus at the recovered sequence.
+//   - every lock-order advance appends a progress record to the WAL, next
+//     to the block record host.Record writes per executed block;
+//   - a stable PBFT checkpoint is cut (host.Cut) once local execution
+//     covers it, and the snapshot carries k_max, the executed watermark
+//     and the prefix digest;
+//   - a restarted replica folds the recovered progress records and blocks
+//     into those watermarks and resumes consensus past them.
 //
 // Checkpoint digests are composite — H(prefixDigest || stateDigest) — where
 // stateDigest is the SHA-256 of the *canonical state at the checkpoint*:
@@ -200,57 +201,15 @@ func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 	// of committed-but-unexecuted cross-shard blocks below it (they exist
 	// nowhere else on disk).
 	if r.execSeq >= seq {
-		r.maybeSnapshot(seq, digest)
+		r.Cut(seq, digest, r.snapMarks)
 	}
 }
 
-// maybeSnapshot cuts a durable snapshot at stable checkpoint seq (at most
-// one per CheckpointInterval), prunes the in-memory chain and the
-// executed-results cache below it, and garbage-collects the WAL segments
-// the snapshot covers.
-func (r *Replica) maybeSnapshot(seq types.SeqNum, digest types.Digest) {
-	if r.Dur == nil || seq < r.lastSnapshot+r.Cfg.CheckpointInterval {
-		return
-	}
-	r.pruneBelow(seq)
-	if r.DurOK(r.Dur.SaveSnapshot(r.buildSnapshot(seq, digest))) {
-		r.lastSnapshot = seq
-	}
-}
-
-// pruneBelow garbage-collects in-memory history below a stable checkpoint:
-// the ledger blocks and their cached execution results. The `proposed` set
-// is kept — at ~48 bytes per digest it is cheap, and it is what stops a
-// replayed client request from re-ordering an ancient batch (attack A1).
-func (r *Replica) pruneBelow(seq types.SeqNum) {
-	// Stop at the first retained block >= seq, mirroring Chain.Prune's cut
-	// exactly — an out-of-order block behind the boundary stays in the
-	// chain and must keep its cached results.
-	for _, b := range r.Ledger.Blocks()[1:] {
-		if b.Seq >= seq {
-			break
-		}
-		delete(r.Results, b.Digest)
-	}
-	r.Ledger.Prune(seq)
-}
-
-// buildSnapshot captures the replica's current durable cut, anchored at
-// stable checkpoint (seq, digest).
-func (r *Replica) buildSnapshot(seq types.SeqNum, digest types.Digest) *wal.Snapshot {
-	snap := &wal.Snapshot{
-		Shard:            r.Shard,
-		StableSeq:        seq,
-		CheckpointDigest: digest,
-		KMax:             r.kmax,
-		ExecSeq:          r.execSeq,
-		View:             r.PBFT.View(),
-		PrefixDigest:     r.prefixDigest,
-		LastCheckpoint:   r.lastCheckpoint,
-		Pairs:            r.KV.Pairs(),
-	}
-	snap.CaptureChain(r.Ledger, func(d types.Digest) []types.Value { return r.Results[d] })
-	return snap
+// snapMarks fills in the watermarks a RingBFT snapshot carries beyond its
+// cut: the lock-order and executed watermarks and the prefix digest.
+func (r *Replica) snapMarks(s *wal.Snapshot) {
+	s.KMax, s.ExecSeq = r.kmax, r.execSeq
+	s.PrefixDigest, s.LastCheckpoint = r.prefixDigest, r.lastCheckpoint
 }
 
 // logProgress durably records a k_max advance (see wal.ProgressRecord).
@@ -261,109 +220,21 @@ func (r *Replica) logProgress(batchDigest types.Digest) {
 	r.DurOK(r.Dur.LogProgress(r.kmax, r.prefixDigest, r.lastCheckpoint, batchDigest, r.PBFT.View()))
 }
 
-// logBlock durably records an executed block (empty batches — view-change
-// no-op fillers — are logged too, so recovery can advance the executed
-// watermark across them).
-func (r *Replica) logBlock(seq types.SeqNum, primary types.NodeID, batch *types.Batch, results []types.Value) {
-	if r.Dur == nil {
-		return
-	}
-	r.DurOK(r.Dur.LogBlock(seq, primary, batch, results))
-}
-
-// recoverExecuted repopulates the executed/proposed caches for one
-// recovered block. A coalesced block (adaptive batching, Batch.Reqs) is
-// additionally split back into its original client requests so a client
-// retransmitting after the restart is answered under the digest it is
-// waiting on, exactly as the live respondBatch path would have.
-func (r *Replica) recoverExecuted(b *types.Batch, results []types.Value) {
-	d := b.Digest()
-	r.Results[d] = results
-	r.Proposed[d] = struct{}{}
-	if len(b.Reqs) < 2 || len(results) < len(b.Txns) {
-		return
-	}
-	lo := 0
-	for _, sb := range b.SubBatches() {
-		sd := sb.Digest()
-		r.Results[sd] = results[lo : lo+len(sb.Txns)]
-		r.Proposed[sd] = struct{}{}
-		lo += len(sb.Txns)
-	}
-}
-
-// applyRecovered rebuilds replica state from a snapshot plus the WAL tail.
-// Called from Preload, after the base table is installed and before any
-// message is handled.
+// applyRecovered folds a snapshot plus the WAL tail (host.Recover) into
+// the ring layer's progress: the lock-order watermark and prefix digest of
+// the newest progress record, and the executed watermark over every
+// recovered block (no checkpoint is pending yet, so markExecuted emits
+// none). Called from Preload, after the base table is installed and
+// before any message is handled.
 func (r *Replica) applyRecovered(rec *wal.Recovered) {
-	var view types.View
 	if snap := rec.Snap; snap != nil {
-		view = snap.View
-		r.KV.Restore(snap.Pairs)
-		r.Ledger = snap.RebuildChain(func(sb *wal.SnapBlock) {
-			r.recoverExecuted(sb.Batch, sb.Results)
-			r.execDone[sb.Seq] = struct{}{}
-		})
-		r.kmax = snap.KMax
-		r.execSeq = snap.ExecSeq
-		r.prefixDigest = snap.PrefixDigest
-		r.lastCheckpoint = snap.LastCheckpoint
-		r.lastSnapshot = snap.StableSeq
+		r.kmax, r.execSeq = snap.KMax, snap.ExecSeq
+		r.prefixDigest, r.lastCheckpoint = snap.PrefixDigest, snap.LastCheckpoint
 		remember(r.stabilized, snap.StableSeq, snap.CheckpointDigest)
 	}
-	for i := range rec.Tail {
-		t := &rec.Tail[i]
-		switch t.Kind {
-		case wal.KindProgress:
-			r.kmax = t.Seq
-			r.prefixDigest = t.PrefixDigest
-			r.lastCheckpoint = t.LastCheckpoint
-			r.Proposed[t.BatchDigest] = struct{}{}
-			if t.View > view {
-				view = t.View
-			}
-		case wal.KindBlock:
-			if len(t.Batch.Txns) == 0 {
-				r.execDone[t.Seq] = struct{}{}
-				continue
-			}
-			for j := range t.Batch.Txns {
-				if j >= len(t.Results) {
-					break
-				}
-				r.KV.ApplyTxnWrites(&t.Batch.Txns[j], r.Shard, r.Cfg.Shards, t.Results[j])
-			}
-			r.recoverExecuted(t.Batch, t.Results)
-			r.Ledger.Append(t.Seq, t.Primary, t.Batch)
-			r.execDone[t.Seq] = struct{}{}
-		default:
-			// Evidence records live in the evidence log's own WAL, not the
-			// replica's; any other kind in the tail is not replica state.
-		}
-	}
-	// Settle the executed watermark over everything recovered.
-	for {
-		if _, ok := r.execDone[r.execSeq+1]; !ok {
-			break
-		}
-		delete(r.execDone, r.execSeq+1)
-		r.execSeq++
-	}
-	for seq := range r.execDone {
-		if seq <= r.execSeq {
-			delete(r.execDone, seq)
-		}
-	}
-	stable := types.SeqNum(0)
-	if rec.Snap != nil {
-		stable = rec.Snap.StableSeq
-	}
-	// Rejoin the view the shard was in when we last made progress; without
-	// this, a replica restarted after a view change would stash every
-	// current-view message as "future" and never catch up.
-	if view > 0 {
-		r.PBFT.ForceView(view)
-	}
-	r.PBFT.ResumeAt(stable, r.kmax+1)
+	r.Recover(rec, r.markExecuted, func(t *wal.Record) {
+		r.kmax, r.prefixDigest, r.lastCheckpoint = t.Seq, t.PrefixDigest, t.LastCheckpoint
+	})
+	r.PBFT.ResumeAt(r.LastSnap, r.kmax+1)
 	r.recovered = true
 }

@@ -107,10 +107,8 @@ type Replica struct {
 	transfer   *transferState
 	canonCache canonCache
 
-	// Durability: lastSnapshot is the newest snapshot's stable checkpoint,
-	// recovered whether Preload resumed from disk.
-	lastSnapshot types.SeqNum
-	recovered    bool
+	// recovered reports whether Preload resumed from disk.
+	recovered bool
 
 	// ring holds the ring layer's own instruments; the host's live in
 	// r.Obs. Stats reads both.
@@ -679,7 +677,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	b := ent.batch
 	if len(b.Txns) == 0 { // no-op filler from a view change
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
-		r.logBlock(ent.seq, r.PBFT.Primary(r.PBFT.View()), b, nil)
+		r.Record(ent.seq, r.PBFT.Primary(r.PBFT.View()), types.Digest{}, b, nil)
 		r.markExecuted(ent.seq)
 		return
 	}
@@ -688,10 +686,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 		results := r.executeBatch(b, nil)
 		r.Observe(ent.seq, trace.PhaseExecute)
 		r.locks.Unlock(r.localKeys(b), lockOwner(b))
-		r.Results[d] = results
-		primary := r.PBFT.Primary(r.PBFT.View())
-		r.Ledger.Append(ent.seq, primary, b)
-		r.logBlock(ent.seq, primary, b, results)
+		r.Record(ent.seq, r.PBFT.Primary(r.PBFT.View()), d, b, results)
 		r.markExecuted(ent.seq)
 		r.respondBatch(b, d, results)
 		r.Observe(ent.seq, trace.PhaseReply)

@@ -156,10 +156,7 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 	r.Observe(p.Seq, trace.PhaseStateTransfer)
 	r.transfer = nil
 
-	if r.Dur != nil {
-		r.DurOK(r.Dur.Reset(r.buildSnapshot(p.Seq, certified)))
-		r.lastSnapshot = p.Seq
-	}
+	r.Reset(p.Seq, certified, r.snapMarks)
 	// Sequences queued past the checkpoint can lock now.
 	r.drainLockQueue()
 }

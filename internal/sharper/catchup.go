@@ -190,15 +190,12 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		}
 		b := br.Batch
 		d := b.Digest()
-		results := r.Execute(b)
-		r.Results[d] = results
 		r.Proposed[d] = struct{}{}
 		delete(r.Awaiting, d)
 		if gs, ok := r.global[d]; ok {
 			gs.committed = true // completed shard-wide; stop renudging it
 		}
-		r.Ledger.Append(br.Seq, br.Primary, b)
-		r.LogExecuted(br.Seq, br.Primary, b, results)
+		r.Executed(br.Seq, br.Primary, d, b, r.Execute(b))
 		r.ExecNext = br.Seq
 	}
 	for s := range r.Entries {

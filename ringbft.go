@@ -299,9 +299,7 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 	rebroadcast := time.NewTicker(clientRebroadcast)
 	defer rebroadcast.Stop()
 
-	need := c.tcfg.F() + 1
-	votes := make(map[types.NodeID]struct{})
-	var result []Value
+	replies := types.NewReplyQuorum(b, d, c.cfg.ReplicasPerShard)
 	for {
 		select {
 		case <-ctx.Done():
@@ -315,13 +313,8 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 			}
 		case m := <-cl.ep.Inbox():
 			// A reused client may still hold late replies to its earlier
-			// batches; the digest tells them apart.
-			if m.Type != types.MsgResponse || m.Digest != d {
-				continue
-			}
-			votes[m.From] = struct{}{}
-			result = m.Results
-			if len(votes) >= need {
+			// batches; the quorum tells them apart by digest.
+			if result, ok := replies.Add(m); ok {
 				return result, nil
 			}
 		}
