@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ringbft/internal/crypto"
+	"ringbft/internal/harness"
 	"ringbft/internal/tcpnet"
 	"ringbft/internal/topology"
 	"ringbft/internal/types"
@@ -78,6 +79,13 @@ func main() {
 	})
 
 	cid := types.ClientID(*id)
+	// The node layout ringbft-node builds. Responses are checked with this
+	// client's own ring, so the layout needs no replica keys.
+	layout, err := harness.NewTopology(harness.ProtoRingBFT, topo.Shards, topo.ReplicasPerShard, topo.Seed, true, nil)
+	if err != nil {
+		log.Fatalf("ringbft-client: %v", err)
+	}
+	reqs := harness.NewClient(layout, cid)
 
 	fmt.Printf("ringbft-client %d at %s: %d batches × %d txns, %.0f%% cross-shard over %d shards\n",
 		*id, clientAddrHint, *batches, *batch, *crossPct*100, topo.Shards)
@@ -86,39 +94,30 @@ func main() {
 	var totalLatency time.Duration
 	start := time.Now()
 	for i := 0; i < *batches; i++ {
-		b := gen.NextBatch(cid)
-		d := b.Digest()
-		req := &types.Message{Type: types.MsgClientRequest, From: self, Batch: b, Digest: d}
-		t0 := time.Now()
-		transport.Send(types.ReplicaNode(b.Initiator(), 0), req)
-
-		replies := types.NewReplyQuorum(b, d, topo.ReplicasPerShard)
+		transport.Send(reqs.Send(gen.NextBatch(cid), time.Now()))
 		deadline := time.NewTimer(*timeout)
-		rebroadcast := time.NewTicker(2 * time.Second)
-	waiting:
-		for {
+		rebroadcast := time.NewTicker(rebroadcastAfter / 2)
+		var done *harness.Request
+		for done == nil {
 			select {
 			case m := <-transport.Inbox():
-				// Only a response with a valid pairwise MAC votes, and only
-				// toward the f+1 quorum of identical results from replicas
-				// of the initiator shard (types.ReplyQuorum). The MAC's
-				// bound is the deployment's trust domain: all pairwise keys
-				// derive from the shared topology seed (the repo's PKI
-				// stand-in, see topology.Keygen), so this rejects responses
-				// from anything outside the seed-holding cluster — but a
-				// Byzantine replica, holding the seed, could still forge
-				// peers' MACs. Closing that would take per-response
-				// signatures.
-				if crypto.VerifyMessageMAC(ring, m) != nil {
-					continue
-				}
-				if _, ok := replies.Add(m); ok {
-					break waiting
+				// Only a response with a valid pairwise MAC counts toward
+				// the quorum. The MAC's bound is the deployment's trust
+				// domain: all pairwise keys derive from the shared topology
+				// seed (the repo's PKI stand-in, see topology.Keygen), so
+				// this rejects responses from anything outside the
+				// seed-holding cluster — but a Byzantine replica, holding
+				// the seed, could still forge peers' MACs. Closing that
+				// would take per-response signatures.
+				if crypto.VerifyMessageMAC(ring, m) == nil {
+					done = reqs.Deliver(m)
 				}
 			case <-rebroadcast.C:
 				// Attack A1: broadcast to every replica of the initiator.
-				for r := 0; r < topo.ReplicasPerShard; r++ {
-					transport.Send(types.ReplicaNode(b.Initiator(), r), req)
+				for _, r := range reqs.Due(time.Now(), rebroadcastAfter) {
+					for _, to := range layout.Fallback(r.Batch) {
+						transport.Send(to, r.Msg)
+					}
 				}
 			case <-deadline.C:
 				log.Fatalf("batch %d timed out after %v", i, *timeout)
@@ -126,11 +125,11 @@ func main() {
 		}
 		deadline.Stop()
 		rebroadcast.Stop()
-		lat := time.Since(t0)
-		totalTxns += len(b.Txns)
+		lat := time.Since(done.Started)
+		totalTxns += len(done.Batch.Txns)
 		totalLatency += lat
 		fmt.Printf("batch %3d (%s, %d shards) committed in %v\n",
-			i, kind(b), len(b.Involved), lat.Round(time.Millisecond))
+			i, kind(done.Batch), len(done.Batch.Involved), lat.Round(time.Millisecond))
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("done: %d txns in %v — %.0f txn/s, avg batch latency %v\n",
@@ -138,6 +137,10 @@ func main() {
 		float64(totalTxns)/elapsed.Seconds(),
 		(totalLatency / time.Duration(*batches)).Round(time.Millisecond))
 }
+
+// rebroadcastAfter is how long a batch waits on the contacted replica
+// before the client broadcasts it to the whole initiator shard.
+const rebroadcastAfter = 2 * time.Second
 
 func kind(b *types.Batch) string {
 	if b.IsCrossShard() {

@@ -87,25 +87,17 @@ type Cluster struct {
 // accountability expectation (checkers.go) must point at the same one.
 const advClientID types.ClientID = 1
 
-// dclient is one deterministic closed-loop client.
+// dclient is one deterministic closed-loop client on virtual time.
 type dclient struct {
-	id       types.ClientID
-	gen      *workload.Generator
-	window   int
-	inflight map[types.Digest]*dflight
-	inbox    []*types.Message
-	viewHint map[types.ShardID]types.View
+	id     types.ClientID
+	reqs   *harness.Client
+	gen    *workload.Generator
+	window int
+	inbox  []*types.Message
 	// committed is the client's completion order — part of the
 	// determinism fingerprint.
 	committed []types.Digest
 	paused    bool // probe phase: stop launching fresh batches
-}
-
-type dflight struct {
-	batch    *types.Batch
-	digest   types.Digest
-	sentTick int
-	votes    map[types.NodeID]struct{}
 }
 
 // NewCluster builds the deterministic cluster for a scenario.
@@ -159,7 +151,8 @@ func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) c
 	for i := 0; i < sc.Clients; i++ {
 		cid := types.ClientID(i + 1)
 		c.clients = append(c.clients, &dclient{
-			id: cid,
+			id:   cid,
+			reqs: harness.NewClient(topo, cid),
 			gen: workload.New(workload.Config{
 				Shards:        sc.Shards,
 				ActiveRecords: sc.Records,
@@ -168,9 +161,7 @@ func newCluster(sc Scenario, wrapAuth func(types.NodeID, crypto.Authenticator) c
 				Clients:       sc.Clients,
 				Seed:          sc.Seed + int64(cid)*7919,
 			}),
-			window:   1,
-			inflight: make(map[types.Digest]*dflight),
-			viewHint: make(map[types.ShardID]types.View),
+			window: 1,
 		})
 	}
 	return c, nil
@@ -454,101 +445,60 @@ func (c *Cluster) step(events []Event) error {
 	return nil
 }
 
-// clientTimeout is the retransmission threshold in ticks (mirrors the
-// harness client's 2×LocalTimeout rule).
-func (c *Cluster) clientTimeout() int {
-	return int(2 * c.cfg.LocalTimeout / tickStep)
-}
-
+// stepClient answers the requests this tick's responses complete, in
+// digest order, rebroadcasts those older than 2×LocalTimeout (the harness
+// client's rule) and refills the window.
 func (c *Cluster) stepClient(cl *dclient) {
-	// Count votes from this tick's responses.
+	now := c.clock()
+	var doneNow []types.Digest
 	for _, m := range cl.inbox {
-		if m.Type != types.MsgResponse {
-			continue
+		if r := cl.reqs.Deliver(m); r != nil {
+			doneNow = append(doneNow, r.Msg.Digest)
 		}
-		if m.From.Kind == types.KindReplica && m.View > cl.viewHint[m.From.Shard] {
-			cl.viewHint[m.From.Shard] = m.View
-		}
-		fl, ok := cl.inflight[m.Digest]
-		if !ok {
-			continue
-		}
-		fl.votes[m.From] = struct{}{}
 	}
 	cl.inbox = nil
-	need := c.cfg.F() + 1
-	var doneNow []types.Digest
-	for d, fl := range cl.inflight {
-		if len(fl.votes) >= need {
-			doneNow = append(doneNow, d)
-		}
-	}
-	// Sort completions: map iteration order must not leak into the
-	// committed sequence (part of the determinism fingerprint).
+	// Sort completions: arrival order must not leak into the committed
+	// sequence (part of the determinism fingerprint).
 	sort.Slice(doneNow, func(i, j int) bool {
 		return bytes.Compare(doneNow[i][:], doneNow[j][:]) < 0
 	})
 	for _, d := range doneNow {
-		delete(cl.inflight, d)
 		cl.committed = append(cl.committed, d)
 		c.committed++
 		c.lastCommitTick = c.tick
 	}
-	// Retransmit what timed out.
-	var late []*dflight
-	for _, fl := range cl.inflight {
-		if c.tick-fl.sentTick > c.clientTimeout() {
-			late = append(late, fl)
-		}
-	}
-	sort.Slice(late, func(i, j int) bool {
-		return bytes.Compare(late[i].digest[:], late[j].digest[:]) < 0
-	})
 	from := types.ClientNode(cl.id)
-	for _, fl := range late {
-		fl.sentTick = c.tick
-		m := &types.Message{
-			Type: types.MsgClientRequest, From: from,
-			Batch: fl.batch, Digest: fl.digest,
-		}
-		for _, to := range c.topo.Fallback(fl.batch) {
-			c.enqueue(from, to, m)
+	for _, r := range cl.reqs.Due(now, 2*c.cfg.LocalTimeout) {
+		for _, to := range c.topo.Fallback(r.Batch) {
+			c.enqueue(from, to, r.Msg)
 		}
 	}
 	// Keep the window full.
-	for !cl.paused && len(cl.inflight) < cl.window {
-		b := cl.gen.NextBatch(cl.id)
-		d := b.Digest()
-		cl.inflight[d] = &dflight{
-			batch: b, digest: d, sentTick: c.tick,
-			votes: make(map[types.NodeID]struct{}),
-		}
-		m := &types.Message{
-			Type: types.MsgClientRequest, From: from, Batch: b, Digest: d,
-		}
+	for !cl.paused && cl.reqs.Len() < cl.window {
+		to, m := cl.reqs.Send(cl.gen.NextBatch(cl.id), now)
 		if c.clientDup && cl.id == advClientID {
 			// Duplicate storm: fan the identical request out to the whole
 			// shard — exactly what honest retransmission does, so this is
 			// legal traffic the protocol must dedupe without accusing anyone.
-			for _, to := range c.topo.Fallback(b) {
+			for _, to := range c.topo.Fallback(m.Batch) {
 				c.enqueue(from, to, m)
 			}
 			continue
 		}
-		c.enqueue(from, c.topo.Entry(b, cl.viewHint[b.Initiator()]), m)
+		c.enqueue(from, to, m)
 		if c.clientConflict && cl.id == advClientID {
 			// Conflict storm: a second batch carrying the same transaction
 			// IDs under a different digest, blasted at the whole shard.
 			// Replicas commit both digests as distinct batches (consensus
 			// is keyed by digest, so safety holds) and record
 			// client-conflict evidence naming this client. The client never
-			// tracks the variant — any votes for it are ignored above.
-			evil := harness.EquivocateBatch(b)
+			// tracks the variant — its responses answer no request.
+			evil := harness.EquivocateBatch(m.Batch)
 			em := &types.Message{
 				Type: types.MsgClientRequest, From: from,
 				Batch: evil, Digest: evil.Digest(),
 			}
-			for _, to := range c.topo.Fallback(b) {
+			for _, to := range c.topo.Fallback(m.Batch) {
 				c.enqueue(from, to, em)
 			}
 		}

@@ -169,26 +169,14 @@ func (c *Cluster) probe(budget int) (ticks int, ok bool, err error) {
 	for _, cl := range c.clients {
 		cl.paused = true
 	}
-	pc := &dclient{
-		id:       types.ClientID(c.sc.Clients + 1),
-		window:   0,
-		paused:   true,
-		inflight: make(map[types.Digest]*dflight),
-		viewHint: make(map[types.ShardID]types.View),
-	}
+	id := types.ClientID(c.sc.Clients + 1)
+	pc := &dclient{id: id, reqs: harness.NewClient(c.topo, id), paused: true}
 	c.clients = append(c.clients, pc)
 
-	from := types.ClientNode(pc.id)
-	probes := c.probeBatches(pc.id)
+	probes := c.probeBatches(id)
 	for _, b := range probes {
-		d := b.Digest()
-		pc.inflight[d] = &dflight{
-			batch: b, digest: d, sentTick: c.tick,
-			votes: make(map[types.NodeID]struct{}),
-		}
-		c.enqueue(from, c.topo.Entry(b, pc.viewHint[b.Initiator()]), &types.Message{
-			Type: types.MsgClientRequest, From: from, Batch: b, Digest: d,
-		})
+		to, m := pc.reqs.Send(b, c.clock())
+		c.enqueue(types.ClientNode(id), to, m)
 	}
 
 	start := c.tick

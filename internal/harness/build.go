@@ -265,7 +265,6 @@ func buildReplicated(cfg Config) (*cluster, error) {
 		return nil, err
 	}
 	peers := topo.shards[0]
-	n := len(peers)
 	cl := newCluster(cfg, topo)
 	net := buildFabric(cfg)
 	cl.rt = &Runtime{net: net}
@@ -275,14 +274,6 @@ func buildReplicated(cfg Config) (*cluster, error) {
 		nd.Preload(cfg.Records)
 		// No durability: a restarted baseline resumes its old instance.
 		cl.rt.slots = append(cl.rt.slots, &slot{id: id, inbox: ep.Inbox(), node: nd, rebuild: func() (Node, error) { return nd, nil }})
-	}
-	switch cfg.Protocol {
-	case ProtoRCC:
-		cl.multiPrimary = true
-	case ProtoZyzzyva:
-		cl.respNeed = n // all 3f+1 speculative responses must match
-	case ProtoPoE:
-		cl.respNeed = n - (n-1)/3 // nf matching speculative responses
 	}
 	return cl, nil
 }

@@ -77,9 +77,6 @@ type Config struct {
 	// Network model. LatencyScale compresses the 15-region GCP RTT matrix
 	// (DESIGN.md §3); 0 selects a LAN-style fixed latency.
 	LatencyScale float64
-	FixedLatency time.Duration
-	Jitter       float64
-	LossRate     float64
 	// BandwidthBps bounds each node's NIC (egress and ingress serialize at
 	// this rate); 0 = infinite. ProcTime is the per-message CPU cost at the
 	// receiver — the capacity that quadratic protocols saturate first.
@@ -89,9 +86,8 @@ type Config struct {
 	// TCP runs the cluster over real loopback TCP sockets (internal/tcpnet)
 	// instead of the simulated WAN: actual dials, the types wire codec
 	// inside length-prefixed frames, write deadlines, and the transport's
-	// redial/backoff machinery. The latency,
-	// bandwidth, jitter, and loss knobs above are ignored (the kernel is
-	// the network model).
+	// redial/backoff machinery. The latency and bandwidth knobs above are
+	// ignored (the kernel is the network model).
 	TCP bool
 	// TCPUnreachable (TCP fabric only) advertises an unreachable address
 	// for the last replica of shard 0: every peer connection to it dies
@@ -208,12 +204,6 @@ type cluster struct {
 	// byz holds each node's Byzantine mode (empty on non-nemesis runs,
 	// where nodes send directly).
 	byz map[types.NodeID]*atomic.Int32
-	// multiPrimary spreads fresh batches across every replica (RCC): client
-	// c enters at replica c mod n.
-	multiPrimary bool
-	// respNeed is the number of matching responses completing a request
-	// (f+1 by default; n for Zyzzyva's speculative fast path, nf for PoE).
-	respNeed int
 	// reg/tracers are the Instrument-run observability sinks: one shared
 	// registry, one tracer per node slot (a rebuilt node keeps its slot's).
 	reg     *obs.Registry
@@ -387,24 +377,15 @@ func typesConfig(cfg Config) types.Config {
 
 // buildNetwork assembles the simnet with the paper's region placement.
 func buildNetwork(cfg Config) *simnet.Network {
-	var lat simnet.LatencyModel
-	switch {
-	case cfg.LatencyScale > 0:
+	var lat simnet.LatencyModel = simnet.FixedLatency{D: 200 * time.Microsecond}
+	if cfg.LatencyScale > 0 {
 		lat = simnet.WANLatency{Scale: cfg.LatencyScale}
-	case cfg.FixedLatency > 0:
-		lat = simnet.FixedLatency{D: cfg.FixedLatency}
-	default:
-		lat = simnet.FixedLatency{D: 200 * time.Microsecond}
 	}
-	n := simnet.New(simnet.Options{
-		Latency: lat, Jitter: cfg.Jitter, Seed: cfg.Seed,
+	return simnet.New(simnet.Options{
+		Latency: lat, Seed: cfg.Seed,
 		NodeBps: cfg.BandwidthBps, ProcTime: cfg.ProcTime,
 		InboxSize: 1 << 16,
 	})
-	if cfg.LossRate > 0 {
-		n.SetLossRate(cfg.LossRate)
-	}
-	return n
 }
 
 // metrics collects client-side completion samples.
@@ -479,8 +460,8 @@ func (m *metrics) result(cfg Config) Result {
 }
 
 // runClient drives one closed-loop client: keep ClientWindow batches in
-// flight, wait for f+1 matching responses per batch, rebroadcast on timeout
-// (attack A1).
+// flight through a Client, timing each from its first send to its answer,
+// and rebroadcast what waits longer than 2×LocalTimeout (attack A1).
 func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) {
 	cfg := cl.cfg
 	gen := workload.New(workload.Config{
@@ -495,46 +476,10 @@ func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) 
 		Clients:        cfg.Clients,
 		Seed:           cfg.Seed + int64(id)*7919,
 	})
-	self := types.ClientNode(id)
-	region := simnet.Region(int(id) % int(simnet.NumRegions))
-	ep := cl.rt.net.Attach(self, region)
-
-	need := cl.respNeed
-	if need <= 0 {
-		need = (cfg.ReplicasPerShard-1)/3 + 1
-	}
-
-	type flight struct {
-		batch   *types.Batch
-		digest  types.Digest
-		started time.Time
-		sentAt  time.Time
-		votes   map[types.NodeID]struct{}
-	}
-	inflight := make(map[types.Digest]*flight)
-
-	// viewHint tracks the latest view observed per shard (from Response
-	// messages) so fresh requests target the current primary rather than a
-	// crashed replica 0 — standard PBFT client behaviour.
-	viewHint := make(map[types.ShardID]types.View)
-	target := func(b *types.Batch) types.NodeID {
-		v := viewHint[b.Initiator()]
-		if cl.multiPrimary {
-			v += types.View(id)
-		}
-		return cl.topo.Entry(b, v)
-	}
-	launch := func() {
-		b := gen.NextBatch(id)
-		d := b.Digest()
-		fl := &flight{batch: b, digest: d, started: time.Now(), sentAt: time.Now(), votes: make(map[types.NodeID]struct{})}
-		inflight[d] = fl
-		ep.Send(target(b), &types.Message{
-			Type: types.MsgClientRequest, From: self, Batch: b, Digest: d,
-		})
-	}
+	ep := cl.rt.net.Attach(types.ClientNode(id), simnet.Region(int(id)%int(simnet.NumRegions)))
+	c := NewClient(cl.topo, id)
 	for i := 0; i < cfg.ClientWindow; i++ {
-		launch()
+		ep.Send(c.Send(gen.NextBatch(id), time.Now()))
 	}
 
 	timeout := cfg.LocalTimeout * 2
@@ -545,35 +490,14 @@ func runClient(ctx context.Context, cl *cluster, id types.ClientID, m *metrics) 
 		case <-ctx.Done():
 			return
 		case msg := <-ep.Inbox():
-			if msg.Type != types.MsgResponse {
-				continue
-			}
-			if msg.From.Kind == types.KindReplica && msg.View > viewHint[msg.From.Shard] {
-				viewHint[msg.From.Shard] = msg.View
-			}
-			fl, ok := inflight[msg.Digest]
-			if !ok {
-				continue
-			}
-			fl.votes[msg.From] = struct{}{}
-			if len(fl.votes) >= need {
-				delete(inflight, msg.Digest)
-				m.record(len(fl.batch.Txns), time.Since(fl.started))
-				launch()
+			if r := c.Deliver(msg); r != nil {
+				m.record(len(r.Batch.Txns), time.Since(r.Started))
+				ep.Send(c.Send(gen.NextBatch(id), time.Now()))
 			}
 		case <-ticker.C:
-			now := time.Now()
-			for _, d := range types.SortedDigestKeys(inflight) {
-				fl := inflight[d]
-				if now.Sub(fl.sentAt) > timeout {
-					fl.sentAt = now
-					msg := &types.Message{
-						Type: types.MsgClientRequest, From: self,
-						Batch: fl.batch, Digest: fl.digest,
-					}
-					for _, to := range cl.topo.Fallback(fl.batch) {
-						ep.Send(to, msg)
-					}
+			for _, r := range c.Due(time.Now(), timeout) {
+				for _, to := range cl.topo.Fallback(r.Batch) {
+					ep.Send(to, r.Msg)
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 // Package simnet is the in-process network substrate: it plays the role of
 // the geo-distributed GCP deployment of the paper's evaluation (Section 8).
 // Endpoints (replicas, committee members, clients) exchange messages with
-// per-link delays drawn from a 15-region WAN latency matrix, optional
-// jitter, message loss, partitions, and crashed nodes. The simulator also
+// per-link delays drawn from a 15-region WAN latency matrix, per-link loss
+// and extra delay, partitions, crashed nodes, and an optional bandwidth and
+// per-message processing model. The simulator also
 // accounts messages and bytes per link class so the communication-complexity
 // claims (linear vs. quadratic) are directly measurable.
 package simnet
@@ -29,7 +30,6 @@ type Stats struct {
 // Network is an in-process message network. Safe for concurrent use.
 type Network struct {
 	latency LatencyModel
-	jitter  float64 // +/- fraction of delay, e.g. 0.1
 	inboxSz int
 	nodeBps float64       // per-node egress/ingress bandwidth (0 = infinite)
 	proc    time.Duration // per-message receive processing cost (0 = none)
@@ -38,20 +38,19 @@ type Network struct {
 	endpoints map[types.NodeID]*Endpoint
 	region    map[types.NodeID]Region
 	crashed   map[types.NodeID]bool
-	lossRate  float64
 	// linkDown, when non-nil, blocks delivery for (from,to) pairs it
 	// reports true for; used for partition / no-communication attacks.
 	linkDown func(from, to types.NodeID) bool
-	// linkLoss, when non-nil, returns a per-link drop probability that
-	// compounds with the global lossRate; lets a nemesis schedule storm a
-	// subset of links while the rest of the network stays healthy.
+	// linkLoss, when non-nil, returns a per-link drop probability; lets a
+	// nemesis schedule storm a subset of links while the rest of the
+	// network stays healthy.
 	linkLoss func(from, to types.NodeID) float64
 	// linkDelay, when non-nil, returns extra one-way delay added on top of
 	// the latency model for (from,to) — message-delay skews and slow-link
 	// storms, installable and removable mid-run.
 	linkDelay func(from, to types.NodeID) time.Duration
 
-	// Jitter/loss sampling draws from a pool of independent RNGs instead of
+	// Loss sampling draws from a pool of independent RNGs instead of
 	// one mutex-guarded generator: every concurrent sender gets its own
 	// stream (seeded deterministically off the base seed), so hot-path sends
 	// never serialize on a global RNG lock.
@@ -76,9 +75,8 @@ type Network struct {
 // Options configures a Network.
 type Options struct {
 	Latency   LatencyModel // default: FixedLatency{500µs}
-	Jitter    float64      // fraction of delay, default 0
 	InboxSize int          // per-endpoint buffer, default 8192
-	Seed      int64        // RNG seed for jitter/loss, default 1
+	Seed      int64        // RNG seed for loss, default 1
 
 	// NodeBps models each node's NIC: messages serialize through a FIFO
 	// egress queue at the sender and a FIFO ingress queue at the receiver
@@ -106,7 +104,6 @@ func New(opts Options) *Network {
 	}
 	n := &Network{
 		latency:     opts.Latency,
-		jitter:      opts.Jitter,
 		inboxSz:     opts.InboxSize,
 		nodeBps:     opts.NodeBps,
 		proc:        opts.ProcTime,
@@ -182,14 +179,6 @@ func (n *Network) SetCrashed(id types.NodeID, down bool) {
 	n.crashed[id] = down
 }
 
-// SetLossRate sets the probability in [0,1] that any message is dropped,
-// modelling an unreliable network (attack A2).
-func (n *Network) SetLossRate(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lossRate = p
-}
-
 // SetLinkFilter installs f as the partition predicate: messages from->to are
 // dropped while f(from,to) is true. Pass nil to clear. Models the
 // no-communication (C1) and partial-communication (C2) cross-shard attacks.
@@ -199,9 +188,9 @@ func (n *Network) SetLinkFilter(f func(from, to types.NodeID) bool) {
 	n.linkDown = f
 }
 
-// SetLossFilter installs f as a per-link loss model: the drop probability
-// for a message from->to is max(global SetLossRate, f(from,to)). Pass nil
-// to clear. Nemesis schedules use it for targeted loss storms on chosen
+// SetLossFilter installs f as a per-link loss model: a message from->to is
+// dropped with probability f(from,to), modelling an unreliable network
+// (attack A2). Pass nil to clear. Nemesis schedules use it for targeted loss storms on chosen
 // link classes.
 func (n *Network) SetLossFilter(f func(from, to types.NodeID) float64) {
 	n.mu.Lock()
@@ -230,12 +219,10 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 	dst, ok := n.endpoints[to]
 	srcRegion, dstRegion := n.region[from], n.region[to]
 	crashed := n.crashed[from] || n.crashed[to]
-	loss := n.lossRate
 	down := n.linkDown != nil && n.linkDown(from, to)
+	var loss float64
 	if n.linkLoss != nil {
-		if p := n.linkLoss(from, to); p > loss {
-			loss = p
-		}
+		loss = n.linkLoss(from, to)
 	}
 	var extraDelay time.Duration
 	if n.linkDelay != nil {
@@ -257,12 +244,9 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 		return
 	}
 	d := n.latency.Delay(srcRegion, dstRegion) + extraDelay
-	if loss > 0 || n.jitter > 0 {
+	if loss > 0 {
 		rng := n.rngPool.Get().(*rand.Rand)
-		drop := loss > 0 && rng.Float64() < loss
-		if !drop && n.jitter > 0 {
-			d += time.Duration((rng.Float64()*2 - 1) * n.jitter * float64(d))
-		}
+		drop := rng.Float64() < loss
 		n.rngPool.Put(rng)
 		if drop {
 			n.Stats.MsgsDropped.Add(1)
@@ -274,7 +258,7 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 	// serializes through the sender's egress queue, propagates for d, then
 	// serializes through the receiver's ingress queue (NIC + per-message
 	// CPU).
-	//ringbft:ignore wallclock simnet delivers in real time by design; the seed governs loss/jitter sampling only, and those draw from the per-network seeded rngPool above
+	//ringbft:ignore wallclock simnet delivers in real time by design; the seed governs loss sampling only, which draws from the per-network seeded rngPool above
 	now := time.Now()
 	var tx time.Duration
 	if n.nodeBps > 0 {

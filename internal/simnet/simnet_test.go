@@ -106,7 +106,7 @@ func TestLossRateDropsRoughlyP(t *testing.T) {
 	defer n.Close()
 	a := n.Attach(types.ReplicaNode(0, 0), Oregon)
 	b := n.Attach(types.ReplicaNode(0, 1), Oregon)
-	n.SetLossRate(0.5)
+	n.SetLossFilter(func(_, _ types.NodeID) float64 { return 0.5 })
 	const total = 2000
 	for i := 0; i < total; i++ {
 		a.Send(b.ID(), msg())

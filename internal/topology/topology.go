@@ -7,14 +7,15 @@
 // derives every node's HMAC pairs and Ed25519 identity (package crypto), so
 // replicas that load the same file authenticate each other with no runtime
 // key exchange. The invariant Parse enforces is completeness — every
-// (shard, index) in the declared shape must have an address, and the shape
-// must admit f >= 1 (n >= 4 per shard) — because a partial table would
-// surface later as silent unknown-peer drops in the transport rather than
-// as a startup error.
+// (shard, index) in the declared shape must have a non-empty address, and
+// the shape must admit f >= 1 (n >= 4 per shard) — because a partial table
+// would surface later as silent unknown-peer drops in the transport rather
+// than as a startup error.
 //
 // Protecting gates: topology_test.go rejects malformed and incomplete
-// files, and the harness' TCP suite boots real clusters from generated
-// topologies on every CI run.
+// files, FuzzParseTopology holds every accepted file to a complete table,
+// and the harness' TCP suite boots real clusters from generated topologies
+// on every CI run.
 package topology
 
 import (
@@ -64,7 +65,7 @@ func Parse(raw []byte, path string) (*Topology, error) {
 	}
 	for s := 0; s < t.Shards; s++ {
 		for i := 0; i < t.ReplicasPerShard; i++ {
-			if _, ok := t.Nodes[Key(s, i)]; !ok {
+			if t.Nodes[Key(s, i)] == "" {
 				return nil, fmt.Errorf("topology missing address for node %d/%d", s, i)
 			}
 		}

@@ -1,27 +1,27 @@
 package types
 
 // ReplyQuorum is a client's acceptance rule for one request: the request is
-// answered once f+1 distinct replicas of its batch's initiator shard have
+// answered once need distinct replicas of its batch's initiator shard have
 // responded under its digest with identical results (equal HashValues), and
-// those results are the answer. At most f replicas are faulty, so at least
-// one of the f+1 is honest; a faulty reply that arrives first is outvoted,
-// not returned.
+// those results are the answer. With need = f+1 (the default rule; at most f
+// replicas are faulty) at least one of them is honest, so a faulty reply
+// that arrives first is outvoted, not returned.
 type ReplyQuorum struct {
 	digest   Digest
 	shard    ShardID
 	replicas int // replicas per shard
 	txns     int // results a reply must carry, one per transaction
-	need     int // f+1
+	need     int // matching replies that answer
 	voted    map[NodeID]struct{}
 	tally    map[uint64]int
 }
 
-// NewReplyQuorum starts the quorum for batch b, submitted under digest d, in
-// a deployment of replicas replicas per shard.
-func NewReplyQuorum(b *Batch, d Digest, replicas int) *ReplyQuorum {
+// NewReplyQuorum starts the quorum of need matching replies for batch b,
+// submitted under digest d, in a deployment of replicas replicas per shard.
+func NewReplyQuorum(b *Batch, d Digest, replicas, need int) *ReplyQuorum {
 	return &ReplyQuorum{
 		digest: d, shard: b.Initiator(), replicas: replicas, txns: len(b.Txns),
-		need:  (replicas-1)/3 + 1,
+		need:  need,
 		voted: make(map[NodeID]struct{}),
 		tally: make(map[uint64]int),
 	}

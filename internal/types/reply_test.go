@@ -11,7 +11,7 @@ func TestReplyQuorumOutvotesMismatchFirst(t *testing.T) {
 		Involved: []ShardID{1},
 	}
 	d := b.Digest()
-	q := NewReplyQuorum(b, d, 4) // f = 1: two matching replies answer
+	q := NewReplyQuorum(b, d, 4, 2) // f = 1: two matching replies answer
 	resp := func(from NodeID, v Value) *Message {
 		return &Message{Type: MsgResponse, From: from, Digest: d, Results: []Value{v}}
 	}

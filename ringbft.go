@@ -161,11 +161,13 @@ type Cluster struct {
 	clients int
 }
 
-// client is one of Submit's client identities and its endpoint.
+// client is one of Submit's client identities: its endpoint and its
+// request table, whose view hint outlives each Submit.
 type client struct {
-	id  types.ClientID
-	ep  *simnet.Endpoint
-	seq uint64 // the last TxnID.Seq stamped; reusing one would read as a client conflict
+	id   types.ClientID
+	ep   *simnet.Endpoint
+	reqs *harness.Client
+	seq  uint64 // the last TxnID.Seq stamped; reusing one would read as a client conflict
 }
 
 // clientRebroadcast is how long Submit waits on the contacted replica before
@@ -289,17 +291,14 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 		cl.seq++
 		txns[i].ID = TxnID{Client: cl.id, Seq: cl.seq}
 	}
-	b := &Batch{Txns: txns, Involved: involved}
-	d := b.Digest()
-	req := &types.Message{Type: types.MsgClientRequest, From: types.ClientNode(cl.id), Batch: b, Digest: d}
-	cl.ep.Send(c.topo.Entry(b, 0), req)
+	to, req := cl.reqs.Send(&Batch{Txns: txns, Involved: involved}, time.Now())
+	defer cl.reqs.Drop(req.Digest)
+	cl.ep.Send(to, req)
 
 	deadline := time.NewTimer(c.cfg.SubmitTimeout)
 	defer deadline.Stop()
-	rebroadcast := time.NewTicker(clientRebroadcast)
+	rebroadcast := time.NewTicker(clientRebroadcast / 2)
 	defer rebroadcast.Stop()
-
-	replies := types.NewReplyQuorum(b, d, c.cfg.ReplicasPerShard)
 	for {
 		select {
 		case <-ctx.Done():
@@ -308,14 +307,16 @@ func (c *Cluster) Submit(ctx context.Context, txns ...Txn) ([]Value, error) {
 			return nil, fmt.Errorf("%w after %v", ErrTimeout, c.cfg.SubmitTimeout)
 		case <-rebroadcast.C:
 			// Attack A1: the client cannot wait on the primary forever.
-			for _, to := range c.topo.Fallback(b) {
-				cl.ep.Send(to, req)
+			for _, r := range cl.reqs.Due(time.Now(), clientRebroadcast) {
+				for _, to := range c.topo.Fallback(r.Batch) {
+					cl.ep.Send(to, r.Msg)
+				}
 			}
 		case m := <-cl.ep.Inbox():
 			// A reused client may still hold late replies to its earlier
-			// batches; the quorum tells them apart by digest.
-			if result, ok := replies.Add(m); ok {
-				return result, nil
+			// batches; they answer nothing.
+			if r := cl.reqs.Deliver(m); r != nil {
+				return r.Results, nil
 			}
 		}
 	}
@@ -333,7 +334,8 @@ func (c *Cluster) takeClient() *client {
 	c.clients++
 	id := types.ClientID(c.clients)
 	c.mu.Unlock()
-	return &client{id: id, ep: c.net.Attach(types.ClientNode(id), simnet.Region(int(id)%int(simnet.NumRegions)))}
+	ep := c.net.Attach(types.ClientNode(id), simnet.Region(int(id)%int(simnet.NumRegions)))
+	return &client{id: id, ep: ep, reqs: harness.NewClient(c.topo, id)}
 }
 
 // putClient makes cl idle again.
