@@ -104,11 +104,11 @@ bench-store:
 	$(GO) test -run XXX -bench 'BenchmarkCheckpointDigest' -benchmem -benchtime 300ms ./internal/ringbft/
 
 # The cross-shard path's handlers: one Forward and one Execute copy, one
-# timer pass over 4,096 executed csts and 8 in flight, and a Commit that
-# lands after its entry committed.
+# timer pass over 4,096 executed csts and 8 in flight, a Commit before and
+# one after its entry committed, and the set-up of 3×4 replicas.
 bench-ring:
-	$(GO) test -run XXX -bench 'BenchmarkForwardCopy|BenchmarkExecuteCopy|BenchmarkHandleTick' -benchmem -benchtime 300ms ./internal/ringbft/
-	$(GO) test -run XXX -bench 'BenchmarkCommitAfterDecision' -benchmem -benchtime 300ms ./internal/pbft/
+	$(GO) test -run XXX -bench 'BenchmarkForwardCopy|BenchmarkExecuteCopy|BenchmarkHandleTick|BenchmarkReplicaSetup' -benchmem -benchtime 300ms ./internal/ringbft/
+	$(GO) test -run XXX -bench 'BenchmarkCommitBeforeDecision|BenchmarkCommitAfterDecision' -benchmem -benchtime 300ms ./internal/pbft/
 
 # Live-cluster observability smoke: loopback-TCP cluster, real client
 # traffic, scrape /metrics, assert per-layer series (see the script).

@@ -95,7 +95,7 @@ type Committee struct {
 type committeeCst struct {
 	batch    *types.Batch
 	gseq     types.SeqNum
-	cert     []types.Signed
+	cert     *pbft.Cert
 	ordered  bool
 	votes    map[types.ShardID]map[types.NodeID]struct{}
 	decided  bool // decision proposed/committed
@@ -161,10 +161,7 @@ func (c *Committee) HandleTick(now time.Time) {
 		cst := c.csts[d]
 		if cst.ordered && !cst.decided && now.Sub(cst.lastNudge) > c.Cfg.RemoteTimeout {
 			cst.lastNudge = now
-			c.broadcastToShards(cst.batch, &types.Message{
-				Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
-				Seq: cst.gseq, Digest: cst.batch.Digest(), Batch: cst.batch, Cert: cst.cert,
-			})
+			c.broadcastPrepare(cst)
 		}
 	}
 }
@@ -188,10 +185,7 @@ func (c *Committee) onClientRequest(m *types.Message) {
 	if ok && cst.ordered {
 		// Ordered but votes/decision still in flight: re-broadcast the
 		// prepare so shards resend votes.
-		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
-			Seq: cst.gseq, Digest: d, Batch: cst.batch, Cert: cst.cert,
-		})
+		c.broadcastPrepare(cst)
 		return
 	}
 	c.Enqueue(b, d)
@@ -200,7 +194,7 @@ func (c *Committee) onClientRequest(m *types.Message) {
 // onCommitted handles both committee consensus outcomes: a freshly ordered
 // cst (phase 1: broadcast AHLPrepare) and a committed decision batch
 // (phase 3: broadcast AHLDecision).
-func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []types.Signed) {
+func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert *pbft.Cert) {
 	c.tracker.Committed(c.PBFT, seq, batch)
 	if d, commit, ok := parseDecision(batch); ok {
 		cst, ok := c.csts[d]
@@ -241,10 +235,7 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []typ
 	cst.lastNudge = c.Clock() // the ordering broadcast below counts as attempt one
 	// Phase 1 of 2PC: prepare at every replica of every involved shard. The
 	// commit certificate makes the order transferable.
-	c.broadcastToShards(batch, &types.Message{
-		Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
-		Seq: seq, Digest: d, Batch: batch, Cert: cert,
-	})
+	c.broadcastPrepare(cst)
 	if cst.decided && !cst.notified {
 		// The decision committed before the ordering did (deferred above).
 		cst.notified = true
@@ -255,6 +246,22 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert []typ
 		return
 	}
 	c.maybeDecide(cst)
+}
+
+// broadcastPrepare sends cst's AHLPrepare to every replica of every involved
+// shard. Those replicas verify the certificate it carries on arrival, so the
+// committee proves it first; while fewer than nf of its held signatures
+// verify nothing is sent, and the HandleTick nudge tries again once later
+// Commits have brought more.
+func (c *Committee) broadcastPrepare(cst *committeeCst) {
+	proof := cst.cert.Prove(c.Verifier)
+	if proof == nil {
+		return
+	}
+	c.broadcastToShards(cst.batch, &types.Message{
+		Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
+		Seq: cst.gseq, Digest: cst.batch.Digest(), Batch: cst.batch, Cert: proof,
+	})
 }
 
 // broadcastToShards signs m and sends it to every replica of every shard

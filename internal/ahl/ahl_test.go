@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ringbft/internal/crypto"
+	"ringbft/internal/pbft"
 	"ringbft/internal/types"
 )
 
@@ -53,6 +54,8 @@ type ahlCluster struct {
 	queue  []routedMsg
 	client map[types.NodeID][]*types.Message
 	now    time.Time
+	// tamper, when set, rewrites each message before delivery.
+	tamper func(to types.NodeID, m *types.Message) *types.Message
 }
 
 type routedMsg struct {
@@ -123,6 +126,9 @@ func (c *ahlCluster) pump() {
 		q := c.queue
 		c.queue = nil
 		for _, r := range q {
+			if c.tamper != nil {
+				r.m = c.tamper(r.to, r.m)
+			}
 			if r.to.Kind == types.KindClient {
 				c.client[r.to] = append(c.client[r.to], r.m)
 				continue
@@ -223,4 +229,53 @@ func heightOf(t *testing.T, c *ahlCluster, id types.NodeID) int {
 		t.Fatalf("%v is not a replica", id)
 	}
 	return r.Chain().Height()
+}
+
+// TestAHLCommitteeProvesPrepare: a committee member signs garbage on its
+// Commits while their MACs stay valid, so its peers decide on certificates
+// that hold the garbage. Shard replicas verify every AHLPrepare's
+// certificate, so the committee proves it first: an honest member whose
+// proof needs the late honest Commit sends nothing at the decision and
+// sends on its next nudge, every AHLPrepare on the wire carries a
+// certificate that verifies, and the 2PC completes. (The faulty member's
+// own certificate holds its real signature and proves at once.)
+func TestAHLCommitteeProvesPrepare(t *testing.T) {
+	c := newAHLCluster(t, 2, 4)
+	bad := types.CommitteeNode(2)
+	var prepares []*types.Message
+	c.tamper = func(_ types.NodeID, m *types.Message) *types.Message {
+		switch {
+		case m.Type == types.MsgCommit && m.From == bad && len(m.Sig) > 0:
+			cp := *m
+			cp.Sig = make([]byte, len(m.Sig))
+			return &cp
+		case m.Type == types.MsgAHLPrepare:
+			prepares = append(prepares, m)
+		}
+		return m
+	}
+	b := mkBatch(1, 2, []types.ShardID{0, 1}, 5)
+	c.queue = append(c.queue, routedMsg{types.CommitteeNode(0), &types.Message{
+		Type: types.MsgClientRequest, From: types.ClientNode(1), Batch: b, Digest: b.Digest(),
+	}})
+	c.pump()
+	for _, m := range prepares {
+		if m.From != bad {
+			t.Fatalf("honest member %v sent an AHLPrepare at the decision; setup wants every honest certificate to hold the garbage", m.From)
+		}
+	}
+	c.now = c.now.Add(c.cfg.RemoteTimeout + time.Millisecond)
+	for i := 0; i < c.cfg.ReplicasPerShard; i++ {
+		c.members[types.CommitteeNode(i)].HandleTick(c.now)
+	}
+	c.pump()
+	if got := c.responses(1, b.Digest()); got < c.cfg.F()+1 {
+		t.Fatalf("client got %d responses, want >= %d", got, c.cfg.F()+1)
+	}
+	v := c.members[types.ReplicaNode(0, 0)].(*Replica).Verifier
+	for _, m := range prepares {
+		if err := pbft.VerifyCert(v, types.CommitteeShard, m.Digest, m.Cert, c.cfg.NF()); err != nil {
+			t.Fatalf("AHLPrepare from %v carries a certificate that does not verify: %v", m.From, err)
+		}
+	}
 }

@@ -260,7 +260,7 @@ func (r *Replica) sendVote(d types.Digest) {
 // onCommitted: local replication done. Single-shard batches execute in
 // order; cross-shard batches emit the vote (2PC phase 2) and block the
 // execution pipeline until the decision lands.
-func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ []types.Signed) {
+func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ *pbft.Cert) {
 	r.Commit(seq, batch)
 	if batch.IsCrossShard() {
 		d := batch.Digest()

@@ -104,6 +104,15 @@ const (
 	// justification, or receivers short of their own Forward quorum reject
 	// the NewView and accuse its honest primary. RingBFT only.
 	FaultByzGarbageCert Fault = "byz-garbage-cert"
+	// FaultByzBadCommitSig makes one replica of shard 0 sign garbage on its
+	// cross-shard Commits while their MACs stay valid, and crashes shard 1's
+	// primary while that runs. Shard 0's replicas count the garbage votes and
+	// can forward certificates holding them, so shard 1's view change finds
+	// no candidate that verifies: its replicas must complain upstream until
+	// a re-proven Forward arrives, and shard 0's replicas must prove their
+	// certificates before retransmitting them, or the restarted primary
+	// accuses an honest one. RingBFT only.
+	FaultByzBadCommitSig Fault = "byz-bad-commit-sig"
 )
 
 // Faults lists every fault class, matrix order.
@@ -113,7 +122,7 @@ func Faults() []Fault {
 		FaultLossStorm, FaultDelaySkew, FaultCrashRestart, FaultWipeRejoin,
 		FaultByzSilent, FaultByzEquivocate, FaultByzNewView,
 		FaultClientDuplicate, FaultClientConflict, FaultPipelineViewChange,
-		FaultByzGarbageCert,
+		FaultByzGarbageCert, FaultByzBadCommitSig,
 	}
 }
 
@@ -230,6 +239,7 @@ const (
 	OpClientConflict            // the adversarial client pairs every fresh request with a conflicting same-TxnID variant
 	OpHeal                      // clear partitions, loss, delay, Byzantine modes, and client faults
 	OpByzGarbageCert            // replica (Shard, Index) zeroes the certificate signatures of its Forwards
+	OpByzBadCommitSig           // replica (Shard, Index) zeroes the signatures of its cross-shard Commits
 )
 
 func (o Op) String() string {
@@ -262,6 +272,8 @@ func (o Op) String() string {
 		return "heal"
 	case OpByzGarbageCert:
 		return "byz-garbage-cert"
+	case OpByzBadCommitSig:
+		return "byz-bad-commit-sig"
 	}
 	return "?"
 }
@@ -391,6 +403,19 @@ func BuildSchedule(sc Scenario) Schedule {
 		// certificate the NewView carries.
 		crash := (start + heal) / 2
 		add(Event{At: start, Op: OpByzGarbageCert, Shard: 0, Index: 1})
+		add(Event{At: crash, Op: OpCrash, Shard: 1, Index: 0})
+		add(Event{At: crash + 16, Op: OpRestart, Shard: 1, Index: 0})
+		add(Event{At: heal, Op: OpHeal})
+	case FaultByzBadCommitSig:
+		// The same crash as byz-garbage-cert, so shard 1's view change
+		// consumes shard 0's certificates; here shard 0's honest replicas
+		// build the garbage into them themselves. The signer is on lane 0,
+		// whose recipient is the primary that crashes: while it is down
+		// nobody relays the signer's own Forward, the one copy whose
+		// certificate cannot hold its garbage, so shard 1 can be left with
+		// garbage-holding candidates only.
+		crash := (start + heal) / 2
+		add(Event{At: start, Op: OpByzBadCommitSig, Shard: 0, Index: 0})
 		add(Event{At: crash, Op: OpCrash, Shard: 1, Index: 0})
 		add(Event{At: crash + 16, Op: OpRestart, Shard: 1, Index: 0})
 		add(Event{At: heal, Op: OpHeal})

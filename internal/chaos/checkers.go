@@ -126,9 +126,10 @@ func ExpectedCulprits(sched Schedule) Expectation {
 	required := make(map[types.NodeID]bool)
 	for _, e := range sched.Events {
 		switch e.Op {
-		case OpByzSilent, OpByzGarbageCert:
+		case OpByzSilent, OpByzGarbageCert, OpByzBadCommitSig:
 			// Faulty but unprovable: silence looks like a slow network, and
-			// no evidence kind records a Forward's garbage certificate.
+			// no evidence kind records a Forward's garbage certificate or a
+			// Commit's garbage signature.
 			exp.Culprits[types.ReplicaNode(e.Shard, e.Index)] = true
 		case OpByzEquivocate, OpByzNewView:
 			id := types.ReplicaNode(e.Shard, e.Index)

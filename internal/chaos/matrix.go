@@ -150,7 +150,29 @@ func RunScenario(sc Scenario) (*RunResult, error) {
 		CheckConvergence(res.States, convergenceQuorum(sc))...)
 	res.Violations = append(res.Violations,
 		CheckAccountability(res.States, ExpectedCulprits(sched))...)
+	res.Violations = append(res.Violations, c.checkFootprint()...)
 	return res, nil
+}
+
+// checkFootprint asserts that a byz-bad-commit-sig run exercised what it
+// exists for: an honest replica forwarded a certificate holding the garbage
+// Commit signature, and an honest replica later retransmitted that Forward
+// with its certificate proven. A run without both passes for the wrong
+// reason.
+func (c *Cluster) checkFootprint() []Violation {
+	if c.sc.Fault != FaultByzBadCommitSig {
+		return nil
+	}
+	var out []Violation
+	if c.garbageForwards == 0 {
+		out = append(out, Violation{"footprint",
+			"no honest replica forwarded a certificate holding the garbage Commit signature"})
+	}
+	if c.reproven == 0 {
+		out = append(out, Violation{"footprint",
+			"no honest replica retransmitted a garbage-holding Forward with its certificate proven"})
+	}
+	return out
 }
 
 // convergenceQuorum is how many fully agreeing replicas each shard must
@@ -240,17 +262,17 @@ func (c *Cluster) probeBatches(cid types.ClientID) []*types.Batch {
 // round. Still deliberately excluded (documented in EXPERIMENTS.md): an
 // equivocating primary wedges both baselines (they carry no justification
 // evidence — nothing like RingBFT's Forward certificate — to gate
-// cross-shard proposals on), byz-newview, byz-garbage-cert and the
-// client-fault classes need the justification gate, the ring's Forward
-// certificates and client-conflict detection only RingBFT implements, and
-// Sharper's global all-to-all rounds do not recover from asymmetric
-// partitions or a silent primary on every seed. Seeds vary per protocol so
-// the schedules decorrelate.
+// cross-shard proposals on), byz-newview, byz-garbage-cert,
+// byz-bad-commit-sig and the client-fault classes need the justification
+// gate, the ring's Forward certificates and client-conflict detection only
+// RingBFT implements, and Sharper's global all-to-all rounds do not recover
+// from asymmetric partitions or a silent primary on every seed. Seeds vary
+// per protocol so the schedules decorrelate.
 func Matrix() []Scenario {
 	var out []Scenario
 	for _, f := range Faults() {
-		if f == FaultByzGarbageCert {
-			continue // one row, on the 3-shard frontier below
+		if f == FaultByzGarbageCert || f == FaultByzBadCommitSig {
+			continue // one row each, on the 3-shard frontier below
 		}
 		out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: f, Seed: 1})
 	}
@@ -266,6 +288,11 @@ func Matrix() []Scenario {
 	// that skipped the proof would ship the garbage and the restarted
 	// replica would accuse that honest primary.
 	out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: FaultByzGarbageCert, Seed: 4, Shards: 3})
+	// Seed 24 is one where every candidate shard 1's view change can reach
+	// holds the garbage signature, so its replicas complain until shard 0's
+	// replicas answer with re-proven Forwards; a Prove that skipped the
+	// check would leave the garbage in place, and the footprint check fails.
+	out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: FaultByzBadCommitSig, Seed: 24, Shards: 3})
 	// Pipelined frontier: the deep-window rows run the whole workload with
 	// a bounded in-flight window and adaptive batching armed, under faults
 	// that deliberately hit mid-window (a dark primary, a crash-restart).

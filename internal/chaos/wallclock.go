@@ -92,6 +92,8 @@ func applyWallClock(ctl *harness.Controller, e Event) {
 		ctl.SetByzantine(types.ReplicaNode(e.Shard, e.Index), harness.ByzNewView)
 	case OpByzGarbageCert:
 		ctl.SetByzantine(types.ReplicaNode(e.Shard, e.Index), harness.ByzGarbageCert)
+	case OpByzBadCommitSig:
+		ctl.SetByzantine(types.ReplicaNode(e.Shard, e.Index), harness.ByzBadCommitSig)
 	case OpClientDuplicate, OpClientConflict:
 		// Client faults are deterministic-engine behaviours: the wall-clock
 		// harness drives its own closed-loop clients, which these ops cannot

@@ -37,6 +37,12 @@ const (
 	// the next shard; honest replicas must never let the garbage reach a
 	// view-change or NewView justification, nor complain upstream on it.
 	ByzGarbageCert
+	// ByzBadCommitSig zeroes the signature of every outbound cross-shard
+	// Commit and keeps the MAC beside it, which covers only the canonical
+	// tuple and still verifies. Peers count the vote on its MAC, so the
+	// garbage can enter their unproven certificates; honest replicas must
+	// prove a certificate before anyone checks it.
+	ByzBadCommitSig
 )
 
 // Intercept applies Byzantine mode to one message node self sends to to: it
@@ -63,6 +69,12 @@ func Intercept(mode ByzMode, self types.NodeID, a crypto.Authenticator, to types
 		if m.Type == types.MsgForward && len(m.Cert) > 0 {
 			cp := *m
 			cp.Cert = types.ZeroedCert(m.Cert)
+			return &cp
+		}
+	case ByzBadCommitSig:
+		if m.Type == types.MsgCommit && len(m.Sig) > 0 {
+			cp := *m
+			cp.Sig = make([]byte, len(m.Sig))
 			return &cp
 		}
 	case ByzNone:

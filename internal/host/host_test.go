@@ -65,7 +65,7 @@ func newTestShard(t *testing.T, depth int, tweak func(o *Options)) *testShard {
 			Send:    func(to types.NodeID, m *types.Message) { s.queue = append(s.queue, routed{to, m}) },
 			Clock:   func() time.Time { return s.now },
 			Handler: nd,
-			Callbacks: pbft.Callbacks{Committed: func(seq types.SeqNum, b *types.Batch, _ []types.Signed) {
+			Callbacks: pbft.Callbacks{Committed: func(seq types.SeqNum, b *types.Batch, _ *pbft.Cert) {
 				nd.Settle(b)
 				nd.commits[seq] = b.Digest()
 			}},

@@ -22,7 +22,7 @@ func BenchmarkConsensusRound(b *testing.B) {
 	for i := range trackers {
 		trackers[i] = NewCheckpointTracker(64)
 		i := i
-		h.engines[i].cb.Committed = func(seq types.SeqNum, bb *types.Batch, _ []types.Signed) {
+		h.engines[i].cb.Committed = func(seq types.SeqNum, bb *types.Batch, _ *Cert) {
 			trackers[i].Committed(h.engines[i], seq, bb)
 		}
 	}
@@ -65,12 +65,39 @@ func BenchmarkCommitAfterDecision(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitBeforeDecision is a replica's cost of a peer's cross-shard
+// Commit for an entry it has prepared but not decided: the nf-1 peer
+// Commits of every decision, at every replica. Each iteration forgets the
+// vote again, so the entry stays one vote short of nf. The memo is off: that
+// Commit's signature has never been seen.
+func BenchmarkCommitBeforeDecision(b *testing.B) {
+	h := newHarness(&testing.T{}, 4)
+	isolateCommits(h, 1)
+	batch := crossBatchOf(1)
+	if _, err := h.engines[0].Propose(batch); err != nil {
+		b.Fatal(err)
+	}
+	h.pump()
+	e := h.engines[1]
+	ent := e.log[1]
+	if !ent.prepared || ent.committed {
+		b.Fatal("replica 1 is not prepared and undecided")
+	}
+	vote := h.commitFrom(2, 1, 0, 1, batch.Digest(), true)
+	e.verifier.SetMemoSize(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		delete(ent.commits, vote.From)
+		e.OnMessage(vote)
+	}
+}
+
 func BenchmarkVerifyCommitCert(b *testing.B) {
 	h := newHarness(&testing.T{}, 4)
 	var cert []types.Signed
 	var digest types.Digest
-	h.engines[1].cb.Committed = func(_ types.SeqNum, bb *types.Batch, c []types.Signed) {
-		cert, digest = c, bb.Digest()
+	h.engines[1].cb.Committed = func(_ types.SeqNum, bb *types.Batch, c *Cert) {
+		cert, digest = c.Unproven(), bb.Digest()
 	}
 	if _, err := h.engines[0].Propose(crossBatchOf(1)); err != nil {
 		b.Fatal(err)

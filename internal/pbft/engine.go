@@ -9,21 +9,24 @@
 //
 // Message authentication follows the paper's split (Section 3): traffic that
 // never leaves the shard carries pairwise MACs, and Ed25519 signatures are
-// spent only where a proof must travel. PrePrepare and Prepare are always
-// MAC'd. A Commit follows its batch: for a single-shard batch it carries the
-// MAC vector too and the host gets no certificate; for a cross-shard batch it
-// is also signed, because nf signed Commit messages form the transferable
-// commit certificate A that Forward messages present to the next shard
-// (Fig 5 line 16). Only an undecided entry checks that signature: a replica
-// that has already committed checks the MAC alone before answering the
-// Commit. Checkpoint, ViewChange, and NewView are signed (their quorums are
-// re-assembled into certificates for state transfer and NewView
-// justification). Every signature check goes through the replica's
-// crypto.Verifier, so a signature is verified at most once per replica.
+// spent only where a proof must travel. PrePrepare, Prepare and Commit are
+// always MAC'd, and every vote counts on its MAC. A Commit of a cross-shard
+// batch is also signed, because nf signed Commit messages form the
+// transferable commit certificate A that Forward messages present to the
+// next shard (Fig 5 line 16), but the engine does not verify that signature:
+// it decides once nf MAC-authenticated Commits each carry one, hands the host
+// that unproven certificate, and keeps every later Commit signature for the
+// entry (see Cert). A host proves the certificate (Cert.Prove) only when it
+// hands it to someone who will check it. Checkpoint, ViewChange, and NewView
+// are signed and verified on arrival (their quorums are re-assembled into
+// certificates for state transfer and NewView justification). Every
+// signature check goes through the replica's crypto.Verifier, so a signature
+// is verified at most once per replica.
 package pbft
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ringbft/internal/crypto"
@@ -39,9 +42,10 @@ type Callbacks struct {
 	// that sequence gathers nf Commit messages. Calls may arrive out of
 	// sequence order: RingBFT's lock manager (π, k_max) restores order
 	// where it matters (Fig 5 lines 17-28). For a cross-shard batch cert
-	// holds the nf signed Commit tuples proving the decision; a single-shard
+	// holds the signed Commits behind the decision, unverified, and keeps
+	// collecting later ones; the host owns it from here on. A single-shard
 	// batch commits on MAC-authenticated votes and cert is nil.
-	Committed func(seq types.SeqNum, batch *types.Batch, cert []types.Signed)
+	Committed func(seq types.SeqNum, batch *types.Batch, cert *Cert)
 	// ViewChanged fires when the replica installs a new view.
 	ViewChanged func(v types.View)
 	// Stabilized fires when a checkpoint becomes stable through nf matching
@@ -92,9 +96,9 @@ type Callbacks struct {
 	UnjustifiedNewView func(m *types.Message, p types.PreparedProof)
 }
 
-// commitVote is one replica's authenticated Commit for an entry, tagged with
-// the digest it voted for. signed votes carry the Ed25519 signature a
-// certificate needs; the rest were MAC-authenticated to this replica only.
+// commitVote is one replica's MAC-authenticated Commit for an entry, tagged
+// with the digest it voted for. signed votes carry the Ed25519 signature a
+// certificate needs, unverified.
 type commitVote struct {
 	digest types.Digest
 	signed bool
@@ -103,8 +107,8 @@ type commitVote struct {
 
 // needsCert reports whether committing b must yield a transferable
 // certificate: only a cross-shard batch's decision is ever presented to
-// another shard, so only its Commits are signed and only signed votes count
-// toward its quorum.
+// another shard, so only its Commits are signed and only votes carrying a
+// signature count toward its quorum.
 func needsCert(b *types.Batch) bool { return b != nil && b.IsCrossShard() }
 
 // entry is one slot of the consensus log. Prepare and Commit votes are
@@ -122,7 +126,10 @@ type entry struct {
 	commits     map[types.NodeID]commitVote
 	prepared    bool
 	committed   bool
-	firstSeen   time.Time
+	// cert is the decided cross-shard entry's certificate, handed to the
+	// host by Committed; later Commits add their signatures to it.
+	cert      *Cert
+	firstSeen time.Time
 	// helped tracks the view in which a straggler catch-up Commit was last
 	// re-sent per peer (see replyCommit).
 	helped map[types.NodeID]types.View
@@ -590,14 +597,12 @@ func (e *Engine) maybePrepared(seq types.SeqNum, ent *entry) {
 		Type: types.MsgCommit, From: e.self, Shard: e.shard,
 		View: ent.view, Seq: seq, Digest: ent.digest,
 	}
-	vote := commitVote{digest: ent.digest}
 	if needsCert(ent.batch) {
-		// The one signature is what the certificate needs; the MAC beside it
-		// is all a peer that already decided checks (see onCommit).
+		// The one signature is what the certificate needs; peers count the
+		// vote on the MAC beside it (see onCommit).
 		c.Sig = crypto.SignMessage(e.auth, c)
-		vote.signed, vote.sig = true, c.Sig
 	}
-	ent.commits[e.self] = vote
+	ent.commits[e.self] = commitVote{digest: ent.digest, signed: needsCert(ent.batch), sig: c.Sig}
 	e.broadcastMAC(c)
 	e.maybeCommitted(seq, ent)
 }
@@ -611,45 +616,36 @@ func (e *Engine) onCommit(m *types.Message) {
 	if e.inViewChange || m.View != e.view {
 		return
 	}
-	if ent, ok := e.log[m.Seq]; ok && ent.committed {
-		// Decided: the Commit can no longer become a vote, and the straggler
-		// reply (see onPrepare) needs only its sender authenticated to us.
-		// In the fault-free case the last peer's Commit always lands here, so
-		// a MAC check replaces what would be an Ed25519 verification.
-		if ent.digest == m.Digest && crypto.VerifyMessageMAC(e.auth, m) == nil {
-			e.replyCommit(m.From, m.Seq, ent)
-		}
+	// Every Commit counts on its MAC. A signature beside it is stored
+	// unverified: it matters only once the certificate leaves the shard, and
+	// whoever hands it on proves it then (Cert.Prove).
+	if crypto.VerifyMessageMAC(e.auth, m) != nil {
 		return
 	}
-	signed, err := e.verifyCommit(m)
-	if err != nil {
+	if ent, ok := e.log[m.Seq]; ok && ent.committed {
+		// Decided: the Commit can no longer become a vote, but its signature
+		// may still be the one a proof needs, and the straggler reply (see
+		// onPrepare) needs only its sender authenticated to us.
+		if ent.digest == m.Digest {
+			ent.cert.hold(m)
+			e.replyCommit(m.From, m.Seq, ent)
+		}
 		return
 	}
 	ent := e.getEntry(m.Seq)
 	if ent.preprepared && ent.digest != m.Digest {
 		return
 	}
-	// One vote per sender, except that a signed Commit replaces a MAC'd one:
-	// the weaker authenticator must not shadow the one a certificate needs.
+	// One vote per sender, except that a signed Commit replaces an unsigned
+	// one: the weaker vote must not shadow the one a certificate needs. A
+	// Commit without a MAC passed the check only under NopAuth, which
+	// produces no signatures either, and counts as signed.
+	signed := len(m.Sig) > 0 || len(m.MAC) == 0
 	if prev, dup := ent.commits[m.From]; dup && (prev.signed || !signed) {
 		return
 	}
 	ent.commits[m.From] = commitVote{digest: m.Digest, signed: signed, sig: m.Sig}
 	e.maybeCommitted(m.Seq, ent)
-}
-
-// verifyCommit checks the authenticator a vote is counted on and reports
-// whether the vote is signed. A Commit carrying a signature — every Commit
-// of a cross-shard batch — is held to it, whatever MAC rides beside it, so
-// a valid MAC never launders a bad signature into a vote; a Commit with
-// only a MAC (single-shard batches) is an unsigned vote, which never
-// certifies; and a Commit with neither falls to the signature check, so
-// stripping the authenticator never downgrades it.
-func (e *Engine) verifyCommit(m *types.Message) (signed bool, err error) {
-	if len(m.Sig) > 0 || len(m.MAC) == 0 {
-		return true, crypto.VerifyMessageSig(e.auth, m)
-	}
-	return false, crypto.VerifyMessageMAC(e.auth, m)
 }
 
 // replyCommit re-sends this replica's Commit for an already-committed
@@ -695,8 +691,8 @@ func (e *Engine) replyCommit(to types.NodeID, seq types.SeqNum, ent *entry) {
 
 // maybeCommitted fires the Committed callback once nf Commits match a
 // prepared entry. A cross-shard entry counts signed votes only and hands the
-// host the commit certificate A (Fig 5 line 16); a single-shard entry counts
-// every authenticated vote and hands over no certificate.
+// host its unproven commit certificate A (Fig 5 line 16); a single-shard
+// entry counts every authenticated vote and hands over no certificate.
 func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 	if ent.committed || !ent.preprepared {
 		return
@@ -721,29 +717,12 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 	}
 	ent.committed = true
 	e.observe(seq, trace.PhaseCommit)
-	if e.cb.Committed == nil {
-		return
-	}
-	var cert []types.Signed
 	if certify {
-		// Canonical voter order: the certificate travels in messages, so its
-		// layout must not depend on map iteration order (replay divergence).
-		cert = make([]types.Signed, 0, e.nf)
-		for _, from := range types.SortedNodeKeys(ent.commits) {
-			cv := ent.commits[from]
-			if cv.digest != ent.digest || !cv.signed {
-				continue
-			}
-			cert = append(cert, types.Signed{
-				From: from, Type: types.MsgCommit, Shard: e.shard,
-				View: ent.view, Seq: seq, Digest: ent.digest, Sig: cv.sig,
-			})
-			if len(cert) == e.nf {
-				break
-			}
-		}
+		ent.cert = e.newCert(seq, ent)
 	}
-	e.cb.Committed(seq, ent.batch, cert)
+	if e.cb.Committed != nil {
+		e.cb.Committed(seq, ent.batch, ent.cert)
+	}
 }
 
 // VerifyCert checks a commit certificate allegedly produced by the replicas
@@ -762,8 +741,9 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 	}
 
 	// Structural pass (no crypto): keep entries with the right type, shard,
-	// and digest, group them by (view, seq) — an honest certificate forms a
-	// single group — and drop duplicate senders and non-members of shard.
+	// and digest from members of shard, and group them by (view, seq) — an
+	// honest certificate forms a single group. A sender may appear more than
+	// once; it counts once, on any of its entries that verifies.
 	type group struct {
 		view    types.View
 		seq     types.SeqNum
@@ -790,28 +770,32 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 			g = &group{view: s.View, seq: s.Seq, seen: make(map[types.NodeID]struct{}, quorum)}
 			groups = append(groups, g)
 		}
-		if _, dup := g.seen[s.From]; dup {
-			continue
-		}
 		g.seen[s.From] = struct{}{}
 		g.entries = append(g.entries, s)
 	}
 
 	bestValid, bestStructural, checked := 0, 0, false
+	var sb [types.SigBytesLen]byte
+	var buf [8]types.NodeID // the valid senders of a group; a quorum fits
 	for _, g := range groups {
-		if len(g.entries) > bestStructural {
-			bestStructural = len(g.entries)
+		if len(g.seen) > bestStructural {
+			bestStructural = len(g.seen)
 		}
-		if len(g.entries) < quorum {
+		if len(g.seen) < quorum {
 			continue
 		}
 		checked = true
-		valid := v.VerifyQuorum(g.entries, quorum)
-		if valid >= quorum {
-			return nil
+		valid := buf[:0]
+		for _, s := range g.entries {
+			if slices.Contains(valid, s.From) || v.Verify(s.From, s.AppendSigBytes(sb[:0]), s.Sig) != nil {
+				continue
+			}
+			if valid = append(valid, s.From); len(valid) >= quorum {
+				return nil
+			}
 		}
-		if valid > bestValid {
-			bestValid = valid
+		if len(valid) > bestValid {
+			bestValid = len(valid)
 		}
 	}
 	if !checked {

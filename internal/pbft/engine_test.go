@@ -31,7 +31,8 @@ type commitRec struct {
 	seq    types.SeqNum
 	digest types.Digest
 	batch  *types.Batch
-	cert   []types.Signed
+	cert   []types.Signed // held.Unproven()
+	held   *Cert
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -65,8 +66,8 @@ func newHarnessAuth(t *testing.T, n int, wrap func(i int, a crypto.Authenticator
 				}
 				h.queue = append(h.queue, routed{to, m})
 			},
-			Committed: func(seq types.SeqNum, b *types.Batch, cert []types.Signed) {
-				h.commits[i] = append(h.commits[i], commitRec{seq, b.Digest(), b, cert})
+			Committed: func(seq types.SeqNum, b *types.Batch, cert *Cert) {
+				h.commits[i] = append(h.commits[i], commitRec{seq, b.Digest(), b, cert.Unproven(), cert})
 			},
 			ViewChanged: func(v types.View) {
 				h.views[i] = append(h.views[i], v)

@@ -40,7 +40,7 @@ func TestLiveWindowSliding(t *testing.T) {
 		ring, _ := kg.Ring(peers[i])
 		ns.engine = New(0, peers[i], peers, ring, Callbacks{
 			Send: func(to types.NodeID, m *types.Message) { ep.Send(to, m) },
-			Committed: func(seq types.SeqNum, b *types.Batch, _ []types.Signed) {
+			Committed: func(seq types.SeqNum, b *types.Batch, _ *Cert) {
 				ns.tracker.Committed(ns.engine, seq, b)
 				ns.commits.Add(1)
 			},

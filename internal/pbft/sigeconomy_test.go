@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ringbft/internal/crypto"
@@ -58,10 +59,11 @@ func TestSingleShardCommitSpendsNoSignatures(t *testing.T) {
 
 // TestCrossShardCommitSignsOnce: a cross-shard batch costs each replica
 // exactly one signature — including the straggler replies that fire in the
-// fault-free case, which re-send the stored one — and exactly nf-1
-// verifications, one per peer Commit its certificate holds: the last peer's
-// Commit lands after the decision and costs a MAC. The certificate is nf
-// signed votes that pass VerifyCert.
+// fault-free case, which re-send the stored one — and no verification: every
+// peer Commit counts on its MAC, and its signature is held unverified. The
+// certificate is nf signed votes that pass VerifyCert, the last peer's
+// Commit adds its signature after the decision, and proving the certificate
+// changes nothing on a fault-free run.
 func TestCrossShardCommitSignsOnce(t *testing.T) {
 	h, counters := newCountingHarness(t, 4)
 	b := crossBatchOf(1)
@@ -76,24 +78,34 @@ func TestCrossShardCommitSignsOnce(t *testing.T) {
 		if c.Signs.Load() != 1 {
 			t.Errorf("replica %d signed %d times for one cross-shard batch, want 1", i, c.Signs.Load())
 		}
-		if want := int64(h.engines[i].NF() - 1); c.Verifies.Load() != want {
-			t.Errorf("replica %d verified %d signatures, want %d (the peer votes of its certificate)", i, c.Verifies.Load(), want)
+		if c.Verifies.Load() != 0 {
+			t.Errorf("replica %d verified %d signatures deciding a cross-shard batch, want 0", i, c.Verifies.Load())
 		}
 	}
-	for i := range counters { // after the counts: VerifyCert below spends verifications
-		cert := h.commits[i][0].cert
-		if len(cert) != h.engines[i].NF() {
-			t.Fatalf("replica %d certificate has %d entries, want %d", i, len(cert), h.engines[i].NF())
+	for i := range counters { // after the counts: the checks below spend verifications
+		rec := h.commits[i][0]
+		if len(rec.cert) != h.engines[i].NF() {
+			t.Fatalf("replica %d certificate has %d entries, want %d", i, len(rec.cert), h.engines[i].NF())
 		}
-		for _, s := range cert {
+		for _, s := range rec.cert {
 			if len(s.Sig) == 0 {
 				t.Fatalf("replica %d certificate holds an unsigned vote from %v", i, s.From)
 			}
 		}
-		if err := VerifyCert(h.engines[(i+1)%h.n].verifier, 0, b.Digest(), cert, h.engines[i].NF()); err != nil {
+		if len(rec.held.held) != h.n {
+			t.Errorf("replica %d holds %d Commit signatures, want all %d", i, len(rec.held.held), h.n)
+		}
+		if err := VerifyCert(h.engines[(i+1)%h.n].verifier, 0, b.Digest(), rec.cert, h.engines[i].NF()); err != nil {
 			t.Errorf("replica %d certificate rejected: %v", i, err)
 		}
+		if proof := rec.held.Prove(h.engines[i].verifier); !slices.EqualFunc(proof, rec.cert, sameSigned) {
+			t.Errorf("replica %d: the proof of a fault-free certificate differs from it", i)
+		}
 	}
+}
+
+func sameSigned(a, b types.Signed) bool {
+	return a.From == b.From && a.View == b.View && a.Seq == b.Seq && a.Digest == b.Digest && bytes.Equal(a.Sig, b.Sig)
 }
 
 // isolateCommits lets replica victim see the three-phase traffic of one
@@ -105,8 +117,8 @@ func isolateCommits(h *harness, victim int) {
 	}
 }
 
-// TestMACCommitNeverCertifies: for a cross-shard entry a MAC-authenticated
-// Commit — valid MAC, honest-looking tuple — counts toward neither the
+// TestMACCommitNeverCertifies: for a cross-shard entry a Commit carrying
+// only a MAC — valid MAC, honest-looking tuple — counts toward neither the
 // quorum nor the certificate; a signed Commit from the same sender later
 // replaces it.
 func TestMACCommitNeverCertifies(t *testing.T) {
@@ -179,10 +191,46 @@ func TestForgedMACCommitDropped(t *testing.T) {
 	}
 }
 
-// TestBadSignatureCommitDropped: a cross-shard Commit whose signature does
-// not verify is no vote, although the MAC beside it does: the MAC never
-// stands in for the signature of an undecided entry.
+// TestBadSignatureCommitDropped: a cross-shard Commit with a valid MAC and a
+// garbage signature counts toward the decision, which costs no Verify, but
+// it is dropped from every proof: with only nf-1 valid signatures held, the
+// certificate does not prove.
 func TestBadSignatureCommitDropped(t *testing.T) {
+	h, counters := newCountingHarness(t, 4)
+	isolateCommits(h, 1)
+	b := crossBatchOf(1)
+	if _, err := h.engines[0].Propose(b); err != nil {
+		t.Fatal(err)
+	}
+	h.pump()
+	d, victim := b.Digest(), h.engines[1]
+	verifies := counters[1].Verifies.Load()
+	victim.OnMessage(h.commitFrom(0, 1, 0, 1, d, true))
+	forged := h.commitFrom(2, 1, 0, 1, d, true)
+	forged.Sig[0] ^= 1
+	if err := crypto.VerifyMessageMAC(victim.auth, forged); err != nil {
+		t.Fatalf("setup: the forged Commit's MAC should verify: %v", err)
+	}
+	victim.OnMessage(forged)
+	if len(h.commits[1]) != 1 {
+		t.Fatal("nf MAC-authenticated signed Commits did not commit the cross-shard entry")
+	}
+	if n := counters[1].Verifies.Load() - verifies; n != 0 {
+		t.Fatalf("the decision cost %d Verify, want 0", n)
+	}
+	rec := h.commits[1][0]
+	if err := VerifyCert(h.engines[3].verifier, 0, d, rec.cert, 3); err == nil {
+		t.Fatal("setup: the unproven certificate should hold the garbage signature")
+	}
+	if proof := rec.held.Prove(victim.verifier); proof != nil {
+		t.Fatalf("a certificate with %d valid signatures proved: %v", h.engines[1].NF()-1, proof)
+	}
+}
+
+// TestLateCommitProves: the garbage Commit arrives first and completes the
+// decision; a late honest Commit, whose signature the decided entry keeps,
+// lets Prove succeed without the garbage.
+func TestLateCommitProves(t *testing.T) {
 	h := newHarness(t, 4)
 	isolateCommits(h, 1)
 	b := crossBatchOf(1)
@@ -191,22 +239,29 @@ func TestBadSignatureCommitDropped(t *testing.T) {
 	}
 	h.pump()
 	d, victim := b.Digest(), h.engines[1]
-	victim.OnMessage(h.commitFrom(0, 1, 0, 1, d, true))
 	forged := h.commitFrom(2, 1, 0, 1, d, true)
-	forged.Sig[0] ^= 1
-	if err := crypto.VerifyMessageMAC(victim.auth, forged); err != nil {
-		t.Fatalf("setup: the forged Commit's MAC should verify: %v", err)
-	}
+	forged.Sig = make([]byte, len(forged.Sig))
 	victim.OnMessage(forged)
-	if len(h.commits[1]) != 0 {
-		t.Fatal("a Commit with a bad signature and a valid MAC completed the quorum")
-	}
-	victim.OnMessage(h.commitFrom(2, 1, 0, 1, d, true))
+	victim.OnMessage(h.commitFrom(0, 1, 0, 1, d, true))
 	if len(h.commits[1]) != 1 {
-		t.Fatal("nf validly signed Commits did not commit the cross-shard entry")
+		t.Fatal("setup: replica 1 did not commit")
 	}
-	if err := VerifyCert(h.engines[3].verifier, 0, d, h.commits[1][0].cert, 3); err != nil {
-		t.Fatalf("certificate rejected: %v", err)
+	held := h.commits[1][0].held
+	if held.Prove(victim.verifier) != nil {
+		t.Fatal("setup: the certificate proved before the late Commit")
+	}
+	victim.OnMessage(h.commitFrom(3, 1, 0, 1, d, true))
+	proof := held.Prove(victim.verifier)
+	if len(proof) != 3 {
+		t.Fatalf("the late Commit did not let the certificate prove: %v", proof)
+	}
+	for i, want := range []int{0, 1, 3} {
+		if proof[i].From != h.engines[want].self {
+			t.Fatalf("proof[%d] is from %v, want %v (canonical order, without the garbage)", i, proof[i].From, h.engines[want].self)
+		}
+	}
+	if err := VerifyCert(h.engines[2].verifier, 0, d, proof, 3); err != nil {
+		t.Fatalf("proof rejected: %v", err)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestTrackerKeepsWindowSliding(t *testing.T) {
 	for i := range h.engines {
 		i := i
 		orig := h.engines[i].cb.Committed
-		h.engines[i].cb.Committed = func(seq types.SeqNum, b *types.Batch, cert []types.Signed) {
+		h.engines[i].cb.Committed = func(seq types.SeqNum, b *types.Batch, cert *Cert) {
 			trackers[i].Committed(h.engines[i], seq, b)
 			if orig != nil {
 				orig(seq, b, cert)

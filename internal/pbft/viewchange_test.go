@@ -73,8 +73,8 @@ func newJustifiedHarness(t *testing.T, n int) (*harness, *justState, []*crypto.K
 				}
 				h.queue = append(h.queue, routed{to, m})
 			},
-			Committed: func(seq types.SeqNum, b *types.Batch, cert []types.Signed) {
-				h.commits[i] = append(h.commits[i], commitRec{seq, b.Digest(), b, cert})
+			Committed: func(seq types.SeqNum, b *types.Batch, cert *Cert) {
+				h.commits[i] = append(h.commits[i], commitRec{seq, b.Digest(), b, cert.Unproven(), cert})
 			},
 			ViewChanged: func(v types.View) {
 				h.views[i] = append(h.views[i], v)

@@ -30,7 +30,7 @@ func NewPBFT(opts Options) *PBFTNode {
 	}
 	n.engine = pbft.New(0, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
 		Send: func(to types.NodeID, m *types.Message) { n.send(to, m) },
-		Committed: func(seq types.SeqNum, b *types.Batch, _ []types.Signed) {
+		Committed: func(seq types.SeqNum, b *types.Batch, _ *pbft.Cert) {
 			n.tracker.Committed(n.engine, seq, b)
 			n.markReady(seq, b)
 		},

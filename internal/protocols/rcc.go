@@ -53,7 +53,7 @@ func NewRCC(opts Options) *RCCNode {
 				cp.Instance = inst
 				n.send(to, &cp)
 			},
-			Committed: func(seq types.SeqNum, b *types.Batch, _ []types.Signed) {
+			Committed: func(seq types.SeqNum, b *types.Batch, _ *pbft.Cert) {
 				n.trackers[inst].Committed(n.engines[inst], seq, b)
 				n.onDecided(inst, seq, b)
 			},

@@ -2,7 +2,9 @@ package ringbft
 
 import (
 	"testing"
+	"time"
 
+	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
 	"ringbft/internal/types"
 )
@@ -85,6 +87,38 @@ func BenchmarkHandleTick(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		r.HandleTick(c.now)
+	}
+}
+
+// BenchmarkReplicaSetup is a 3×4 cluster's replica set-up: key generation,
+// New and Preload(4096) for each of the 12 replicas. No message is handled.
+func BenchmarkReplicaSetup(b *testing.B) {
+	cfg := types.DefaultConfig(3, 4)
+	ids := make([]types.NodeID, 0, 12)
+	for s := 0; s < cfg.Shards; s++ {
+		for i := 0; i < cfg.ReplicasPerShard; i++ {
+			ids = append(ids, types.ReplicaNode(types.ShardID(s), i))
+		}
+	}
+	send := func(types.NodeID, *types.Message) {}
+	b.ReportAllocs()
+	for b.Loop() {
+		kg := crypto.NewKeygen(7)
+		for _, id := range ids {
+			kg.Register(id)
+		}
+		for _, id := range ids {
+			ring, err := kg.Ring(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			peers := make([]types.NodeID, cfg.ReplicasPerShard)
+			for i := range peers {
+				peers[i] = types.ReplicaNode(id.Shard, i)
+			}
+			r := New(Options{Config: cfg, Shard: id.Shard, Self: id, Peers: peers, Auth: ring, Send: send, Clock: time.Now})
+			r.Preload(4096)
+		}
 	}
 }
 

@@ -87,13 +87,15 @@ func (r *Replica) verifyRingTag(m *types.Message) error {
 // accumulated read sets — to the single replica of the next involved shard
 // with the same index (the linear communication primitive). The ring tag
 // vector authenticates the copy for counting; the Ed25519 signature is
-// checked only if the Forward ever becomes conflicting-Forward evidence.
+// checked only if the Forward ever becomes conflicting-Forward evidence. The
+// certificate is the engine's unproven one: the next shard counts the copy
+// without checking it, and proveForward proves it before a retransmission.
 func (r *Replica) sendForward(cs *cstState) {
 	next, _ := cs.batch.NextInRing(r.Shard)
 	m := &types.Message{
 		Type: types.MsgForward, From: r.Self, Shard: r.Shard,
 		Seq: cs.seq, Digest: cs.digest,
-		Batch: cs.batch, Cert: cs.cert, WriteSets: cs.carried,
+		Batch: cs.batch, Cert: cs.cert.Unproven(), WriteSets: cs.carried,
 	}
 	m.Sig = crypto.SignMessage(r.Auth, m)
 	m.MAC = r.ringTags(next, m)
@@ -101,6 +103,22 @@ func (r *Replica) sendForward(cs *cstState) {
 	cs.forwardSentAt = r.Clock()
 	r.Observe(cs.seq, trace.PhaseForward)
 	r.sendRing(next, m)
+}
+
+// proveForward returns cs's Forward with this replica's own certificate
+// proven, for a retransmission: those reach replicas that may need the
+// certificate as proof (see wantsProof). The Forward signature and the ring
+// tags cover only the canonical tuple, so swapping the certificate needs no
+// new Sign. While fewer than nf held signatures verify, the Forward goes out
+// as it is: it still counts on its tag.
+func (r *Replica) proveForward(cs *cstState) *types.Message {
+	proof := cs.cert.Prove(r.Verifier)
+	if proof != nil && !sameCert(proof, cs.forwardMsg.Cert) {
+		m := *cs.forwardMsg
+		m.Cert = proof
+		cs.forwardMsg = &m
+	}
+	return cs.forwardMsg
 }
 
 // sendRing delivers a cross-shard message under the configured
@@ -266,16 +284,16 @@ func (r *Replica) settleBelow(seq types.SeqNum) {
 
 // holdsCand reports whether cert is byte for byte one of cs's candidates.
 func (cs *cstState) holdsCand(cert []types.Signed) bool {
-	for _, c := range cs.fwdCands {
-		if slices.EqualFunc(c, cert, func(a, b types.Signed) bool {
-			return a.From == b.From && a.Type == b.Type && a.Shard == b.Shard &&
-				a.View == b.View && a.Seq == b.Seq && a.Digest == b.Digest &&
-				bytes.Equal(a.Sig, b.Sig)
-		}) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(cs.fwdCands, func(c []types.Signed) bool { return sameCert(c, cert) })
+}
+
+// sameCert reports whether two certificates are byte for byte equal.
+func sameCert(a, b []types.Signed) bool {
+	return slices.EqualFunc(a, b, func(x, y types.Signed) bool {
+		return x.From == y.From && x.Type == y.Type && x.Shard == y.Shard &&
+			x.View == y.View && x.Seq == y.Seq && x.Digest == y.Digest &&
+			bytes.Equal(x.Sig, y.Sig)
+	})
 }
 
 // verifyPrevCert reports whether cert carries nf valid commit signatures
@@ -532,6 +550,13 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		cs.remoteComplaints = make(map[types.NodeID]struct{})
 	}
 	if _, dup := cs.remoteComplaints[m.From]; dup {
+		// The complainant was answered and still complains: it lacks what
+		// the answer does not carry, a previous-shard certificate that
+		// verifies (see wantsProof). Send it this replica's Forward, proven.
+		if cs.forwardMsg != nil {
+			r.Obs.Retransmits.Inc()
+			r.Send(m.From, r.proveForward(cs))
+		}
 		return
 	}
 	cs.remoteComplaints[m.From] = struct{}{}

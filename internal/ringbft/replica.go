@@ -118,7 +118,7 @@ type Replica struct {
 type logEntry struct {
 	seq   types.SeqNum
 	batch *types.Batch
-	cert  []types.Signed
+	cert  *pbft.Cert
 }
 
 // fwdKey identifies one sender's Forward claim for one sequence.
@@ -140,7 +140,9 @@ type cstState struct {
 	digest types.Digest
 	batch  *types.Batch
 	seq    types.SeqNum
-	cert   []types.Signed
+	// cert is this shard's own commit certificate, as the engine decided it:
+	// its signatures are unverified until proveForward proves it.
+	cert *pbft.Cert
 
 	// fwdCert is the PREVIOUS shard's commit certificate, proven by
 	// provenCert. cert above is this shard's own — the two differ, and it is
@@ -161,9 +163,17 @@ type cstState struct {
 	// settled marks a cst that executed below a stable checkpoint: no view
 	// change carries it again, so its candidates are dropped and no more are
 	// kept.
-	fwdCert  []types.Signed
-	fwdCands [][]types.Signed
-	settled  bool
+	//
+	// wantProof marks a cst whose certificate a view change or NewView asked
+	// for when no candidate verified: every counted sender may have forwarded
+	// its shard's unproven certificate holding one faulty voter's garbage
+	// signature. Until a candidate verifies the remote timer treats the cst
+	// as starving, and the complaint brings back a Forward the previous
+	// shard re-proved (see wantsProof, proveForward).
+	fwdCert   []types.Signed
+	fwdCands  [][]types.Signed
+	settled   bool
+	wantProof bool
 
 	locked   bool
 	executed bool
@@ -485,15 +495,26 @@ func (r *Replica) justified(b *types.Batch) bool {
 // re-proposals must prove justification to replicas whose own Forward
 // quorum never completed: the attached certificate is the previous shard's
 // nf-signed commit cert, self-certifying, and proven here before it leaves
-// — an honest replica never ships a certificate it has not verified.
+// — an honest replica never ships a certificate it has not verified. When
+// no candidate verifies, the cst is marked as wanting a proof, which keeps
+// its remote timer complaining upstream until one does (see wantsProof).
 func (r *Replica) justification(b *types.Batch) []types.Signed {
 	if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
 		return nil
 	}
-	if cs, ok := r.csts[b.Digest()]; ok {
-		return r.provenCert(cs)
+	cs, ok := r.csts[b.Digest()]
+	if !ok {
+		return nil
 	}
-	return nil
+	cert := r.provenCert(cs)
+	if cert == nil && !cs.wantProof && !cs.settled {
+		cs.wantProof = true
+		if cs.fwdFirst.IsZero() {
+			r.armRemote(cs)
+		}
+		r.live[cs.digest] = cs
+	}
+	return cert
 }
 
 // verifyJustification is the engine's VerifyJustification callback: just
@@ -625,7 +646,7 @@ func sameInvolved(a, b []types.ShardID) bool {
 
 // onCommitted is the engine's commit callback (may fire out of sequence
 // order): enqueue for in-order locking and drain (Fig 5 lines 14-28).
-func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, cert []types.Signed) {
+func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, cert *pbft.Cert) {
 	r.Settle(batch)
 	r.lockQueue[seq] = &logEntry{seq: seq, batch: batch, cert: cert}
 	r.drainLockQueue()

@@ -32,22 +32,24 @@ func (r *Replica) HandleTick(now time.Time) {
 	// retransmits, so traffic order must not follow map iteration order.
 	for _, d := range types.SortedDigestKeys(r.live) {
 		cs := r.live[d]
-		if cs.executed && (cs.fwdAccepted || cs.fwdFirst.IsZero()) {
+		if cs.executed && (cs.fwdAccepted || cs.fwdFirst.IsZero()) && !cs.wantsProof() {
 			// Neither timer below can fire again: the transmit timer stops
 			// at execution, and the remote timer waits for a Forward quorum
-			// that is either complete or was never started. Only armRemote
-			// can change that.
+			// that is either complete or was never started, and for no
+			// proof. Only armRemote and justification can change that.
 			delete(r.live, d)
 			continue
 		}
-		// Remote timer (Fig 6), two starvation modes: (a) first rotation —
+		// Remote timer (Fig 6), three starvation modes: (a) first rotation —
 		// we saw at least one Forward copy but fewer than f+1 within the
 		// timeout; (b) second rotation — consensus and locks are done but
 		// the Execute carrying Σ from the previous shard never arrived
 		// (the previous shard's replicas answer the complaint with their
-		// Execute directly; see onRemoteView).
+		// Execute directly; see onRemoteView); (c) a view change needed the
+		// previous shard's certificate and no candidate verified (the
+		// answer is a re-proven Forward; see proveForward).
 		starving := (!cs.fwdAccepted && !cs.fwdFirst.IsZero()) ||
-			(cs.fwdAccepted && cs.locked && !cs.executed)
+			(cs.fwdAccepted && cs.locked && !cs.executed) || cs.wantsProof()
 		if starving && !cs.fwdFirst.IsZero() && now.Sub(cs.fwdFirst) > r.Cfg.RemoteTimeout {
 			cs.fwdFirst = now // re-arm
 			if cs.batch != nil && r.mayComplain(cs) {
@@ -61,9 +63,15 @@ func (r *Replica) HandleTick(now time.Time) {
 			cs.forwardSentAt = now
 			r.Obs.Retransmits.Inc()
 			next, _ := cs.batch.NextInRing(r.Shard)
-			r.Send(types.ReplicaNode(next, r.Self.Index), cs.forwardMsg)
+			r.Send(types.ReplicaNode(next, r.Self.Index), r.proveForward(cs))
 		}
 	}
+}
+
+// wantsProof reports whether a view change asked for cs's previous-shard
+// certificate and none has verified since.
+func (cs *cstState) wantsProof() bool {
+	return cs.wantProof && cs.fwdCert == nil && !cs.settled
 }
 
 // mayComplain reports whether this replica holds proof that the previous

@@ -265,7 +265,7 @@ func (r *Replica) globalState(d types.Digest, b *types.Batch) *globalState {
 // onCommitted: local replication finished. Single-shard entries head to the
 // execution pipeline; cross-shard entries additionally start the global
 // all-to-all prepare round across every replica of every involved shard.
-func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ []types.Signed) {
+func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ *pbft.Cert) {
 	r.Commit(seq, batch)
 	if batch.IsCrossShard() {
 		gs := r.globalState(batch.Digest(), batch)
