@@ -80,14 +80,14 @@ func NewReplica(opts ReplicaOptions) *Replica {
 		Handler: r,
 		Callbacks: pbft.Callbacks{
 			Committed: r.onCommitted,
-			Justification: func(b *types.Batch) []types.Signed {
+			Justification: func(b *types.Batch) ([]types.Signed, bool) {
 				if b == nil || !b.IsCrossShard() {
-					return nil
+					return nil, true
 				}
 				if cs, ok := r.csts[b.Digest()]; ok {
-					return cs.cert
+					return cs.cert, true
 				}
-				return nil
+				return nil, true
 			},
 			VerifyJustification: func(b *types.Batch, just []types.Signed) bool {
 				if b == nil || !b.IsCrossShard() || len(just) == 0 {

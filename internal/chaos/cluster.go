@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -74,14 +73,6 @@ type Cluster struct {
 	// pair every fresh request with a same-TxnID variant (see stepClient).
 	clientDup      bool
 	clientConflict bool
-	// The footprint of harness.ByzBadCommitSig, over the Forwards replicas
-	// send outside any Byzantine mode: garbled holds each (sender, batch)
-	// whose Forward carried a certificate with an all-zero signature,
-	// garbageForwards counts those sends, and reproven counts the later
-	// sends of the same Forward whose certificate no longer holds one.
-	garbled         map[fwdClaim]bool
-	garbageForwards int
-	reproven        int
 
 	clients        []*dclient
 	lastCommitTick int
@@ -198,40 +189,9 @@ func (c *Cluster) sender(id types.NodeID) func(to types.NodeID, m *types.Message
 	a := c.topo.Auth(id)
 	return func(to types.NodeID, m *types.Message) {
 		if m = harness.Intercept(c.byz[id], id, a, to, m); m != nil {
-			if m.Type == types.MsgForward && m.From == id && c.byz[id] == harness.ByzNone {
-				c.noteForward(m)
-			}
 			c.enqueue(id, to, m)
 		}
 	}
-}
-
-// fwdClaim is one sender's Forward of one batch.
-type fwdClaim struct {
-	from   types.NodeID
-	digest types.Digest
-}
-
-// noteForward records the footprint of an honest replica's Forward m.
-func (c *Cluster) noteForward(m *types.Message) {
-	key := fwdClaim{m.From, m.Digest}
-	switch {
-	case holdsZeroSig(m.Cert):
-		if c.garbled == nil {
-			c.garbled = make(map[fwdClaim]bool)
-		}
-		c.garbled[key] = true
-		c.garbageForwards++
-	case c.garbled[key]:
-		c.reproven++
-	}
-}
-
-// holdsZeroSig reports whether cert holds an all-zero signature.
-func holdsZeroSig(cert []types.Signed) bool {
-	return slices.ContainsFunc(cert, func(s types.Signed) bool {
-		return len(s.Sig) > 0 && !slices.ContainsFunc(s.Sig, func(b byte) bool { return b != 0 })
-	})
 }
 
 func (c *Cluster) enqueue(from, to types.NodeID, m *types.Message) {

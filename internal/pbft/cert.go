@@ -24,8 +24,10 @@ type Cert struct {
 	// held is the decision's votes in canonical sender order, then the
 	// signatures of later Commits in arrival order. held[:nf] is Unproven.
 	held []types.Signed
-	// proof caches Prove's first success.
-	proof []types.Signed
+	// proof caches Prove's first success; failed is len(held) when Prove
+	// last failed, so a retry runs only once hold has added a signature.
+	proof  []types.Signed
+	failed int
 }
 
 // newCert builds the certificate of entry ent, just decided at seq, from its
@@ -82,14 +84,15 @@ func (c *Cert) Unproven() []types.Signed {
 // order, or nil while fewer than nf of them do. The decision's votes are
 // tried first, so on a fault-free run the proof is Unproven itself; the
 // owner's own signature is taken as valid. Signatures are checked through
-// v's memo, and the first proof found is kept, so later calls cost nothing.
+// v's memo, and the first proof found is kept, so later calls cost nothing;
+// after a failure, so do calls until another signature is held.
 // A host calls it only where it hands the certificate to someone who will
 // check it.
 func (c *Cert) Prove(v *crypto.Verifier) []types.Signed {
 	if c == nil {
 		return nil
 	}
-	if c.proof != nil {
+	if c.proof != nil || len(c.held) == c.failed {
 		return c.proof
 	}
 	valid := make([]types.Signed, 0, c.nf)
@@ -105,6 +108,7 @@ func (c *Cert) Prove(v *crypto.Verifier) []types.Signed {
 		}
 	}
 	if len(valid) < c.nf {
+		c.failed = len(c.held)
 		return nil
 	}
 	slices.SortFunc(valid, func(a, b types.Signed) int {

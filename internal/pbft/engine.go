@@ -26,7 +26,6 @@ package pbft
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"ringbft/internal/crypto"
@@ -73,8 +72,12 @@ type Callbacks struct {
 	// to PreparedProofs in ViewChange P sets and NewView re-proposals so a
 	// receiver that has not locally accepted the certificate can still
 	// verify the re-proposal instead of parking it forever. Nil or empty
-	// for batches that need no justification.
-	Justification func(batch *types.Batch) []types.Signed
+	// for batches that need no justification. ready is false while the host
+	// vouches for batch but cannot present a certificate yet (RingBFT: the
+	// Forward quorum counted, no candidate proven); a new primary then holds
+	// its NewView and retries on Tick, because a receiver that cannot
+	// justify the batch itself would reject the NewView and accuse it.
+	Justification func(batch *types.Batch) (cert []types.Signed, ready bool)
 	// VerifyJustification, when non-nil, checks a carried justification for
 	// a batch the local Justify gate rejects. A NewView whose re-proposal
 	// fails both gates is rejected wholesale — without this check a
@@ -189,6 +192,10 @@ type Engine struct {
 	vcTimeout    time.Duration
 	vcMsgs       map[types.View]map[types.NodeID]*types.Message
 	vcVotes      map[types.View]map[types.NodeID]struct{} // for f+1 join rule
+	// heldNV is the view whose NewView this primary holds until every
+	// re-proposal's justification is ready (see maybeNewView); Tick retries
+	// it while the view change still targets that view.
+	heldNV types.View
 }
 
 // Options tunes an Engine.
@@ -741,9 +748,8 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 	}
 
 	// Structural pass (no crypto): keep entries with the right type, shard,
-	// and digest from members of shard, and group them by (view, seq) — an
-	// honest certificate forms a single group. A sender may appear more than
-	// once; it counts once, on any of its entries that verifies.
+	// and digest, group them by (view, seq) — an honest certificate forms a
+	// single group — and drop duplicate senders and non-members of shard.
 	type group struct {
 		view    types.View
 		seq     types.SeqNum
@@ -770,32 +776,28 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 			g = &group{view: s.View, seq: s.Seq, seen: make(map[types.NodeID]struct{}, quorum)}
 			groups = append(groups, g)
 		}
+		if _, dup := g.seen[s.From]; dup {
+			continue
+		}
 		g.seen[s.From] = struct{}{}
 		g.entries = append(g.entries, s)
 	}
 
 	bestValid, bestStructural, checked := 0, 0, false
-	var sb [types.SigBytesLen]byte
-	var buf [8]types.NodeID // the valid senders of a group; a quorum fits
 	for _, g := range groups {
-		if len(g.seen) > bestStructural {
-			bestStructural = len(g.seen)
+		if len(g.entries) > bestStructural {
+			bestStructural = len(g.entries)
 		}
-		if len(g.seen) < quorum {
+		if len(g.entries) < quorum {
 			continue
 		}
 		checked = true
-		valid := buf[:0]
-		for _, s := range g.entries {
-			if slices.Contains(valid, s.From) || v.Verify(s.From, s.AppendSigBytes(sb[:0]), s.Sig) != nil {
-				continue
-			}
-			if valid = append(valid, s.From); len(valid) >= quorum {
-				return nil
-			}
+		valid := v.VerifyQuorum(g.entries, quorum)
+		if valid >= quorum {
+			return nil
 		}
-		if len(valid) > bestValid {
-			bestValid = len(valid)
+		if valid > bestValid {
+			bestValid = valid
 		}
 	}
 	if !checked {

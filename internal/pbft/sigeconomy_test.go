@@ -229,9 +229,10 @@ func TestBadSignatureCommitDropped(t *testing.T) {
 
 // TestLateCommitProves: the garbage Commit arrives first and completes the
 // decision; a late honest Commit, whose signature the decided entry keeps,
-// lets Prove succeed without the garbage.
+// lets Prove succeed without the garbage. A failed Prove is not retried,
+// and costs nothing, until another signature is held.
 func TestLateCommitProves(t *testing.T) {
-	h := newHarness(t, 4)
+	h, counters := newCountingHarness(t, 4)
 	isolateCommits(h, 1)
 	b := crossBatchOf(1)
 	if _, err := h.engines[0].Propose(b); err != nil {
@@ -249,6 +250,10 @@ func TestLateCommitProves(t *testing.T) {
 	held := h.commits[1][0].held
 	if held.Prove(victim.verifier) != nil {
 		t.Fatal("setup: the certificate proved before the late Commit")
+	}
+	verifies := counters[1].Verifies.Load()
+	if held.Prove(victim.verifier) != nil || counters[1].Verifies.Load() != verifies {
+		t.Fatal("a failed Prove was retried with no new signature held")
 	}
 	victim.OnMessage(h.commitFrom(3, 1, 0, 1, d, true))
 	proof := held.Prove(victim.verifier)

@@ -103,10 +103,34 @@ func TestVerifyCertTamperTable(t *testing.T) {
 			c[1].View = 3
 			return c
 		}, d, false}, // only 2 entries left in the (1,7) group
+		{"garbage duplicates of one sender", func() []types.Signed {
+			c := make([]types.Signed, 0, 10003)
+			for i := 0; i < 10000; i++ {
+				g := cert[0]
+				g.Sig = []byte{byte(i), byte(i >> 8)}
+				c = append(c, g)
+			}
+			return append(c, cert[1:]...)
+		}, d, true}, // sender 0 counts on its first entry only; 1-3 make quorum
+		{"garbage duplicates, valid copy last", func() []types.Signed {
+			c := []types.Signed{cert[1], cert[2]}
+			for i := 0; i < 10000; i++ {
+				g := cert[0]
+				g.Sig = []byte{byte(i), byte(i >> 8)}
+				c = append(c, g)
+			}
+			return append(c, cert[0])
+		}, d, false},
 	}
-	v := fixtureVerifier(t, kg)
+	ring, err := kg.Ring(types.ReplicaNode(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &countingAuth{Authenticator: ring}
+	v := crypto.NewVerifier(counter)
 	v.SetMemoSize(0) // isolate verification from the memo
 	for _, tc := range cases {
+		counter.calls = 0
 		err := VerifyCert(v, 0, tc.dig, tc.cert(), 3)
 		if tc.ok && err != nil {
 			t.Errorf("%s: valid cert rejected: %v", tc.name, err)
@@ -114,7 +138,23 @@ func TestVerifyCertTamperTable(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: tampered cert accepted", tc.name)
 		}
+		// One Ed25519 check per sender and (view, seq) at most, whatever
+		// the certificate's length: every case names at most 4 senders.
+		if counter.calls > 4 {
+			t.Errorf("%s: %d signature checks, want at most 4", tc.name, counter.calls)
+		}
 	}
+}
+
+// countingAuth counts the signature checks that reach its Authenticator.
+type countingAuth struct {
+	crypto.Authenticator
+	calls int
+}
+
+func (a *countingAuth) Verify(signer types.NodeID, msg, sig []byte) error {
+	a.calls++
+	return a.Authenticator.Verify(signer, msg, sig)
 }
 
 // TestVerifyCertMemoPoisoning: a certificate for the same (shard, view, seq)
@@ -231,7 +271,7 @@ func FuzzVerifyCert(f *testing.F) {
 	d := types.Digest{4, 2}
 
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0})                // valid quorum
-	f.Add([]byte{0, 0, 0, 2, 9, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0}) // garbage, then the same sender valid
+	f.Add([]byte{0, 0, 0, 2, 9, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0}) // garbage, then the same sender valid: rejected
 	f.Add([]byte{0, 0, 0, 1, 3, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 3, 0, 0, 0, 0}) // one mutated of four
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0})                // split views
 	f.Add([]byte{6, 0, 0, 0, 0, 7, 0, 0, 0, 0, 8, 0, 0, 0, 0})                // another shard's replicas
@@ -270,19 +310,26 @@ func FuzzVerifyCert(f *testing.F) {
 			view types.View
 			seq  types.SeqNum
 		}
-		valid := make(map[slot]map[types.NodeID]bool)
+		first := make(map[slot]map[types.NodeID]bool) // sender -> its first entry verifies
+		valid := make(map[slot]int)
 		want := false
 		for _, s := range cert {
-			if s.Type != types.MsgCommit || s.Shard != 0 || s.Digest != d || s.From.Shard != 0 ||
-				checker.Verify(s.From, s.SigBytes(), s.Sig) != nil {
+			if s.Type != types.MsgCommit || s.Shard != 0 || s.Digest != d || s.From.Shard != 0 {
 				continue
 			}
 			k := slot{s.View, s.Seq}
-			if valid[k] == nil {
-				valid[k] = make(map[types.NodeID]bool)
+			if first[k] == nil {
+				first[k] = make(map[types.NodeID]bool)
 			}
-			valid[k][s.From] = true
-			want = want || len(valid[k]) >= quorum
+			if _, dup := first[k][s.From]; dup {
+				continue
+			}
+			ok := checker.Verify(s.From, s.SigBytes(), s.Sig) == nil
+			first[k][s.From] = ok
+			if ok {
+				valid[k]++
+			}
+			want = want || valid[k] >= quorum
 		}
 
 		v := crypto.NewVerifier(checker)

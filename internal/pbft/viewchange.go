@@ -42,7 +42,7 @@ func (e *Engine) StartViewChange(target types.View) {
 			// certificate, and the new primary's NewView must present it to
 			// receivers that never accepted it themselves.
 			if e.cb.Justification != nil {
-				p.Justification = e.cb.Justification(ent.batch)
+				p.Justification, _ = e.cb.Justification(ent.batch)
 			}
 			proofs = append(proofs, p)
 		}
@@ -145,9 +145,16 @@ func (e *Engine) maybeNewView(v types.View) {
 			// that won the selection with a higher view) is replaced from
 			// this primary's own certificate store. Relaying it unchecked
 			// would get this honest primary accused by every receiver
-			// short of its own Forward quorum.
+			// short of its own Forward quorum. For the same reason a primary
+			// whose own certificate is not ready holds the NewView: it
+			// vouches for the batch, so the proof is on its way, and Tick
+			// retries until it arrives or the view change moves on.
 			if e.cb.Justification != nil && !e.carriesJustification(&p) {
-				p.Justification = e.cb.Justification(p.Batch)
+				var ready bool
+				if p.Justification, ready = e.cb.Justification(p.Batch); !ready {
+					e.heldNV = v
+					return
+				}
 			}
 			reproposals = append(reproposals, p)
 		} else {
@@ -158,6 +165,7 @@ func (e *Engine) maybeNewView(v types.View) {
 		}
 	}
 
+	e.heldNV = 0
 	nv := &types.Message{
 		Type: types.MsgNewView, From: e.self, Shard: e.shard,
 		View: v, StableSeq: maxStable,
@@ -314,9 +322,13 @@ func (e *Engine) installView(v types.View, stable types.SeqNum, reproposals []ty
 }
 
 // Tick drives time-based escalation: if a view change has stalled (no
-// NewView within the view timeout) the replica targets the next view. Hosts
+// NewView within the view timeout) the replica targets the next view. A
+// primary holding its NewView for a justification retries it first. Hosts
 // call Tick periodically from their event loops.
 func (e *Engine) Tick(now time.Time) {
+	if e.heldNV != 0 && e.inViewChange && e.vcTarget == e.heldNV {
+		e.maybeNewView(e.heldNV)
+	}
 	if e.inViewChange && now.Sub(e.vcStarted) > e.vcTimeout {
 		e.StartViewChange(e.vcTarget + 1)
 	}

@@ -82,11 +82,11 @@ func newJustifiedHarness(t *testing.T, n int) (*harness, *justState, []*crypto.K
 			Justify: func(b *types.Batch) bool {
 				return len(b.Txns) == 0 || js.vouched[i][b.Digest()]
 			},
-			Justification: func(b *types.Batch) []types.Signed {
+			Justification: func(b *types.Batch) ([]types.Signed, bool) {
 				if !js.vouched[i][b.Digest()] {
-					return nil
+					return nil, true
 				}
-				return js.certs[b.Digest()]
+				return js.certs[b.Digest()], true
 			},
 			VerifyJustification: func(b *types.Batch, cert []types.Signed) bool {
 				for k := range cert {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"slices"
+	"time"
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
@@ -547,19 +548,23 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		r.Send(m.From, r.executeMessage(cs))
 	}
 	if cs.remoteComplaints == nil {
-		cs.remoteComplaints = make(map[types.NodeID]struct{})
+		cs.remoteComplaints = make(map[types.NodeID]time.Time)
 	}
-	if _, dup := cs.remoteComplaints[m.From]; dup {
+	now := r.Clock()
+	if last, dup := cs.remoteComplaints[m.From]; dup {
 		// The complainant was answered and still complains: it lacks what
 		// the answer does not carry, a previous-shard certificate that
 		// verifies (see wantsProof). Send it this replica's Forward, proven.
-		if cs.forwardMsg != nil {
+		// An honest complainant re-complains once per RemoteTimeout; half
+		// of that paces a faulty one without skipping an honest one.
+		if cs.forwardMsg != nil && now.Sub(last) >= r.Cfg.RemoteTimeout/2 {
+			cs.remoteComplaints[m.From] = now
 			r.Obs.Retransmits.Inc()
 			r.Send(m.From, r.proveForward(cs))
 		}
 		return
 	}
-	cs.remoteComplaints[m.From] = struct{}{}
+	cs.remoteComplaints[m.From] = now
 	if m.From.Index == r.Self.Index && !cs.remoteRelayed {
 		cs.remoteRelayed = true
 		r.Relay(m)

@@ -62,7 +62,8 @@ func sentTo(c *cluster, typ types.MsgType, to types.NodeID) *types.Message {
 // answer to a complainant that complains again — with its own certificate
 // proven: no zeroed signature, accepted by VerifyCert, and the same Forward
 // signature and ring tags, so no new Sign. A first complaint is answered as
-// before.
+// before, and a complainant gets at most one Forward per half
+// RemoteTimeout.
 func TestRetransmitProvesCert(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	b := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
@@ -107,7 +108,17 @@ func TestRetransmitProvesCert(t *testing.T) {
 		t.Fatal("a first complaint was answered with a Forward")
 	}
 	r.HandleMessage(complaint)
+	if m := sentTo(c, types.MsgForward, next); m != nil {
+		t.Fatal("a complaint repeated at once was answered with a Forward")
+	}
+	c.now = c.now.Add(c.cfg.RemoteTimeout)
+	r.HandleMessage(complaint)
 	check("repeated complaint", sentTo(c, types.MsgForward, next))
+	c.queue = c.queue[:0]
+	r.HandleMessage(complaint)
+	if m := sentTo(c, types.MsgForward, next); m != nil {
+		t.Fatal("a proven Forward was re-sent within half a RemoteTimeout")
+	}
 }
 
 // TestWantProofComplains: a replica of the next shard whose candidates all
@@ -131,8 +142,8 @@ func TestWantProofComplains(t *testing.T) {
 	if cs == nil || !cs.fwdAccepted {
 		t.Fatal("setup: the Forward quorum did not complete")
 	}
-	if cert := r.justification(b); cert != nil {
-		t.Fatal("Justification returned a certificate holding garbage")
+	if cert, ready := r.justification(b); cert != nil || ready {
+		t.Fatalf("Justification returned %v, ready %v, for candidates holding garbage", cert, ready)
 	}
 	complaints := func() int {
 		c.queue = c.queue[:0]
@@ -156,11 +167,82 @@ func TestWantProofComplains(t *testing.T) {
 	answer := clone(held[p.Self])
 	answer.Cert = p.csts[d].cert.Prove(p.Verifier)
 	r.HandleMessage(answer)
-	cert := r.justification(b)
+	cert, _ := r.justification(b)
 	if err := pbft.VerifyCert(r.Verifier, 0, d, cert, c.cfg.NF()); err != nil {
 		t.Fatalf("the re-proven Forward did not prove the certificate: %v", err)
 	}
 	if n := complaints(); n != 0 {
 		t.Fatalf("%d RemoteViews after the certificate proved, want 0", n)
+	}
+}
+
+// TestHeldNewViewCarriesProof: shard 1 prepares a cst whose candidates all
+// hold a faulty shard-0 voter's garbage, and its primary crashes. The new
+// primary vouches for the batch but cannot prove it, so it holds its NewView
+// until a re-proven Forward arrives, then sends it with the proof. A replica
+// that never counted the Forward quorum — the restarted one, which lost its
+// csts — receives that NewView, adopts it on the carried certificate, and
+// accuses nobody.
+func TestHeldNewViewCarriesProof(t *testing.T) {
+	c := newClusterWith(t, 2, 4, func(cfg *types.Config) {
+		// The view change outlasts two remote timeouts, and shard 0's
+		// transmit timer stays quiet: only complaints bring the proof.
+		cfg.LocalTimeout = 2 * time.Second
+		cfg.TransmitTimeout = time.Minute
+	})
+	b := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
+	d := b.Digest()
+	held, _ := badSignerRing(t, c, b)
+	lagger, primary := types.ReplicaNode(1, 3), types.ReplicaNode(1, 1)
+
+	// The batch prepares in shard 1 without committing there, on garbage
+	// candidates only; the lagger never counts a Forward.
+	c.drop = func(_, to types.NodeID, m *types.Message) bool {
+		return (to == lagger && m.Type == types.MsgForward) || (to.Shard == 1 && m.Type == types.MsgCommit)
+	}
+	for _, id := range types.SortedNodeKeys(held) {
+		m := clone(held[id])
+		if !zeroSig(m.Cert) {
+			m.Cert = types.ZeroedCert(m.Cert)
+		}
+		c.queue = append(c.queue, routed{id, types.ReplicaNode(1, id.Index), m})
+	}
+	c.pump()
+	if cs := c.replicas[primary].csts[d]; cs == nil || !cs.fwdAccepted {
+		t.Fatal("setup: the next primary did not count the Forward quorum")
+	}
+
+	var newViews []*types.Message
+	c.drop = func(from, _ types.NodeID, m *types.Message) bool {
+		if m.Type == types.MsgNewView && from == primary {
+			newViews = append(newViews, m)
+		}
+		return false
+	}
+	c.kill(types.ReplicaNode(1, 0))
+	c.tick(c.cfg.LocalTimeout + time.Millisecond)
+	if c.replicas[primary].PBFT.View() != 0 || len(newViews) != 0 {
+		t.Fatalf("the new primary sent its NewView before it could prove the certificate (view %d, %d NewViews)", c.replicas[primary].PBFT.View(), len(newViews))
+	}
+	for k := 0; k < 40 && c.replicas[lagger].PBFT.View() == 0; k++ {
+		c.tick(50 * time.Millisecond)
+	}
+	if len(newViews) == 0 {
+		t.Fatal("the held NewView was never sent")
+	}
+	for _, p := range newViews[0].Prepared {
+		if p.Digest == d {
+			if err := pbft.VerifyCert(c.replicas[lagger].Verifier, 0, d, p.Justification, c.cfg.NF()); err != nil {
+				t.Fatalf("the NewView re-proposes the cst without a proof: %v", err)
+			}
+		}
+	}
+	if v := c.replicas[lagger].PBFT.View(); v != 1 {
+		t.Fatalf("the replica lacking the Forward quorum is in view %d, want 1", v)
+	}
+	for _, id := range types.SortedNodeKeys(c.replicas) {
+		if recs := c.replicas[id].Evidence().Records(); len(recs) != 0 {
+			t.Fatalf("%v accuses %v", id, recs[0].Accused)
+		}
 	}
 }

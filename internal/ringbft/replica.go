@@ -191,7 +191,7 @@ type cstState struct {
 	execRelayed  bool
 	execAccepted bool
 
-	remoteComplaints map[types.NodeID]struct{} // RemoteView senders (Fig 6)
+	remoteComplaints map[types.NodeID]time.Time // RemoteView senders (Fig 6), each with when it was last answered
 	remoteRelayed    bool
 	remoteHandled    bool
 
@@ -498,13 +498,17 @@ func (r *Replica) justified(b *types.Batch) bool {
 // — an honest replica never ships a certificate it has not verified. When
 // no candidate verifies, the cst is marked as wanting a proof, which keeps
 // its remote timer complaining upstream until one does (see wantsProof).
-func (r *Replica) justification(b *types.Batch) []types.Signed {
+// Until then the certificate is not ready if this replica counted the
+// Forward quorum: it vouches for b, so an honest previous-shard replica can
+// prove the certificate, and a NewView re-proposing b waits for it rather
+// than reach a receiver that can justify b by no other means.
+func (r *Replica) justification(b *types.Batch) ([]types.Signed, bool) {
 	if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
-		return nil
+		return nil, true
 	}
 	cs, ok := r.csts[b.Digest()]
 	if !ok {
-		return nil
+		return nil, true
 	}
 	cert := r.provenCert(cs)
 	if cert == nil && !cs.wantProof && !cs.settled {
@@ -514,7 +518,7 @@ func (r *Replica) justification(b *types.Batch) []types.Signed {
 		}
 		r.live[cs.digest] = cs
 	}
-	return cert
+	return cert, cert != nil || !cs.fwdAccepted || !cs.wantsProof()
 }
 
 // verifyJustification is the engine's VerifyJustification callback: just

@@ -211,14 +211,14 @@ func TestRingTagCertOncePerCst(t *testing.T) {
 		t.Fatal("a certificate was proven before anything consumed it")
 	}
 
-	if got := r.justification(b); !reflect.DeepEqual(got, good.Cert) {
+	if got, _ := r.justification(b); !reflect.DeepEqual(got, good.Cert) {
 		t.Fatal("Justification did not return the valid candidate")
 	}
 	if counter.Verifies.Load() == 0 {
 		t.Fatal("Justification returned a certificate it did not verify")
 	}
 	spent := counter.Verifies.Load()
-	if got := r.justification(b); !reflect.DeepEqual(got, good.Cert) {
+	if got, _ := r.justification(b); !reflect.DeepEqual(got, good.Cert) {
 		t.Fatal("a second Justification lost the proven certificate")
 	}
 	if n := counter.Verifies.Load() - spent; n != 0 {
@@ -305,12 +305,12 @@ func TestRingTagSwappedCert(t *testing.T) {
 		if cs := r.csts[d]; cs == nil || !cs.fwdAccepted {
 			t.Fatal("f+1 tag-authenticated copies were not accepted")
 		}
-		if got := r.justification(b); got != nil {
+		if got, _ := r.justification(b); got != nil {
 			t.Fatal("Justification returned a garbage certificate")
 		}
 		lane := held[types.ReplicaNode(0, 1)]
 		r.HandleMessage(lane)
-		if got := r.justification(b); !reflect.DeepEqual(got, lane.Cert) {
+		if got, _ := r.justification(b); !reflect.DeepEqual(got, lane.Cert) {
 			t.Fatal("the valid certificate of a sender counted after f+1 was not kept")
 		}
 	})
