@@ -9,7 +9,7 @@
 # surfaces, this Makefile's targets and the source tree
 # (scripts/docs-check.sh); `make race-all` puts the whole module under the
 # race detector. The full test suite includes the chaos matrix
-# (internal/chaos): 42 seeded nemesis scenarios across ringbft/ahl/sharper
+# (internal/chaos): 43 seeded nemesis scenarios across ringbft/ahl/sharper
 # (incl. the pipelined-window frontier rows); `make chaos` runs just that
 # matrix verbosely and `make chaos-soak` explores fresh seeds for
 # SOAK_BUDGET (nightly CI).
@@ -87,7 +87,9 @@ bench:
 	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/types/ ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/ ./internal/ringbft/
 
 bench-crypto:
-	$(GO) test -run XXX -bench 'BenchmarkMAC|BenchmarkAppendMAC|BenchmarkVerifyMAC|BenchmarkSign|BenchmarkVerifySignature|BenchmarkSignVerify|BenchmarkVerifyMemo' -benchmem -benchtime 200ms ./internal/crypto/
+	$(GO) test -run XXX -bench 'BenchmarkMAC|BenchmarkAppendMAC|BenchmarkVerifyMAC|BenchmarkSign|BenchmarkVerifySignature|BenchmarkSignVerify|BenchmarkVerifyMemo|BenchmarkMerkleRoot100' -benchmem -benchtime 200ms ./internal/crypto/
+	$(GO) test -run XXX -bench 'BenchmarkBatchDigest' -benchmem -benchtime 200ms ./internal/types/
+	$(GO) test -run XXX -bench 'BenchmarkAppend100TxnBlock' -benchmem -benchtime 200ms ./internal/ledger/
 	$(GO) test -run XXX -bench 'BenchmarkVerifyCert|BenchmarkVerifyCommitCert' -benchmem -benchtime 200ms ./internal/pbft/
 
 bench-wal:

@@ -194,15 +194,15 @@ func (c *Committee) onClientRequest(m *types.Message) {
 // onCommitted handles both committee consensus outcomes: a freshly ordered
 // cst (phase 1: broadcast AHLPrepare) and a committed decision batch
 // (phase 3: broadcast AHLDecision).
-func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert *pbft.Cert) {
-	c.tracker.Committed(c.PBFT, seq, batch)
-	if d, commit, ok := parseDecision(batch); ok {
-		cst, ok := c.csts[d]
+func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Digest, cert *pbft.Cert) {
+	c.tracker.Committed(c.PBFT, seq, d)
+	if cd, commit, ok := parseDecision(batch); ok {
+		cst, ok := c.csts[cd]
 		if !ok || cst.notified {
 			return
 		}
 		cst.decided = true
-		delete(c.Awaiting, batch.Digest())
+		delete(c.Awaiting, d)
 		if !cst.ordered {
 			// Consensus results can commit out of order: the decision may
 			// land before this member processes the original batch's
@@ -214,15 +214,14 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, cert *pbft
 		cst.notified = true
 		c.broadcastToShards(cst.batch, &types.Message{
 			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
-			Seq: cst.gseq, Digest: d, Decision: commit,
+			Seq: cst.gseq, Digest: cd, Decision: commit,
 		})
 		return
 	}
 	if len(batch.Txns) == 0 {
 		return
 	}
-	c.Settle(batch)
-	d := batch.Digest()
+	c.Settle(batch, d)
 	cst, ok := c.csts[d]
 	if !ok {
 		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]struct{})}

@@ -103,21 +103,22 @@ func NewReplica(opts ReplicaOptions) *Replica {
 		// forever (no decision will ever arrive for it).
 		Justify:          r.justified,
 		ReproposeExpired: true,
-	}, func(b *types.Batch) bool {
-		cs := r.csts[b.Digest()]
+	}, func(_ *types.Batch, d types.Digest) bool {
+		cs := r.csts[d]
 		return cs != nil && cs.decided
 	})
 	return r
 }
 
-// justified reports whether batch b may enter local consensus: cross-shard
-// batches need the committee's AHLPrepare acceptance (f+1 members, verified
-// certificate — see onPrepare). Single-shard batches always pass.
-func (r *Replica) justified(b *types.Batch) bool {
+// justified reports whether batch b, with digest d, may enter local
+// consensus: cross-shard batches need the committee's AHLPrepare acceptance
+// (f+1 members, verified certificate — see onPrepare). Single-shard batches
+// always pass.
+func (r *Replica) justified(b *types.Batch, d types.Digest) bool {
 	if b == nil || !b.IsCrossShard() {
 		return true
 	}
-	cs, ok := r.csts[b.Digest()]
+	cs, ok := r.csts[d]
 	return ok && cs.accepted
 }
 
@@ -149,8 +150,8 @@ func (r *Replica) HandleTick(now time.Time) {
 	// cross-shard entry whose AHLDecision was lost blocks the whole shard.
 	// Re-send the vote — the committee answers a vote for an already-
 	// decided cst with the decision directly.
-	if b, ok := r.Entries[r.ExecNext+1]; ok && b.IsCrossShard() {
-		d := b.Digest()
+	if e, ok := r.Entries[r.ExecNext+1]; ok && e.Batch.IsCrossShard() {
+		d := e.Digest
 		if cs, ok := r.csts[d]; ok && cs.voted && !cs.decided &&
 			now.Sub(cs.lastNudge) > r.Cfg.LocalTimeout {
 			cs.lastNudge = now
@@ -260,10 +261,9 @@ func (r *Replica) sendVote(d types.Digest) {
 // onCommitted: local replication done. Single-shard batches execute in
 // order; cross-shard batches emit the vote (2PC phase 2) and block the
 // execution pipeline until the decision lands.
-func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ *pbft.Cert) {
-	r.Commit(seq, batch)
+func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Digest, _ *pbft.Cert) {
+	r.Commit(seq, batch, d)
 	if batch.IsCrossShard() {
-		d := batch.Digest()
 		cs := r.cst(d)
 		if cs.batch == nil {
 			cs.batch = batch

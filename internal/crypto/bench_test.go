@@ -129,6 +129,7 @@ func BenchmarkMerkleRoot100(b *testing.B) {
 	for i := range leaves {
 		leaves[i] = types.Digest{byte(i)}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MerkleRoot(leaves)

@@ -2,9 +2,14 @@ package crypto
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 
 	"ringbft/internal/types"
 )
+
+// merkleStackLeaves is how many leaves MerkleRoot and BatchMerkleRoot reduce
+// in a stack array; a larger tree takes one heap level.
+const merkleStackLeaves = 64
 
 // MerkleRoot computes the Merkle root of a list of leaf digests by pair-wise
 // hashing up to the root (Section 7; Merkle 1988). An odd node at any level
@@ -15,41 +20,58 @@ func MerkleRoot(leaves []types.Digest) types.Digest {
 	if len(leaves) == 0 {
 		return types.Digest{}
 	}
-	level := make([]types.Digest, len(leaves))
-	copy(level, leaves)
-	for {
-		next := make([]types.Digest, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			l := level[i]
-			r := l
-			if i+1 < len(level) {
-				r = level[i+1]
-			}
-			h := sha256.New()
-			h.Write(l[:])
-			h.Write(r[:])
-			var d types.Digest
-			copy(d[:], h.Sum(nil))
-			next = append(next, d)
+	var stack [merkleStackLeaves]types.Digest
+	level := stack[:0]
+	if len(leaves) > merkleStackLeaves {
+		level = make([]types.Digest, 0, len(leaves))
+	}
+	return reduce(append(level, leaves...))
+}
+
+// reduce hashes level up to its root in place: node i of the next level
+// overwrites slot i, which both of its children have already been read from.
+func reduce(level []types.Digest) types.Digest {
+	var pair [2 * len(types.Digest{})]byte
+	for n := len(level); ; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			r := min(i+1, n-1)
+			copy(pair[:32], level[i][:])
+			copy(pair[32:], level[r][:])
+			level[i/2] = sha256.Sum256(pair[:])
 		}
-		level = next
-		if len(level) == 1 {
+		if n <= 2 {
 			return level[0]
 		}
 	}
 }
 
-// TxnDigest computes the leaf digest of one transaction for Merkle trees.
+// txnStackBytes is TxnDigest's stack buffer: enough for a transaction of
+// 25 keys.
+const txnStackBytes = 256
+
+// TxnDigest computes the leaf digest of one transaction for Merkle trees:
+// the digest of the one-transaction batch with no involved set, hashed
+// from the same canonical encoding as types.Batch.Digest.
 func TxnDigest(t *types.Txn) types.Digest {
-	b := types.Batch{Txns: []types.Txn{*t}}
-	return b.Digest()
+	var buf [txnStackBytes]byte
+	p := binary.BigEndian.AppendUint64(buf[:0], 1) // one transaction
+	p = types.AppendTxn(p, t)
+	p = binary.BigEndian.AppendUint64(p, 0) // empty involved set
+	return sha256.Sum256(p)
 }
 
 // BatchMerkleRoot computes the Merkle root over the transactions of a batch.
 func BatchMerkleRoot(b *types.Batch) types.Digest {
-	leaves := make([]types.Digest, len(b.Txns))
-	for i := range b.Txns {
-		leaves[i] = TxnDigest(&b.Txns[i])
+	if len(b.Txns) == 0 {
+		return types.Digest{}
 	}
-	return MerkleRoot(leaves)
+	var stack [merkleStackLeaves]types.Digest
+	leaves := stack[:0]
+	if len(b.Txns) > merkleStackLeaves {
+		leaves = make([]types.Digest, 0, len(b.Txns))
+	}
+	for i := range b.Txns {
+		leaves = append(leaves, TxnDigest(&b.Txns[i]))
+	}
+	return reduce(leaves)
 }

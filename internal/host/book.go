@@ -11,9 +11,9 @@ import (
 // inbound PrePrepares until the protocol's ReplayParked), Propose and Drain
 // (so the primary never burns the proposed latch on a batch it cannot
 // justify yet), the watchdog, and NewView adoption (which additionally
-// accepts a carried certificate; see pbft justifiedProof).
-func (k *Kernel) Justified(b *types.Batch) bool {
-	return k.justify == nil || k.justify(b)
+// accepts a carried certificate; see pbft justifiedProof). d is b's digest.
+func (k *Kernel) Justified(b *types.Batch, d types.Digest) bool {
+	return k.justify == nil || k.justify(b, d)
 }
 
 // Await registers a batch the shard's primary must order and arms its
@@ -47,10 +47,10 @@ func (k *Kernel) Enqueue(b *types.Batch, d types.Digest) {
 // found by internal/chaos). Every proposal goes through the FIFO queue, so
 // fresh arrivals cannot jump requests already waiting for a slot.
 func (k *Kernel) Propose(b *types.Batch, d types.Digest) {
-	if _, done := k.Proposed[d]; done || !k.Justified(b) {
+	if _, done := k.Proposed[d]; done || !k.Justified(b, d) {
 		return
 	}
-	k.Queue = append(k.Queue, b)
+	k.Queue = append(k.Queue, Queued{Batch: b, Digest: d})
 	k.Drain()
 }
 
@@ -63,23 +63,27 @@ func (k *Kernel) Drain() {
 		return
 	}
 	for len(k.Queue) > 0 {
-		b := k.Queue[0]
-		if _, done := k.Proposed[b.Digest()]; done || !k.Justified(b) {
+		head := k.Queue[0]
+		if _, done := k.Proposed[head.Digest]; done || !k.Justified(head.Batch, head.Digest) {
 			k.Queue = k.Queue[1:]
 			continue
 		}
-		if b = k.next(); b == nil {
+		p := k.next()
+		if p.Batch == nil {
 			return // window full, or the batcher holds the head for fill
 		}
-		if _, err := k.PBFT.Propose(b); err != nil {
+		if _, err := k.PBFT.Propose(p.Batch); err != nil {
 			return // still blocked
 		}
-		k.Proposed[b.Digest()] = struct{}{}
-		for _, sb := range b.SubBatches() {
+		k.Proposed[p.Digest] = struct{}{}
+		if len(p.Batch.Reqs) >= 2 {
 			// Latch the original request digests too, so a client
 			// retransmission of a coalesced request cannot be proposed a
-			// second time (its transactions would execute twice).
-			k.Proposed[sb.Digest()] = struct{}{}
+			// second time (its transactions would execute twice). A plain
+			// batch is its own only sub-batch.
+			for _, sb := range p.Batch.SubBatches() {
+				k.Proposed[sb.Digest()] = struct{}{}
+			}
 		}
 		k.Queue = k.Queue[1:]
 	}
@@ -87,19 +91,19 @@ func (k *Kernel) Drain() {
 
 // head is the default drain shape: the queue head, while the pipeline
 // window has a free slot.
-func (k *Kernel) head() *types.Batch {
+func (k *Kernel) head() Queued {
 	if k.PBFT.InFlight() >= k.Cfg.PipelineDepth {
-		return nil // a commit frees the next slot
+		return Queued{} // a commit frees the next slot
 	}
 	return k.Queue[0]
 }
 
-// Settle closes the book on a committed batch: its watchdog is disarmed and
-// its digest latched against re-proposal. A coalesced proposal commits every
-// client request inside it, so each request digest settles too (or every
-// backup would keep demanding a view change for requests already decided).
-func (k *Kernel) Settle(b *types.Batch) {
-	d := b.Digest()
+// Settle closes the book on the committed batch b with digest d: its
+// watchdog is disarmed and d latched against re-proposal. A coalesced
+// proposal commits every client request inside it, so each request digest
+// settles too (or every backup would keep demanding a view change for
+// requests already decided).
+func (k *Kernel) Settle(b *types.Batch, d types.Digest) {
 	delete(k.Awaiting, d)
 	k.Proposed[d] = struct{}{}
 	if len(b.Reqs) > 1 {
@@ -156,7 +160,7 @@ func (k *Kernel) Watchdog(now time.Time) bool {
 				continue
 			}
 			p.Since = now // re-arm so escalation is paced
-			if !k.Justified(p.Batch) {
+			if !k.Justified(p.Batch, d) {
 				// Its justification is still in flight: no primary of this
 				// shard can propose it yet, so a view change cannot help.
 				continue

@@ -99,7 +99,7 @@ func (r *Replica) cacheRecovered(b *types.Batch, results []types.Value) {
 func (r *Replica) Record(seq types.SeqNum, primary types.NodeID, d types.Digest, b *types.Batch, results []types.Value) {
 	if len(b.Txns) > 0 {
 		r.Results[d] = results
-		r.Ledger.Append(seq, primary, b)
+		r.Ledger.AppendDigest(seq, primary, d, b)
 	}
 	if r.Dur != nil {
 		r.DurOK(r.Dur.LogBlock(seq, primary, b, results))

@@ -36,7 +36,7 @@ func newDurableSequential(t *testing.T, fs *wal.MemFS) *Sequential {
 		Config: cfg, Shard: 0, Self: peers[0], Peers: peers, Auth: ring,
 		Send:       func(types.NodeID, *types.Message) {},
 		Durability: dur, Recovered: rec,
-	}, func(*types.Batch) bool { return true })
+	}, func(*types.Batch, types.Digest) bool { return true })
 	s.Preload(16)
 	return s
 }
@@ -58,7 +58,7 @@ func TestSequentialCutAndRecover(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		b := batch(i)
 		batches = append(batches, b)
-		s.Commit(types.SeqNum(i), b)
+		s.Commit(types.SeqNum(i), b, b.Digest())
 		s.DrainExec()
 	}
 	if s.ExecNext != 10 || s.LastSnap != 8 {

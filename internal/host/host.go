@@ -61,12 +61,13 @@ type Options struct {
 	// the kernel's own view-change bookkeeping and before the re-proposal.
 	// The kernel owns Send, Justify, Equivocation and UnjustifiedNewView.
 	Callbacks pbft.Callbacks
-	// Justify gates every proposal path (nil = every batch is justified).
-	Justify func(b *types.Batch) bool
-	// Next shapes the primary's drain: it returns the batch to propose for
-	// the queue head, or nil to wait for a commit (nil = the head, while
-	// the pipeline window has a free slot).
-	Next func() *types.Batch
+	// Justify gates every proposal path (nil = every batch is justified);
+	// d is b's digest.
+	Justify func(b *types.Batch, d types.Digest) bool
+	// Next shapes the primary's drain: it returns the proposal for the
+	// queue head, or a zero Queued to wait for a commit (nil proposes the
+	// head, while the pipeline window has a free slot).
+	Next func() Queued
 	// ReproposeExpired makes a primary clear an expired request's proposed
 	// latch and propose it again. The latch may date from a previous
 	// primacy whose proposal died with its view; after enough view changes
@@ -108,7 +109,7 @@ type Kernel struct {
 	// for a window slot.
 	Awaiting map[types.Digest]*Pending
 	Proposed map[types.Digest]struct{}
-	Queue    []*types.Batch
+	Queue    []Queued
 
 	// LastVC is when the latest view installed; the watchdog demands a new
 	// view change at most once per LocalTimeout after it, so each view gets
@@ -119,8 +120,8 @@ type Kernel struct {
 	LastVC time.Time
 
 	handler          Handler
-	justify          func(*types.Batch) bool
-	next             func() *types.Batch
+	justify          func(*types.Batch, types.Digest) bool
+	next             func() Queued
 	reproposeExpired bool
 	onViewChanged    func(types.View)
 }
@@ -129,6 +130,14 @@ type Kernel struct {
 type Pending struct {
 	Batch *types.Batch
 	Since time.Time
+}
+
+// Queued is a batch on its way through the book together with its digest,
+// derived once where the batch entered this replica (a checked client
+// request or Forward, the engine's commit) so no later step hashes it again.
+type Queued struct {
+	Batch  *types.Batch
+	Digest types.Digest
 }
 
 // New builds a kernel and its PBFT engine.

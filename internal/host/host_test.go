@@ -65,9 +65,9 @@ func newTestShard(t *testing.T, depth int, tweak func(o *Options)) *testShard {
 			Send:    func(to types.NodeID, m *types.Message) { s.queue = append(s.queue, routed{to, m}) },
 			Clock:   func() time.Time { return s.now },
 			Handler: nd,
-			Callbacks: pbft.Callbacks{Committed: func(seq types.SeqNum, b *types.Batch, _ *pbft.Cert) {
-				nd.Settle(b)
-				nd.commits[seq] = b.Digest()
+			Callbacks: pbft.Callbacks{Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *pbft.Cert) {
+				nd.Settle(b, d)
+				nd.commits[seq] = d
 			}},
 		}
 		if tweak != nil {
@@ -157,7 +157,7 @@ func TestDrainFIFOUnderFullWindow(t *testing.T) {
 func TestUnjustifiedBatchKeepsLatch(t *testing.T) {
 	allowed := false
 	s := newTestShard(t, 8, func(o *Options) {
-		o.Justify = func(*types.Batch) bool { return allowed }
+		o.Justify = func(*types.Batch, types.Digest) bool { return allowed }
 	})
 	p := s.nodes[0]
 	b := batch(1)

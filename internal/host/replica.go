@@ -79,17 +79,17 @@ type Sequential struct {
 	// ExecNext is the executed-prefix watermark; Entries holds committed
 	// batches above it by sequence.
 	ExecNext types.SeqNum
-	Entries  map[types.SeqNum]*types.Batch
-	ready    func(b *types.Batch) bool
+	Entries  map[types.SeqNum]Queued
+	ready    func(b *types.Batch, d types.Digest) bool
 }
 
 // NewSequential builds a sequentially executing replica. ready reports
-// whether a committed cross-shard batch may execute yet.
-func NewSequential(opts Options, ready func(b *types.Batch) bool) *Sequential {
+// whether a committed cross-shard batch b, with digest d, may execute yet.
+func NewSequential(opts Options, ready func(b *types.Batch, d types.Digest) bool) *Sequential {
 	return &Sequential{
 		Replica: NewReplica(opts),
 		Tracker: pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
-		Entries: make(map[types.SeqNum]*types.Batch),
+		Entries: make(map[types.SeqNum]Queued),
 		ready:   ready,
 	}
 }
@@ -112,13 +112,14 @@ func (s *Sequential) applyRecovered(rec *wal.Recovered) {
 	s.PBFT.ResumeAt(s.ExecNext, s.ExecNext+1)
 }
 
-// Commit is the shared half of the engine's Committed callback: settle the
-// book, queue the batch for execution and fold it into the checkpoint
-// tracker. The caller runs its protocol's cross-shard step, then DrainExec.
-func (s *Sequential) Commit(seq types.SeqNum, b *types.Batch) {
-	s.Settle(b)
-	s.Entries[seq] = b
-	s.Tracker.Committed(s.PBFT, seq, b)
+// Commit is the shared half of the engine's Committed callback for batch b
+// with digest d: settle the book, queue the batch for execution and fold
+// it into the checkpoint tracker. The caller runs its protocol's
+// cross-shard step, then DrainExec.
+func (s *Sequential) Commit(seq types.SeqNum, b *types.Batch, d types.Digest) {
+	s.Settle(b, d)
+	s.Entries[seq] = Queued{Batch: b, Digest: d}
+	s.Tracker.Committed(s.PBFT, seq, d)
 }
 
 // DrainExec executes committed entries strictly in local sequence order,
@@ -126,11 +127,12 @@ func (s *Sequential) Commit(seq types.SeqNum, b *types.Batch) {
 // shard answers the client.
 func (s *Sequential) DrainExec() {
 	for {
-		b, ok := s.Entries[s.ExecNext+1]
+		e, ok := s.Entries[s.ExecNext+1]
 		if !ok {
 			return
 		}
-		if len(b.Txns) > 0 && b.IsCrossShard() && !s.ready(b) {
+		b, d := e.Batch, e.Digest
+		if len(b.Txns) > 0 && b.IsCrossShard() && !s.ready(b, d) {
 			return
 		}
 		delete(s.Entries, s.ExecNext+1)
@@ -141,7 +143,6 @@ func (s *Sequential) DrainExec() {
 			s.Executed(seq, primary, types.Digest{}, b, nil)
 			continue
 		}
-		d := b.Digest()
 		results := s.Execute(b)
 		s.Obs.Executed(b)
 		s.Observe(seq, trace.PhaseExecute)

@@ -22,8 +22,8 @@ func BenchmarkConsensusRound(b *testing.B) {
 	for i := range trackers {
 		trackers[i] = NewCheckpointTracker(64)
 		i := i
-		h.engines[i].cb.Committed = func(seq types.SeqNum, bb *types.Batch, _ *Cert) {
-			trackers[i].Committed(h.engines[i], seq, bb)
+		h.engines[i].cb.Committed = func(seq types.SeqNum, _ *types.Batch, d types.Digest, _ *Cert) {
+			trackers[i].Committed(h.engines[i], seq, d)
 		}
 	}
 	b.ReportAllocs()
@@ -96,8 +96,8 @@ func BenchmarkVerifyCommitCert(b *testing.B) {
 	h := newHarness(&testing.T{}, 4)
 	var cert []types.Signed
 	var digest types.Digest
-	h.engines[1].cb.Committed = func(_ types.SeqNum, bb *types.Batch, c *Cert) {
-		cert, digest = c.Unproven(), bb.Digest()
+	h.engines[1].cb.Committed = func(_ types.SeqNum, _ *types.Batch, d types.Digest, c *Cert) {
+		cert, digest = c.Unproven(), d
 	}
 	if _, err := h.engines[0].Propose(crossBatchOf(1)); err != nil {
 		b.Fatal(err)

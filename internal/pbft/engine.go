@@ -40,11 +40,14 @@ type Callbacks struct {
 	// Committed fires exactly once per sequence number when the batch at
 	// that sequence gathers nf Commit messages. Calls may arrive out of
 	// sequence order: RingBFT's lock manager (π, k_max) restores order
-	// where it matters (Fig 5 lines 17-28). For a cross-shard batch cert
-	// holds the signed Commits behind the decision, unverified, and keeps
-	// collecting later ones; the host owns it from here on. A single-shard
-	// batch commits on MAC-authenticated votes and cert is nil.
-	Committed func(seq types.SeqNum, batch *types.Batch, cert *Cert)
+	// where it matters (Fig 5 lines 17-28). d is the batch's digest as the
+	// entry holds it — checked against the batch at PrePrepare or NewView,
+	// computed at Propose — so the host never hashes the batch again. For a
+	// cross-shard batch cert holds the signed Commits behind the decision,
+	// unverified, and keeps collecting later ones; the host owns it from here
+	// on. A single-shard batch commits on MAC-authenticated votes and cert is
+	// nil.
+	Committed func(seq types.SeqNum, batch *types.Batch, d types.Digest, cert *Cert)
 	// ViewChanged fires when the replica installs a new view.
 	ViewChanged func(v types.View)
 	// Stabilized fires when a checkpoint becomes stable through nf matching
@@ -63,8 +66,9 @@ type Callbacks struct {
 	// otherwise commit a fabricated batch variant with its own implicit
 	// vote plus f honest backups, poisoning the shard's lock table with a
 	// transaction no other shard will ever execute (found by
-	// internal/chaos, byz-equivocate schedules).
-	Justify func(batch *types.Batch) bool
+	// internal/chaos, byz-equivocate schedules). d is batch's checked
+	// digest.
+	Justify func(batch *types.Batch, d types.Digest) bool
 	// Justification, when non-nil, returns the transferable certificate
 	// that entitles batch to be proposed at this shard (for RingBFT, the
 	// previous shard's nf-signed commit certificate carried by Forward; for
@@ -492,7 +496,7 @@ func (e *Engine) onPrePrepare(m *types.Message) {
 	if m.Batch.Digest() != m.Digest {
 		return
 	}
-	if e.cb.Justify != nil && !e.cb.Justify(m.Batch) {
+	if e.cb.Justify != nil && !e.cb.Justify(m.Batch, m.Digest) {
 		if len(e.parked) < 8192 {
 			e.parked = append(e.parked, m)
 		}
@@ -728,7 +732,7 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 		ent.cert = e.newCert(seq, ent)
 	}
 	if e.cb.Committed != nil {
-		e.cb.Committed(seq, ent.batch, ent.cert)
+		e.cb.Committed(seq, ent.batch, ent.digest, ent.cert)
 	}
 }
 

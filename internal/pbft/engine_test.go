@@ -66,8 +66,11 @@ func newHarnessAuth(t *testing.T, n int, wrap func(i int, a crypto.Authenticator
 				}
 				h.queue = append(h.queue, routed{to, m})
 			},
-			Committed: func(seq types.SeqNum, b *types.Batch, cert *Cert) {
-				h.commits[i] = append(h.commits[i], commitRec{seq, b.Digest(), b, cert.Unproven(), cert})
+			Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, cert *Cert) {
+				if d != b.Digest() {
+					t.Errorf("replica %d seq %d: Committed digest is not its batch's", i, seq)
+				}
+				h.commits[i] = append(h.commits[i], commitRec{seq, d, b, cert.Unproven(), cert})
 			},
 			ViewChanged: func(v types.View) {
 				h.views[i] = append(h.views[i], v)
@@ -314,6 +317,79 @@ func TestViewChangePreservesPrepared(t *testing.T) {
 		if !found {
 			t.Fatalf("replica %d lost prepared batch across view change", i)
 		}
+	}
+}
+
+// TestViewChangeProofContent: the ViewChange signature does not cover
+// P-set contents, so a proof whose batch is not the digest it names is
+// skipped by the new primary's selection, and a NewView re-proposing one
+// is rejected: the digest an entry commits under is always its batch's.
+func TestViewChangeProofContent(t *testing.T) {
+	h := newHarness(t, 4)
+	b, forged := batchOf(5), batchOf(6)
+	h.drop = func(_, _ types.NodeID, m *types.Message) bool { return m.Type == types.MsgCommit }
+	if _, err := h.engines[0].Propose(b); err != nil {
+		t.Fatal(err)
+	}
+	h.pump()
+	h.drop = func(from, _ types.NodeID, m *types.Message) bool {
+		if m.Type == types.MsgViewChange && from == types.ReplicaNode(0, 0) && len(m.Prepared) > 0 {
+			// Replica 0's proof travels with another body under b's digest;
+			// sorted first, it would win the selection.
+			m.Prepared = append([]types.PreparedProof(nil), m.Prepared...)
+			m.Prepared[0].Batch = forged
+		}
+		return false
+	}
+	for i := 0; i < 4; i++ {
+		h.engines[i].StartViewChange(1)
+	}
+	h.pump()
+	for i := 0; i < 4; i++ {
+		if got := h.engines[i].View(); got != 1 {
+			t.Fatalf("replica %d view = %d, want 1", i, got)
+		}
+		if len(h.commits[i]) != 1 || h.commits[i][0].digest != b.Digest() || !h.commits[i][0].batch.Equal(b) {
+			t.Fatalf("replica %d did not commit the prepared batch: %+v", i, h.commits[i])
+		}
+	}
+
+	// A NewView whose re-proposal carries another body under b's digest is
+	// rejected outright.
+	h2 := newHarness(t, 4)
+	captured := make(map[types.NodeID]*types.Message)
+	h2.drop = func(from, to types.NodeID, m *types.Message) bool {
+		if m.Type == types.MsgViewChange && m.View == 1 {
+			captured[m.From] = m
+		}
+		return to == types.ReplicaNode(0, 1)
+	}
+	for _, i := range []int{0, 2, 3} {
+		h2.engines[i].StartViewChange(1)
+	}
+	h2.pump()
+	nv := &types.Message{
+		Type: types.MsgNewView, From: types.ReplicaNode(0, 1), Shard: 0, View: 1,
+		Prepared: []types.PreparedProof{{View: 0, Seq: 1, Digest: b.Digest(), Batch: forged}},
+	}
+	for _, from := range types.SortedNodeKeys(captured) {
+		vc := captured[from]
+		nv.ViewMsgs = append(nv.ViewMsgs, types.Signed{
+			From: from, Type: types.MsgViewChange, Shard: 0, View: vc.View, Seq: vc.StableSeq, Sig: vc.Sig,
+		})
+	}
+	kg := crypto.NewKeygen(42) // newHarness's keys
+	for i := 0; i < 4; i++ {
+		kg.Register(types.ReplicaNode(0, i))
+	}
+	ring, err := kg.Ring(types.ReplicaNode(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv.Sig = ring.Sign(nv.SigBytes())
+	h2.engines[2].OnMessage(nv)
+	if got := h2.engines[2].View(); got != 0 {
+		t.Fatalf("replica 2 installed a NewView whose re-proposal does not match its digest: view = %d", got)
 	}
 }
 

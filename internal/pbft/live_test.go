@@ -40,8 +40,8 @@ func TestLiveWindowSliding(t *testing.T) {
 		ring, _ := kg.Ring(peers[i])
 		ns.engine = New(0, peers[i], peers, ring, Callbacks{
 			Send: func(to types.NodeID, m *types.Message) { ep.Send(to, m) },
-			Committed: func(seq types.SeqNum, b *types.Batch, _ *Cert) {
-				ns.tracker.Committed(ns.engine, seq, b)
+			Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *Cert) {
+				ns.tracker.Committed(ns.engine, seq, d)
 				ns.commits.Add(1)
 			},
 		}, Options{})

@@ -36,10 +36,11 @@ func NewCheckpointTracker(interval types.SeqNum) *CheckpointTracker {
 	}
 }
 
-// Committed records a commit at seq and emits a checkpoint through e when
-// the contiguous prefix crosses the next interval boundary.
-func (t *CheckpointTracker) Committed(e *Engine, seq types.SeqNum, batch *types.Batch) {
-	t.pending[seq] = batch.Digest()
+// Committed records the commit of the batch with digest d at seq and emits
+// a checkpoint through e when the contiguous prefix crosses the next
+// interval boundary.
+func (t *CheckpointTracker) Committed(e *Engine, seq types.SeqNum, d types.Digest) {
+	t.pending[seq] = d
 	for {
 		d, ok := t.pending[t.next+1]
 		if !ok {

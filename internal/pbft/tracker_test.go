@@ -16,10 +16,10 @@ func TestTrackerKeepsWindowSliding(t *testing.T) {
 	for i := range h.engines {
 		i := i
 		orig := h.engines[i].cb.Committed
-		h.engines[i].cb.Committed = func(seq types.SeqNum, b *types.Batch, cert *Cert) {
-			trackers[i].Committed(h.engines[i], seq, b)
+		h.engines[i].cb.Committed = func(seq types.SeqNum, b *types.Batch, d types.Digest, cert *Cert) {
+			trackers[i].Committed(h.engines[i], seq, d)
 			if orig != nil {
-				orig(seq, b, cert)
+				orig(seq, b, d, cert)
 			}
 		}
 	}

@@ -118,6 +118,13 @@ func (e *Engine) maybeNewView(v types.View) {
 			maxStable = vc.StableSeq
 		}
 		for _, p := range vc.Prepared {
+			if p.Batch != nil && p.Batch.Digest() != p.Digest {
+				// The ViewChange signature does not cover P-set contents:
+				// a proof whose batch is not the digest voted on is a faulty
+				// sender's, and re-proposing it would get this NewView
+				// rejected by every honest receiver.
+				continue
+			}
 			cur, ok := best[p.Seq]
 			if !ok || p.View > cur.View {
 				best[p.Seq] = p
@@ -204,18 +211,26 @@ func (e *Engine) onNewView(m *types.Message) {
 	if e.verifier.VerifyQuorum(entries, e.nf) < e.nf {
 		return
 	}
-	// Justification gate: every re-proposal this replica would adopt must
-	// either pass the local Justify gate or carry a verifiable certificate.
-	// One unjustified batch rejects the whole NewView — adopting the rest
-	// would let a Byzantine new primary split the shard between replicas
-	// that saw different NewView variants — and the view-change timer then
-	// escalates past the faulty primary (Tick).
+	// Content and justification gates: every re-proposal this replica would
+	// adopt must be the batch its digest names — the entry's digest is what
+	// the host keys the committed batch on — and either pass the local
+	// Justify gate or carry a verifiable certificate. One failing
+	// re-proposal rejects the whole NewView — adopting the rest would let a
+	// Byzantine new primary split the shard between replicas that saw
+	// different NewView variants — and the view-change timer then escalates
+	// past the faulty primary (Tick).
 	for i := range m.Prepared {
 		p := &m.Prepared[i]
 		if ent, ok := e.log[p.Seq]; ok && ent.committed {
 			continue // already decided locally; nothing is adopted for it
 		}
-		if p.Batch == nil || e.justifiedProof(p) {
+		if p.Batch == nil {
+			continue
+		}
+		if p.Batch.Digest() != p.Digest {
+			return
+		}
+		if e.justifiedProof(p) {
 			continue
 		}
 		if e.cb.UnjustifiedNewView != nil {
@@ -235,7 +250,7 @@ func (e *Engine) onNewView(m *types.Message) {
 // e.g. its Forward quorum never completed — but the certificate is
 // transferable and speaks for itself).
 func (e *Engine) justifiedProof(p *types.PreparedProof) bool {
-	if e.cb.Justify == nil || e.cb.Justify(p.Batch) {
+	if e.cb.Justify == nil || e.cb.Justify(p.Batch, p.Digest) {
 		return true
 	}
 	return e.cb.VerifyJustification != nil && e.cb.VerifyJustification(p.Batch, p.Justification)

@@ -73,14 +73,17 @@ func newJustifiedHarness(t *testing.T, n int) (*harness, *justState, []*crypto.K
 				}
 				h.queue = append(h.queue, routed{to, m})
 			},
-			Committed: func(seq types.SeqNum, b *types.Batch, cert *Cert) {
-				h.commits[i] = append(h.commits[i], commitRec{seq, b.Digest(), b, cert.Unproven(), cert})
+			Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, cert *Cert) {
+				if d != b.Digest() {
+					t.Errorf("replica %d seq %d: Committed digest is not its batch's", i, seq)
+				}
+				h.commits[i] = append(h.commits[i], commitRec{seq, d, b, cert.Unproven(), cert})
 			},
 			ViewChanged: func(v types.View) {
 				h.views[i] = append(h.views[i], v)
 			},
-			Justify: func(b *types.Batch) bool {
-				return len(b.Txns) == 0 || js.vouched[i][b.Digest()]
+			Justify: func(b *types.Batch, d types.Digest) bool {
+				return len(b.Txns) == 0 || js.vouched[i][d]
 			},
 			Justification: func(b *types.Batch) ([]types.Signed, bool) {
 				if !js.vouched[i][b.Digest()] {

@@ -30,8 +30,8 @@ func NewPBFT(opts Options) *PBFTNode {
 	}
 	n.engine = pbft.New(0, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
 		Send: func(to types.NodeID, m *types.Message) { n.send(to, m) },
-		Committed: func(seq types.SeqNum, b *types.Batch, _ *pbft.Cert) {
-			n.tracker.Committed(n.engine, seq, b)
+		Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *pbft.Cert) {
+			n.tracker.Committed(n.engine, seq, d)
 			n.markReady(seq, b)
 		},
 		ViewChanged: func(types.View) { n.viewChanges++ },

@@ -53,8 +53,8 @@ func NewRCC(opts Options) *RCCNode {
 				cp.Instance = inst
 				n.send(to, &cp)
 			},
-			Committed: func(seq types.SeqNum, b *types.Batch, _ *pbft.Cert) {
-				n.trackers[inst].Committed(n.engines[inst], seq, b)
+			Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *pbft.Cert) {
+				n.trackers[inst].Committed(n.engines[inst], seq, d)
 				n.onDecided(inst, seq, b)
 			},
 		}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: n.verifier})

@@ -148,12 +148,11 @@ func (r *Replica) sendRing(next types.ShardID, m *types.Message) {
 // the dedup), and provenCert verifies them only where the certificate
 // becomes proof for someone else.
 func (r *Replica) onForward(m *types.Message) {
-	b := m.Batch
+	b, d := m.Batch, m.Digest
 	if b == nil || len(b.Txns) == 0 || !b.IsCrossShard() {
 		return
 	}
-	d := b.Digest()
-	if d != m.Digest || !b.Involves(r.Shard) {
+	if !r.isBatch(b, d) || !b.Involves(r.Shard) {
 		return
 	}
 	if m.From.Kind != types.KindReplica || m.From.Shard != b.PrevInRing(r.Shard) || m.Shard != m.From.Shard {
@@ -244,6 +243,18 @@ func (r *Replica) onForward(m *types.Message) {
 	// 38-39). If we are already locked, execution still waits for the
 	// Execute message carrying the full Σ.
 	r.Enqueue(b, d)
+}
+
+// isBatch reports whether b is the batch with digest d. Every copy of one
+// Forward carries the same batch, so a copy field-by-field Equal to the
+// batch this replica already adopted under d — checked against d when it was
+// adopted — is compared, not hashed; the first copy, and any copy whose body
+// differs, is hashed as the content check.
+func (r *Replica) isBatch(b *types.Batch, d types.Digest) bool {
+	if cs, ok := r.csts[d]; ok && cs.batch != nil && cs.batch.Equal(b) {
+		return true
+	}
+	return b.Digest() == d
 }
 
 // provenCert returns the previous shard's commit certificate for cs, proving
@@ -430,7 +441,7 @@ func (r *Replica) executeCst(cs *cstState) {
 	}
 	cs.mergeCarried([]types.WriteSet{out})
 
-	r.locks.Unlock(r.localKeys(cs.batch), lockOwner(cs.batch))
+	r.locks.Unlock(cs.keys, lockOwner(cs.digest))
 	cs.released = true
 
 	r.sendExecute(cs)
@@ -603,7 +614,7 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		}
 		return
 	}
-	if r.justified(b) {
+	if r.justified(b, d) {
 		// Only view-change when a primary of this shard could actually
 		// propose the batch: without the Forward quorum every view burns a
 		// timeout parking the same unjustifiable proposal, while the armed

@@ -154,7 +154,7 @@ func TestPropertyLockQueueSequenceOrder(t *testing.T) {
 			batches[i] = mkBatch(1, uint64(i+1), 1, []types.ShardID{0}, uint64(i))
 		}
 		for _, idx := range order {
-			r.onCommitted(types.SeqNum(idx+1), batches[idx], nil)
+			r.onCommitted(types.SeqNum(idx+1), batches[idx], batches[idx].Digest(), nil)
 		}
 		// Everything must have executed exactly once, k_max = k.
 		return r.Stats().KMax == types.SeqNum(k) && r.Stats().LedgerHeight == k

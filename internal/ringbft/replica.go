@@ -115,10 +115,16 @@ type Replica struct {
 	ring ringMetrics
 }
 
+// logEntry is a committed batch waiting in the lock queue. digest is the
+// engine's; keys, this shard's lock set of the batch, is derived on the
+// first TryLock attempt and reused by every head-of-line retry and by the
+// Unlock that releases it.
 type logEntry struct {
-	seq   types.SeqNum
-	batch *types.Batch
-	cert  *pbft.Cert
+	seq    types.SeqNum
+	batch  *types.Batch
+	digest types.Digest
+	cert   *pbft.Cert
+	keys   []types.Key
 }
 
 // fwdKey identifies one sender's Forward claim for one sequence.
@@ -140,6 +146,9 @@ type cstState struct {
 	digest types.Digest
 	batch  *types.Batch
 	seq    types.SeqNum
+	// keys is the lock set afterLocked acquired for the batch; executeCst
+	// releases exactly these.
+	keys []types.Key
 	// cert is this shard's own commit certificate, as the engine decided it:
 	// its signatures are unverified until proveForward proves it.
 	cert *pbft.Cert
@@ -472,22 +481,22 @@ func (r *Replica) noteClientConflicts(b *types.Batch, d types.Digest) {
 	}
 }
 
-// justified reports whether batch b may enter local consensus. A
-// cross-shard batch at a non-initiator shard must be vouched for by an
-// accepted Forward (f+1 distinct previous-shard senders authenticated by
-// their ring tags). Without this gate a Byzantine primary commits a fabricated
-// batch variant — its own implicit prepare plus f honest backups is a
-// quorum — whose locks nothing can ever release: no other shard committed
+// justified reports whether batch b, with digest d, may enter local
+// consensus. A cross-shard batch at a non-initiator shard must be vouched
+// for by an accepted Forward (f+1 distinct previous-shard senders
+// authenticated by their ring tags). Without this gate a Byzantine primary
+// commits a fabricated batch variant — its own implicit prepare plus f
+// honest backups is a quorum — whose locks nothing can ever release: no other shard committed
 // it, so its ring rotation never completes and every conflicting
 // transaction queues behind it forever. Every proposal path shares this
 // gate: the engine's Justify callback (parking inbound PrePrepares until
 // onForward's ReplayParked) and every other proposal path in the host
 // kernel (see host.Kernel.Justified).
-func (r *Replica) justified(b *types.Batch) bool {
+func (r *Replica) justified(b *types.Batch, d types.Digest) bool {
 	if b == nil || !b.IsCrossShard() || b.Initiator() == r.Shard {
 		return true
 	}
-	cs, ok := r.csts[b.Digest()]
+	cs, ok := r.csts[d]
 	return ok && cs.fwdAccepted
 }
 
@@ -549,9 +558,9 @@ func (r *Replica) pipelineSlots() int {
 // nextProposal is the primary's drain hook (host.Options.Next): the queue
 // head, merged by the adaptive batcher, once the window — clamped under
 // transport backpressure — has a slot and the head is not held for fill.
-func (r *Replica) nextProposal() *types.Batch {
-	if r.pipelineSlots() <= 0 || r.holdForFill(r.Queue[0]) {
-		return nil
+func (r *Replica) nextProposal() host.Queued {
+	if r.pipelineSlots() <= 0 || r.holdForFill(r.Queue[0].Batch) {
+		return host.Queued{}
 	}
 	return r.coalesceHead()
 }
@@ -578,7 +587,8 @@ func (r *Replica) holdForFill(head *types.Batch) bool {
 		return false // shallow window: propose immediately
 	}
 	queued := 0
-	for _, b := range r.Queue {
+	for _, q := range r.Queue {
+		b := q.Batch
 		if b.IsCrossShard() || !sameInvolved(head.Involved, b.Involved) {
 			break // coalesceHead's merge run stops here too
 		}
@@ -600,24 +610,25 @@ func (r *Replica) holdForFill(head *types.Batch) bool {
 // batches are pinned to their digest by the ring rotation (Forward
 // certificates, Σ accumulation, and lock release are all keyed by it).
 // The caller still holds the head at queue position 0; merged followers are
-// removed here.
-func (r *Replica) coalesceHead() *types.Batch {
-	head := r.Queue[0]
+// removed here. A merged proposal is the one batch hashed here: it is new.
+func (r *Replica) coalesceHead() host.Queued {
+	head := r.Queue[0].Batch
 	if head.IsCrossShard() || len(head.Reqs) > 0 ||
 		len(head.Txns) >= r.Cfg.BatchSize || len(r.Queue) < 2 {
-		return head
+		return r.Queue[0]
 	}
 	txns := head.Txns
 	reqs := []uint32{uint32(len(head.Txns))}
 	rest := r.Queue[1:]
 	taken := 0
-	for _, nb := range rest {
+	for _, q := range rest {
+		nb := q.Batch
 		if nb.IsCrossShard() || len(nb.Reqs) > 0 ||
 			!sameInvolved(head.Involved, nb.Involved) ||
 			len(txns)+len(nb.Txns) > r.Cfg.BatchSize {
 			break
 		}
-		if _, done := r.Proposed[nb.Digest()]; done {
+		if _, done := r.Proposed[q.Digest]; done {
 			break // keep FIFO semantics: the dedup shift handles it later
 		}
 		txns = append(txns[:len(txns):len(txns)], nb.Txns...)
@@ -625,13 +636,14 @@ func (r *Replica) coalesceHead() *types.Batch {
 		taken++
 	}
 	if taken == 0 {
-		return head
+		return r.Queue[0]
 	}
 	// Compact the queue: position 0 keeps the head (the caller shifts it),
 	// the merged followers disappear.
 	r.Queue = append(r.Queue[:1], rest[taken:]...)
 	r.ring.coalesced.Add(int64(taken))
-	return &types.Batch{Txns: txns, Involved: head.Involved, Reqs: reqs}
+	merged := &types.Batch{Txns: txns, Involved: head.Involved, Reqs: reqs}
+	return host.Queued{Batch: merged, Digest: merged.Digest()}
 }
 
 // sameInvolved reports whether two involved sets are identical (both are
@@ -650,9 +662,9 @@ func sameInvolved(a, b []types.ShardID) bool {
 
 // onCommitted is the engine's commit callback (may fire out of sequence
 // order): enqueue for in-order locking and drain (Fig 5 lines 14-28).
-func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, cert *pbft.Cert) {
-	r.Settle(batch)
-	r.lockQueue[seq] = &logEntry{seq: seq, batch: batch, cert: cert}
+func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Digest, cert *pbft.Cert) {
+	r.Settle(batch, d)
+	r.lockQueue[seq] = &logEntry{seq: seq, batch: batch, digest: d, cert: cert}
 	r.drainLockQueue()
 }
 
@@ -666,25 +678,25 @@ func (r *Replica) drainLockQueue() {
 		if !ok {
 			return
 		}
-		keys := r.localKeys(ent.batch)
-		owner := lockOwner(ent.batch)
-		if !r.locks.TryLock(keys, owner) {
+		if ent.keys == nil {
+			ent.keys = r.localKeys(ent.batch)
+		}
+		if !r.locks.TryLock(ent.keys, lockOwner(ent.digest)) {
 			return
 		}
 		delete(r.lockQueue, r.kmax+1)
 		r.kmax++
-		r.advancePrefix(ent.batch)
+		r.advancePrefix(ent.digest)
 		r.afterLocked(ent)
 	}
 }
 
-// advancePrefix folds the committed batch digest into the rolling prefix
+// advancePrefix folds the committed batch digest d into the rolling prefix
 // digest, durably records the watermark advance, and schedules a
 // checkpoint every CheckpointInterval sequences. The checkpoint is emitted
 // by maybeEmitCheckpoints once local execution covers it, because its
 // digest certifies the canonical state at that sequence (durability.go).
-func (r *Replica) advancePrefix(b *types.Batch) {
-	d := b.Digest()
+func (r *Replica) advancePrefix(d types.Digest) {
 	r.prefixDigest = pbft.FoldStep(r.prefixDigest, r.kmax, d)
 	interval := r.Cfg.CheckpointInterval
 	if interval > 0 && r.kmax >= r.lastCheckpoint+interval {
@@ -699,18 +711,17 @@ func (r *Replica) advancePrefix(b *types.Batch) {
 // batches execute and answer the client; cross-shard batches read their
 // local fragment and forward along the ring.
 func (r *Replica) afterLocked(ent *logEntry) {
-	b := ent.batch
+	b, d := ent.batch, ent.digest
 	if len(b.Txns) == 0 { // no-op filler from a view change
-		r.locks.Unlock(r.localKeys(b), lockOwner(b))
+		r.locks.Unlock(ent.keys, lockOwner(d))
 		r.Record(ent.seq, r.PBFT.Primary(r.PBFT.View()), types.Digest{}, b, nil)
 		r.markExecuted(ent.seq)
 		return
 	}
-	d := b.Digest()
 	if !b.IsCrossShard() {
 		results := r.executeBatch(b, nil)
 		r.Observe(ent.seq, trace.PhaseExecute)
-		r.locks.Unlock(r.localKeys(b), lockOwner(b))
+		r.locks.Unlock(ent.keys, lockOwner(d))
 		r.Record(ent.seq, r.PBFT.Primary(r.PBFT.View()), d, b, results)
 		r.markExecuted(ent.seq)
 		r.respondBatch(b, d, results)
@@ -723,6 +734,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	cs.batch = b
 	cs.seq = ent.seq
 	cs.cert = ent.cert
+	cs.keys = ent.keys
 	cs.locked = true
 
 	// Accumulate this shard's read fragment into the carried Σ so that by
@@ -775,13 +787,23 @@ func (r *Replica) localReadSet(b *types.Batch) types.WriteSet {
 }
 
 // localKeys returns every key of the batch owned by this shard (read and
-// write sets both lock; Fig 5 line 18 locks the data-fragment).
+// write sets both lock; Fig 5 line 18 locks the data-fragment), each
+// transaction's reads then its writes. It is sized for the common shape, a
+// read-modify-write of one key per involved shard.
 func (r *Replica) localKeys(b *types.Batch) []types.Key {
-	var keys []types.Key
+	keys := make([]types.Key, 0, 2*len(b.Txns))
 	for i := range b.Txns {
 		t := &b.Txns[i]
-		keys = append(keys, t.ReadsAt(r.Shard, r.Cfg.Shards)...)
-		keys = append(keys, t.WritesAt(r.Shard, r.Cfg.Shards)...)
+		for _, k := range t.Reads {
+			if types.OwnerShard(k, r.Cfg.Shards) == r.Shard {
+				keys = append(keys, k)
+			}
+		}
+		for _, k := range t.Writes {
+			if types.OwnerShard(k, r.Cfg.Shards) == r.Shard {
+				keys = append(keys, k)
+			}
+		}
 	}
 	return keys
 }
@@ -828,8 +850,7 @@ func (r *Replica) armRemote(cs *cstState) {
 	r.live[cs.digest] = cs
 }
 
-// lockOwner derives the lock-owner token from the batch digest.
-func lockOwner(b *types.Batch) uint64 {
-	d := b.Digest()
+// lockOwner derives the lock-owner token from the batch digest d.
+func lockOwner(d types.Digest) uint64 {
 	return binary.BigEndian.Uint64(d[:8])
 }

@@ -157,7 +157,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		br := &p.Blocks[bi]
 		ent, ok := r.Entries[br.Seq]
 		if br.Seq > r.ExecNext && (!ok || br.Batch == nil ||
-			ent.Digest() != br.Batch.Digest()) {
+			ent.Digest != br.Batch.Digest()) {
 			return
 		}
 		bi++

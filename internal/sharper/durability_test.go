@@ -52,7 +52,7 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 			}},
 			Involved: []types.ShardID{0},
 		}
-		r.onCommitted(types.SeqNum(i+1), b, nil)
+		r.onCommitted(types.SeqNum(i+1), b, b.Digest(), nil)
 	}
 	wantDigest := r.Store().Digest()
 	wantHeight := r.Chain().Height()
@@ -74,7 +74,7 @@ func TestCrashRestartRecoversExecution(t *testing.T) {
 		Txns:     []types.Txn{{ID: types.TxnID{Client: 99, Seq: 1}, Reads: []types.Key{1}, Writes: []types.Key{1}, Delta: 3}},
 		Involved: []types.ShardID{0},
 	}
-	r2.onCommitted(11, b, nil)
+	r2.onCommitted(11, b, b.Digest(), nil)
 	if r2.ExecNext != 11 {
 		t.Fatalf("post-recovery execution stalled: execNext = %d", r2.ExecNext)
 	}

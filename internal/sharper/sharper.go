@@ -100,8 +100,8 @@ func New(opts Options) *Replica {
 		// equivocation is still detectable and recorded by the kernel.
 		Callbacks:        pbft.Callbacks{Committed: r.onCommitted, Stabilized: r.onStabilized},
 		ReproposeExpired: true,
-	}, func(b *types.Batch) bool {
-		gs := r.global[b.Digest()]
+	}, func(_ *types.Batch, d types.Digest) bool {
+		gs := r.global[d]
 		return gs != nil && gs.committed // the pipeline stalls on the 2-round WAN gate
 	})
 	return r
@@ -145,8 +145,9 @@ func (r *Replica) HandleTick(now time.Time) {
 	// execution pipeline wedges the shard; re-broadcast our votes for it,
 	// paced like the client path (found by internal/chaos, loss-storm
 	// schedules).
-	if b, ok := r.Entries[r.ExecNext+1]; ok && len(b.Txns) > 0 && b.IsCrossShard() {
-		if gs, ok := r.global[b.Digest()]; ok && !gs.committed &&
+	if e, ok := r.Entries[r.ExecNext+1]; ok && len(e.Batch.Txns) > 0 && e.Batch.IsCrossShard() {
+		b := e.Batch
+		if gs, ok := r.global[e.Digest]; ok && !gs.committed &&
 			now.Sub(gs.lastNudge) > r.Cfg.LocalTimeout {
 			gs.lastNudge = now
 			r.Obs.Retransmits.Inc()
@@ -155,7 +156,7 @@ func (r *Replica) HandleTick(now time.Time) {
 				// A stalled global round can also mean another involved
 				// shard never replicated the batch at all (every copy of
 				// the coordination proposal was lost): re-coordinate.
-				r.coordinate(b, b.Digest())
+				r.coordinate(b, e.Digest)
 			}
 		}
 	}
@@ -265,10 +266,10 @@ func (r *Replica) globalState(d types.Digest, b *types.Batch) *globalState {
 // onCommitted: local replication finished. Single-shard entries head to the
 // execution pipeline; cross-shard entries additionally start the global
 // all-to-all prepare round across every replica of every involved shard.
-func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, _ *pbft.Cert) {
-	r.Commit(seq, batch)
+func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Digest, _ *pbft.Cert) {
+	r.Commit(seq, batch, d)
 	if batch.IsCrossShard() {
-		gs := r.globalState(batch.Digest(), batch)
+		gs := r.globalState(d, batch)
 		gs.lastNudge = r.Clock() // the prepare broadcast counts as attempt one
 		r.sendCrossRound(gs, types.MsgSharperPrepare)
 	}

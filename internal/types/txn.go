@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -200,52 +201,84 @@ func (b *Batch) Involves(s ShardID) bool {
 	return false
 }
 
+// digestStackBytes is Digest's stack buffer. It holds the canonical
+// encoding of a client batch and of a coalesced proposal of up to 60
+// single-shard read-modify-write transactions (56 bytes each, plus 8 per
+// request boundary); a larger encoding spills to one heap buffer.
+const digestStackBytes = 4096
+
 // Digest computes the batch digest Δ = H(batch) over a canonical binary
 // encoding. Collision resistance of SHA-256 gives message integrity
 // (Section 3, "Authenticated Communication").
+//
+// Every protocol step keys on Δ, so each replica derives it once per batch,
+// where the batch enters — the client-request and PrePrepare content checks,
+// the primary's proposal, the first Forward copy — and passes it along with
+// the batch. It is never memoized on the Batch itself: the simulated network
+// hands one pointer to every receiver, so a cached digest would let one
+// replica's check stand in for another's.
 func (b *Batch) Digest() Digest {
-	h := sha256.New()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeU64(uint64(len(b.Txns)))
+	var buf [digestStackBytes]byte
+	return sha256.Sum256(b.appendCanonical(buf[:0]))
+}
+
+// appendCanonical appends the encoding Digest hashes: counts and fields as
+// big-endian uint64s, transactions in order (AppendTxn), then the involved
+// set.
+//
+// Request boundaries are part of the identity of a coalesced batch: two
+// different slicings of the same transactions must not share a digest, or a
+// Byzantine primary could equivocate on who gets answered. The section is
+// appended only when boundaries exist, so single-request batches keep their
+// historical digests (the encoding stays uniquely parseable: every field's
+// length is determined by the counts before it, so equal encodings imply
+// equal field values including the presence of this section).
+func (b *Batch) appendCanonical(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.Txns)))
 	for i := range b.Txns {
-		t := &b.Txns[i]
-		writeU64(uint64(t.ID.Client))
-		writeU64(t.ID.Seq)
-		writeU64(uint64(len(t.Reads)))
-		for _, k := range t.Reads {
-			writeU64(uint64(k))
-		}
-		writeU64(uint64(len(t.Writes)))
-		for _, k := range t.Writes {
-			writeU64(uint64(k))
-		}
-		writeU64(uint64(t.Delta))
+		buf = AppendTxn(buf, &b.Txns[i])
 	}
-	writeU64(uint64(len(b.Involved)))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.Involved)))
 	for _, s := range b.Involved {
-		writeU64(uint64(s))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(s))
 	}
-	// Request boundaries are part of the identity of a coalesced batch: two
-	// different slicings of the same transactions must not share a digest,
-	// or a Byzantine primary could equivocate on who gets answered. The
-	// section is appended only when boundaries exist, so single-request
-	// batches keep their historical digests (the encoding stays uniquely
-	// parseable: every field's length is determined by the counts before
-	// it, so equal encodings imply equal field values including the
-	// presence of this section).
 	if len(b.Reqs) > 0 {
-		writeU64(uint64(len(b.Reqs)))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.Reqs)))
 		for _, n := range b.Reqs {
-			writeU64(uint64(n))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 		}
 	}
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	return buf
+}
+
+// AppendTxn appends t's canonical encoding, the per-transaction section of
+// Batch.Digest's input (and of the Merkle leaves over a block's
+// transactions): client, sequence, the read and the write set each
+// prefixed by its length, and the delta.
+func AppendTxn(buf []byte, t *Txn) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(t.ID.Client))
+	buf = binary.BigEndian.AppendUint64(buf, t.ID.Seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(t.Reads)))
+	for _, k := range t.Reads {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(k))
+	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(t.Writes)))
+	for _, k := range t.Writes {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(k))
+	}
+	return binary.BigEndian.AppendUint64(buf, uint64(t.Delta))
+}
+
+// Equal reports whether b and o agree field by field — exactly when their
+// digests are equal, barring a SHA-256 collision: a nil slice equals an empty
+// one, since both encode as a zero count. Comparing a batch against one
+// already adopted under a checked digest costs a memory compare instead of a
+// hash.
+func (b *Batch) Equal(o *Batch) bool {
+	return slices.EqualFunc(b.Txns, o.Txns, func(x, y Txn) bool {
+		return x.ID == y.ID && x.Delta == y.Delta &&
+			slices.Equal(x.Reads, y.Reads) && slices.Equal(x.Writes, y.Writes)
+	}) && slices.Equal(b.Involved, o.Involved) && slices.Equal(b.Reqs, o.Reqs)
 }
 
 // SubBatches splits a coalesced batch back into the original client
