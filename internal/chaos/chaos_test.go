@@ -22,7 +22,7 @@ var (
 	flagFault  = flag.String("chaos.fault", "partition-shard", "fault class for TestReplaySeed")
 	flagShards = flag.Int("chaos.shards", 0, "shard count for TestReplaySeed (0 = default)")
 	flagDepth  = flag.Int("chaos.depth", 0, "pipeline depth for TestReplaySeed (0 = default)")
-	flagUpdate = flag.Bool("chaos.update", false, "rewrite testdata/"+goldenFile+" from this run of TestChaosMatrix")
+	flagUpdate = flag.Bool("chaos.update", false, "rewrite testdata/"+goldenFile+" and testdata/"+verifiesFile+" from this run of TestChaosMatrix")
 )
 
 // goldenFile pins the sha256 of every matrix row's RunResult.Fingerprint:
@@ -30,13 +30,17 @@ var (
 // committed block, state digest, client commit order and commit count.
 const goldenFile = "matrix_fingerprints.golden"
 
-// readGolden parses the golden table: one "<scenario name> <sha256 hex>"
-// per line.
-func readGolden(t *testing.T) map[string]string {
+// verifiesFile pins every matrix row's exact Ed25519 Sign and Verify totals
+// (RunResult.Signs, RunResult.Verifies): a change to what gets signed or
+// verified shows up as a diff of this table, row by row.
+const verifiesFile = "matrix_verifies.golden"
+
+// readGolden parses a golden table: one "<scenario name> <value>" per line.
+func readGolden(t *testing.T, file string) map[string]string {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", goldenFile))
+	f, err := os.Open(filepath.Join("testdata", file))
 	if err != nil {
-		t.Fatalf("golden fingerprints: %v (regenerate with -chaos.update)", err)
+		t.Fatalf("golden %s: %v (regenerate with -chaos.update)", file, err)
 	}
 	defer f.Close()
 	out := make(map[string]string)
@@ -67,26 +71,30 @@ func TestChaosMatrix(t *testing.T) {
 	if len(matrix) < 20 {
 		t.Fatalf("matrix has %d scenarios, want >= 20", len(matrix))
 	}
-	var golden map[string]string
+	var golden, verifies map[string]string
 	if !*flagUpdate {
-		golden = readGolden(t)
-		if len(golden) != len(matrix) {
-			t.Fatalf("golden table has %d rows, matrix has %d (regenerate with -chaos.update)", len(golden), len(matrix))
+		golden, verifies = readGolden(t, goldenFile), readGolden(t, verifiesFile)
+		if len(golden) != len(matrix) || len(verifies) != len(matrix) {
+			t.Fatalf("golden tables have %d and %d rows, matrix has %d (regenerate with -chaos.update)",
+				len(golden), len(verifies), len(matrix))
 		}
 	}
 	sums := make(map[string]string, len(matrix))
+	costs := make(map[string]string, len(matrix))
 	if *flagUpdate {
 		t.Cleanup(func() {
 			if len(sums) != len(matrix) {
-				t.Errorf("-chaos.update: %d of %d rows ran; golden table left unchanged", len(sums), len(matrix))
+				t.Errorf("-chaos.update: %d of %d rows ran; golden tables left unchanged", len(sums), len(matrix))
 				return
 			}
-			var b strings.Builder
-			for _, sc := range matrix {
-				fmt.Fprintf(&b, "%s %s\n", sc.Name(), sums[sc.Name()])
-			}
-			if err := os.WriteFile(filepath.Join("testdata", goldenFile), []byte(b.String()), 0o644); err != nil {
-				t.Error(err)
+			for file, vals := range map[string]map[string]string{goldenFile: sums, verifiesFile: costs} {
+				var b strings.Builder
+				for _, sc := range matrix {
+					fmt.Fprintf(&b, "%s %s\n", sc.Name(), vals[sc.Name()])
+				}
+				if err := os.WriteFile(filepath.Join("testdata", file), []byte(b.String()), 0o644); err != nil {
+					t.Error(err)
+				}
 			}
 		})
 	}
@@ -114,11 +122,15 @@ func TestChaosMatrix(t *testing.T) {
 			// Instrumentation is a pure side effect (TestSeedDeterminism), so
 			// this run's fingerprint is the bare one.
 			sum := fingerprintSum(res)
+			cost := fmt.Sprintf("sign=%d verify=%d", res.Signs, res.Verifies)
 			if *flagUpdate {
-				sums[sc.Name()] = sum
+				sums[sc.Name()], costs[sc.Name()] = sum, cost
 			} else if want := golden[sc.Name()]; sum != want {
 				t.Fatalf("fingerprint of %s is %s, golden %s\nreproduce with: %s",
 					sc.Name(), sum, want, sc.ReproCmd())
+			} else if want := verifies[sc.Name()]; cost != want {
+				t.Fatalf("Ed25519 calls of %s: %s, golden %s\nreproduce with: %s",
+					sc.Name(), cost, want, sc.ReproCmd())
 			}
 			t.Logf("committed=%d ticks=%d probeTicks=%d replicas=%d %s",
 				res.Committed, res.Ticks, res.ProbeTicks, len(res.States),

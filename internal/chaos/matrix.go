@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"ringbft/internal/crypto"
 	"ringbft/internal/harness"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
@@ -37,6 +38,11 @@ type RunResult struct {
 	// excluded from Fingerprint.
 	Stalls      map[trace.Phase]int
 	MetricsText string
+
+	// Signs and Verifies total the Ed25519 calls every node's key ring
+	// served over the run, counted by crypto.CountingAuth. Deterministic,
+	// but excluded from Fingerprint: they measure cost, not outcome.
+	Signs, Verifies int64
 }
 
 // StallReport renders the per-phase stall attribution, worst phase first.
@@ -94,7 +100,12 @@ func (r *RunResult) FailureReport() string {
 func RunScenario(sc Scenario) (*RunResult, error) {
 	sc = sc.Normalize()
 	sched := BuildSchedule(sc)
-	c, err := NewCluster(sc)
+	var keyRings []*crypto.CountingAuth
+	c, err := newCluster(sc, func(_ types.NodeID, a crypto.Authenticator) crypto.Authenticator {
+		ca := &crypto.CountingAuth{Authenticator: a}
+		keyRings = append(keyRings, ca)
+		return ca
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +146,10 @@ func RunScenario(sc Scenario) (*RunResult, error) {
 		res.PerClient = append(res.PerClient, cl.committed)
 	}
 	res.States = c.Capture()
+	for _, ca := range keyRings {
+		res.Signs += ca.Signs.Load()
+		res.Verifies += ca.Verifies.Load()
+	}
 	if events, snapshot := c.Observability(); snapshot != "" {
 		res.Stalls = trace.Stalled(events)
 		res.MetricsText = snapshot
