@@ -93,11 +93,17 @@ type Committee struct {
 }
 
 type committeeCst struct {
-	batch    *types.Batch
-	gseq     types.SeqNum
-	cert     *pbft.Cert
-	ordered  bool
-	votes    map[types.ShardID]map[types.NodeID]struct{}
+	batch   *types.Batch
+	gseq    types.SeqNum
+	cert    *pbft.Cert
+	ordered bool
+	// votes holds each shard replica's counted vote, whose signature
+	// verified; a retransmitted copy with the same bytes is compared with
+	// it, not verified again.
+	votes map[types.ShardID]map[types.NodeID]*types.Message
+	// prepare is the signed AHLPrepare, built once its certificate is
+	// proven; every re-broadcast sends these same bytes.
+	prepare  *types.Message
 	decided  bool // decision proposed/committed
 	notified bool // AHLDecision broadcast
 	// pendingNotify holds the decision verdict when the decision consensus
@@ -224,12 +230,13 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Di
 	c.Settle(batch, d)
 	cst, ok := c.csts[d]
 	if !ok {
-		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]struct{})}
+		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]*types.Message)}
 		c.csts[d] = cst
 	}
 	cst.batch = batch
 	cst.gseq = seq
 	cst.cert = cert
+	cst.prepare = nil // a re-ordering carries its own sequence and certificate
 	cst.ordered = true
 	cst.lastNudge = c.Clock() // the ordering broadcast below counts as attempt one
 	// Phase 1 of 2PC: prepare at every replica of every involved shard. The
@@ -253,20 +260,29 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Di
 // verify nothing is sent, and the HandleTick nudge tries again once later
 // Commits have brought more.
 func (c *Committee) broadcastPrepare(cst *committeeCst) {
-	proof := cst.cert.Prove(c.Verifier)
-	if proof == nil {
-		return
+	if cst.prepare == nil {
+		proof := cst.cert.Prove(c.Auth)
+		if proof == nil {
+			return
+		}
+		cst.prepare = &types.Message{
+			Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
+			Seq: cst.gseq, Digest: cst.batch.Digest(), Batch: cst.batch, Cert: proof,
+		}
+		cst.prepare.Sig = crypto.SignMessage(c.Auth, cst.prepare)
 	}
-	c.broadcastToShards(cst.batch, &types.Message{
-		Type: types.MsgAHLPrepare, From: c.Self, Shard: types.CommitteeShard,
-		Seq: cst.gseq, Digest: cst.batch.Digest(), Batch: cst.batch, Cert: proof,
-	})
+	c.sendToShards(cst.batch, cst.prepare)
 }
 
 // broadcastToShards signs m and sends it to every replica of every shard
 // involved in b.
 func (c *Committee) broadcastToShards(b *types.Batch, m *types.Message) {
 	m.Sig = crypto.SignMessage(c.Auth, m)
+	c.sendToShards(b, m)
+}
+
+// sendToShards sends m to every replica of every shard involved in b.
+func (c *Committee) sendToShards(b *types.Batch, m *types.Message) {
 	for _, s := range b.Involved {
 		if int(s) < 0 || int(s) >= len(c.shardPeers) {
 			continue
@@ -282,12 +298,16 @@ func (c *Committee) onVote(m *types.Message) {
 	if m.From.Kind != types.KindReplica {
 		return
 	}
-	if crypto.VerifyMessageSig(c.Auth, m) != nil {
+	var held *types.Message
+	if cst := c.csts[m.Digest]; cst != nil {
+		held = cst.votes[m.From.Shard][m.From]
+	}
+	if crypto.VerifyResent(c.Auth, m, held) != nil {
 		return
 	}
 	cst, ok := c.csts[m.Digest]
 	if !ok {
-		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]struct{})}
+		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]*types.Message)}
 		c.csts[m.Digest] = cst
 	}
 	if cst.notified {
@@ -306,10 +326,12 @@ func (c *Committee) onVote(m *types.Message) {
 	}
 	sv, ok := cst.votes[m.From.Shard]
 	if !ok {
-		sv = make(map[types.NodeID]struct{})
+		sv = make(map[types.NodeID]*types.Message)
 		cst.votes[m.From.Shard] = sv
 	}
-	sv[m.From] = struct{}{}
+	if held == nil {
+		sv[m.From] = m
+	}
 	c.maybeDecide(cst)
 }
 

@@ -272,9 +272,9 @@ func TestAHLCommitteeProvesPrepare(t *testing.T) {
 	if got := c.responses(1, b.Digest()); got < c.cfg.F()+1 {
 		t.Fatalf("client got %d responses, want >= %d", got, c.cfg.F()+1)
 	}
-	v := c.members[types.ReplicaNode(0, 0)].(*Replica).Verifier
+	a := c.members[types.ReplicaNode(0, 0)].(*Replica).Auth
 	for _, m := range prepares {
-		if err := pbft.VerifyCert(v, types.CommitteeShard, m.Digest, m.Cert, c.cfg.NF()); err != nil {
+		if _, err := pbft.VerifyCert(a, types.CommitteeShard, m.Digest, m.Cert, c.cfg.NF(), nil); err != nil {
 			t.Fatalf("AHLPrepare from %v carries a certificate that does not verify: %v", m.From, err)
 		}
 	}

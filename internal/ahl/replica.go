@@ -54,17 +54,26 @@ type Replica struct {
 }
 
 type replicaCst struct {
-	batch     *types.Batch
-	prepares  map[types.NodeID]struct{} // committee members whose AHLPrepare we saw
+	batch *types.Batch
+	// prepares and decisions hold, per committee member, the first AHLPrepare
+	// and AHLDecision whose signature verified. A retransmitted copy with the
+	// same bytes is compared with it, not verified again.
+	prepares  map[types.NodeID]*types.Message
 	accepted  bool
-	voted     bool
-	decisions map[types.NodeID]struct{}
+	decisions map[types.NodeID]*types.Message
 	decided   bool
+	// vote is this replica's signed 2PC vote, nil until it votes; every
+	// retransmission sends these same bytes.
+	vote *types.Message
 	// cert is the committee's commit certificate from the first verified
 	// AHLPrepare: the justification for replicating this cross-shard batch
 	// locally, carried into view-change P-set proofs so a NewView can prove
 	// it to replicas the prepare broadcast never reached.
 	cert []types.Signed
+	// sigs holds the committee commit signatures for this cst that verified
+	// here (pbft.VerifyCert bounds them): an entry of a later certificate
+	// equal to one of them is compared, not verified.
+	sigs []types.Signed
 	// lastNudge paces head-of-line vote retransmission (see HandleTick).
 	lastNudge time.Time
 }
@@ -93,7 +102,8 @@ func NewReplica(opts ReplicaOptions) *Replica {
 				if b == nil || !b.IsCrossShard() || len(just) == 0 {
 					return false
 				}
-				return pbft.VerifyCert(r.Verifier, types.CommitteeShard, b.Digest(), just, r.Cfg.NF()) == nil
+				_, ok := r.verifyCert(b.Digest(), just)
+				return ok
 			},
 		},
 		// AHL's analogue of RingBFT's Forward gate: a cross-shard batch may
@@ -152,10 +162,10 @@ func (r *Replica) HandleTick(now time.Time) {
 	// decided cst with the decision directly.
 	if e, ok := r.Entries[r.ExecNext+1]; ok && e.Batch.IsCrossShard() {
 		d := e.Digest
-		if cs, ok := r.csts[d]; ok && cs.voted && !cs.decided &&
+		if cs, ok := r.csts[d]; ok && cs.vote != nil && !cs.decided &&
 			now.Sub(cs.lastNudge) > r.Cfg.LocalTimeout {
 			cs.lastNudge = now
-			r.sendVote(d)
+			r.sendVote(cs)
 		}
 	}
 }
@@ -191,8 +201,8 @@ func (r *Replica) cst(d types.Digest) *replicaCst {
 	cs, ok := r.csts[d]
 	if !ok {
 		cs = &replicaCst{
-			prepares:  make(map[types.NodeID]struct{}),
-			decisions: make(map[types.NodeID]struct{}),
+			prepares:  make(map[types.NodeID]*types.Message),
+			decisions: make(map[types.NodeID]*types.Message),
 		}
 		r.csts[d] = cs
 	}
@@ -211,13 +221,19 @@ func (r *Replica) onPrepare(m *types.Message) {
 	if d != m.Digest || m.From.Kind != types.KindCommittee {
 		return
 	}
-	if crypto.VerifyMessageSig(r.Auth, m) != nil {
+	var held *types.Message
+	if cs := r.csts[d]; cs != nil {
+		held = cs.prepares[m.From]
+	}
+	if crypto.VerifyResent(r.Auth, m, held) != nil {
 		return
 	}
-	if err := pbft.VerifyCert(r.Verifier, types.CommitteeShard, d, m.Cert, r.Cfg.NF()); err != nil {
+	sigs, ok := r.verifyCert(d, m.Cert)
+	if !ok {
 		return
 	}
 	cs := r.cst(d)
+	cs.sigs = sigs
 	if cs.batch == nil {
 		cs.batch = b
 	}
@@ -227,12 +243,14 @@ func (r *Replica) onPrepare(m *types.Message) {
 		// re-proposals of this batch (Justification callback).
 		cs.cert = m.Cert
 	}
-	cs.prepares[m.From] = struct{}{}
+	if held == nil {
+		cs.prepares[m.From] = m
+	}
 	if cs.accepted {
-		if cs.voted && !cs.decided {
+		if cs.vote != nil && !cs.decided {
 			// The committee is re-broadcasting its prepare: our earlier
 			// vote may have been lost. Resend it.
-			r.sendVote(d)
+			r.sendVote(cs)
 		}
 		return
 	}
@@ -246,16 +264,27 @@ func (r *Replica) onPrepare(m *types.Message) {
 	r.Enqueue(b, d)
 }
 
-// sendVote sends this replica's 2PC commit vote to every committee member.
-func (r *Replica) sendVote(d types.Digest) {
-	vote := &types.Message{
-		Type: types.MsgAHLVote, From: r.Self, Shard: r.Shard,
-		Digest: d, Decision: true,
-	}
-	vote.Sig = crypto.SignMessage(r.Auth, vote)
+// sendVote sends cs's 2PC commit vote to every committee member.
+func (r *Replica) sendVote(cs *replicaCst) {
 	for _, to := range r.committee {
-		r.Send(to, vote)
+		r.Send(to, cs.vote)
 	}
+}
+
+// verifyCert reports whether cert is the committee's commit certificate for
+// cst d, comparing the entries whose signatures verified here before, and
+// returns every signature verified for d so far; a tracked cst keeps them.
+func (r *Replica) verifyCert(d types.Digest, cert []types.Signed) ([]types.Signed, bool) {
+	cs := r.csts[d]
+	var held []types.Signed
+	if cs != nil {
+		held = cs.sigs
+	}
+	held, err := pbft.VerifyCert(r.Auth, types.CommitteeShard, d, cert, r.Cfg.NF(), held)
+	if cs != nil {
+		cs.sigs = held
+	}
+	return held, err == nil
 }
 
 // onCommitted: local replication done. Single-shard batches execute in
@@ -268,10 +297,14 @@ func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Dige
 		if cs.batch == nil {
 			cs.batch = batch
 		}
-		if !cs.voted {
-			cs.voted = true
+		if cs.vote == nil {
+			cs.vote = &types.Message{
+				Type: types.MsgAHLVote, From: r.Self, Shard: r.Shard,
+				Digest: d, Decision: true,
+			}
+			cs.vote.Sig = crypto.SignMessage(r.Auth, cs.vote)
 			cs.lastNudge = r.Clock() // this vote counts as attempt one
-			r.sendVote(d)
+			r.sendVote(cs)
 		}
 	}
 	r.DrainExec()
@@ -283,11 +316,17 @@ func (r *Replica) onDecision(m *types.Message) {
 	if m.From.Kind != types.KindCommittee {
 		return
 	}
-	if crypto.VerifyMessageSig(r.Auth, m) != nil {
+	var held *types.Message
+	if cs := r.csts[m.Digest]; cs != nil {
+		held = cs.decisions[m.From]
+	}
+	if crypto.VerifyResent(r.Auth, m, held) != nil {
 		return
 	}
 	cs := r.cst(m.Digest)
-	cs.decisions[m.From] = struct{}{}
+	if held == nil {
+		cs.decisions[m.From] = m
+	}
 	if cs.decided || len(cs.decisions) <= r.Cfg.F() {
 		return
 	}

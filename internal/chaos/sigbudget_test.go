@@ -31,8 +31,8 @@ func outsideCst(msg []byte) bool {
 
 // runBudget drives a fault-free RingBFT cluster whose clients send only
 // single-shard batches (involved == 0) or only csts over `involved` shards,
-// with every replica's authenticator counted (what reaches the key ring after
-// the verifier's memo), and returns per replica the counts and the number of
+// with every replica's authenticator counted (every Ed25519 call that reaches
+// its key ring), and returns per replica the counts and the number of
 // blocks it executed.
 func runBudget(t *testing.T, shards, involved int) (map[types.NodeID]*crypto.CountingAuth, map[types.NodeID]int) {
 	t.Helper()

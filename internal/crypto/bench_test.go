@@ -96,34 +96,6 @@ func BenchmarkVerifySignature(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyMemo prices the verified-signature memo against
-// BenchmarkVerifySignature: "hit" is what a re-presented signature costs
-// (key hash + lookup instead of Ed25519), "miss" what the memo adds to a
-// signature's first verification (key hash + lookup + insert; capacity 1
-// with two alternating triples, so every check misses and evicts).
-func BenchmarkVerifyMemo(b *testing.B) {
-	rx, ry, x, _ := benchRings(b)
-	msgs := [2][]byte{make([]byte, types.SigBytesLen), make([]byte, types.SigBytesLen)}
-	msgs[1][0] = 1
-	sigs := [2][]byte{rx.Sign(msgs[0]), rx.Sign(msgs[1])}
-	for _, mode := range []struct {
-		name string
-		size int
-	}{{"hit", DefaultMemoSize}, {"miss", 1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			v := NewVerifier(ry)
-			v.SetMemoSize(mode.size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := v.Verify(x, msgs[i&1], sigs[i&1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkMerkleRoot100(b *testing.B) {
 	leaves := make([]types.Digest, 100)
 	for i := range leaves {

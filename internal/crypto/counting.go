@@ -7,8 +7,8 @@ import (
 )
 
 // CountingAuth wraps an Authenticator and counts the Ed25519 calls that
-// reach it — behind a Verifier, what is left after the memo. Tests and gates
-// that assert a signature budget share it. Calls whose message Apart matches
+// reach it. Tests and gates that assert a signature budget share it, and the
+// chaos engine counts every run through it. Calls whose message Apart matches
 // (when set) are tallied separately, for periodic traffic that is not part of
 // a per-block budget. Safe for concurrent use.
 type CountingAuth struct {

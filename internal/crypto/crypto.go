@@ -14,6 +14,7 @@
 package crypto
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"hash"
 	mrand "math/rand"
+	"slices"
 	"sync"
 
 	"ringbft/internal/types"
@@ -296,6 +298,45 @@ func SignMessage(a Authenticator, m *types.Message) []byte {
 func VerifyMessageSig(a Authenticator, m *types.Message) error {
 	var sb [types.SigBytesLen]byte
 	return a.Verify(m.From, m.AppendSigBytes(sb[:0]), m.Sig)
+}
+
+// VerifyResent checks m's signature like VerifyMessageSig, unless held — a
+// message from the same sender whose signature this replica already
+// verified — carries the same canonical bytes and the same signature: then
+// the two are compared instead, since Ed25519 answers the same bytes the
+// same way. Any byte that differs goes to the real check. held may be nil.
+func VerifyResent(a Authenticator, m, held *types.Message) error {
+	var x, y [types.SigBytesLen]byte
+	if held != nil && bytes.Equal(held.Sig, m.Sig) &&
+		bytes.Equal(held.AppendSigBytes(x[:0]), m.AppendSigBytes(y[:0])) {
+		return nil
+	}
+	return VerifyMessageSig(a, m)
+}
+
+// VerifyQuorum checks the signatures of entries and returns how many are
+// valid, early-exiting at quorum. held lists signed tuples the caller
+// already verified: an entry equal to one of them is compared, not
+// verified, and every entry that verifies is appended to held, which is
+// returned. Callers are responsible for structural checks (tuple
+// consistency, sender dedup, membership); this routine only spends the
+// Ed25519 work.
+func VerifyQuorum(a Authenticator, entries []*types.Signed, quorum int, held []types.Signed) (int, []types.Signed) {
+	valid := 0
+	var sb [types.SigBytesLen]byte
+	for _, e := range entries {
+		switch {
+		case slices.ContainsFunc(held, e.Equal):
+		case a.Verify(e.From, e.AppendSigBytes(sb[:0]), e.Sig) == nil:
+			held = append(held, *e)
+		default:
+			continue
+		}
+		if valid++; valid >= quorum {
+			break
+		}
+	}
+	return valid, held
 }
 
 // MACMessage computes the pairwise tag over m's canonical bytes for the

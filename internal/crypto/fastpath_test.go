@@ -139,210 +139,104 @@ func TestKeygenRingSharesPubs(t *testing.T) {
 	kg.Register(types.ReplicaNode(0, 2))
 }
 
-func signedCommit(t testing.TB, kg *Keygen, from types.NodeID, shard types.ShardID, v types.View, seq types.SeqNum, d types.Digest) types.Signed {
-	t.Helper()
-	ring, err := kg.Ring(from)
-	if err != nil {
-		t.Fatal(err)
+// TestVerifyResentComparesOnlyEqualBytes: a copy whose sender, canonical
+// bytes and signature equal a held, verified message is compared, not
+// verified; any copy that differs in one of them reaches the real check and,
+// if its signature is bad, is rejected — the property that makes comparing
+// sound.
+func TestVerifyResentComparesOnlyEqualBytes(t *testing.T) {
+	ra, rb, a, b := twoRings(t)
+	ca := &CountingAuth{Authenticator: ra}
+	held := &types.Message{Type: types.MsgAHLVote, From: b, Shard: 1, View: 2, Seq: 3, Digest: types.Digest{4}, Decision: true}
+	held.Sig = SignMessage(rb, held)
+	if err := VerifyResent(ca, held, nil); err != nil || ca.Verifies.Load() != 1 {
+		t.Fatalf("first copy: err=%v real checks=%d, want nil/1", err, ca.Verifies.Load())
 	}
-	s := types.Signed{From: from, Type: types.MsgCommit, Shard: shard, View: v, Seq: seq, Digest: d}
-	s.Sig = ring.Sign(s.SigBytes())
-	return s
-}
-
-func benchVerifierSetup(t testing.TB, n int) (*Keygen, *Verifier, []types.Signed, types.Digest) {
-	kg := NewKeygen(21)
-	ids := make([]types.NodeID, n)
-	for i := range ids {
-		ids[i] = types.ReplicaNode(0, i)
-		kg.Register(ids[i])
-	}
-	d := types.Digest{9, 9, 9}
-	cert := make([]types.Signed, n)
-	for i, id := range ids {
-		cert[i] = signedCommit(t, kg, id, 0, 1, 7, d)
-	}
-	ring, err := kg.Ring(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kg, NewVerifier(ring), cert, d
-}
-
-// memoFixture returns a verifier over a counting authenticator plus one
-// valid (signer, msg, sig) triple and a second registered signer.
-func memoFixture(t testing.TB) (*Verifier, *CountingAuth, types.NodeID, types.NodeID, []byte, []byte) {
-	kg, _, cert, _ := benchVerifierSetup(t, 4)
-	ring, err := kg.Ring(cert[0].From)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca := &CountingAuth{Authenticator: ring}
-	return NewVerifier(ca), ca, cert[1].From, cert[2].From, cert[1].SigBytes(), cert[1].Sig
-}
-
-// TestMemoKeyCoversEveryInput: after a triple verified, changing any one of
-// signer, message bytes or signature must miss the memo, reach the real
-// check and be rejected by it — the property that makes the memo sound.
-func TestMemoKeyCoversEveryInput(t *testing.T) {
-	v, ca, signer, other, msg, sig := memoFixture(t)
-	if err := v.Verify(signer, msg, sig); err != nil {
-		t.Fatalf("valid signature rejected: %v", err)
-	}
-	if err := v.Verify(signer, msg, sig); err != nil || v.MemoHits() != 1 || ca.Verifies.Load() != 1 {
-		t.Fatalf("re-presented triple: err=%v hits=%d real checks=%d, want nil/1/1", err, v.MemoHits(), ca.Verifies.Load())
-	}
-	flip := func(b []byte, i int) []byte {
-		c := append([]byte(nil), b...)
-		c[i] ^= 1
-		return c
-	}
+	resigned := *held
+	resigned.Seq = 9
+	resigned.Sig = SignMessage(rb, &resigned)
 	cases := []struct {
 		name   string
-		signer types.NodeID
-		msg    []byte
-		sig    []byte
+		mutate func(m *types.Message)
+		ok     bool
 	}{
-		{"other signer", other, msg, sig},
-		{"unknown signer", types.ReplicaNode(5, 5), msg, sig},
-		{"flipped first msg byte", signer, flip(msg, 0), sig},
-		{"flipped last msg byte", signer, flip(msg, len(msg)-1), sig},
-		{"truncated msg", signer, msg[:len(msg)-1], sig},
-		{"msg byte moved into sig", signer, msg[:len(msg)-1], append([]byte{msg[len(msg)-1]}, sig...)},
-		{"flipped first sig byte", signer, msg, flip(sig, 0)},
-		{"flipped last sig byte", signer, msg, flip(sig, len(sig)-1)},
-		{"truncated sig", signer, msg, sig[:len(sig)-1]},
-		{"empty sig", signer, msg, nil},
+		{"identical copy", func(*types.Message) {}, true},
+		{"copy with another body", func(m *types.Message) { m.Decision = false; m.Batch = &types.Batch{} }, true},
+		{"other sender", func(m *types.Message) { m.From = a }, false},
+		{"other type", func(m *types.Message) { m.Type = types.MsgSharperCommit }, false},
+		{"other shard", func(m *types.Message) { m.Shard = 0 }, false},
+		{"other view", func(m *types.Message) { m.View++ }, false},
+		{"other seq", func(m *types.Message) { m.Seq++ }, false},
+		{"other digest", func(m *types.Message) { m.Digest[31] ^= 1 }, false},
+		{"flipped first sig byte", func(m *types.Message) { m.Sig = flip(m.Sig, 0) }, false},
+		{"flipped last sig byte", func(m *types.Message) { m.Sig = flip(m.Sig, len(m.Sig)-1) }, false},
+		{"truncated sig", func(m *types.Message) { m.Sig = m.Sig[:len(m.Sig)-1] }, false},
+		{"empty sig", func(m *types.Message) { m.Sig = nil }, false},
+		{"another validly signed tuple", func(m *types.Message) { *m = resigned }, true},
 	}
 	for _, tc := range cases {
-		for round := 0; round < 2; round++ { // round 2: the failure was not stored
-			before := ca.Verifies.Load()
-			if err := v.Verify(tc.signer, tc.msg, tc.sig); err == nil {
-				t.Errorf("%s round %d: accepted", tc.name, round)
-			}
-			if ca.Verifies.Load() != before+1 {
-				t.Errorf("%s round %d: did not reach the real check", tc.name, round)
-			}
+		m := *held
+		tc.mutate(&m)
+		// The signed fields and the signature decide; Decision and Batch are
+		// outside the canonical bytes.
+		compared := m.Type == held.Type && m.From == held.From && m.Shard == held.Shard &&
+			m.View == held.View && m.Seq == held.Seq && m.Digest == held.Digest && string(m.Sig) == string(held.Sig)
+		before := ca.Verifies.Load()
+		err := VerifyResent(ca, &m, held)
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: accepted=%v, want %v", tc.name, err == nil, tc.ok)
 		}
-	}
-	if v.MemoHits() != 1 {
-		t.Fatalf("a tampered triple hit the memo (hits=%d)", v.MemoHits())
-	}
-	if err := v.Verify(signer, msg, sig); err != nil || v.MemoHits() != 2 {
-		t.Fatalf("original triple lost after tamper attempts: err=%v hits=%d", err, v.MemoHits())
+		want := int64(1)
+		if compared {
+			want = 0
+		}
+		if got := ca.Verifies.Load() - before; got != want {
+			t.Errorf("%s: %d real checks, want %d", tc.name, got, want)
+		}
 	}
 }
 
-// TestMemoBoundedFIFO: the memo never holds more than its capacity, evicts
-// the oldest success first, and capacity 0 stores nothing.
-func TestMemoBoundedFIFO(t *testing.T) {
-	kg, _, cert, _ := benchVerifierSetup(t, 4)
-	ring, _ := kg.Ring(cert[0].From)
-	ca := &CountingAuth{Authenticator: ring}
-	v := NewVerifier(ca)
-	v.SetMemoSize(2)
-	check := func(i int) {
-		t.Helper()
-		if err := v.Verify(cert[i].From, cert[i].SigBytes(), cert[i].Sig); err != nil {
-			t.Fatalf("valid signature %d rejected: %v", i, err)
-		}
+// TestVerifyQuorumComparesHeld: entries equal to held ones count without a
+// real check; an entry with the same tuple but other signature bytes is
+// checked and, if bad, not counted.
+func TestVerifyQuorumComparesHeld(t *testing.T) {
+	kg := NewKeygen(21)
+	ids := []types.NodeID{types.ReplicaNode(0, 0), types.ReplicaNode(0, 1), types.ReplicaNode(0, 2), types.ReplicaNode(0, 3)}
+	for _, id := range ids {
+		kg.Register(id)
 	}
-	check(0)
-	check(1)
-	check(0)
-	check(1)
-	if ca.Verifies.Load() != 2 || v.MemoHits() != 2 {
-		t.Fatalf("within capacity: real checks=%d hits=%d, want 2/2", ca.Verifies.Load(), v.MemoHits())
-	}
-	check(2) // evicts 0, the oldest
-	if len(v.memo) != 2 || len(v.fifo) != 2 {
-		t.Fatalf("memo holds %d entries (ring %d), capacity 2", len(v.memo), len(v.fifo))
-	}
-	check(1)
-	check(2)
-	if ca.Verifies.Load() != 3 {
-		t.Fatalf("eviction removed the wrong entry: real checks=%d, want 3", ca.Verifies.Load())
-	}
-	check(0) // was evicted: verified for real again, evicting 1
-	check(1)
-	if ca.Verifies.Load() != 5 {
-		t.Fatalf("FIFO order not respected: real checks=%d, want 5", ca.Verifies.Load())
-	}
-	v.SetMemoSize(0)
-	hits := v.MemoHits()
-	check(2)
-	check(2)
-	if v.MemoHits() != hits || v.memo != nil {
-		t.Fatal("disabled memo stored an entry")
-	}
-}
-
-// TestMemoBypassedUnderNopAuth: with free verification the memo would only
-// add hashing, so it is off and nothing is ever allocated.
-func TestMemoBypassedUnderNopAuth(t *testing.T) {
-	v := NewVerifier(NopAuth{})
-	for i := 0; i < 3; i++ {
-		if err := v.Verify(types.ReplicaNode(0, 1), []byte("m"), nil); err != nil {
+	cert := make([]types.Signed, len(ids))
+	for i, id := range ids {
+		ring, err := kg.Ring(id)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cert[i] = types.Signed{From: id, Type: types.MsgCommit, View: 1, Seq: 7, Digest: types.Digest{9}}
+		cert[i].Sig = ring.Sign(cert[i].SigBytes())
 	}
-	if v.MemoHits() != 0 || v.memo != nil {
-		t.Fatalf("NopAuth verifier used the memo (hits=%d)", v.MemoHits())
+	ring, _ := kg.Ring(ids[0])
+	ca := &CountingAuth{Authenticator: ring}
+	ptrs := func(c []types.Signed) []*types.Signed {
+		out := make([]*types.Signed, len(c))
+		for i := range c {
+			out[i] = &c[i]
+		}
+		return out
+	}
+	got, held := VerifyQuorum(ca, ptrs(cert), 4, cert[:2:2])
+	if got != 4 || ca.Verifies.Load() != 2 || len(held) != 4 {
+		t.Fatalf("two held of four: %d valid with %d real checks, %d held, want 4 with 2, 4 held", got, ca.Verifies.Load(), len(held))
+	}
+	tampered := append([]types.Signed(nil), cert...)
+	tampered[1].Sig = flip(tampered[1].Sig, 7)
+	if got, held = VerifyQuorum(ca, ptrs(tampered), 4, held); got != 3 || ca.Verifies.Load() != 3 || len(held) != 4 {
+		t.Fatalf("tampered held slot: %d valid with %d real checks in all, %d held, want 3 with 3, 4 held", got, ca.Verifies.Load(), len(held))
 	}
 }
 
-// TestMemoLazyAllocation: construction allocates no memo storage — a
-// replica that never verifies a signature pays nothing for the capacity.
-func TestMemoLazyAllocation(t *testing.T) {
-	v, _, signer, _, msg, sig := memoFixture(t)
-	if v.memo != nil || v.fifo != nil {
-		t.Fatal("memo storage allocated at construction")
-	}
-	bad := append([]byte(nil), sig...)
-	bad[3] ^= 1
-	if v.Verify(signer, msg, bad) == nil || v.memo != nil {
-		t.Fatal("a failed check allocated or populated the memo")
-	}
-	if err := v.Verify(signer, msg, sig); err != nil || len(v.memo) != 1 {
-		t.Fatalf("first success not stored: err=%v entries=%d", err, len(v.memo))
-	}
-}
-
-// TestMemoConcurrentHammer drives one small memo from many goroutines with
-// a mix of valid and tampered triples (constant eviction pressure): every
-// decision must match the bare authenticator. Meaningful under -race.
-func TestMemoConcurrentHammer(t *testing.T) {
-	kg, _, cert, _ := benchVerifierSetup(t, 7)
-	ring, _ := kg.Ring(cert[0].From)
-	v := NewVerifier(ring)
-	v.SetMemoSize(3)
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				e := cert[(g+i)%len(cert)]
-				sig := e.Sig
-				tampered := (g+i)%3 == 0
-				if tampered {
-					sig = append([]byte(nil), sig...)
-					sig[i%len(sig)] ^= 0x40
-				}
-				if err := v.Verify(e.From, e.SigBytes(), sig); (err == nil) == tampered {
-					errs <- fmt.Errorf("goroutine %d iter %d: tampered=%v err=%v", g, i, tampered, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if len(v.memo) > 3 {
-		t.Fatalf("memo grew to %d entries past capacity 3", len(v.memo))
-	}
+// flip returns a copy of b with bit 0 of byte i flipped.
+func flip(b []byte, i int) []byte {
+	c := append([]byte(nil), b...)
+	c[i] ^= 1
+	return c
 }

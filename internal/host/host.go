@@ -84,14 +84,13 @@ type Options struct {
 // fields directly only to restore them (recovery, state transfer) and, in
 // RingBFT's batcher, to merge queued requests.
 type Kernel struct {
-	Cfg      types.Config
-	Shard    types.ShardID
-	Self     types.NodeID
-	Peers    []types.NodeID
-	Auth     crypto.Authenticator // Options.Auth with signature checks memoized
-	Verifier *crypto.Verifier
-	Send     Sender
-	Clock    func() time.Time
+	Cfg   types.Config
+	Shard types.ShardID
+	Self  types.NodeID
+	Peers []types.NodeID
+	Auth  crypto.Authenticator
+	Send  Sender
+	Clock func() time.Time
 
 	PBFT *pbft.Engine
 	// Ev is the misbehavior evidence log and Obs the observability sink.
@@ -145,7 +144,6 @@ func New(opts Options) *Kernel {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	verifier := crypto.NewVerifier(opts.Auth)
 	ev := opts.Evidence
 	if ev == nil {
 		ev = evidence.NewMemory()
@@ -159,7 +157,7 @@ func New(opts Options) *Kernel {
 	}
 	k := &Kernel{
 		Cfg: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
-		Auth: verifier, Verifier: verifier, Send: opts.Send, Clock: opts.Clock,
+		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
 		Ev: ev, Obs: obs,
 		Dur:              opts.Durability,
 		Awaiting:         make(map[types.Digest]*Pending),
@@ -180,7 +178,7 @@ func New(opts Options) *Kernel {
 	cb.Equivocation = k.equivocation
 	cb.UnjustifiedNewView = k.unjustifiedNewView
 	k.PBFT = pbft.New(opts.Shard, opts.Self, opts.Peers, opts.Auth, cb,
-		pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: verifier, OnPhase: obs.phaseSink()})
+		pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, OnPhase: obs.phaseSink()})
 	return k
 }
 

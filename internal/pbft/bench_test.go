@@ -42,7 +42,7 @@ func BenchmarkConsensusRound(b *testing.B) {
 // BenchmarkCommitAfterDecision is a replica's cost of a cross-shard Commit
 // that lands after its entry committed — in the fault-free case the last
 // peer's, at every replica for every batch — including the straggler reply
-// it triggers. The memo is off: that Commit's signature has never been seen.
+// it triggers.
 func BenchmarkCommitAfterDecision(b *testing.B) {
 	h := newHarness(&testing.T{}, 4)
 	batch := crossBatchOf(1)
@@ -57,7 +57,6 @@ func BenchmarkCommitAfterDecision(b *testing.B) {
 	}
 	late := h.commitFrom(2, 1, 0, 1, batch.Digest(), true)
 	h.drop = func(types.NodeID, types.NodeID, *types.Message) bool { return true }
-	e.verifier.SetMemoSize(0)
 	b.ReportAllocs()
 	for b.Loop() {
 		ent.helped = nil
@@ -68,8 +67,7 @@ func BenchmarkCommitAfterDecision(b *testing.B) {
 // BenchmarkCommitBeforeDecision is a replica's cost of a peer's cross-shard
 // Commit for an entry it has prepared but not decided: the nf-1 peer
 // Commits of every decision, at every replica. Each iteration forgets the
-// vote again, so the entry stays one vote short of nf. The memo is off: that
-// Commit's signature has never been seen.
+// vote again, so the entry stays one vote short of nf.
 func BenchmarkCommitBeforeDecision(b *testing.B) {
 	h := newHarness(&testing.T{}, 4)
 	isolateCommits(h, 1)
@@ -84,7 +82,6 @@ func BenchmarkCommitBeforeDecision(b *testing.B) {
 		b.Fatal("replica 1 is not prepared and undecided")
 	}
 	vote := h.commitFrom(2, 1, 0, 1, batch.Digest(), true)
-	e.verifier.SetMemoSize(0)
 	b.ReportAllocs()
 	for b.Loop() {
 		delete(ent.commits, vote.From)
@@ -106,12 +103,11 @@ func BenchmarkVerifyCommitCert(b *testing.B) {
 	if cert == nil {
 		b.Fatal("no cert")
 	}
-	auth := h.engines[2].verifier
-	auth.SetMemoSize(0) // measure real verification, not memo hits
+	auth := h.engines[2].auth
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := VerifyCert(auth, 0, digest, cert, 3); err != nil {
+		if _, err := VerifyCert(auth, 0, digest, cert, 3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,12 +83,12 @@ func (c *Cert) Unproven() []types.Signed {
 // Prove returns nf held votes whose signatures verify, in canonical sender
 // order, or nil while fewer than nf of them do. The decision's votes are
 // tried first, so on a fault-free run the proof is Unproven itself; the
-// owner's own signature is taken as valid. Signatures are checked through
-// v's memo, and the first proof found is kept, so later calls cost nothing;
-// after a failure, so do calls until another signature is held.
+// owner's own signature is taken as valid. The first proof found is kept,
+// so later calls cost nothing; after a failure, so do calls until another
+// signature is held.
 // A host calls it only where it hands the certificate to someone who will
 // check it.
-func (c *Cert) Prove(v *crypto.Verifier) []types.Signed {
+func (c *Cert) Prove(a crypto.Authenticator) []types.Signed {
 	if c == nil {
 		return nil
 	}
@@ -99,7 +99,7 @@ func (c *Cert) Prove(v *crypto.Verifier) []types.Signed {
 	var sb [types.SigBytesLen]byte
 	for i := range c.held {
 		s := &c.held[i]
-		if s.From != c.owner && v.Verify(s.From, s.AppendSigBytes(sb[:0]), s.Sig) != nil {
+		if s.From != c.owner && a.Verify(s.From, s.AppendSigBytes(sb[:0]), s.Sig) != nil {
 			continue
 		}
 		valid = append(valid, *s)

@@ -19,9 +19,10 @@
 // entry (see Cert). A host proves the certificate (Cert.Prove) only when it
 // hands it to someone who will check it. Checkpoint, ViewChange, and NewView
 // are signed and verified on arrival (their quorums are re-assembled into
-// certificates for state transfer and NewView justification). Every
-// signature check goes through the replica's crypto.Verifier, so a signature
-// is verified at most once per replica.
+// certificates for state transfer and NewView justification). A signature is
+// verified once, where it is used: a re-sent ViewChange, or a NewView's
+// ViewChange entry, equal to one this replica already verified is compared,
+// not verified again.
 package pbft
 
 import (
@@ -153,16 +154,15 @@ type entry struct {
 // concurrent use: exactly one goroutine (the replica event loop) may call
 // its methods.
 type Engine struct {
-	shard    types.ShardID
-	self     types.NodeID
-	peers    []types.NodeID // all replicas of the shard, index i = replica i
-	n, f     int
-	nf       int
-	auth     crypto.Authenticator
-	verifier *crypto.Verifier
-	cb       Callbacks
-	now      func() time.Time
-	onPhase  func(seq types.SeqNum, phase trace.Phase, at time.Time)
+	shard   types.ShardID
+	self    types.NodeID
+	peers   []types.NodeID // all replicas of the shard, index i = replica i
+	n, f    int
+	nf      int
+	auth    crypto.Authenticator
+	cb      Callbacks
+	now     func() time.Time
+	onPhase func(seq types.SeqNum, phase trace.Phase, at time.Time)
 
 	view    types.View
 	nextSeq types.SeqNum
@@ -207,10 +207,6 @@ type Options struct {
 	Window      types.SeqNum  // log watermark window (default 512)
 	ViewTimeout time.Duration // new-view escalation timeout (default 250ms)
 	Clock       func() time.Time
-	// Verifier is the host's signature verifier; sharing the host's
-	// instance shares its verified-signature memo. Nil constructs a private
-	// verifier.
-	Verifier *crypto.Verifier
 	// OnPhase, when set, observes lifecycle transitions: PrePrepare
 	// acceptance, the prepared and committed predicates, and view-change
 	// entry. Timestamps come from the engine clock, so deterministic hosts
@@ -230,26 +226,16 @@ func New(shard types.ShardID, self types.NodeID, peers []types.NodeID, auth cryp
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	if opts.Verifier == nil {
-		opts.Verifier = crypto.NewVerifier(auth)
-	} else if opts.Verifier.Authenticator != auth {
-		// Certificate checks and per-message checks must share key material;
-		// a verifier wrapping different keys would split-brain the engine.
-		panic("pbft: Options.Verifier wraps a different Authenticator than auth")
-	}
 	n := len(peers)
 	f := (n - 1) / 3
 	return &Engine{
-		shard: shard,
-		self:  self,
-		peers: peers,
-		n:     n,
-		f:     f,
-		nf:    n - f,
-		// auth is the verifier itself so certificate checks and per-message
-		// checks share key material and the verified-signature memo.
-		auth:        opts.Verifier,
-		verifier:    opts.Verifier,
+		shard:       shard,
+		self:        self,
+		peers:       peers,
+		n:           n,
+		f:           f,
+		nf:          n - f,
+		auth:        auth,
 		cb:          cb,
 		now:         opts.Clock,
 		onPhase:     opts.OnPhase,
@@ -742,13 +728,17 @@ func (e *Engine) maybeCommitted(seq types.SeqNum, ent *entry) {
 // Any replica of any shard can run this check given the public keys — this
 // is why cross-shard messages use DS, not MACs (non-repudiation, Section 3).
 //
-// The structural checks run on every call; the Ed25519 work goes through the
-// verifier's memo, so the same signatures re-presented in another copy of
-// the certificate (however that copy was assembled) are not verified again.
-// Accept/reject decisions match verifying every signature every time.
-func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, cert []types.Signed, quorum int) error {
+// held lists the commit signatures for digest the caller already verified
+// (nil if none): an entry equal to one of them is compared, not verified, so
+// a copy of a certificate the caller holds costs no Ed25519 work. Entries
+// that verify are appended to held, which is returned for the caller to
+// keep, up to three quorums' worth: an honest shard signs a digest at one
+// (view, seq), or a few across view changes, so past that only a faulty
+// signer's extra tuples go unkept. Accept/reject decisions match verifying
+// every signature every time.
+func VerifyCert(a crypto.Authenticator, shard types.ShardID, digest types.Digest, cert []types.Signed, quorum int, held []types.Signed) ([]types.Signed, error) {
 	if len(cert) < quorum {
-		return fmt.Errorf("pbft: certificate has %d signatures, need %d", len(cert), quorum)
+		return held, fmt.Errorf("pbft: certificate has %d signatures, need %d", len(cert), quorum)
 	}
 
 	// Structural pass (no crypto): keep entries with the right type, shard,
@@ -796,18 +786,20 @@ func VerifyCert(v *crypto.Verifier, shard types.ShardID, digest types.Digest, ce
 			continue
 		}
 		checked = true
-		valid := v.VerifyQuorum(g.entries, quorum)
+		var valid int
+		valid, held = crypto.VerifyQuorum(a, g.entries, quorum, held)
+		held = held[:min(len(held), 3*quorum)]
 		if valid >= quorum {
-			return nil
+			return held, nil
 		}
 		if valid > bestValid {
 			bestValid = valid
 		}
 	}
 	if !checked {
-		return fmt.Errorf("pbft: certificate has only %d structurally matching entries (unverified), need %d", bestStructural, quorum)
+		return held, fmt.Errorf("pbft: certificate has only %d structurally matching entries (unverified), need %d", bestStructural, quorum)
 	}
-	return fmt.Errorf("pbft: certificate has %d valid signatures, need %d", bestValid, quorum)
+	return held, fmt.Errorf("pbft: certificate has %d valid signatures, need %d", bestValid, quorum)
 }
 
 // ReplayParked re-feeds PrePrepares that Justify previously rejected. The

@@ -224,28 +224,23 @@ func TestVerifyCert(t *testing.T) {
 	if len(cert) != h.engines[1].NF() {
 		t.Fatalf("cross-shard commit certificate has %d entries, want %d", len(cert), h.engines[1].NF())
 	}
-	auth := h.engines[2] // any ring works for verification
-	if err := VerifyCert(authOf(t, auth), 0, b.Digest(), cert, 3); err != nil {
+	auth := h.engines[2].auth // any ring works for verification
+	if _, err := VerifyCert(auth, 0, b.Digest(), cert, 3, nil); err != nil {
 		t.Fatalf("valid cert rejected: %v", err)
 	}
 	// Tampered digest must fail.
-	if err := VerifyCert(authOf(t, auth), 0, crossBatchOf(4).Digest(), cert, 3); err == nil {
+	if _, err := VerifyCert(auth, 0, crossBatchOf(4).Digest(), cert, 3, nil); err == nil {
 		t.Fatal("tampered cert accepted")
 	}
 	// Truncated cert must fail.
-	if err := VerifyCert(authOf(t, auth), 0, b.Digest(), cert[:2], 3); err == nil {
+	if _, err := VerifyCert(auth, 0, b.Digest(), cert[:2], 3, nil); err == nil {
 		t.Fatal("truncated cert accepted")
 	}
 	// Duplicate signers must not double-count.
 	dup := []types.Signed{cert[0], cert[0], cert[0]}
-	if err := VerifyCert(authOf(t, auth), 0, b.Digest(), dup, 3); err == nil {
+	if _, err := VerifyCert(auth, 0, b.Digest(), dup, 3, nil); err == nil {
 		t.Fatal("duplicate-signer cert accepted")
 	}
-}
-
-func authOf(t *testing.T, e *Engine) *crypto.Verifier {
-	t.Helper()
-	return e.verifier
 }
 
 func TestViewChangeElectsNextPrimary(t *testing.T) {

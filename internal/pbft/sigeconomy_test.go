@@ -9,8 +9,7 @@ import (
 	"ringbft/internal/types"
 )
 
-// newCountingHarness counts the Ed25519 work each replica's engine spends:
-// what reaches the key ring after the verifier's memo.
+// newCountingHarness counts the Ed25519 work each replica's engine spends.
 func newCountingHarness(t *testing.T, n int) (*harness, []*crypto.CountingAuth) {
 	t.Helper()
 	counters := make([]*crypto.CountingAuth, n)
@@ -95,10 +94,10 @@ func TestCrossShardCommitSignsOnce(t *testing.T) {
 		if len(rec.held.held) != h.n {
 			t.Errorf("replica %d holds %d Commit signatures, want all %d", i, len(rec.held.held), h.n)
 		}
-		if err := VerifyCert(h.engines[(i+1)%h.n].verifier, 0, b.Digest(), rec.cert, h.engines[i].NF()); err != nil {
+		if _, err := VerifyCert(h.engines[(i+1)%h.n].auth, 0, b.Digest(), rec.cert, h.engines[i].NF(), nil); err != nil {
 			t.Errorf("replica %d certificate rejected: %v", i, err)
 		}
-		if proof := rec.held.Prove(h.engines[i].verifier); !slices.EqualFunc(proof, rec.cert, sameSigned) {
+		if proof := rec.held.Prove(h.engines[i].auth); !slices.EqualFunc(proof, rec.cert, sameSigned) {
 			t.Errorf("replica %d: the proof of a fault-free certificate differs from it", i)
 		}
 	}
@@ -158,7 +157,7 @@ func TestMACCommitNeverCertifies(t *testing.T) {
 			t.Fatalf("certificate includes the MAC-only vote of %v", s.From)
 		}
 	}
-	if err := VerifyCert(h.engines[3].verifier, 0, d, cert, 3); err != nil {
+	if _, err := VerifyCert(h.engines[3].auth, 0, d, cert, 3, nil); err != nil {
 		t.Fatalf("certificate rejected: %v", err)
 	}
 }
@@ -219,10 +218,10 @@ func TestBadSignatureCommitDropped(t *testing.T) {
 		t.Fatalf("the decision cost %d Verify, want 0", n)
 	}
 	rec := h.commits[1][0]
-	if err := VerifyCert(h.engines[3].verifier, 0, d, rec.cert, 3); err == nil {
+	if _, err := VerifyCert(h.engines[3].auth, 0, d, rec.cert, 3, nil); err == nil {
 		t.Fatal("setup: the unproven certificate should hold the garbage signature")
 	}
-	if proof := rec.held.Prove(victim.verifier); proof != nil {
+	if proof := rec.held.Prove(victim.auth); proof != nil {
 		t.Fatalf("a certificate with %d valid signatures proved: %v", h.engines[1].NF()-1, proof)
 	}
 }
@@ -248,15 +247,15 @@ func TestLateCommitProves(t *testing.T) {
 		t.Fatal("setup: replica 1 did not commit")
 	}
 	held := h.commits[1][0].held
-	if held.Prove(victim.verifier) != nil {
+	if held.Prove(victim.auth) != nil {
 		t.Fatal("setup: the certificate proved before the late Commit")
 	}
 	verifies := counters[1].Verifies.Load()
-	if held.Prove(victim.verifier) != nil || counters[1].Verifies.Load() != verifies {
+	if held.Prove(victim.auth) != nil || counters[1].Verifies.Load() != verifies {
 		t.Fatal("a failed Prove was retried with no new signature held")
 	}
 	victim.OnMessage(h.commitFrom(3, 1, 0, 1, d, true))
-	proof := held.Prove(victim.verifier)
+	proof := held.Prove(victim.auth)
 	if len(proof) != 3 {
 		t.Fatalf("the late Commit did not let the certificate prove: %v", proof)
 	}
@@ -265,7 +264,7 @@ func TestLateCommitProves(t *testing.T) {
 			t.Fatalf("proof[%d] is from %v, want %v (canonical order, without the garbage)", i, proof[i].From, h.engines[want].self)
 		}
 	}
-	if err := VerifyCert(h.engines[2].verifier, 0, d, proof, 3); err != nil {
+	if _, err := VerifyCert(h.engines[2].auth, 0, d, proof, 3, nil); err != nil {
 		t.Fatalf("proof rejected: %v", err)
 	}
 }
@@ -393,7 +392,7 @@ func TestReplyCommitReusesSignature(t *testing.T) {
 	if replies < h.engines[3].NF()-1 {
 		t.Fatalf("straggler got %d catch-up Commits, want >= %d", replies, h.engines[3].NF()-1)
 	}
-	if err := VerifyCert(h.engines[0].verifier, 0, b.Digest(), h.commits[3][0].cert, 3); err != nil {
+	if _, err := VerifyCert(h.engines[0].auth, 0, b.Digest(), h.commits[3][0].cert, 3, nil); err != nil {
 		t.Fatalf("straggler's view-1 certificate rejected: %v", err)
 	}
 }

@@ -33,13 +33,13 @@ func certFixture(t testing.TB, n int) (*crypto.Keygen, []types.Signed, types.Dig
 	return kg, cert, d
 }
 
-func fixtureVerifier(t testing.TB, kg *crypto.Keygen) *crypto.Verifier {
+func fixtureRing(t testing.TB, kg *crypto.Keygen) *crypto.KeyRing {
 	t.Helper()
 	ring, err := kg.Ring(types.ReplicaNode(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return crypto.NewVerifier(ring)
+	return ring
 }
 
 // TestVerifyCertTamperTable runs an adversarial table against VerifyCert:
@@ -127,11 +127,9 @@ func TestVerifyCertTamperTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &countingAuth{Authenticator: ring}
-	v := crypto.NewVerifier(counter)
-	v.SetMemoSize(0) // isolate verification from the memo
 	for _, tc := range cases {
 		counter.calls = 0
-		err := VerifyCert(v, 0, tc.dig, tc.cert(), 3)
+		_, err := VerifyCert(counter, 0, tc.dig, tc.cert(), 3, nil)
 		if tc.ok && err != nil {
 			t.Errorf("%s: valid cert rejected: %v", tc.name, err)
 		}
@@ -157,81 +155,96 @@ func (a *countingAuth) Verify(signer types.NodeID, msg, sig []byte) error {
 	return a.Authenticator.Verify(signer, msg, sig)
 }
 
-// TestVerifyCertMemoPoisoning: a certificate for the same (shard, view, seq)
-// whose signatures differ from ones that already verified must be checked
-// for real and rejected — and failures must never populate the memo.
-func TestVerifyCertMemoPoisoning(t *testing.T) {
+// TestVerifyCertComparesHeldEntries: an entry equal to one of the held
+// certificate's entries is compared, not verified; any entry whose tuple or
+// signature bytes differ from every held entry is verified, and rejected if
+// bad.
+func TestVerifyCertComparesHeldEntries(t *testing.T) {
 	kg, cert, d := certFixture(t, 4)
-	v := fixtureVerifier(t, kg)
-
-	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
-		t.Fatalf("valid cert rejected: %v", err)
+	ring, err := kg.Ring(types.ReplicaNode(0, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hits := v.MemoHits(); hits != 0 {
-		t.Fatalf("first verification counted %d memo hits", hits)
+	counter := &countingAuth{Authenticator: ring}
+	flipped := func(c []types.Signed, i int) []types.Signed {
+		c = append([]types.Signed(nil), c...)
+		c[i].Sig = append([]byte(nil), c[i].Sig...)
+		c[i].Sig[5] ^= 1
+		return c
 	}
-	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
-		t.Fatalf("re-delivered cert rejected: %v", err)
+	junk := types.Signed{From: cert[3].From, Type: types.MsgCommit, Shard: 0, View: 1, Seq: 7, Digest: d, Sig: []byte("junk")}
+	cases := []struct {
+		name   string
+		cert   []types.Signed
+		dig    types.Digest
+		ok     bool
+		checks int // Ed25519 calls that reach the key ring
+	}{
+		{"the held certificate", cert, d, true, 0},
+		{"reordered, one junk entry", []types.Signed{cert[2], junk, cert[0], cert[1]}, d, true, 1},
+		{"one signature flipped", flipped(cert[:3], 1), d, false, 1},
+		{"every signature flipped", flipped(flipped(flipped(cert[:3], 0), 1), 2), d, false, 3},
+		{"flipped entry, then a valid fourth", flipped(cert, 0), d, true, 1},
+		{"held signatures under another view", func() []types.Signed {
+			c := append([]types.Signed(nil), cert[:3]...)
+			for i := range c {
+				c[i].View = 2
+			}
+			return c
+		}(), d, false, 3},
+		{"held certificate, another digest expected", cert, types.Digest{0xFF}, false, 0},
 	}
-	if hits := v.MemoHits(); hits != 3 {
-		t.Fatalf("re-delivery hit the memo %d times, want 3 (the quorum)", hits)
-	}
-	// A differently assembled copy — same signatures, other order, one junk
-	// entry — is served from the memo too: the key is per signature, not
-	// per certificate.
-	reordered := []types.Signed{cert[2], {From: cert[3].From, Type: types.MsgCommit, Shard: 0, View: 1, Seq: 7, Digest: d, Sig: []byte("junk")}, cert[0], cert[1]}
-	if err := VerifyCert(v, 0, d, reordered, 3); err != nil {
-		t.Fatalf("re-assembled cert rejected: %v", err)
-	}
-	if hits := v.MemoHits(); hits != 6 {
-		t.Fatalf("re-assembled cert: %d memo hits, want 6", hits)
-	}
-
-	// Same slot, tampered signatures: must miss the memo and be rejected.
-	poisoned := make([]types.Signed, len(cert))
-	copy(poisoned, cert)
-	for i := range poisoned {
-		poisoned[i].Sig = append([]byte(nil), cert[i].Sig...)
-		poisoned[i].Sig[5] ^= 1
-	}
-	for round := 0; round < 2; round++ { // round 2: the failure was not stored
-		if err := VerifyCert(v, 0, d, poisoned, 3); err == nil {
-			t.Fatalf("round %d: tampered cert for a verified slot accepted", round)
+	for _, tc := range cases {
+		counter.calls = 0
+		kept, err := VerifyCert(counter, 0, tc.dig, tc.cert, 3, cert)
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: accepted=%v, want %v (%v)", tc.name, err == nil, tc.ok, err)
+		}
+		if counter.calls != tc.checks {
+			t.Errorf("%s: %d signature checks, want %d", tc.name, counter.calls, tc.checks)
+		}
+		if len(kept) != len(cert) {
+			t.Errorf("%s: kept %d entries, want the %d held: no tampered entry verifies", tc.name, len(kept), len(cert))
 		}
 	}
-	if hits := v.MemoHits(); hits != 6 {
-		t.Fatalf("a tampered signature hit the memo (hits=%d)", hits)
+
+	// Starting from nothing, a certificate's verified entries are kept, and
+	// a second copy costs no check.
+	counter.calls = 0
+	kept, err := VerifyCert(counter, 0, d, cert, 3, nil)
+	if err != nil || len(kept) != 3 || counter.calls != 3 {
+		t.Fatalf("first copy: err=%v, kept %d with %d checks, want nil, 3 with 3", err, len(kept), counter.calls)
 	}
-	if err := VerifyCert(v, 0, d, cert, 3); err != nil {
-		t.Fatalf("original cert no longer accepted after poisoning attempt: %v", err)
+	if _, err := VerifyCert(counter, 0, d, cert[:3], 3, kept); err != nil || counter.calls != 3 {
+		t.Fatalf("second copy: err=%v, %d checks in all, want nil, 3", err, counter.calls)
 	}
-	// A memoized signature must not vouch for a different expected digest.
-	if err := VerifyCert(v, 0, types.Digest{0xFF}, cert, 3); err == nil {
-		t.Fatal("memoized signatures accepted for a different digest")
+
+	// What is kept is bounded at three quorums' worth.
+	full := make([]types.Signed, 9)
+	for i := range full {
+		full[i] = types.Signed{From: cert[0].From, Type: types.MsgCommit, View: 9, Seq: types.SeqNum(i), Digest: d}
+	}
+	if kept, err := VerifyCert(counter, 0, d, cert, 3, full); err != nil || len(kept) != 9 {
+		t.Fatalf("full held list: err=%v, kept %d, want nil, 9", err, len(kept))
 	}
 }
 
 // BenchmarkVerifyCert measures commit-certificate verification at quorum
 // sizes nf = 2, 4, 8 in two modes: every signature verified for real, and a
-// verified-signature memo hit. Run with -benchmem.
+// copy of a certificate the caller already holds, compared entry by entry.
+// Run with -benchmem.
 func BenchmarkVerifyCert(b *testing.B) {
 	for _, nf := range []int{2, 4, 8} {
 		kg, cert, d := certFixture(b, nf)
+		ring := fixtureRing(b, kg)
 		for _, mode := range []struct {
-			name  string
-			cache bool
-		}{{"serial", false}, {"cachehit", true}} {
+			name string
+			held []types.Signed
+		}{{"serial", nil}, {"held", cert}} {
 			b.Run(fmt.Sprintf("nf=%d/%s", nf, mode.name), func(b *testing.B) {
-				v := fixtureVerifier(b, kg)
-				if !mode.cache {
-					v.SetMemoSize(0)
-				} else if err := VerifyCert(v, 0, d, cert, nf); err != nil {
-					b.Fatal(err)
-				}
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := VerifyCert(v, 0, d, cert, nf); err != nil {
+					if _, err := VerifyCert(ring, 0, d, cert, nf, mode.held); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -246,8 +259,8 @@ func BenchmarkVerifyCert(b *testing.B) {
 // one over the entry's tuple, a mutated real one, or garbage. VerifyCert
 // must never panic, and must accept exactly when at least quorum distinct
 // replicas of shard 0 hold an entry for the expected digest at one (view,
-// seq) whose signature verifies — checked on the key ring directly, without
-// the memo — with the memo cold and warm alike.
+// seq) whose signature verifies — checked on the key ring entry by entry —
+// whether it holds no certificate or the fuzzed one's valid entries.
 func FuzzVerifyCert(f *testing.F) {
 	const quorum = 3
 	kg := crypto.NewKeygen(31)
@@ -312,6 +325,12 @@ func FuzzVerifyCert(f *testing.F) {
 		}
 		first := make(map[slot]map[types.NodeID]bool) // sender -> its first entry verifies
 		valid := make(map[slot]int)
+		var held []types.Signed // every entry whose signature verifies
+		for _, s := range cert {
+			if checker.Verify(s.From, s.SigBytes(), s.Sig) == nil {
+				held = append(held, s)
+			}
+		}
 		want := false
 		for _, s := range cert {
 			if s.Type != types.MsgCommit || s.Shard != 0 || s.Digest != d || s.From.Shard != 0 {
@@ -332,10 +351,15 @@ func FuzzVerifyCert(f *testing.F) {
 			want = want || valid[k] >= quorum
 		}
 
-		v := crypto.NewVerifier(checker)
-		for _, memo := range []string{"cold", "warm"} {
-			if got := VerifyCert(v, 0, d, cert, quorum) == nil; got != want {
-				t.Fatalf("memo %s: VerifyCert accepted=%v, want %v for %+v", memo, got, want, cert)
+		for _, h := range [][]types.Signed{nil, held} {
+			kept, err := VerifyCert(checker, 0, d, cert, quorum, h)
+			if got := err == nil; got != want {
+				t.Fatalf("holding %d entries: VerifyCert accepted=%v, want %v for %+v", len(h), got, want, cert)
+			}
+			for _, s := range kept[len(h):] {
+				if checker.Verify(s.From, s.SigBytes(), s.Sig) != nil {
+					t.Fatalf("holding %d entries: VerifyCert kept %+v, whose signature does not verify", len(h), s)
+				}
 			}
 		}
 	})

@@ -61,7 +61,9 @@ func (e *Engine) onViewChange(m *types.Message) {
 	if m.View <= e.view {
 		return
 	}
-	if err := crypto.VerifyMessageSig(e.auth, m); err != nil {
+	// A re-sent ViewChange equal to the one held from its sender is
+	// compared with it.
+	if err := crypto.VerifyResent(e.auth, m, e.vcMsgs[m.View][m.From]); err != nil {
 		return
 	}
 	e.recordViewChange(m.From, m)
@@ -193,8 +195,9 @@ func (e *Engine) onNewView(m *types.Message) {
 		return
 	}
 	// Verify the justification: nf distinct signed ViewChange tuples (the
-	// structural filter and sender dedup stay here; the verifier only spends
-	// Ed25519 work).
+	// structural filter and sender dedup stay here; VerifyQuorum only spends
+	// Ed25519 work). An entry equal to a ViewChange this replica already
+	// verified on arrival is compared with it instead.
 	seen := make(map[types.NodeID]struct{}, len(m.ViewMsgs))
 	entries := make([]*types.Signed, 0, len(m.ViewMsgs))
 	for i := range m.ViewMsgs {
@@ -208,7 +211,16 @@ func (e *Engine) onNewView(m *types.Message) {
 		seen[s.From] = struct{}{}
 		entries = append(entries, s)
 	}
-	if e.verifier.VerifyQuorum(entries, e.nf) < e.nf {
+	var held []types.Signed
+	vcs := e.vcMsgs[m.View]
+	for _, from := range types.SortedNodeKeys(vcs) {
+		vc := vcs[from]
+		held = append(held, types.Signed{
+			From: vc.From, Type: vc.Type, Shard: vc.Shard,
+			View: vc.View, Seq: vc.Seq, Digest: vc.Digest, Sig: vc.Sig,
+		})
+	}
+	if valid, _ := crypto.VerifyQuorum(e.auth, entries, e.nf, held); valid < e.nf {
 		return
 	}
 	// Content and justification gates: every re-proposal this replica would

@@ -309,3 +309,115 @@ func TestUnjustifiedNewViewRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNewViewComparesHeldViewChanges is the tamper table of onNewView's
+// compare site: a justification entry equal to a ViewChange the receiver
+// verified on arrival costs no Ed25519 check, and an entry whose signature
+// or signed tuple differs from the held copy — or that no held copy backs —
+// is verified, and if bad it is not counted, so the NewView falls short of
+// nf and is rejected.
+func TestNewViewComparesHeldViewChanges(t *testing.T) {
+	flipped := func(s types.Signed) types.Signed {
+		s.Sig = append([]byte(nil), s.Sig...)
+		s.Sig[9] ^= 1
+		return s
+	}
+	cases := []struct {
+		name    string
+		entries func(held map[int]types.Signed, own types.Signed) []types.Signed
+		checks  int64 // Ed25519 checks of the entries at replica 2
+		install bool
+	}{
+		{"held copies", func(h map[int]types.Signed, _ types.Signed) []types.Signed {
+			return []types.Signed{h[0], h[2], h[3]}
+		}, 0, true},
+		{"one held sender's signature flipped", func(h map[int]types.Signed, _ types.Signed) []types.Signed {
+			return []types.Signed{h[0], h[2], flipped(h[3])}
+		}, 1, false},
+		{"one held sender's tuple changed", func(h map[int]types.Signed, _ types.Signed) []types.Signed {
+			e := h[3]
+			e.Seq++
+			return []types.Signed{h[0], h[2], e}
+		}, 1, false},
+		{"a sender with no held copy, valid", func(h map[int]types.Signed, own types.Signed) []types.Signed {
+			return []types.Signed{h[0], own, h[3]}
+		}, 1, true},
+		{"a sender with no held copy, flipped", func(h map[int]types.Signed, own types.Signed) []types.Signed {
+			return []types.Signed{h[0], flipped(own), h[3]}
+		}, 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h, counters := newCountingHarness(t, 4)
+			// Replicas 0, 2 and 3 exchange their ViewChanges for view 1;
+			// replica 1, its primary, hears none, so no honest NewView forms.
+			held := make(map[int]types.Signed)
+			h.drop = func(from, to types.NodeID, m *types.Message) bool {
+				if m.Type == types.MsgViewChange {
+					held[from.Index] = types.Signed{From: from, Type: m.Type, Shard: m.Shard, View: m.View, Seq: m.Seq, Sig: m.Sig}
+				}
+				return to.Index == 1
+			}
+			for _, i := range []int{0, 2, 3} {
+				h.engines[i].StartViewChange(1)
+			}
+			h.pump()
+			primary := h.engines[1]
+			own := types.Signed{From: primary.self, Type: types.MsgViewChange, Shard: 0, View: 1}
+			own.Sig = primary.auth.Sign(own.SigBytes())
+			nv := &types.Message{
+				Type: types.MsgNewView, From: primary.self, Shard: 0, View: 1,
+				ViewMsgs: tc.entries(held, own),
+			}
+			nv.Sig = crypto.SignMessage(primary.auth, nv)
+
+			before := counters[2].Verifies.Load()
+			h.engines[2].OnMessage(nv)
+			// One check is the NewView's own signature.
+			if got := counters[2].Verifies.Load() - before - 1; got != tc.checks {
+				t.Errorf("%d entry checks, want %d", got, tc.checks)
+			}
+			if installed := h.engines[2].View() == 1; installed != tc.install {
+				t.Errorf("installed view 1 = %v, want %v", installed, tc.install)
+			}
+		})
+	}
+}
+
+// TestViewChangeComparesHeldCopy: a re-sent ViewChange equal to the one
+// held from its sender costs no Ed25519 check; one whose signature differs
+// is verified, rejected, and does not replace the held copy.
+func TestViewChangeComparesHeldCopy(t *testing.T) {
+	h, counters := newCountingHarness(t, 4)
+	var sent *types.Message
+	h.drop = func(from, to types.NodeID, m *types.Message) bool {
+		if m.Type == types.MsgViewChange && from.Index == 0 {
+			sent = m
+		}
+		return true
+	}
+	h.engines[0].StartViewChange(1)
+	h.queue = nil
+	r := h.engines[2]
+	flipped := *sent
+	flipped.Sig = append([]byte(nil), sent.Sig...)
+	flipped.Sig[9] ^= 1
+	for _, tc := range []struct {
+		name   string
+		m      *types.Message
+		checks int64
+	}{
+		{"first copy", sent, 1},
+		{"identical re-send", sent, 0},
+		{"signature flipped", &flipped, 1},
+	} {
+		before := counters[2].Verifies.Load()
+		r.OnMessage(tc.m)
+		if got := counters[2].Verifies.Load() - before; got != tc.checks {
+			t.Errorf("%s: %d checks, want %d", tc.name, got, tc.checks)
+		}
+		if r.vcMsgs[1][sent.From] != sent {
+			t.Errorf("%s: the held ViewChange is not the first valid copy", tc.name)
+		}
+	}
+}

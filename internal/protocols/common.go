@@ -62,8 +62,6 @@ type base struct {
 	send  Sender
 	clock func() time.Time
 
-	verifier *crypto.Verifier
-
 	kv    *store.KV
 	chain *ledger.Chain
 
@@ -86,7 +84,6 @@ func newBase(opts Options) base {
 		f:        f,
 		nf:       n - f,
 		auth:     opts.Auth,
-		verifier: crypto.NewVerifier(opts.Auth),
 		send:     opts.Send,
 		clock:    opts.Clock,
 		kv:       store.NewKV(),
@@ -168,8 +165,8 @@ func (b *base) verifyMAC(m *types.Message) bool {
 	return crypto.VerifyMessageMAC(b.auth, m) == nil
 }
 
-// verifyShareCert batch-verifies an aggregated certificate of signature
-// shares on the shared verifier: entries must have the expected type, slot,
+// verifyShareCert verifies an aggregated certificate of signature shares:
+// entries must have the expected type, slot,
 // and digest, come from distinct peers, and carry quorum valid signatures.
 func (b *base) verifyShareCert(cert []types.Signed, typ types.MsgType, seq types.SeqNum, d types.Digest, quorum int) bool {
 	seen := make(map[types.NodeID]struct{}, len(cert))
@@ -185,7 +182,8 @@ func (b *base) verifyShareCert(cert []types.Signed, typ types.MsgType, seq types
 		seen[s.From] = struct{}{}
 		entries = append(entries, s)
 	}
-	return b.verifier.VerifyQuorum(entries, quorum) >= quorum
+	valid, _ := crypto.VerifyQuorum(b.auth, entries, quorum, nil)
+	return valid >= quorum
 }
 
 func (b *base) isPeer(id types.NodeID) bool {

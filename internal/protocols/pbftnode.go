@@ -35,7 +35,7 @@ func NewPBFT(opts Options) *PBFTNode {
 			n.markReady(seq, b)
 		},
 		ViewChanged: func(types.View) { n.viewChanges++ },
-	}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: n.verifier})
+	}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout})
 	return n
 }
 

@@ -57,7 +57,7 @@ func NewRCC(opts Options) *RCCNode {
 				n.trackers[inst].Committed(n.engines[inst], seq, d)
 				n.onDecided(inst, seq, b)
 			},
-		}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout, Verifier: n.verifier})
+		}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout})
 		n.engines = append(n.engines, e)
 		n.trackers = append(n.trackers, pbft.NewCheckpointTracker(opts.Config.CheckpointInterval))
 		n.bumpView(e, i)

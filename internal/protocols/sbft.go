@@ -180,7 +180,7 @@ func (s *SBFTNode) maybeAggregate(seq types.SeqNum, sl *sbftSlot, commit bool) {
 
 // onFull runs at replicas: a full-prepare triggers the commit share; a
 // full-commit decides the slot. The aggregated certificate's nf signature
-// shares are batch-verified on the shared verifier pool — a Byzantine
+// shares are verified against the replica's key ring — a Byzantine
 // collector cannot fabricate progress from thin air.
 func (s *SBFTNode) onFull(m *types.Message, commit bool) {
 	if m.From != s.peers[0] || !s.verifyMAC(m) || len(m.Cert) < s.nf {

@@ -12,10 +12,9 @@ import (
 // BenchmarkForwardCopy is the handler cost of one Forward copy at a replica
 // of the next shard (3×4 is the benchmark's shape; 2×4 here). "first" is
 // the lane copy that creates the cst: tag check, noting the half, keeping
-// its certificate as a candidate, and the relay to the peers; the memo is
-// off, as for any copy of a cst never seen. "later" is a relayed copy
-// counted into the same cst. Neither verifies the certificate. Each
-// iteration resets what the copy changed, and stays short of the f+1
+// its certificate as a candidate, and the relay to the peers. "later" is a
+// relayed copy counted into the same cst. Neither verifies the certificate.
+// Each iteration resets what the copy changed, and stays short of the f+1
 // quorum.
 func BenchmarkForwardCopy(b *testing.B) {
 	c := newCluster(b, 2, 4)
@@ -25,7 +24,6 @@ func BenchmarkForwardCopy(b *testing.B) {
 	r := c.replicas[types.ReplicaNode(1, 0)]
 	lane, relayed := held[types.ReplicaNode(0, 0)], held[types.ReplicaNode(0, 1)]
 	b.Run("first", func(b *testing.B) {
-		r.Verifier.SetMemoSize(0)
 		b.ReportAllocs()
 		for b.Loop() {
 			delete(r.csts, d)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"slices"
-	"time"
 
 	"ringbft/internal/crypto"
 	"ringbft/internal/evidence"
@@ -113,7 +112,7 @@ func (r *Replica) sendForward(cs *cstState) {
 // new Sign. While fewer than nf held signatures verify, the Forward goes out
 // as it is: it still counts on its tag.
 func (r *Replica) proveForward(cs *cstState) *types.Message {
-	proof := cs.cert.Prove(r.Verifier)
+	proof := cs.cert.Prove(r.Auth)
 	if proof != nil && !sameCert(proof, cs.forwardMsg.Cert) {
 		m := *cs.forwardMsg
 		m.Cert = proof
@@ -186,7 +185,7 @@ func (r *Replica) onForward(m *types.Message) {
 		if cs.executed {
 			r.sendExecute(cs)
 		}
-		if cs.fwdCert == nil && !cs.settled && !cs.holdsCand(m.Cert) && r.verifyPrevCert(b, d, m.Cert) {
+		if cs.fwdCert == nil && !cs.settled && !cs.holdsCand(m.Cert) && r.verifyPrevCert(cs, b, d, m.Cert) {
 			// Neither the tag nor the Forward signature covers the
 			// certificate, so a faulty relayer can swap it on the copy that
 			// got this sender counted. A later copy of the same sender that
@@ -269,7 +268,7 @@ func (r *Replica) provenCert(cs *cstState) []types.Signed {
 	for cs.fwdCert == nil && len(cs.fwdCands) > 0 {
 		cert := cs.fwdCands[0]
 		cs.fwdCands = cs.fwdCands[1:]
-		if r.verifyPrevCert(cs.batch, cs.digest, cert) {
+		if r.verifyPrevCert(cs, cs.batch, cs.digest, cert) {
 			cs.fwdCert, cs.fwdCands = cert, nil
 		}
 	}
@@ -288,7 +287,7 @@ func (r *Replica) settleBelow(seq types.SeqNum) {
 			keep = append(keep, cs)
 			continue
 		}
-		cs.fwdCands, cs.settled = nil, true
+		cs.fwdCands, cs.sigs, cs.settled = nil, nil, true
 	}
 	clear(r.unsettled[len(keep):])
 	r.unsettled = keep
@@ -301,18 +300,24 @@ func (cs *cstState) holdsCand(cert []types.Signed) bool {
 
 // sameCert reports whether two certificates are byte for byte equal.
 func sameCert(a, b []types.Signed) bool {
-	return slices.EqualFunc(a, b, func(x, y types.Signed) bool {
-		return x.From == y.From && x.Type == y.Type && x.Shard == y.Shard &&
-			x.View == y.View && x.Seq == y.Seq && x.Digest == y.Digest &&
-			bytes.Equal(x.Sig, y.Sig)
-	})
+	return slices.EqualFunc(a, b, func(x, y types.Signed) bool { return x.Equal(y) })
 }
 
 // verifyPrevCert reports whether cert carries nf valid commit signatures
-// over digest d of batch b from the shard before this one in b's ring.
-func (r *Replica) verifyPrevCert(b *types.Batch, d types.Digest, cert []types.Signed) bool {
+// over digest d of batch b from the shard before this one in b's ring. An
+// entry equal to a signature cs already verified is compared, not verified,
+// and an unsettled cs keeps the ones that verify. cs may be nil.
+func (r *Replica) verifyPrevCert(cs *cstState, b *types.Batch, d types.Digest, cert []types.Signed) bool {
 	r.ring.certVerifies.Inc()
-	return pbft.VerifyCert(r.Verifier, b.PrevInRing(r.Shard), d, cert, r.Cfg.NF()) == nil
+	var held []types.Signed
+	if cs != nil {
+		held = cs.sigs
+	}
+	held, err := pbft.VerifyCert(r.Auth, b.PrevInRing(r.Shard), d, cert, r.Cfg.NF(), held)
+	if cs != nil && !cs.settled {
+		cs.sigs = held
+	}
+	return err == nil
 }
 
 // noteForward records conflicting-Forward evidence: the same previous-shard
@@ -369,17 +374,17 @@ func forwardHalf(m *types.Message) evidence.Msg {
 }
 
 // validSig reports whether half h carries its sender's Ed25519 signature
-// over its canonical tuple (memoised by the verifier).
+// over its canonical tuple.
 func (r *Replica) validSig(h evidence.Msg) bool {
 	var sb [types.SigBytesLen]byte
 	msg := types.AppendSigBytes(sb[:0], h.Type, h.Shard, h.View, h.Seq, h.Digest, h.From)
-	return r.Verifier.Verify(h.From, msg, h.Sig) == nil
+	return r.Auth.Verify(h.From, msg, h.Sig) == nil
 }
 
 // fifoWindow remembers the first value seen per key — the first Forward
 // half per (sender, sequence), the first batch digest per client
 // transaction id — at most capacity entries. At capacity the oldest key is
-// evicted — a FIFO like the verifier's memo — so detection keeps working
+// evicted — a FIFO — so detection keeps working
 // for new claims however long the replica runs; the bound only limits how
 // far back a conflicting claim can still be matched.
 type fifoWindow[K comparable, V any] struct {
@@ -542,7 +547,13 @@ func (r *Replica) onRemoteView(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != next {
 		return
 	}
-	if crypto.VerifyMessageSig(r.Auth, m) != nil {
+	// A re-sent complaint equal to the one held from its sender is compared
+	// with it.
+	var held *types.Message
+	if cs := r.csts[d]; cs != nil {
+		held = cs.remoteComplaints[m.From].msg
+	}
+	if crypto.VerifyResent(r.Auth, m, held) != nil {
 		return
 	}
 	cs := r.cst(d)
@@ -559,23 +570,23 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		r.Send(m.From, r.executeMessage(cs))
 	}
 	if cs.remoteComplaints == nil {
-		cs.remoteComplaints = make(map[types.NodeID]time.Time)
+		cs.remoteComplaints = make(map[types.NodeID]complaint)
 	}
 	now := r.Clock()
-	if last, dup := cs.remoteComplaints[m.From]; dup {
+	if c, dup := cs.remoteComplaints[m.From]; dup {
 		// The complainant was answered and still complains: it lacks what
 		// the answer does not carry, a previous-shard certificate that
 		// verifies (see wantsProof). Send it this replica's Forward, proven.
 		// An honest complainant re-complains once per RemoteTimeout; half
 		// of that paces a faulty one without skipping an honest one.
-		if cs.forwardMsg != nil && now.Sub(last) >= r.Cfg.RemoteTimeout/2 {
-			cs.remoteComplaints[m.From] = now
+		if cs.forwardMsg != nil && now.Sub(c.answered) >= r.Cfg.RemoteTimeout/2 {
+			cs.remoteComplaints[m.From] = complaint{c.msg, now}
 			r.Obs.Retransmits.Inc()
 			r.Send(m.From, r.proveForward(cs))
 		}
 		return
 	}
-	cs.remoteComplaints[m.From] = now
+	cs.remoteComplaints[m.From] = complaint{m, now}
 	if m.From.Index == r.Self.Index && !cs.remoteRelayed {
 		cs.remoteRelayed = true
 		r.Relay(m)

@@ -79,7 +79,7 @@ func TestRetransmitProvesCert(t *testing.T) {
 		if zeroSig(m.Cert) {
 			t.Fatalf("%s: the certificate still holds the garbage signature", how)
 		}
-		if err := pbft.VerifyCert(r.Verifier, 0, b.Digest(), m.Cert, c.cfg.NF()); err != nil {
+		if _, err := pbft.VerifyCert(r.Auth, 0, b.Digest(), m.Cert, c.cfg.NF(), nil); err != nil {
 			t.Fatalf("%s: certificate rejected: %v", how, err)
 		}
 		if !bytes.Equal(m.Sig, first.Sig) || !bytes.Equal(m.MAC, first.MAC) {
@@ -165,10 +165,10 @@ func TestWantProofComplains(t *testing.T) {
 
 	p := c.replicas[types.ReplicaNode(0, i)]
 	answer := clone(held[p.Self])
-	answer.Cert = p.csts[d].cert.Prove(p.Verifier)
+	answer.Cert = p.csts[d].cert.Prove(p.Auth)
 	r.HandleMessage(answer)
 	cert, _ := r.justification(b)
-	if err := pbft.VerifyCert(r.Verifier, 0, d, cert, c.cfg.NF()); err != nil {
+	if _, err := pbft.VerifyCert(r.Auth, 0, d, cert, c.cfg.NF(), nil); err != nil {
 		t.Fatalf("the re-proven Forward did not prove the certificate: %v", err)
 	}
 	if n := complaints(); n != 0 {
@@ -232,7 +232,7 @@ func TestHeldNewViewCarriesProof(t *testing.T) {
 	}
 	for _, p := range newViews[0].Prepared {
 		if p.Digest == d {
-			if err := pbft.VerifyCert(c.replicas[lagger].Verifier, 0, d, p.Justification, c.cfg.NF()); err != nil {
+			if _, err := pbft.VerifyCert(c.replicas[lagger].Auth, 0, d, p.Justification, c.cfg.NF(), nil); err != nil {
 				t.Fatalf("the NewView re-proposes the cst without a proof: %v", err)
 			}
 		}

@@ -179,8 +179,15 @@ type cstState struct {
 	// signature. Until a candidate verifies the remote timer treats the cst
 	// as starving, and the complaint brings back a Forward the previous
 	// shard re-proved (see wantsProof, proveForward).
+	//
+	// sigs holds the previous-shard commit signatures for the batch that
+	// verified here, whichever certificate carried it (pbft.VerifyCert
+	// bounds them): an entry of a later certificate (a candidate, a swapped
+	// copy, a NewView justification) equal to one of them is compared, not
+	// verified. Dropped on settling.
 	fwdCert   []types.Signed
 	fwdCands  [][]types.Signed
+	sigs      []types.Signed
 	settled   bool
 	wantProof bool
 
@@ -200,7 +207,7 @@ type cstState struct {
 	execRelayed  bool
 	execAccepted bool
 
-	remoteComplaints map[types.NodeID]time.Time // RemoteView senders (Fig 6), each with when it was last answered
+	remoteComplaints map[types.NodeID]complaint // RemoteView senders (Fig 6)
 	remoteRelayed    bool
 	remoteHandled    bool
 
@@ -210,6 +217,13 @@ type cstState struct {
 	forwardSentAt time.Time // transmit timer anchor (Section 5.1.1)
 	forwardMsg    *types.Message
 	nextProgress  bool // evidence the next shard progressed; stops retransmission
+}
+
+// complaint is one RemoteView sender's first verified complaint and when it
+// was last answered.
+type complaint struct {
+	msg      *types.Message
+	answered time.Time
 }
 
 // Options configures a Replica.
@@ -537,7 +551,8 @@ func (r *Replica) verifyJustification(b *types.Batch, just []types.Signed) bool 
 		!b.Involves(r.Shard) || len(just) == 0 {
 		return false
 	}
-	return r.verifyPrevCert(b, b.Digest(), just)
+	d := b.Digest()
+	return r.verifyPrevCert(r.csts[d], b, d, just)
 }
 
 // pipelineSlots returns how many additional proposals the primary may put

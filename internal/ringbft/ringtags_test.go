@@ -174,10 +174,12 @@ func TestRingTagFaultySender(t *testing.T) {
 	c.assertNoExecErrors()
 }
 
-// countVerifies puts a counter between r's verifier memo and its key ring.
+// countVerifies puts a counter between r's ring layer and its key ring: it
+// counts the Ed25519 work of Forward, Execute and certificate handling (the
+// engine keeps its own reference to the ring).
 func countVerifies(r *Replica) *crypto.CountingAuth {
-	counter := &crypto.CountingAuth{Authenticator: r.Verifier.Authenticator}
-	r.Verifier.Authenticator = counter
+	counter := &crypto.CountingAuth{Authenticator: r.Auth}
+	r.Auth = counter
 	return counter
 }
 
@@ -223,6 +225,99 @@ func TestRingTagCertOncePerCst(t *testing.T) {
 	}
 	if n := counter.Verifies.Load() - spent; n != 0 {
 		t.Fatalf("a second Justification spent %d Verify", n)
+	}
+}
+
+// TestJustificationComparesHeldSignatures: once a previous-shard
+// certificate verified for a cst, a NewView justification carrying the same
+// signatures is compared, not verified, while an entry whose signature
+// differs from every held one is verified and, if bad, not counted — the
+// justification falls short of nf and is rejected.
+func TestJustificationComparesHeldSignatures(t *testing.T) {
+	c := newCluster(t, 3, 4)
+	b := mkBatch(1, 1, 3, []types.ShardID{0, 1, 2}, 2)
+	held := holdRing(c, b, types.MsgForward, 1)
+	r := c.replicas[types.ReplicaNode(1, 1)]
+	counter := countVerifies(r)
+	r.HandleMessage(held[types.ReplicaNode(0, 1)])
+	r.HandleMessage(held[types.ReplicaNode(0, 2)])
+	proven, _ := r.justification(b)
+	if proven == nil {
+		t.Fatal("Justification proved no candidate")
+	}
+	flipped := append([]types.Signed(nil), proven...)
+	flipped[0].Sig = append([]byte(nil), flipped[0].Sig...)
+	flipped[0].Sig[7] ^= 1
+	for _, tc := range []struct {
+		name   string
+		just   []types.Signed
+		checks int64
+		ok     bool
+	}{
+		{"the proven certificate", proven, 0, true},
+		{"one entry flipped", flipped, 1, false},
+		{"one entry zeroed", append(types.ZeroedCert(proven[:1]), proven[1:]...), 1, false},
+	} {
+		before := counter.Verifies.Load()
+		if ok := r.verifyJustification(b, tc.just); ok != tc.ok {
+			t.Errorf("%s: accepted = %v, want %v", tc.name, ok, tc.ok)
+		}
+		if got := counter.Verifies.Load() - before; got != tc.checks {
+			t.Errorf("%s: %d checks, want %d", tc.name, got, tc.checks)
+		}
+	}
+}
+
+// TestRemoteViewComparesHeldCopy: a re-sent RemoteView equal to the
+// complaint held from its sender costs no Ed25519 check and is answered
+// like the first; one whose signature or signed tuple differs is verified,
+// rejected, and does not replace the held complaint.
+func TestRemoteViewComparesHeldCopy(t *testing.T) {
+	c := newCluster(t, 2, 4)
+	b := mkBatch(1, 1, 2, []types.ShardID{0, 1}, 2)
+	d := b.Digest()
+	c.submit(1, b)
+	r := c.replicas[types.ReplicaNode(0, 1)]
+	if cs := r.csts[d]; cs == nil || !cs.executed {
+		t.Fatal("the cst did not execute at the complaint's receiver")
+	}
+	counter := countVerifies(r)
+	next := types.ReplicaNode(1, 1)
+	complaint := &types.Message{Type: types.MsgRemoteView, From: next, Shard: 1, Digest: d, Batch: b}
+	ring, err := c.kg.Ring(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	complaint.Sig = ring.Sign(complaint.AppendSigBytes(nil))
+	flipped := *complaint
+	flipped.Sig = append([]byte(nil), complaint.Sig...)
+	flipped.Sig[9] ^= 1
+	otherView := *complaint
+	otherView.View++
+	for _, tc := range []struct {
+		name   string
+		m      *types.Message
+		checks int64
+		ok     bool
+	}{
+		{"first complaint", complaint, 1, true},
+		{"identical re-send", complaint, 0, true},
+		{"signature flipped", &flipped, 1, false},
+		{"signed tuple changed", &otherView, 1, false},
+	} {
+		c.queue = c.queue[:0]
+		before := counter.Verifies.Load()
+		r.HandleMessage(tc.m)
+		if got := counter.Verifies.Load() - before; got != tc.checks {
+			t.Errorf("%s: %d checks, want %d", tc.name, got, tc.checks)
+		}
+		// An executed replica answers every accepted complaint with its Execute.
+		if answered := sentTo(c, types.MsgExecute, next) != nil; answered != tc.ok {
+			t.Errorf("%s: answered = %v, want %v", tc.name, answered, tc.ok)
+		}
+		if r.csts[d].remoteComplaints[next].msg != complaint {
+			t.Errorf("%s: the held complaint is not the first valid one", tc.name)
+		}
 	}
 }
 

@@ -75,13 +75,23 @@ type Replica struct {
 
 // globalState tracks the two cross-shard all-to-all rounds for one cst.
 type globalState struct {
-	batch      *types.Batch
-	prepares   map[types.NodeID]struct{}
-	commits    map[types.NodeID]struct{}
-	nudged     map[types.NodeID]struct{} // peers already re-served (damping)
-	prepSent   bool
-	commitSent bool
-	committed  bool
+	batch *types.Batch
+	// prepares and commits hold each replica's counted vote of the round,
+	// whose signature verified (this replica's own included); a
+	// retransmitted copy with the same bytes is compared with it, not
+	// verified again.
+	prepares  map[types.NodeID]*types.Message
+	commits   map[types.NodeID]*types.Message
+	nudged    map[types.NodeID]struct{} // peers already re-served (damping)
+	committed bool
+	// prep and commit are this replica's signed votes, nil until sent;
+	// every retransmission sends these same bytes.
+	prep, commit *types.Message
+	// proposal is the coordination proposal: at the initiator the one this
+	// replica signed, which every re-coordination sends again; at another
+	// involved shard the first one verified, which a re-sent copy with the
+	// same bytes is compared with.
+	proposal *types.Message
 	// lastNudge paces head-of-line vote re-broadcast (see HandleTick).
 	lastNudge time.Time
 }
@@ -195,14 +205,16 @@ func (r *Replica) onClientRequest(m *types.Message) {
 // involved shard's primary.
 func (r *Replica) coordinate(b *types.Batch, d types.Digest) {
 	gs := r.globalState(d, b)
-	if gs.prepSent && gs.commitSent {
+	if gs.prep != nil && gs.commit != nil {
 		return
 	}
-	prop := &types.Message{
-		Type: types.MsgSharperPropose, From: r.Self, Shard: r.Shard,
-		Digest: d, Batch: b,
+	if gs.proposal == nil {
+		gs.proposal = &types.Message{
+			Type: types.MsgSharperPropose, From: r.Self, Shard: r.Shard,
+			Digest: d, Batch: b,
+		}
+		gs.proposal.Sig = crypto.SignMessage(r.Auth, gs.proposal)
 	}
-	prop.Sig = crypto.SignMessage(r.Auth, prop)
 	for _, s := range b.Involved {
 		if s == r.Shard {
 			continue
@@ -214,7 +226,7 @@ func (r *Replica) coordinate(b *types.Batch, d types.Digest) {
 		// awaiting, whose timer pressures their primary the usual way
 		// (found by internal/chaos, loss-storm schedules).
 		for _, to := range r.peersOf(s) {
-			r.Send(to, prop)
+			r.Send(to, gs.proposal)
 		}
 	}
 }
@@ -241,10 +253,16 @@ func (r *Replica) onPropose(m *types.Message) {
 	if m.From.Kind != types.KindReplica || m.From.Shard != b.Initiator() {
 		return
 	}
-	if crypto.VerifyMessageSig(r.Auth, m) != nil {
+	var held *types.Message
+	if gs := r.global[d]; gs != nil {
+		held = gs.proposal
+	}
+	if crypto.VerifyResent(r.Auth, m, held) != nil {
 		return
 	}
-	r.globalState(d, b)
+	if gs := r.globalState(d, b); gs.proposal == nil {
+		gs.proposal = m
+	}
 	r.Enqueue(b, d)
 }
 
@@ -252,8 +270,8 @@ func (r *Replica) globalState(d types.Digest, b *types.Batch) *globalState {
 	gs, ok := r.global[d]
 	if !ok {
 		gs = &globalState{
-			prepares: make(map[types.NodeID]struct{}),
-			commits:  make(map[types.NodeID]struct{}),
+			prepares: make(map[types.NodeID]*types.Message),
+			commits:  make(map[types.NodeID]*types.Message),
 		}
 		r.global[d] = gs
 	}
@@ -280,32 +298,30 @@ func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Dige
 // involved shard — the quadratic pattern RingBFT's evaluation attributes
 // Sharper's WAN degradation to.
 func (r *Replica) sendCrossRound(gs *globalState, t types.MsgType) {
-	if t == types.MsgSharperPrepare {
-		if gs.prepSent {
-			return
-		}
-		gs.prepSent = true
-		gs.prepares[r.Self] = struct{}{}
-	} else {
-		if gs.commitSent {
-			return
-		}
-		gs.commitSent = true
-		gs.commits[r.Self] = struct{}{}
+	sent, votes := &gs.prep, gs.prepares
+	if t == types.MsgSharperCommit {
+		sent, votes = &gs.commit, gs.commits
 	}
-	d := gs.batch.Digest()
-	m := &types.Message{Type: t, From: r.Self, Shard: r.Shard, Digest: d}
+	if *sent != nil {
+		return
+	}
+	m := &types.Message{Type: t, From: r.Self, Shard: r.Shard, Digest: gs.batch.Digest()}
 	m.Sig = crypto.SignMessage(r.Auth, m)
+	*sent, votes[r.Self] = m, m
+	r.broadcastVote(gs, m)
+	r.evaluate(gs)
+}
+
+// broadcastVote sends vote m to every other replica of every shard involved
+// in gs's batch.
+func (r *Replica) broadcastVote(gs *globalState, m *types.Message) {
 	for _, s := range gs.batch.Involved {
 		for i := 0; i < r.Cfg.ReplicasPerShard; i++ {
-			to := types.ReplicaNode(s, i)
-			if to == r.Self {
-				continue
+			if to := types.ReplicaNode(s, i); to != r.Self {
+				r.Send(to, m)
 			}
-			r.Send(to, m)
 		}
 	}
-	r.evaluate(gs)
 }
 
 // onCrossVote records one replica's cross-shard prepare/commit vote.
@@ -313,7 +329,11 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 	if m.From.Kind != types.KindReplica {
 		return
 	}
-	if crypto.VerifyMessageSig(r.Auth, m) != nil {
+	var held *types.Message
+	if gs := r.global[m.Digest]; gs != nil {
+		held = gs.votes(commit)[m.From]
+	}
+	if crypto.VerifyResent(r.Auth, m, held) != nil {
 		return
 	}
 	gs, ok := r.global[m.Digest]
@@ -321,10 +341,7 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 		// Votes can outrun our local consensus; buffer them.
 		gs = r.globalState(m.Digest, nil)
 	}
-	votes := gs.prepares
-	if commit {
-		votes = gs.commits
-	}
+	votes := gs.votes(commit)
 	if _, dup := votes[m.From]; dup {
 		// A re-transmitted vote means the sender is starved of ours
 		// (partial communication); resend our votes to that sender, once
@@ -339,8 +356,17 @@ func (r *Replica) onCrossVote(m *types.Message, commit bool) {
 		}
 		return
 	}
-	votes[m.From] = struct{}{}
+	votes[m.From] = m
 	r.evaluate(gs)
+}
+
+// votes returns the counted votes of the commit round, or of the prepare
+// round.
+func (gs *globalState) votes(commit bool) map[types.NodeID]*types.Message {
+	if commit {
+		return gs.commits
+	}
+	return gs.prepares
 }
 
 // resendVotesTo retransmits this replica's cross-shard votes to one peer.
@@ -348,17 +374,10 @@ func (r *Replica) resendVotesTo(to types.NodeID, gs *globalState) {
 	if gs.batch == nil {
 		return
 	}
-	d := gs.batch.Digest()
-	for _, round := range []struct {
-		sent bool
-		t    types.MsgType
-	}{{gs.prepSent, types.MsgSharperPrepare}, {gs.commitSent, types.MsgSharperCommit}} {
-		if !round.sent {
-			continue
+	for _, m := range []*types.Message{gs.prep, gs.commit} {
+		if m != nil {
+			r.Send(to, m)
 		}
-		m := &types.Message{Type: round.t, From: r.Self, Shard: r.Shard, Digest: d}
-		m.Sig = crypto.SignMessage(r.Auth, m)
-		r.Send(to, m)
 	}
 }
 
@@ -368,10 +387,10 @@ func (r *Replica) evaluate(gs *globalState) {
 	if gs.batch == nil || gs.committed {
 		return
 	}
-	if !gs.commitSent && gs.prepSent && r.quorumPerShard(gs.batch, gs.prepares) {
+	if gs.commit == nil && gs.prep != nil && r.quorumPerShard(gs.batch, gs.prepares) {
 		r.sendCrossRound(gs, types.MsgSharperCommit)
 	}
-	if gs.commitSent && r.quorumPerShard(gs.batch, gs.commits) {
+	if gs.commit != nil && r.quorumPerShard(gs.batch, gs.commits) {
 		gs.committed = true
 		r.DrainExec()
 	}
@@ -384,30 +403,16 @@ func (r *Replica) renudge(gs *globalState) {
 	if gs.batch == nil || gs.committed {
 		return
 	}
-	d := gs.batch.Digest()
-	for _, round := range []struct {
-		sent bool
-		t    types.MsgType
-	}{{gs.prepSent, types.MsgSharperPrepare}, {gs.commitSent, types.MsgSharperCommit}} {
-		if !round.sent {
-			continue
-		}
-		m := &types.Message{Type: round.t, From: r.Self, Shard: r.Shard, Digest: d}
-		m.Sig = crypto.SignMessage(r.Auth, m)
-		for _, s := range gs.batch.Involved {
-			for i := 0; i < r.Cfg.ReplicasPerShard; i++ {
-				to := types.ReplicaNode(s, i)
-				if to != r.Self {
-					r.Send(to, m)
-				}
-			}
+	for _, m := range []*types.Message{gs.prep, gs.commit} {
+		if m != nil {
+			r.broadcastVote(gs, m)
 		}
 	}
 }
 
 // quorumPerShard reports whether votes contains nf distinct voters from
 // every involved shard.
-func (r *Replica) quorumPerShard(b *types.Batch, votes map[types.NodeID]struct{}) bool {
+func (r *Replica) quorumPerShard(b *types.Batch, votes map[types.NodeID]*types.Message) bool {
 	counts := make(map[types.ShardID]int, len(b.Involved))
 	for v := range votes {
 		counts[v.Shard]++

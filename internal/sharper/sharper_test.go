@@ -195,21 +195,21 @@ func TestQuorumPerShard(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	r := c.replicas[types.ReplicaNode(0, 0)]
 	b := mkBatch(1, 2, []types.ShardID{0, 1}, 7)
-	votes := map[types.NodeID]struct{}{}
+	votes := map[types.NodeID]*types.Message{}
 	// nf=3 from shard 0 only: not enough.
 	for i := 0; i < 3; i++ {
-		votes[types.ReplicaNode(0, i)] = struct{}{}
+		votes[types.ReplicaNode(0, i)] = &types.Message{}
 	}
 	if r.quorumPerShard(b, votes) {
 		t.Fatal("quorum satisfied with one shard missing")
 	}
 	for i := 0; i < 2; i++ {
-		votes[types.ReplicaNode(1, i)] = struct{}{}
+		votes[types.ReplicaNode(1, i)] = &types.Message{}
 	}
 	if r.quorumPerShard(b, votes) {
 		t.Fatal("quorum satisfied with only 2 votes from shard 1")
 	}
-	votes[types.ReplicaNode(1, 2)] = struct{}{}
+	votes[types.ReplicaNode(1, 2)] = &types.Message{}
 	if !r.quorumPerShard(b, votes) {
 		t.Fatal("full per-shard quorum rejected")
 	}

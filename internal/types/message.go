@@ -1,6 +1,9 @@
 package types
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // MsgType discriminates wire messages.
 type MsgType uint8
@@ -249,6 +252,14 @@ func (m *Message) SigBytes() []byte {
 // AppendSigBytes appends m's canonical authenticated bytes to dst.
 func (m *Message) AppendSigBytes(dst []byte) []byte {
 	return AppendSigBytes(dst, m.Type, m.Shard, m.View, m.Seq, m.Digest, m.From)
+}
+
+// Equal reports whether s and o are byte for byte the same proof: the same
+// signed tuple and the same signature.
+func (s *Signed) Equal(o Signed) bool {
+	return s.From == o.From && s.Type == o.Type && s.Shard == o.Shard &&
+		s.View == o.View && s.Seq == o.Seq && s.Digest == o.Digest &&
+		bytes.Equal(s.Sig, o.Sig)
 }
 
 // SigBytes returns the canonical bytes the signature in s covers.

@@ -9,6 +9,10 @@
 #   4. ARCHITECTURE.md must exist and be linked from README.md.
 #   5. Every backticked path under cmd/, internal/, benchmark/ or scripts/
 #      the docs name must exist (patterns with <, * or { are skipped).
+#   6. Every Test*/Benchmark*/Fuzz* name inside a backticked span of the
+#      docs, and every name in a Makefile or CI -bench/-fuzz pattern, must
+#      be defined by some _test.go; a prefix of a defined name counts, for
+#      families such as TestSignatureBudget.
 #
 # Run as `make docs-check` (part of `make verify` and the CI build-test job).
 set -eu
@@ -80,7 +84,24 @@ for p in $doc_paths; do
     fi
 done
 
+# 6. Named tests, benchmarks and fuzz targets must exist. Doc names are
+# taken from inside single-line backtick spans; Makefile and CI names from
+# the -bench/-fuzz patterns, split on "|".
+test_funcs=$(grep -rhoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' --include='*_test.go' . \
+    | sed 's/^func //' | sort -u)
+doc_tests=$(grep -ohE '`[^`]*`' $DOCS | grep -oE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' || true)
+pattern_tests=$(grep -ohE -- "-(bench|fuzz) +'?[^ ']+" Makefile .github/workflows/*.yml \
+    | sed -E "s/^-(bench|fuzz) +'?//" | tr '|' '\n' \
+    | grep -E '^(Test|Benchmark|Fuzz)[A-Za-z0-9_]*$' || true)
+named_tests=$(printf '%s\n%s\n' "$doc_tests" "$pattern_tests" | grep -v '^$' | sort -u)
+for n in $named_tests; do
+    if ! printf '%s\n' "$test_funcs" | grep -q "^$n"; then
+        echo "docs-check: docs, Makefile or CI name $n but no _test.go defines it" >&2
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docs-check: OK ($(printf '%s\n' "$doc_flags" | wc -l | tr -d ' ') doc flags, $(printf '%s\n' "$doc_targets" | wc -l | tr -d ' ') make targets, $(printf '%s\n' "$doc_paths" | wc -l | tr -d ' ') paths cross-checked)"
+echo "docs-check: OK ($(printf '%s\n' "$doc_flags" | wc -l | tr -d ' ') doc flags, $(printf '%s\n' "$doc_targets" | wc -l | tr -d ' ') make targets, $(printf '%s\n' "$doc_paths" | wc -l | tr -d ' ') paths, $(printf '%s\n' "$named_tests" | wc -l | tr -d ' ') test names cross-checked)"
