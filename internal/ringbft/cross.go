@@ -384,9 +384,9 @@ func (r *Replica) validSig(h evidence.Msg) bool {
 // fifoWindow remembers the first value seen per key — the first Forward
 // half per (sender, sequence), the first batch digest per client
 // transaction id — at most capacity entries. At capacity the oldest key is
-// evicted — a FIFO — so detection keeps working
-// for new claims however long the replica runs; the bound only limits how
-// far back a conflicting claim can still be matched.
+// evicted first, so detection keeps working for new claims however long the
+// replica runs; the bound only limits how far back a conflicting claim can
+// still be matched.
 type fifoWindow[K comparable, V any] struct {
 	capacity int
 	first    map[K]V
