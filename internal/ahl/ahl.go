@@ -119,7 +119,6 @@ type committeeCst struct {
 func NewCommittee(opts CommitteeOptions) *Committee {
 	c := &Committee{
 		shardPeers: opts.ShardPeers,
-		tracker:    pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
 		csts:       make(map[types.Digest]*committeeCst),
 	}
 	c.Kernel = host.New(host.Options{
@@ -133,6 +132,7 @@ func NewCommittee(opts CommitteeOptions) *Committee {
 		// commit is absorbed by the ordered/notified latches in onCommitted.
 		ReproposeExpired: true,
 	})
+	c.tracker = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, c.PBFT.MakeCheckpoint)
 	return c
 }
 
@@ -201,7 +201,7 @@ func (c *Committee) onClientRequest(m *types.Message) {
 // cst (phase 1: broadcast AHLPrepare) and a committed decision batch
 // (phase 3: broadcast AHLDecision).
 func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Digest, cert *pbft.Cert) {
-	c.tracker.Committed(c.PBFT, seq, d)
+	c.tracker.Committed(seq, d)
 	if cd, commit, ok := parseDecision(batch); ok {
 		cst, ok := c.csts[cd]
 		if !ok || cst.notified {

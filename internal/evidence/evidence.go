@@ -95,15 +95,6 @@ func MsgOf(m *types.Message) Msg {
 	}
 }
 
-// MsgOfSigned extracts the authenticated core of a Signed vote.
-func MsgOfSigned(s types.Signed) Msg {
-	return Msg{
-		From: s.From, Type: s.Type, Shard: s.Shard,
-		View: s.View, Seq: s.Seq, Digest: s.Digest,
-		Sig: append([]byte(nil), s.Sig...),
-	}
-}
-
 // IsZero reports whether m is the empty message slot (the Second of a
 // single-message record). Every real message has a non-zero type or a
 // digest or an authenticator; the zero NodeID alone is ambiguous (it is

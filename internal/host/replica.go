@@ -86,12 +86,13 @@ type Sequential struct {
 // NewSequential builds a sequentially executing replica. ready reports
 // whether a committed cross-shard batch b, with digest d, may execute yet.
 func NewSequential(opts Options, ready func(b *types.Batch, d types.Digest) bool) *Sequential {
-	return &Sequential{
+	s := &Sequential{
 		Replica: NewReplica(opts),
-		Tracker: pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
 		Entries: make(map[types.SeqNum]Queued),
 		ready:   ready,
 	}
+	s.Tracker = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, s.PBFT.MakeCheckpoint)
+	return s
 }
 
 // ExecutedThrough returns the executed-prefix watermark. Call only after
@@ -119,7 +120,7 @@ func (s *Sequential) applyRecovered(rec *wal.Recovered) {
 func (s *Sequential) Commit(seq types.SeqNum, b *types.Batch, d types.Digest) {
 	s.Settle(b, d)
 	s.Entries[seq] = Queued{Batch: b, Digest: d}
-	s.Tracker.Committed(s.PBFT, seq, d)
+	s.Tracker.Committed(seq, d)
 }
 
 // DrainExec executes committed entries strictly in local sequence order,

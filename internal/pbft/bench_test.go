@@ -20,10 +20,10 @@ func BenchmarkConsensusRound(b *testing.B) {
 	}
 	trackers := make([]*CheckpointTracker, 4)
 	for i := range trackers {
-		trackers[i] = NewCheckpointTracker(64)
+		trackers[i] = NewCheckpointTracker(64, h.engines[i].MakeCheckpoint)
 		i := i
 		h.engines[i].cb.Committed = func(seq types.SeqNum, _ *types.Batch, d types.Digest, _ *Cert) {
-			trackers[i].Committed(h.engines[i], seq, d)
+			trackers[i].Committed(seq, d)
 		}
 	}
 	b.ReportAllocs()

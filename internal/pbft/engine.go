@@ -278,12 +278,6 @@ func (e *Engine) NF() int { return e.nf }
 // F returns the per-shard fault bound.
 func (e *Engine) F() int { return e.f }
 
-// Quorum reports whether the engine has committed seq.
-func (e *Engine) Quorum(seq types.SeqNum) bool {
-	ent, ok := e.log[seq]
-	return ok && ent.committed
-}
-
 // OldestUncommitted returns the first-seen time of the oldest log entry that
 // has been pre-prepared but not committed, and whether one exists. Hosts use
 // it to drive the local timer (view-change trigger, attack A2).

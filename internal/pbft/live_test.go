@@ -35,16 +35,17 @@ func TestLiveWindowSliding(t *testing.T) {
 	eps := make([]*simnet.Endpoint, 4)
 	for i := range peers {
 		i := i
-		ns := &nodeState{tracker: NewCheckpointTracker(64)}
+		ns := &nodeState{}
 		ep := net.Attach(peers[i], 0)
 		ring, _ := kg.Ring(peers[i])
 		ns.engine = New(0, peers[i], peers, ring, Callbacks{
 			Send: func(to types.NodeID, m *types.Message) { ep.Send(to, m) },
 			Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *Cert) {
-				ns.tracker.Committed(ns.engine, seq, d)
+				ns.tracker.Committed(seq, d)
 				ns.commits.Add(1)
 			},
 		}, Options{})
+		ns.tracker = NewCheckpointTracker(64, ns.engine.MakeCheckpoint)
 		nodes[i] = ns
 		eps[i] = ep
 	}

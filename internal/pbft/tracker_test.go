@@ -10,14 +10,14 @@ func TestTrackerKeepsWindowSliding(t *testing.T) {
 	h := newHarness(t, 4)
 	trackers := make([]*CheckpointTracker, 4)
 	for i := range trackers {
-		trackers[i] = NewCheckpointTracker(64)
+		trackers[i] = NewCheckpointTracker(64, h.engines[i].MakeCheckpoint)
 	}
 	// Attach tracker to commit callback via wrapper: re-register Committed.
 	for i := range h.engines {
 		i := i
 		orig := h.engines[i].cb.Committed
 		h.engines[i].cb.Committed = func(seq types.SeqNum, b *types.Batch, d types.Digest, cert *Cert) {
-			trackers[i].Committed(h.engines[i], seq, d)
+			trackers[i].Committed(seq, d)
 			if orig != nil {
 				orig(seq, b, d, cert)
 			}

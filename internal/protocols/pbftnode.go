@@ -26,16 +26,16 @@ func NewPBFT(opts Options) *PBFTNode {
 	n := &PBFTNode{
 		base:     newBase(opts),
 		proposed: make(map[types.Digest]struct{}),
-		tracker:  pbft.NewCheckpointTracker(opts.Config.CheckpointInterval),
 	}
 	n.engine = pbft.New(0, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
 		Send: func(to types.NodeID, m *types.Message) { n.send(to, m) },
 		Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *pbft.Cert) {
-			n.tracker.Committed(n.engine, seq, d)
+			n.tracker.Committed(seq, d)
 			n.markReady(seq, b)
 		},
 		ViewChanged: func(types.View) { n.viewChanges++ },
 	}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout})
+	n.tracker = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, n.engine.MakeCheckpoint)
 	return n
 }
 

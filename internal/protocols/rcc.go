@@ -54,12 +54,12 @@ func NewRCC(opts Options) *RCCNode {
 				n.send(to, &cp)
 			},
 			Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *pbft.Cert) {
-				n.trackers[inst].Committed(n.engines[inst], seq, d)
+				n.trackers[inst].Committed(seq, d)
 				n.onDecided(inst, seq, b)
 			},
 		}, pbft.Options{Clock: opts.Clock, ViewTimeout: opts.Config.LocalTimeout})
 		n.engines = append(n.engines, e)
-		n.trackers = append(n.trackers, pbft.NewCheckpointTracker(opts.Config.CheckpointInterval))
+		n.trackers = append(n.trackers, pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, e.MakeCheckpoint))
 		n.bumpView(e, i)
 	}
 	return n

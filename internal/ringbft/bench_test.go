@@ -61,7 +61,6 @@ func BenchmarkExecuteCopy(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			delete(cs.execFrom, lane.From)
-			cs.execRelayed = false
 			c.queue = c.queue[:0]
 			r.HandleMessage(lane)
 		}

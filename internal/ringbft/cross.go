@@ -67,6 +67,14 @@ func (r *Replica) ringTags(next types.ShardID, m *types.Message) []byte {
 	return vec
 }
 
+// verifyRingCopy is the admission check Forward and Execute share: m must
+// come from a replica of the shard before this one in b's ring, speak for
+// that shard, and carry a ring tag whose entry for this replica verifies.
+func (r *Replica) verifyRingCopy(m *types.Message, b *types.Batch) bool {
+	return m.From.Kind == types.KindReplica && m.From.Shard == b.PrevInRing(r.Shard) &&
+		m.Shard == m.From.Shard && r.verifyRingTag(m) == nil
+}
+
 // verifyRingTag checks this replica's entry of m's ring tag vector against
 // m's originating sender. That is all counting a sender toward f+1 needs:
 // authentication to this replica, not proof to a third party. A relaying
@@ -151,13 +159,7 @@ func (r *Replica) onForward(m *types.Message) {
 	if b == nil || len(b.Txns) == 0 || !b.IsCrossShard() {
 		return
 	}
-	if !r.isBatch(b, d) || !b.Involves(r.Shard) {
-		return
-	}
-	if m.From.Kind != types.KindReplica || m.From.Shard != b.PrevInRing(r.Shard) || m.Shard != m.From.Shard {
-		return
-	}
-	if r.verifyRingTag(m) != nil {
+	if !r.isBatch(b, d) || !b.Involves(r.Shard) || !r.verifyRingCopy(m, b) {
 		return
 	}
 	// The Forward signature alone binds the sender to (seq, digest), and a
@@ -205,14 +207,14 @@ func (r *Replica) onForward(m *types.Message) {
 	if cs.fwdFirst.IsZero() {
 		r.armRemote(cs)
 	}
-	if m.From.Index == r.Self.Index && !cs.fwdRelayed {
-		cs.fwdRelayed = true
-		r.Relay(m)
+	if m.From.Index == r.Self.Index {
+		r.Relay(m) // the lane copy, on its one count
 	}
-	if cs.fwdAccepted || len(cs.fwdFrom) <= r.Cfg.F() {
+	// The dup path returned above, so the f+1-th sender counted is the one
+	// crossing the quorum: the acceptance below runs once.
+	if len(cs.fwdFrom) != r.Cfg.F()+1 {
 		return
 	}
-	cs.fwdAccepted = true
 	if r.Obs.Exposed() {
 		r.ring.forwardQuorum.Observe(r.Clock().Sub(cs.fwdFirst))
 	}
@@ -447,7 +449,6 @@ func (r *Replica) executeCst(cs *cstState) {
 	cs.mergeCarried([]types.WriteSet{out})
 
 	r.locks.Unlock(cs.keys, lockOwner(cs.digest))
-	cs.released = true
 
 	r.sendExecute(cs)
 	r.drainLockQueue()
@@ -484,10 +485,7 @@ func (r *Replica) onExecute(m *types.Message) {
 		// local replication; it cannot execute and relies on checkpoints.
 		return
 	}
-	if m.From.Kind != types.KindReplica || m.From.Shard != cs.batch.PrevInRing(r.Shard) {
-		return
-	}
-	if r.verifyRingTag(m) != nil {
+	if !r.verifyRingCopy(m, cs.batch) {
 		return
 	}
 	if _, dup := cs.execFrom[m.From]; dup {
@@ -501,14 +499,12 @@ func (r *Replica) onExecute(m *types.Message) {
 	}
 	cs.execFrom[m.From] = struct{}{}
 	cs.mergeCarried(m.WriteSets)
-	if m.From.Index == r.Self.Index && !cs.execRelayed {
-		cs.execRelayed = true
+	if m.From.Index == r.Self.Index {
 		r.Relay(m)
 	}
-	if cs.execAccepted || len(cs.execFrom) <= r.Cfg.F() {
-		return
+	if len(cs.execFrom) != r.Cfg.F()+1 {
+		return // short of the quorum, or past the sender that crossed it
 	}
-	cs.execAccepted = true
 
 	if cs.executed {
 		if r.Shard == cs.batch.Initiator() {
@@ -587,21 +583,19 @@ func (r *Replica) onRemoteView(m *types.Message) {
 		return
 	}
 	cs.remoteComplaints[m.From] = complaint{m, now}
-	if m.From.Index == r.Self.Index && !cs.remoteRelayed {
-		cs.remoteRelayed = true
+	if m.From.Index == r.Self.Index {
 		r.Relay(m)
 	}
-	if len(cs.remoteComplaints) <= r.Cfg.F() || cs.remoteHandled {
-		return
+	if len(cs.remoteComplaints) != r.Cfg.F()+1 {
+		return // short of the quorum, or past the complainant that crossed it
 	}
-	cs.remoteHandled = true
 	r.ring.remoteViews.Inc()
 	// Make sure the (possibly new) primary has the batch to propose, then
 	// support the view change (Fig 6 lines 5-6).
 	if cs.batch == nil {
 		cs.batch = b
 	}
-	if !cs.fwdAccepted && cs.fwdFirst.IsZero() {
+	if !r.accepted(len(cs.fwdFrom)) && cs.fwdFirst.IsZero() {
 		// Middle shard of a ring of three or more: the complaint reveals a
 		// batch this shard never saw a Forward copy for. Arm the remote
 		// timer so this shard complains upstream in turn — until the

@@ -88,7 +88,7 @@ func TestHeadOfLineRetryUnlocksItsKeys(t *testing.T) {
 
 	const k = 5
 	for _, r := range shard0 {
-		ent := r.lockQueue[r.kmax+1]
+		ent := r.lockQueue[r.kmax()+1]
 		if ent == nil || ent.digest != d {
 			t.Fatalf("%v: the cst is not at the head of the lock queue", r.Self)
 		}

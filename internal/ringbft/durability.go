@@ -19,10 +19,11 @@ import (
 //   - a stable PBFT checkpoint is cut (host.Cut) once local execution
 //     covers it, and the snapshot carries k_max, the executed watermark
 //     and the prefix digest;
-//   - a restarted replica folds the recovered progress records and blocks
-//     into those watermarks and resumes consensus past them.
+//   - a restarted replica advances its checkpoint schedule (cps) to the
+//     newest recovered progress, folds the recovered blocks into the
+//     executed watermark, and resumes consensus past them.
 //
-// Checkpoint digests are composite — H(prefixDigest || stateDigest) — where
+// Checkpoint digests are composite — H(prefix || stateDigest) — where
 // stateDigest is the SHA-256 of the *canonical state at the checkpoint*:
 // the key-value table obtained by executing exactly the blocks with
 // sequence <= S. Every honest replica agrees on that state even though
@@ -33,8 +34,8 @@ import (
 // from the live store by subtracting the writes of executed blocks beyond
 // the checkpoint.
 
-// cpPoint is a checkpoint scheduled at lock time (k_max crossing an
-// interval boundary) and emitted once execution catches up to it.
+// cpPoint is a checkpoint cps scheduled at lock time (k_max crossing an
+// interval boundary), emitted once execution catches up to it.
 type cpPoint struct {
 	seq    types.SeqNum
 	prefix types.Digest
@@ -50,14 +51,6 @@ type cpMeta struct {
 // cpMetaKeep bounds the retained checkpoint metadata and stabilized-digest
 // maps (Byzantine checkpoint floods must not balloon memory).
 const cpMetaKeep = 16
-
-// canonCache is the single-slot cache of the newest checkpoint's canonical
-// pairs: computed once at emission, reused for the state digest and for
-// every state-transfer request served at that checkpoint.
-type canonCache struct {
-	seq   types.SeqNum
-	pairs []store.Pair
-}
 
 // markExecuted advances the contiguous executed-prefix watermark and emits
 // any checkpoint whose sequence the watermark has now covered.
@@ -78,31 +71,15 @@ func (r *Replica) markExecuted(seq types.SeqNum) {
 
 // maybeEmitCheckpoints broadcasts scheduled checkpoints whose canonical
 // state is now computable (every block at or below the checkpoint has
-// executed locally). The pairs computed for the digest are cached (one
-// slot, newest checkpoint) so serving state-transfer requests for the
-// current stable checkpoint does not re-dump the store per request.
+// executed locally).
 func (r *Replica) maybeEmitCheckpoints() {
 	for len(r.pendingCps) > 0 && r.pendingCps[0].seq <= r.execSeq {
 		cp := r.pendingCps[0]
 		r.pendingCps = r.pendingCps[1:]
-		pairs := r.canonicalPairsAt(cp.seq)
-		state := stateDigestOf(pairs)
-		digest := compositeCpDigest(cp.prefix, state)
+		state := stateDigestOf(r.canonicalPairsAt(cp.seq))
 		remember(r.cpMeta, cp.seq, cpMeta{prefix: cp.prefix, state: state})
-		r.canonCache = canonCache{seq: cp.seq, pairs: pairs}
-		r.PBFT.MakeCheckpoint(cp.seq, digest)
+		r.PBFT.MakeCheckpoint(cp.seq, compositeCpDigest(cp.prefix, state))
 	}
-}
-
-// canonicalPairsCached returns the canonical pairs at s, reusing the
-// emission-time computation when s is the cached checkpoint.
-func (r *Replica) canonicalPairsCached(s types.SeqNum) []store.Pair {
-	if r.canonCache.seq == s && r.canonCache.pairs != nil {
-		return r.canonCache.pairs
-	}
-	pairs := r.canonicalPairsAt(s)
-	r.canonCache = canonCache{seq: s, pairs: pairs}
-	return pairs
 }
 
 // canonicalPairsAt reconstructs the canonical key-value state at stable
@@ -190,7 +167,7 @@ func remember[V any](m map[types.SeqNum]V, seq types.SeqNum, v V) {
 func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 	remember(r.stabilized, seq, digest)
 	r.settleBelow(seq)
-	if interval := r.Cfg.CheckpointInterval; interval > 0 && seq >= r.kmax+interval {
+	if interval := r.Cfg.CheckpointInterval; interval > 0 && seq >= r.kmax()+interval {
 		r.requestStateTransfer(seq)
 		r.evaluateTransfer()
 		return
@@ -208,8 +185,8 @@ func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
 // snapMarks fills in the watermarks a RingBFT snapshot carries beyond its
 // cut: the lock-order and executed watermarks and the prefix digest.
 func (r *Replica) snapMarks(s *wal.Snapshot) {
-	s.KMax, s.ExecSeq = r.kmax, r.execSeq
-	s.PrefixDigest, s.LastCheckpoint = r.prefixDigest, r.lastCheckpoint
+	s.KMax, s.ExecSeq = r.kmax(), r.execSeq
+	s.PrefixDigest, s.LastCheckpoint = r.cps.Prefix(), r.cps.Last()
 }
 
 // logProgress durably records a k_max advance (see wal.ProgressRecord).
@@ -217,24 +194,24 @@ func (r *Replica) logProgress(batchDigest types.Digest) {
 	if r.Dur == nil {
 		return
 	}
-	r.DurOK(r.Dur.LogProgress(r.kmax, r.prefixDigest, r.lastCheckpoint, batchDigest, r.PBFT.View()))
+	r.DurOK(r.Dur.LogProgress(r.kmax(), r.cps.Prefix(), r.cps.Last(), batchDigest, r.PBFT.View()))
 }
 
 // applyRecovered folds a snapshot plus the WAL tail (host.Recover) into
-// the ring layer's progress: the lock-order watermark and prefix digest of
-// the newest progress record, and the executed watermark over every
-// recovered block (no checkpoint is pending yet, so markExecuted emits
-// none). Called from Preload, after the base table is installed and
-// before any message is handled.
+// the ring layer's progress: the checkpoint schedule advances to the
+// lock-order watermark and prefix digest of the newest progress record
+// (its boundary follows from the watermark, so the recorded LastCheckpoint
+// is not read back), and the executed watermark covers every recovered
+// block (no checkpoint is pending yet, so markExecuted emits none). Called
+// from Preload, after the base table is installed and before any message
+// is handled.
 func (r *Replica) applyRecovered(rec *wal.Recovered) {
 	if snap := rec.Snap; snap != nil {
-		r.kmax, r.execSeq = snap.KMax, snap.ExecSeq
-		r.prefixDigest, r.lastCheckpoint = snap.PrefixDigest, snap.LastCheckpoint
+		r.execSeq = snap.ExecSeq
+		r.cps.Advance(snap.KMax, snap.PrefixDigest)
 		remember(r.stabilized, snap.StableSeq, snap.CheckpointDigest)
 	}
-	r.Recover(rec, r.markExecuted, func(t *wal.Record) {
-		r.kmax, r.prefixDigest, r.lastCheckpoint = t.Seq, t.PrefixDigest, t.LastCheckpoint
-	})
-	r.PBFT.ResumeAt(r.LastSnap, r.kmax+1)
+	r.Recover(rec, r.markExecuted, func(t *wal.Record) { r.cps.Advance(t.Seq, t.PrefixDigest) })
+	r.PBFT.ResumeAt(r.LastSnap, r.kmax()+1)
 	r.recovered = true
 }

@@ -167,11 +167,7 @@ func TestPropertyLockQueueSequenceOrder(t *testing.T) {
 // TestCheckpointsGarbageCollectDuringRingOperation: a long run of
 // transactions advances the stable checkpoint and bounds the engine log.
 func TestCheckpointsGarbageCollectDuringRingOperation(t *testing.T) {
-	c := newCluster(t, 2, 4)
-	c.cfg.CheckpointInterval = 8
-	for _, r := range c.replicas {
-		r.Cfg.CheckpointInterval = 8
-	}
+	c := newClusterWith(t, 2, 4, func(cfg *types.Config) { cfg.CheckpointInterval = 8 })
 	for i := uint64(1); i <= 40; i++ {
 		shards := []types.ShardID{types.ShardID(i % 2)}
 		if i%4 == 0 {

@@ -139,7 +139,7 @@ func TestWantProofComplains(t *testing.T) {
 		r.HandleMessage(m)
 	}
 	cs := r.csts[d]
-	if cs == nil || !cs.fwdAccepted {
+	if cs == nil || !r.accepted(len(cs.fwdFrom)) {
 		t.Fatal("setup: the Forward quorum did not complete")
 	}
 	if cert, ready := r.justification(b); cert != nil || ready {
@@ -208,7 +208,7 @@ func TestHeldNewViewCarriesProof(t *testing.T) {
 		c.queue = append(c.queue, routed{id, types.ReplicaNode(1, id.Index), m})
 	}
 	c.pump()
-	if cs := c.replicas[primary].csts[d]; cs == nil || !cs.fwdAccepted {
+	if cs := c.replicas[primary].csts[d]; cs == nil || !c.replicas[primary].accepted(len(cs.fwdFrom)) {
 		t.Fatal("setup: the next primary did not count the Forward quorum")
 	}
 

@@ -48,10 +48,15 @@ type Replica struct {
 	locks    *store.LockTable
 
 	// Lock-order state (Fig 5): lockQueue holds committed entries awaiting
-	// lock acquisition strictly in sequence order; kmax is the highest
-	// sequence that acquired locks.
-	kmax      types.SeqNum
+	// lock acquisition strictly in sequence order. cps is the checkpoint
+	// schedule over that order: its contiguous watermark is k_max, the
+	// highest sequence that acquired locks (see kmax), and its rolling
+	// prefix digest — deterministic across replicas even when
+	// non-conflicting executions interleave differently (Section 7) — forms
+	// the checkpoint digest together with the canonical state digest (see
+	// durability.go).
 	lockQueue map[types.SeqNum]*logEntry
+	cps       *pbft.CheckpointTracker
 
 	// csts tracks every cross-shard transaction this replica has seen, by
 	// batch digest. live holds the ones whose remote or transmit timer can
@@ -84,18 +89,11 @@ type Replica struct {
 	backpressure func() int
 	bpLimit      int
 
-	// Rolling digest over the contiguous committed prefix (deterministic
-	// across replicas even when non-conflicting executions interleave
-	// differently; Section 7). Combined with the canonical state digest it
-	// forms the checkpoint digest (see durability.go).
-	prefixDigest   types.Digest
-	lastCheckpoint types.SeqNum
-
 	// Executed-prefix watermark: execSeq is the highest sequence such that
 	// every block at or below it has executed locally; execDone holds
-	// out-of-order completions above it. Checkpoints are scheduled at lock
-	// time (pendingCps) and emitted once execSeq covers them, because the
-	// canonical state digest needs every covered block applied.
+	// out-of-order completions above it. cps schedules checkpoints at lock
+	// time (pendingCps) and they are emitted once execSeq covers them,
+	// because the canonical state digest needs every covered block applied.
 	execSeq    types.SeqNum
 	execDone   map[types.SeqNum]struct{}
 	pendingCps []cpPoint
@@ -105,7 +103,6 @@ type Replica struct {
 	// against.
 	stabilized map[types.SeqNum]types.Digest
 	transfer   *transferState
-	canonCache canonCache
 
 	// recovered reports whether Preload resumed from disk.
 	recovered bool
@@ -193,30 +190,23 @@ type cstState struct {
 
 	locked   bool
 	executed bool
-	released bool
 	replied  bool
 
-	// Linear-communication accounting for inbound Forward / Execute.
-	fwdFrom     map[types.NodeID]struct{}
-	fwdRelayed  bool
-	fwdAccepted bool
-	fwdFirst    time.Time // remote timer anchor (Fig 6)
-	remoteSent  bool
-
-	execFrom     map[types.NodeID]struct{}
-	execRelayed  bool
-	execAccepted bool
-
-	remoteComplaints map[types.NodeID]complaint // RemoteView senders (Fig 6)
-	remoteRelayed    bool
-	remoteHandled    bool
+	// Linear-communication accounting (Section 4.3.6): the distinct
+	// previous-shard senders counted for the Forward and the Execute, and
+	// the next-shard RemoteView complainants (Fig 6). A set is accepted at
+	// f+1 senders (accepted), and its lane sender, the one same-index
+	// replica, is relayed when counted: the sets alone hold both rules.
+	fwdFrom          map[types.NodeID]struct{}
+	fwdFirst         time.Time // remote timer anchor (Fig 6)
+	execFrom         map[types.NodeID]struct{}
+	remoteComplaints map[types.NodeID]complaint
 
 	carried []types.WriteSet // accumulated read/write sets (Σ)
 	results []types.Value
 
 	forwardSentAt time.Time // transmit timer anchor (Section 5.1.1)
 	forwardMsg    *types.Message
-	nextProgress  bool // evidence the next shard progressed; stops retransmission
 }
 
 // complaint is one RemoteView sender's first verified complaint and when it
@@ -339,6 +329,9 @@ func New(opts Options) *Replica {
 		Justify: r.justified,
 		Next:    r.nextProposal,
 	})
+	r.cps = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, func(seq types.SeqNum, prefix types.Digest) {
+		r.pendingCps = append(r.pendingCps, cpPoint{seq: seq, prefix: prefix})
+	})
 	r.ring = newRingMetrics(r.Obs)
 	return r
 }
@@ -401,7 +394,7 @@ func (r *Replica) Stats() Stats {
 		CoalescedReqs:  r.ring.coalesced.Value(),
 		LockedKeys:     r.locks.Count(),
 		LedgerHeight:   r.Ledger.Height(),
-		KMax:           r.kmax,
+		KMax:           r.kmax(),
 		ExecSeq:        r.execSeq,
 	}
 }
@@ -511,8 +504,13 @@ func (r *Replica) justified(b *types.Batch, d types.Digest) bool {
 		return true
 	}
 	cs, ok := r.csts[d]
-	return ok && cs.fwdAccepted
+	return ok && r.accepted(len(cs.fwdFrom))
 }
+
+// accepted reports whether a sender set of the given size holds the f+1
+// distinct senders the linear communication primitive accepts on (Section
+// 4.3.6): at least one of them is non-faulty.
+func (r *Replica) accepted(senders int) bool { return senders > r.Cfg.F() }
 
 // justification is the engine's Justification callback. NewView
 // re-proposals must prove justification to replicas whose own Forward
@@ -541,7 +539,7 @@ func (r *Replica) justification(b *types.Batch) ([]types.Signed, bool) {
 		}
 		r.live[cs.digest] = cs
 	}
-	return cert, cert != nil || !cs.fwdAccepted || !cs.wantsProof()
+	return cert, cert != nil || !r.accepted(len(cs.fwdFrom)) || !cs.wantsProof()
 }
 
 // verifyJustification is the engine's VerifyJustification callback: just
@@ -689,7 +687,7 @@ func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Dige
 // deadlock-free (Theorem 6.2).
 func (r *Replica) drainLockQueue() {
 	for {
-		ent, ok := r.lockQueue[r.kmax+1]
+		ent, ok := r.lockQueue[r.kmax()+1]
 		if !ok {
 			return
 		}
@@ -699,28 +697,20 @@ func (r *Replica) drainLockQueue() {
 		if !r.locks.TryLock(ent.keys, lockOwner(ent.digest)) {
 			return
 		}
-		delete(r.lockQueue, r.kmax+1)
-		r.kmax++
-		r.advancePrefix(ent.digest)
+		delete(r.lockQueue, ent.seq)
+		// Advancing k_max folds the batch digest into the prefix and may
+		// schedule a checkpoint, emitted once local execution covers it:
+		// its digest certifies the canonical state there (durability.go).
+		r.cps.Committed(ent.seq, ent.digest)
+		r.logProgress(ent.digest)
+		r.maybeEmitCheckpoints()
 		r.afterLocked(ent)
 	}
 }
 
-// advancePrefix folds the committed batch digest d into the rolling prefix
-// digest, durably records the watermark advance, and schedules a
-// checkpoint every CheckpointInterval sequences. The checkpoint is emitted
-// by maybeEmitCheckpoints once local execution covers it, because its
-// digest certifies the canonical state at that sequence (durability.go).
-func (r *Replica) advancePrefix(d types.Digest) {
-	r.prefixDigest = pbft.FoldStep(r.prefixDigest, r.kmax, d)
-	interval := r.Cfg.CheckpointInterval
-	if interval > 0 && r.kmax >= r.lastCheckpoint+interval {
-		r.lastCheckpoint = r.kmax
-		r.pendingCps = append(r.pendingCps, cpPoint{seq: r.kmax, prefix: r.prefixDigest})
-	}
-	r.logProgress(d)
-	r.maybeEmitCheckpoints()
-}
+// kmax is the lock-order watermark of Fig 5: every sequence at or below it
+// acquired its locks.
+func (r *Replica) kmax() types.SeqNum { return r.cps.Next() }
 
 // afterLocked runs once a committed batch holds its locks: single-shard
 // batches execute and answer the client; cross-shard batches read their
@@ -764,7 +754,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 	// the onForward/onExecute execution triggers have already passed.
 	// Execute now — the merged Σ carries everything those copies brought
 	// (found by internal/chaos, loss-storm schedules).
-	if (cs.fwdAccepted && r.Shard == b.Initiator()) || cs.execAccepted {
+	if (r.accepted(len(cs.fwdFrom)) && r.Shard == b.Initiator()) || r.accepted(len(cs.execFrom)) {
 		r.executeCst(cs)
 	}
 }

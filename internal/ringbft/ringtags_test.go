@@ -43,7 +43,9 @@ func clone(m *types.Message) *types.Message {
 func entry(vec []byte, i int) []byte { return vec[i*crypto.MACSize : (i+1)*crypto.MACSize] }
 
 // ringTamper rewrites the tag vector of a copy from s0/r0 that replica
-// s1/r1 is about to receive.
+// s1/r1 is about to receive, or the shard the copy speaks for, tagged anew
+// by its sender: a tag that verifies does not admit a copy the sender's
+// shard could not have sent.
 type ringTamper struct {
 	name string
 	mut  func(c *cluster, m *types.Message)
@@ -57,6 +59,10 @@ var ringTampers = []ringTamper{
 	{"zeroed entry", func(_ *cluster, m *types.Message) { clear(entry(m.MAC, 1)) }},
 	{"vector for the wrong shard", func(c *cluster, m *types.Message) {
 		m.MAC = c.replicas[m.From].ringTags(2, m)
+	}},
+	{"speaks for another shard", func(c *cluster, m *types.Message) {
+		m.Shard = 2
+		m.MAC = c.replicas[m.From].ringTags(1, m)
 	}},
 }
 
@@ -203,7 +209,7 @@ func TestRingTagCertOncePerCst(t *testing.T) {
 	r.HandleMessage(bad)
 	r.HandleMessage(good)
 	cs := r.csts[d]
-	if cs == nil || !cs.fwdAccepted {
+	if cs == nil || !r.accepted(len(cs.fwdFrom)) {
 		t.Fatal("f+1 tag-authenticated copies were not accepted")
 	}
 	if n := counter.Verifies.Load(); n != 0 {
@@ -357,7 +363,7 @@ func TestRingTagInitiatorCert(t *testing.T) {
 				r.HandleMessage(bad) // a duplicate adds nothing
 			}
 			cs := r.csts[d]
-			if cs == nil || !cs.fwdAccepted {
+			if cs == nil || !r.accepted(len(cs.fwdFrom)) {
 				t.Fatal("f+1 tag-authenticated copies were not accepted")
 			}
 			if n := counter.Verifies.Load(); n != 0 {
@@ -397,7 +403,7 @@ func TestRingTagSwappedCert(t *testing.T) {
 		r := c.replicas[types.ReplicaNode(1, 1)]
 		r.HandleMessage(swapped(2)) // a faulty sender's garbage
 		r.HandleMessage(swapped(3)) // an honest sender's copy, swapped by its relayer
-		if cs := r.csts[d]; cs == nil || !cs.fwdAccepted {
+		if cs := r.csts[d]; cs == nil || !r.accepted(len(cs.fwdFrom)) {
 			t.Fatal("f+1 tag-authenticated copies were not accepted")
 		}
 		if got, _ := r.justification(b); got != nil {

@@ -62,7 +62,7 @@ func (r *Replica) onStateRequest(m *types.Message) {
 		Seq:          stable,
 		PrefixDigest: meta.prefix,
 		StateDigest:  meta.state,
-		Pairs:        r.canonicalPairsCached(stable),
+		Pairs:        r.canonicalPairsAt(stable), // fault path only: O(state)
 	}
 	resp := &types.Message{
 		Type: types.MsgStateSnapshot, From: r.Self, Shard: r.Shard,
@@ -78,7 +78,7 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 	if r.transfer == nil || m.State == nil || !r.VerifyPeer(m) {
 		return
 	}
-	if m.State.Seq != m.Seq || m.State.Seq <= r.kmax {
+	if m.State.Seq != m.Seq || m.State.Seq <= r.kmax() {
 		return
 	}
 	r.transfer.pending[m.From] = m.State
@@ -96,7 +96,7 @@ func (r *Replica) evaluateTransfer() {
 	// first.
 	for _, from := range types.SortedNodeKeys(r.transfer.pending) {
 		p := r.transfer.pending[from]
-		if p.Seq <= r.kmax {
+		if p.Seq <= r.kmax() {
 			delete(r.transfer.pending, from)
 			continue
 		}
@@ -135,13 +135,10 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 	base := &ledger.Block{Seq: p.Seq, Digest: certified, MerkleRoot: p.StateDigest}
 	r.Ledger = ledger.Rebuild(r.Shard, base, int(p.Seq), nil)
 
-	r.kmax = p.Seq
+	r.cps.Advance(p.Seq, p.PrefixDigest)
 	r.execSeq = p.Seq
-	r.prefixDigest = p.PrefixDigest
-	r.lastCheckpoint = p.Seq
 	r.execDone = make(map[types.SeqNum]struct{})
 	r.pendingCps = nil
-	r.canonCache = canonCache{}
 	r.locks = store.NewLockTable()
 	r.csts = make(map[types.Digest]*cstState)
 	r.live = make(map[types.Digest]*cstState)

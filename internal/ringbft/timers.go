@@ -32,7 +32,8 @@ func (r *Replica) HandleTick(now time.Time) {
 	// retransmits, so traffic order must not follow map iteration order.
 	for _, d := range types.SortedDigestKeys(r.live) {
 		cs := r.live[d]
-		if cs.executed && (cs.fwdAccepted || cs.fwdFirst.IsZero()) && !cs.wantsProof() {
+		accepted := r.accepted(len(cs.fwdFrom))
+		if cs.executed && (accepted || cs.fwdFirst.IsZero()) && !cs.wantsProof() {
 			// Neither timer below can fire again: the transmit timer stops
 			// at execution, and the remote timer waits for a Forward quorum
 			// that is either complete or was never started, and for no
@@ -48,8 +49,8 @@ func (r *Replica) HandleTick(now time.Time) {
 		// Execute directly; see onRemoteView); (c) a view change needed the
 		// previous shard's certificate and no candidate verified (the
 		// answer is a re-proven Forward; see proveForward).
-		starving := (!cs.fwdAccepted && !cs.fwdFirst.IsZero()) ||
-			(cs.fwdAccepted && cs.locked && !cs.executed) || cs.wantsProof()
+		starving := (!accepted && !cs.fwdFirst.IsZero()) ||
+			(accepted && cs.locked && !cs.executed) || cs.wantsProof()
 		if starving && !cs.fwdFirst.IsZero() && now.Sub(cs.fwdFirst) > r.Cfg.RemoteTimeout {
 			cs.fwdFirst = now // re-arm
 			if cs.batch != nil && r.mayComplain(cs) {
@@ -83,7 +84,8 @@ func (cs *cstState) wantsProof() bool {
 // without this check one faulty previous-shard replica's invented Forward,
 // relayed shard-wide, would make every replica here complain.
 func (r *Replica) mayComplain(cs *cstState) bool {
-	return cs.fwdAccepted || cs.locked || cs.remoteHandled || r.provenCert(cs) != nil
+	return r.accepted(len(cs.fwdFrom)) || cs.locked ||
+		r.accepted(len(cs.remoteComplaints)) || r.provenCert(cs) != nil
 }
 
 // sendRemoteView complains to the same-index replica of the previous shard

@@ -21,7 +21,10 @@ func tickFixture(c *cluster) (*Replica, map[types.Digest]*cstState) {
 		d := sha256Sum(buf[:])
 		cs := r.cst(d)
 		if i < 4096 {
-			cs.locked, cs.executed, cs.fwdAccepted = true, true, true
+			cs.locked, cs.executed = true, true
+			for j := 0; j <= c.cfg.F(); j++ {
+				cs.fwdFrom[types.ReplicaNode(1, j)] = struct{}{}
+			}
 			continue
 		}
 		cs.locked = true
