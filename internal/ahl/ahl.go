@@ -227,7 +227,7 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Di
 	if len(batch.Txns) == 0 {
 		return
 	}
-	c.Settle(batch, d)
+	c.Settle(d)
 	cst, ok := c.csts[d]
 	if !ok {
 		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]*types.Message)}

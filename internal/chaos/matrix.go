@@ -289,8 +289,8 @@ func Matrix() []Scenario {
 	// TestBadCommitSigFootprint catches.
 	out = append(out, Scenario{Protocol: harness.ProtoRingBFT, Fault: FaultByzBadCommitSig, Seed: 24, Shards: 3})
 	// Pipelined frontier: the deep-window rows run the whole workload with
-	// a bounded in-flight window and adaptive batching armed, under faults
-	// that deliberately hit mid-window (a dark primary, a crash-restart).
+	// a bounded in-flight window armed, under faults that deliberately hit
+	// mid-window (a dark primary, a crash-restart).
 	out = append(out,
 		Scenario{Protocol: harness.ProtoRingBFT, Fault: FaultCrashRestart, Seed: 6, PipelineDepth: 4},
 		Scenario{Protocol: harness.ProtoRingBFT, Fault: FaultLossStorm, Seed: 7, PipelineDepth: 2},

@@ -80,7 +80,6 @@ func TestCountersAreSeries(t *testing.T) {
 						"remote_views_total":        st.RemoteViews,
 						"state_transfers_total":     st.StateTransfers,
 						"durability_errors_total":   st.DurErrors,
-						"coalesced_requests_total":  st.CoalescedReqs,
 					}
 				case interface {
 					ViewChangeCount() int64

@@ -54,10 +54,14 @@ func (k *Kernel) Propose(b *types.Batch, d types.Digest) {
 	k.Drain()
 }
 
-// Drain proposes from the queue head while the primary has window slots.
-// Entries proposed meanwhile (or, never today, unjustified) are dropped
-// from the queue; the Next hook decides when the head goes out and in what
-// shape.
+// Drain proposes the queue head while the pipeline window has a free
+// slot: while the engine holds fewer than Config.PipelineDepth uncommitted
+// proposals, clamped to one while the transport's backlog is past half of
+// Config.OutboxDepth (pushing more proposals at a transport that is already
+// queuing only converts bounded outbox memory into counted drops; one slot
+// keeps liveness, since the engine's view-change timers assume a primary
+// that proposes). Entries proposed meanwhile (or, never today, unjustified)
+// are dropped from the queue.
 func (k *Kernel) Drain() {
 	if !k.PBFT.IsPrimary() || k.PBFT.InViewChange() {
 		return
@@ -68,51 +72,33 @@ func (k *Kernel) Drain() {
 			k.Queue = k.Queue[1:]
 			continue
 		}
-		p := k.next()
-		if p.Batch == nil {
-			return // window full, or the batcher holds the head for fill
+		if k.PBFT.InFlight() >= k.window() {
+			return // a commit frees the next slot
 		}
-		if _, err := k.PBFT.Propose(p.Batch); err != nil {
+		if _, err := k.PBFT.Propose(head.Batch); err != nil {
 			return // still blocked
 		}
-		k.Proposed[p.Digest] = struct{}{}
-		if len(p.Batch.Reqs) >= 2 {
-			// Latch the original request digests too, so a client
-			// retransmission of a coalesced request cannot be proposed a
-			// second time (its transactions would execute twice). A plain
-			// batch is its own only sub-batch.
-			for _, sb := range p.Batch.SubBatches() {
-				k.Proposed[sb.Digest()] = struct{}{}
-			}
-		}
+		k.Proposed[head.Digest] = struct{}{}
 		k.Queue = k.Queue[1:]
 	}
 }
 
-// head is the default drain shape: the queue head, while the pipeline
-// window has a free slot.
-func (k *Kernel) head() Queued {
-	if k.PBFT.InFlight() >= k.Cfg.PipelineDepth {
-		return Queued{} // a commit frees the next slot
+// window is the pipeline depth Drain fills right now, counting each pass
+// the backpressure clamp shrinks it to one slot.
+func (k *Kernel) window() int {
+	depth := k.Cfg.PipelineDepth
+	if depth > 1 && k.backpressure != nil && k.backpressure() > k.bpLimit {
+		k.Obs.clamped.Inc()
+		return 1
 	}
-	return k.Queue[0]
+	return depth
 }
 
-// Settle closes the book on the committed batch b with digest d: its
-// watchdog is disarmed and d latched against re-proposal. A coalesced
-// proposal commits every client request inside it, so each request digest
-// settles too (or every backup would keep demanding a view change for
-// requests already decided).
-func (k *Kernel) Settle(b *types.Batch, d types.Digest) {
+// Settle closes the book on the committed batch with digest d: its
+// watchdog is disarmed and d latched against re-proposal.
+func (k *Kernel) Settle(d types.Digest) {
 	delete(k.Awaiting, d)
 	k.Proposed[d] = struct{}{}
-	if len(b.Reqs) > 1 {
-		for _, sb := range b.SubBatches() {
-			sd := sb.Digest()
-			delete(k.Awaiting, sd)
-			k.Proposed[sd] = struct{}{}
-		}
-	}
 }
 
 // viewChanged is the engine's view-install hook: a newly promoted primary

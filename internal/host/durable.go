@@ -71,10 +71,10 @@ func (r *Replica) Recover(rec *wal.Recovered, block func(types.SeqNum), progress
 }
 
 // cacheRecovered repopulates the executed and proposed caches for one
-// recovered batch. A coalesced batch (RingBFT's adaptive batching,
-// Batch.Reqs) is also split back into its original client requests, so a
-// client retransmitting after the restart is answered under the digest it
-// is waiting on, exactly as the live reply path would have.
+// recovered batch. A batch that an earlier build merged from several
+// client requests (Batch.Reqs) is also split back into them, so a client
+// retransmitting after the restart is answered under the digest it is
+// waiting on, and none of its requests is proposed again.
 func (r *Replica) cacheRecovered(b *types.Batch, results []types.Value) {
 	d := b.Digest()
 	r.Results[d] = results

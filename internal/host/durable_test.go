@@ -103,3 +103,55 @@ func TestSequentialCutAndRecover(t *testing.T) {
 			r.ExecNext, r.LastSnap, s.ExecNext, s.LastSnap)
 	}
 }
+
+// TestRecoverSplitsCoalescedBlock: a block record whose batch carries
+// request boundaries — Reqs {1, 1}, as builds that merged queued client
+// requests into one proposal logged it — is split back by Recover, so a
+// retransmission of either original request is answered from Results
+// under its own digest, finds that digest latched in Proposed, and is not
+// executed again.
+func TestRecoverSplitsCoalescedBlock(t *testing.T) {
+	reqs := []*types.Batch{
+		{Txns: []types.Txn{{ID: types.TxnID{Client: 3, Seq: 11}, Reads: []types.Key{5}, Writes: []types.Key{5}, Delta: 7}}, Involved: []types.ShardID{0}},
+		{Txns: []types.Txn{{ID: types.TxnID{Client: 4, Seq: 12}, Reads: []types.Key{8}, Writes: []types.Key{8, 2}, Delta: 1}}, Involved: []types.ShardID{0}},
+	}
+	merged := &types.Batch{
+		Txns:     slices.Concat(reqs[0].Txns, reqs[1].Txns),
+		Involved: []types.ShardID{0},
+		Reqs:     []uint32{1, 1},
+	}
+	results := []types.Value{7, 1}
+	fs := wal.NewMemFS()
+	dur, _, err := wal.OpenManager(wal.ManagerOptions{FS: fs, Dir: "r0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.LogBlock(1, types.ReplicaNode(0, 0), merged, results); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newDurableSequential(t, fs)
+	if s.ExecNext != 1 || s.Ledger.Height() != 1 {
+		t.Fatalf("recovered ExecNext, height = %d, %d; want 1, 1", s.ExecNext, s.Ledger.Height())
+	}
+	pairs := s.KV.Pairs()
+	for i, b := range reqs {
+		d := b.Digest()
+		if got := s.Results[d]; !slices.Equal(got, results[i:i+1]) {
+			t.Fatalf("request %d: cached results %v, want %v", i, got, results[i:i+1])
+		}
+		if _, latched := s.Proposed[d]; !latched {
+			t.Fatalf("request %d: digest not latched in Proposed", i)
+		}
+		s.Enqueue(b, d) // the retransmission reaching the primary's book
+		if s.PBFT.InFlight() != 0 || len(s.Queue) != 0 || len(s.Awaiting) != 0 {
+			t.Fatalf("request %d: retransmission re-entered the book", i)
+		}
+	}
+	if s.ExecNext != 1 || s.Ledger.Height() != 1 || !reflect.DeepEqual(s.KV.Pairs(), pairs) {
+		t.Fatal("a retransmission executed again")
+	}
+}

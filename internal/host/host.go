@@ -5,10 +5,10 @@
 // wiring and constructor. Every shard replica shares one durable side (WAL
 // replay, executed-block recording and the snapshot cut; durable.go), and
 // the two sequentially executing baselines share one executor
-// (Sequential). Only what differs stays in the protocol
-// packages: the Justify gate, the drain shape (RingBFT's adaptive batcher
-// and backpressure clamp), whether an expired request's proposed latch is
-// cleared, and everything that happens after a batch commits.
+// (Sequential). Every host drains its proposal queue by one window rule
+// (Drain). Only what differs stays in the protocol packages: the Justify
+// gate, whether an expired request's proposed latch is cleared, and
+// everything that happens after a batch commits.
 package host
 
 import (
@@ -64,10 +64,12 @@ type Options struct {
 	// Justify gates every proposal path (nil = every batch is justified);
 	// d is b's digest.
 	Justify func(b *types.Batch, d types.Digest) bool
-	// Next shapes the primary's drain: it returns the proposal for the
-	// queue head, or a zero Queued to wait for a commit (nil proposes the
-	// head, while the pipeline window has a free slot).
-	Next func() Queued
+	// Backpressure, when non-nil, reports the transport's queued outbound
+	// backlog (tcpnet: the sum of per-peer outbox occupancy). A backlog past
+	// half of Config.OutboxDepth clamps the pipeline window to one slot
+	// (see Drain). Nil (simnet, the deterministic chaos cluster) means no
+	// backpressure signal.
+	Backpressure func() int
 	// ReproposeExpired makes a primary clear an expired request's proposed
 	// latch and propose it again. The latch may date from a previous
 	// primacy whose proposal died with its view; after enough view changes
@@ -81,8 +83,7 @@ type Options struct {
 // Kernel is one host's consensus side: the engine, the proposal book, the
 // watchdog and the evidence log. Protocol nodes embed it. Every proposal
 // path goes through the book's methods (book.go); protocols touch the book
-// fields directly only to restore them (recovery, state transfer) and, in
-// RingBFT's batcher, to merge queued requests.
+// fields directly only to restore them (recovery, state transfer).
 type Kernel struct {
 	Cfg   types.Config
 	Shard types.ShardID
@@ -120,9 +121,12 @@ type Kernel struct {
 
 	handler          Handler
 	justify          func(*types.Batch, types.Digest) bool
-	next             func() Queued
 	reproposeExpired bool
-	onViewChanged    func(types.View)
+	// backpressure polls the transport's outbound backlog and bpLimit is
+	// the clamp threshold, half the outbox depth.
+	backpressure  func() int
+	bpLimit       int
+	onViewChanged func(types.View)
 }
 
 // Pending is one awaiting proposal and when its watchdog was last armed.
@@ -155,6 +159,10 @@ func New(opts Options) *Kernel {
 	if opts.Durability != nil {
 		opts.Durability.SetObserver(obs.wal)
 	}
+	bpDepth := opts.Config.OutboxDepth
+	if bpDepth <= 0 {
+		bpDepth = 4096 // the tcpnet default
+	}
 	k := &Kernel{
 		Cfg: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
 		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
@@ -164,12 +172,10 @@ func New(opts Options) *Kernel {
 		Proposed:         make(map[types.Digest]struct{}),
 		handler:          opts.Handler,
 		justify:          opts.Justify,
-		next:             opts.Next,
 		reproposeExpired: opts.ReproposeExpired,
 		onViewChanged:    opts.Callbacks.ViewChanged,
-	}
-	if k.next == nil {
-		k.next = k.head
+		backpressure:     opts.Backpressure,
+		bpLimit:          bpDepth / 2,
 	}
 	cb := opts.Callbacks
 	cb.Send = func(to types.NodeID, m *types.Message) { k.Send(to, m) }

@@ -66,7 +66,7 @@ func newTestShard(t *testing.T, depth int, tweak func(o *Options)) *testShard {
 			Clock:   func() time.Time { return s.now },
 			Handler: nd,
 			Callbacks: pbft.Callbacks{Committed: func(seq types.SeqNum, b *types.Batch, d types.Digest, _ *pbft.Cert) {
-				nd.Settle(b, d)
+				nd.Settle(d)
 				nd.commits[seq] = d
 			}},
 		}
@@ -251,5 +251,56 @@ func TestExpiryClearsLatch(t *testing.T) {
 				t.Fatalf("ReproposeExpired=%v: replica %d committed %d batches, want %d", repropose, i, got, want)
 			}
 		}
+	}
+}
+
+// TestBackpressureClampsWindow: the drain fills PipelineDepth slots; while
+// the transport's backlog is above half of OutboxDepth (2,048 at the
+// default 4,096) it keeps one slot, counting every clamped pass in
+// pipeline_clamped_total; once the backlog drains the window widens again.
+func TestBackpressureClampsWindow(t *testing.T) {
+	const depth = 4
+	backlog := 0
+	s := newTestShard(t, depth, func(o *Options) {
+		o.Backpressure = func() int { return backlog }
+	})
+	p := s.nodes[0]
+	var want []types.Digest
+	enqueue := func(k int) {
+		for range k {
+			b := batch(uint64(len(want) + 1))
+			want = append(want, b.Digest())
+			p.Enqueue(b, b.Digest())
+		}
+	}
+	check := func(inFlight, queued int, clamped int64) {
+		t.Helper()
+		if got := p.PBFT.InFlight(); got != inFlight {
+			t.Fatalf("backlog %d: in flight = %d, want %d", backlog, got, inFlight)
+		}
+		if got := len(p.Queue); got != queued {
+			t.Fatalf("backlog %d: queued = %d, want %d", backlog, got, queued)
+		}
+		if got := p.Obs.clamped.Value(); got != clamped {
+			t.Fatalf("backlog %d: pipeline_clamped_total = %d, want %d", backlog, got, clamped)
+		}
+	}
+
+	backlog = 2048 // exactly half the default outbox depth: no clamp
+	enqueue(depth + 2)
+	check(depth, 2, 0)
+	s.pump()
+	check(0, 0, 0)
+
+	backlog = 2049
+	enqueue(3) // one proposal, then two passes that find the one slot taken
+	check(1, 2, 3)
+
+	backlog = 0
+	p.Drain()
+	check(3, 0, 3)
+	s.pump()
+	for i := range s.nodes {
+		sameOrder(t, s.committed(i), want)
 	}
 }

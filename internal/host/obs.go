@@ -30,6 +30,9 @@ type Obs struct {
 	ExecutedTxns   *metrics.Counter
 	ExecutedCross  *metrics.Counter
 
+	// clamped counts the drain passes whose window the backpressure clamp
+	// shrank to one slot.
+	clamped    *metrics.Counter
 	queueDepth *metrics.Gauge
 	inflight   *metrics.Gauge
 	awaiting   *metrics.Gauge
@@ -52,8 +55,9 @@ var tracedPhases = []trace.Phase{
 // shard and replica index and named after prefix:
 // <prefix>_view_changes_total, _forward_retransmits_total,
 // _durability_errors_total, _state_transfers_total, _executed_txns_total,
-// _executed_cross_txns_total, _propose_queue_depth, _inflight_proposals,
-// _awaiting_proposals, _evidence_records, plus the shared
+// _executed_cross_txns_total, _pipeline_clamped_total,
+// _propose_queue_depth, _inflight_proposals, _awaiting_proposals,
+// _evidence_records, plus the shared
 // pbft_phase_transitions_total, wal_fsync_seconds and
 // wal_segments_gced_total families. tr, when non-nil, receives lifecycle
 // events stamped with the host clock.
@@ -67,6 +71,7 @@ func NewObs(reg *metrics.Registry, tr *trace.Tracer, prefix string, shard types.
 	o.StateTransfers = o.Counter("state_transfers_total")
 	o.ExecutedTxns = o.Counter("executed_txns_total")
 	o.ExecutedCross = o.Counter("executed_cross_txns_total")
+	o.clamped = o.Counter("pipeline_clamped_total")
 	o.queueDepth = o.Gauge("propose_queue_depth")
 	o.inflight = o.Gauge("inflight_proposals")
 	o.awaiting = o.Gauge("awaiting_proposals")

@@ -118,7 +118,7 @@ func (s *Sequential) applyRecovered(rec *wal.Recovered) {
 // it into the checkpoint tracker. The caller runs its protocol's
 // cross-shard step, then DrainExec.
 func (s *Sequential) Commit(seq types.SeqNum, b *types.Batch, d types.Digest) {
-	s.Settle(b, d)
+	s.Settle(d)
 	s.Entries[seq] = Queued{Batch: b, Digest: d}
 	s.Tracker.Committed(seq, d)
 }

@@ -12,11 +12,6 @@ type ringMetrics struct {
 	execErrors   *metrics.Counter
 	remoteViews  *metrics.Counter
 	certVerifies *metrics.Counter
-	// coalesced counts client requests the adaptive batcher merged into
-	// larger proposals; clamped counts propose passes where transport
-	// backpressure shrank the pipeline window to one slot.
-	coalesced *metrics.Counter
-	clamped   *metrics.Counter
 
 	lockKeys *metrics.Gauge
 	// forwardQuorum is the ring-hop latency: first same-lane Forward copy
@@ -29,8 +24,6 @@ func newRingMetrics(o *host.Obs) ringMetrics {
 		execErrors:    o.Counter("exec_errors_total"),
 		remoteViews:   o.Counter("remote_views_total"),
 		certVerifies:  o.Counter("cert_verifications_total"),
-		coalesced:     o.Counter("coalesced_requests_total"),
-		clamped:       o.Counter("pipeline_clamped_total"),
 		lockKeys:      o.Gauge("lock_table_keys"),
 		forwardQuorum: o.Histogram("forward_quorum_seconds"),
 	}

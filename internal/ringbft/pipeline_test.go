@@ -1,6 +1,7 @@
 package ringbft
 
 import (
+	"slices"
 	"testing"
 
 	"ringbft/internal/types"
@@ -8,7 +9,7 @@ import (
 
 // enqueueRequest stages a client request without pumping, so a burst of
 // requests reaches the primary back-to-back — the arrival pattern that
-// fills the pipeline window and gives the adaptive batcher visible work.
+// fills the pipeline window.
 func (c *cluster) enqueueRequest(client types.ClientID, b *types.Batch) {
 	from := types.ClientNode(client)
 	m := &types.Message{
@@ -19,9 +20,7 @@ func (c *cluster) enqueueRequest(client types.ClientID, b *types.Batch) {
 }
 
 // pipelineWorkload is a fixed burst: ten single-shard batches alternating
-// between the two shards plus one cross-shard batch, every batch exactly
-// BatchSize transactions so the adaptive batcher has nothing to merge and
-// proposal content is depth-independent.
+// between the two shards plus one cross-shard batch, one transaction each.
 func pipelineWorkload(z int) []*types.Batch {
 	var out []*types.Batch
 	for i := 0; i < 10; i++ {
@@ -100,85 +99,66 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineAdaptiveBatching: a burst of small single-shard requests
-// arriving while the window is full is coalesced into one proposal, and
-// every client is still answered under its original request digest.
-func TestPipelineAdaptiveBatching(t *testing.T) {
-	c := newClusterWith(t, 2, 4, func(cfg *types.Config) {
-		cfg.BatchSize = 4
-		cfg.PipelineDepth = 1
-	})
-	var batches []*types.Batch
-	for i := 0; i < 4; i++ {
-		batches = append(batches, mkBatch(types.ClientID(i+1), 1, 2, []types.ShardID{0}, uint64(2+i)))
-	}
-	for i, b := range batches {
-		c.enqueueRequest(types.ClientID(i+1), b)
-	}
-	c.pump()
-	c.assertNoExecErrors()
-
-	// Request 1 proposes immediately (the window is empty when it lands);
-	// requests 2-4 queue behind the lockstep window and merge into one
-	// proposal when the commit frees the slot: two blocks, not four.
-	primary := c.replicas[types.ReplicaNode(0, 0)]
-	if h := primary.Chain().Height(); h != 2 {
-		t.Fatalf("shard 0 ledger height = %d, want 2 (one solo + one coalesced block)", h)
-	}
-	merged := primary.Chain().Block(2).Batch
-	if len(merged.Reqs) != 3 || len(merged.Txns) != 3 {
-		t.Fatalf("coalesced block has Reqs=%v txns=%d, want 3 requests / 3 txns", merged.Reqs, len(merged.Txns))
-	}
-	if n := primary.Stats().CoalescedReqs; n != 2 {
-		t.Fatalf("primary coalesced %d requests, want 2", n)
-	}
-	for i, b := range batches {
-		d := b.Digest()
-		if got := c.responses(types.ClientID(i+1), d); got < c.cfg.F()+1 {
-			t.Fatalf("client %d got %d responses under its own digest, want >= %d", i+1, got, c.cfg.F()+1)
-		}
-	}
-
-	// A retransmission of a coalesced request must be answered from the
-	// executed cache — never re-proposed, never re-executed.
-	c.submit(3, batches[2])
-	if h := primary.Chain().Height(); h != 2 {
-		t.Fatalf("retransmission re-executed: ledger height %d, want 2", h)
-	}
-	if got := c.responses(3, batches[2].Digest()); got < c.cfg.F()+2 {
-		t.Fatalf("retransmission not answered from executed cache (got %d responses)", got)
-	}
-}
-
-// TestPipelineFillDiscipline: the minimum proposal size ramps with window
-// occupancy — an empty window proposes a lone request immediately, while
-// each deeper slot demands a fuller merge, so a stream of small requests
-// cannot occupy the whole window as tiny proposals.
-func TestPipelineFillDiscipline(t *testing.T) {
+// TestPipelineRequestIsProposal: with commits suppressed, k ≤ PipelineDepth
+// small single-shard requests become k proposals, each one client request
+// under the digest its client computed — none held back for fill, none
+// merged with another.
+func TestPipelineRequestIsProposal(t *testing.T) {
 	const depth = 4
 	c := newClusterWith(t, 2, 4, func(cfg *types.Config) {
 		cfg.BatchSize = 4
 		cfg.PipelineDepth = depth
 	})
-	// Drop every PREPARE so nothing commits: in-flight counts only grow.
-	c.drop = func(_, _ types.NodeID, m *types.Message) bool {
+	primary := types.ReplicaNode(0, 0)
+	proposed := make(map[types.Digest]bool)
+	// Drop every PREPARE so nothing commits; note what the primary proposes.
+	c.drop = func(from, _ types.NodeID, m *types.Message) bool {
+		if from == primary && m.Type == types.MsgPrePrepare {
+			proposed[m.Digest] = true
+		}
 		return m.Type == types.MsgPrepare
 	}
-	primary := c.replicas[types.ReplicaNode(0, 0)]
-	for i := 0; i < 7; i++ {
-		c.enqueueRequest(types.ClientID(i+1), mkBatch(types.ClientID(i+1), 1, 2, []types.ShardID{0}, uint64(2+i)))
-		c.pump()
+	want := make(map[types.Digest]bool)
+	for i := 0; i < depth; i++ {
+		b := mkBatch(types.ClientID(i+1), 1, 2, []types.ShardID{0}, uint64(2+i))
+		want[b.Digest()] = true
+		c.enqueueRequest(types.ClientID(i+1), b)
 	}
-	// The ramp demands BatchSize×inFlight/depth = inFlight queued txns per
-	// slot here: request 1 proposes alone (empty window), request 2 alone
-	// (1 queued ≥ 1), 3 waits for 4 (2 queued ≥ 2 → a 2-request merge),
-	// 5-6 wait for 7 (3 queued ≥ 3 → a 3-request merge): four proposals,
-	// the full window, with merges growing as the window deepens.
-	if got := primary.Engine().InFlight(); got != depth {
-		t.Fatalf("primary has %d proposals in flight, want %d", got, depth)
+	c.pump()
+	if got := c.replicas[primary].Engine().InFlight(); got != depth {
+		t.Fatalf("primary has %d proposals in flight, want one per request (%d)", got, depth)
 	}
-	if n := primary.Stats().CoalescedReqs; n != 3 {
-		t.Fatalf("primary coalesced %d requests, want 3 (one 2-request and one 3-request merge)", n)
+	if len(proposed) != len(want) {
+		t.Fatalf("primary proposed %d digests, want %d", len(proposed), len(want))
+	}
+	for d := range want {
+		if !proposed[d] {
+			t.Fatalf("request %x was not proposed under its own digest", d[:4])
+		}
+	}
+}
+
+// TestClientRequestWithReqsDropped: request boundaries are never a client's
+// to set, so a client batch that carries Reqs is dropped — not proposed,
+// not awaited, not answered — while a plain request behind it commits.
+func TestClientRequestWithReqsDropped(t *testing.T) {
+	c := newCluster(t, 2, 4)
+	a := mkBatch(1, 1, 2, []types.ShardID{0}, 2)
+	b := mkBatch(2, 1, 2, []types.ShardID{0}, 3)
+	bad := &types.Batch{Txns: slices.Concat(a.Txns, b.Txns), Involved: a.Involved, Reqs: []uint32{1, 1}}
+	c.submit(1, bad)
+	for id, r := range c.replicas {
+		if h := r.Chain().Height(); h != 0 || len(r.Awaiting) != 0 || len(r.Queue) != 0 {
+			t.Fatalf("%v took the request: ledger height %d, awaiting %d, queued %d",
+				id, h, len(r.Awaiting), len(r.Queue))
+		}
+	}
+	if got := c.responses(1, bad.Digest()); got != 0 {
+		t.Fatalf("request with boundaries answered %d times", got)
+	}
+	c.submit(1, a)
+	if got := c.responses(1, a.Digest()); got < c.cfg.F()+1 {
+		t.Fatalf("plain request got %d responses, want >= %d", got, c.cfg.F()+1)
 	}
 }
 

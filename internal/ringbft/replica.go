@@ -84,11 +84,6 @@ type Replica struct {
 	// oldest entry evicted first.
 	fwdSeen *fifoWindow[fwdKey, evidence.Msg]
 
-	// Pipelined consensus: backpressure polls the transport's outbound
-	// backlog and bpLimit is the clamp threshold (half the outbox depth).
-	backpressure func() int
-	bpLimit      int
-
 	// Executed-prefix watermark: execSeq is the highest sequence such that
 	// every block at or below it has executed locally; execDone holds
 	// out-of-order completions above it. cps schedules checkpoints at lock
@@ -252,13 +247,9 @@ type Options struct {
 	// spans) stamped with the replica clock.
 	Tracer *trace.Tracer
 
-	// Backpressure, when non-nil, reports the transport's current queued
-	// outbound backlog (tcpnet: the sum of per-peer outbox occupancy).
-	// With Config.PipelineDepth > 1 a backlog past half the configured
-	// OutboxDepth clamps the pipeline to one slot — pushing more proposals
-	// at a transport that is already queuing only converts bounded outbox
-	// memory into counted drops. Nil (simnet, the deterministic chaos
-	// cluster) means no backpressure signal.
+	// Backpressure, when non-nil, reports the transport's queued outbound
+	// backlog; it clamps the host's pipeline window (see
+	// host.Options.Backpressure).
 	Backpressure func() int
 }
 
@@ -297,23 +288,17 @@ func WipeReplica(dataDir string, self types.NodeID, fs wal.FS) error {
 // New creates a RingBFT replica with a preloaded store partition.
 func New(opts Options) *Replica {
 	r := &Replica{
-		locks:        store.NewLockTable(),
-		lockQueue:    make(map[types.SeqNum]*logEntry),
-		csts:         make(map[types.Digest]*cstState),
-		live:         make(map[types.Digest]*cstState),
-		allToAll:     opts.AllToAllForward,
-		execDone:     make(map[types.SeqNum]struct{}),
-		cpMeta:       make(map[types.SeqNum]cpMeta),
-		stabilized:   make(map[types.SeqNum]types.Digest),
-		clientSeen:   newFIFOWindow[types.TxnID, types.Digest](clientSeenCap),
-		fwdSeen:      newFIFOWindow[fwdKey, evidence.Msg](fwdSeenCap),
-		backpressure: opts.Backpressure,
+		locks:      store.NewLockTable(),
+		lockQueue:  make(map[types.SeqNum]*logEntry),
+		csts:       make(map[types.Digest]*cstState),
+		live:       make(map[types.Digest]*cstState),
+		allToAll:   opts.AllToAllForward,
+		execDone:   make(map[types.SeqNum]struct{}),
+		cpMeta:     make(map[types.SeqNum]cpMeta),
+		stabilized: make(map[types.SeqNum]types.Digest),
+		clientSeen: newFIFOWindow[types.TxnID, types.Digest](clientSeenCap),
+		fwdSeen:    newFIFOWindow[fwdKey, evidence.Msg](fwdSeenCap),
 	}
-	bpDepth := opts.Config.OutboxDepth
-	if bpDepth <= 0 {
-		bpDepth = 4096 // the tcpnet default
-	}
-	r.bpLimit = bpDepth / 2
 	r.Replica = host.NewReplica(host.Options{
 		Config: opts.Config, Shard: opts.Shard, Self: opts.Self, Peers: opts.Peers,
 		Auth: opts.Auth, Send: opts.Send, Clock: opts.Clock,
@@ -326,8 +311,8 @@ func New(opts Options) *Replica {
 			Justification:       r.justification,
 			VerifyJustification: r.verifyJustification,
 		},
-		Justify: r.justified,
-		Next:    r.nextProposal,
+		Justify:      r.justified,
+		Backpressure: opts.Backpressure,
 	})
 	r.cps = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, func(seq types.SeqNum, prefix types.Digest) {
 		r.pendingCps = append(r.pendingCps, cpPoint{seq: seq, prefix: prefix})
@@ -369,8 +354,9 @@ type Stats struct {
 	// DurErrors counts durability-layer write failures (0 on any healthy
 	// filesystem; recovery degrades gracefully but tests assert 0).
 	DurErrors int64
-	// CoalescedReqs counts client requests the adaptive batcher merged
-	// into larger proposals (primary-side only).
+	// CoalescedReqs is always 0: each client request is proposed as it
+	// arrived, never merged with another. The field stays for the
+	// benchmark's per-layer report, which reads it.
 	CoalescedReqs int64
 	LockedKeys    int
 	LedgerHeight  int
@@ -391,7 +377,6 @@ func (r *Replica) Stats() Stats {
 		RemoteViews:    r.ring.remoteViews.Value(),
 		StateTransfers: r.Obs.StateTransfers.Value(),
 		DurErrors:      r.Obs.DurErrors.Value(),
-		CoalescedReqs:  r.ring.coalesced.Value(),
 		LockedKeys:     r.locks.Count(),
 		LedgerHeight:   r.Ledger.Height(),
 		KMax:           r.kmax(),
@@ -432,9 +417,11 @@ func (r *Replica) HandleMessage(m *types.Message) {
 // onClientRequest implements Fig 5 lines 4-9 plus the attack-A1 rules: a
 // non-primary forwards to its primary and arms the watchdog; an executed
 // request is answered from the cache; a request whose initiator is another
-// shard is routed to that shard's primary.
+// shard is routed to that shard's primary. A client request is proposed as
+// it arrived, so one that already carries request boundaries (Batch.Reqs)
+// is malformed and dropped.
 func (r *Replica) onClientRequest(m *types.Message) {
-	if m.Batch == nil || len(m.Batch.Txns) == 0 {
+	if m.Batch == nil || len(m.Batch.Txns) == 0 || len(m.Batch.Reqs) > 0 {
 		return
 	}
 	d := m.Batch.Digest()
@@ -553,130 +540,10 @@ func (r *Replica) verifyJustification(b *types.Batch, just []types.Signed) bool 
 	return r.verifyPrevCert(r.csts[d], b, d, just)
 }
 
-// pipelineSlots returns how many additional proposals the primary may put
-// in flight right now under cfg.PipelineDepth, after subtracting the
-// engine's current in-flight count and applying the backpressure clamp.
-func (r *Replica) pipelineSlots() int {
-	depth := r.Cfg.PipelineDepth
-	if depth > 1 && r.backpressure != nil && r.backpressure() > r.bpLimit {
-		// The transport is already queuing: stop widening the window and
-		// let the in-flight tail drain. One slot keeps liveness (the
-		// engine's view-change timers assume a primary that proposes).
-		depth = 1
-		r.ring.clamped.Inc()
-	}
-	return depth - r.PBFT.InFlight()
-}
-
-// nextProposal is the primary's drain hook (host.Options.Next): the queue
-// head, merged by the adaptive batcher, once the window — clamped under
-// transport backpressure — has a slot and the head is not held for fill.
-func (r *Replica) nextProposal() host.Queued {
-	if r.pipelineSlots() <= 0 || r.holdForFill(r.Queue[0].Batch) {
-		return host.Queued{}
-	}
-	return r.coalesceHead()
-}
-
-// holdForFill reports whether the primary should keep the queue's head
-// waiting for more arrivals instead of proposing it into a free slot.
-// The minimum proposal size ramps with window occupancy —
-// BatchSize × inFlight / PipelineDepth — so an empty window proposes
-// immediately (latency mode) while each deeper slot demands a fuller
-// merge (throughput mode). The ramp keeps the window's total transaction
-// carry at saturation at least a full batch per round trip — what
-// lockstep-with-merging achieves — instead of letting a burst of small
-// proposals occupy every slot and multiply per-proposal consensus cost
-// (messages, signatures, quorum waits) exactly when the system is
-// closest to its knee. Holding is always safe: every commit shrinks the
-// in-flight count, lowering the bar and re-draining, so with no further
-// arrivals the held head is proposed — no timer, no livelock.
-func (r *Replica) holdForFill(head *types.Batch) bool {
-	if head.IsCrossShard() {
-		return false // ring hops never wait: the whole ring is behind them
-	}
-	need := r.Cfg.BatchSize * r.PBFT.InFlight() / r.Cfg.PipelineDepth
-	if need <= 0 {
-		return false // shallow window: propose immediately
-	}
-	queued := 0
-	for _, q := range r.Queue {
-		b := q.Batch
-		if b.IsCrossShard() || !sameInvolved(head.Involved, b.Involved) {
-			break // coalesceHead's merge run stops here too
-		}
-		queued += len(b.Txns)
-		if queued >= need {
-			return false // enough mergeable backlog for this slot — send it
-		}
-	}
-	return true
-}
-
-// coalesceHead is the adaptive batcher: it takes the request at the head of
-// the proposal queue and, under backlog, merges the immediately following
-// queued requests into it — growing the proposal toward cfg.BatchSize —
-// leaving the merged followers out of the queue. Under light load the head
-// is proposed alone, immediately, with its digest (and therefore the wire
-// encoding every waiting client matches on) unchanged. Only consecutive
-// single-shard requests with the identical involved set merge: cross-shard
-// batches are pinned to their digest by the ring rotation (Forward
-// certificates, Σ accumulation, and lock release are all keyed by it).
-// The caller still holds the head at queue position 0; merged followers are
-// removed here. A merged proposal is the one batch hashed here: it is new.
-func (r *Replica) coalesceHead() host.Queued {
-	head := r.Queue[0].Batch
-	if head.IsCrossShard() || len(head.Reqs) > 0 ||
-		len(head.Txns) >= r.Cfg.BatchSize || len(r.Queue) < 2 {
-		return r.Queue[0]
-	}
-	txns := head.Txns
-	reqs := []uint32{uint32(len(head.Txns))}
-	rest := r.Queue[1:]
-	taken := 0
-	for _, q := range rest {
-		nb := q.Batch
-		if nb.IsCrossShard() || len(nb.Reqs) > 0 ||
-			!sameInvolved(head.Involved, nb.Involved) ||
-			len(txns)+len(nb.Txns) > r.Cfg.BatchSize {
-			break
-		}
-		if _, done := r.Proposed[q.Digest]; done {
-			break // keep FIFO semantics: the dedup shift handles it later
-		}
-		txns = append(txns[:len(txns):len(txns)], nb.Txns...)
-		reqs = append(reqs, uint32(len(nb.Txns)))
-		taken++
-	}
-	if taken == 0 {
-		return r.Queue[0]
-	}
-	// Compact the queue: position 0 keeps the head (the caller shifts it),
-	// the merged followers disappear.
-	r.Queue = append(r.Queue[:1], rest[taken:]...)
-	r.ring.coalesced.Add(int64(taken))
-	merged := &types.Batch{Txns: txns, Involved: head.Involved, Reqs: reqs}
-	return host.Queued{Batch: merged, Digest: merged.Digest()}
-}
-
-// sameInvolved reports whether two involved sets are identical (both are
-// canonically sorted by construction).
-func sameInvolved(a, b []types.ShardID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // onCommitted is the engine's commit callback (may fire out of sequence
 // order): enqueue for in-order locking and drain (Fig 5 lines 14-28).
 func (r *Replica) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Digest, cert *pbft.Cert) {
-	r.Settle(batch, d)
+	r.Settle(d)
 	r.lockQueue[seq] = &logEntry{seq: seq, batch: batch, digest: d, cert: cert}
 	r.drainLockQueue()
 }
@@ -729,7 +596,7 @@ func (r *Replica) afterLocked(ent *logEntry) {
 		r.locks.Unlock(ent.keys, lockOwner(d))
 		r.Record(ent.seq, r.PBFT.Primary(r.PBFT.View()), d, b, results)
 		r.markExecuted(ent.seq)
-		r.respondBatch(b, d, results)
+		r.Respond(host.ClientOf(b), d, results)
 		r.Observe(ent.seq, trace.PhaseReply)
 		r.drainLockQueue()
 		return
@@ -811,26 +678,6 @@ func (r *Replica) localKeys(b *types.Batch) []types.Key {
 		}
 	}
 	return keys
-}
-
-// respondBatch answers the clients behind an executed single-shard batch.
-// A plain batch answers its issuer under the batch digest; a coalesced
-// batch is split back into the original client requests, each answered —
-// and cached for retransmissions — under the digest that client computed
-// when it submitted (a client knows nothing about the primary's batching).
-func (r *Replica) respondBatch(b *types.Batch, d types.Digest, results []types.Value) {
-	if len(b.Reqs) < 2 {
-		r.Respond(host.ClientOf(b), d, results)
-		return
-	}
-	lo := 0
-	for _, sb := range b.SubBatches() {
-		sd := sb.Digest()
-		res := results[lo : lo+len(sb.Txns)]
-		lo += len(sb.Txns)
-		r.Results[sd] = res
-		r.Respond(host.ClientOf(&sb), sd, res)
-	}
 }
 
 func (r *Replica) cst(d types.Digest) *cstState {

@@ -8,7 +8,11 @@ type Config struct {
 	Shards           int // z = |𝔖|
 	ReplicasPerShard int // n = |ℜS|; fault tolerance requires n >= 3f+1
 
-	BatchSize int // transactions per consensus batch (paper default 100)
+	// BatchSize is read by no replica: a primary proposes each client
+	// request as it arrived, and clients size their requests by their own
+	// setting (workload.Config.BatchSize, paper default 100). The harness,
+	// the chaos engine and the benchmark still set it to that size.
+	BatchSize int
 
 	// PipelineDepth bounds how many proposals a primary keeps in flight
 	// (PRE-PREPAREd but not yet committed) across sequence numbers; must be
@@ -16,11 +20,9 @@ type Config struct {
 	// latency floor); small depths (4–16) overlap PRE-PREPARE/PREPARE/COMMIT
 	// across sequences, moving the open-loop saturation knee right while
 	// commit-order execution is preserved by the executed-prefix watermark.
-	// Every proposal goes through the primary's FIFO queue and this window:
-	// the primary coalesces queued single-shard client requests toward
-	// BatchSize under backlog, proposes immediately under light load, and
-	// clamps the window to one slot under transport backpressure (see
-	// ringbft.Options.Backpressure).
+	// Every proposal goes through the primary's FIFO queue and this window,
+	// one client request per proposal; the window clamps to one slot under
+	// transport backpressure (see host.Options.Backpressure).
 	PipelineDepth int
 
 	// CheckpointInterval is the number of sequence numbers between

@@ -141,13 +141,13 @@ type Batch struct {
 	Involved []ShardID // sorted ring order; len==1 => single-shard batch
 
 	// Reqs records the transaction count of each original client request
-	// coalesced into this batch by the primary's adaptive batcher. Empty
-	// means the batch is exactly one client request — the common case,
-	// whose digest encoding is unchanged — so every digest minted before
-	// adaptive batching existed stays valid.
-	// When set, len(Reqs) >= 2 and the counts sum to len(Txns); replicas
-	// use SubBatches to answer each original client under the digest that
-	// client is waiting on.
+	// in a batch that earlier builds merged from several queued requests.
+	// Every live batch is exactly one client request and leaves it empty
+	// (a replica drops a client request that sets it); the field stays
+	// because the wire and disk formats carry it and logs written by those
+	// builds hold such blocks. When set, len(Reqs) >= 2 and the counts sum
+	// to len(Txns); recovery uses SubBatches to cache each original
+	// request's results under the digest its client is waiting on.
 	Reqs []uint32
 }
 
@@ -202,9 +202,9 @@ func (b *Batch) Involves(s ShardID) bool {
 }
 
 // digestStackBytes is Digest's stack buffer. It holds the canonical
-// encoding of a client batch and of a coalesced proposal of up to 60
-// single-shard read-modify-write transactions (56 bytes each, plus 8 per
-// request boundary); a larger encoding spills to one heap buffer.
+// encoding of a batch of up to 60 single-shard read-modify-write
+// transactions (56 bytes each, plus 8 per request boundary of a batch an
+// earlier build merged); a larger encoding spills to one heap buffer.
 const digestStackBytes = 4096
 
 // Digest computes the batch digest Δ = H(batch) over a canonical binary
@@ -226,7 +226,7 @@ func (b *Batch) Digest() Digest {
 // big-endian uint64s, transactions in order (AppendTxn), then the involved
 // set.
 //
-// Request boundaries are part of the identity of a coalesced batch: two
+// Request boundaries are part of the identity of a merged batch: two
 // different slicings of the same transactions must not share a digest, or a
 // Byzantine primary could equivocate on who gets answered. The section is
 // appended only when boundaries exist, so single-request batches keep their
@@ -281,9 +281,9 @@ func (b *Batch) Equal(o *Batch) bool {
 	}) && slices.Equal(b.Involved, o.Involved) && slices.Equal(b.Reqs, o.Reqs)
 }
 
-// SubBatches splits a coalesced batch back into the original client
-// requests recorded in Reqs, each with the shared involved set (the batcher
-// only merges requests with identical involved sets). A batch without
+// SubBatches splits a merged batch back into the original client requests
+// recorded in Reqs, each with the shared involved set (only requests with
+// identical involved sets were ever merged). A batch without
 // boundaries — or with malformed ones, which only a Byzantine primary can
 // produce since boundaries are covered by the digest — is returned whole:
 // the merged digest then answers no waiting client, and the client-side

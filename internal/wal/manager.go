@@ -53,12 +53,7 @@ func OpenManager(opts ManagerOptions) (*Manager, *Recovered, error) {
 	if err != nil && err != ErrNoSnapshot {
 		return nil, nil, err
 	}
-	w, records, err := Open(m.fs, m.walDir(), Options{
-		SegmentSize:   opts.SegmentSize,
-		FsyncInterval: opts.FsyncInterval,
-		Clock:         opts.Clock,
-		Observer:      opts.Observer,
-	})
+	w, records, err := m.openWAL()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,17 +106,23 @@ func (m *Manager) wipeWAL() error {
 			}
 		}
 	}
-	w, _, err := Open(m.fs, m.walDir(), Options{
-		SegmentSize:   m.opts.SegmentSize,
-		FsyncInterval: m.opts.FsyncInterval,
-		Clock:         m.opts.Clock,
-		Observer:      m.opts.Observer,
-	})
+	w, _, err := m.openWAL()
 	if err != nil {
 		return err
 	}
 	m.wal = w
 	return nil
+}
+
+// openWAL opens the log under the manager's options, replaying what it
+// holds.
+func (m *Manager) openWAL() (*WAL, []Record, error) {
+	return Open(m.fs, m.walDir(), Options{
+		SegmentSize:   m.opts.SegmentSize,
+		FsyncInterval: m.opts.FsyncInterval,
+		Clock:         m.opts.Clock,
+		Observer:      m.opts.Observer,
+	})
 }
 
 // SetObserver installs the telemetry observer after construction (hosts
@@ -170,27 +171,9 @@ func (m *Manager) SaveSnapshot(s *Snapshot) error {
 // Reset wipes the WAL and persists s as the sole durable state — used after
 // a peer state transfer installs a state unrelated to the local log.
 func (m *Manager) Reset(s *Snapshot) error {
-	if err := m.wal.Close(); err != nil {
+	if err := m.wipeWAL(); err != nil {
 		return err
 	}
-	names, err := m.fs.ReadDir(m.walDir())
-	if err == nil {
-		for _, n := range names {
-			if err := m.fs.Remove(Join(m.walDir(), n)); err != nil {
-				return err
-			}
-		}
-	}
-	w, _, err := Open(m.fs, m.walDir(), Options{
-		SegmentSize:   m.opts.SegmentSize,
-		FsyncInterval: m.opts.FsyncInterval,
-		Clock:         m.opts.Clock,
-		Observer:      m.opts.Observer,
-	})
-	if err != nil {
-		return err
-	}
-	m.wal = w
 	s.WalLSN = 0
 	return WriteSnapshot(m.fs, m.snapDir(), s)
 }

@@ -16,10 +16,9 @@
 //
 // Per-transaction IDs are (ClientID, monotonic seq), so replicas can
 // deduplicate retransmissions and detect conflicting same-ID payloads
-// (client-conflict evidence). BatchSize here is the *client request* size —
-// the primary may coalesce requests smaller than the consensus BatchSize
-// into one proposal (types.Config.PipelineDepth); the generator itself
-// never merges.
+// (client-conflict evidence). BatchSize here is the *client request* size,
+// and so the consensus batch size too: a primary proposes each client
+// request as it arrived, never merging two.
 //
 // Protecting gates: workload_test.go pins shard targeting, involved-set
 // shape, striping, and per-client ID monotonicity; chaos.TestSeedDeterminism

@@ -78,15 +78,17 @@ else
     wget -qO "$SCRAPE" "http://127.0.0.1:$METRICS_PORT/metrics"
 fi
 
-# Every instrumented layer must surface at least one live series, and the
+# Every instrumented layer must surface at least one live series, the
 # series the benchmark reads by name (ringbft_forward_quorum_seconds in
-# benchmark/layers.go) must keep that name.
+# benchmark/layers.go) must keep that name, and the host kernel's
+# backpressure clamp must be exported by the one binary that wires it.
 fail=0
 for series in \
     pbft_phase_transitions_total \
     ringbft_executed_txns_total \
     ringbft_view_changes_total \
     ringbft_forward_quorum_seconds \
+    ringbft_pipeline_clamped_total \
     tcpnet_frames_sent_total \
     wal_fsync_seconds; do
     if ! grep -q "^$series" "$SCRAPE"; then
