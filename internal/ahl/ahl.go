@@ -103,9 +103,11 @@ type committeeCst struct {
 	votes map[types.ShardID]map[types.NodeID]*types.Message
 	// prepare is the signed AHLPrepare, built once its certificate is
 	// proven; every re-broadcast sends these same bytes.
-	prepare  *types.Message
-	decided  bool // decision proposed/committed
-	notified bool // AHLDecision broadcast
+	prepare *types.Message
+	decided bool // decision proposed/committed
+	// decision is the signed AHLDecision, nil until broadcast; every
+	// re-broadcast and direct answer sends these same bytes.
+	decision *types.Message
 	// pendingNotify holds the decision verdict when the decision consensus
 	// committed before the original batch's ordering did (see onCommitted).
 	pendingNotify bool
@@ -129,7 +131,8 @@ func NewCommittee(opts CommitteeOptions) *Committee {
 		Callbacks: pbft.Callbacks{Committed: c.onCommitted},
 		// Decision batches have no client to retry them, so a latch left by
 		// a dead view would wedge the cst with no recovery path; a double
-		// commit is absorbed by the ordered/notified latches in onCommitted.
+		// commit is absorbed in onCommitted (the ordered latch, and a decision
+		// already signed).
 		ReproposeExpired: true,
 	})
 	c.tracker = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, c.PBFT.MakeCheckpoint)
@@ -179,13 +182,10 @@ func (c *Committee) onClientRequest(m *types.Message) {
 	}
 	d := b.Digest()
 	cst, ok := c.csts[d]
-	if ok && cst.notified {
+	if ok && cst.decision != nil {
 		// Already decided; re-broadcast the decision in case it was lost
 		// (shards answer the client once they execute).
-		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
-			Seq: cst.gseq, Digest: d, Decision: true,
-		})
+		c.sendToShards(cst.batch, cst.decision)
 		return
 	}
 	if ok && cst.ordered {
@@ -204,7 +204,7 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Di
 	c.tracker.Committed(seq, d)
 	if cd, commit, ok := parseDecision(batch); ok {
 		cst, ok := c.csts[cd]
-		if !ok || cst.notified {
+		if !ok || cst.decision != nil {
 			return
 		}
 		cst.decided = true
@@ -217,11 +217,7 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Di
 			cst.pendingNotify = commit
 			return
 		}
-		cst.notified = true
-		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
-			Seq: cst.gseq, Digest: cd, Decision: commit,
-		})
+		c.notify(cst, cd, commit)
 		return
 	}
 	if len(batch.Txns) == 0 {
@@ -242,13 +238,9 @@ func (c *Committee) onCommitted(seq types.SeqNum, batch *types.Batch, d types.Di
 	// Phase 1 of 2PC: prepare at every replica of every involved shard. The
 	// commit certificate makes the order transferable.
 	c.broadcastPrepare(cst)
-	if cst.decided && !cst.notified {
+	if cst.decided && cst.decision == nil {
 		// The decision committed before the ordering did (deferred above).
-		cst.notified = true
-		c.broadcastToShards(cst.batch, &types.Message{
-			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
-			Seq: cst.gseq, Digest: d, Decision: cst.pendingNotify,
-		})
+		c.notify(cst, d, cst.pendingNotify)
 		return
 	}
 	c.maybeDecide(cst)
@@ -274,11 +266,15 @@ func (c *Committee) broadcastPrepare(cst *committeeCst) {
 	c.sendToShards(cst.batch, cst.prepare)
 }
 
-// broadcastToShards signs m and sends it to every replica of every shard
-// involved in b.
-func (c *Committee) broadcastToShards(b *types.Batch, m *types.Message) {
-	m.Sig = crypto.SignMessage(c.Auth, m)
-	c.sendToShards(b, m)
+// notify signs cst's AHLDecision on the batch with digest d, once, and
+// sends it to every replica of every involved shard (phase 3).
+func (c *Committee) notify(cst *committeeCst, d types.Digest, commit bool) {
+	cst.decision = &types.Message{
+		Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
+		Seq: cst.gseq, Digest: d, Decision: commit,
+	}
+	cst.decision.Sig = crypto.SignMessage(c.Auth, cst.decision)
+	c.sendToShards(cst.batch, cst.decision)
 }
 
 // sendToShards sends m to every replica of every shard involved in b.
@@ -310,15 +306,10 @@ func (c *Committee) onVote(m *types.Message) {
 		cst = &committeeCst{votes: make(map[types.ShardID]map[types.NodeID]*types.Message)}
 		c.csts[m.Digest] = cst
 	}
-	if cst.notified {
+	if cst.decision != nil {
 		// The voter missed the decision broadcast (its shard's execution
 		// pipeline is blocked on this cst); answer it directly.
-		reply := &types.Message{
-			Type: types.MsgAHLDecision, From: c.Self, Shard: types.CommitteeShard,
-			Seq: cst.gseq, Digest: m.Digest, Decision: true,
-		}
-		reply.Sig = crypto.SignMessage(c.Auth, reply)
-		c.Send(m.From, reply)
+		c.Send(m.From, cst.decision)
 		return
 	}
 	if !m.Decision {

@@ -6,8 +6,10 @@
 // replay, executed-block recording and the snapshot cut; durable.go), and
 // the two sequentially executing baselines share one executor
 // (Sequential). Every host drains its proposal queue by one window rule
-// (Drain). Only what differs stays in the protocol packages: the Justify
-// gate, whether an expired request's proposed latch is cleared, and
+// (Drain), and every shard replica that catches up from a peer does so by
+// one certified state transfer (transfer.go). Only what differs stays in the
+// protocol packages: the Justify gate, whether an expired request's
+// proposed latch is cleared, a state transfer's trigger and content, and
 // everything that happens after a batch commits.
 package host
 
@@ -58,8 +60,10 @@ type Options struct {
 	Handler Handler
 	// Callbacks carries the protocol's engine hooks: Committed, Stabilized,
 	// Justification, VerifyJustification. ViewChanged, if set, runs after
-	// the kernel's own view-change bookkeeping and before the re-proposal.
-	// The kernel owns Send, Justify, Equivocation and UnjustifiedNewView.
+	// the kernel's own view-change bookkeeping and before the re-proposal;
+	// Stabilized, after the kernel keeps the checkpoint's certificate (when
+	// Transfer is set). The kernel owns Send, Justify, Equivocation and
+	// UnjustifiedNewView.
 	Callbacks pbft.Callbacks
 	// Justify gates every proposal path (nil = every batch is justified);
 	// d is b's digest.
@@ -78,6 +82,9 @@ type Options struct {
 	// re-proposed cross-shard batch could commit twice and take its locks
 	// twice.
 	ReproposeExpired bool
+	// Transfer is the protocol's half of peer state transfer (transfer.go);
+	// nil for a host that neither serves nor requests state.
+	Transfer *Transfer
 }
 
 // Kernel is one host's consensus side: the engine, the proposal book, the
@@ -127,6 +134,15 @@ type Kernel struct {
 	backpressure  func() int
 	bpLimit       int
 	onViewChanged func(types.View)
+
+	// Peer state transfer (transfer.go): the protocol's half, the
+	// certificates of the newest stable checkpoints, and the latest
+	// request's Seq, when it was sent and whether it is still outstanding.
+	transfer *Transfer
+	certs    map[types.SeqNum]stableCert
+	wanted   types.SeqNum
+	asked    time.Time
+	asking   bool
 }
 
 // Pending is one awaiting proposal and when its watchdog was last armed.
@@ -176,8 +192,21 @@ func New(opts Options) *Kernel {
 		onViewChanged:    opts.Callbacks.ViewChanged,
 		backpressure:     opts.Backpressure,
 		bpLimit:          bpDepth / 2,
+		transfer:         opts.Transfer,
 	}
 	cb := opts.Callbacks
+	if stabilized := cb.Stabilized; k.transfer != nil {
+		k.certs = make(map[types.SeqNum]stableCert)
+		cb.Stabilized = func(seq types.SeqNum, d types.Digest) {
+			// The engine still holds the votes at seq (it GCs only below).
+			if agreed, cert, ok := k.PBFT.CheckpointCert(seq); ok && agreed == d {
+				k.keepCert(seq, stableCert{digest: d, cert: cert})
+			}
+			if stabilized != nil {
+				stabilized(seq, d)
+			}
+		}
+	}
 	cb.Send = func(to types.NodeID, m *types.Message) { k.Send(to, m) }
 	cb.ViewChanged = k.viewChanged
 	cb.Justify = k.Justified
@@ -290,19 +319,6 @@ func (k *Kernel) Relay(m *types.Message) {
 		if p != k.Self {
 			k.Send(p, m)
 		}
-	}
-}
-
-// RequestState asks every other member of the shard for state reaching past
-// seq: one MsgStateRequest each, MAC'd for its recipient.
-func (k *Kernel) RequestState(seq types.SeqNum) {
-	for _, p := range k.Peers {
-		if p == k.Self {
-			continue
-		}
-		m := &types.Message{Type: types.MsgStateRequest, From: k.Self, Shard: k.Shard, Seq: seq}
-		m.MAC = crypto.MACMessage(k.Auth, p, m)
-		k.Send(p, m)
 	}
 }
 

@@ -42,11 +42,9 @@ func NewRCC(opts Options) *RCCNode {
 	}
 	for i := range opts.Peers {
 		inst := i
-		// Instance i's "view 0 primary" must be replica i: rotate the peer
-		// slice so engine i elects peers[(0+i) mod n] — achieved by fixing
-		// the engine's view primaly mapping via rotated peers ordering is
-		// unsafe for NodeID.Index; instead run each instance in a view
-		// whose primary is replica i.
+		// Instance i's first primary must be replica i. Every engine maps
+		// view v to primary v mod n over the same peer list, so bumpView
+		// starts engine i in view i instead of view 0.
 		e := pbft.New(0, opts.Self, opts.Peers, opts.Auth, pbft.Callbacks{
 			Send: func(to types.NodeID, m *types.Message) {
 				cp := *m

@@ -48,8 +48,8 @@ type cpMeta struct {
 	state  types.Digest
 }
 
-// cpMetaKeep bounds the retained checkpoint metadata and stabilized-digest
-// maps (Byzantine checkpoint floods must not balloon memory).
+// cpMetaKeep bounds the retained checkpoint metadata (Byzantine checkpoint
+// floods must not balloon memory).
 const cpMetaKeep = 16
 
 // markExecuted advances the contiguous executed-prefix watermark and emits
@@ -165,14 +165,13 @@ func remember[V any](m map[types.SeqNum]V, seq types.SeqNum, v V) {
 // ran at least a full checkpoint interval ahead of us (a restarted replica
 // with a gap, a replica kept in the dark, or a wiped rejoiner).
 func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
-	remember(r.stabilized, seq, digest)
 	r.settleBelow(seq)
 	if interval := r.Cfg.CheckpointInterval; interval > 0 && seq >= r.kmax()+interval {
-		r.requestStateTransfer(seq)
-		r.evaluateTransfer()
+		if want, _, ok := r.Requested(); !ok || seq > want {
+			r.RequestState(seq)
+		}
 		return
 	}
-	r.evaluateTransfer()
 	// Snapshot only once local execution covers the checkpoint: a cut
 	// whose WAL is then garbage-collected must not be missing the batches
 	// of committed-but-unexecuted cross-shard blocks below it (they exist
@@ -209,7 +208,6 @@ func (r *Replica) applyRecovered(rec *wal.Recovered) {
 	if snap := rec.Snap; snap != nil {
 		r.execSeq = snap.ExecSeq
 		r.cps.Advance(snap.KMax, snap.PrefixDigest)
-		remember(r.stabilized, snap.StableSeq, snap.CheckpointDigest)
 	}
 	r.Recover(rec, r.markExecuted, func(t *wal.Record) { r.cps.Advance(t.Seq, t.PrefixDigest) })
 	r.PBFT.ResumeAt(r.LastSnap, r.kmax()+1)

@@ -93,11 +93,6 @@ type Replica struct {
 	execDone   map[types.SeqNum]struct{}
 	pendingCps []cpPoint
 	cpMeta     map[types.SeqNum]cpMeta
-	// stabilized records checkpoints this replica observed reach an nf
-	// quorum, keyed by sequence — the anchors state transfer validates
-	// against.
-	stabilized map[types.SeqNum]types.Digest
-	transfer   *transferState
 
 	// recovered reports whether Preload resumed from disk.
 	recovered bool
@@ -295,7 +290,6 @@ func New(opts Options) *Replica {
 		allToAll:   opts.AllToAllForward,
 		execDone:   make(map[types.SeqNum]struct{}),
 		cpMeta:     make(map[types.SeqNum]cpMeta),
-		stabilized: make(map[types.SeqNum]types.Digest),
 		clientSeen: newFIFOWindow[types.TxnID, types.Digest](clientSeenCap),
 		fwdSeen:    newFIFOWindow[fwdKey, evidence.Msg](fwdSeenCap),
 	}
@@ -313,6 +307,7 @@ func New(opts Options) *Replica {
 		},
 		Justify:      r.justified,
 		Backpressure: opts.Backpressure,
+		Transfer:     &host.Transfer{Serve: r.serveState, Check: r.checkState, Install: r.installState},
 	})
 	r.cps = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, func(seq types.SeqNum, prefix types.Digest) {
 		r.pendingCps = append(r.pendingCps, cpPoint{seq: seq, prefix: prefix})
@@ -404,9 +399,9 @@ func (r *Replica) HandleMessage(m *types.Message) {
 	case types.MsgRemoteView:
 		r.onRemoteView(m)
 	case types.MsgStateRequest:
-		r.onStateRequest(m)
+		r.ServeState(m)
 	case types.MsgStateSnapshot:
-		r.onStateSnapshot(m)
+		r.AcceptState(m)
 	default:
 		// Protocol-comparison message types (HotStuff, PoE, SBFT, Zyzzyva)
 		// never reach a RingBFT replica; an unknown type is a malformed or

@@ -3,118 +3,49 @@ package ringbft
 import (
 	"time"
 
-	"ringbft/internal/crypto"
 	"ringbft/internal/ledger"
 	"ringbft/internal/store"
 	"ringbft/internal/trace"
 	"ringbft/internal/types"
 )
 
-// Peer state transfer: a replica that falls a full checkpoint interval
-// behind a stable checkpoint — restarted with a gap, kept in the dark by a
-// faulty primary (attack A3), or rejoining with a wiped data directory —
-// fetches the shard's canonical state from a peer instead of stalling
-// forever on sequences it can never replay.
-//
-// Validation is certificate-anchored, not trust-based: the requester only
-// installs a payload whose (seq, H(prefixDigest || stateDigest)) matches a
-// checkpoint it itself observed stabilize — i.e. nf signed Checkpoint
-// messages it verified — and whose Pairs hash to stateDigest. A Byzantine
-// peer would need a SHA-256 collision to substitute state. A single honest
-// response therefore suffices; requests go to every shard peer and the
-// remote timer re-broadcasts until one lands.
+// RingBFT's half of peer state transfer (host.Transfer; the request, the
+// answer and the certificate check live in internal/host/transfer.go). A
+// replica that sees a checkpoint stabilize a full interval past its own
+// lock-order watermark — restarted with a gap, kept in the dark by a faulty
+// primary (attack A3), or rejoining with a wiped data directory — asks for
+// the shard's canonical state and re-asks every RemoteTimeout until one
+// installs. The content is the canonical key-value table at the checkpoint,
+// checked as H(prefix || H(pairs)) against the certified digest: a
+// Byzantine peer would need a SHA-256 collision to substitute state.
 
-// transferState tracks one in-flight state-transfer request.
-type transferState struct {
-	target types.SeqNum // stable checkpoint that revealed the gap
-	since  time.Time
-	// pending buffers responses whose checkpoint we have not yet observed
-	// stabilize ourselves; they are re-evaluated on every stabilization.
-	pending map[types.NodeID]*types.StatePayload
+// retryTransfer re-sends a starved state request on the remote-timeout
+// cadence (driven by HandleTick).
+func (r *Replica) retryTransfer(now time.Time) {
+	if want, asked, ok := r.Requested(); ok && now.Sub(asked) > r.Cfg.RemoteTimeout {
+		r.RequestState(want)
+	}
 }
 
-// requestStateTransfer broadcasts a MsgStateRequest to the shard peers.
-func (r *Replica) requestStateTransfer(target types.SeqNum) {
-	if r.transfer != nil && r.transfer.target >= target {
-		return
+// serveState fills in the canonical state at checkpoint p.Seq, provided
+// local execution has covered it (the canonical state at S is only
+// computable once every block <= S executed) and this replica's own
+// checkpoint there matches the certified digest d.
+func (r *Replica) serveState(p *types.StatePayload, d types.Digest, _ types.SeqNum) bool {
+	meta, ok := r.cpMeta[p.Seq]
+	if !ok || r.execSeq < p.Seq || compositeCpDigest(meta.prefix, meta.state) != d {
+		return false
 	}
-	if r.transfer == nil {
-		r.transfer = &transferState{pending: make(map[types.NodeID]*types.StatePayload)}
-	}
-	r.transfer.target = target
-	r.transfer.since = r.Clock()
-	r.RequestState(target)
+	p.PrefixDigest, p.StateDigest = meta.prefix, meta.state
+	p.Pairs = r.canonicalPairsAt(p.Seq) // fault path only: O(state)
+	return true
 }
 
-// onStateRequest serves a peer's catch-up request from this replica's
-// latest stable checkpoint, provided local execution has covered it (the
-// canonical state at S is only computable once every block <= S executed).
-func (r *Replica) onStateRequest(m *types.Message) {
-	if !r.VerifyPeer(m) {
-		return
-	}
-	stable := r.PBFT.StableSeq()
-	meta, ok := r.cpMeta[stable]
-	if !ok || stable < m.Seq || r.execSeq < stable {
-		return // nothing (yet) that would cover the requester's gap
-	}
-	payload := &types.StatePayload{
-		Seq:          stable,
-		PrefixDigest: meta.prefix,
-		StateDigest:  meta.state,
-		Pairs:        r.canonicalPairsAt(stable), // fault path only: O(state)
-	}
-	resp := &types.Message{
-		Type: types.MsgStateSnapshot, From: r.Self, Shard: r.Shard,
-		Seq: stable, Digest: compositeCpDigest(meta.prefix, meta.state),
-		State: payload,
-	}
-	resp.MAC = crypto.MACMessage(r.Auth, m.From, resp)
-	r.Send(m.From, resp)
-}
-
-// onStateSnapshot buffers a peer's state payload and tries to install it.
-func (r *Replica) onStateSnapshot(m *types.Message) {
-	if r.transfer == nil || m.State == nil || !r.VerifyPeer(m) {
-		return
-	}
-	if m.State.Seq != m.Seq || m.State.Seq <= r.kmax() {
-		return
-	}
-	r.transfer.pending[m.From] = m.State
-	r.evaluateTransfer()
-}
-
-// evaluateTransfer installs the first buffered payload that validates
-// against a locally observed checkpoint quorum.
-func (r *Replica) evaluateTransfer() {
-	if r.transfer == nil {
-		return
-	}
-	// Canonical donor order: "first payload that validates" must mean the
-	// same payload on every replay, not whichever one map iteration reached
-	// first.
-	for _, from := range types.SortedNodeKeys(r.transfer.pending) {
-		p := r.transfer.pending[from]
-		if p.Seq <= r.kmax() {
-			delete(r.transfer.pending, from)
-			continue
-		}
-		certified, ok := r.stabilized[p.Seq]
-		if !ok {
-			continue // wait until we observe this checkpoint stabilize
-		}
-		if compositeCpDigest(p.PrefixDigest, p.StateDigest) != certified {
-			delete(r.transfer.pending, from) // forged or damaged payload
-			continue
-		}
-		if stateDigestOf(p.Pairs) != p.StateDigest {
-			delete(r.transfer.pending, from)
-			continue
-		}
-		r.installState(p, certified)
-		return
-	}
+// checkState reports whether p lies past the lock-order watermark and its
+// pairs hash, with its prefix digest, to the certified digest d.
+func (r *Replica) checkState(p *types.StatePayload, d types.Digest) bool {
+	return p.Seq > r.kmax() && compositeCpDigest(p.PrefixDigest, p.StateDigest) == d &&
+		stateDigestOf(p.Pairs) == p.StateDigest
 }
 
 // installState adopts a validated canonical state at p.Seq: the store and
@@ -149,23 +80,9 @@ func (r *Replica) installState(p *types.StatePayload, certified types.Digest) {
 		}
 	}
 	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
-	r.Obs.StateTransfers.Inc()
 	r.Observe(p.Seq, trace.PhaseStateTransfer)
-	r.transfer = nil
 
 	r.Reset(p.Seq, certified, r.snapMarks)
 	// Sequences queued past the checkpoint can lock now.
 	r.drainLockQueue()
-}
-
-// retryTransfer re-broadcasts a starved state request (driven by
-// HandleTick on the remote-timeout cadence).
-func (r *Replica) retryTransfer(now time.Time) {
-	if r.transfer == nil {
-		return
-	}
-	if now.Sub(r.transfer.since) > r.Cfg.RemoteTimeout {
-		r.transfer.since = now
-		r.RequestState(r.transfer.target)
-	}
 }

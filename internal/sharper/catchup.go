@@ -3,51 +3,27 @@ package sharper
 import (
 	"time"
 
-	"ringbft/internal/crypto"
 	"ringbft/internal/pbft"
 	"ringbft/internal/types"
 )
 
-// Peer block transfer: a Sharper replica that falls behind the shard — a
-// commit-prefix hole below the stable checkpoint (the engine GC'd the
-// sequence, so no view change can ever re-propose it), or a lone view
-// change no quorum will join — fetches the blocks it is missing from a
-// peer instead of stalling forever (found by internal/chaos, loss-storm
-// schedules: two simultaneous stragglers also starve the checkpoint
-// quorum, so neither can wait for the other to recover).
+// Sharper's half of peer state transfer (host.Transfer; the request, the
+// answer and the certificate check live in internal/host/transfer.go). A
+// replica that falls behind the shard — a commit-prefix hole below the
+// stable checkpoint (the engine GC'd the sequence, so no view change can
+// ever re-propose it), or a lone view change no quorum will join — fetches
+// the blocks it is missing instead of stalling forever (found by
+// internal/chaos, loss-storm schedules: two simultaneous stragglers also
+// starve the checkpoint quorum, so neither can wait for the other to
+// recover).
 //
-// Unlike RingBFT's state transfer (internal/ringbft/statetransfer.go),
-// which ships the canonical key-value state anchored on a composite
-// checkpoint digest, Sharper's checkpoint digest covers only the rolling
-// fold of committed batch digests (pbft.CheckpointTracker). The payload
-// therefore ships the missing *blocks* plus the nf-signed Checkpoint votes
-// certifying the fold at the checkpoint: the requester re-derives the fold
-// from its own contiguous prefix (sequence gaps are view-change no-op
-// fillers, whose empty-batch digest every replica knows) and re-executes
-// the batches locally. Nothing is taken on the responder's word — neither
+// Sharper's checkpoint digest covers only the rolling fold of committed
+// batch digests (pbft.CheckpointTracker), so the content is the missing
+// *blocks*: the requester re-derives the fold from its own contiguous
+// prefix (sequence gaps are view-change no-op fillers, whose empty-batch
+// digest every replica knows) and re-executes the batches locally. Neither
 // state nor results travel, and substituting any batch in the replayed
 // range requires a SHA-256 collision against the certified fold.
-
-// checkpointCert memoizes the most recent checkpoint certificate this
-// replica observed stabilize, so it can serve catch-up requests even after
-// the engine GCs older votes.
-type checkpointCert struct {
-	seq    types.SeqNum
-	digest types.Digest
-	cert   []types.Signed
-}
-
-// onStabilized is the engine's stable-checkpoint hook: nf replicas signed
-// the same fold digest at seq. Memoize the re-assembled certificate while
-// the votes are still retained (stabilize GCs only below the new stable).
-func (r *Replica) onStabilized(seq types.SeqNum, digest types.Digest) {
-	if r.lastCert != nil && r.lastCert.seq >= seq {
-		return
-	}
-	if d, cert, ok := r.PBFT.CheckpointCert(seq); ok && d == digest {
-		r.lastCert = &checkpointCert{seq: seq, digest: d, cert: cert}
-	}
-}
 
 // maybeCatchup (HandleTick) detects the two wedges consensus cannot fix and
 // paces a catch-up request to the shard peers:
@@ -67,90 +43,44 @@ func (r *Replica) maybeCatchup(now time.Time) {
 	if !behindStable && !vcStuck {
 		return
 	}
-	if now.Sub(r.lastXfer) <= r.Cfg.LocalTimeout {
+	if _, asked, _ := r.Requested(); now.Sub(asked) <= r.Cfg.LocalTimeout {
 		return
 	}
-	r.lastXfer = now
-	r.RequestState(r.ExecNext) // the watermark a useful responder must exceed
+	r.RequestState(r.ExecNext) // a useful checkpoint lies past the executed watermark
 }
 
-// onStateRequest serves a peer's catch-up request from this replica's most
-// recent certified checkpoint, provided local execution covers it and the
-// chain still retains every block the requester is missing.
-func (r *Replica) onStateRequest(m *types.Message) {
-	if !r.VerifyPeer(m) {
-		return
-	}
-	c := r.lastCert
-	if c == nil || c.seq <= m.Seq || r.ExecNext < c.seq {
-		return // nothing certified that would cover the requester's gap
-	}
+// serveBlocks ships the blocks past the requester's executed watermark
+// through checkpoint p.Seq, provided the checkpoint lies past that
+// watermark, local execution covers it and the chain still retains every
+// one of those blocks.
+func (r *Replica) serveBlocks(p *types.StatePayload, _ types.Digest, watermark types.SeqNum) bool {
 	blocks := r.Ledger.Blocks()
-	if blocks[0].Seq > m.Seq {
-		return // pruned past the requester's watermark; cannot serve
+	if p.Seq <= watermark || r.ExecNext < p.Seq || blocks[0].Seq > watermark {
+		return false
 	}
-	var recs []types.BlockRec
 	for _, b := range blocks[1:] {
-		if b.Seq > m.Seq && b.Seq <= c.seq {
-			recs = append(recs, types.BlockRec{Seq: b.Seq, Primary: b.Primary, Batch: b.Batch})
+		if b.Seq > watermark && b.Seq <= p.Seq {
+			p.Blocks = append(p.Blocks, types.BlockRec{Seq: b.Seq, Primary: b.Primary, Batch: b.Batch})
 		}
 	}
-	resp := &types.Message{
-		Type: types.MsgStateSnapshot, From: r.Self, Shard: r.Shard,
-		Seq: c.seq, Digest: c.digest,
-		State: &types.StatePayload{
-			Seq: c.seq, PrefixDigest: c.digest, Cert: c.cert, Blocks: recs,
-		},
-	}
-	resp.MAC = crypto.MACMessage(r.Auth, m.From, resp)
-	r.Send(m.From, resp)
+	return true
 }
 
-// onStateSnapshot validates a catch-up payload end to end — checkpoint
-// certificate, then fold — and installs it. The first valid payload wins;
-// later ones fall behind execNext and are ignored.
-func (r *Replica) onStateSnapshot(m *types.Message) {
-	if !r.VerifyPeer(m) {
-		return
+// checkBlocks reports whether p lies past this replica's executed prefix
+// and its blocks extend that prefix's fold exactly to the certified digest
+// d: blocks this replica already committed must match its own digests,
+// the rest must consume every shipped block in strictly ascending sequence
+// order.
+func (r *Replica) checkBlocks(p *types.StatePayload, d types.Digest) bool {
+	if p.Seq <= r.ExecNext || p.Seq < r.Tracker.Next() {
+		return false
 	}
-	p := m.State
-	if p == nil || p.Seq != m.Seq || p.Seq <= r.ExecNext || p.Seq < r.Tracker.Next() {
-		return
-	}
-
-	// 1. The certificate: nf distinct shard replicas signed Checkpoint
-	// votes for exactly (Seq, PrefixDigest).
-	seen := make(map[types.NodeID]bool, len(p.Cert))
-	valid := 0
-	for i := range p.Cert {
-		s := &p.Cert[i]
-		if s.Type != types.MsgCheckpoint || s.Shard != r.Shard ||
-			s.Seq != p.Seq || s.Digest != p.PrefixDigest {
-			continue
-		}
-		if s.From.Kind != types.KindReplica || s.From.Shard != r.Shard || seen[s.From] {
-			continue
-		}
-		if r.Auth.Verify(s.From, s.SigBytes(), s.Sig) != nil {
-			continue
-		}
-		seen[s.From] = true
-		valid++
-	}
-	if valid < r.Cfg.NF() {
-		return
-	}
-
-	// 2. The fold: extending our own contiguous commit prefix with the
-	// shipped batch digests (empty-batch digest for gaps) must land exactly
-	// on the certified digest, with every shipped block consumed in strictly
-	// ascending sequence order.
 	noop := (&types.Batch{}).Digest()
 	next, prefix := r.Tracker.Next(), r.Tracker.Prefix()
 	bi := 0
 	for bi < len(p.Blocks) && p.Blocks[bi].Seq <= next {
 		if bi > 0 && p.Blocks[bi].Seq <= p.Blocks[bi-1].Seq {
-			return
+			return false
 		}
 		// Overlap with our own committed prefix: the fold below starts past
 		// these, so pin each one to the digest we committed ourselves.
@@ -158,31 +88,31 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		ent, ok := r.Entries[br.Seq]
 		if br.Seq > r.ExecNext && (!ok || br.Batch == nil ||
 			ent.Digest != br.Batch.Digest()) {
-			return
+			return false
 		}
 		bi++
 	}
 	for s := next + 1; s <= p.Seq; s++ {
-		d := noop
+		bd := noop
 		if bi < len(p.Blocks) && p.Blocks[bi].Seq == s {
 			b := p.Blocks[bi].Batch
 			if b == nil || len(b.Txns) == 0 {
-				return
+				return false
 			}
-			d = b.Digest()
+			bd = b.Digest()
 			bi++
 		}
-		prefix = pbft.FoldStep(prefix, s, d)
+		prefix = pbft.FoldStep(prefix, s, bd)
 	}
-	if bi != len(p.Blocks) || prefix != p.PrefixDigest {
-		return
-	}
+	return bi == len(p.Blocks) && prefix == d
+}
 
-	// 3. Install: re-execute the missing blocks in order (the certificate
-	// proves the shard committed and passed them — a cross-shard batch in
-	// the range had its global rounds complete shard-wide, or no block
-	// after it could exist). Client responses are not re-sent: these
-	// transactions completed long ago through the healthy replicas.
+// installBlocks re-executes the missing blocks in order (the certificate
+// proves the shard committed and passed them — a cross-shard batch in the
+// range had its global rounds complete shard-wide, or no block after it
+// could exist). Client responses are not re-sent: these transactions
+// completed long ago through the healthy replicas.
+func (r *Replica) installBlocks(p *types.StatePayload, certified types.Digest) {
 	for i := range p.Blocks {
 		br := &p.Blocks[i]
 		if br.Seq <= r.ExecNext {
@@ -204,17 +134,10 @@ func (r *Replica) onStateSnapshot(m *types.Message) {
 		}
 	}
 	r.ExecNext = p.Seq
-	r.Tracker.Advance(p.Seq, p.PrefixDigest)
+	r.Tracker.Advance(p.Seq, certified)
 	// Repositioning also clears a lone in-flight view change: the shard is
 	// provably past this checkpoint, so rejoining the current view is both
 	// safe and the only way this replica ever participates again.
 	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
-	r.Obs.StateTransfers.Inc()
-	if r.lastCert == nil || p.Seq > r.lastCert.seq {
-		r.lastCert = &checkpointCert{
-			seq: p.Seq, digest: p.PrefixDigest,
-			cert: append([]types.Signed(nil), p.Cert...),
-		}
-	}
 	r.DrainExec()
 }

@@ -45,8 +45,8 @@ type Options struct {
 	// Durability/Recovered come from wal.OpenManager: executed blocks are
 	// WAL-logged, snapshots cut every CheckpointInterval executed sequences,
 	// and a restarted replica resumes from the recovered state. Stragglers
-	// that consensus alone cannot repair additionally use the peer block
-	// transfer in catchup.go.
+	// that consensus alone cannot repair additionally fetch the blocks they
+	// miss from a peer (catchup.go).
 	Durability *wal.Manager
 	Recovered  *wal.Recovered
 
@@ -66,11 +66,6 @@ type Replica struct {
 	*host.Sequential
 
 	global map[types.Digest]*globalState
-
-	// Peer block transfer (catchup.go): the most recent checkpoint
-	// certificate observed (served to starved peers) and the request pacer.
-	lastCert *checkpointCert
-	lastXfer time.Time
 }
 
 // globalState tracks the two cross-shard all-to-all rounds for one cst.
@@ -108,8 +103,9 @@ func New(opts Options) *Replica {
 		// Sharper carries no justification certificates (its coordinator
 		// proposals replicate through ordinary local consensus), but primary
 		// equivocation is still detectable and recorded by the kernel.
-		Callbacks:        pbft.Callbacks{Committed: r.onCommitted, Stabilized: r.onStabilized},
+		Callbacks:        pbft.Callbacks{Committed: r.onCommitted},
 		ReproposeExpired: true,
+		Transfer:         &host.Transfer{Serve: r.serveBlocks, Check: r.checkBlocks, Install: r.installBlocks},
 	}, func(_ *types.Batch, d types.Digest) bool {
 		gs := r.global[d]
 		return gs != nil && gs.committed // the pipeline stalls on the 2-round WAN gate
@@ -132,9 +128,9 @@ func (r *Replica) HandleMessage(m *types.Message) {
 	case types.MsgSharperCommit:
 		r.onCrossVote(m, true)
 	case types.MsgStateRequest:
-		r.onStateRequest(m)
+		r.ServeState(m)
 	case types.MsgStateSnapshot:
-		r.onStateSnapshot(m)
+		r.AcceptState(m)
 	default:
 		r.PBFT.OnMessage(m)
 		r.Drain()

@@ -27,9 +27,9 @@ const (
 
 	// State transfer: a replica too far behind a stable checkpoint — a
 	// restarted replica with a gap, or one whose data dir was wiped — asks
-	// its shard peers for the certified chain prefix instead of stalling.
-	MsgStateRequest  // replica -> shard peers: need state at checkpoint Seq
-	MsgStateSnapshot // peer -> replica: blocks+results up to its stable seq
+	// its shard peers for a certified checkpoint instead of stalling.
+	MsgStateRequest  // replica -> shard peers: need a checkpoint at or above Seq
+	MsgStateSnapshot // peer -> replica: checkpoint (Seq, Digest), its certificate and its content
 
 	// AHL (reference committee + 2PC)
 	MsgAHLPrepare  // committee -> shard: prepare(T) (2PC phase 1)
@@ -101,8 +101,8 @@ type Message struct {
 	Instance  int        // RCC: concurrent instance id; Zyzzyva/HotStuff phase reuse
 
 	// State is the state-transfer payload of MsgStateSnapshot: the
-	// responder's canonical state at its latest stable checkpoint, bound to
-	// the checkpoint certificate (see StatePayload).
+	// responder's newest certified checkpoint, with its certificate and the
+	// protocol's content (see StatePayload).
 	State *StatePayload
 
 	// View-change payloads (PBFT view change; Castro & Liskov).
@@ -146,35 +146,32 @@ type Pair struct {
 	V Value
 }
 
-// StatePayload is the peer state-transfer payload: the shard's canonical
-// key-value state as of stable checkpoint Seq — the state obtained by
-// executing exactly the blocks with sequence number <= Seq, which every
-// honest replica agrees on even though their live stores interleave later
-// writes differently. The payload is self-certifying against the checkpoint
-// certificate: the checkpoint digest nf replicas signed is
-// H(PrefixDigest || StateDigest), and StateDigest is the SHA-256 of Pairs
-// in sorted key order, so a Byzantine responder cannot substitute state
-// without breaking a collision-resistant hash chain back to nf signatures.
-// Every field a receiver installs is covered by that chain — nothing in
-// the payload is trusted on the responder's word alone.
+// StatePayload is the peer state-transfer payload for stable checkpoint
+// Seq. Cert is always set: nf signed Checkpoint messages over the carrying
+// message's (Seq, Digest), which a requester that did not see the
+// checkpoint stabilize verifies. The content hashes to that digest, so
+// nothing a receiver installs is taken on the responder's word; which
+// content fields are set depends on the protocol.
+//
+// RingBFT sets PrefixDigest, StateDigest and Pairs: the canonical key-value
+// state as of Seq, the state obtained by executing exactly the blocks with
+// sequence number <= Seq, which every honest replica agrees on even though
+// their live stores interleave later writes differently. The checkpoint
+// digest is H(PrefixDigest || StateDigest), and StateDigest is the SHA-256
+// of Pairs in sorted key order.
+//
+// Sharper sets Blocks: the blocks past the requester's executed watermark
+// through Seq. The checkpoint digest is the rolling fold of committed batch
+// digests, which the requester re-derives from its own contiguous prefix
+// extended with the shipped batch digests (sequence gaps are view-change
+// no-op fillers) before it re-executes the batches locally.
 type StatePayload struct {
 	Seq          SeqNum
-	PrefixDigest Digest // rolling ledger-order digest at Seq
-	StateDigest  Digest // SHA-256 over Pairs in ascending key order
-	Pairs        []Pair // canonical records, ascending key order
-
-	// Block-replay variant (Sharper peer catch-up): instead of shipping
-	// canonical pairs, the responder ships the ordered blocks the requester
-	// is missing, up to checkpoint Seq, plus the nf-signed Checkpoint votes
-	// certifying the rolling commit-prefix digest at Seq. The requester
-	// re-derives the prefix digest from its own contiguous prefix extended
-	// with the shipped batch digests (sequence gaps are view-change no-op
-	// fillers) and re-executes the batches locally, so neither state nor
-	// results are taken on the responder's word — forging a batch anywhere
-	// in the replayed range requires a SHA-256 collision against the
-	// certified fold.
-	Cert   []Signed   // nf signed Checkpoint votes for (Seq, PrefixDigest)
-	Blocks []BlockRec // missing blocks in ascending Seq order
+	PrefixDigest Digest     // RingBFT: rolling ledger-order digest at Seq
+	StateDigest  Digest     // RingBFT: SHA-256 over Pairs in ascending key order
+	Pairs        []Pair     // RingBFT: canonical records, ascending key order
+	Cert         []Signed   // nf signed Checkpoint messages over (Seq, Digest)
+	Blocks       []BlockRec // Sharper: missing blocks in ascending Seq order
 }
 
 // BlockRec is one replayable block of a block-transfer payload.
