@@ -209,6 +209,40 @@ func CheckConvergence(states []harness.ReplicaState, minPerShard int) []Violatio
 	return out
 }
 
+// CheckCaughtUp demands that every replica not in excused has executed
+// through its shard's highest stable checkpoint. CheckConvergence asks only
+// n-f replicas to agree, so one honest replica left behind for good passes
+// it; this checker names that replica. Call it after the liveness probe and
+// the quiesce, with excused holding every replica that is down or that the
+// schedule made Byzantine.
+//
+// The bound is the highest Stable any replica of the shard reports, not the
+// highest executed sequence. A stable checkpoint at S carries nf signatures
+// over the state at S, so at least f+1 honest replicas executed through S
+// and any of them can serve it to a peer state transfer: a replica below S
+// is one the shard could have caught up. Above the last stable checkpoint
+// no certified content exists yet, so a replica that trails a faster peer
+// there is still in step.
+func CheckCaughtUp(states []harness.ReplicaState, excused map[types.NodeID]bool) []Violation {
+	var out []Violation
+	byShard := groupByShard(states)
+	for _, shard := range sortedShards(byShard) {
+		group := byShard[shard]
+		var stable types.SeqNum
+		for _, st := range group {
+			stable = max(stable, st.Stable)
+		}
+		for _, st := range group {
+			if !excused[st.ID] && st.ExecutedThrough < stable {
+				out = append(out, Violation{"caught-up",
+					fmt.Sprintf("replica %v executed through %d, below its shard's stable checkpoint %d",
+						st.ID, st.ExecutedThrough, stable)})
+			}
+		}
+	}
+	return out
+}
+
 // blockSetKey fingerprints a replica's committed block set above floor: the
 // sorted (seq, digest) pairs with Seq > floor. Append order may legitimately
 // differ across replicas (cross-shard blocks append on Execute arrival), so

@@ -103,6 +103,35 @@ func TestCheckerDetectsMissedConvergence(t *testing.T) {
 	}
 }
 
+func TestCheckerDetectsStraggler(t *testing.T) {
+	// Three replicas executed through the shard's stable checkpoint 16; the
+	// fourth sits at 8. Convergence (n-f = 3) passes; caught-up names it,
+	// unless the schedule excused it.
+	var group []harness.ReplicaState
+	for i := range 4 {
+		st := replica(0, i, nil, 1, 16)
+		st.Stable = 16
+		group = append(group, st)
+	}
+	group[3].ExecutedThrough, group[3].Stable = 8, 0
+	if vs := CheckConvergence(group, 3); len(vs) != 0 {
+		t.Fatalf("convergence flags the straggler: %v", vs)
+	}
+	vs := CheckCaughtUp(group, nil)
+	hasViolation(t, vs, "caught-up")
+	if len(vs) != 1 || !strings.Contains(vs[0].Detail, group[3].ID.String()) {
+		t.Fatalf("want one violation naming %v, got %v", group[3].ID, vs)
+	}
+	if vs := CheckCaughtUp(group, map[types.NodeID]bool{group[3].ID: true}); len(vs) != 0 {
+		t.Fatalf("an excused replica is judged: %v", vs)
+	}
+	// Executing past the stable checkpoint is in step.
+	group[3].ExecutedThrough = 20
+	if vs := CheckCaughtUp(group, nil); len(vs) != 0 {
+		t.Fatalf("a replica ahead of the stable checkpoint is flagged: %v", vs)
+	}
+}
+
 func TestCheckerDetectsFalseAccusation(t *testing.T) {
 	// Evidence naming a node the schedule never corrupted is itself a bug:
 	// the soundness half of the accountability contract.

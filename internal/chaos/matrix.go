@@ -164,8 +164,22 @@ func RunScenario(sc Scenario) (*RunResult, error) {
 	res.Violations = append(res.Violations,
 		CheckConvergence(res.States, convergenceQuorum(sc))...)
 	res.Violations = append(res.Violations,
+		CheckCaughtUp(res.States, c.excused(sched))...)
+	res.Violations = append(res.Violations,
 		CheckAccountability(res.States, ExpectedCulprits(sched))...)
 	return res, nil
+}
+
+// excused returns the replicas CheckCaughtUp does not judge: every one the
+// schedule made Byzantine at some point, and every one still down.
+func (c *Cluster) excused(sched Schedule) map[types.NodeID]bool {
+	out := ExpectedCulprits(sched).Culprits
+	for id, down := range c.down {
+		if down {
+			out[id] = true
+		}
+	}
+	return out
 }
 
 // convergenceQuorum is how many fully agreeing replicas each shard must

@@ -3,6 +3,7 @@ package harness
 import (
 	"ringbft/internal/evidence"
 	"ringbft/internal/ledger"
+	"ringbft/internal/pbft"
 	"ringbft/internal/store"
 	"ringbft/internal/types"
 )
@@ -43,6 +44,9 @@ type ReplicaState struct {
 	// the (possibly out-of-order) executed suffix. Together they identify
 	// the exact executed set, which is what determines the state.
 	ExecutedThrough types.SeqNum
+	// Stable is the sequence of the newest checkpoint the replica saw
+	// stabilize: nf replicas of its shard signed the same digest there.
+	Stable types.SeqNum
 	// CrossOrder is the sequence of cross-shard batch digests in chain
 	// order (the Theorem 6.2/6.3 agreement surface).
 	CrossOrder []types.Digest
@@ -62,6 +66,7 @@ type executedProvider interface {
 	ExecutedResults() map[types.Digest]uint64
 }
 type watermarkProvider interface{ ExecutedThrough() types.SeqNum }
+type engineProvider interface{ Engine() *pbft.Engine }
 type evidenceProvider interface{ Evidence() *evidence.Log }
 
 // CaptureReplica snapshots one node's commit state for invariant checking.
@@ -95,6 +100,9 @@ func CaptureReplica(id types.NodeID, n any) (ReplicaState, bool) {
 	}
 	if wp, ok := n.(watermarkProvider); ok {
 		st.ExecutedThrough = wp.ExecutedThrough()
+	}
+	if pp, ok := n.(engineProvider); ok {
+		st.Stable = pp.Engine().StableSeq()
 	}
 	if vp, ok := n.(evidenceProvider); ok {
 		st.Evidence = vp.Evidence().Records()
