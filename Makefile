@@ -101,10 +101,10 @@ bench-tcpnet:
 
 # The checkpoint path layer by layer: the table's point read, dump, set-up
 # and execution, then one checkpoint's rewind + state digest at 65,536
-# records.
+# records, and one in-order executor's emission at 4,096.
 bench-store:
 	$(GO) test -run XXX -bench 'BenchmarkGet|BenchmarkPairs|BenchmarkPreload|BenchmarkExecuteTxn' -benchmem -benchtime 300ms ./internal/store/
-	$(GO) test -run XXX -bench 'BenchmarkCheckpointDigest' -benchmem -benchtime 300ms ./internal/ringbft/
+	$(GO) test -run XXX -bench 'BenchmarkCheckpointDigest|BenchmarkEmitCheckpoint' -benchmem -benchtime 300ms ./internal/host/
 
 # The cross-shard path's handlers: one Forward and one Execute copy, one
 # timer pass over 4,096 executed csts and 8 in flight, a Commit before and

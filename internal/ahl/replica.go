@@ -26,9 +26,9 @@ type ReplicaOptions struct {
 
 	// Durability/Recovered come from wal.OpenManager: executed blocks are
 	// WAL-logged, snapshots cut every CheckpointInterval executed sequences,
-	// and a restarted replica resumes from the recovered state. AHL has no
-	// peer state transfer — a gap replica stays behind, like the paper's
-	// baseline — so durability here covers crash-restart only.
+	// and a restarted replica resumes from the recovered state. Stragglers
+	// that consensus alone cannot repair additionally install a certified
+	// checkpoint's state from a peer (host.Sequential.CatchUp).
 	Durability *wal.Manager
 	Recovered  *wal.Recovered
 
@@ -144,6 +144,10 @@ func (r *Replica) HandleMessage(m *types.Message) {
 		r.onPrepare(m)
 	case types.MsgAHLDecision:
 		r.onDecision(m)
+	case types.MsgStateRequest:
+		r.ServeState(m)
+	case types.MsgStateSnapshot:
+		r.AcceptState(m)
 	default:
 		r.PBFT.OnMessage(m)
 		r.Drain()
@@ -153,6 +157,7 @@ func (r *Replica) HandleMessage(m *types.Message) {
 // HandleTick drives the watchdog.
 func (r *Replica) HandleTick(now time.Time) {
 	r.Tick(now)
+	r.CatchUp(now)
 	if !r.Watchdog(now) {
 		return
 	}

@@ -124,16 +124,18 @@ func RunScenario(sc Scenario) (*RunResult, error) {
 	if probeOK {
 		res.ProbeTicks = probeTicks
 		// Quiesce: tick until trailing Executes, checkpoints, and state
-		// transfers land and the shards converge (bounded budget — a real
-		// convergence failure is then reported by the checkers below).
-		quorum := convergenceQuorum(sc)
+		// transfers land, the shards converge and every honest replica
+		// caught up (bounded budget — a real failure is then reported by
+		// the checkers below).
+		quorum, excused := convergenceQuorum(sc), c.excused(sched)
 		for i := 0; i < 30; i++ {
 			for j := 0; j < 8; j++ {
 				if err := c.step(nil); err != nil {
 					return nil, fmt.Errorf("%s: %w", sc.Name(), err)
 				}
 			}
-			if len(c.queue) == 0 && len(CheckConvergence(c.Capture(), quorum)) == 0 {
+			states := c.Capture()
+			if len(c.queue) == 0 && len(CheckConvergence(states, quorum)) == 0 && len(CheckCaughtUp(states, excused)) == 0 {
 				break
 			}
 		}

@@ -1,7 +1,8 @@
-package ringbft
+package host
 
 import (
 	"cmp"
+	"crypto/sha256"
 	"encoding/hex"
 	"slices"
 	"testing"
@@ -38,15 +39,8 @@ func (g *cpFixtureRand) next() uint64 {
 func checkpointFixture(tb testing.TB) (*Replica, []store.Pair) {
 	tb.Helper()
 	const z, shard = 3, types.ShardID(1)
-	peers := make([]types.NodeID, 4)
-	for i := range peers {
-		peers[i] = types.ReplicaNode(shard, i)
-	}
-	r := New(Options{
-		Config: types.DefaultConfig(z, len(peers)), Shard: shard, Self: peers[0], Peers: peers,
-		Auth: crypto.NopAuth{}, Send: func(types.NodeID, *types.Message) {},
-	})
-	r.Preload(cpFixtureRecords)
+	r := fixtureReplica(z, shard)
+	r.Load(cpFixtureRecords, nil)
 	rng := cpFixtureRand(27)
 	key := func() types.Key {
 		if rng.next()%16 == 0 { // beyond the preloaded partition
@@ -77,7 +71,7 @@ func checkpointFixture(tb testing.TB) (*Replica, []store.Pair) {
 		for j := range b.Txns {
 			res[j] = r.KV.ExecuteTxnPartial(&b.Txns[j], shard, z)
 		}
-		r.Ledger.Append(seq, peers[0], b)
+		r.Ledger.Append(seq, r.Self, b)
 		r.Results[b.Digest()] = res
 	}
 	return r, atCp
@@ -116,11 +110,52 @@ func TestCheckpointDigestGolden(t *testing.T) {
 		t.Fatal("fixture inserts no key above S")
 	}
 	state := stateDigestOf(pairs)
-	composite := compositeCpDigest(sha256Sum([]byte("prefix")), state)
+	composite := compositeCpDigest(sha256.Sum256([]byte("prefix")), state)
 	if got := hex.EncodeToString(state[:]); got != wantState {
 		t.Errorf("state digest = %s, want %s", got, wantState)
 	}
 	if got := hex.EncodeToString(composite[:]); got != wantComposite {
 		t.Errorf("composite digest = %s, want %s", got, wantComposite)
+	}
+}
+
+// fixtureReplica is replica 0 of shard of a z-shard, four-replica topology
+// that sends nothing and signs with no key.
+func fixtureReplica(z int, shard types.ShardID) *Replica {
+	peers := make([]types.NodeID, 4)
+	for i := range peers {
+		peers[i] = types.ReplicaNode(shard, i)
+	}
+	r := NewReplica(Options{
+		Config: types.DefaultConfig(z, len(peers)), Shard: shard, Self: peers[0], Peers: peers,
+		Auth: crypto.NopAuth{}, Send: func(types.NodeID, *types.Message) {},
+		Transfer: &Transfer{},
+	})
+	return &r
+}
+
+// BenchmarkCheckpointDigest is the event-loop work of one RingBFT
+// checkpoint at the tcp_mixed partition size: rewind the table to S past
+// the 64 retained blocks above it, then hash the canonical state.
+func BenchmarkCheckpointDigest(b *testing.B) {
+	r, _ := checkpointFixture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		stateDigestOf(r.canonicalPairsAt(cpFixtureSeq))
+	}
+}
+
+// BenchmarkEmitCheckpoint is one checkpoint emission of a replica that
+// executes in sequence order (AHL, Sharper) over a 4,096-record partition:
+// no block lies past S, so the rewind is a no-op and the cost is the table
+// dump, its hash, the row and the engine's signed Checkpoint.
+func BenchmarkEmitCheckpoint(b *testing.B) {
+	r := fixtureReplica(3, 1)
+	r.Load(4096, nil)
+	prefix := sha256.Sum256([]byte("prefix"))
+	b.ReportAllocs()
+	for b.Loop() {
+		r.schedule(cpFixtureSeq, prefix)
+		r.EmitCheckpoints(cpFixtureSeq)
 	}
 }

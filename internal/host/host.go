@@ -6,11 +6,13 @@
 // replay, executed-block recording and the snapshot cut; durable.go), and
 // the two sequentially executing baselines share one executor
 // (Sequential). Every host drains its proposal queue by one window rule
-// (Drain), and every shard replica that catches up from a peer does so by
-// one certified state transfer (transfer.go). Only what differs stays in the
-// protocol packages: the Justify gate, whether an expired request's
-// proposed latch is cleared, a state transfer's trigger and content, and
-// everything that happens after a batch commits.
+// (Drain). Every shard replica certifies one checkpoint content, the prefix
+// fold and the canonical state (checkpoint.go), and catches up from a peer
+// by one certified state transfer of that state (transfer.go). Only what
+// differs stays in the protocol packages: the Justify gate, whether an
+// expired request's proposed latch is cleared, when to ask for state, what
+// a checkpoint must lie past and what an install resets, and everything
+// that happens after a batch commits.
 package host
 
 import (
@@ -82,8 +84,9 @@ type Options struct {
 	// re-proposed cross-shard batch could commit twice and take its locks
 	// twice.
 	ReproposeExpired bool
-	// Transfer is the protocol's half of peer state transfer (transfer.go);
-	// nil for a host that neither serves nor requests state.
+	// Transfer is the protocol's half of peer state transfer (transfer.go).
+	// Every shard replica sets it (NewSequential sets its own); AHL's
+	// reference committee, which holds no data, leaves it nil.
 	Transfer *Transfer
 }
 
@@ -126,7 +129,10 @@ type Kernel struct {
 	// schedules).
 	LastVC time.Time
 
-	handler          Handler
+	handler Handler
+	// executor is the handler's executed watermark, nil for a host that
+	// executes nothing (AHL's committee); the exec-lag gauge reads it.
+	executor         executor
 	justify          func(*types.Batch, types.Digest) bool
 	reproposeExpired bool
 	// backpressure polls the transport's outbound backlog and bpLimit is
@@ -135,15 +141,22 @@ type Kernel struct {
 	bpLimit       int
 	onViewChanged func(types.View)
 
-	// Peer state transfer (transfer.go): the protocol's half, the
-	// certificates of the newest stable checkpoints, and the latest
+	// Checkpoints and peer state transfer (checkpoint.go, transfer.go): the
+	// checkpoints scheduled but not yet signed, the table of the newest
+	// checkpoints, the protocol's half of the transfer, and the latest
 	// request's Seq, when it was sent and whether it is still outstanding.
+	// They live here, not on Replica, because the tracker's emit hook and
+	// the engine's Stabilized hook write them.
+	pending  []cpPoint
+	cps      map[types.SeqNum]checkpoint
 	transfer *Transfer
-	certs    map[types.SeqNum]stableCert
 	wanted   types.SeqNum
 	asked    time.Time
 	asking   bool
 }
+
+// executor is a handler that reports its executed-prefix watermark.
+type executor interface{ ExecutedThrough() types.SeqNum }
 
 // Pending is one awaiting proposal and when its watchdog was last armed.
 type Pending struct {
@@ -194,13 +207,14 @@ func New(opts Options) *Kernel {
 		bpLimit:          bpDepth / 2,
 		transfer:         opts.Transfer,
 	}
+	k.executor, _ = opts.Handler.(executor)
 	cb := opts.Callbacks
 	if stabilized := cb.Stabilized; k.transfer != nil {
-		k.certs = make(map[types.SeqNum]stableCert)
+		k.cps = make(map[types.SeqNum]checkpoint)
 		cb.Stabilized = func(seq types.SeqNum, d types.Digest) {
 			// The engine still holds the votes at seq (it GCs only below).
 			if agreed, cert, ok := k.PBFT.CheckpointCert(seq); ok && agreed == d {
-				k.keepCert(seq, stableCert{digest: d, cert: cert})
+				k.keepCert(seq, d, cert)
 			}
 			if stabilized != nil {
 				stabilized(seq, d)
@@ -243,7 +257,7 @@ func (k *Kernel) Run(ctx context.Context, inbox <-chan *types.Message) {
 
 // Tick runs the kernel's share of a timer tick that precedes the
 // protocol's own timers: the engine's view-change timer, the proposal
-// drain, the WAL group commit and the gauges. Watchdog is the other share.
+// drain, the WAL group commit and the gauges, the exec lag among them. Watchdog is the other share.
 func (k *Kernel) Tick(now time.Time) {
 	k.PBFT.Tick(now)
 	k.Drain()
@@ -251,7 +265,13 @@ func (k *Kernel) Tick(now time.Time) {
 		// Group commit: the batched fsync of WAL appends since the last one.
 		k.DurOK(k.Dur.MaybeSync(now))
 	}
-	k.Obs.sample(len(k.Queue), k.PBFT.InFlight(), len(k.Awaiting), k.Ev.Len())
+	var lag types.SeqNum
+	if k.executor != nil {
+		if stable, done := k.PBFT.StableSeq(), k.executor.ExecutedThrough(); stable > done {
+			lag = stable - done
+		}
+	}
+	k.Obs.sample(len(k.Queue), k.PBFT.InFlight(), len(k.Awaiting), k.Ev.Len(), lag)
 }
 
 // DurOK counts a non-nil err as a durability failure and reports whether

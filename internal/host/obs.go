@@ -27,6 +27,7 @@ type Obs struct {
 	Retransmits    *metrics.Counter
 	DurErrors      *metrics.Counter
 	StateTransfers *metrics.Counter
+	StateRequests  *metrics.Counter
 	ExecutedTxns   *metrics.Counter
 	ExecutedCross  *metrics.Counter
 
@@ -35,8 +36,12 @@ type Obs struct {
 	clamped    *metrics.Counter
 	queueDepth *metrics.Gauge
 	inflight   *metrics.Gauge
-	awaiting   *metrics.Gauge
-	evRecords  *metrics.Gauge
+	// execLag is the newest stable checkpoint minus the executed
+	// watermark: how far behind its shard's certified state this replica
+	// is.
+	execLag   *metrics.Gauge
+	awaiting  *metrics.Gauge
+	evRecords *metrics.Gauge
 
 	// phases[p] counts lifecycle transitions of phase p (registry only).
 	phases [16]*metrics.Counter
@@ -54,10 +59,11 @@ var tracedPhases = []trace.Phase{
 // NewObs builds a host's sink. With a registry its series are labelled by
 // shard and replica index and named after prefix:
 // <prefix>_view_changes_total, _forward_retransmits_total,
-// _durability_errors_total, _state_transfers_total, _executed_txns_total,
+// _durability_errors_total, _state_transfers_total,
+// _state_requests_total, _executed_txns_total,
 // _executed_cross_txns_total, _pipeline_clamped_total,
 // _propose_queue_depth, _inflight_proposals, _awaiting_proposals,
-// _evidence_records, plus the shared
+// _evidence_records, _exec_lag, plus the shared
 // pbft_phase_transitions_total, wal_fsync_seconds and
 // wal_segments_gced_total families. tr, when non-nil, receives lifecycle
 // events stamped with the host clock.
@@ -69,6 +75,7 @@ func NewObs(reg *metrics.Registry, tr *trace.Tracer, prefix string, shard types.
 	o.Retransmits = o.Counter("forward_retransmits_total")
 	o.DurErrors = o.Counter("durability_errors_total")
 	o.StateTransfers = o.Counter("state_transfers_total")
+	o.StateRequests = o.Counter("state_requests_total")
 	o.ExecutedTxns = o.Counter("executed_txns_total")
 	o.ExecutedCross = o.Counter("executed_cross_txns_total")
 	o.clamped = o.Counter("pipeline_clamped_total")
@@ -76,6 +83,7 @@ func NewObs(reg *metrics.Registry, tr *trace.Tracer, prefix string, shard types.
 	o.inflight = o.Gauge("inflight_proposals")
 	o.awaiting = o.Gauge("awaiting_proposals")
 	o.evRecords = o.Gauge("evidence_records")
+	o.execLag = o.Gauge("exec_lag")
 	gced := o.counter("wal_segments_gced_total")
 	o.wal = wal.Observer{
 		Fsync: o.histogram("wal_fsync_seconds").Observe,
@@ -91,8 +99,13 @@ func NewObs(reg *metrics.Registry, tr *trace.Tracer, prefix string, shard types.
 }
 
 // Counter returns the host's counter <prefix>_name: the registry series,
-// or a private counter when there is no registry.
-func (o *Obs) Counter(name string) *metrics.Counter { return o.counter(o.prefix + "_" + name) }
+// or a private counter when there is no registry (which builds no name).
+func (o *Obs) Counter(name string) *metrics.Counter {
+	if o.reg == nil {
+		return new(metrics.Counter)
+	}
+	return o.reg.Counter(o.prefix+"_"+name, o.lbl...)
+}
 
 // Gauge returns the host's gauge <prefix>_name (see Counter).
 func (o *Obs) Gauge(name string) *metrics.Gauge {
@@ -154,7 +167,8 @@ func (o *Obs) Executed(b *types.Batch) {
 	}
 }
 
-func (o *Obs) sample(queue, inflight, awaiting, evidence int) {
+func (o *Obs) sample(queue, inflight, awaiting, evidence int, lag types.SeqNum) {
+	o.execLag.Set(int64(lag))
 	o.queueDepth.Set(int64(queue))
 	o.inflight.Set(int64(inflight))
 	o.awaiting.Set(int64(awaiting))

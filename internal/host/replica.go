@@ -1,6 +1,8 @@
 package host
 
 import (
+	"time"
+
 	"ringbft/internal/ledger"
 	"ringbft/internal/pbft"
 	"ringbft/internal/store"
@@ -10,13 +12,17 @@ import (
 )
 
 // Replica is a Kernel that holds a shard's data: its store partition, its
-// ledger and the cached results of executed batches. Every shard replica
-// embeds one; AHL's reference committee, which holds no data, embeds a bare
-// Kernel and so exposes no ledger to capture.
+// ledger, the cached results of executed batches and the checkpoint
+// tracker. Every shard replica embeds one; AHL's reference committee, which
+// holds no data, embeds a bare Kernel and so exposes no ledger to capture.
 type Replica struct {
 	*Kernel
 	KV     *store.KV
 	Ledger *ledger.Chain
+	// Tracker folds the committed prefix and schedules a checkpoint every
+	// CheckpointInterval sequences, signed once execution covers it
+	// (checkpoint.go).
+	Tracker *pbft.CheckpointTracker
 	// Results caches the results of executed batches by digest, so
 	// retransmitted client requests are answered from the log (attack A1).
 	Results map[types.Digest][]types.Value
@@ -26,12 +32,15 @@ type Replica struct {
 	Rec *wal.Recovered // consumed by Load
 }
 
-// NewReplica builds a kernel plus an empty store partition and ledger.
+// NewReplica builds a kernel plus an empty store partition, ledger and
+// checkpoint tracker.
 func NewReplica(opts Options) Replica {
+	k := New(opts)
 	return Replica{
-		Kernel:  New(opts),
+		Kernel:  k,
 		KV:      store.NewKV(),
 		Ledger:  ledger.NewChain(opts.Shard),
+		Tracker: pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, k.schedule),
 		Results: make(map[types.Digest][]types.Value),
 		Rec:     opts.Recovered,
 	}
@@ -75,7 +84,6 @@ func (r *Replica) ExecutedResults() map[types.Digest]uint64 {
 // where those baselines' cross-shard round trips bite.
 type Sequential struct {
 	Replica
-	Tracker *pbft.CheckpointTracker
 	// ExecNext is the executed-prefix watermark; Entries holds committed
 	// batches above it by sequence.
 	ExecNext types.SeqNum
@@ -85,13 +93,14 @@ type Sequential struct {
 
 // NewSequential builds a sequentially executing replica. ready reports
 // whether a committed cross-shard batch b, with digest d, may execute yet.
+// Its state transfer installs past the executed watermark.
 func NewSequential(opts Options, ready func(b *types.Batch, d types.Digest) bool) *Sequential {
 	s := &Sequential{
-		Replica: NewReplica(opts),
 		Entries: make(map[types.SeqNum]Queued),
 		ready:   ready,
 	}
-	s.Tracker = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, s.PBFT.MakeCheckpoint)
+	opts.Transfer = &Transfer{Watermark: func() types.SeqNum { return s.ExecNext }, Reset: s.skip}
+	s.Replica = NewReplica(opts)
 	return s
 }
 
@@ -165,9 +174,49 @@ func (s *Sequential) Execute(b *types.Batch) []types.Value {
 	return results
 }
 
-// Executed records an executed block (Record) and cuts a snapshot every
-// CheckpointInterval executed sequences.
+// Executed records an executed block (Record), signs the checkpoint it
+// completes, and cuts a snapshot every CheckpointInterval executed
+// sequences.
 func (s *Sequential) Executed(seq types.SeqNum, primary types.NodeID, d types.Digest, b *types.Batch, results []types.Value) {
 	s.Record(seq, primary, d, b, results)
+	s.EmitCheckpoints(seq)
 	s.Cut(seq, types.Digest{}, nil)
+}
+
+// skip is the Transfer reset of an installed checkpoint seq: the committed
+// entries at or below it are dropped, execution resumes past it.
+func (s *Sequential) skip(seq types.SeqNum) {
+	for q := range s.Entries {
+		if q <= seq {
+			delete(s.Entries, q)
+		}
+	}
+	s.ExecNext = seq
+	s.DrainExec()
+}
+
+// CatchUp (call from HandleTick) detects the two wedges consensus cannot
+// fix and paces a state request to the shard peers:
+//
+//   - the stable watermark moved past a commit-prefix hole (a NewView's
+//     StableSeq adoption pruned a sequence this replica never committed:
+//     the engine will not re-propose it, and execution can never pass it);
+//   - a view change no quorum joined (a lone straggler's timeout in an
+//     otherwise healthy shard: no NewView will ever arrive, and staying
+//     dark stops this replica's cross-shard votes and checkpoints too).
+//
+// Found by internal/chaos, loss-storm schedules: two simultaneous
+// stragglers also starve the checkpoint quorum, so neither can wait for
+// the other to recover. Call it before HandleTick's in-view-change early
+// return: the second wedge is only reachable from inside a view change.
+func (s *Sequential) CatchUp(now time.Time) {
+	behindStable := s.PBFT.StableSeq() > s.Tracker.Next()
+	vcStuck := s.PBFT.InViewChange() && now.Sub(s.LastVC) > 3*s.Cfg.LocalTimeout
+	if !behindStable && !vcStuck {
+		return
+	}
+	if _, asked, _ := s.Requested(); now.Sub(asked) <= s.Cfg.LocalTimeout {
+		return
+	}
+	s.RequestState(s.ExecNext) // a useful checkpoint lies past the executed watermark
 }

@@ -6,59 +6,42 @@ import (
 	"time"
 
 	"ringbft/internal/crypto"
+	"ringbft/internal/ledger"
+	"ringbft/internal/trace"
 	"ringbft/internal/types"
+	"ringbft/internal/wal"
 )
 
 // Peer state transfer (attack A3, Section 5): a replica that falls behind
 // its shard fetches a certified checkpoint from a peer instead of stalling
 // on sequences it can never replay. Every answer carries the nf signed
-// Checkpoint messages over its (seq, digest), and the protocol's content
-// must hash to that digest, so nothing is taken on the responder's word.
-// One honest answer suffices: requests go to every shard peer, re-sent on
-// the protocol's cadence until one installs.
+// Checkpoint messages over its (seq, digest) and the canonical table at seq,
+// which must hash to that digest (checkpoint.go), so nothing is taken on
+// the responder's word: a Byzantine peer would need a SHA-256 collision to
+// substitute state. One honest answer suffices: requests go to every shard
+// peer, re-sent on the protocol's cadence until one installs.
 
-// Transfer is a protocol's half of peer state transfer: what a
-// checkpoint's content is, how it is checked and how it is installed.
+// Transfer is what differs between protocols in peer state transfer.
 type Transfer struct {
-	// Serve fills p's content for checkpoint p.Seq, whose certified digest
-	// is d, or reports false when this replica cannot or the checkpoint is
-	// of no use to the requester. asked is the request's Seq.
-	Serve func(p *types.StatePayload, d types.Digest, asked types.SeqNum) bool
-	// Check reports whether p, whose checkpoint is certified, is still of
-	// use here and its content hashes to the certified digest d.
-	Check func(p *types.StatePayload, d types.Digest) bool
-	// Install adopts a payload that passed Check.
-	Install func(p *types.StatePayload, d types.Digest)
-}
-
-// certKeep bounds the kept checkpoint certificates. An answer may anchor on
-// a checkpoint below the newest one this replica saw stabilize.
-const certKeep = 16
-
-// stableCert is nf signed Checkpoint messages over (seq, digest).
-type stableCert struct {
-	digest types.Digest
-	cert   []types.Signed
-}
-
-// keepCert keeps the certificate for checkpoint seq unless one is held,
-// evicting the lowest past certKeep.
-func (k *Kernel) keepCert(seq types.SeqNum, c stableCert) {
-	if _, held := k.certs[seq]; !held {
-		k.certs[seq] = c
-	}
-	if len(k.certs) > certKeep {
-		delete(k.certs, slices.Min(slices.Collect(maps.Keys(k.certs))))
-	}
+	// Watermark returns the sequence a checkpoint must lie past to be of
+	// use here: RingBFT's lock-order watermark, a sequential executor's
+	// executed one.
+	Watermark func() types.SeqNum
+	// Reset drops the protocol's own state at or below an installed
+	// checkpoint seq and resumes past it. The host calls it after it has
+	// restored the store, the ledger base, the tracker and the engine and
+	// cut the durable snapshot.
+	Reset func(seq types.SeqNum)
 }
 
 // RequestState asks every other member of the shard for a certified
 // checkpoint at or above seq: one MsgStateRequest each, MAC'd for its
 // recipient. The protocol picks seq (RingBFT: the stable checkpoint that
-// revealed the gap; Sharper: its executed watermark, past which its Serve
-// ships blocks). The request stays outstanding until a payload installs.
+// revealed the gap; a sequential executor: its executed watermark). The
+// request stays outstanding until a payload installs.
 func (k *Kernel) RequestState(seq types.SeqNum) {
 	k.wanted, k.asked, k.asking = seq, k.Clock(), true
+	k.Obs.StateRequests.Inc()
 	for _, p := range k.Peers {
 		if p != k.Self {
 			m := &types.Message{Type: types.MsgStateRequest, From: k.Self, Shard: k.Shard, Seq: seq}
@@ -76,42 +59,74 @@ func (k *Kernel) Requested() (seq types.SeqNum, asked time.Time, outstanding boo
 
 // ServeState answers a peer's MsgStateRequest with the newest checkpoint
 // this replica holds a certificate for, if that is at or above the request's
-// Seq and the protocol can supply its content.
-func (k *Kernel) ServeState(m *types.Message) {
-	if k.transfer == nil || len(k.certs) == 0 || !k.VerifyPeer(m) {
+// Seq and this replica signed the certified digest there itself: its
+// canonical table at that checkpoint, with the certificate attached.
+func (r *Replica) ServeState(m *types.Message) {
+	if r.transfer == nil || !r.VerifyPeer(m) {
 		return
 	}
-	seq := slices.Max(slices.Collect(maps.Keys(k.certs)))
-	if seq < m.Seq {
-		return // nothing certified that would cover the requester's gap
+	var seq types.SeqNum
+	var c checkpoint
+	for _, s := range slices.Sorted(maps.Keys(r.cps)) {
+		if row := r.cps[s]; row.cert != nil {
+			seq, c = s, row
+		}
 	}
-	c := k.certs[seq]
-	p := &types.StatePayload{Seq: seq, Cert: c.cert}
-	if !k.transfer.Serve(p, c.digest, m.Seq) {
-		return
+	if c.cert == nil || seq < m.Seq || compositeCpDigest(c.prefix, c.state) != c.digest {
+		return // nothing certified covers the requester's gap, or not signed here
 	}
-	resp := &types.Message{Type: types.MsgStateSnapshot, From: k.Self, Shard: k.Shard, Seq: seq, Digest: c.digest, State: p}
-	resp.MAC = crypto.MACMessage(k.Auth, m.From, resp)
-	k.Send(m.From, resp)
+	p := &types.StatePayload{
+		Seq: seq, PrefixDigest: c.prefix, StateDigest: c.state, Cert: c.cert,
+		Pairs: r.canonicalPairsAt(seq), // fault path only: O(state)
+	}
+	resp := &types.Message{Type: types.MsgStateSnapshot, From: r.Self, Shard: r.Shard, Seq: seq, Digest: c.digest, State: p}
+	resp.MAC = crypto.MACMessage(r.Auth, m.From, resp)
+	r.Send(m.From, resp)
 }
 
 // AcceptState installs a peer's MsgStateSnapshot answering the outstanding
-// request: its checkpoint must be certified (VerifyCheckpoint), and its
-// content must check against the certified digest. The first valid payload
-// ends the request.
-func (k *Kernel) AcceptState(m *types.Message) {
-	if k.transfer == nil || !k.asking || !k.VerifyPeer(m) {
+// request. Its checkpoint must be certified (VerifyCheckpoint) and lie past
+// the protocol's watermark, and its pairs, with its prefix digest, must hash
+// to the certified digest. The first valid payload ends the request.
+func (r *Replica) AcceptState(m *types.Message) {
+	if r.transfer == nil || !r.asking || !r.VerifyPeer(m) {
 		return
 	}
 	p := m.State
-	if p == nil || p.Seq != m.Seq || !k.VerifyCheckpoint(m.Seq, m.Digest, p.Cert) ||
-		!k.transfer.Check(p, m.Digest) {
+	if p == nil || p.Seq != m.Seq || !r.VerifyCheckpoint(m.Seq, m.Digest, p.Cert) ||
+		p.Seq <= r.transfer.Watermark() ||
+		compositeCpDigest(p.PrefixDigest, p.StateDigest) != m.Digest || stateDigestOf(p.Pairs) != p.StateDigest {
 		return
 	}
-	k.keepCert(m.Seq, stableCert{digest: m.Digest, cert: slices.Clone(p.Cert)})
-	k.asking = false
-	k.transfer.Install(p, m.Digest)
-	k.Obs.StateTransfers.Inc()
+	r.keepCert(m.Seq, m.Digest, slices.Clone(p.Cert))
+	r.asking = false
+	r.install(p, m.Digest)
+	r.Obs.StateTransfers.Inc()
+}
+
+// install adopts a validated canonical state at p.Seq: the store and the
+// ledger restart from the checkpoint, the tracker and the engine resume
+// past it, the durable state is cut there, and the protocol drops what it
+// holds below it (those transactions completed without this replica; the
+// canonical state already includes their effects).
+func (r *Replica) install(p *types.StatePayload, certified types.Digest) {
+	r.KV.Restore(p.Pairs)
+	// The ledger restarts on a synthetic base block deterministically
+	// derived from the certified checkpoint. Hash-linking from a transfer
+	// boundary mirrors what pruning does at a snapshot boundary: Verify
+	// covers the retained suffix. The base index is the certified sequence
+	// itself, never a responder-supplied count, which the certificate
+	// would not cover. (Height then counts sequences rather than blocks
+	// below the boundary; the two differ only by view-change no-op
+	// fillers.)
+	base := &ledger.Block{Seq: p.Seq, Digest: certified, MerkleRoot: p.StateDigest}
+	r.Ledger = ledger.Rebuild(r.Shard, base, int(p.Seq), nil)
+	r.Tracker.Advance(p.Seq, p.PrefixDigest)
+	r.pending = slices.DeleteFunc(r.pending, func(c cpPoint) bool { return c.seq <= p.Seq })
+	r.PBFT.ResumeAt(p.Seq, p.Seq+1)
+	r.Observe(p.Seq, trace.PhaseStateTransfer)
+	r.Reset(p.Seq, certified, func(s *wal.Snapshot) { s.PrefixDigest, s.LastCheckpoint = p.PrefixDigest, p.Seq })
+	r.transfer.Reset(p.Seq)
 }
 
 // VerifyCheckpoint reports whether nf distinct replicas of this shard signed
@@ -119,7 +134,7 @@ func (k *Kernel) AcceptState(m *types.Message) {
 // for is decided by it with no signature checked; otherwise each voter's
 // first well-formed entry of cert is.
 func (k *Kernel) VerifyCheckpoint(seq types.SeqNum, d types.Digest, cert []types.Signed) bool {
-	if c, held := k.certs[seq]; held {
+	if c := k.cps[seq]; c.cert != nil {
 		return c.digest == d
 	}
 	seen := make(map[types.NodeID]struct{}, k.Cfg.NF())

@@ -51,7 +51,7 @@ func (t *CheckpointTracker) Committed(seq types.SeqNum, d types.Digest) {
 		}
 		delete(t.pending, t.next+1)
 		t.next++
-		t.prefix = FoldStep(t.prefix, t.next, d)
+		t.prefix = foldStep(t.prefix, t.next, d)
 		// Checkpoints must land on exact interval boundaries: replicas
 		// drain their contiguous prefixes in different-sized bursts, and
 		// only votes for the *same* sequence number can form a quorum.
@@ -62,14 +62,9 @@ func (t *CheckpointTracker) Committed(seq types.SeqNum, d types.Digest) {
 	}
 }
 
-// FoldStep extends a rolling commit-prefix digest with the batch digest
-// committed at seq. Exposed so hosts can re-derive a peer's certified prefix
-// from shipped blocks during catch-up: starting from their own contiguous
-// fold, one FoldStep per sequence (batch digest for shipped blocks, the
-// empty-batch digest for view-change no-op gaps) must land exactly on the
-// digest nf replicas signed — anything a Byzantine responder substituted
-// breaks the chain.
-func FoldStep(prefix types.Digest, seq types.SeqNum, d types.Digest) types.Digest {
+// foldStep extends a rolling commit-prefix digest with the batch digest
+// committed at seq.
+func foldStep(prefix types.Digest, seq types.SeqNum, d types.Digest) types.Digest {
 	var buf [72]byte
 	copy(buf[:32], prefix[:])
 	copy(buf[32:64], d[:])

@@ -48,15 +48,13 @@ type Replica struct {
 	locks    *store.LockTable
 
 	// Lock-order state (Fig 5): lockQueue holds committed entries awaiting
-	// lock acquisition strictly in sequence order. cps is the checkpoint
-	// schedule over that order: its contiguous watermark is k_max, the
-	// highest sequence that acquired locks (see kmax), and its rolling
-	// prefix digest — deterministic across replicas even when
-	// non-conflicting executions interleave differently (Section 7) — forms
-	// the checkpoint digest together with the canonical state digest (see
-	// durability.go).
+	// lock acquisition strictly in sequence order. The host's Tracker
+	// folds that order: its contiguous watermark is k_max, the highest
+	// sequence that acquired locks (see kmax), and its rolling prefix
+	// digest — deterministic across replicas even when non-conflicting
+	// executions interleave differently (Section 7) — forms the checkpoint
+	// digest together with the canonical state digest (host/checkpoint.go).
 	lockQueue map[types.SeqNum]*logEntry
-	cps       *pbft.CheckpointTracker
 
 	// csts tracks every cross-shard transaction this replica has seen, by
 	// batch digest. live holds the ones whose remote or transmit timer can
@@ -86,13 +84,11 @@ type Replica struct {
 
 	// Executed-prefix watermark: execSeq is the highest sequence such that
 	// every block at or below it has executed locally; execDone holds
-	// out-of-order completions above it. cps schedules checkpoints at lock
-	// time (pendingCps) and they are emitted once execSeq covers them,
-	// because the canonical state digest needs every covered block applied.
-	execSeq    types.SeqNum
-	execDone   map[types.SeqNum]struct{}
-	pendingCps []cpPoint
-	cpMeta     map[types.SeqNum]cpMeta
+	// out-of-order completions above it. The Tracker schedules checkpoints
+	// at lock time and the host signs each once execSeq covers it, because
+	// the canonical state digest needs every covered block applied.
+	execSeq  types.SeqNum
+	execDone map[types.SeqNum]struct{}
 
 	// recovered reports whether Preload resumed from disk.
 	recovered bool
@@ -289,7 +285,6 @@ func New(opts Options) *Replica {
 		live:       make(map[types.Digest]*cstState),
 		allToAll:   opts.AllToAllForward,
 		execDone:   make(map[types.SeqNum]struct{}),
-		cpMeta:     make(map[types.SeqNum]cpMeta),
 		clientSeen: newFIFOWindow[types.TxnID, types.Digest](clientSeenCap),
 		fwdSeen:    newFIFOWindow[fwdKey, evidence.Msg](fwdSeenCap),
 	}
@@ -307,10 +302,7 @@ func New(opts Options) *Replica {
 		},
 		Justify:      r.justified,
 		Backpressure: opts.Backpressure,
-		Transfer:     &host.Transfer{Serve: r.serveState, Check: r.checkState, Install: r.installState},
-	})
-	r.cps = pbft.NewCheckpointTracker(opts.Config.CheckpointInterval, func(seq types.SeqNum, prefix types.Digest) {
-		r.pendingCps = append(r.pendingCps, cpPoint{seq: seq, prefix: prefix})
+		Transfer:     &host.Transfer{Watermark: r.kmax, Reset: r.resetTo},
 	})
 	r.ring = newRingMetrics(r.Obs)
 	return r
@@ -562,17 +554,18 @@ func (r *Replica) drainLockQueue() {
 		delete(r.lockQueue, ent.seq)
 		// Advancing k_max folds the batch digest into the prefix and may
 		// schedule a checkpoint, emitted once local execution covers it:
-		// its digest certifies the canonical state there (durability.go).
-		r.cps.Committed(ent.seq, ent.digest)
+		// its digest certifies the canonical state there
+		// (host/checkpoint.go).
+		r.Tracker.Committed(ent.seq, ent.digest)
 		r.logProgress(ent.digest)
-		r.maybeEmitCheckpoints()
+		r.EmitCheckpoints(r.execSeq)
 		r.afterLocked(ent)
 	}
 }
 
 // kmax is the lock-order watermark of Fig 5: every sequence at or below it
 // acquired its locks.
-func (r *Replica) kmax() types.SeqNum { return r.cps.Next() }
+func (r *Replica) kmax() types.SeqNum { return r.Tracker.Next() }
 
 // afterLocked runs once a committed batch holds its locks: single-shard
 // batches execute and answer the client; cross-shard batches read their

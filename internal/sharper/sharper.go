@@ -45,8 +45,8 @@ type Options struct {
 	// Durability/Recovered come from wal.OpenManager: executed blocks are
 	// WAL-logged, snapshots cut every CheckpointInterval executed sequences,
 	// and a restarted replica resumes from the recovered state. Stragglers
-	// that consensus alone cannot repair additionally fetch the blocks they
-	// miss from a peer (catchup.go).
+	// that consensus alone cannot repair additionally install a certified
+	// checkpoint's state from a peer (host.Sequential.CatchUp).
 	Durability *wal.Manager
 	Recovered  *wal.Recovered
 
@@ -105,7 +105,6 @@ func New(opts Options) *Replica {
 		// equivocation is still detectable and recorded by the kernel.
 		Callbacks:        pbft.Callbacks{Committed: r.onCommitted},
 		ReproposeExpired: true,
-		Transfer:         &host.Transfer{Serve: r.serveBlocks, Check: r.checkBlocks, Install: r.installBlocks},
 	}, func(_ *types.Batch, d types.Digest) bool {
 		gs := r.global[d]
 		return gs != nil && gs.committed // the pipeline stalls on the 2-round WAN gate
@@ -140,7 +139,7 @@ func (r *Replica) HandleMessage(m *types.Message) {
 // HandleTick drives the local watchdog.
 func (r *Replica) HandleTick(now time.Time) {
 	r.Tick(now)
-	r.maybeCatchup(now)
+	r.CatchUp(now)
 	if !r.Watchdog(now) {
 		return
 	}

@@ -37,7 +37,6 @@ const (
 	minTxnSize      = 5 * 8                         // id, two empty key lists, delta
 	minWriteSetSize = 5 * 8                         // shard, four empty lists
 	minSignedSize   = nodeIDSize + 1 + 3*8 + 32 + 8 // tuple, empty Sig
-	minBlockRecSize = 8 + nodeIDSize + 1            // seq, primary, absent batch
 	minProofSize    = 2*8 + 32 + 1 + 8              // view, seq, digest, absent batch, no justification
 	pairSize        = 2 * 8
 )
@@ -144,15 +143,7 @@ func appendStatePayload(dst []byte, s *StatePayload) []byte {
 	dst = append(dst, s.PrefixDigest[:]...)
 	dst = append(dst, s.StateDigest[:]...)
 	dst = AppendPairs(dst, s.Pairs)
-	dst = appendSigned(dst, s.Cert)
-	dst = AppendU64(dst, uint64(len(s.Blocks)))
-	for i := range s.Blocks {
-		b := &s.Blocks[i]
-		dst = AppendU64(dst, uint64(b.Seq))
-		dst = AppendNodeID(dst, b.Primary)
-		dst = appendOptBatch(dst, b.Batch)
-	}
-	return dst
+	return appendSigned(dst, s.Cert)
 }
 
 // AppendMessage appends the wire encoding of m to dst and returns the
@@ -418,15 +409,6 @@ func (r *Reader) statePayload() *StatePayload {
 	s.StateDigest = r.Digest()
 	s.Pairs = r.Pairs()
 	s.Cert = r.signed()
-	if n := r.Count(minBlockRecSize); n > 0 {
-		s.Blocks = make([]BlockRec, n)
-		for i := range s.Blocks {
-			b := &s.Blocks[i]
-			b.Seq = SeqNum(r.U64())
-			b.Primary = r.NodeID()
-			b.Batch = r.optBatch()
-		}
-	}
 	return s
 }
 

@@ -137,13 +137,9 @@ func sampleMessages() []*Message {
 			Pairs: []Pair{{K: 1, V: 10}, {K: 4, V: 40}, {K: 7, V: 70}},
 		}},
 		{Type: MsgStateSnapshot, From: r, Seq: 128, Shard: 1, Sig: testSig(8), State: &StatePayload{
-			Seq: 128, PrefixDigest: Digest{1},
-			Cert: testCert(MsgCheckpoint, 1, Digest{1}),
-			Blocks: []BlockRec{
-				{Seq: 126, Primary: ReplicaNode(1, 0), Batch: single},
-				{Seq: 127, Primary: ReplicaNode(1, 0)},
-				{Seq: 128, Primary: ReplicaNode(1, 0), Batch: cross},
-			},
+			Seq: 128, PrefixDigest: Digest{1}, StateDigest: Digest{3},
+			Pairs: []Pair{{K: 2, V: 20}},
+			Cert:  testCert(MsgCheckpoint, 1, Digest{1}),
 		}},
 		{Type: MsgAHLPrepare, From: CommitteeNode(0), View: 1, Seq: 5, Shard: CommitteeShard, Digest: cd, Batch: cross, Cert: testCert(MsgCommit, CommitteeShard, cd), Sig: testSig(9)},
 		{Type: MsgAHLVote, From: r, Seq: 5, Shard: 1, Digest: cd, Decision: true, Cert: testCert(MsgCommit, 1, cd), Sig: testSig(10)},

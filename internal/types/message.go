@@ -147,38 +147,21 @@ type Pair struct {
 }
 
 // StatePayload is the peer state-transfer payload for stable checkpoint
-// Seq. Cert is always set: nf signed Checkpoint messages over the carrying
-// message's (Seq, Digest), which a requester that did not see the
-// checkpoint stabilize verifies. The content hashes to that digest, so
-// nothing a receiver installs is taken on the responder's word; which
-// content fields are set depends on the protocol.
-//
-// RingBFT sets PrefixDigest, StateDigest and Pairs: the canonical key-value
-// state as of Seq, the state obtained by executing exactly the blocks with
+// Seq, one content for every shard replica: the canonical key-value state
+// as of Seq, the state obtained by executing exactly the blocks with
 // sequence number <= Seq, which every honest replica agrees on even though
-// their live stores interleave later writes differently. The checkpoint
-// digest is H(PrefixDigest || StateDigest), and StateDigest is the SHA-256
-// of Pairs in sorted key order.
-//
-// Sharper sets Blocks: the blocks past the requester's executed watermark
-// through Seq. The checkpoint digest is the rolling fold of committed batch
-// digests, which the requester re-derives from its own contiguous prefix
-// extended with the shipped batch digests (sequence gaps are view-change
-// no-op fillers) before it re-executes the batches locally.
+// their live stores may interleave later writes differently. The
+// checkpoint digest is H(PrefixDigest || StateDigest), and StateDigest is
+// the SHA-256 of Pairs in sorted key order, so nothing a receiver installs
+// is taken on the responder's word. Cert is always set: nf signed
+// Checkpoint messages over the carrying message's (Seq, Digest), which a
+// requester that did not see the checkpoint stabilize verifies.
 type StatePayload struct {
 	Seq          SeqNum
-	PrefixDigest Digest     // RingBFT: rolling ledger-order digest at Seq
-	StateDigest  Digest     // RingBFT: SHA-256 over Pairs in ascending key order
-	Pairs        []Pair     // RingBFT: canonical records, ascending key order
-	Cert         []Signed   // nf signed Checkpoint messages over (Seq, Digest)
-	Blocks       []BlockRec // Sharper: missing blocks in ascending Seq order
-}
-
-// BlockRec is one replayable block of a block-transfer payload.
-type BlockRec struct {
-	Seq     SeqNum
-	Primary NodeID
-	Batch   *Batch
+	PrefixDigest Digest   // rolling fold of the committed batch digests at Seq
+	StateDigest  Digest   // SHA-256 over Pairs in ascending key order
+	Pairs        []Pair   // canonical records, ascending key order
+	Cert         []Signed // nf signed Checkpoint messages over (Seq, Digest)
 }
 
 // PreparedProof is an element of a view-change message's P set: a batch that
@@ -325,13 +308,6 @@ func (m *Message) WireSize() int {
 		if m.State != nil {
 			n += 16 * len(m.State.Pairs)
 			n += 64 * len(m.State.Cert)
-			for i := range m.State.Blocks {
-				nb := 0
-				if b := m.State.Blocks[i].Batch; b != nil {
-					nb = len(b.Txns)
-				}
-				n += sizeHeader + (sizePrePrepare-sizeHeader)*max(nb, 1)/calibBatch
-			}
 		}
 		return n
 	case MsgResponse, MsgZyzSpecResp:
