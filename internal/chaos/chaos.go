@@ -61,7 +61,7 @@ const (
 	FaultCrashRestart Fault = "crash-restart"
 	// FaultWipeRejoin crashes a replica, erases its data directory, and
 	// restarts it empty — it must rejoin via checkpoint-certified peer
-	// state transfer. RingBFT only (the baselines have no state transfer).
+	// state transfer.
 	FaultWipeRejoin Fault = "wipe-rejoin"
 	// FaultByzSilent makes a primary drop all outbound traffic while
 	// still receiving — a dark primary only timers can unmask.

@@ -257,7 +257,8 @@ func (k *Kernel) Run(ctx context.Context, inbox <-chan *types.Message) {
 
 // Tick runs the kernel's share of a timer tick that precedes the
 // protocol's own timers: the engine's view-change timer, the proposal
-// drain, the WAL group commit and the gauges, the exec lag among them. Watchdog is the other share.
+// drain, the WAL group commit and the gauges, the exec lag among them.
+// Watchdog is the other share.
 func (k *Kernel) Tick(now time.Time) {
 	k.PBFT.Tick(now)
 	k.Drain()

@@ -59,7 +59,9 @@ func (k *Kernel) Requested() (seq types.SeqNum, asked time.Time, outstanding boo
 
 // ServeState answers a peer's MsgStateRequest with the newest checkpoint
 // this replica holds a certificate for, if that is at or above the request's
-// Seq and this replica signed the certified digest there itself: its
+// Seq, this replica signed the certified digest there itself, and its chain
+// still holds every block past it (a sequential executor cuts at its own
+// executed watermark, which may pass the newest stable checkpoint): its
 // canonical table at that checkpoint, with the certificate attached.
 func (r *Replica) ServeState(m *types.Message) {
 	if r.transfer == nil || !r.VerifyPeer(m) {
@@ -72,8 +74,9 @@ func (r *Replica) ServeState(m *types.Message) {
 			seq, c = s, row
 		}
 	}
-	if c.cert == nil || seq < m.Seq || compositeCpDigest(c.prefix, c.state) != c.digest {
-		return // nothing certified covers the requester's gap, or not signed here
+	if base, _ := r.Ledger.Base(); c.cert == nil || seq < m.Seq || base.Seq > seq ||
+		compositeCpDigest(c.prefix, c.state) != c.digest {
+		return // nothing certified covers the requester's gap, or none this replica can rewind to
 	}
 	p := &types.StatePayload{
 		Seq: seq, PrefixDigest: c.prefix, StateDigest: c.state, Cert: c.cert,

@@ -327,6 +327,41 @@ func TestStateTransferTamper(t *testing.T) {
 	}
 }
 
+// TestServeNeedsBlocksPastCheckpoint: a peer rewinds its table to the
+// checkpoint it serves, so it answers only while its chain holds every block
+// past that checkpoint. Two more batches commit after the late checkpoint
+// without a newer one stabilizing; a peer whose chain is pruned past them
+// stays silent instead of shipping a table the requester must reject, and
+// one pruned only up to the checkpoint still serves it.
+func TestServeNeedsBlocksPastCheckpoint(t *testing.T) {
+	for _, p := range []harness.Protocol{harness.ProtoRingBFT, harness.ProtoSharper} {
+		for _, tc := range []struct {
+			below  types.SeqNum
+			answer bool
+		}{{2*xferInterval + 1, true}, {2*xferInterval + 3, false}} {
+			f := newXferFixture(t, p)
+			f.commit(2)
+			for id, n := range f.nodes {
+				if id != requester {
+					n.Chain().Prune(tc.below)
+				}
+			}
+			f.now = f.now.Add(time.Second) // past both retry cadences
+			f.nodes[requester].HandleTick(f.now)
+			f.queue, f.held, f.caught = append(f.queue, f.held...), nil, nil
+			f.pump()
+			if got := len(f.caught) > 0; got != tc.answer {
+				t.Fatalf("%s, chains pruned below %d: answered = %v, want %v", p, tc.below, got, tc.answer)
+			}
+			if tc.answer {
+				if ok, _ := f.deliver(f.caught[0]); !ok {
+					t.Fatalf("%s: the answer from a chain pruned below %d did not install", p, tc.below)
+				}
+			}
+		}
+	}
+}
+
 // TestReplayAfterInstall is attack A1 after a state install: the requester
 // installs the late checkpoint, becomes primary, and a client replays a
 // batch the shard committed below that checkpoint. The requester never saw
