@@ -33,7 +33,8 @@ type Replica struct {
 }
 
 // NewReplica builds a kernel plus an empty store partition, ledger and
-// checkpoint tracker.
+// checkpoint tracker. opts.Transfer must be set: it is what gives the
+// kernel its checkpoint table.
 func NewReplica(opts Options) Replica {
 	k := New(opts)
 	return Replica{

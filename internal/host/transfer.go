@@ -64,7 +64,7 @@ func (k *Kernel) Requested() (seq types.SeqNum, asked time.Time, outstanding boo
 // executed watermark, which may pass the newest stable checkpoint): its
 // canonical table at that checkpoint, with the certificate attached.
 func (r *Replica) ServeState(m *types.Message) {
-	if r.transfer == nil || !r.VerifyPeer(m) {
+	if !r.VerifyPeer(m) {
 		return
 	}
 	var seq types.SeqNum
@@ -92,7 +92,7 @@ func (r *Replica) ServeState(m *types.Message) {
 // the protocol's watermark, and its pairs, with its prefix digest, must hash
 // to the certified digest. The first valid payload ends the request.
 func (r *Replica) AcceptState(m *types.Message) {
-	if r.transfer == nil || !r.asking || !r.VerifyPeer(m) {
+	if !r.asking || !r.VerifyPeer(m) {
 		return
 	}
 	p := m.State
