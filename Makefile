@@ -2,8 +2,9 @@
 # lint + test + examples + race-checked crypto, pbft, wal and store — the
 # pooled MAC key schedules, the durability layer and the table read off the
 # event loop are the concurrency-sensitive code — plus
-# race-checked tcpnet and the loopback-TCP scenario suite, whose writer
-# goroutines are the transport's concurrency surface). `make lint` runs the
+# race-checked tcpnet, the loopback-TCP scenario suite and simnet, whose
+# writer goroutines and delivery scheduler are the fabrics' concurrency
+# surface). `make lint` runs the
 # protocol-invariant analyzer suite (internal/analysis via cmd/ringbft-vet);
 # `make docs-check` keeps the docs honest against the binaries' flag
 # surfaces, this Makefile's targets and the source tree
@@ -85,7 +86,7 @@ benchmark:
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 300ms ./internal/sched/ ./internal/store/
-	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/types/ ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/ ./internal/ringbft/
+	$(GO) test -run XXX -bench . -benchtime 200ms ./internal/types/ ./internal/pbft/ ./internal/crypto/ ./internal/ledger/ ./internal/workload/ ./internal/wal/ ./internal/tcpnet/ ./internal/ringbft/ ./internal/simnet/
 
 bench-crypto:
 	$(GO) test -run XXX -bench 'BenchmarkMAC|BenchmarkAppendMAC|BenchmarkVerifyMAC|BenchmarkSign|BenchmarkVerifySignature|BenchmarkSignVerify|BenchmarkMerkleRoot100' -benchmem -benchtime 200ms ./internal/crypto/
@@ -121,11 +122,12 @@ metrics-smoke:
 race-crypto:
 	$(GO) test -race ./internal/crypto/... ./internal/pbft/... ./internal/wal/... ./internal/store/...
 
-# The transport's writer goroutines and the loopback-TCP cluster scenarios
-# (real sockets under the full replica stack) are the wire layer's
-# concurrency-sensitive surface.
+# The transport's writer goroutines, the loopback-TCP cluster scenarios
+# (real sockets under the full replica stack) and simnet's delivery
+# scheduler (one goroutine per network, fed by every sender) are the
+# fabrics' concurrency-sensitive surface.
 race-net:
-	$(GO) test -race ./internal/tcpnet/
+	$(GO) test -race ./internal/tcpnet/ ./internal/simnet/
 	$(GO) test -race -run 'TestTCP' ./internal/harness/
 
 # The whole module under the race detector (CI's race job; race-crypto and

@@ -58,15 +58,15 @@ type Network struct {
 	rngCount atomic.Int64
 	rngPool  sync.Pool
 
-	// Per-link FIFO delivery queues: each (from,to) link delivers messages
-	// strictly in send order, like a TCP connection, with at most one
-	// runtime timer in flight per link (Go timers with near-equal deadlines
-	// may otherwise fire out of order). egressFree/ingressFree are each
-	// node's NIC queue horizons when bandwidth/processing modelling is on.
+	// Delivery state, guarded by linkMu (see sched.go): every (from,to)
+	// link's FIFO of timed flights, the heap of links that have one, the
+	// scheduler's wake clock, and each node's NIC queue horizons when
+	// bandwidth/processing modelling is on.
 	linkMu      sync.Mutex
-	links       map[[2]types.NodeID]*linkQueue
+	links       map[[2]types.NodeID]*link
 	egressFree  map[types.NodeID]time.Time
 	ingressFree map[types.NodeID]time.Time
+	sched       scheduler
 
 	closed atomic.Bool
 	Stats  Stats
@@ -111,7 +111,7 @@ func New(opts Options) *Network {
 		region:      make(map[types.NodeID]Region),
 		crashed:     make(map[types.NodeID]bool),
 		rngSeed:     seed,
-		links:       make(map[[2]types.NodeID]*linkQueue),
+		links:       make(map[[2]types.NodeID]*link),
 		egressFree:  make(map[types.NodeID]time.Time),
 		ingressFree: make(map[types.NodeID]time.Time),
 	}
@@ -208,8 +208,16 @@ func (n *Network) SetDelayFilter(f func(from, to types.NodeID) time.Duration) {
 	n.linkDelay = f
 }
 
-// Close stops future deliveries. In-flight timers become no-ops.
-func (n *Network) Close() { n.closed.Store(true) }
+// Close stops delivery: nothing is delivered once it returns, flights
+// still queued are dropped, and the scheduler goroutine has exited.
+func (n *Network) Close() {
+	n.linkMu.Lock()
+	already := n.closed.Swap(true)
+	n.linkMu.Unlock()
+	if !already {
+		n.sched.stop()
+	}
+}
 
 func (n *Network) send(from, to types.NodeID, m *types.Message) {
 	if n.closed.Load() {
@@ -258,14 +266,17 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 	// serializes through the sender's egress queue, propagates for d, then
 	// serializes through the receiver's ingress queue (NIC + per-message
 	// CPU).
-	//ringbft:ignore wallclock simnet delivers in real time by design; the seed governs loss sampling only, which draws from the per-network seeded rngPool above
-	now := time.Now()
+	now := now()
 	var tx time.Duration
 	if n.nodeBps > 0 {
 		tx = time.Duration(float64(size) / n.nodeBps * float64(time.Second))
 	}
-	var deliverAt time.Time
+	deliverAt := now.Add(d)
 	n.linkMu.Lock()
+	defer n.linkMu.Unlock()
+	if n.closed.Load() {
+		return
+	}
 	if n.nodeBps > 0 || n.proc > 0 {
 		dep := now
 		if ef := n.egressFree[from]; ef.After(dep) {
@@ -273,78 +284,33 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 		}
 		dep = dep.Add(tx)
 		n.egressFree[from] = dep
-		arr := dep.Add(d)
-		recv := arr
+		recv := dep.Add(d)
 		if inf := n.ingressFree[to]; inf.After(recv) {
 			recv = inf
 		}
 		recv = recv.Add(tx + n.proc)
 		n.ingressFree[to] = recv
 		deliverAt = recv
-	} else {
-		deliverAt = now.Add(d)
 	}
 	key := [2]types.NodeID{from, to}
-	lq, ok := n.links[key]
+	l, ok := n.links[key]
 	if !ok {
-		lq = &linkQueue{}
-		n.links[key] = lq
+		l = &link{idx: -1}
+		n.links[key] = l
 	}
-	lq.pending = append(lq.pending, flight{m: m, at: deliverAt, dst: dst})
-	if !lq.armed {
-		lq.armed = true
-		n.armLink(lq, now)
-	}
-	n.linkMu.Unlock()
-}
-
-// flight is one in-flight message on a link.
-type flight struct {
-	m   *types.Message
-	at  time.Time
-	dst *Endpoint
-}
-
-// linkQueue serializes deliveries on one (from,to) link: exactly one timer
-// is armed at a time and messages pop in send order, so a link can never
-// reorder (TCP-like semantics).
-type linkQueue struct {
-	pending []flight
-	armed   bool
-}
-
-// armLink schedules delivery of the head of lq. Caller holds linkMu.
-func (n *Network) armLink(lq *linkQueue, now time.Time) {
-	head := lq.pending[0]
-	wait := head.at.Sub(now)
-	if wait < 0 {
-		wait = 0
-	}
-	//ringbft:ignore wallclock real-time delivery timer; link ordering (TCP-like FIFO) is enforced under linkMu, not by timer granularity
-	time.AfterFunc(wait, func() { n.fireLink(lq) })
-}
-
-// fireLink delivers the head of lq and re-arms for the next message. The
-// delivery happens under linkMu — the inbox send is non-blocking, and
-// holding the lock guarantees the next timer cannot overtake this delivery.
-func (n *Network) fireLink(lq *linkQueue) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	head := lq.pending[0]
-	lq.pending = lq.pending[1:]
-	if len(lq.pending) > 0 {
-		//ringbft:ignore wallclock real-time re-arm of the link timer; see armLink
-		n.armLink(lq, time.Now())
-	} else {
-		lq.armed = false
-		lq.pending = nil
-	}
-
-	if n.closed.Load() {
+	f := flight{m: m, at: deliverAt, dst: dst}
+	if l.idx < 0 && deliverAt.Sub(now) <= slack {
+		n.deliver(f)
 		return
 	}
+	n.enqueue(l, f, now)
+}
+
+// deliver hands f to its receiver without blocking. Caller holds linkMu
+// and has checked that the network is open.
+func (n *Network) deliver(f flight) {
 	select {
-	case head.dst.in <- head.m:
+	case f.dst.in <- f.m:
 		n.Stats.MsgsDelivered.Add(1)
 	default:
 		// Inbox overflow models a saturated replica dropping packets;
@@ -352,3 +318,8 @@ func (n *Network) fireLink(lq *linkQueue) {
 		n.Stats.MsgsDropped.Add(1)
 	}
 }
+
+// now reads the wall clock.
+//
+//ringbft:ignore wallclock simnet delivers in real time by design; the seed governs loss sampling only, which draws from the per-network seeded rngPool
+func now() time.Time { return time.Now() }

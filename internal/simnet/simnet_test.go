@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"ringbft/internal/leakcheck"
 	"ringbft/internal/types"
 )
 
@@ -173,6 +175,12 @@ func TestDelayFilterSkewsLink(t *testing.T) {
 }
 
 func TestPerLinkFIFO(t *testing.T) {
+	t.Run("one link", testFIFOOneLink)
+	t.Run("inline behind queued", testFIFOInlineBehindQueued)
+	t.Run("across links by deadline", testFIFOAcrossLinksByDeadline)
+}
+
+func testFIFOOneLink(t *testing.T) {
 	n := New(Options{Latency: FixedLatency{200 * time.Microsecond}})
 	defer n.Close()
 	a := n.Attach(types.ReplicaNode(0, 0), Oregon)
@@ -190,6 +198,98 @@ func TestPerLinkFIFO(t *testing.T) {
 		}
 		if m.Seq != types.SeqNum(i) {
 			t.Fatalf("reordered: got seq %d at position %d", m.Seq, i)
+		}
+	}
+}
+
+// A near-due flight must not overtake a flight queued on the same link: the
+// inline path is only for links with nothing queued.
+func testFIFOInlineBehindQueued(t *testing.T) {
+	n := New(Options{Latency: FixedLatency{0}})
+	defer n.Close()
+	a := n.Attach(types.ReplicaNode(0, 0), Oregon)
+	b := n.Attach(types.ReplicaNode(0, 1), Oregon)
+	n.SetDelayFilter(func(_, _ types.NodeID) time.Duration { return 20 * time.Millisecond })
+	first := msg()
+	first.Seq = 1
+	a.Send(b.ID(), first)
+	n.SetDelayFilter(nil)
+	second := msg()
+	second.Seq = 2
+	a.Send(b.ID(), second)
+	for want := types.SeqNum(1); want <= 2; want++ {
+		m := recv(t, b, time.Second)
+		if m == nil || m.Seq != want {
+			t.Fatalf("want seq %d next, got %v", want, m)
+		}
+	}
+}
+
+// Flights on different links come out in deadline order, whatever order
+// they were sent in.
+func testFIFOAcrossLinksByDeadline(t *testing.T) {
+	n := New(Options{Latency: FixedLatency{0}})
+	defer n.Close()
+	c := n.Attach(types.ReplicaNode(0, 0), Oregon)
+	delay := map[types.NodeID]time.Duration{}
+	var senders []*Endpoint
+	for i, d := range []time.Duration{30, 10, 20} {
+		ep := n.Attach(types.ReplicaNode(1, i), Iowa)
+		delay[ep.ID()] = d * time.Millisecond
+		senders = append(senders, ep)
+	}
+	n.SetDelayFilter(func(from, _ types.NodeID) time.Duration { return delay[from] })
+	for i, ep := range senders {
+		m := msg()
+		m.Seq = types.SeqNum(i)
+		ep.Send(c.ID(), m)
+	}
+	for _, want := range []types.SeqNum{1, 2, 0} {
+		m := recv(t, c, time.Second)
+		if m == nil || m.Seq != want {
+			t.Fatalf("want seq %d next, got %v", want, m)
+		}
+	}
+}
+
+// TestDeliveryOnTime sends one message at a time over an idle network and
+// measures when it arrives. A timed flight never arrives before its delay;
+// a flight within slack of its send is delivered inline, at most slack
+// early. The median lateness bound leaves room for a loaded CI runner: a
+// wake that waits for the netpoller's next whole millisecond (about 1.1 ms
+// median for a 200 µs hop) fails it.
+func TestDeliveryOnTime(t *testing.T) {
+	const (
+		samples   = 41
+		maxMedian = 400 * time.Microsecond
+	)
+	for _, d := range []time.Duration{12500 * time.Nanosecond, 200 * time.Microsecond, 900 * time.Microsecond, 1550 * time.Microsecond} {
+		n := New(Options{Latency: FixedLatency{d}})
+		a := n.Attach(types.ReplicaNode(0, 0), Oregon)
+		b := n.Attach(types.ReplicaNode(0, 1), Oregon)
+		late := make([]time.Duration, 0, samples)
+		for i := 0; i < samples; i++ {
+			start := time.Now()
+			a.Send(b.ID(), msg())
+			if recv(t, b, time.Second) == nil {
+				t.Fatalf("d=%v: message %d not delivered", d, i)
+			}
+			elapsed := time.Since(start)
+			earliest := d
+			if d <= slack {
+				earliest = d - slack // delivered inline
+			}
+			if elapsed < earliest {
+				t.Fatalf("d=%v: delivered after %v, before its time", d, elapsed)
+			}
+			late = append(late, elapsed-d)
+		}
+		n.Close()
+		slices.Sort(late)
+		med := late[samples/2]
+		t.Logf("d=%v: lateness median %v, max %v", d, med, late[samples-1])
+		if med > maxMedian {
+			t.Errorf("d=%v: median lateness %v exceeds %v", d, med, maxMedian)
 		}
 	}
 }
@@ -304,13 +404,23 @@ func TestAttachIdempotent(t *testing.T) {
 }
 
 func TestCloseStopsDelivery(t *testing.T) {
+	leakcheck.Check(t)
 	n := New(Options{Latency: FixedLatency{10 * time.Millisecond}})
 	a := n.Attach(types.ReplicaNode(0, 0), Oregon)
 	b := n.Attach(types.ReplicaNode(0, 1), Oregon)
-	a.Send(b.ID(), msg())
+	c := n.Attach(types.ReplicaNode(1, 0), Iowa)
+	for i := 0; i < 8; i++ {
+		a.Send(b.ID(), msg())
+		c.Send(b.ID(), msg())
+	}
 	n.Close()
+	n.Close() // idempotent
+	a.Send(b.ID(), msg())
 	if got := recv(t, b, 50*time.Millisecond); got != nil {
 		t.Fatal("delivery after Close")
+	}
+	if got := n.Stats.MsgsDelivered.Load(); got != 0 {
+		t.Fatalf("%d messages delivered across Close", got)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"ringbft/internal/leakcheck"
 )
 
 func startCluster(t *testing.T, cfg ClusterConfig) *Cluster {
@@ -265,4 +267,16 @@ func TestClusterStopEdges(t *testing.T) {
 	if err := c.RestartReplica(0, 3); err == nil {
 		t.Fatal("RestartReplica after Stop succeeded")
 	}
+}
+
+// TestClusterStopBeforeStartLeaksNothing: a cluster that never started has
+// sent nothing, so its network has no delivery goroutine for Stop (which
+// leaves the network open then) to strand.
+func TestClusterStopBeforeStartLeaksNothing(t *testing.T) {
+	leakcheck.Check(t)
+	c, err := NewCluster(ClusterConfig{Shards: 2, ReplicasPerShard: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
 }
