@@ -58,8 +58,8 @@ type Cluster struct {
 	nextSeq int
 	tick    int
 	// lastAt tracks the latest assigned delivery tick per (from,to) link:
-	// delivery is per-link FIFO, like simnet's linkQueue and a real TCP
-	// stream — jitter may stretch a link but never reorder it.
+	// delivery is per-link FIFO, like a simnet link and a real TCP stream —
+	// jitter may stretch a link but never reorder it.
 	lastAt map[[2]types.NodeID]int
 
 	// Nemesis state.

@@ -6,6 +6,17 @@
 // per-message processing model. The simulator also
 // accounts messages and bytes per link class so the communication-complexity
 // claims (linear vs. quadratic) are directly measurable.
+//
+// Delivery is in real time. Each (from,to) link delivers in send order,
+// like a TCP connection, and each message has a model time: its send time
+// plus the link's delay, behind the NIC queues when those are modelled.
+// One scheduler per Network delivers every timed flight; it never delivers
+// one before its model time, and wakes for it after the wake latency of its
+// clock (a timerfd on Linux, tens of microseconds on an idle host; a
+// runtime timer elsewhere, up to ~1 ms). A flight due within slack (50 µs)
+// of its send, on a link with nothing queued, is delivered inside Send
+// instead: it may arrive up to slack early. The scheduler's goroutine starts
+// with the first timed flight; Close stops it.
 package simnet
 
 import (
@@ -271,7 +282,7 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 	if n.nodeBps > 0 {
 		tx = time.Duration(float64(size) / n.nodeBps * float64(time.Second))
 	}
-	deliverAt := now.Add(d)
+	var deliverAt time.Time
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()
 	if n.closed.Load() {
@@ -284,13 +295,16 @@ func (n *Network) send(from, to types.NodeID, m *types.Message) {
 		}
 		dep = dep.Add(tx)
 		n.egressFree[from] = dep
-		recv := dep.Add(d)
+		arr := dep.Add(d)
+		recv := arr
 		if inf := n.ingressFree[to]; inf.After(recv) {
 			recv = inf
 		}
 		recv = recv.Add(tx + n.proc)
 		n.ingressFree[to] = recv
 		deliverAt = recv
+	} else {
+		deliverAt = now.Add(d)
 	}
 	key := [2]types.NodeID{from, to}
 	l, ok := n.links[key]

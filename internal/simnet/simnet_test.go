@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,7 +228,7 @@ func testFIFOInlineBehindQueued(t *testing.T) {
 }
 
 // Flights on different links come out in deadline order, whatever order
-// they were sent in.
+// they were sent in, and none before its deadline.
 func testFIFOAcrossLinksByDeadline(t *testing.T) {
 	n := New(Options{Latency: FixedLatency{0}})
 	defer n.Close()
@@ -239,9 +241,10 @@ func testFIFOAcrossLinksByDeadline(t *testing.T) {
 		senders = append(senders, ep)
 	}
 	n.SetDelayFilter(func(from, _ types.NodeID) time.Duration { return delay[from] })
+	start := time.Now()
 	for i, ep := range senders {
 		m := msg()
-		m.Seq = types.SeqNum(i)
+		m.From, m.Seq = ep.ID(), types.SeqNum(i)
 		ep.Send(c.ID(), m)
 	}
 	for _, want := range []types.SeqNum{1, 2, 0} {
@@ -249,7 +252,61 @@ func testFIFOAcrossLinksByDeadline(t *testing.T) {
 		if m == nil || m.Seq != want {
 			t.Fatalf("want seq %d next, got %v", want, m)
 		}
+		if elapsed := time.Since(start); elapsed < delay[m.From] {
+			t.Fatalf("seq %d delivered after %v, before its %v hop", m.Seq, elapsed, delay[m.From])
+		}
 	}
+}
+
+// TestConcurrentSenders drives the scheduler from several goroutines at
+// once, each sender mixing inline and timed flights on its own link, and
+// closes the network while flights are still queued (run it under -race).
+func TestConcurrentSenders(t *testing.T) {
+	n := New(Options{Latency: FixedLatency{0}})
+	dst := n.Attach(types.ReplicaNode(0, 0), Oregon)
+	const senders, k = 4, 300
+	eps := make([]*Endpoint, senders)
+	for i := range eps {
+		eps[i] = n.Attach(types.ReplicaNode(1, i), Iowa)
+	}
+	// Every third message of a sender takes a timed hop; the rest are due
+	// at once and go inline unless the link still has a flight queued.
+	var seq [senders]atomic.Int64
+	n.SetDelayFilter(func(from, _ types.NodeID) time.Duration {
+		if seq[from.Index].Load()%3 == 0 {
+			return time.Duration(60+from.Index*40) * time.Microsecond
+		}
+		return 0
+	})
+	var wg sync.WaitGroup
+	for i, ep := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < k; j++ {
+				seq[i].Store(int64(j))
+				m := msg()
+				m.From, m.Seq = ep.ID(), types.SeqNum(j)
+				ep.Send(dst.ID(), m)
+			}
+		}()
+	}
+	next := make(map[types.NodeID]types.SeqNum)
+	for got := 0; got < senders*k; got++ {
+		m := recv(t, dst, time.Second)
+		if m == nil {
+			t.Fatalf("only %d of %d delivered", got, senders*k)
+		}
+		if m.Seq != next[m.From] {
+			t.Fatalf("link from %v reordered: got seq %d, want %d", m.From, m.Seq, next[m.From])
+		}
+		next[m.From]++
+	}
+	wg.Wait()
+	for _, ep := range eps {
+		ep.Send(dst.ID(), msg())
+	}
+	n.Close()
 }
 
 // TestDeliveryOnTime sends one message at a time over an idle network and
